@@ -24,13 +24,13 @@ memory = build(stream, embedder, mode="oracle", ticks_per_day=world.ticks_per_da
 print("semantic: 'green folder'")
 result = memory.query_semantic("green folder", embedder, r=3)
 for index, score in result.hits:
-    rec = memory.records[index]
+    rec = memory.record(index)
     print(f"  #{index:3d}  t={rec.t.value:3d} day={rec.t.day}  cos={score:.3f}  {rec.raw.caption[:70]}")
 
 print("\ntemporal: around t=300")
 result = memory.query_temporal(t_center=300, r=3)
 for index, dist in result.hits:
-    rec = memory.records[index]
+    rec = memory.record(index)
     print(f"  #{index:3d}  t={rec.t.value:3d}  |dt|={dist:.0f}  {rec.raw.caption[:70]}")
 
 print("\ntemporal: everything from day 1, most recent first")
@@ -42,7 +42,7 @@ print("\nspatial: within 2 m of the study desk")
 desk = world.landmarks["study_desk"].position
 result = memory.query_spatial(desk, radius=2.0, r=3)
 for index, dist in result.hits:
-    rec = memory.records[index]
+    rec = memory.record(index)
     print(f"  #{index:3d}  {dist:.2f} m  room={rec.pose.room_id}")
 
 best = memory.query_semantic("green folder", embedder, r=1).indices[0]

@@ -4,10 +4,17 @@ Every policy here is a pure function of (instruction text, working memory,
 remaining budget, registry schema): state is reconstructed from the trace on
 each call, so fixed seeds replay identical episodes. None of them can touch
 world state or long-term memory except through the actions they emit.
+
+Rebuilding the trace view re-reads every retrieved caption on every step, and
+captions repeat heavily across records, so each distinct caption is parsed
+once into a bounded module-level memo (a pure function of the text, hence
+invisible to replay). Captions share their phrases, so a second memo keeps
+one parsed entity per distinct phrase and a memoized caption costs a tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -38,6 +45,13 @@ class ParsedInstruction:
     @property
     def descriptor(self) -> str:
         return " ".join([*self.attributes, self.class_label])
+
+    @property
+    def query_text(self) -> str:
+        """Semantic-query text: the descriptor plus any landmark phrase."""
+        if self.landmark_phrase:
+            return f"{self.descriptor} {self.landmark_phrase}"
+        return self.descriptor
 
 
 def _split_descriptor(descr: str) -> tuple[tuple[str, ...], str]:
@@ -80,25 +94,32 @@ class CaptionEntity:
 
 
 _PHRASE_RE = re.compile(r"^a (.+?) (on|inside) the (.+)$")
+_PARSE_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_phrase(phrase: str) -> Optional[CaptionEntity]:
+    m = _PHRASE_RE.match(phrase.strip())
+    if not m:
+        return None
+    attrs, cls = _split_descriptor(m.group(1))
+    return CaptionEntity(
+        class_label=cls,
+        attributes=attrs,
+        landmark_name=m.group(3),
+        contained=(m.group(2) == "inside"),
+    )
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_caption(caption: str) -> tuple[CaptionEntity, ...]:
+    parsed = (_parse_phrase(part) for part in caption.split("; "))
+    return tuple(ent for ent in parsed if ent is not None)
 
 
 def parse_caption(caption: str) -> list[CaptionEntity]:
     """Invert the caption template back into entity phrases."""
-    out: list[CaptionEntity] = []
-    for part in caption.split("; "):
-        m = _PHRASE_RE.match(part.strip())
-        if not m:
-            continue
-        attrs, cls = _split_descriptor(m.group(1))
-        out.append(
-            CaptionEntity(
-                class_label=cls,
-                attributes=attrs,
-                landmark_name=m.group(3),
-                contained=(m.group(2) == "inside"),
-            )
-        )
-    return out
+    return list(_parse_caption(caption))
 
 
 def phrase_matches(entity: CaptionEntity, parsed: ParsedInstruction) -> bool:
@@ -190,7 +211,7 @@ class TraceView:
         out = []
         for idx in sorted(self.hits):
             view = self.hits[idx]
-            for ent in parse_caption(view["caption"]):
+            for ent in _parse_caption(view["caption"]):
                 if phrase_matches(ent, self.parsed):
                     out.append(
                         HitMatch(
@@ -356,15 +377,8 @@ class TrPlusSPolicy:
     def __init__(self, semantic_r: int = DEFAULT_SEMANTIC_R):
         self.semantic_r = semantic_r
 
-    @staticmethod
-    def _query_text(parsed: ParsedInstruction) -> str:
-        parts = [*parsed.attributes, parsed.class_label]
-        if parsed.landmark_phrase:
-            parts.append(parsed.landmark_phrase)
-        return " ".join(parts)
-
     def _probes(self, parsed: ParsedInstruction, view: TraceView) -> list[Action]:
-        probes = [Action("semantic_query", {"query": self._query_text(parsed), "r": self.semantic_r})]
+        probes = [Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})]
         if parsed.day_ref == "yesterday" and view.last_day is not None:
             r = view.ticks_per_day or DEFAULT_WINDOW_R
             probes.append(
@@ -576,13 +590,6 @@ class StarScriptedPolicy:
         self.semantic_r = semantic_r
         self.max_fetches = max_fetches
 
-    @staticmethod
-    def _query_text(parsed: ParsedInstruction) -> str:
-        parts = [*parsed.attributes, parsed.class_label]
-        if parsed.landmark_phrase:
-            parts.append(parsed.landmark_phrase)
-        return " ".join(parts)
-
     def _window_action(self, view: TraceView, day: int) -> Action:
         r = view.ticks_per_day or DEFAULT_WINDOW_R
         return Action("temporal_query", {"day_start": day, "day_end": day, "r": r})
@@ -607,7 +614,7 @@ class StarScriptedPolicy:
         if not committed:
             if not view.issued("semantic_query"):
                 return PolicyDecision(
-                    Action("semantic_query", {"query": self._query_text(parsed), "r": self.semantic_r})
+                    Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})
                 )
             for day in self._wanted_windows(parsed, view):
                 if not view.issued("temporal_query", day_start=day, day_end=day):

@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..core import Action, Outcome, ParamSpec, ToolRegistry, ToolSpec
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
-from ..embed import Embedder
+from ..embed import Embedder, TransportError
 from ..homesim import Schedule, WorldState, detect, navigate, open_receptacle, pick
 
 TEMPORAL_TOOLS = ("semantic_query", "temporal_query", "spatial_query", "fetch_raw")
@@ -111,7 +111,7 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
 
 def record_view(memory: LongTermMemory, index: int, score: float) -> dict:
     """Compact policy-facing view of one memory hit: caption level only."""
-    rec = memory.records[index]
+    rec = memory.record(index)
     return {
         "record_index": index,
         "score": score,
@@ -127,17 +127,23 @@ def record_view(memory: LongTermMemory, index: int, score: float) -> dict:
 
 def _memory_meta(memory: LongTermMemory) -> dict:
     n = len(memory)
+    last = memory.record(n - 1) if n else None
     return {
         "total": n,
         "ticks_per_day": memory.ticks_per_day,
-        "last_t": memory.records[n - 1].t.value if n else None,
-        "last_day": memory.records[n - 1].t.day if n else None,
+        "last_t": last.t.value if last else None,
+        "last_day": last.t.day if last else None,
     }
 
 
 def _retrieval_outcome(memory: LongTermMemory, result: QueryResult) -> Outcome:
     hits = [record_view(memory, i, s) for i, s in result.hits]
     return Outcome(kind="retrieval", payload={"hits": hits, **_memory_meta(memory)})
+
+
+def _error_outcome(exc: Exception) -> Outcome:
+    """The one outcome shape of a temporal tool that could not run."""
+    return Outcome(kind="retrieval", payload={"hits": [], "error": str(exc)})
 
 
 class ActionExecutor:
@@ -158,11 +164,16 @@ class ActionExecutor:
         self.default_r = default_r
 
     def execute(self, action: Action) -> Outcome:
+        """Run one schema-valid action. Bad arguments to temporal tools come
+        back as an error outcome; nothing here raises for them."""
         tool = action.tool
         args = action.args
         if tool == "semantic_query":
             r = int(args.get("r", self.default_r))
-            result = self.memory.query_semantic(args["query"], self.embedder, r=r)
+            try:
+                result = self.memory.query_semantic(args["query"], self.embedder, r=r)
+            except (ValueError, TransportError) as exc:  # EmbeddingError is a ValueError
+                return _error_outcome(exc)
             return _retrieval_outcome(self.memory, result)
         if tool == "temporal_query":
             r = int(args.get("r", self.default_r))
@@ -174,7 +185,7 @@ class ActionExecutor:
                         day_window=(int(args["day_start"]), int(args["day_end"])), r=r
                     )
             except ValueError as exc:
-                return Outcome(kind="retrieval", payload={"hits": [], "error": str(exc)})
+                return _error_outcome(exc)
             return _retrieval_outcome(self.memory, result)
         if tool == "spatial_query":
             r = int(args.get("r", self.default_r))
@@ -183,15 +194,15 @@ class ActionExecutor:
                     (float(args["x"]), float(args["y"])), float(args["radius"]), r=r
                 )
             except ValueError as exc:
-                return Outcome(kind="retrieval", payload={"hits": [], "error": str(exc)})
+                return _error_outcome(exc)
             return _retrieval_outcome(self.memory, result)
         if tool == "fetch_raw":
             idx = int(args["record_index"])
             try:
                 raw = self.memory.fetch_raw(idx)
             except IndexError as exc:
-                return Outcome(kind="retrieval", payload={"hits": [], "error": str(exc)})
-            rec = self.memory.records[idx]
+                return _error_outcome(exc)
+            rec = self.memory.record(idx)
             return Outcome(
                 kind="retrieval",
                 payload={

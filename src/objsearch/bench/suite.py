@@ -71,7 +71,7 @@ class SuiteConfig:
                 raise ValueError(f"unknown mode {m!r}; valid: {MODES}")
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "methods": list(self.methods),
             "modes": list(self.modes),
             "budget": self.budget,
@@ -80,6 +80,11 @@ class SuiteConfig:
             "noise": {"p_drop": self.noise.p_drop, "p_mislabel": self.noise.p_mislabel},
             "parallelism": self.parallelism,
         }
+        # The model behind an llm policy changes results; keep it in the
+        # lineage. Scripted configs carry no llm key, so their hash is stable.
+        if self.llm is not None:
+            d["llm"] = {"model": self.llm.model, "url": self.llm.url}
+        return d
 
     def config_hash(self) -> str:
         # Parallelism changes execution layout, never results; keep it out of
@@ -249,6 +254,7 @@ def _config_from_dict(d: Mapping[str, Any]) -> SuiteConfig:
         embed_dim=int(d["embed_dim"]),
         noise=NoiseModel(p_drop=d["noise"]["p_drop"], p_mislabel=d["noise"]["p_mislabel"]),
         parallelism=int(d["parallelism"]),
+        llm=LLMPolicyConfig(url=d["llm"]["url"], model=d["llm"]["model"]) if "llm" in d else None,
     )
 
 

@@ -2,7 +2,9 @@
 
 The robot walks a fixed room-by-room landmark cycle every day. Each tick
 yields the robot pose and the ground-truth visible entity list at that pose;
-the stream is what memory construction consumes.
+the stream is what memory construction consumes. Ticks that see the same
+view share one observation object, so consumers may key per-view work on
+object identity.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def patrol(
     The stream has exactly days * ticks_per_day elements and every landmark is
     visited at least once per day (ticks_per_day must be no smaller than the
     route length). The world is mutated: its clock ends at task time T.
+
+    Ticks that see the same view share one (pose, observation) pair: a view
+    is computed once per (landmark, number of applied moves), since patrol
+    opens nothing and only scheduled moves change what a landmark shows.
     """
     if not (MIN_PATROL_DAYS <= days <= MAX_PATROL_DAYS):
         raise ValueError(f"days must lie in [{MIN_PATROL_DAYS}, {MAX_PATROL_DAYS}], got {days}")
@@ -46,17 +52,23 @@ def patrol(
     if tpd < len(route):
         raise ValueError(f"ticks_per_day={tpd} cannot cover the {len(route)}-landmark route")
     stream: list[tuple[Timestep, Pose, SymbolicObservation]] = []
+    views: dict[tuple[str, int], tuple[Pose, SymbolicObservation]] = {}
     for day in range(days):
         for tick in range(tpd):
             world.sync(schedule)
             landmark_id = route[tick * len(route) // tpd]
-            world.robot_pose = world.approach_pose(landmark_id)
             world.robot_focus = landmark_id
-            entities = tuple(world.visible_entities())
-            obs = SymbolicObservation(
-                visible_entities=entities,
-                caption=render_caption(entities, mode="oracle"),
-            )
+            key = (landmark_id, len(world.applied_moves))
+            view = views.get(key)
+            if view is None:
+                world.robot_pose = world.approach_pose(landmark_id)
+                entities = tuple(world.visible_entities())
+                obs = SymbolicObservation(
+                    visible_entities=entities,
+                    caption=render_caption(entities, mode="oracle"),
+                )
+                view = views[key] = (world.robot_pose, obs)
+            world.robot_pose, obs = view
             stream.append((Timestep.at(world.clock, tpd), world.robot_pose, obs))
             world.clock += 1
     world.sync(schedule)

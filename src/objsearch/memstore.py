@@ -99,6 +99,12 @@ class LongTermMemory:
     def records(self) -> Sequence[MemoryRecord]:
         return self._records[: self._n]
 
+    def record(self, i: int) -> MemoryRecord:
+        """One record by index, without copying the record list."""
+        if not (0 <= i < self._n):
+            raise IndexError(f"record index {i} out of range [0, {self._n})")
+        return self._records[i]
+
     @property
     def semantic_index(self) -> np.ndarray:
         return self._emb[: self._n]
@@ -195,9 +201,12 @@ class LongTermMemory:
         return self._result(order, ts[order].astype(np.float64))
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
-        """Records whose pose lies within radius of center, nearest first."""
+        """Records whose pose lies within radius of center, nearest first.
+        A non-finite center or radius is an error, not an empty result."""
         if r < 1:
             raise ValueError("r must be >= 1")
+        if not np.all(np.isfinite([*center, radius])):
+            raise ValueError("center and radius must be finite")
         if radius <= 0:
             raise ValueError("radius must be positive")
         n, _, _, pos = self._snapshot()
@@ -211,9 +220,7 @@ class LongTermMemory:
 
     def fetch_raw(self, record_index: int) -> SymbolicObservation:
         """Return the stored raw observation for one record, unchanged."""
-        if not (0 <= record_index < self._n):
-            raise IndexError(f"record index {record_index} out of range [0, {self._n})")
-        return self._records[record_index].raw
+        return self.record(record_index).raw
 
 
 def build(
@@ -232,7 +239,9 @@ def build(
     rendered from the raw entity lists under the requested mode (the noise
     seed for each record derives from noise_seed and its timestep), embedded,
     and stored alongside the raw observation. Every snapshot_every-th record
-    is flagged as a keyframe.
+    is flagged as a keyframe. An oracle caption depends only on the entity
+    list, so a record whose entity tuple is the previous record's own object
+    (as patrol hands out for a repeated view) reuses that record's caption.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -243,13 +252,17 @@ def build(
         embedder_id=embedder.embedder_id,
         mode=mode,
     )
+    last_entities: Optional[tuple] = None
+    caption = ""
     for i, (t, pose, obs) in enumerate(stream):
-        caption = render_caption(
-            obs.visible_entities,
-            mode=mode,
-            seed=stable_seed("caption", noise_seed, t.value),
-            noise=noise,
-        )
+        if mode != "oracle" or obs.visible_entities is not last_entities:
+            caption = render_caption(
+                obs.visible_entities,
+                mode=mode,
+                seed=stable_seed("caption", noise_seed, t.value),
+                noise=noise,
+            )
+            last_entities = obs.visible_entities
         raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
         memory.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
     return memory

@@ -1,8 +1,11 @@
 """Decision loop, unified action space accounting, and scripted policies."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from objsearch.agent import (
     ActionExecutor,
@@ -16,13 +19,23 @@ from objsearch.agent import (
     run_episode,
     update_working_memory,
 )
-from objsearch.agent.policies import parse_caption, parse_instruction
+from objsearch.agent.policies import (
+    ATTRIBUTE_VOCAB,
+    CaptionEntity,
+    parse_caption,
+    parse_instruction,
+)
 from objsearch.bench import SuiteConfig, build_task, prepare_task, run_task_episode
 from objsearch.core import (
+    CONTAINMENTS,
+    CONTAINMENT_INSIDE_OPEN,
     Action,
     Instruction,
     Outcome,
+    VisibleEntity,
     WorkingMemory,
+    render_caption,
+    validate_action,
 )
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import (
@@ -87,6 +100,40 @@ def test_parse_caption_inverts_template():
     assert ents[0].landmark_name == "study desk" and not ents[0].contained
     assert ents[1].contained and ents[1].landmark_name == "white cabinet"
     assert parse_caption("nothing notable") == []
+
+
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+
+
+@st.composite
+def caption_entities(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    return [
+        VisibleEntity(
+            entity_id=f"e{i}",
+            class_label=draw(_WORDS),
+            attributes=tuple(draw(st.lists(st.sampled_from(sorted(ATTRIBUTE_VOCAB)), max_size=3))),
+            landmark_id=f"lm{i}",
+            containment=draw(st.sampled_from(CONTAINMENTS)),
+            landmark_name=" ".join(draw(st.lists(_WORDS, min_size=1, max_size=3))),
+        )
+        for i in range(n)
+    ]
+
+
+@given(caption_entities())
+def test_parse_caption_round_trips_render_caption(ents):
+    caption = render_caption(ents)
+    expected = [
+        CaptionEntity(e.class_label, e.attributes, e.landmark_name, e.containment == CONTAINMENT_INSIDE_OPEN)
+        for e in ents
+    ]
+    first = parse_caption(caption)
+    assert first == expected
+    # Each call hands out its own list: mutating one leaves later parses intact.
+    first.clear()
+    first.append(CaptionEntity("intruder", (), "nowhere", False))
+    assert parse_caption(caption) == expected
 
 
 # -- loop: budget, accounting, locality -------------------------------------------
@@ -280,6 +327,34 @@ def test_fetch_raw_out_of_range_is_outcome_not_crash():
     executor = executor_for(world)
     out = executor.execute(Action("fetch_raw", {"record_index": 99}))
     assert out.kind == "retrieval" and "error" in out.payload
+
+
+def patrolled_executor():
+    world, schedule = generate_world(7, 1)
+    memory = build(patrol(world, schedule, days=3), EMB, ticks_per_day=200)
+    return ActionExecutor(memory, world, schedule, EMB)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        Action("semantic_query", {"query": "!!!"}),
+        Action("semantic_query", {"query": "green folder", "r": 0}),
+        Action("temporal_query", {"timestep": 10, "r": 0}),
+        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": 2.0, "r": 0}),
+        Action("spatial_query", {"x": math.nan, "y": 1.0, "radius": 2.0}),
+        Action("spatial_query", {"x": 1.0, "y": math.nan, "radius": 2.0}),
+        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.nan}),
+        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.inf}),
+    ],
+    ids=lambda a: f"{a.tool}-{sorted(a.args.items())}",
+)
+def test_bad_query_arguments_are_error_outcomes(action):
+    executor = patrolled_executor()
+    assert validate_action(action, default_registry(executor.world)) == []
+    out = executor.execute(action)
+    assert out.kind == "retrieval"
+    assert out.payload["hits"] == [] and out.payload["error"]
 
 
 # -- random policy --------------------------------------------------------------------

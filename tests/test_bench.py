@@ -2,6 +2,7 @@
 
 import pytest
 
+from objsearch.agent import LLMPolicyConfig
 from objsearch.bench import (
     GenerationError,
     SuiteConfig,
@@ -17,6 +18,7 @@ from objsearch.bench import (
     run_suite,
     wilson_interval,
 )
+from objsearch.bench.suite import _config_from_dict
 from objsearch.bench.tasks import interactive_per_family
 from objsearch.core import Action, Instruction, Outcome, WorkingMemory
 from objsearch.homesim import LOC_INSIDE, generate_world
@@ -322,6 +324,23 @@ def test_crash_containment(tmp_path):
     assert report.episodes[0]["termination"] == "crash"
     assert not report.episodes[0]["success"]
     assert "error" in report.episodes[0]
+
+
+def test_llm_endpoint_is_in_the_lineage_hash():
+    def cfg(**llm):
+        return SuiteConfig(llm=LLMPolicyConfig(**llm) if llm else None)
+
+    a = cfg(url="http://localhost:1/v1", model="m1")
+    hashes = {
+        c.config_hash()
+        for c in (a, cfg(url="http://localhost:1/v1", model="m2"), cfg(url="http://localhost:2/v1", model="m1"))
+    }
+    assert len(hashes) == 3
+    assert _config_from_dict(a.to_dict()).config_hash() == a.config_hash()
+    # Scripted configs carry no llm key, so their hashes are the same as before.
+    assert "llm" not in cfg().to_dict()
+    assert cfg().config_hash() == "020e6ebe9dc05e36"
+    assert SuiteConfig(modes=("oracle", "realistic"), seed=3).config_hash() == "fc55ce910f69c250"
 
 
 # -- fixture suites ---------------------------------------------------------------------------

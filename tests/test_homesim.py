@@ -2,7 +2,7 @@
 
 import pytest
 
-from objsearch.core import CONTAINMENT_INSIDE_OPEN
+from objsearch.core import CONTAINMENT_INSIDE_OPEN, SymbolicObservation, Timestep, render_caption
 from objsearch.homesim import (
     LOC_INSIDE,
     LOC_LANDMARK,
@@ -10,6 +10,7 @@ from objsearch.homesim import (
     Move,
     SCENE_IDS,
     Schedule,
+    ambient_schedule,
     detect,
     export_scene_graph,
     fast_forward,
@@ -20,6 +21,7 @@ from objsearch.homesim import (
     patrol,
     patrol_route,
     pick,
+    scene_casting,
     read_stream,
     room_segment,
     write_stream,
@@ -164,6 +166,74 @@ def test_fast_forward_matches_patrol_end_state():
     assert {o.entity_id: o.location for o in w1.objects.values()} == {
         o.entity_id: o.location for o in w2.objects.values()
     }
+
+
+def reference_patrol(world, schedule, days):
+    """Patrol with every view recomputed on every tick: the oracle for the
+    view reuse inside patrol()."""
+    tpd = world.ticks_per_day
+    route = patrol_route(world)
+    stream = []
+    for _ in range(days):
+        for tick in range(tpd):
+            world.sync(schedule)
+            landmark_id = route[tick * len(route) // tpd]
+            world.robot_pose = world.approach_pose(landmark_id)
+            world.robot_focus = landmark_id
+            entities = tuple(world.visible_entities())
+            obs = SymbolicObservation(visible_entities=entities, caption=render_caption(entities))
+            stream.append((Timestep.at(world.clock, tpd), world.robot_pose, obs))
+            world.clock += 1
+    world.sync(schedule)
+    return stream
+
+
+def world_end_state(world):
+    return (
+        world.to_dict(),
+        world.robot_pose,
+        world.robot_focus,
+        list(world.applied_moves),
+        dict(world.receptacle_open),
+        list(world.inventory),
+    )
+
+
+def busy_schedule(world, days):
+    """Ambient drift plus moves that land mid-day: across rooms, into a closed
+    receptacle and back out again."""
+    tpd = world.ticks_per_day
+    drift = ambient_schedule(world, scene_casting(world.scene_id)["drifters"], seed=11,
+                             days=days, moves_per_day=4)
+    placed = [o for o in world.objects.values() if o.location.kind == LOC_LANDMARK]
+    recep = next(lm for lm in world.landmarks.values() if lm.is_receptacle)
+    mover, hider = placed[0], placed[1]
+    far = next(
+        lm for lm in world.landmarks.values()
+        if not lm.is_receptacle and lm.room_id != world.landmarks[mover.location.ref].room_id
+    )
+    extra = (
+        Move(0, tpd // 3, hider.entity_id, Location(LOC_INSIDE, recep.landmark_id)),
+        Move(1, tpd // 2 + 3, mover.entity_id, Location(LOC_LANDMARK, far.landmark_id)),
+        Move(days - 1, tpd // 2, hider.entity_id, hider.location),
+    )
+    return Schedule(seed=0, moves=drift.moves + extra)
+
+
+@pytest.mark.parametrize("tpd", [200, 1300])
+@pytest.mark.parametrize("scene", SCENE_IDS)
+def test_patrol_equals_per_tick_reference(scene, tpd):
+    days = 3
+    w1, _ = generate_world(6, scene, ticks_per_day=tpd)
+    w2, _ = generate_world(6, scene, ticks_per_day=tpd)
+    schedule = busy_schedule(w1, days)
+    assert any(0 < m.tick_of_day < tpd - 1 for m in schedule.moves)
+    stream = patrol(w1, schedule, days)
+    assert stream == reference_patrol(w2, schedule, days)
+    assert world_end_state(w1) == world_end_state(w2)
+    assert len(w1.applied_moves) == len(schedule.moves)
+    # Views are shared between ticks, not recomputed per tick.
+    assert len({id(obs) for _, _, obs in stream}) < len(stream) // 5
 
 
 def test_stream_file_round_trip(tmp_path):

@@ -114,6 +114,35 @@ def test_build_from_three_day_patrol():
     assert max(rec.t.day for rec in memory.records) == 2
 
 
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+def test_build_over_shared_views_equals_fresh_copies(mode):
+    world, schedule = generate_world(3, 2)
+    stream = patrol(world, schedule, days=3)
+    assert len({id(obs.visible_entities) for _, _, obs in stream}) < len(stream)
+    fresh = [
+        (t, Pose.from_dict(pose.to_dict()), SymbolicObservation.from_dict(obs.to_dict()))
+        for t, pose, obs in stream
+    ]
+    shared = build(stream, EMB, mode=mode, noise_seed=5, ticks_per_day=200)
+    copied = build(fresh, EMB, mode=mode, noise_seed=5, ticks_per_day=200)
+    assert list(shared.records) == list(copied.records)
+
+
+def test_record_by_index():
+    memory = fill(new_memory(), [(t, f"a mug on the sink {t}", (t, 0)) for t in range(3)])
+    assert [memory.record(i) for i in range(3)] == list(memory.records)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            memory.record(bad)
+
+
+def test_spatial_rejects_non_finite_arguments():
+    memory = fill(new_memory(), [(t, "a mug on the sink", (t, 0)) for t in range(3)])
+    for center, radius in (((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0), ((0.0, 0.0), math.nan)):
+        with pytest.raises(ValueError):
+            memory.query_spatial(center, radius, r=5)
+
+
 def test_build_rejects_non_monotonic_timestamps():
     memory = fill(new_memory(), [(5, "a mug on the sink", (0, 0))])
     with pytest.raises(ValueError):
