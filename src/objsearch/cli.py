@@ -36,7 +36,7 @@ from .homesim import (
     read_stream,
     write_stream,
 )
-from .agent import LLMPolicyConfig
+from .agent import TERMINATION_ABORT, LLMPolicyConfig
 from .memstore import build as build_memory_from_stream, persist
 
 
@@ -219,10 +219,26 @@ def cmd_gen_tasks(
 
 
 def _load_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
+    """Read a task file: a header whose count matches the task lines after it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = canonical_loads(lines[0])
-    tasks = [TaskSpec.from_dict(canonical_loads(ln)) for ln in lines[1:]]
+    if not lines:
+        raise click.ClickException(f"task file {path} is empty")
+    try:
+        header = canonical_loads(lines[0])
+        count = header["count"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise click.ClickException(f"task file {path}: malformed header: {exc}") from exc
+    if count != len(lines) - 1:
+        raise click.ClickException(
+            f"task file {path}: header count {count} != {len(lines) - 1} tasks (truncated?)"
+        )
+    tasks = []
+    for i, line in enumerate(lines[1:]):
+        try:
+            tasks.append(TaskSpec.from_dict(canonical_loads(line)))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise click.ClickException(f"task file {path}: task {i}: {exc}") from exc
     return header, tasks
 
 
@@ -290,7 +306,10 @@ def cmd_run_suite(tasks_path: str, methods: str, modes: str, budget: int, seed: 
     _write_json(out_report, payload)
     total = len(report.episodes)
     wins = sum(1 for e in report.episodes if e["success"])
-    click.echo(f"episodes={total} successes={wins} report={out_report} logs={out_logs}")
+    crashes = sum(1 for e in report.episodes if e["termination"] == "crash")
+    aborts = sum(1 for e in report.episodes if e["termination"] == TERMINATION_ABORT)
+    click.echo(f"episodes={total} successes={wins} crashes={crashes} aborts={aborts} "
+               f"report={out_report} logs={out_logs}")
 
 
 @main.command("report")

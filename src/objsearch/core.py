@@ -261,8 +261,11 @@ class MemoryRecord:
 
     def __post_init__(self) -> None:
         emb = np.asarray(self.embedding, dtype=np.float64)
+        if emb.ndim != 1:
+            raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
         object.__setattr__(self, "embedding", emb)
-        norm = float(np.linalg.norm(emb))
+        # The dot-then-sqrt that np.linalg.norm runs on a 1-D float64 vector.
+        norm = math.sqrt(emb @ emb)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"embedding must be unit norm, got {norm:.8f}")
 

@@ -8,6 +8,7 @@ that want a learned embedding model behind the same interface.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 DEFAULT_DIM = 256
+_FEATURE_MEMO_SIZE = 4096
 _NORMALIZER_VERSION = "lc-strip-v1"
 
 
@@ -56,6 +58,9 @@ def normalize_text(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+# Captions draw on a small vocabulary (the whole desk suite has 268 distinct
+# features), so a bounded memo answers nearly every lookup.
+@functools.lru_cache(maxsize=_FEATURE_MEMO_SIZE)
 def _hash_feature(feature: str) -> int:
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -67,12 +72,13 @@ def _reference_embed(text: str, d: int) -> np.ndarray:
         raise EmbeddingError("text has no tokens after normalization")
     features = list(tokens)
     features.extend(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))
-    vec = np.zeros(d, dtype=np.float64)
-    for feat in features:
-        h = _hash_feature(feat)
-        idx = h % d
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        vec[idx] += sign
+    hashes = [_hash_feature(feat) for feat in features]
+    idx = np.fromiter((h % d for h in hashes), dtype=np.intp, count=len(hashes))
+    signs = np.fromiter((1.0 if (h >> 63) & 1 else -1.0 for h in hashes), dtype=np.float64,
+                        count=len(hashes))
+    # Sums of +-1.0 are exact in any order, so this equals adding each sign
+    # into its bucket in turn, bit for bit.
+    vec = np.bincount(idx, weights=signs, minlength=d)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         # Signed-hash cancellation can zero the vector in pathological cases;
@@ -151,12 +157,15 @@ class Embedder:
         return self.config.embedder_id
 
     def __call__(self, text: str) -> np.ndarray:
+        """The unit-norm embedding of text. A memoized vector is read-only,
+        since every later caller (and every record built from it) shares it."""
         if self._memo is not None:
             hit = self._memo.get(text)
             if hit is not None:
                 return hit
         vec = embed_text(self.config, text, post=self._post)
         if self._memo is not None:
+            vec.flags.writeable = False
             self._memo[text] = vec
         return vec
 

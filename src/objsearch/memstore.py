@@ -5,9 +5,11 @@ stay well under 1e5 records, where exact scan is both fast and trivially
 testable against a linear oracle; an approximate index could later hide
 behind the same interface.
 
-Concurrency: one writer may append while readers query. Readers snapshot the
-record count first and then slice each index array, so every query sees a
-consistent prefix of the insertion order.
+Concurrency: one writer may append or extend while readers query. A batch
+is validated whole and published at once, after its rows are written, and
+readers snapshot the record count first and then slice each index array. So
+every query sees a consistent prefix of the insertion order that ends at a
+batch boundary: a whole batch or none of it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ SCORE_DECIMALS = 9
 
 class IntegrityError(RuntimeError):
     """A memory file failed validation on load."""
+
+
+class BatchError(ValueError):
+    """A record batch failed validation; nothing of it was stored."""
+
+    def __init__(self, position: int, reason: str):
+        super().__init__(f"batch position {position}: {reason}")
+        self.position = position
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -117,34 +128,55 @@ class LongTermMemory:
     def spatial_index(self) -> np.ndarray:
         return self._pos[: self._n]
 
-    def _grow(self) -> None:
-        cap = self._emb.shape[0] * 2
+    def _reserve(self, need: int) -> None:
+        cap = self._emb.shape[0]
+        if need <= cap:
+            return
+        cap = max(need, 2 * cap)
         for name in ("_emb", "_ts", "_pos"):
             old = getattr(self, name)
-            new_shape = (cap,) + old.shape[1:]
-            grown = np.zeros(new_shape, dtype=old.dtype)
+            grown = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
     def append(self, record: MemoryRecord) -> int:
-        """Append one record; timestamps must be strictly increasing."""
-        if record.embedding.shape != (self.d,):
-            raise ValueError(f"embedding dimension {record.embedding.shape} != ({self.d},)")
-        if self._n > 0 and record.t.value <= int(self._ts[self._n - 1]):
-            raise ValueError(
-                f"non-monotonic timestamp {record.t.value} after {int(self._ts[self._n - 1])}"
-            )
-        if self._n == self._emb.shape[0]:
-            self._grow()
-        i = self._n
-        self._emb[i] = record.embedding
-        self._ts[i] = record.t.value
-        self._pos[i] = record.pose.position
-        self._records.append(record)
-        # Publish the new row last so concurrent readers never see a torn
-        # index triple: rows below _n are immutable once _n is advanced.
-        self._n = i + 1
-        return i
+        """Append one record; see extend."""
+        return self.extend((record,))
+
+    def extend(self, records: Iterable[MemoryRecord]) -> int:
+        """Append a batch of records and return the index of its first one.
+
+        The whole batch is checked before anything is stored: every embedding
+        must have shape (d,), and timestamps must increase strictly, within
+        the batch and after the last stored record. A bad batch raises
+        BatchError naming its position in the batch and stores nothing.
+        """
+        batch = list(records)
+        n = self._n
+        if not batch:
+            return n
+        shape = (self.d,)
+        ts: list[int] = []
+        prev = int(self._ts[n - 1]) if n else None
+        for j, record in enumerate(batch):
+            if record.embedding.shape != shape:
+                raise BatchError(j, f"embedding dimension {record.embedding.shape} != {shape}")
+            t = record.t.value
+            if prev is not None and t <= prev:
+                raise BatchError(j, f"non-monotonic timestamp {t} after {prev}")
+            ts.append(t)
+            prev = t
+        m = n + len(batch)
+        self._reserve(m)
+        np.stack([record.embedding for record in batch], out=self._emb[n:m])
+        self._ts[n:m] = ts
+        self._pos[n:m] = [record.pose.position for record in batch]
+        self._records.extend(batch)
+        # Publish the batch last so concurrent readers never see a torn
+        # index triple or part of a batch: rows below _n are immutable once
+        # _n is advanced.
+        self._n = m
+        return n
 
     def _snapshot(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         n = self._n
@@ -242,6 +274,11 @@ def build(
     is flagged as a keyframe. An oracle caption depends only on the entity
     list, so a record whose entity tuple is the previous record's own object
     (as patrol hands out for a repeated view) reuses that record's caption.
+
+    Records share raw observations per view: consecutive non-keyframe
+    records whose stream observation is the same object and whose caption is
+    the same share one stored raw observation. A keyframe or a new view gets
+    its own. All records go into the memory as one batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -252,7 +289,10 @@ def build(
         embedder_id=embedder.embedder_id,
         mode=mode,
     )
+    records: list[MemoryRecord] = []
     last_entities: Optional[tuple] = None
+    last_obs: Optional[SymbolicObservation] = None
+    raw: Optional[SymbolicObservation] = None
     caption = ""
     for i, (t, pose, obs) in enumerate(stream):
         if mode != "oracle" or obs.visible_entities is not last_entities:
@@ -263,8 +303,12 @@ def build(
                 noise=noise,
             )
             last_entities = obs.visible_entities
-        raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
-        memory.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
+        keyframe = i % snapshot_every == 0
+        if keyframe or obs is not last_obs or raw.keyframe or raw.caption != caption:
+            raw = replace(obs, caption=caption, keyframe=keyframe)
+            last_obs = obs
+        records.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
+    memory.extend(records)
     return memory
 
 
@@ -334,15 +378,21 @@ def load(path: str) -> LongTermMemory:
         raise IntegrityError(
             f"record count mismatch: header says {header['count']}, found {len(record_lines)}"
         )
+    records = []
     for i, line in enumerate(record_lines):
         try:
-            memory.append(MemoryRecord.from_dict(canonical_loads(line)))
+            records.append(MemoryRecord.from_dict(canonical_loads(line)))
         except Exception as exc:
             raise IntegrityError(f"record {i}: {exc}") from exc
+    try:
+        memory.extend(records)
+    except BatchError as exc:
+        raise IntegrityError(f"record {exc.position}: {exc.reason}") from exc
     return memory
 
 
 __all__ = [
+    "BatchError",
     "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_TOP_R",
     "IntegrityError",

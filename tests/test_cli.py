@@ -219,3 +219,57 @@ def test_report_json_format_round_trips(suite_artifacts):
         catch_exceptions=False)
     body = json.loads(result.output)
     assert "success_rates" in body and "episodes" in body
+
+
+@pytest.mark.parametrize("case", ["empty", "bad_header", "no_count", "truncated", "bad_task"])
+def test_run_suite_rejects_malformed_task_file(suite_artifacts, tmp_path, case):
+    lines = open(suite_artifacts["tasks"]).read().splitlines()
+    assert len(lines) == 12
+    body = {
+        "empty": [],
+        "bad_header": ["{not json"] + lines[1:],
+        "no_count": ['{"config_hash":"x"}'] + lines[1:],
+        "truncated": lines[:4],
+        "bad_task": lines[:2] + ['{"task_id":"t"}'] + lines[3:],
+    }[case]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("".join(line + "\n" for line in body))
+    report = tmp_path / "report.json"
+    expected = {"empty": "empty", "truncated": "header count 11 != 3 tasks",
+                "bad_task": "task 1"}.get(case, "malformed header")
+    for args in (["run-suite", "--out-report", str(report)], ["run-task"]):
+        result = CliRunner().invoke(main, [*args, "--tasks", str(path)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert expected in result.output
+    assert not report.exists()
+
+
+def test_run_suite_summary_counts_crashes_and_aborts(suite_artifacts, tmp_path, monkeypatch):
+    import dataclasses
+
+    from objsearch.bench import suite
+
+    real = suite.run_task_episode
+
+    def flaky(task, method, *args, **kwargs):
+        if method == "random":
+            raise RuntimeError("injected")
+        result = real(task, method, *args, **kwargs)
+        if method == "tr_s":
+            result = dataclasses.replace(result, termination="policy_abort")
+        return result
+
+    monkeypatch.setattr(suite, "run_task_episode", flaky)
+    report = str(tmp_path / "report.json")
+    result = CliRunner().invoke(
+        main, ["run-suite", "--tasks", suite_artifacts["tasks"], "--methods", "random,tr_s,star",
+               "--seed", "1", "--out-report", report, "--out-logs", str(tmp_path / "logs.jsonl")],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    episodes = json.load(open(report))["episodes"]
+    terminations = [e["termination"] for e in episodes]
+    assert terminations.count("crash") == 11 and terminations.count("policy_abort") == 11
+    fields = dict(kv.split("=", 1) for kv in result.output.split())
+    assert fields["episodes"] == "33"
+    assert fields["crashes"] == "11" and fields["aborts"] == "11"

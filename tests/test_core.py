@@ -84,6 +84,13 @@ def test_memory_record_requires_unit_norm():
         )
 
 
+def test_memory_record_rejects_non_1d_embedding():
+    rec = make_record()
+    for shape in ((1, 32), (32, 1)):  # unit norm, wrong rank
+        with pytest.raises(ValueError, match="1-D"):
+            MemoryRecord(t=rec.t, pose=rec.pose, embedding=rec.embedding.reshape(shape), raw=rec.raw)
+
+
 def test_instruction_hides_annotations_after_redaction():
     instr = Instruction(text="find the mug", family="class", type="visible")
     red = instr.redacted()

@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objsearch.embed import (
     Embedder,
     EmbedderConfig,
     EmbeddingError,
     TransportError,
+    _hash_feature,
     embed_text,
     normalize_text,
 )
@@ -135,3 +138,67 @@ def test_external_embedder_rejects_bad_shape():
     cfg = EmbedderConfig(kind="external", d=8, endpoint="http://embed.local")
     with pytest.raises(TransportError):
         embed_text(cfg, "red mug", post=bad_post)
+
+
+def reference_embed_loop(text, d):
+    """The per-feature accumulation the reference embedder is defined by."""
+    tokens = normalize_text(text)
+    features = tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+    vec = np.zeros(d, dtype=np.float64)
+    for feat in features:
+        h = _hash_feature.__wrapped__(feat)
+        vec[h % d] += 1.0 if (h >> 63) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        vec[:] = 0.0
+        vec[_hash_feature.__wrapped__(tokens[0]) % d] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+WORDS = ["a", "red", "mug", "on", "the", "sink", "inside", "drawer", "green", "folder", "x", "7"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=60).map(" ".join),
+        st.text(alphabet="abc xyz019_,.;!", min_size=1, max_size=80),
+    ),
+    d=st.sampled_from([8, 9, 64, 256]),
+)
+def test_reference_embed_equals_per_feature_loop(text, d):
+    if not normalize_text(text):
+        with pytest.raises(EmbeddingError):
+            embed_text(EmbedderConfig(d=d), text)
+        return
+    got = embed_text(EmbedderConfig(d=d), text)
+    want = reference_embed_loop(text, d)
+    assert got.dtype == want.dtype and got.shape == (d,)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_feature_memo_is_bounded():
+    info = _hash_feature.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 65536
+
+
+def fake_external_post(url, payload, timeout):
+    return {"vector": [float(x) for x in embed_text(REF, payload["input"])]}
+
+
+@pytest.mark.parametrize("config", [
+    REF,
+    EmbedderConfig(kind="external", d=256, endpoint="http://embed.local", model="m1"),
+], ids=["reference", "external"])
+def test_memo_vectors_are_read_only(config):
+    emb = Embedder(config, post=fake_external_post)
+    v = emb("red mug")
+    snapshot = v.copy()
+    with pytest.raises(ValueError):
+        v *= 0.5
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    assert np.array_equal(emb("red mug"), snapshot)
+    assert Embedder(config, memoize=False, post=fake_external_post)("red mug").flags.writeable

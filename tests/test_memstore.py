@@ -1,16 +1,32 @@
 """Memory store: construction, the three query modalities against linear-scan
 oracles, raw retrieval, and file persistence."""
 
+import functools
+import itertools
 import math
 import random
+import sys
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from objsearch.core import MemoryRecord, Pose, SymbolicObservation, Timestep, VisibleEntity
+from objsearch.core import (
+    MemoryRecord,
+    Pose,
+    SymbolicObservation,
+    Timestep,
+    VisibleEntity,
+    render_caption,
+    stable_seed,
+)
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import generate_world, patrol
 from objsearch.memstore import (
+    BatchError,
     IntegrityError,
     LongTermMemory,
     build,
@@ -126,6 +142,115 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
     shared = build(stream, EMB, mode=mode, noise_seed=5, ticks_per_day=200)
     copied = build(fresh, EMB, mode=mode, noise_seed=5, ticks_per_day=200)
     assert list(shared.records) == list(copied.records)
+
+
+def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day):
+    """One record per tick, each with its own raw observation, appended one
+    at a time: the per-tick loop that build batches."""
+    memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day,
+                            snapshot_every=snapshot_every, embedder_id=embedder.embedder_id, mode=mode)
+    for i, (t, pose, obs) in enumerate(stream):
+        caption = render_caption(obs.visible_entities, mode=mode,
+                                 seed=stable_seed("caption", noise_seed, t.value))
+        raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
+        memory.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
+    return memory
+
+
+def assert_same_memory(a, b):
+    assert len(a) == len(b)
+    assert list(a.records) == list(b.records)
+    for name in ("semantic_index", "temporal_index", "spatial_index"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+
+
+@functools.lru_cache(maxsize=None)
+def patrol_stream(layout_seed, scene_id, days):
+    world, schedule = generate_world(layout_seed, scene_id)
+    return tuple(patrol(world, schedule, days=days))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    layout_seed=st.integers(0, 3),
+    scene_id=st.sampled_from([1, 2, 3]),
+    days=st.sampled_from([3, 4]),
+    mode=st.sampled_from(["oracle", "realistic"]),
+    snapshot_every=st.sampled_from([1, 7, 25]),
+    noise_seed=st.integers(0, 5),
+)
+def test_build_equals_per_tick_reference(layout_seed, scene_id, days, mode, snapshot_every, noise_seed):
+    stream = patrol_stream(layout_seed, scene_id, days)
+    got = build(stream, EMB, mode=mode, noise_seed=noise_seed,
+                snapshot_every=snapshot_every, ticks_per_day=200)
+    want = reference_build(stream, EMB, mode, noise_seed, snapshot_every, 200)
+    assert_same_memory(got, want)
+    assert (got.snapshot_every, got.mode, got.embedder_id) == (snapshot_every, mode, EMB.embedder_id)
+
+
+def test_build_shares_one_raw_observation_per_view():
+    stream = patrol_stream(0, 1, 3)
+    memory = build(stream, EMB, mode="oracle", snapshot_every=25, ticks_per_day=200)
+    recs = memory.records
+    for prev, rec, (_, _, prev_obs), (_, _, obs) in zip(recs, recs[1:], stream, stream[1:]):
+        if rec.raw.keyframe or prev.raw.keyframe or obs is not prev_obs:
+            assert rec.raw is not prev.raw
+        else:
+            assert rec.raw is prev.raw
+    assert len({id(rec.raw) for rec in recs}) < len(recs) / 5
+
+
+EMB32 = Embedder(EmbedderConfig(d=32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stored=st.integers(0, 5),
+    gaps=st.lists(st.integers(1, 4), max_size=40),
+    bad_at=st.one_of(st.none(), st.integers(0, 39)),
+    bad_kind=st.sampled_from(["dimension", "repeat", "earlier"]),
+)
+def test_extend_equals_sequential_appends(stored, gaps, bad_at, bad_kind):
+    head = [(t, f"caption {t}", (t, 0)) for t in range(0, 3 * stored, 3)]
+    last = head[-1][0] if head else -1
+    ts = [last + c for c in itertools.accumulate(gaps)]
+    batch = [synthetic_record(t, f"a mug on the sink {t % 5}", (t % 7, 0.5)) for t in ts]
+    memory = fill(new_memory(), head)
+    if bad_at is None or bad_at >= len(batch):
+        want = fill(new_memory(), head)
+        for rec in batch:
+            want.append(rec)
+        assert memory.extend(batch) == len(head)
+        assert_same_memory(memory, want)
+        assert np.array_equal(memory.semantic_index, np.array([r.embedding for r in memory.records]).reshape(-1, 64))
+        assert memory.temporal_index.tolist() == [r.t.value for r in memory.records]
+        assert memory.spatial_index.tolist() == [list(r.pose.position) for r in memory.records]
+        return
+    rec = batch[bad_at]
+    if bad_kind == "dimension":
+        batch[bad_at] = replace(rec, embedding=EMB32("a mug"))
+    else:
+        prev = ts[bad_at - 1] if bad_at else last
+        t = prev if bad_kind == "repeat" else prev - 1
+        assume(t >= 0)
+        batch[bad_at] = replace(rec, t=Timestep.at(t, 200))
+    before = fill(new_memory(), head)
+    with pytest.raises(BatchError) as info:
+        memory.extend(batch)
+    assert info.value.position == bad_at
+    assert_same_memory(memory, before)
+
+
+def test_extend_bad_batch_is_value_error_naming_position():
+    memory = fill(new_memory(), [(5, "a mug on the sink", (0, 0))])
+    batch = [synthetic_record(t, "a mug", (0, 0)) for t in (6, 7, 7, 9)]
+    with pytest.raises(ValueError, match="batch position 2: non-monotonic timestamp 7 after 7"):
+        memory.extend(batch)
+    with pytest.raises(ValueError, match="batch position 0: non-monotonic timestamp 4 after 5"):
+        memory.extend([synthetic_record(4, "a mug", (0, 0))])
+    assert len(memory) == 1
+    assert memory.extend([]) == 1
 
 
 def test_record_by_index():
@@ -434,3 +559,50 @@ def test_concurrent_readers_see_consistent_prefix():
     for th in threads:
         th.join()
     assert errors == []
+
+
+def test_concurrent_readers_see_whole_batches():
+    memory = new_memory()
+    batch, batches = 7, 300
+    errors = []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            n = len(memory)
+            if n % batch:
+                errors.append(f"saw {n} records, not a whole number of batches")
+            if len(memory.records) < n or len(memory.temporal_index) < n:
+                errors.append("index shorter than the published count")
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for b in range(batches):
+            memory.extend(synthetic_record(t, f"caption {t % 10}", (0.0, 0.0))
+                          for t in range(b * batch, (b + 1) * batch))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive()
+    assert errors == []
+    assert len(memory) == batch * batches
+
+
+def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
+    import hashlib
+
+    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(5)])
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    lines = open(path).read().splitlines()
+    lines[4] = lines[4].replace('"value":3', '"value":2')
+    body = "\n".join(lines[:-1]) + "\n"
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+    with pytest.raises(IntegrityError, match="record 3: non-monotonic timestamp 2 after 2"):
+        load(path)
