@@ -5,8 +5,8 @@ household simulator, a budget-aware agent loop with a unified temporal and
 spatial action space, and a benchmark harness with scripted baselines.
 """
 
-from . import agent, bench, core, embed, homesim, memstore
+from . import agent, artifacts, bench, core, embed, homesim, memstore
 
 __version__ = "0.1.0"
 
-__all__ = ["agent", "bench", "core", "embed", "homesim", "memstore", "__version__"]
+__all__ = ["agent", "artifacts", "bench", "core", "embed", "homesim", "memstore", "__version__"]

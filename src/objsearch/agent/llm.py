@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core import WorkingMemory
+from ..embed import TransportError, _default_post, call_endpoint
 from .loop import PolicyDecision
 from .wire import WireParseError, decode_response, encode_request
 
@@ -21,14 +22,6 @@ SYSTEM_PROMPT = (
     "single JSON object {\"tool\": ..., \"args\": {...}, \"rationale\": ...} "
     "choosing exactly one tool call."
 )
-
-
-def _default_post(url: str, payload: dict, timeout: float) -> dict:
-    import requests
-
-    resp = requests.post(url, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
 
 
 @dataclass(frozen=True)
@@ -51,15 +44,11 @@ class ChatCompletionPolicy:
         self._post = post
 
     def _complete(self, messages: list[dict]) -> str:
-        payload = {"model": self.config.model, "messages": messages}
-        last_error: Exception | None = None
-        for _ in range(max(1, self.config.transport_retries + 1)):
-            try:
-                body = self._post(self.config.url, payload, self.config.timeout)
-                return str(body["choices"][0]["message"]["content"])
-            except Exception as exc:  # noqa: BLE001 - transport boundary
-                last_error = exc
-        raise ConnectionError(f"policy endpoint failed: {last_error}")
+        return call_endpoint(
+            self._post, self.config.url, {"model": self.config.model, "messages": messages},
+            self.config.timeout, self.config.transport_retries,
+            lambda body: str(body["choices"][0]["message"]["content"]),
+        )
 
     def __call__(
         self, instruction: str, h: WorkingMemory, remaining: int, schema: dict
@@ -71,7 +60,7 @@ class ChatCompletionPolicy:
         ]
         try:
             reply = self._complete(messages)
-        except ConnectionError:
+        except TransportError:
             return None
         try:
             action, rationale = decode_response(reply)
@@ -91,7 +80,7 @@ class ChatCompletionPolicy:
             reply = self._complete(messages)
             action, rationale = decode_response(reply)
             return PolicyDecision(action=action, rationale=rationale)
-        except (ConnectionError, WireParseError):
+        except (TransportError, WireParseError):
             return None
 
 

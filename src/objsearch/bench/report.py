@@ -35,6 +35,12 @@ def _fmt_rate(cell: dict | None) -> str:
     return f"{cell['rate']:.2f}±{half:.2f}"
 
 
+def _render_table(header: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns, each as wide as its widest cell, two spaces apart."""
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in [header, *rows])
+
+
 def render_success_table(report: SuiteReport, task_type: str) -> str:
     """One section: rows are (method, mode), columns are family abbreviations."""
     families = _TYPE_FAMILIES[task_type]
@@ -51,11 +57,7 @@ def render_success_table(report: SuiteReport, task_type: str) -> str:
             cell = report.success_rates.get("/".join([task_type, family, method, mode]))
             row.append(_fmt_rate(cell))
         rows.append(row)
-    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return _render_table(header, rows)
 
 
 def render_action_table(report: SuiteReport, task_type: str) -> str:
@@ -85,11 +87,7 @@ def render_action_table(report: SuiteReport, task_type: str) -> str:
                 share,
             ]
         )
-    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    return _render_table(header, rows)
 
 
 def render_report(report: SuiteReport) -> str:

@@ -8,7 +8,6 @@ byte-identical regardless of worker count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from ..agent import (
     default_registry,
     run_episode,
 )
-from ..core import ACTION_CATEGORIES, DEFAULT_NOISE, NoiseModel, canonical_dumps, stable_seed
+from ..core import ACTION_CATEGORIES, DEFAULT_NOISE, NoiseModel, canonical_dumps, config_hash, stable_seed
 from ..embed import Embedder, EmbedderConfig
 from ..homesim import export_scene_graph, fast_forward, generate_world, patrol
 from ..memstore import LongTermMemory, build
@@ -89,8 +88,7 @@ class SuiteConfig:
     def config_hash(self) -> str:
         # Parallelism changes execution layout, never results; keep it out of
         # the lineage hash.
-        payload = {k: v for k, v in self.to_dict().items() if k != "parallelism"}
-        return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()[:16]
+        return config_hash({k: v for k, v in self.to_dict().items() if k != "parallelism"})
 
 
 def make_policy(

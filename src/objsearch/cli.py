@@ -7,8 +7,8 @@ forced. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 from __future__ import annotations
 
-import hashlib
 import os
+from typing import Any, Iterator
 
 import click
 
@@ -24,7 +24,7 @@ from .bench import (
     run_suite,
     run_task_episode,
 )
-from .core import NoiseModel, canonical_dumps, canonical_loads
+from .core import NoiseModel, canonical_dumps, canonical_loads, config_hash
 from .embed import EmbedderConfig
 from .homesim import (
     MAX_PATROL_DAYS,
@@ -40,18 +40,21 @@ from .agent import TERMINATION_ABORT, LLMPolicyConfig
 from .memstore import build as build_memory_from_stream, persist
 
 
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_dumps(config).encode()).hexdigest()[:16]
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps(payload) + "\n")
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, lines: bool = False) -> Iterator[Any]:
+    """Yield the JSON document in path, or with lines set the one on each
+    line. Malformed JSON is a ClickException naming the file (and line)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return canonical_loads(fh.read())
+        for number, text in enumerate(fh if lines else [fh.read()], start=1):
+            try:
+                yield canonical_loads(text)
+            except ValueError as exc:
+                where = f"{path}, line {number}" if lines else path
+                raise click.ClickException(f"{where}: malformed JSON: {exc}") from exc
 
 
 @click.group()
@@ -69,7 +72,7 @@ def main() -> None:
 def cmd_gen_world(scene: int, seed: int, ticks_per_day: int, out_world: str, out_schedule: str) -> None:
     """Generate a scene and its ambient schedule."""
     config = {"cmd": "gen-world", "scene": scene, "seed": seed, "ticks_per_day": ticks_per_day}
-    chash = _config_hash(config)
+    chash = config_hash(config)
     world, schedule = generate_world(seed, scene, ticks_per_day=ticks_per_day)
     _write_json(out_world, {"config": config, "config_hash": chash, "world": world.to_dict()})
     _write_json(out_schedule, {"config": config, "config_hash": chash, "schedule": schedule.to_dict()})
@@ -86,8 +89,8 @@ def cmd_gen_world(scene: int, seed: int, ticks_per_day: int, out_world: str, out
 @click.option("--out", type=click.Path(dir_okay=False), default="stream.jsonl", show_default=True)
 def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: int | None, out: str) -> None:
     """Run the daily patrol and write the observation stream."""
-    world_doc = _read_json(world_path)
-    schedule_doc = _read_json(schedule_path)
+    [world_doc] = _read_json(world_path)
+    [schedule_doc] = _read_json(schedule_path)
     world = WorldState.from_dict(world_doc["world"])
     if ticks_per_day is not None and ticks_per_day != world.ticks_per_day:
         raise click.ClickException(
@@ -102,7 +105,7 @@ def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: in
         "schedule_hash": schedule_doc["config_hash"],
     }
     stream = patrol(world, schedule, days)
-    write_stream(out, stream, meta={"config": config, "config_hash": _config_hash(config)})
+    write_stream(out, stream, meta={"config": config, "config_hash": config_hash(config)})
     click.echo(f"observations={len(stream)} days={days} ticks_per_day={world.ticks_per_day}")
 
 
@@ -115,8 +118,8 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
     """Export per-day scene-graph snapshots (nodes and edges)."""
     from .homesim import export_scene_graph, fast_forward
 
-    world_doc = _read_json(world_path)
-    schedule_doc = _read_json(schedule_path)
+    [world_doc] = _read_json(world_path)
+    [schedule_doc] = _read_json(schedule_path)
     world = WorldState.from_dict(world_doc["world"])
     schedule = Schedule.from_dict(schedule_doc["schedule"])
     fast_forward(world, schedule, days)
@@ -125,7 +128,7 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
         "world_hash": world_doc["config_hash"], "schedule_hash": schedule_doc["config_hash"],
     }
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps({"config": config, "config_hash": _config_hash(config),
+        fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
                                   "days": days}) + "\n")
         for day in range(days):
             fh.write(canonical_dumps(export_scene_graph(world, day).to_dict()) + "\n")
@@ -154,7 +157,9 @@ def cmd_build_memory(
         header, stream = read_stream(stream_path)
     except ValueError as exc:
         raise click.ClickException(f"stream integrity error: {exc}") from exc
-    tpd = int(header.get("config", {}).get("ticks_per_day", 200))
+    tpd = header.get("config", {}).get("ticks_per_day")
+    if not isinstance(tpd, int):
+        raise click.ClickException(f"stream {stream_path} has no config.ticks_per_day in its header")
     if embed_url:
         embed_config = EmbedderConfig(kind="external", d=dim, endpoint=embed_url, model=embed_model)
     else:
@@ -173,7 +178,7 @@ def cmd_build_memory(
         "noise_seed": noise_seed, "p_drop": p_drop, "p_mislabel": p_mislabel,
         "stream_hash": header.get("config_hash"),
     }
-    persist(memory, out, extra_header={"config_hash": _config_hash(config)})
+    persist(memory, out, extra_header={"config_hash": config_hash(config)})
     click.echo(f"records={len(memory)} mode={mode} d={dim}")
 
 
@@ -204,7 +209,7 @@ def cmd_gen_tasks(
             "seed": seed, "days": days, "ticks_per_day": ticks_per_day,
         }
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps({"config": config, "config_hash": _config_hash(config),
+        fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
                                   "count": len(tasks)}) + "\n")
         for task in tasks:
             fh.write(canonical_dumps(task.to_dict()) + "\n")
@@ -319,20 +324,18 @@ def cmd_run_suite(tasks_path: str, methods: str, modes: str, budget: int, seed: 
 @click.option("--force", is_flag=True, help="Render even when lineage hashes do not match.")
 def cmd_report(report_path: str, logs_path: str | None, fmt: str, force: bool) -> None:
     """Render a suite report; verifies log lineage when logs are given."""
-    doc = _read_json(report_path)
+    [doc] = _read_json(report_path)
     report = SuiteReport.from_dict(doc)
     if logs_path is not None:
         expected = report.config_hash
-        with open(logs_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                rec = canonical_loads(line)
-                if rec.get("event") == "episode_start" and rec.get("config_hash") != expected:
-                    if not force:
-                        raise click.ClickException(
-                            "lineage mismatch: logs were produced by config "
-                            f"{rec.get('config_hash')}, report by {expected} (use --force to render)"
-                        )
-                    break
+        for rec in _read_json(logs_path, lines=True):
+            if rec.get("event") == "episode_start" and rec.get("config_hash") != expected:
+                if not force:
+                    raise click.ClickException(
+                        "lineage mismatch: logs were produced by config "
+                        f"{rec.get('config_hash')}, report by {expected} (use --force to render)"
+                    )
+                break
     if fmt == "json":
         click.echo(canonical_dumps(report.to_dict()))
     else:

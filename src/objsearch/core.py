@@ -7,6 +7,7 @@ separators, so re-encoding a decoded value is byte-exact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -45,10 +46,13 @@ def canonical_loads(text: str) -> Any:
     return json.loads(text)
 
 
+def config_hash(config: Mapping[str, Any]) -> str:
+    """The 16-hex lineage hash of a configuration: sha256 of its canonical JSON."""
+    return hashlib.sha256(canonical_dumps(config).encode()).hexdigest()[:16]
+
+
 def stable_seed(*parts: Any) -> int:
     """Derive a platform-stable 63-bit integer seed from arbitrary parts."""
-    import hashlib
-
     h = hashlib.blake2b(repr(tuple(parts)).encode("utf-8"), digest_size=8)
     return int.from_bytes(h.digest(), "big") >> 1
 
@@ -575,6 +579,7 @@ __all__ = [
     "WorkingMemory",
     "canonical_dumps",
     "canonical_loads",
+    "config_hash",
     "normalize_yaw",
     "render_caption",
     "stable_seed",

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class EmbeddingError(ValueError):
 
 
 class TransportError(RuntimeError):
-    """Raised when an external embedding endpoint cannot be reached."""
+    """Raised when an external endpoint (embedder or policy) cannot be reached."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,20 @@ def _default_post(url: str, payload: dict, timeout: float) -> dict:
     return resp.json()
 
 
+def call_endpoint(post: Callable[[str, dict, float], dict], url: str, payload: dict,
+                  timeout: float, retries: int, parse: Callable[[dict], Any]) -> Any:
+    """POST payload to url and parse the reply, trying retries + 1 times in
+    all (at least once). A failed post or parse counts as one failed try; the
+    last failure is raised as TransportError."""
+    last_error: Exception | None = None
+    for _ in range(max(1, retries + 1)):
+        try:
+            return parse(post(url, payload, timeout))
+        except Exception as exc:  # noqa: BLE001 - transport boundary
+            last_error = exc
+    raise TransportError(f"endpoint {url} failed: {last_error}")
+
+
 def _external_embed(
     config: EmbedderConfig,
     text: str,
@@ -104,17 +118,10 @@ def _external_embed(
 ) -> np.ndarray:
     if not config.endpoint:
         raise ValueError("external embedder requires an endpoint")
-    payload = {"model": config.model, "input": text}
-    last_error: Exception | None = None
-    for _ in range(max(1, config.retries + 1)):
-        try:
-            body = post(config.endpoint, payload, config.timeout)
-            vec = np.asarray(body["vector"], dtype=np.float64)
-            break
-        except Exception as exc:  # noqa: BLE001 - transport boundary
-            last_error = exc
-    else:
-        raise TransportError(f"embedding endpoint failed: {last_error}")
+    vec = call_endpoint(
+        post, config.endpoint, {"model": config.model, "input": text}, config.timeout, config.retries,
+        lambda body: np.asarray(body["vector"], dtype=np.float64),
+    )
     if vec.shape != (config.d,):
         raise TransportError(f"endpoint returned shape {vec.shape}, expected ({config.d},)")
     norm = float(np.linalg.norm(vec))
@@ -176,6 +183,7 @@ __all__ = [
     "EmbedderConfig",
     "EmbeddingError",
     "TransportError",
+    "call_endpoint",
     "embed_text",
     "normalize_text",
 ]

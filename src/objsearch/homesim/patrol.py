@@ -9,11 +9,13 @@ object identity.
 
 from __future__ import annotations
 
-from ..core import Pose, SymbolicObservation, Timestep, render_caption
+from .. import artifacts
+from ..core import Pose, SymbolicObservation, Timestep, VisibleEntity, render_caption
 from .world import Schedule, WorldState
 
 MIN_PATROL_DAYS = 3
 MAX_PATROL_DAYS = 6
+STREAM_FORMAT = {"format": "patrol-stream", "version": 1}
 
 
 def patrol_route(world: WorldState) -> list[str]:
@@ -112,70 +114,29 @@ def write_stream(
     stream: list[tuple[Timestep, Pose, SymbolicObservation]],
     meta: dict | None = None,
 ) -> None:
-    """Write an observation stream file: header, one tick per line, checksum.
+    """Write an observation stream file, one tick per record; meta fields
+    join the header without displacing the format keys.
 
     Captions are not stored; they are a function of the entity lists and the
     caption mode chosen at memory-build time.
     """
-    import hashlib
+    records = (
+        {"t": t.to_dict(), "pose": pose.to_dict(), "entities": [e.to_dict() for e in obs.visible_entities]}
+        for t, pose, obs in stream
+    )
+    artifacts.write(path, {**(meta or {}), **STREAM_FORMAT}, records)
 
-    from ..core import canonical_dumps
 
-    header = {"format": "patrol-stream", "version": 1, "count": len(stream)}
-    header.update(meta or {})
-    lines = [canonical_dumps(header)]
-    for t, pose, obs in stream:
-        lines.append(
-            canonical_dumps(
-                {
-                    "t": t.to_dict(),
-                    "pose": pose.to_dict(),
-                    "entities": [e.to_dict() for e in obs.visible_entities],
-                }
-            )
-        )
-    body = "\n".join(lines) + "\n"
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.write(canonical_dumps({"sha256": checksum}) + "\n")
+def _tick_from_dict(d: dict) -> tuple[Timestep, Pose, SymbolicObservation]:
+    entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
+    obs = SymbolicObservation(visible_entities=entities, caption=render_caption(entities, mode="oracle"))
+    return Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), obs
 
 
 def read_stream(path: str) -> tuple[dict, list[tuple[Timestep, Pose, SymbolicObservation]]]:
-    """Read a stream file back, verifying its checksum. Observations carry
-    oracle captions so the stream is directly usable."""
-    import hashlib
-
-    from ..core import canonical_loads, render_caption
-    from ..core import VisibleEntity
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise ValueError("stream file too short: missing header or checksum")
-    try:
-        stored = canonical_loads(lines[-1])["sha256"]
-    except Exception as exc:
-        raise ValueError(f"stream file missing checksum line: {exc}") from exc
-    body = "\n".join(lines[:-1]) + "\n"
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != stored:
-        raise ValueError("stream file checksum mismatch: corrupt or truncated")
-    header = canonical_loads(lines[0])
-    stream = []
-    for i, line in enumerate(lines[1:-1]):
-        try:
-            d = canonical_loads(line)
-            entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
-            obs = SymbolicObservation(
-                visible_entities=entities, caption=render_caption(entities, mode="oracle")
-            )
-            stream.append((Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), obs))
-        except Exception as exc:
-            raise ValueError(f"stream record {i}: {exc}") from exc
-    if len(stream) != int(header.get("count", len(stream))):
-        raise ValueError("stream record count does not match header")
-    return header, stream
+    """Read a stream file back, verifying its checksum and format. Observations
+    carry oracle captions so the stream is directly usable."""
+    return artifacts.read(path, _tick_from_dict, expect=STREAM_FORMAT)
 
 
 __all__ = [

@@ -14,7 +14,6 @@ batch boundary: a whole batch or none of it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -27,11 +26,11 @@ from .core import (
     Pose,
     SymbolicObservation,
     Timestep,
-    canonical_dumps,
-    canonical_loads,
     render_caption,
     stable_seed,
 )
+from . import artifacts
+from .artifacts import IntegrityError
 from .embed import Embedder, EmbedderConfig
 
 FORMAT_VERSION = 1
@@ -41,10 +40,6 @@ DEFAULT_TOP_R = 5
 # Similarity scores are quantized before ranking so that orderings do not
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
-
-
-class IntegrityError(RuntimeError):
-    """A memory file failed validation on load."""
 
 
 class BatchError(ValueError):
@@ -316,74 +311,37 @@ def build(
 
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file: header line, one record per line, checksum line.
+    """Write a memory file in the checksummed artifact format.
 
     extra_header fields (e.g. a producing-config hash) are merged into the
     header without displacing the required keys.
     """
-    header = dict(extra_header or {})
-    header.update(
-        {
-            "format_version": FORMAT_VERSION,
-            "d": memory.d,
-            "ticks_per_day": memory.ticks_per_day,
-            "snapshot_every": memory.snapshot_every,
-            "embedder_id": memory.embedder_id,
-            "mode": memory.mode,
-            "count": len(memory),
-        }
-    )
-    lines = [canonical_dumps(header)]
-    lines.extend(canonical_dumps(rec.to_dict()) for rec in memory.records)
-    body = "\n".join(lines) + "\n"
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.write(canonical_dumps({"sha256": checksum}) + "\n")
+    header = {
+        **(extra_header or {}),
+        "format_version": FORMAT_VERSION,
+        "d": memory.d,
+        "ticks_per_day": memory.ticks_per_day,
+        "snapshot_every": memory.snapshot_every,
+        "embedder_id": memory.embedder_id,
+        "mode": memory.mode,
+    }
+    artifacts.write(path, header, (rec.to_dict() for rec in memory.records))
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file, verifying the checksum and every record."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise IntegrityError("file too short: missing header or checksum")
+    """Load a memory file, verifying the checksum, the header and every record."""
+    header, records = artifacts.read(path, MemoryRecord.from_dict, expect={"format_version": FORMAT_VERSION},
+                                     require=("d", "ticks_per_day", "snapshot_every", "embedder_id", "mode"))
     try:
-        tail = canonical_loads(lines[-1])
-        stored = tail["sha256"]
-    except Exception as exc:
-        raise IntegrityError(f"missing or malformed checksum line: {exc}") from exc
-    body = "\n".join(lines[:-1]) + "\n"
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if actual != stored:
-        raise IntegrityError("checksum mismatch: file corrupt or truncated")
-    try:
-        header = canonical_loads(lines[0])
-        if header["format_version"] != FORMAT_VERSION:
-            raise IntegrityError(f"unsupported format version {header['format_version']}")
-    except IntegrityError:
-        raise
-    except Exception as exc:
-        raise IntegrityError(f"malformed header: {exc}") from exc
-    memory = LongTermMemory(
-        d=int(header["d"]),
-        ticks_per_day=int(header["ticks_per_day"]),
-        snapshot_every=int(header["snapshot_every"]),
-        embedder_id=str(header["embedder_id"]),
-        mode=str(header["mode"]),
-    )
-    record_lines = lines[1:-1]
-    if len(record_lines) != int(header["count"]):
-        raise IntegrityError(
-            f"record count mismatch: header says {header['count']}, found {len(record_lines)}"
+        memory = LongTermMemory(
+            d=int(header["d"]),
+            ticks_per_day=int(header["ticks_per_day"]),
+            snapshot_every=int(header["snapshot_every"]),
+            embedder_id=str(header["embedder_id"]),
+            mode=str(header["mode"]),
         )
-    records = []
-    for i, line in enumerate(record_lines):
-        try:
-            records.append(MemoryRecord.from_dict(canonical_loads(line)))
-        except Exception as exc:
-            raise IntegrityError(f"record {i}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"malformed header: {exc}") from exc
     try:
         memory.extend(records)
     except BatchError as exc:

@@ -273,3 +273,44 @@ def test_run_suite_summary_counts_crashes_and_aborts(suite_artifacts, tmp_path, 
     fields = dict(kv.split("=", 1) for kv in result.output.split())
     assert fields["episodes"] == "33"
     assert fields["crashes"] == "11" and fields["aborts"] == "11"
+
+
+def test_build_memory_requires_ticks_per_day_in_stream_header(tmp_path):
+    from objsearch.homesim import patrol, write_stream
+
+    world, schedule = generate_world(3, 1, ticks_per_day=1300)
+    stream_path = str(tmp_path / "stream.jsonl")
+    write_stream(stream_path, patrol(world, schedule, days=3))
+    out = tmp_path / "memory.jsonl"
+    result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "no config.ticks_per_day" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, role", [
+    ("report", "report"), ("report", "logs"), ("patrol", "world"), ("patrol", "schedule"),
+    ("export-graphs", "world"), ("export-graphs", "schedule"),
+])
+def test_malformed_json_inputs_name_the_file(pipeline, suite_artifacts, tmp_path, command, role):
+    paths = {"report": suite_artifacts["report"], "logs": suite_artifacts["logs"],
+             "world": pipeline["world"], "schedule": pipeline["schedule"]}
+    text = open(paths[role]).read()
+    bad = tmp_path / role
+    if role == "logs":  # the second line cut short
+        first, second = text.splitlines()[:2]
+        bad.write_text(first + "\n" + second[:20] + "\n")
+    else:
+        bad.write_text(text[:-40])
+    paths[role] = str(bad)
+    if command == "report":
+        args = ["report", "--report", paths["report"], "--logs", paths["logs"]]
+    else:
+        args = [command, "--world", paths["world"], "--schedule", paths["schedule"],
+                "--out", str(tmp_path / "out.jsonl")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    where = f"{bad}, line 2" if role == "logs" else str(bad)
+    assert f"{where}: malformed JSON" in result.output

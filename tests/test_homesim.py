@@ -442,3 +442,29 @@ def test_scene_graph_includes_rooms_landmarks_containment():
     assert kinds == {"room", "landmark", "receptacle", "object"}
     assert ("milk_1", "inside", "fridge") in g.edges
     assert ("sink", "in_room", "kitchen") in g.edges
+
+
+def test_stream_meta_cannot_displace_format_keys(tmp_path):
+    world, schedule = generate_world(2, 1)
+    stream = patrol(world, schedule, days=3)
+    path = str(tmp_path / "stream.jsonl")
+    write_stream(path, stream, meta={"count": 3, "format": "other", "version": 9, "note": "kept"})
+    header, loaded = read_stream(path)
+    assert (header["count"], header["format"], header["version"]) == (600, "patrol-stream", 1)
+    assert header["note"] == "kept" and len(loaded) == 600
+
+
+def test_read_stream_rejects_other_formats(tmp_path):
+    from objsearch import artifacts
+    from objsearch.embed import EmbedderConfig
+    from objsearch.memstore import build, persist
+
+    world, schedule = generate_world(2, 1)
+    stream = patrol(world, schedule, days=3)
+    path = str(tmp_path / "memory.jsonl")
+    persist(build(stream[:20], EmbedderConfig(d=16)), path)
+    with pytest.raises(ValueError, match="malformed header: missing 'format'"):
+        read_stream(path)
+    artifacts.write(path, {"format": "patrol-stream", "version": 2}, [])
+    with pytest.raises(ValueError, match="unsupported version 2, expected 1"):
+        read_stream(path)

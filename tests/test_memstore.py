@@ -606,3 +606,44 @@ def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
     open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
     with pytest.raises(IntegrityError, match="record 3: non-monotonic timestamp 2 after 2"):
         load(path)
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the header of a memory file and re-checksum it."""
+    import hashlib
+    import json
+
+    lines = open(path).read().splitlines()[:-1]
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    body = "\n".join(lines) + "\n"
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+
+
+@pytest.mark.parametrize(
+    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count"]
+)
+def test_load_header_missing_key_is_integrity_error(tmp_path, key):
+    path = str(tmp_path / "memory.jsonl")
+    persist(fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    rewrite_header(path, lambda header: header.pop(key))
+    with pytest.raises(IntegrityError, match=f"malformed header: missing '{key}'"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("format_version", 2, "unsupported format_version 2, expected 1"),
+        ("d", "wide", "malformed header"),
+        ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
+        ("count", 2, "record count mismatch: header says 2, found 3"),
+    ],
+)
+def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message):
+    path = str(tmp_path / "memory.jsonl")
+    persist(fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    rewrite_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(IntegrityError, match=message):
+        load(path)
