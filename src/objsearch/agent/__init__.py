@@ -11,7 +11,6 @@ from .loop import (
     TERMINATION_RETRIEVED,
     classify_action,
     run_episode,
-    update_working_memory,
 )
 from .policies import (
     RandomSearchPolicy,
@@ -51,5 +50,4 @@ __all__ = [
     "parse_caption",
     "parse_instruction",
     "run_episode",
-    "update_working_memory",
 ]

@@ -58,11 +58,6 @@ class EpisodeResult:
         }
 
 
-def update_working_memory(h: WorkingMemory, action: Action, outcome: Outcome) -> WorkingMemory:
-    """Append one (action, outcome) pair; prior entries are untouched."""
-    return h.append(action, outcome)
-
-
 def classify_action(action: Action, registry: ToolRegistry) -> str:
     """Category of a trace entry. Attempts naming an unregistered tool gained
     only information (the schema error), so they count as perception."""
@@ -113,7 +108,7 @@ def run_episode(
         else:
             outcome = executor.execute(action)
         counts[classify_action(action, registry)] += 1
-        h = update_working_memory(h, action, outcome)
+        h = h.append(action, outcome)
         if step_callback is not None:
             # The rationale is surfaced for logging only; nothing reads it.
             step_callback(len(h.steps), action, outcome, decision.rationale)
@@ -146,5 +141,4 @@ __all__ = [
     "TERMINATION_RETRIEVED",
     "classify_action",
     "run_episode",
-    "update_working_memory",
 ]

@@ -53,6 +53,11 @@ class ParsedInstruction:
             return f"{self.descriptor} {self.landmark_phrase}"
         return self.descriptor
 
+    def matches(self, class_label: str, attributes: Iterable[str]) -> bool:
+        """An entity matches when its class is the instruction's and it has
+        every attribute the instruction names."""
+        return class_label == self.class_label and set(self.attributes).issubset(attributes)
+
 
 def _split_descriptor(descr: str) -> tuple[tuple[str, ...], str]:
     tokens = descr.strip().split()
@@ -120,12 +125,6 @@ def _parse_caption(caption: str) -> tuple[CaptionEntity, ...]:
 def parse_caption(caption: str) -> list[CaptionEntity]:
     """Invert the caption template back into entity phrases."""
     return list(_parse_caption(caption))
-
-
-def phrase_matches(entity: CaptionEntity, parsed: ParsedInstruction) -> bool:
-    return entity.class_label == parsed.class_label and set(parsed.attributes) <= set(
-        entity.attributes
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ class TraceView:
         for idx in sorted(self.hits):
             view = self.hits[idx]
             for ent in _parse_caption(view["caption"]):
-                if phrase_matches(ent, self.parsed):
+                if self.parsed.matches(ent.class_label, ent.attributes):
                     out.append(
                         HitMatch(
                             record_index=idx,
@@ -249,9 +248,7 @@ class TraceView:
         best: Optional[tuple[int, dict]] = None
         for rec in self.fetched.values():
             for ent in rec.get("entities", []):
-                if ent["class_label"] != self.parsed.class_label:
-                    continue
-                if not set(self.parsed.attributes) <= set(ent["attributes"]):
+                if not self.parsed.matches(ent["class_label"], ent["attributes"]):
                     continue
                 if anchored_required and ent["landmark_name"] != self.parsed.landmark_phrase:
                     continue
@@ -323,9 +320,7 @@ def _detection_match(
     candidates = [
         e
         for e in sorted(entities, key=lambda e: e["entity_id"])
-        if e["class_label"] == parsed.class_label
-        and set(parsed.attributes) <= set(e["attributes"])
-        and e["entity_id"] not in exclude
+        if parsed.matches(e["class_label"], e["attributes"]) and e["entity_id"] not in exclude
     ]
     if landmark_phrase is not None:
         anchored = [e for e in candidates if e["landmark_name"] == landmark_phrase]
@@ -482,11 +477,8 @@ class SgPlusSPolicy:
         for node in self.graphs[-1].nodes:
             if node.get("kind") != "object":
                 continue
-            if node.get("label") != parsed.class_label:
-                continue
-            if not set(parsed.attributes) <= set(node.get("attributes", [])):
-                continue
-            out.append(node["id"])
+            if parsed.matches(node.get("label"), node.get("attributes", [])):
+                out.append(node["id"])
         return sorted(out)
 
     def _landmark_name(self, graph, landmark_id: str) -> Optional[str]:
@@ -827,5 +819,4 @@ __all__ = [
     "TrPlusSPolicy",
     "parse_caption",
     "parse_instruction",
-    "phrase_matches",
 ]

@@ -1,13 +1,15 @@
-"""Suite runner: executes (task, method, mode) episodes, aggregates success
+"""Suite runner: executes (task, mode, method) episodes, aggregates success
 rates with Wilson intervals, and writes deterministic raw logs.
 
-Episodes are embarrassingly parallel: each worker owns its own world replay
-and memory handle, and results are reduced in task order so the output is
-byte-identical regardless of worker count.
+The unit of work, serial or parallel, is the task: a worker patrols the
+task's world once, then for each mode builds that mode's memory from the
+shared stream and runs every method on it. Results are reduced in task order
+so the output is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -114,10 +116,16 @@ def make_policy(
     raise ValueError(f"unknown method {method!r}")
 
 
-def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
-    """Patrol the task's world once and build the mode's memory and graphs."""
+def _observe(task: TaskSpec) -> tuple[list, list]:
+    """The mode-independent part of a task: patrol its world once and export
+    the per-day scene graphs."""
     world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     stream = patrol(world, task.schedule, task.days)
+    return stream, [export_scene_graph(world, d) for d in range(task.days)]
+
+
+def _build_memory(task: TaskSpec, stream: list, mode: str, config: SuiteConfig):
+    """One mode's memory over the task's stream, with a fresh embedder."""
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     memory = build(
         stream,
@@ -127,7 +135,13 @@ def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
         noise_seed=stable_seed("noise", config.seed, task.task_id),
         ticks_per_day=task.ticks_per_day,
     )
-    graphs = [export_scene_graph(world, d) for d in range(task.days)]
+    return memory, embedder
+
+
+def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
+    """Patrol the task's world once and build the mode's memory and graphs."""
+    stream, graphs = _observe(task)
+    memory, embedder = _build_memory(task, stream, mode, config)
     return memory, graphs, embedder
 
 
@@ -178,82 +192,70 @@ def _episode_record(task: TaskSpec, method: str, mode: str, result) -> dict:
     }
 
 
-def _run_unit(args: tuple, config_override: Optional[SuiteConfig] = None) -> tuple[list[dict], list[str]]:
-    """Worker: all methods for one (task, mode). Returns episode records and
-    raw log lines. The override keeps live transports (llm) out of pickling."""
-    task_dict, mode, config_dict, methods = args
-    task = TaskSpec.from_dict(task_dict)
-    config = config_override if config_override is not None else _config_from_dict(config_dict)
-    memory, graphs, embedder = prepare_task(task, mode, config)
+def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
+    """Worker: every (mode, method) episode of one task. Returns episode
+    records and raw log lines in (mode, method) order."""
+    stream, graphs = _observe(task)
     records: list[dict] = []
     log_lines: list[str] = []
-    for method in methods:
-        header = {
-            "event": "episode_start",
-            "task_id": task.task_id,
-            "method": method,
-            "mode": mode,
-            "config_hash": config.config_hash(),
-            "instruction": task.instruction,
-        }
-        log_lines.append(canonical_dumps(header))
-
-        def log_step(k: int, action, outcome, rationale: str = "") -> None:
-            record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
-            if rationale:
-                record["rationale"] = rationale
-            log_lines.append(canonical_dumps(record))
-
-        try:
-            result = run_task_episode(task, method, mode, config, memory, graphs, embedder, log_step)
-            record = _episode_record(task, method, mode, result)
-            success = adjudicate(task, result)
-            if success != result.success:
-                record["adjudication_mismatch"] = True
-            record["success"] = success and result.success
-        except Exception as exc:  # noqa: BLE001 - crash containment per episode
-            record = {
+    for mode in config.modes:
+        memory, embedder = _build_memory(task, stream, mode, config)
+        for method in config.methods:
+            header = {
+                "event": "episode_start",
                 "task_id": task.task_id,
-                "family": task.family,
-                "type": task.type,
                 "method": method,
                 "mode": mode,
-                "success": False,
-                "steps_used": 0,
-                "termination": "crash",
-                "action_counts": {c: 0 for c in ACTION_CATEGORIES},
-                "optimal_counts": dict(task.optimal_counts),
-                "error": f"{type(exc).__name__}: {exc}",
+                "config_hash": config.config_hash(),
+                "instruction": task.instruction,
             }
-        records.append(record)
-        log_lines.append(
-            canonical_dumps(
-                {
-                    "event": "episode_end",
+            log_lines.append(canonical_dumps(header))
+
+            def log_step(k: int, action, outcome, rationale: str = "") -> None:
+                record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
+                if rationale:
+                    record["rationale"] = rationale
+                log_lines.append(canonical_dumps(record))
+
+            try:
+                result = run_task_episode(task, method, mode, config, memory, graphs, embedder, log_step)
+                record = _episode_record(task, method, mode, result)
+                success = adjudicate(task, result)
+                if success != result.success:
+                    record["adjudication_mismatch"] = True
+                record["success"] = success and result.success
+            except Exception as exc:  # noqa: BLE001 - crash containment per episode
+                record = {
                     "task_id": task.task_id,
+                    "family": task.family,
+                    "type": task.type,
                     "method": method,
                     "mode": mode,
-                    "success": record["success"],
-                    "steps_used": record["steps_used"],
-                    "termination": record["termination"],
-                    "action_counts": record["action_counts"],
+                    "success": False,
+                    "steps_used": 0,
+                    "termination": "crash",
+                    "action_counts": {c: 0 for c in ACTION_CATEGORIES},
+                    "optimal_counts": dict(task.optimal_counts),
+                    "error": f"{type(exc).__name__}: {exc}",
                 }
+            records.append(record)
+            log_lines.append(
+                canonical_dumps(
+                    {
+                        "event": "episode_end",
+                        "task_id": task.task_id,
+                        "method": method,
+                        "mode": mode,
+                        "success": record["success"],
+                        "steps_used": record["steps_used"],
+                        "termination": record["termination"],
+                        "action_counts": record["action_counts"],
+                    }
+                )
             )
-        )
+        # Free this mode's memory before the next one is built.
+        del memory, embedder
     return records, log_lines
-
-
-def _config_from_dict(d: Mapping[str, Any]) -> SuiteConfig:
-    return SuiteConfig(
-        methods=tuple(d["methods"]),
-        modes=tuple(d["modes"]),
-        budget=int(d["budget"]),
-        seed=int(d["seed"]),
-        embed_dim=int(d["embed_dim"]),
-        noise=NoiseModel(p_drop=d["noise"]["p_drop"], p_mislabel=d["noise"]["p_mislabel"]),
-        parallelism=int(d["parallelism"]),
-        llm=LLMPolicyConfig(url=d["llm"]["url"], model=d["llm"]["model"]) if "llm" in d else None,
-    )
 
 
 @dataclass
@@ -344,18 +346,12 @@ def run_suite(
     Deterministic for scripted methods under fixed seeds: records and logs are
     reduced in task order whatever the parallelism.
     """
-    tasks = list(tasks)
-    units = [
-        (task.to_dict(), mode, config.to_dict(), list(config.methods))
-        for task in tasks
-        for mode in config.modes
-    ]
-    results: list[tuple[list[dict], list[str]]]
+    # llm episodes stay in this process, with whatever transport it has.
     if config.parallelism > 1 and "llm" not in config.methods:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_run_unit, units))
+            results = list(pool.map(_run_task, tasks, itertools.repeat(config)))
     else:
-        results = [_run_unit(unit, config) for unit in units]
+        results = map(_run_task, tasks, itertools.repeat(config))
     episodes: list[dict] = []
     log_lines: list[str] = []
     for records, lines in results:

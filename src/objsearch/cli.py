@@ -8,7 +8,7 @@ forced. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import os
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import click
 
@@ -45,16 +45,41 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(canonical_dumps(payload) + "\n")
 
 
-def _read_json(path: str, lines: bool = False) -> Iterator[Any]:
-    """Yield the JSON document in path, or with lines set the one on each
-    line. Malformed JSON is a ClickException naming the file (and line)."""
+def _read_json(path: str, decode: Callable[[Any], Any], lines: bool = False) -> Iterator[Any]:
+    """Yield the decoded JSON document in path, or with lines set the one on
+    each line. Malformed JSON, and JSON that decode rejects for its shape, is
+    a ClickException naming the file (and line)."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, text in enumerate(fh if lines else [fh.read()], start=1):
+            where = f"{path}, line {number}" if lines else path
             try:
-                yield canonical_loads(text)
+                doc = canonical_loads(text)
             except ValueError as exc:
-                where = f"{path}, line {number}" if lines else path
                 raise click.ClickException(f"{where}: malformed JSON: {exc}") from exc
+            try:
+                value = decode(doc)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise click.ClickException(
+                    f"{where}: unexpected content: {type(exc).__name__}: {exc}"
+                ) from exc
+            yield value
+
+
+def _json_object(doc: Any) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_world_and_schedule(world_path: str, schedule_path: str) -> tuple[WorldState, Any, Schedule, Any]:
+    """The world and schedule files of gen-world, with their config hashes."""
+    [(world, world_hash)] = _read_json(
+        world_path, lambda d: (WorldState.from_dict(d["world"]), d["config_hash"])
+    )
+    [(schedule, schedule_hash)] = _read_json(
+        schedule_path, lambda d: (Schedule.from_dict(d["schedule"]), d["config_hash"])
+    )
+    return world, world_hash, schedule, schedule_hash
 
 
 @click.group()
@@ -89,20 +114,17 @@ def cmd_gen_world(scene: int, seed: int, ticks_per_day: int, out_world: str, out
 @click.option("--out", type=click.Path(dir_okay=False), default="stream.jsonl", show_default=True)
 def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: int | None, out: str) -> None:
     """Run the daily patrol and write the observation stream."""
-    [world_doc] = _read_json(world_path)
-    [schedule_doc] = _read_json(schedule_path)
-    world = WorldState.from_dict(world_doc["world"])
+    world, world_hash, schedule, schedule_hash = _read_world_and_schedule(world_path, schedule_path)
     if ticks_per_day is not None and ticks_per_day != world.ticks_per_day:
         raise click.ClickException(
             f"ticks-per-day {ticks_per_day} does not match the world's {world.ticks_per_day}"
         )
-    schedule = Schedule.from_dict(schedule_doc["schedule"])
     config = {
         "cmd": "patrol",
         "days": days,
         "ticks_per_day": world.ticks_per_day,
-        "world_hash": world_doc["config_hash"],
-        "schedule_hash": schedule_doc["config_hash"],
+        "world_hash": world_hash,
+        "schedule_hash": schedule_hash,
     }
     stream = patrol(world, schedule, days)
     write_stream(out, stream, meta={"config": config, "config_hash": config_hash(config)})
@@ -118,14 +140,11 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
     """Export per-day scene-graph snapshots (nodes and edges)."""
     from .homesim import export_scene_graph, fast_forward
 
-    [world_doc] = _read_json(world_path)
-    [schedule_doc] = _read_json(schedule_path)
-    world = WorldState.from_dict(world_doc["world"])
-    schedule = Schedule.from_dict(schedule_doc["schedule"])
+    world, world_hash, schedule, schedule_hash = _read_world_and_schedule(world_path, schedule_path)
     fast_forward(world, schedule, days)
     config = {
         "cmd": "export-graphs", "days": days,
-        "world_hash": world_doc["config_hash"], "schedule_hash": schedule_doc["config_hash"],
+        "world_hash": world_hash, "schedule_hash": schedule_hash,
     }
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
@@ -158,8 +177,16 @@ def cmd_build_memory(
     except ValueError as exc:
         raise click.ClickException(f"stream integrity error: {exc}") from exc
     tpd = header.get("config", {}).get("ticks_per_day")
-    if not isinstance(tpd, int):
-        raise click.ClickException(f"stream {stream_path} has no config.ticks_per_day in its header")
+    if not isinstance(tpd, int) or tpd < 1:
+        raise click.ClickException(
+            f"stream {stream_path} has no config.ticks_per_day (a positive integer) in its header"
+        )
+    for i, (t, _, _) in enumerate(stream):
+        if t.day != t.value // tpd:
+            raise click.ClickException(
+                f"stream {stream_path}: record {i} (t={t.value}, day={t.day}) "
+                f"does not fit ticks_per_day={tpd} from its header"
+            )
     if embed_url:
         embed_config = EmbedderConfig(kind="external", d=dim, endpoint=embed_url, model=embed_model)
     else:
@@ -324,11 +351,10 @@ def cmd_run_suite(tasks_path: str, methods: str, modes: str, budget: int, seed: 
 @click.option("--force", is_flag=True, help="Render even when lineage hashes do not match.")
 def cmd_report(report_path: str, logs_path: str | None, fmt: str, force: bool) -> None:
     """Render a suite report; verifies log lineage when logs are given."""
-    [doc] = _read_json(report_path)
-    report = SuiteReport.from_dict(doc)
+    [report] = _read_json(report_path, SuiteReport.from_dict)
     if logs_path is not None:
         expected = report.config_hash
-        for rec in _read_json(logs_path, lines=True):
+        for rec in _read_json(logs_path, _json_object, lines=True):
             if rec.get("event") == "episode_start" and rec.get("config_hash") != expected:
                 if not force:
                     raise click.ClickException(

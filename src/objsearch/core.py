@@ -389,6 +389,7 @@ class WorkingMemory:
         return cls(instruction=instruction, steps=(), remaining_budget=budget)
 
     def append(self, action: Action, outcome: Outcome) -> "WorkingMemory":
+        """Append one (action, outcome) pair; prior entries are untouched."""
         if self.remaining_budget < 1:
             raise ValueError("budget exhausted")
         return WorkingMemory(

@@ -33,7 +33,6 @@ def patrol(
     world: WorldState,
     schedule: Schedule,
     days: int,
-    ticks_per_day: int | None = None,
 ) -> list[tuple[Timestep, Pose, SymbolicObservation]]:
     """Run the patrol and return the observation stream.
 
@@ -47,9 +46,7 @@ def patrol(
     """
     if not (MIN_PATROL_DAYS <= days <= MAX_PATROL_DAYS):
         raise ValueError(f"days must lie in [{MIN_PATROL_DAYS}, {MAX_PATROL_DAYS}], got {days}")
-    tpd = world.ticks_per_day if ticks_per_day is None else ticks_per_day
-    if tpd != world.ticks_per_day:
-        raise ValueError("ticks_per_day must match the world configuration")
+    tpd = world.ticks_per_day
     route = patrol_route(world)
     if tpd < len(route):
         raise ValueError(f"ticks_per_day={tpd} cannot cover the {len(route)}-landmark route")
@@ -77,10 +74,10 @@ def patrol(
     return stream
 
 
-def room_segment(world: WorldState, room_id: str, ticks_per_day: int | None = None) -> tuple[int, int]:
+def room_segment(world: WorldState, room_id: str) -> tuple[int, int]:
     """Tick range [start, end] within a day during which the patrol is in the
     given room."""
-    tpd = world.ticks_per_day if ticks_per_day is None else ticks_per_day
+    tpd = world.ticks_per_day
     route = patrol_route(world)
     n = len(route)
     ticks = []

@@ -44,20 +44,15 @@ class Detection:
         }
 
 
-def _tick(world: WorldState, schedule: Schedule) -> None:
-    world.clock += 1
-    world.sync(schedule)
-
-
 def navigate(world: WorldState, schedule: Schedule, landmark_id: str) -> SkillResult:
     """Teleport-with-cost to a landmark's approach pose."""
     world.sync(schedule)
     if landmark_id not in world.landmarks:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("navigate", False, reason="unknown landmark")
     world.robot_pose = world.approach_pose(landmark_id)
     world.robot_focus = landmark_id
-    _tick(world, schedule)
+    world.advance(schedule)
     return SkillResult(
         "navigate", True,
         detail={"landmark": landmark_id, "room": world.robot_pose.room_id},
@@ -68,7 +63,7 @@ def detect(world: WorldState, schedule: Schedule) -> Detection:
     """Ground-truth detection from the current pose."""
     world.sync(schedule)
     detection = Detection(entities=tuple(world.visible_entities()), from_pose=world.robot_pose)
-    _tick(world, schedule)
+    world.advance(schedule)
     return detection
 
 
@@ -77,13 +72,13 @@ def open_receptacle(world: WorldState, schedule: Schedule, receptacle_id: str) -
     world.sync(schedule)
     lm = world.landmarks.get(receptacle_id)
     if lm is None or not lm.is_receptacle:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("open", False, reason="not a receptacle")
     if world.robot_focus != receptacle_id:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("open", False, reason="out of reach")
     world.receptacle_open[receptacle_id] = True
-    _tick(world, schedule)
+    world.advance(schedule)
     return SkillResult("open", True, detail={"receptacle": receptacle_id})
 
 
@@ -92,18 +87,18 @@ def pick(world: WorldState, schedule: Schedule, entity_id: str) -> SkillResult:
     world.sync(schedule)
     obj = world.objects.get(entity_id)
     if obj is None:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("pick", False, reason="unknown entity")
     if obj.location.kind == LOC_INVENTORY:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("pick", False, reason="already held")
     visible_ids = {e.entity_id for e in world.visible_entities()}
     if entity_id not in visible_ids:
-        _tick(world, schedule)
+        world.advance(schedule)
         return SkillResult("pick", False, reason="not visible")
     obj.location = Location(kind=LOC_INVENTORY)
     world.inventory.append(entity_id)
-    _tick(world, schedule)
+    world.advance(schedule)
     return SkillResult("pick", True, detail={"entity": entity_id})
 
 

@@ -218,8 +218,9 @@ class WorldState:
                 obj.location = move.location
             self.applied_moves.append(move)
 
-    def advance(self, schedule: Schedule, ticks: int = 1) -> None:
-        self.clock += ticks
+    def advance(self, schedule: Schedule) -> None:
+        """One tick on: the clock moves and due moves apply."""
+        self.clock += 1
         self.sync(schedule)
 
     @property

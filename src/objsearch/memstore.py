@@ -63,7 +63,6 @@ class QueryResult:
     """
 
     hits: tuple[tuple[int, float], ...]
-    records: tuple[MemoryRecord, ...]
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -180,16 +179,14 @@ class LongTermMemory:
     # -- queries ------------------------------------------------------------
 
     def _result(self, order: np.ndarray, scores: np.ndarray) -> QueryResult:
-        hits = tuple((int(i), float(scores[k])) for k, i in enumerate(order))
-        recs = tuple(self._records[int(i)] for i in order)
-        return QueryResult(hits=hits, records=recs)
+        return QueryResult(hits=tuple((int(i), float(scores[k])) for k, i in enumerate(order)))
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
         if r < 1:
             raise ValueError("r must be >= 1")
         n, emb, _, _ = self._snapshot()
         if n == 0:
-            return QueryResult(hits=(), records=())
+            return QueryResult(hits=())
         scores = np.round(emb @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
         order = np.argsort(-scores, kind="stable")[:r]
         return self._result(order, scores[order])
@@ -214,7 +211,7 @@ class LongTermMemory:
             raise ValueError("provide exactly one of t_center and day_window")
         n, _, ts, _ = self._snapshot()
         if n == 0:
-            return QueryResult(hits=(), records=())
+            return QueryResult(hits=())
         if t_center is not None:
             dist = np.abs(ts - int(t_center))
             order = np.argsort(dist, kind="stable")[:r]
@@ -238,7 +235,7 @@ class LongTermMemory:
             raise ValueError("radius must be positive")
         n, _, _, pos = self._snapshot()
         if n == 0:
-            return QueryResult(hits=(), records=())
+            return QueryResult(hits=())
         c = np.asarray(center, dtype=np.float64)
         dist = np.round(np.linalg.norm(pos - c, axis=1), SCORE_DECIMALS)
         idx = np.nonzero(dist <= radius)[0]

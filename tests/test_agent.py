@@ -17,7 +17,6 @@ from objsearch.agent import (
     classify_action,
     default_registry,
     run_episode,
-    update_working_memory,
 )
 from objsearch.agent.policies import (
     ATTRIBUTE_VOCAB,
@@ -143,7 +142,7 @@ def test_update_working_memory_order():
     h = WorkingMemory.fresh(Instruction(text="x"), budget=5)
     actions = [Action("detect"), Action("navigate", {"landmark": "a"}), Action("detect")]
     for i, a in enumerate(actions):
-        h = update_working_memory(h, a, Outcome("perception", {"k": i}))
+        h = h.append(a, Outcome("perception", {"k": i}))
     assert [a.tool for a, _ in h.steps] == ["detect", "navigate", "detect"]
     assert [o.payload["k"] for _, o in h.steps] == [0, 1, 2]
 

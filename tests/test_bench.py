@@ -1,5 +1,7 @@
 """Benchmark layer: suite arithmetic, family hazards, adjudication, metrics."""
 
+import json
+
 import pytest
 
 from objsearch.agent import LLMPolicyConfig
@@ -18,7 +20,6 @@ from objsearch.bench import (
     run_suite,
     wilson_interval,
 )
-from objsearch.bench.suite import _config_from_dict
 from objsearch.bench.tasks import interactive_per_family
 from objsearch.core import Action, Instruction, Outcome, WorkingMemory
 from objsearch.homesim import LOC_INSIDE, generate_world
@@ -336,11 +337,65 @@ def test_llm_endpoint_is_in_the_lineage_hash():
         for c in (a, cfg(url="http://localhost:1/v1", model="m2"), cfg(url="http://localhost:2/v1", model="m1"))
     }
     assert len(hashes) == 3
-    assert _config_from_dict(a.to_dict()).config_hash() == a.config_hash()
     # Scripted configs carry no llm key, so their hashes are the same as before.
     assert "llm" not in cfg().to_dict()
     assert cfg().config_hash() == "020e6ebe9dc05e36"
     assert SuiteConfig(modes=("oracle", "realistic"), seed=3).config_hash() == "fc55ce910f69c250"
+
+
+def test_suite_patrols_once_per_task(monkeypatch):
+    """The unit of work is the task: one patrol and one set of day graphs per
+    task, one memory per (task, mode)."""
+    from objsearch.bench import suite
+
+    calls = {"patrol": 0, "export_scene_graph": 0, "build": 0}
+
+    def counting(name):
+        original = getattr(suite, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suite, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    tasks = [build_task(1, "class", "visible", 0, seed=2), build_task(2, "attribute", "visible", 0, seed=2)]
+    config = SuiteConfig(methods=("random", "star"), modes=("oracle", "realistic"), seed=2)
+    report = run_suite(tasks, config)
+    assert calls == {
+        "patrol": 2,
+        "export_scene_graph": sum(t.days for t in tasks),
+        "build": 4,
+    }
+    assert [(e["task_id"], e["mode"], e["method"]) for e in report.episodes] == [
+        (t.task_id, mode, method) for t in tasks for mode in config.modes for method in config.methods
+    ]
+
+
+@pytest.mark.parametrize("parallelism,methods", [(1, ("random", "llm")), (2, ("random", "star"))])
+def test_llm_config_hash_reaches_every_log_header(monkeypatch, tmp_path, parallelism, methods):
+    """Workers get the config object itself, so a config with an llm endpoint
+    (non-default timeout and retries included) logs the suite's own hash."""
+    from objsearch.agent import ChatCompletionPolicy
+    from objsearch.bench import suite
+    from objsearch.embed import TransportError
+
+    def unreachable(url, payload, timeout):
+        raise TransportError(f"no endpoint at {url}")
+
+    monkeypatch.setattr(suite, "ChatCompletionPolicy", lambda cfg: ChatCompletionPolicy(cfg, post=unreachable))
+    llm = LLMPolicyConfig(url="http://localhost:1/v1", model="m1", timeout=2.5, transport_retries=0)
+    config = SuiteConfig(methods=methods, modes=("oracle",), seed=2, parallelism=parallelism, llm=llm)
+    tasks = [build_task(1, "class", "visible", 0, seed=2), build_task(2, "class", "visible", 0, seed=2)]
+    log = tmp_path / "episodes.jsonl"
+    report = run_suite(tasks, config, log_path=str(log))
+    headers = [r for r in map(json.loads, log.read_text().splitlines()) if r["event"] == "episode_start"]
+    assert len(headers) == len(tasks) * len(methods)
+    assert {h["config_hash"] for h in headers} == {config.config_hash()}
+    assert report.config_hash == config.config_hash()
+    assert all(e["termination"] != "crash" for e in report.episodes)
 
 
 # -- fixture suites ---------------------------------------------------------------------------

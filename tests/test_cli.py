@@ -289,18 +289,46 @@ def test_build_memory_requires_ticks_per_day_in_stream_header(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, role", [
-    ("report", "report"), ("report", "logs"), ("patrol", "world"), ("patrol", "schedule"),
-    ("export-graphs", "world"), ("export-graphs", "schedule"),
+def test_build_memory_refuses_records_off_the_header_ticks_per_day(tmp_path):
+    from objsearch.homesim import patrol, write_stream
+
+    world, schedule = generate_world(3, 1, ticks_per_day=1300)
+    stream_path = str(tmp_path / "stream.jsonl")
+    write_stream(stream_path, patrol(world, schedule, days=3), meta={"config": {"ticks_per_day": 200}})
+    out = tmp_path / "memory.jsonl"
+    result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    # Tick 200 is day 0 at 1300 ticks/day, but day 1 at the header's 200.
+    assert f"stream {stream_path}: record 200 (t=200, day=0)" in result.output
+    assert "ticks_per_day=200" in result.output
+    assert not out.exists()
+
+
+# Well-formed JSON of the wrong shape: a world file without its world, a report
+# without its config, an episode log line that is not an object.
+WRONG_SHAPE = {"world": '{"config_hash":"x"}', "report": '{"episodes": []}'}
+
+
+@pytest.mark.parametrize("command, role, wrong_shape", [
+    *(pytest.param(command, role, False, id=f"{command}-{role}") for command, role in (
+        ("report", "report"), ("report", "logs"), ("patrol", "world"), ("patrol", "schedule"),
+        ("export-graphs", "world"), ("export-graphs", "schedule"),
+    )),
+    pytest.param("patrol", "world", True, id="patrol-world-wrong-shape"),
+    pytest.param("report", "report", True, id="report-report-wrong-shape"),
+    pytest.param("report", "logs", True, id="report-logs-wrong-shape"),
 ])
-def test_malformed_json_inputs_name_the_file(pipeline, suite_artifacts, tmp_path, command, role):
+def test_malformed_json_inputs_name_the_file(pipeline, suite_artifacts, tmp_path, command, role, wrong_shape):
     paths = {"report": suite_artifacts["report"], "logs": suite_artifacts["logs"],
              "world": pipeline["world"], "schedule": pipeline["schedule"]}
     text = open(paths[role]).read()
     bad = tmp_path / role
-    if role == "logs":  # the second line cut short
+    if role == "logs":  # the second line cut short, or a bare number
         first, second = text.splitlines()[:2]
-        bad.write_text(first + "\n" + second[:20] + "\n")
+        bad.write_text(first + "\n" + ("7" if wrong_shape else second[:20]) + "\n")
+    elif wrong_shape:
+        bad.write_text(WRONG_SHAPE[role] + "\n")
     else:
         bad.write_text(text[:-40])
     paths[role] = str(bad)
@@ -313,4 +341,4 @@ def test_malformed_json_inputs_name_the_file(pipeline, suite_artifacts, tmp_path
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     where = f"{bad}, line 2" if role == "logs" else str(bad)
-    assert f"{where}: malformed JSON" in result.output
+    assert f"{where}: {'unexpected content' if wrong_shape else 'malformed JSON'}" in result.output
