@@ -7,7 +7,7 @@ way a policy touches memory or world state.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core import Action, Outcome, ParamSpec, ToolRegistry, ToolSpec
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
@@ -109,36 +109,39 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     return ToolRegistry(tools, landmarks=landmark_table, rooms=rooms)
 
 
-def record_view(memory: LongTermMemory, index: int, score: float) -> dict:
-    """Compact policy-facing view of one memory hit: caption level only."""
-    rec = memory.record(index)
-    return {
-        "record_index": index,
-        "score": score,
-        "t": rec.t.value,
-        "day": rec.t.day,
-        "room": rec.pose.room_id,
-        "x": rec.pose.position[0],
-        "y": rec.pose.position[1],
-        "caption": rec.raw.caption,
-        "keyframe": rec.raw.keyframe,
-    }
+def record_views(memory: LongTermMemory, hits: Sequence[tuple[int, float]]) -> list[dict]:
+    """Compact policy-facing views of memory hits, caption level only: one
+    gather per memory column, no MemoryRecord built."""
+    f = memory.fields([i for i, _ in hits])
+    return [
+        {
+            "record_index": i,
+            "score": score,
+            "t": t,
+            "day": day,
+            "room": room,
+            "x": x,
+            "y": y,
+            "caption": raw.caption,
+            "keyframe": raw.keyframe,
+        }
+        for (i, score), t, day, room, x, y, raw in zip(hits, f["t"], f["day"], f["room"], f["x"], f["y"], f["raw"])
+    ]
 
 
 def _memory_meta(memory: LongTermMemory) -> dict:
     n = len(memory)
-    last = memory.record(n - 1) if n else None
+    last = memory.timestep(n - 1) if n else None
     return {
         "total": n,
         "ticks_per_day": memory.ticks_per_day,
-        "last_t": last.t.value if last else None,
-        "last_day": last.t.day if last else None,
+        "last_t": last.value if last else None,
+        "last_day": last.day if last else None,
     }
 
 
 def _retrieval_outcome(memory: LongTermMemory, result: QueryResult) -> Outcome:
-    hits = [record_view(memory, i, s) for i, s in result.hits]
-    return Outcome(kind="retrieval", payload={"hits": hits, **_memory_meta(memory)})
+    return Outcome(kind="retrieval", payload={"hits": record_views(memory, result.hits), **_memory_meta(memory)})
 
 
 def _error_outcome(exc: Exception) -> Outcome:
@@ -202,18 +205,18 @@ class ActionExecutor:
                 raw = self.memory.fetch_raw(idx)
             except IndexError as exc:
                 return _error_outcome(exc)
-            rec = self.memory.record(idx)
+            f = self.memory.fields([idx])
             return Outcome(
                 kind="retrieval",
                 payload={
                     **_memory_meta(self.memory),
                     "record": {
                         "record_index": idx,
-                        "t": rec.t.value,
-                        "day": rec.t.day,
-                        "room": rec.pose.room_id,
-                        "x": rec.pose.position[0],
-                        "y": rec.pose.position[1],
+                        "t": f["t"][0],
+                        "day": f["day"][0],
+                        "room": f["room"][0],
+                        "x": f["x"][0],
+                        "y": f["y"][0],
                         "caption": raw.caption,
                         "keyframe": raw.keyframe,
                         "entities": [e.to_dict() for e in raw.visible_entities],
@@ -240,4 +243,4 @@ class ActionExecutor:
         raise ValueError(f"unknown tool {tool!r}")
 
 
-__all__ = ["ActionExecutor", "SPATIAL_TOOLS", "TEMPORAL_TOOLS", "default_registry", "record_view"]
+__all__ = ["ActionExecutor", "SPATIAL_TOOLS", "TEMPORAL_TOOLS", "default_registry", "record_views"]

@@ -1,9 +1,10 @@
 """Checksummed line files, the on-disk format of memories and patrol streams.
 
-A header line, one record per line and a trailer ``{"sha256": <hex>}``, all
-canonical JSON ending in a bare newline. The digest covers every byte before
-the trailer, so any changed byte fails the read. The writer sets the header's
-``count``, the number of record lines.
+A header line, then the lines of each named table, then one record per line,
+then a trailer ``{"sha256": <hex>}``, all canonical JSON ending in a bare
+newline. The digest covers every byte before the trailer, so any changed
+byte fails the read. The writer sets the header's ``count``, the number of
+record lines, and one key per table holding its number of lines.
 """
 
 from __future__ import annotations
@@ -18,22 +19,31 @@ class IntegrityError(ValueError):
     """An artifact file failed validation on read."""
 
 
-def write(path: str, header: Mapping[str, Any], records: Iterable[Any]) -> None:
-    """Write header, records and checksum trailer; header["count"] is set here."""
+def _identity(value: Any) -> Any:
+    return value
+
+
+def write(path: str, header: Mapping[str, Any], records: Iterable[Any],
+          tables: Optional[Mapping[str, Iterable[Any]]] = None) -> None:
+    """Write header, tables, records and checksum trailer; header["count"]
+    and one size key per table are set here."""
+    table_lines = {name: [canonical_dumps(row) for row in rows] for name, rows in (tables or {}).items()}
     lines = [canonical_dumps(record) for record in records]
-    lines.insert(0, canonical_dumps({**header, "count": len(lines)}))
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    trailer = canonical_dumps({"sha256": hashlib.sha256(body).hexdigest()}) + "\n"
+    sizes = {name: len(rows) for name, rows in table_lines.items()}
+    head = canonical_dumps({**header, **sizes, "count": len(lines)})
+    body = "\n".join([head, *(line for rows in table_lines.values() for line in rows), *lines]) + "\n"
+    data = body.encode("utf-8")
+    trailer = canonical_dumps({"sha256": hashlib.sha256(data).hexdigest()}) + "\n"
     with open(path, "wb") as fh:
-        fh.write(body)
+        fh.write(data)
         fh.write(trailer.encode("utf-8"))
 
 
-def read(path: str, decode: Callable[[Any], Any] = lambda record: record, *,
-         expect: Optional[Mapping[str, Any]] = None, require: Iterable[str] = ()) -> tuple[dict, list]:
-    """Read a file written by write: verify the checksum, then a header that
-    holds "count", the keys in require and the values in expect, then pass
-    each record through decode. Any failure raises IntegrityError."""
+def verify(path: str, *, expect: Optional[Mapping[str, Any]] = None,
+           require: Iterable[str] = ()) -> tuple[dict, list[str]]:
+    """Read a file written by write and check the checksum, then a header
+    that holds "count", the keys in require and the values in expect. Return
+    the header and the undecoded lines after it; see sections."""
     expect = expect or {}
     with open(path, "rb") as fh:
         data = fh.read()
@@ -60,15 +70,46 @@ def read(path: str, decode: Callable[[Any], Any] = lambda record: record, *,
     for key, value in expect.items():
         if header[key] != value:
             raise IntegrityError(f"unsupported {key} {header[key]!r}, expected {value!r}")
-    if header["count"] != len(lines) - 1:
-        raise IntegrityError(f"record count mismatch: header says {header['count']}, found {len(lines) - 1}")
-    records = []
-    for i, line in enumerate(lines[1:]):
-        try:
-            records.append(decode(canonical_loads(line)))
-        except Exception as exc:  # noqa: BLE001 - any decode failure is a corrupt record
-            raise IntegrityError(f"record {i}: {exc}") from exc
+    return header, lines[1:]
+
+
+def sections(header: Mapping[str, Any], lines: list[str], decode: Callable[[Any], Any] = _identity,
+             tables: Optional[Mapping[str, Callable[[Any], Any]]] = None) -> list[list]:
+    """Split the lines that verify returned into the named tables, in order,
+    each as long as its header key says, and the records, which must number
+    header["count"]; pass each line through its table's decoder or decode.
+    Return the decoded tables, then the records. A failure raises
+    IntegrityError naming the table (or "record") and the line's index in it."""
+    tables = tables or {}
+    sizes = []
+    for name in tables:
+        size = header.get(name)
+        if type(size) is not int or size < 0:
+            raise IntegrityError(f"malformed header: {name!r} must be a line count, got {size!r}")
+        sizes.append(size)
+    found = len(lines) - sum(sizes)
+    if header["count"] != found:
+        raise IntegrityError(f"record count mismatch: header says {header['count']}, found {found}")
+    out, start = [], 0
+    for (name, fn), size in zip([*tables.items(), ("record", decode)], [*sizes, found]):
+        part = []
+        for i, line in enumerate(lines[start:start + size]):
+            try:
+                part.append(fn(canonical_loads(line)))
+            except Exception as exc:  # noqa: BLE001 - any decode failure is a corrupt line
+                raise IntegrityError(f"{name} {i}: {exc}") from exc
+        out.append(part)
+        start += size
+    return out
+
+
+def read(path: str, decode: Callable[[Any], Any] = _identity, *,
+         expect: Optional[Mapping[str, Any]] = None, require: Iterable[str] = ()) -> tuple[dict, list]:
+    """Read a file of records with no tables: verify it, then pass each
+    record through decode. Any failure raises IntegrityError."""
+    header, lines = verify(path, expect=expect, require=require)
+    [records] = sections(header, lines, decode)
     return header, records
 
 
-__all__ = ["IntegrityError", "read", "write"]
+__all__ = ["IntegrityError", "read", "sections", "verify", "write"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..agent import TERMINATION_ABORT, TERMINATION_BUDGET, TERMINATION_RETRIEVED
 from .suite import SuiteReport
 
 FAMILY_ABBREV = {
@@ -90,6 +91,31 @@ def render_action_table(report: SuiteReport, task_type: str) -> str:
     return _render_table(header, rows)
 
 
+TERMINATION_COLUMNS = (
+    ("Retrieved", TERMINATION_RETRIEVED),
+    ("Budget", TERMINATION_BUDGET),
+    ("Abort", TERMINATION_ABORT),
+    ("Crash", "crash"),
+)
+
+
+def render_termination_table(report: SuiteReport) -> str:
+    """How each (type, method, mode) group's episodes ended, and how many of
+    them the adjudicator disagreed with."""
+    groups: dict[tuple[str, str, str], dict[str, int]] = {}
+    for ep in report.episodes:
+        counts = groups.setdefault((ep["type"], ep["method"], ep["mode"]), {"mismatch": 0})
+        counts[ep["termination"]] = counts.get(ep["termination"], 0) + 1
+        counts["mismatch"] += bool(ep.get("adjudication_mismatch"))
+    header = ["Type", "Method", "Mode", *(label for label, _ in TERMINATION_COLUMNS), "Mismatch"]
+    rows = [
+        [t, METHOD_LABELS.get(method, method), mode,
+         *(str(counts.get(key, 0)) for _, key in TERMINATION_COLUMNS), str(counts["mismatch"])]
+        for (t, method, mode), counts in sorted(groups.items())
+    ]
+    return _render_table(header, rows)
+
+
 def render_report(report: SuiteReport) -> str:
     sections = []
     present_types = {key.split("/")[0] for key in report.success_rates}
@@ -102,7 +128,17 @@ def render_report(report: SuiteReport) -> str:
         sections.append(f"== {task_type} object search: physical actions per successful run ==")
         sections.append(render_action_table(report, task_type))
         sections.append("")
+    if report.episodes:
+        sections.append("== episode terminations ==")
+        sections.append(render_termination_table(report))
     return "\n".join(sections).rstrip() + "\n"
 
 
-__all__ = ["FAMILY_ABBREV", "METHOD_LABELS", "render_action_table", "render_report", "render_success_table"]
+__all__ = [
+    "FAMILY_ABBREV",
+    "METHOD_LABELS",
+    "render_action_table",
+    "render_report",
+    "render_success_table",
+    "render_termination_table",
+]

@@ -23,6 +23,7 @@ from ..agent import (
     SgPlusSPolicy,
     StarScriptedPolicy,
     TrPlusSPolicy,
+    classify_action,
     default_registry,
     run_episode,
 )
@@ -196,6 +197,8 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
     """Worker: every (mode, method) episode of one task. Returns episode
     records and raw log lines in (mode, method) order."""
     stream, graphs = _observe(task)
+    # Action categories depend only on the tool; the world adds argument enums.
+    registry = default_registry()
     records: list[dict] = []
     log_lines: list[str] = []
     for mode in config.modes:
@@ -210,12 +213,18 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 "instruction": task.instruction,
             }
             log_lines.append(canonical_dumps(header))
+            # The steps logged so far, kept for a crash record.
+            counts = {c: 0 for c in ACTION_CATEGORIES}
+            steps = 0
 
             def log_step(k: int, action, outcome, rationale: str = "") -> None:
+                nonlocal steps
                 record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
                 if rationale:
                     record["rationale"] = rationale
                 log_lines.append(canonical_dumps(record))
+                counts[classify_action(action, registry)] += 1
+                steps = k
 
             try:
                 result = run_task_episode(task, method, mode, config, memory, graphs, embedder, log_step)
@@ -232,9 +241,9 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                     "method": method,
                     "mode": mode,
                     "success": False,
-                    "steps_used": 0,
+                    "steps_used": steps,
                     "termination": "crash",
-                    "action_counts": {c: 0 for c in ACTION_CATEGORIES},
+                    "action_counts": counts,
                     "optimal_counts": dict(task.optimal_counts),
                     "error": f"{type(exc).__name__}: {exc}",
                 }

@@ -1,21 +1,46 @@
 """Append-only long-term memory with semantic, temporal, and spatial indices.
 
-Retrieval is an exact full scan over flat numpy arrays. Desk-scale memories
-stay well under 1e5 records, where exact scan is both fast and trivially
-testable against a linear oracle; an approximate index could later hide
-behind the same interface.
+The memory is columnar and content-addressed. Each distinct caption
+embedding is stored once, as a row of one (k, d) table, and each distinct
+raw observation once, in one list; a record holds a row id and a raw id. A
+record's timestep, day, position, yaw and room are columns. MemoryRecords
+are built only when asked for (``record``, ``records``); queries and the
+executor's views read the columns.
+
+Retrieval is an exact full scan over the columns. A semantic query scores
+the k table rows and gathers the scores by row id, which gives the same
+scores, hits and tie order as scoring every record. Desk-scale memories stay
+well under 1e5 records, where exact scan is both fast and trivially testable
+against a linear oracle.
 
 Concurrency: one writer may append or extend while readers query. A batch
-is validated whole and published at once, after its rows are written, and
-readers snapshot the record count first and then slice each index array. So
-every query sees a consistent prefix of the insertion order that ends at a
-batch boundary: a whole batch or none of it.
+is validated whole and published at once: its table rows are written before
+any record refers to them, then its record columns, then the record count.
+Readers snapshot the record count first and then slice each column. So every
+query sees a consistent prefix of the insertion order that ends at a batch
+boundary: a whole batch or none of it.
+
+Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
+(see artifacts.py):
+
+- header: ``format_version``, ``d``, ``ticks_per_day``, ``snapshot_every``,
+  ``embedder_id``, ``mode``, and the table sizes ``embeddings`` (k),
+  ``raws`` (m) and ``count`` (n, the records);
+- k lines, each one embedding row as a list of d floats;
+- m lines, each one raw observation (``SymbolicObservation.to_dict``);
+- n lines, one per record: ``[t, day, x, y, yaw, room, row, raw]``, where
+  ``row`` and ``raw`` index the two tables.
+
+``load`` switches on the header's ``format_version``: a v1 file (one
+``MemoryRecord.to_dict`` line per record, no tables) still loads.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +58,7 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import Embedder, EmbedderConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_SNAPSHOT_EVERY = 25
 DEFAULT_TOP_R = 5
 
@@ -41,14 +66,44 @@ DEFAULT_TOP_R = 5
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
+# The fields of one record, in the order of a v2 record line.
+RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
+
 
 class BatchError(ValueError):
-    """A record batch failed validation; nothing of it was stored."""
+    """A record batch failed validation; nothing of it was stored.
 
-    def __init__(self, position: int, reason: str):
-        super().__init__(f"batch position {position}: {reason}")
+    part is "record" when position indexes the batch's records, or the name
+    of the table ("embeddings") whose new rows it indexes.
+    """
+
+    def __init__(self, position: int, reason: str, part: str = "record"):
+        where = "batch position" if part == "record" else f"batch {part} row"
+        super().__init__(f"{where} {position}: {reason}")
         self.position = position
         self.reason = reason
+        self.part = part
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Records in columnar form, as extend takes them from build and load.
+
+    One sequence per field of RECORD_FIELDS. embeddings and raws are the
+    table entries new with this batch; a record's row and raw ids index the
+    memory's tables as they stand once those entries are appended.
+    """
+
+    t: Sequence[int]
+    day: Sequence[int]
+    x: Sequence[float]
+    y: Sequence[float]
+    yaw: Sequence[float]
+    room: Sequence[str]
+    row: Sequence[int]
+    raw: Sequence[int]
+    embeddings: Sequence[np.ndarray]
+    raws: Sequence[SymbolicObservation]
 
 
 @dataclass(frozen=True)
@@ -72,8 +127,53 @@ class QueryResult:
         return tuple(i for i, _ in self.hits)
 
 
+def _row_problem(vec: np.ndarray, d: int) -> Optional[str]:
+    """Why vec cannot be an embedding row, or None."""
+    if vec.shape != (d,):
+        return f"embedding dimension {vec.shape} != {(d,)}"
+    # The dot-then-sqrt that MemoryRecord checks.
+    norm = math.sqrt(vec @ vec)
+    if abs(norm - 1.0) > 1e-6:
+        return f"embedding must be unit norm, got {norm:.8f}"
+    return None
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _grown(a: np.ndarray, need: int, used: int) -> np.ndarray:
+    """a, or a larger copy of it when it holds fewer than need rows."""
+    if need <= a.shape[0]:
+        return a
+    grown = np.zeros((max(need, 2 * a.shape[0]),) + a.shape[1:], dtype=a.dtype)
+    grown[:used] = a[:used]
+    return grown
+
+
+class RecordsView(SequenceABC):
+    """Read-only sequence of the records published when it was made."""
+
+    def __init__(self, memory: "LongTermMemory"):
+        self._memory = memory
+        self._n = len(memory)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._memory._built(self._n)[: self._n][i]
+
+    def __iter__(self):
+        return iter(self._memory._built(self._n)[: self._n])
+
+
 class LongTermMemory:
-    """Append-only record sequence plus three query indices."""
+    """Append-only record columns over an embedding table and a raw table,
+    plus three query indices."""
+
+    _COLUMNS = ("_t", "_day", "_pos", "_yaw", "_room", "_row_id", "_raw_id")
 
     def __init__(
         self,
@@ -90,104 +190,241 @@ class LongTermMemory:
         self.snapshot_every = snapshot_every
         self.embedder_id = embedder_id
         self.mode = mode
-        self._records: list[MemoryRecord] = []
         self._n = 0
+        self._records: list[MemoryRecord] = []  # see _built
+        # Tables: distinct embedding rows and distinct raw observations.
+        self._k = 0
+        self._table = np.zeros((8, d), dtype=np.float64)
+        self._raws: list[SymbolicObservation] = []
+        # Lookups that let MemoryRecords share stored table entries, filled
+        # only when MemoryRecords are added (see _batch_of): the bytes of an
+        # embedding row and the id() of a stored raw.
+        self._row_of: dict[bytes, int] = {}
+        self._raw_of: dict[int, int] = {}
+        self._keyed = (0, 0)  # the rows and raws entered in those lookups
         cap = 64
-        self._emb = np.zeros((cap, d), dtype=np.float64)
-        self._ts = np.zeros(cap, dtype=np.int64)
+        self._t = np.zeros(cap, dtype=np.int64)
+        self._day = np.zeros(cap, dtype=np.int64)
         self._pos = np.zeros((cap, 2), dtype=np.float64)
+        self._yaw = np.zeros(cap, dtype=np.float64)
+        self._room = np.zeros(cap, dtype=object)
+        self._row_id = np.zeros(cap, dtype=np.int64)
+        self._raw_id = np.zeros(cap, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._n
 
     @property
     def records(self) -> Sequence[MemoryRecord]:
-        return self._records[: self._n]
+        return RecordsView(self)
 
     def record(self, i: int) -> MemoryRecord:
-        """One record by index, without copying the record list."""
+        """One record by index, built from the columns."""
         if not (0 <= i < self._n):
             raise IndexError(f"record index {i} out of range [0, {self._n})")
-        return self._records[i]
+        embedding = self._table[self._row_id[i]]
+        embedding.flags.writeable = False
+        return MemoryRecord(
+            t=self.timestep(i),
+            pose=Pose(position=tuple(self._pos[i].tolist()), yaw=float(self._yaw[i]), room_id=self._room[i]),
+            embedding=embedding,
+            raw=self._raws[self._raw_id[i]],
+        )
+
+    def timestep(self, i: int) -> Timestep:
+        """The timestep of one record."""
+        if not (0 <= i < self._n):
+            raise IndexError(f"record index {i} out of range [0, {self._n})")
+        return Timestep(value=int(self._t[i]), day=int(self._day[i]))
+
+    def _built(self, n: int) -> list[MemoryRecord]:
+        """At least the first n records as MemoryRecords, built on the first
+        use of records and kept, so that later passes cost what a list's do.
+        A racing reader may build the same prefix again; either list is
+        correct."""
+        built = self._records
+        if len(built) < n:
+            built = built + [self.record(i) for i in range(len(built), n)]
+            self._records = built
+        return built
+
+    def fields(self, indices: Sequence[int]) -> dict[str, list]:
+        """Fields of the given records, one list per field: t, day, x, y,
+        room and raw (the stored observation). One gather per column; no
+        MemoryRecord is built."""
+        n = self._n
+        idx = np.asarray(indices, dtype=np.intp)
+        # One bound check for both ends: a negative index is huge unsigned.
+        if idx.size and idx.view(np.uintp).max() >= n:
+            raise IndexError(f"record index out of range [0, {n})")
+        pos = self._pos[idx]
+        raws = self._raws
+        return {
+            "t": self._t[idx].tolist(),
+            "day": self._day[idx].tolist(),
+            "x": pos[:, 0].tolist(),
+            "y": pos[:, 1].tolist(),
+            "room": self._room[idx].tolist(),
+            "raw": [raws[j] for j in self._raw_id[idx].tolist()],
+        }
 
     @property
     def semantic_index(self) -> np.ndarray:
-        return self._emb[: self._n]
+        """The (n, d) embedding of every record, gathered on each call."""
+        n = self._n
+        return self._table[self._row_id[:n]]
 
     @property
     def temporal_index(self) -> np.ndarray:
-        return self._ts[: self._n]
+        return self._t[: self._n]
 
     @property
     def spatial_index(self) -> np.ndarray:
         return self._pos[: self._n]
 
-    def _reserve(self, need: int) -> None:
-        cap = self._emb.shape[0]
-        if need <= cap:
-            return
-        cap = max(need, 2 * cap)
-        for name in ("_emb", "_ts", "_pos"):
-            old = getattr(self, name)
-            grown = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
     def append(self, record: MemoryRecord) -> int:
         """Append one record; see extend."""
         return self.extend((record,))
 
-    def extend(self, records: Iterable[MemoryRecord]) -> int:
+    def _batch_of(self, records: list[MemoryRecord]) -> tuple[Batch, list[int]]:
+        """records as a Batch, sharing table entries: an embedding whose
+        bytes equal a row's, or a raw observation that is a stored one (the
+        same object), reuses it. Also returns, per new row, the position of
+        the record that brought it."""
+        k, m = self._k, len(self._raws)
+        for j in range(self._keyed[0], k):
+            self._row_of.setdefault(self._table[j].tobytes(), j)
+        for j in range(self._keyed[1], m):
+            self._raw_of[id(self._raws[j])] = j
+        self._keyed = (k, m)
+        rows: dict[bytes, int] = {}
+        raw_of: dict[int, int] = {}
+        embeddings: list[np.ndarray] = []
+        raws: list[SymbolicObservation] = []
+        origin: list[int] = []
+        cols: tuple[list, ...] = tuple([] for _ in RECORD_FIELDS)
+        t, day, x, y, yaw, room, row_ids, raw_ids = cols
+        for j, record in enumerate(records):
+            key = record.embedding.tobytes()
+            row = self._row_of.get(key, rows.get(key))
+            if row is None:
+                row = rows[key] = k + len(embeddings)
+                embeddings.append(record.embedding)
+                origin.append(j)
+            raw = self._raw_of.get(id(record.raw), raw_of.get(id(record.raw)))
+            if raw is None:
+                raw = raw_of[id(record.raw)] = m + len(raws)
+                raws.append(record.raw)
+            t.append(record.t.value)
+            day.append(record.t.day)
+            x.append(record.pose.position[0])
+            y.append(record.pose.position[1])
+            yaw.append(record.pose.yaw)
+            room.append(record.pose.room_id)
+            row_ids.append(row)
+            raw_ids.append(raw)
+        return Batch(*cols, embeddings=embeddings, raws=raws), origin
+
+    def extend(self, records: Union[Batch, Iterable[MemoryRecord]]) -> int:
         """Append a batch of records and return the index of its first one.
 
-        The whole batch is checked before anything is stored: every embedding
-        must have shape (d,), and timestamps must increase strictly, within
-        the batch and after the last stored record. A bad batch raises
-        BatchError naming its position in the batch and stores nothing.
+        records is a Batch or MemoryRecords; MemoryRecords share table
+        entries as _batch_of says. The whole batch is checked before
+        anything is stored: every new table row must have shape (d,) and
+        unit norm (checked once per row), timesteps and days must be
+        non-negative, row and raw ids must index the tables, and timestamps
+        must increase strictly, within the batch and after the last stored
+        record. A bad batch raises BatchError and stores nothing. It names
+        the first bad record's position in the batch; a bad new row of a
+        Batch is named by its position among the new rows, and one of
+        MemoryRecords by the record that brought it.
         """
-        batch = list(records)
-        n = self._n
-        if not batch:
+        if isinstance(records, Batch):
+            batch, origin = records, None
+        else:
+            batch, origin = self._batch_of(list(records))
+        n, k, m = self._n, self._k, len(self._raws)
+        problems: list[tuple[int, str]] = []  # (record position, reason)
+        embeddings = [np.asarray(vec, dtype=np.float64) for vec in batch.embeddings]
+        for j, vec in enumerate(embeddings):
+            reason = _row_problem(vec, self.d)
+            if reason is not None:
+                if origin is None:
+                    raise BatchError(j, reason, part="embeddings")
+                problems.append((origin[j], reason))
+                break
+        t = np.asarray(batch.t, dtype=np.int64)
+        day = np.asarray(batch.day, dtype=np.int64)
+        row = np.asarray(batch.row, dtype=np.int64)
+        raw = np.asarray(batch.raw, dtype=np.int64)
+        size = len(t)
+        if any(len(col) != size for col in (day, batch.x, batch.y, batch.yaw, batch.room, row, raw)):
+            raise ValueError("batch columns differ in length")
+        k_after, m_after = k + len(embeddings), m + len(batch.raws)
+        checks = (
+            ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
+            ((row < 0) | (row >= k_after), lambda j: f"row id {row[j]} out of range [0, {k_after})"),
+            ((raw < 0) | (raw >= m_after), lambda j: f"raw id {raw[j]} out of range [0, {m_after})"),
+        )
+        for mask, why in checks:
+            j = _first(mask)
+            if j is not None:
+                problems.append((j, why(j)))
+        # The timestamp before each one; -1 stands before an empty memory.
+        prev = np.concatenate(([self._t[n - 1] if n else -1], t[:-1]))
+        j = _first(t <= prev)
+        if j is not None:
+            problems.append((j, f"non-monotonic timestamp {t[j]} after {prev[j]}"))
+        if problems:
+            raise BatchError(*min(problems, key=lambda p: p[0]))
+        if not size:
             return n
-        shape = (self.d,)
-        ts: list[int] = []
-        prev = int(self._ts[n - 1]) if n else None
-        for j, record in enumerate(batch):
-            if record.embedding.shape != shape:
-                raise BatchError(j, f"embedding dimension {record.embedding.shape} != {shape}")
-            t = record.t.value
-            if prev is not None and t <= prev:
-                raise BatchError(j, f"non-monotonic timestamp {t} after {prev}")
-            ts.append(t)
-            prev = t
-        m = n + len(batch)
-        self._reserve(m)
-        np.stack([record.embedding for record in batch], out=self._emb[n:m])
-        self._ts[n:m] = ts
-        self._pos[n:m] = [record.pose.position for record in batch]
-        self._records.extend(batch)
-        # Publish the batch last so concurrent readers never see a torn
-        # index triple or part of a batch: rows below _n are immutable once
-        # _n is advanced.
-        self._n = m
+        # Table rows first, then record columns, then the count: rows below
+        # _n, and every table entry they name, are immutable once published.
+        if embeddings:
+            self._table = _grown(self._table, k_after, k)
+            self._table[k:k_after] = embeddings
+            self._k = k_after
+        self._raws.extend(batch.raws)
+        end = n + size
+        for name in self._COLUMNS:
+            setattr(self, name, _grown(getattr(self, name), end, n))
+        self._t[n:end] = t
+        self._day[n:end] = day
+        self._pos[n:end, 0] = batch.x
+        self._pos[n:end, 1] = batch.y
+        self._yaw[n:end] = batch.yaw
+        self._room[n:end] = batch.room
+        self._row_id[n:end] = row
+        self._raw_id[n:end] = raw
+        self._n = end
         return n
 
-    def _snapshot(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    def _snapshot(self) -> Batch:
+        """The published records and the table entries they may name,
+        as arrays."""
         n = self._n
-        return n, self._emb[:n], self._ts[:n], self._pos[:n]
+        k = self._k
+        return Batch(
+            self._t[:n], self._day[:n], self._pos[:n, 0], self._pos[:n, 1], self._yaw[:n],
+            self._room[:n], self._row_id[:n], self._raw_id[:n],
+            embeddings=self._table[:k], raws=list(self._raws),
+        )
 
     # -- queries ------------------------------------------------------------
 
     def _result(self, order: np.ndarray, scores: np.ndarray) -> QueryResult:
-        return QueryResult(hits=tuple((int(i), float(scores[k])) for k, i in enumerate(order)))
+        return QueryResult(hits=tuple(zip(order.tolist(), scores.tolist())))
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
         if r < 1:
             raise ValueError("r must be >= 1")
-        n, emb, _, _ = self._snapshot()
+        n = self._n
         if n == 0:
             return QueryResult(hits=())
-        scores = np.round(emb @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
+        row, k = self._row_id[:n], self._k
+        table_scores = np.round(self._table[:k] @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
+        scores = table_scores[row]
         order = np.argsort(-scores, kind="stable")[:r]
         return self._result(order, scores[order])
 
@@ -209,9 +446,10 @@ class LongTermMemory:
             raise ValueError("r must be >= 1")
         if (t_center is None) == (day_window is None):
             raise ValueError("provide exactly one of t_center and day_window")
-        n, _, ts, _ = self._snapshot()
+        n = self._n
         if n == 0:
             return QueryResult(hits=())
+        ts = self._t[:n]
         if t_center is not None:
             dist = np.abs(ts - int(t_center))
             order = np.argsort(dist, kind="stable")[:r]
@@ -233,18 +471,20 @@ class LongTermMemory:
             raise ValueError("center and radius must be finite")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        n, _, _, pos = self._snapshot()
+        n = self._n
         if n == 0:
             return QueryResult(hits=())
         c = np.asarray(center, dtype=np.float64)
-        dist = np.round(np.linalg.norm(pos - c, axis=1), SCORE_DECIMALS)
+        dist = np.round(np.linalg.norm(self._pos[:n] - c, axis=1), SCORE_DECIMALS)
         idx = np.nonzero(dist <= radius)[0]
         order = idx[np.argsort(dist[idx], kind="stable")][:r]
         return self._result(order, dist[order])
 
     def fetch_raw(self, record_index: int) -> SymbolicObservation:
         """Return the stored raw observation for one record, unchanged."""
-        return self.record(record_index).raw
+        if not (0 <= record_index < self._n):
+            raise IndexError(f"record index {record_index} out of range [0, {self._n})")
+        return self._raws[self._raw_id[record_index]]
 
 
 def build(
@@ -261,16 +501,17 @@ def build(
 
     Construction is task-agnostic: it sees only the stream. Captions are
     rendered from the raw entity lists under the requested mode (the noise
-    seed for each record derives from noise_seed and its timestep), embedded,
-    and stored alongside the raw observation. Every snapshot_every-th record
-    is flagged as a keyframe. An oracle caption depends only on the entity
-    list, so a record whose entity tuple is the previous record's own object
-    (as patrol hands out for a repeated view) reuses that record's caption.
+    seed for each record derives from noise_seed and its timestep), embedded
+    once per distinct caption, and stored alongside the raw observation.
+    Every snapshot_every-th record is flagged as a keyframe. An oracle
+    caption depends only on the entity list, so a record whose entity tuple
+    is the previous record's own object (as patrol hands out for a repeated
+    view) reuses that record's caption.
 
     Records share raw observations per view: consecutive non-keyframe
     records whose stream observation is the same object and whose caption is
     the same share one stored raw observation. A keyframe or a new view gets
-    its own. All records go into the memory as one batch.
+    its own. All records go into the memory as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -281,34 +522,51 @@ def build(
         embedder_id=embedder.embedder_id,
         mode=mode,
     )
-    records: list[MemoryRecord] = []
+    cols: tuple[list, ...] = tuple([] for _ in RECORD_FIELDS)
+    t, day, x, y, yaw, room, row_ids, raw_ids = cols
+    row_of_caption: dict[str, int] = {}
+    embeddings: list[np.ndarray] = []
+    raws: list[SymbolicObservation] = []
     last_entities: Optional[tuple] = None
     last_obs: Optional[SymbolicObservation] = None
-    raw: Optional[SymbolicObservation] = None
     caption = ""
-    for i, (t, pose, obs) in enumerate(stream):
+    for i, (ts, pose, obs) in enumerate(stream):
         if mode != "oracle" or obs.visible_entities is not last_entities:
             caption = render_caption(
                 obs.visible_entities,
                 mode=mode,
-                seed=stable_seed("caption", noise_seed, t.value),
+                seed=stable_seed("caption", noise_seed, ts.value),
                 noise=noise,
             )
             last_entities = obs.visible_entities
         keyframe = i % snapshot_every == 0
-        if keyframe or obs is not last_obs or raw.keyframe or raw.caption != caption:
-            raw = replace(obs, caption=caption, keyframe=keyframe)
+        if keyframe or obs is not last_obs or raws[-1].keyframe or raws[-1].caption != caption:
+            raws.append(replace(obs, caption=caption, keyframe=keyframe))
             last_obs = obs
-        records.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
-    memory.extend(records)
+        row = row_of_caption.get(caption)
+        if row is None:
+            row = row_of_caption[caption] = len(embeddings)
+            embeddings.append(embedder(caption))
+        t.append(ts.value)
+        day.append(ts.day)
+        x.append(pose.position[0])
+        y.append(pose.position[1])
+        yaw.append(pose.yaw)
+        room.append(pose.room_id)
+        row_ids.append(row)
+        raw_ids.append(len(raws) - 1)
+    memory.extend(Batch(*cols, embeddings=embeddings, raws=raws))
     return memory
 
 
 # -- persistence -------------------------------------------------------------
 
+_HEADER_KEYS = ("format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode")
+
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file in the checksummed artifact format.
+    """Write a memory file v2 (see the module docstring) in the checksummed
+    artifact format.
 
     extra_header fields (e.g. a producing-config hash) are merged into the
     header without displacing the required keys.
@@ -322,13 +580,38 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "embedder_id": memory.embedder_id,
         "mode": memory.mode,
     }
-    artifacts.write(path, header, (rec.to_dict() for rec in memory.records))
+    snap = memory._snapshot()
+    columns = [getattr(snap, name).tolist() for name in RECORD_FIELDS]
+    tables = {
+        "embeddings": (row.tolist() for row in snap.embeddings),
+        "raws": (raw.to_dict() for raw in snap.raws),
+    }
+    artifacts.write(path, header, zip(*columns), tables=tables)
+
+
+def _embedding_row(values: list) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+def _record_line(values: list) -> list:
+    """One v2 record line, type-checked field by field."""
+    if type(values) is not list or len(values) != len(RECORD_FIELDS):
+        raise ValueError(f"expected a list of {len(RECORD_FIELDS)} fields")
+    t, day, x, y, yaw, room, row, raw = values
+    if not (type(t) is int and type(day) is int and type(row) is int and type(raw) is int
+            and type(room) is str and type(x) in (float, int) and type(y) in (float, int)
+            and type(yaw) in (float, int)):
+        raise ValueError(f"malformed field types in {values!r}")
+    return values
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file, verifying the checksum, the header and every record."""
-    header, records = artifacts.read(path, MemoryRecord.from_dict, expect={"format_version": FORMAT_VERSION},
-                                     require=("d", "ticks_per_day", "snapshot_every", "embedder_id", "mode"))
+    """Load a memory file of format version 1 or 2, verifying the checksum,
+    the header, every table row and every record."""
+    header, lines = artifacts.verify(path, require=_HEADER_KEYS)
+    version = header["format_version"]
+    if version not in (1, FORMAT_VERSION):
+        raise IntegrityError(f"unsupported format_version {version!r}, expected 1 or {FORMAT_VERSION}")
     try:
         memory = LongTermMemory(
             d=int(header["d"]),
@@ -339,20 +622,32 @@ def load(path: str) -> LongTermMemory:
         )
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
+    if version == 1:
+        [batch] = artifacts.sections(header, lines, MemoryRecord.from_dict)  # MemoryRecords
+    else:
+        embeddings, raws, records = artifacts.sections(
+            header, lines, _record_line,
+            tables={"embeddings": _embedding_row, "raws": SymbolicObservation.from_dict},
+        )
+        columns = list(zip(*records)) or [()] * len(RECORD_FIELDS)
+        batch = Batch(*columns, embeddings=embeddings, raws=raws)
     try:
-        memory.extend(records)
+        memory.extend(batch)
     except BatchError as exc:
-        raise IntegrityError(f"record {exc.position}: {exc.reason}") from exc
+        raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
     return memory
 
 
 __all__ = [
+    "Batch",
     "BatchError",
     "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_TOP_R",
+    "FORMAT_VERSION",
     "IntegrityError",
     "LongTermMemory",
     "QueryResult",
+    "RECORD_FIELDS",
     "build",
     "load",
     "persist",

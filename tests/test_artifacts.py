@@ -91,8 +91,38 @@ def test_memory_file_bytes_are_frozen(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 1
-    assert sha256_of(path) == "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"
+    assert memstore.FORMAT_VERSION == 2
+    assert sha256_of(path) == "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"
+
+
+MEMORY_V1 = os.path.join(os.path.dirname(__file__), "data", "memory_v1.jsonl")
+
+
+def test_memory_file_v1_still_loads(tmp_path):
+    """The same memory as persisted by format version 1, bytes frozen."""
+    assert sha256_of(MEMORY_V1) == "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"
+    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
+    loaded = memstore.load(MEMORY_V1)
+    assert list(loaded.records) == list(memory.records)
+    assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
+        memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
+    path = str(tmp_path / "memory.jsonl")
+    memstore.persist(loaded, path, extra_header={"config_hash": "0123456789abcdef"})
+    assert list(memstore.load(path).records) == list(memory.records)
+
+
+def test_tables_come_before_records_and_are_counted(tmp_path):
+    path = str(tmp_path / "a.jsonl")
+    artifacts.write(path, {"kind": "k"}, [1, 2], tables={"a": ["x"], "b": [[0], [1], [2]]})
+    header, lines = artifacts.verify(path)
+    assert header == {"kind": "k", "a": 1, "b": 3, "count": 2}
+    assert artifacts.sections(header, lines, tables={"a": str.upper, "b": len}) == [["X"], [1, 1, 1], [1, 2]]
+    with pytest.raises(IntegrityError, match="record count mismatch: header says 2, found 6"):
+        artifacts.sections(header, lines)
+    with pytest.raises(IntegrityError, match="b 0: object of type 'int' has no len"):
+        artifacts.sections(header, lines, tables={"a": str, "b": lambda row: len(row[0])})
+    with pytest.raises(IntegrityError, match="malformed header: 'c' must be a line count, got None"):
+        artifacts.sections(header, lines, tables={"c": str})
 
 
 def test_stream_file_bytes_are_frozen(tmp_path):

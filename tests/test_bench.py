@@ -412,3 +412,79 @@ def test_fixture_suites_have_requested_sizes():
 def test_fixture_kind_validation():
     with pytest.raises(ValueError):
         build_fixture_suite("bogus", n=5)
+
+
+def test_crash_record_keeps_the_steps_that_ran(monkeypatch, tmp_path):
+    """A policy that raises on its 3rd decision: the 2 logged steps stay in
+    the crash record and in episode_end."""
+    from objsearch.agent import classify_action, default_registry
+    from objsearch.bench import suite
+    from objsearch.core import Action
+
+    real = suite.make_policy
+
+    def flaky(method, task, config, scene_graphs=None):
+        policy = real(method, task, config, scene_graphs=scene_graphs)
+        decisions = []
+
+        def decide(*args):
+            decisions.append(None)
+            if len(decisions) == 3:
+                raise RuntimeError("third decision")
+            return policy(*args)
+
+        return decide
+
+    monkeypatch.setattr(suite, "make_policy", flaky)
+    task = build_task(1, "class", "visible", 0, seed=2)
+    config = SuiteConfig(methods=("star", "random"), modes=("oracle",), seed=2)
+    log = tmp_path / "episodes.jsonl"
+    report = run_suite([task], config, log_path=str(log))
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    registry = default_registry()
+    for episode in report.episodes:
+        assert episode["termination"] == "crash"
+        assert episode["error"] == "RuntimeError: third decision"
+        mine = []
+        for e in events:
+            if e["event"] == "episode_start":
+                current = e["method"]
+            elif e["event"] == "step" and current == episode["method"]:
+                mine.append(e)
+        assert episode["steps_used"] == 2 == len(mine)
+        counts = {c: 0 for c in episode["action_counts"]}
+        for e in mine:
+            counts[classify_action(Action.from_dict(e["action"]), registry)] += 1
+        assert episode["action_counts"] == counts
+        [end] = [e for e in events if e["event"] == "episode_end" and e["method"] == episode["method"]]
+        assert (end["steps_used"], end["action_counts"], end["termination"]) == (2, counts, "crash")
+
+
+def test_render_report_counts_terminations():
+    from objsearch.bench import SuiteReport, render_report
+    from objsearch.bench.suite import _aggregate
+
+    def episode(method, termination, **extra):
+        return {"task_id": "x", "family": "class", "type": "visible", "method": method, "mode": "oracle",
+                "success": termination == "retrieved", "steps_used": 3, "termination": termination,
+                "action_counts": {"temporal_query": 1, "perception": 1, "navigation": 1, "manipulation": 0},
+                "optimal_counts": {"perception": 1, "navigation": 1, "manipulation": 1}, **extra}
+
+    episodes = [
+        episode("star", "retrieved"),
+        episode("star", "retrieved", adjudication_mismatch=True),
+        episode("star", "crash", error="RuntimeError: boom"),
+        episode("random", "budget_exhausted"),
+        episode("random", "policy_abort"),
+    ]
+    rates, stats = _aggregate(episodes)
+    report = SuiteReport(config={}, config_hash="h", episodes=episodes, success_rates=rates, action_stats=stats)
+    before = json.dumps(report.to_dict(), sort_keys=True)
+    text = render_report(report)
+    assert json.dumps(report.to_dict(), sort_keys=True) == before
+    table = text.split("== episode terminations ==\n")[1].splitlines()
+    assert table[0].split() == ["Type", "Method", "Mode", "Retrieved", "Budget", "Abort", "Crash", "Mismatch"]
+    assert [row.split() for row in table[1:]] == [
+        ["visible", "Random", "oracle", "0", "1", "1", "0", "0"],
+        ["visible", "STAR", "oracle", "2", "0", "0", "1", "1"],
+    ]

@@ -1,11 +1,15 @@
 """Command-line pipeline: artifacts, determinism, exit codes, lineage."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from objsearch import artifacts
 from objsearch.cli import main
+from objsearch.memstore import load
 from objsearch.homesim import generate_world
 
 
@@ -117,19 +121,30 @@ def test_build_memory_header_records_mode(pipeline):
 
 
 def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
-    oracle_lines = open(pipeline["oracle"]).read().splitlines()[1:-1]
-    real_lines = open(pipeline["realistic"]).read().splitlines()[1:-1]
-    assert len(oracle_lines) == len(real_lines)
+    oracle, real = load(pipeline["oracle"]), load(pipeline["realistic"])
+    assert len(oracle) == len(real)
     diffs = 0
-    for a, b in zip(oracle_lines, real_lines):
-        ra, rb = json.loads(a), json.loads(b)
-        assert ra["t"] == rb["t"]
-        assert ra["pose"] == rb["pose"]
-        assert ra["raw"]["visible_entities"] == rb["raw"]["visible_entities"]
-        if ra["raw"]["caption"] != rb["raw"]["caption"]:
+    for ra, rb in zip(oracle.records, real.records):
+        assert ra.t == rb.t
+        assert ra.pose == rb.pose
+        assert ra.raw.visible_entities == rb.raw.visible_entities
+        if ra.raw.caption != rb.raw.caption:
             diffs += 1
-            assert ra["embedding"] != rb["embedding"]
+            assert not np.array_equal(ra.embedding, rb.embedding)
     assert diffs > 0
+
+
+def test_build_memory_writes_format_v2_with_config_hash(pipeline):
+    hashes = set()
+    for mode in ("oracle", "realistic"):
+        header, _ = artifacts.verify(pipeline[mode])
+        memory = load(pipeline[mode])
+        assert header["format_version"] == 2
+        assert (len(memory), memory.mode) == (600, mode)
+        assert header["embeddings"] < 600  # one row per distinct caption
+        assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
+        hashes.add(header["config_hash"])
+    assert len(hashes) == 2  # the mode is in the producing config
 
 
 def test_build_memory_corrupt_stream_exits_nonzero(pipeline, tmp_path):

@@ -23,12 +23,14 @@ from objsearch.core import (
     render_caption,
     stable_seed,
 )
+from objsearch import artifacts
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import generate_world, patrol
 from objsearch.memstore import (
     BatchError,
     IntegrityError,
     LongTermMemory,
+    RECORD_FIELDS,
     build,
     load,
     persist,
@@ -515,12 +517,19 @@ def test_truncated_file_rejected(tmp_path):
         load(path)
 
 
+def persist_v1(memory, path, extra_header=None):
+    """The memory file v1 writer: one MemoryRecord.to_dict line per record."""
+    header = {**(extra_header or {}), "format_version": 1, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
+              "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode}
+    artifacts.write(path, header, (rec.to_dict() for rec in memory.records))
+
+
 def test_corrupt_record_named(tmp_path):
     import hashlib
 
     memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)])
     path = str(tmp_path / "memory.jsonl")
-    persist(memory, path)
+    persist_v1(memory, path)
     lines = open(path).read().splitlines()
     lines[2] = lines[2].replace('"value":1', '"value":"bogus"')
     body = "\n".join(lines[:-1]) + "\n"
@@ -599,7 +608,7 @@ def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
 
     memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
-    persist(memory, path)
+    persist_v1(memory, path)
     lines = open(path).read().splitlines()
     lines[4] = lines[4].replace('"value":3', '"value":2')
     body = "\n".join(lines[:-1]) + "\n"
@@ -635,7 +644,7 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 2, "unsupported format_version 2, expected 1"),
+        ("format_version", 3, "unsupported format_version 3, expected 1 or 2"),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("count", 2, "record count mismatch: header says 2, found 3"),
@@ -647,3 +656,185 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=message):
         load(path)
+
+
+# -- columnar, content-addressed storage and memory file v2 --------------------------------
+
+CAPTIONS = ["a red mug on the sink", "a green folder on the study desk", "a blue sofa cushion",
+            "a toy on the bed", "a lamp", "red mug"]
+
+
+def scan_semantic(memory, qvec, r):
+    """The n x d scan: score every record's own embedding."""
+    emb = np.array([rec.embedding for rec in memory.records]).reshape(-1, memory.d)
+    scores = np.round(emb @ qvec, SCORE_DECIMALS)
+    order = np.argsort(-scores, kind="stable")[:r]
+    return tuple(zip(order.tolist(), scores[order].tolist()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batches=st.lists(st.lists(st.sampled_from(CAPTIONS), min_size=1, max_size=12), min_size=1, max_size=6),
+    query=st.sampled_from(CAPTIONS + ["mug", "sofa desk", "nothing alike"]),
+    r=st.integers(1, 80),
+)
+def test_semantic_k_rows_equal_n_by_d_scan(batches, query, r):
+    memory = new_memory()
+    t = 0
+    for captions in batches:
+        memory.extend(synthetic_record(t + j, c, (j, 0)) for j, c in enumerate(captions))
+        t += len(captions)
+    assert memory._k == len({c for captions in batches for c in captions})
+    qvec = EMB(query)
+    assert memory.query_semantic_vector(qvec, r=r).hits == scan_semantic(memory, qvec, r)
+
+
+def assert_loaded_equals(loaded, memory):
+    assert_same_memory(loaded, memory)
+    assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
+        memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    layout_seed=st.integers(0, 3),
+    scene_id=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from(["oracle", "realistic"]),
+    snapshot_every=st.sampled_from([1, 7, 25]),
+)
+def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
+    memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
+                   snapshot_every=snapshot_every, ticks_per_day=200)
+    root = tmp_path_factory.mktemp("files")
+    v2, v1, again = (str(root / name) for name in ("v2.jsonl", "v1.jsonl", "again.jsonl"))
+    persist(memory, v2)
+    loaded = load(v2)
+    assert_loaded_equals(loaded, memory)
+    assert (loaded._k, len(loaded._raws)) == (memory._k, len(memory._raws))
+    persist_v1(memory, v1)
+    from_v1 = load(v1)
+    assert_loaded_equals(from_v1, memory)
+    persist(from_v1, again)
+    assert_loaded_equals(load(again), memory)
+    for q in ("green folder", "red mug sink"):
+        assert load(again).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+
+
+def rewrite_line(path, index, edit):
+    """Replace line index of a memory file by edit(parsed line) and re-checksum it."""
+    import hashlib
+    import json
+
+    lines = open(path).read().splitlines()[:-1]
+    lines[index] = json.dumps(edit(json.loads(lines[index])), sort_keys=True, separators=(",", ":"))
+    body = "\n".join(lines) + "\n"
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+
+
+def record_edit(field, value):
+    def edit(line):
+        line[RECORD_FIELDS.index(field)] = value
+        return line
+    return edit
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        # 3 embedding rows (lines 1-3), 5 raws (lines 4-8), 5 records (lines 9-13)
+        (11, record_edit("row", 3), r"record 2: row id 3 out of range \[0, 3\)"),
+        (12, record_edit("row", -1), r"record 3: row id -1 out of range \[0, 3\)"),
+        (10, record_edit("raw", 5), r"record 1: raw id 5 out of range \[0, 5\)"),
+        (2, lambda row: [2 * v for v in row], "embeddings 1: embedding must be unit norm, got 2.0"),
+        (3, lambda row: row[:-1], r"embeddings 2: embedding dimension \(63,\) != \(64,\)"),
+        (12, record_edit("t", 2), "record 3: non-monotonic timestamp 2 after 2"),
+        (9, record_edit("t", -1), "record 0: timestep value and day must be non-negative"),
+        (13, lambda line: line[:-1], "record 4: expected a list of 8 fields"),
+        (10, record_edit("room", 7), "record 1: malformed field types"),
+        (5, lambda raw: {**raw, "visible_entities": raw["visible_entities"] * 2},
+         "raws 1: duplicate entity_id within one observation"),
+    ],
+)
+def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
+    memory = fill(new_memory(), [(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)])
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    load(path)
+    rewrite_line(path, line, edit)
+    with pytest.raises(IntegrityError, match=message):
+        load(path)
+
+
+def test_table_rows_are_shared_and_checked_once():
+    memory = fill(new_memory(), [(t, CAPTIONS[t % 2], (t, 0)) for t in range(6)])
+    assert memory._k == 2
+    assert memory.semantic_index.shape == (6, 64)
+    batch = [synthetic_record(6, CAPTIONS[0], (0, 0)), synthetic_record(7, "a new caption", (0, 0))]
+    batch[1] = replace(batch[1], embedding=EMB32("a mug"))
+    with pytest.raises(BatchError) as info:
+        memory.extend(batch)
+    assert info.value.position == 1 and info.value.part == "record"
+    assert (len(memory), memory._k) == (6, 2)
+
+
+def test_retrieval_outcomes_build_no_memory_record(monkeypatch):
+    from objsearch.agent import ActionExecutor
+    from objsearch.core import Action
+
+    world, schedule = generate_world(3, 1)
+    memory = build(patrol_stream(3, 1, 3), EMB, ticks_per_day=200)
+    want = {i: memory.record(i) for i in range(len(memory))}
+
+    def refuse(self, i):
+        raise AssertionError("a MemoryRecord was built")
+
+    monkeypatch.setattr(LongTermMemory, "record", refuse)
+    executor = ActionExecutor(memory, world, schedule, EMB)
+    for action in (Action("semantic_query", {"query": "mug", "r": 30}),
+                   Action("temporal_query", {"day_start": 1, "day_end": 1, "r": 200}),
+                   Action("spatial_query", {"x": 2.0, "y": 2.0, "radius": 3.0, "r": 30}),
+                   Action("fetch_raw", {"record_index": 17})):
+        payload = executor.execute(action).payload
+        assert payload["last_t"] == want[len(memory) - 1].t.value
+        views = payload["hits"] if "hits" in payload else [payload["record"]]
+        assert views
+        for view in views:
+            rec = want[view["record_index"]]
+            assert (view["t"], view["day"], view["room"], view["x"], view["y"], view["caption"], view["keyframe"]) == (
+                rec.t.value, rec.t.day, rec.pose.room_id, *rec.pose.position, rec.raw.caption, rec.raw.keyframe)
+
+
+def test_concurrent_record_passes_see_their_prefix():
+    """Readers that iterate records (and so build and share the kept
+    MemoryRecords) while a writer extends see exactly their snapshot."""
+    memory = new_memory()
+    batch, batches = 5, 120
+    errors = []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            view = memory.records
+            ts = [rec.t.value for rec in view]
+            if ts != list(range(len(view))) or len(view) % batch:
+                errors.append(f"pass over {len(view)} records saw {len(ts)}")
+            if len(view) and view[-1].raw.caption != f"caption {(len(view) - 1) % 10}":
+                errors.append("indexed record differs from its columns")
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for b in range(batches):
+            memory.extend(synthetic_record(t, f"caption {t % 10}", (0.0, 0.0))
+                          for t in range(b * batch, (b + 1) * batch))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive()
+    assert errors == []
+    assert [rec.t.value for rec in memory.records] == list(range(batch * batches))
