@@ -1,15 +1,26 @@
 """Scripted policies over the unified action space.
 
-Every policy here is a pure function of (instruction text, working memory,
-remaining budget, registry schema): state is reconstructed from the trace on
-each call, so fixed seeds replay identical episodes. None of them can touch
-world state or long-term memory except through the actions they emit.
+Every policy here decides as a pure function of (instruction text, working
+memory, remaining budget, registry schema), so fixed seeds replay identical
+episodes. None of them can touch world state or long-term memory except
+through the actions they emit.
 
-Rebuilding the trace view re-reads every retrieved caption on every step, and
-captions repeat heavily across records, so each distinct caption is parsed
-once into a bounded module-level memo (a pure function of the text, hence
-invisible to replay). Captions share their phrases, so a second memo keeps
-one parsed entity per distinct phrase and a memoized caption costs a tuple.
+The state a decision reads is a TraceView, a fold over the trace's steps. A
+policy instance keeps its last view (one entry, for as long as the instance
+lives; bench builds one per episode) and, when the next call's trace extends
+the one it folded for the same instruction, folds only the new steps;
+anything else gets a fresh view. The fold is deterministic and the fresh
+view is the same value, so the memo cannot be seen in replay: a decision
+depends on the call's arguments alone, whatever the instance saw before.
+Because the view is advanced in place, an instance must not be called from
+two threads at once.
+
+Retrieved captions repeat heavily across records, so each distinct caption
+is parsed once into a bounded module-level memo (a pure function of the
+text, hence invisible to replay); captions share their phrases, so a second
+memo keeps one parsed entity per distinct phrase. Each view also remembers,
+per caption, which of its entities match the instruction, so a record's
+matches are found once, when the fold first sees its hit.
 """
 
 from __future__ import annotations
@@ -18,9 +29,9 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from ..core import Action, WorkingMemory, stable_seed
+from ..core import Action, Outcome, WorkingMemory, stable_seed
 from .loop import PolicyDecision
 
 ATTRIBUTE_VOCAB = frozenset(
@@ -131,9 +142,10 @@ def parse_caption(caption: str) -> list[CaptionEntity]:
 # Trace inspection shared by the scripted policies
 
 
-@dataclass(frozen=True)
-class HitMatch:
-    """One instruction-matching entity phrase found in a retrieval hit."""
+class HitMatch(NamedTuple):
+    """One instruction-matching entity phrase found in a retrieval hit. A
+    named tuple because a whole-day window makes hundreds per step, and a
+    tuple is built several times faster than a frozen dataclass."""
 
     record_index: int
     t: int
@@ -144,10 +156,13 @@ class HitMatch:
 
 
 class TraceView:
-    """Derived view of the working memory for decision making."""
+    """Derived view of the working memory for decision making, folded one
+    step at a time: advance(h) folds only the steps h added since the view
+    last saw the trace."""
 
     def __init__(self, h: WorkingMemory, parsed: ParsedInstruction):
         self.parsed = parsed
+        self.steps: tuple[tuple[Action, Outcome], ...] = ()
         self.hits: dict[int, dict] = {}
         self.fetched: dict[int, dict] = {}
         self.queries: list[Action] = []
@@ -161,40 +176,75 @@ class TraceView:
         self.last_t: Optional[int] = None
         self.ticks_per_day: Optional[int] = None
         self.first_hit: Optional[dict] = None
-        focus: Optional[str] = None
-        for step, (action, outcome) in enumerate(h.steps):
-            payload = outcome.payload
-            if outcome.kind == "retrieval":
-                self.queries.append(action)
-                if self.first_hit is None and payload.get("hits"):
-                    self.first_hit = payload["hits"][0]
-                if payload.get("ticks_per_day") is not None:
-                    self.ticks_per_day = payload["ticks_per_day"]
-                if payload.get("last_day") is not None:
-                    self.last_day = payload["last_day"]
-                    self.last_t = payload.get("last_t")
-                for view in payload.get("hits", []):
-                    self.hits.setdefault(view["record_index"], view)
-                rec = payload.get("record")
-                if rec is not None:
-                    self.fetched.setdefault(rec["record_index"], rec)
-            elif outcome.kind == "perception":
-                self.detections.append((step, focus, payload.get("entities", [])))
-            elif outcome.kind == "skill_result":
-                if action.tool == "navigate" and payload.get("success"):
-                    focus = action.args.get("landmark")
-                    self.navigated.add(focus)
-                elif action.tool == "open" and payload.get("success"):
-                    recep = action.args.get("receptacle")
-                    self.opened.add(recep)
-                    self.open_step[recep] = step
-                elif action.tool == "pick":
-                    entity = action.args.get("entity", "")
-                    if payload.get("success"):
-                        self.picked_ok.add(entity)
-                    else:
-                        self.pick_failed.add(entity)
-        self.focus = focus
+        self.focus: Optional[str] = None
+        # Caption -> its entities that match the instruction; record index ->
+        # the HitMatches of its hit (only hits with any); the flat list that
+        # matches() returns, None when a fold added a match since.
+        self._caption_matches: dict[str, tuple[CaptionEntity, ...]] = {}
+        self._hit_matches: dict[int, tuple[HitMatch, ...]] = {}
+        self._matches: Optional[list[HitMatch]] = []
+        self.advance(h)
+
+    def advance(self, h: WorkingMemory) -> "TraceView":
+        """Fold the steps of h past the ones already folded; h must extend
+        the trace this view has seen (see trace_view)."""
+        for step in range(len(self.steps), len(h.steps)):
+            self._fold(step, *h.steps[step])
+        self.steps = h.steps
+        return self
+
+    def _fold(self, step: int, action: Action, outcome: Outcome) -> None:
+        payload = outcome.payload
+        if outcome.kind == "retrieval":
+            self.queries.append(action)
+            if self.first_hit is None and payload.get("hits"):
+                self.first_hit = payload["hits"][0]
+            if payload.get("ticks_per_day") is not None:
+                self.ticks_per_day = payload["ticks_per_day"]
+            if payload.get("last_day") is not None:
+                self.last_day = payload["last_day"]
+                self.last_t = payload.get("last_t")
+            for view in payload.get("hits", []):
+                idx = view["record_index"]
+                if idx in self.hits:
+                    continue
+                self.hits[idx] = view
+                ents = self._caption_matches.get(view["caption"])
+                if ents is None:
+                    ents = self._match_caption(view["caption"])
+                if ents:
+                    t, day = view["t"], view["day"]
+                    self._hit_matches[idx] = tuple(
+                        HitMatch(idx, t, day, e.landmark_name, e.contained, e.attributes) for e in ents
+                    )
+                    self._matches = None
+            rec = payload.get("record")
+            if rec is not None:
+                self.fetched.setdefault(rec["record_index"], rec)
+        elif outcome.kind == "perception":
+            self.detections.append((step, self.focus, payload.get("entities", [])))
+        elif outcome.kind == "skill_result":
+            if action.tool == "navigate" and payload.get("success"):
+                self.focus = action.args.get("landmark")
+                self.navigated.add(self.focus)
+            elif action.tool == "open" and payload.get("success"):
+                recep = action.args.get("receptacle")
+                self.opened.add(recep)
+                self.open_step[recep] = step
+            elif action.tool == "pick":
+                entity = action.args.get("entity", "")
+                if payload.get("success"):
+                    self.picked_ok.add(entity)
+                else:
+                    self.pick_failed.add(entity)
+
+    def _match_caption(self, caption: str) -> tuple[CaptionEntity, ...]:
+        """The caption's instruction-matching entities, kept per caption."""
+        ents = tuple(
+            ent for ent in _parse_caption(caption) if self.parsed.matches(ent.class_label, ent.attributes)
+        )
+        self._caption_matches[caption] = ents
+        return ents
 
     def issued(self, tool: str, **args: Any) -> bool:
         for a in self.queries:
@@ -207,22 +257,9 @@ class TraceView:
 
     def matches(self) -> list[HitMatch]:
         """Instruction-matching phrases across all retrieval hits, by record order."""
-        out = []
-        for idx in sorted(self.hits):
-            view = self.hits[idx]
-            for ent in _parse_caption(view["caption"]):
-                if self.parsed.matches(ent.class_label, ent.attributes):
-                    out.append(
-                        HitMatch(
-                            record_index=idx,
-                            t=view["t"],
-                            day=view["day"],
-                            landmark_name=ent.landmark_name,
-                            contained=ent.contained,
-                            attributes=ent.attributes,
-                        )
-                    )
-        return out
+        if self._matches is None:
+            self._matches = [m for idx in sorted(self._hit_matches) for m in self._hit_matches[idx]]
+        return list(self._matches)
 
     def detection_at(self, landmark_id: str, after_step: int = -1) -> Optional[list[dict]]:
         """Entities from the latest detection taken while focused at the
@@ -272,6 +309,18 @@ class TraceView:
             "landmark_id": ent["landmark_id"],
             "containment": ent["containment"],
         }
+
+
+def trace_view(last: Optional[TraceView], h: WorkingMemory, parsed: ParsedInstruction) -> TraceView:
+    """The view of h for parsed: last advanced to h when it was made for the
+    same instruction and h extends the trace it has folded, else a fresh one.
+
+    The prefix check compares step tuples, identity first; WorkingMemory.append
+    keeps each step's tuple, so within an episode it costs a pointer compare
+    per step."""
+    if last is not None and last.parsed == parsed and h.steps[: len(last.steps)] == last.steps:
+        return last.advance(h)
+    return TraceView(h, parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +388,13 @@ class RandomSearchPolicy:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
+        self._view: Optional[TraceView] = None
 
     def __call__(
         self, instruction: str, h: WorkingMemory, remaining: int, schema: Mapping[str, Any]
     ) -> Optional[PolicyDecision]:
         parsed = parse_instruction(instruction)
-        view = TraceView(h, parsed)
+        view = self._view = trace_view(self._view, h, parsed)
         if h.steps and h.steps[-1][0].tool == "navigate":
             return PolicyDecision(Action("detect"))
         if h.steps and h.steps[-1][0].tool == "detect":
@@ -371,6 +421,7 @@ class TrPlusSPolicy:
 
     def __init__(self, semantic_r: int = DEFAULT_SEMANTIC_R):
         self.semantic_r = semantic_r
+        self._view: Optional[TraceView] = None
 
     def _probes(self, parsed: ParsedInstruction, view: TraceView) -> list[Action]:
         probes = [Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})]
@@ -422,7 +473,7 @@ class TrPlusSPolicy:
         self, instruction: str, h: WorkingMemory, remaining: int, schema: Mapping[str, Any]
     ) -> Optional[PolicyDecision]:
         parsed = parse_instruction(instruction)
-        view = TraceView(h, parsed)
+        view = self._view = trace_view(self._view, h, parsed)
         done = len(h.steps)
         probes = self._probes(parsed, view)
         if done < len(probes):
@@ -581,6 +632,7 @@ class StarScriptedPolicy:
         self.commit_threshold = commit_threshold
         self.semantic_r = semantic_r
         self.max_fetches = max_fetches
+        self._view: Optional[TraceView] = None
 
     def _window_action(self, view: TraceView, day: int) -> Action:
         r = view.ticks_per_day or DEFAULT_WINDOW_R
@@ -599,7 +651,7 @@ class StarScriptedPolicy:
         self, instruction: str, h: WorkingMemory, remaining: int, schema: Mapping[str, Any]
     ) -> Optional[PolicyDecision]:
         parsed = parse_instruction(instruction)
-        view = TraceView(h, parsed)
+        view = self._view = trace_view(self._view, h, parsed)
         committed = remaining <= self.commit_threshold
 
         # Gather temporal evidence.
@@ -819,4 +871,5 @@ __all__ = [
     "TrPlusSPolicy",
     "parse_caption",
     "parse_instruction",
+    "trace_view",
 ]

@@ -38,6 +38,7 @@ Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
@@ -163,7 +164,17 @@ class RecordsView(SequenceABC):
         return self._n
 
     def __getitem__(self, i):
-        return self._memory._built(self._n)[: self._n][i]
+        if isinstance(i, slice):
+            built = self._memory._built(self._n)
+            return [built[j] for j in range(self._n)[i]]
+        j = operator.index(i)
+        if not -self._n <= j < self._n:
+            raise IndexError(f"record index {i} out of range [0, {self._n})")
+        j %= self._n
+        # O(1): a record no pass has built yet is built alone, not with the
+        # prefix before it.
+        built = self._memory._records
+        return built[j] if j < len(built) else self._memory.record(j)
 
     def __iter__(self):
         return iter(self._memory._built(self._n)[: self._n])

@@ -107,7 +107,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
              "toy", "sofa", "lamp", "counter", "bed", "cabinet"]
 
     def random_memory(n):
-        memory = LongTermMemory(d=64, ticks_per_day=100)
+        records = []
         t = 0
         for _ in range(n):
             t += rng.randrange(1, 3)
@@ -115,12 +115,14 @@ def test_criterion_1_retrieval_oracle_equivalence():
             pos = (rng.randrange(0, 10) * 0.5, rng.randrange(0, 10) * 0.5)
             ent = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(),
                                 landmark_id="sink")
-            memory.append(MemoryRecord(
+            records.append(MemoryRecord(
                 t=Timestep.at(t, 100),
                 pose=Pose(position=pos, yaw=0.0, room_id="r"),
                 embedding=emb(caption),
                 raw=SymbolicObservation(visible_entities=(ent,), caption=caption),
             ))
+        memory = LongTermMemory(d=64, ticks_per_day=100)
+        memory.extend(records)
         return memory
 
     def oracle_semantic(memory, qvec, r):
@@ -140,9 +142,8 @@ def test_criterion_1_retrieval_oracle_equivalence():
 
     def oracle_spatial(memory, center, radius, r):
         scored = sorted(
-            ((round(math.dist(rec.pose.position, center), SCORE_DECIMALS), i)
-             for i, rec in enumerate(memory.records)
-             if round(math.dist(rec.pose.position, center), SCORE_DECIMALS) <= radius),
+            ((d, i) for i, rec in enumerate(memory.records)
+             if (d := round(math.dist(rec.pose.position, center), SCORE_DECIMALS)) <= radius),
             key=lambda s: (s[0], s[1]),
         )
         return [i for _, i in scored[:r]]

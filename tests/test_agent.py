@@ -1,10 +1,11 @@
 """Decision loop, unified action space accounting, and scripted policies."""
 
+import functools
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.agent import (
@@ -21,10 +22,15 @@ from objsearch.agent import (
 from objsearch.agent.policies import (
     ATTRIBUTE_VOCAB,
     CaptionEntity,
+    HitMatch,
+    StarScriptedPolicy,
+    TraceView,
+    TrPlusSPolicy,
     parse_caption,
     parse_instruction,
+    trace_view,
 )
-from objsearch.bench import SuiteConfig, build_task, prepare_task, run_task_episode
+from objsearch.bench import SuiteConfig, build_task, default_prior_table, prepare_task, run_task_episode
 from objsearch.core import (
     CONTAINMENTS,
     CONTAINMENT_INSIDE_OPEN,
@@ -44,6 +50,7 @@ from objsearch.homesim import (
     Schedule,
     WorldObject,
     WorldState,
+    fast_forward,
     generate_world,
 )
 from objsearch.memstore import LongTermMemory, build
@@ -539,6 +546,132 @@ def test_star_deterministic_trace():
     r1 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
     r2 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
     assert r1.trace == r2.trace
+
+
+# -- the incremental trace view -------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def fold_setup():
+    """An interactive task (twin receptacles, a moved target) and its memory."""
+    task = build_task(1, "spatial_temporal", "interactive", 0, seed=7)
+    memory, _, embedder = prepare_task(task, "oracle", CONFIG)
+    return task, memory, embedder
+
+
+def fold_instructions(world):
+    out = []
+    for obj in sorted(world.objects.values(), key=lambda o: o.entity_id)[:6]:
+        descr = " ".join([*obj.attributes, obj.class_label])
+        lm = world.landmarks[obj.location.ref].name
+        out += [f"find the {descr}", f"find the {descr} on the {lm}",
+                f"find the {descr} that was on the {lm} yesterday",
+                f"find the {descr} that is usually by the {lm}", f"bring me the {obj.class_label}"]
+    return out
+
+
+@st.composite
+def fold_actions(draw, world, n_records):
+    """Schema-valid and invalid actions over the task's world and memory."""
+    landmarks = sorted(world.landmarks)
+    entities = sorted(world.objects) + [""]
+    lm = st.sampled_from(landmarks)
+    actions = st.one_of(
+        st.builds(lambda q, r: Action("semantic_query", {"query": q, "r": r}),
+                  st.sampled_from(["red mug", "green folder", "mug sink", "white cabinet", "keys"]),
+                  st.sampled_from([5, 25])),
+        st.builds(lambda d: Action("temporal_query", {"day_start": d, "day_end": d, "r": 200}),
+                  st.integers(0, 3)),
+        st.builds(lambda t: Action("temporal_query", {"timestep": t, "r": 5}), st.integers(0, 700)),
+        st.builds(lambda i: Action("spatial_query", {"x": world.landmarks[i].position[0],
+                                                     "y": world.landmarks[i].position[1],
+                                                     "radius": 2.5, "r": 25}), lm),
+        st.builds(lambda i: Action("fetch_raw", {"record_index": i}), st.integers(0, n_records + 2)),
+        st.builds(lambda i: Action("navigate", {"landmark": i}), lm),
+        st.just(Action("detect")),
+        st.builds(lambda i: Action("open", {"receptacle": i}), lm),
+        st.builds(lambda e: Action("pick", {"entity": e}), st.sampled_from(entities)),
+        st.just(Action("navigate", {"bogus": True})),
+    )
+    return draw(st.lists(actions, min_size=1, max_size=12))
+
+
+def fold_trace(task, memory, embedder, actions):
+    """Working memories for every prefix of the actions, executed as
+    run_episode does on a fresh world at task time."""
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    fast_forward(world, task.schedule, task.days)
+    registry = default_registry(world)
+    executor = ActionExecutor(memory, world, task.schedule, embedder)
+    h = WorkingMemory.fresh(Instruction(text="unused"), 20)
+    prefixes = [h]
+    for action in actions:
+        errors = validate_action(action, registry)
+        if errors:
+            outcome = Outcome(kind="skill_result",
+                              payload={"success": False, "reason": "schema_error", "errors": errors})
+        else:
+            outcome = executor.execute(action)
+        h = h.append(action, outcome)
+        prefixes.append(h)
+    return prefixes
+
+
+def view_state(view):
+    public = {k: v for k, v in vars(view).items() if not k.startswith("_")}
+    return public, view.matches()
+
+
+def reference_matches(h, parsed):
+    """The whole-trace scan the fold replaced: the first view of each
+    retrieved record, and the instruction-matching phrases of their captions
+    in record order."""
+    hits = {}
+    for _, outcome in h.steps:
+        if outcome.kind == "retrieval":
+            for hit in outcome.payload.get("hits", []):
+                hits.setdefault(hit["record_index"], hit)
+    return hits, [
+        HitMatch(idx, hit["t"], hit["day"], ent.landmark_name, ent.contained, ent.attributes)
+        for idx, hit in sorted(hits.items())
+        for ent in parse_caption(hit["caption"])
+        if parsed.matches(ent.class_label, ent.attributes)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_incremental_trace_view_equals_a_fresh_one(data):
+    """Folding step by step (and reusing a view across calls) gives the same
+    view, and the same decisions, as folding the whole trace afresh: along
+    every prefix, on the same trace again, on a shorter one, on an unrelated
+    one and for another instruction."""
+    task, memory, embedder = fold_setup()
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    text, other_text = (data.draw(st.sampled_from(fold_instructions(world))) for _ in range(2))
+    prefixes = fold_trace(task, memory, embedder, data.draw(fold_actions(world, len(memory))))
+    unrelated = fold_trace(task, memory, embedder, data.draw(fold_actions(world, len(memory))))[-1]
+    h = prefixes[-1]
+    shorter = prefixes[data.draw(st.integers(0, len(prefixes) - 1))]
+    calls = [(text, hk) for hk in prefixes]
+    calls += [(text, h), (text, shorter), (text, unrelated), (other_text, h), (text, h)]
+
+    view = None
+    for instruction, hk in calls:
+        parsed = parse_instruction(instruction)
+        view = trace_view(view, hk, parsed)
+        view.matches().clear()  # a caller's list is its own
+        fresh = TraceView(hk, parsed)
+        assert view_state(view) == view_state(fresh)
+        assert (fresh.hits, fresh.matches()) == reference_matches(hk, parsed)
+
+    schema = default_registry(world).schema()
+    for make in (lambda: RandomSearchPolicy(seed=3), TrPlusSPolicy,
+                 lambda: StarScriptedPolicy(prior_table=default_prior_table())):
+        policy = make()
+        for instruction, hk in calls:
+            args = (instruction, hk, hk.remaining_budget, schema)
+            assert policy(*args) == make()(*args)
 
 
 # -- llm policy ------------------------------------------------------------------------------

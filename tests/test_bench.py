@@ -1,5 +1,6 @@
 """Benchmark layer: suite arithmetic, family hazards, adjudication, metrics."""
 
+import hashlib
 import json
 
 import pytest
@@ -21,7 +22,7 @@ from objsearch.bench import (
     wilson_interval,
 )
 from objsearch.bench.tasks import interactive_per_family
-from objsearch.core import Action, Instruction, Outcome, WorkingMemory
+from objsearch.core import Action, Instruction, Outcome, WorkingMemory, canonical_dumps
 from objsearch.homesim import LOC_INSIDE, generate_world
 
 
@@ -250,6 +251,30 @@ def test_suite_parallel_matches_sequential(small_report, tmp_path):
     report2 = run_suite(tasks, par, log_path=str(log2))
     assert [e for e in report.episodes] == [e for e in report2.episodes]
     assert open(log_path, "rb").read() == open(log2, "rb").read()
+
+
+def test_suite_output_is_frozen(tmp_path):
+    """Golden digests of a small slice: one scene, both modes, every scripted
+    method, and two 1300-ticks/day tasks whose episodes query whole-day
+    windows. The digests were computed before the policies' trace view became
+    incremental; any change to a decision, an outcome or the log format
+    changes them."""
+    tasks = [
+        build_task(1, "spatial_temporal", "visible", 0, 0, 3, 200),
+        build_task(1, "spatial_frequentist", "interactive", 0, 0, 3, 200),
+        build_task(1, "commonsense", "commonsense", 0, 0, 3, 200),
+        build_task(1, "spatial_frequentist", "visible", 0, 0, 3, 1300),
+        build_task(1, "spatial_temporal", "interactive", 0, 0, 3, 1300),
+    ]
+    config = SuiteConfig(methods=("random", "sg_s", "tr_s", "star"), modes=("oracle", "realistic"), seed=0)
+    log = tmp_path / "episodes.jsonl"
+    report = run_suite(tasks, config, log_path=str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "6293918a5b4a95f9a32f4eef844dbe0677c5d579d3eed0f6b290ef622cd29dc8"
+    )
+    assert hashlib.sha256(canonical_dumps(report.to_dict()).encode()).hexdigest() == (
+        "38adc8f0edae56e97d6ab77693db86ea47aba5588614f54be76c6a1378edd955"
+    )
 
 
 def test_report_conservation(small_report):

@@ -263,6 +263,43 @@ def test_record_by_index():
             memory.record(bad)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    more=st.integers(0, 6),
+    iterate_first=st.booleans(),
+    iterate_after=st.booleans(),
+    ints=st.lists(st.integers(-20, 20), max_size=8),
+    slices=st.lists(
+        st.tuples(*[st.one_of(st.none(), st.integers(-15, 15))] * 2, st.sampled_from([None, 1, 2, -1, -3])),
+        max_size=4,
+    ),
+)
+def test_records_view_indexes_like_its_list(n, more, iterate_first, iterate_after, ints, slices):
+    """records[i] and records[s] equal list(records)[i] and [s], for a view
+    made before later records are added, whether or not a pass has already
+    built its records or more; an index outside the view's own length is an
+    IndexError."""
+    memory = fill(new_memory(), [(t, f"a mug on the sink {t % 3}", (t, 0)) for t in range(n)])
+    view = memory.records
+    if iterate_first:
+        list(view)
+    fill(memory, [(n + t, "a mug", (0, 0)) for t in range(more)])
+    if iterate_after:
+        list(memory.records)
+    want = [memory.record(i) for i in range(n)]
+    assert len(view) == n
+    for i in ints:
+        if -n <= i < n:
+            assert view[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                view[i]
+    for start, stop, step in slices:
+        assert view[start:stop:step] == want[start:stop:step]
+    assert list(view) == want
+
+
 def test_spatial_rejects_non_finite_arguments():
     memory = fill(new_memory(), [(t, "a mug on the sink", (t, 0)) for t in range(3)])
     for center, radius in (((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0), ((0.0, 0.0), math.nan)):
