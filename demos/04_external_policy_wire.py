@@ -12,13 +12,11 @@ import json
 from objsearch.agent import ChatCompletionPolicy, LLMPolicyConfig, default_registry, run_episode
 from objsearch.agent.registry import ActionExecutor
 from objsearch.bench import SuiteConfig, build_task, prepare_task
-from objsearch.homesim import fast_forward, generate_world
 
 task = build_task(scene_id=1, family="class", task_type="visible", idx=0, seed=3)
 config = SuiteConfig(methods=("llm",), modes=("oracle",), seed=3)
-memory, graphs, embedder = prepare_task(task, "oracle", config)
-world, _ = generate_world(task.layout_seed, task.scene_id)
-fast_forward(world, task.schedule, task.days)
+# The world comes back patrolled to task time; the episode runs on it.
+memory, graphs, embedder, world = prepare_task(task, "oracle", config)
 
 scripted_replies = iter([
     "hmm, let me think about where the book might be",   # malformed: reprompted

@@ -1,10 +1,11 @@
 """Suite runner: executes (task, mode, method) episodes, aggregates success
 rates with Wilson intervals, and writes deterministic raw logs.
 
-The unit of work, serial or parallel, is the task: a worker patrols the
-task's world once, then for each mode builds that mode's memory from the
-shared stream and runs every method on it. Results are reduced in task order
-so the output is byte-identical regardless of worker count.
+The unit of work, serial or parallel, is the task: a worker generates its
+world once, takes day graphs from copies of it and patrols it to task time;
+then per mode it builds a memory and runs every method, each episode on its
+own copy of the patrolled world. Results are reduced in task order so the
+output is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..agent import (
 )
 from ..core import ACTION_CATEGORIES, DEFAULT_NOISE, NoiseModel, canonical_dumps, config_hash, stable_seed
 from ..embed import Embedder, EmbedderConfig
-from ..homesim import export_scene_graph, fast_forward, generate_world, patrol
+from ..homesim import WorldState, export_scene_graph, generate_world, patrol
 from ..memstore import LongTermMemory, build
 from .tasks import TaskSpec, adjudicate, default_prior_table
 
@@ -117,12 +118,14 @@ def make_policy(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _observe(task: TaskSpec) -> tuple[list, list]:
-    """The mode-independent part of a task: patrol its world once and export
-    the per-day scene graphs."""
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+def _observe(task: TaskSpec) -> tuple[list, list, WorldState]:
+    """The mode-independent part of a task: its per-day scene graphs, the
+    patrol stream, and the world at task time."""
+    tpd = task.ticks_per_day
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=tpd)
+    graphs = [export_scene_graph(world.at(task.schedule, (d + 1) * tpd - 1)) for d in range(task.days)]
     stream = patrol(world, task.schedule, task.days)
-    return stream, [export_scene_graph(world, d) for d in range(task.days)]
+    return stream, graphs, world
 
 
 def _build_memory(task: TaskSpec, stream: list, mode: str, config: SuiteConfig):
@@ -140,10 +143,10 @@ def _build_memory(task: TaskSpec, stream: list, mode: str, config: SuiteConfig):
 
 
 def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
-    """Patrol the task's world once and build the mode's memory and graphs."""
-    stream, graphs = _observe(task)
+    """The mode's memory, the day graphs, the embedder and the world at task time."""
+    stream, graphs, world = _observe(task)
     memory, embedder = _build_memory(task, stream, mode, config)
-    return memory, graphs, embedder
+    return memory, graphs, embedder, world
 
 
 def run_task_episode(
@@ -154,11 +157,11 @@ def run_task_episode(
     memory: LongTermMemory,
     graphs: list,
     embedder: Embedder,
+    world: WorldState,
     step_callback: Optional[Callable] = None,
 ):
-    """One episode on a fresh world replay at task time."""
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
-    fast_forward(world, task.schedule, task.days)
+    """One episode on a copy of the world at task time."""
+    world = world.at(task.schedule, world.clock)
     registry = default_registry(world)
     episode_memory = memory
     if method in ("random", "sg_s"):
@@ -196,7 +199,7 @@ def _episode_record(task: TaskSpec, method: str, mode: str, result) -> dict:
 def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
     """Worker: every (mode, method) episode of one task. Returns episode
     records and raw log lines in (mode, method) order."""
-    stream, graphs = _observe(task)
+    stream, graphs, world = _observe(task)
     # Action categories depend only on the tool; the world adds argument enums.
     registry = default_registry()
     records: list[dict] = []
@@ -227,7 +230,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 steps = k
 
             try:
-                result = run_task_episode(task, method, mode, config, memory, graphs, embedder, log_step)
+                result = run_task_episode(task, method, mode, config, memory, graphs, embedder, world, log_step)
                 record = _episode_record(task, method, mode, result)
                 success = adjudicate(task, result)
                 if success != result.success:

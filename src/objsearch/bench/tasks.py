@@ -109,11 +109,6 @@ def default_prior_table() -> dict[str, str]:
 # Family builders
 
 
-def _world_for(scene_id: int, layout_seed: int, ticks_per_day: int) -> WorldState:
-    world, _ = generate_world(layout_seed, scene_id, ticks_per_day=ticks_per_day)
-    return world
-
-
 def _home_landmark(world: WorldState, entity_id: str) -> str:
     loc = world.objects[entity_id].location
     if loc.kind != LOC_LANDMARK:
@@ -162,7 +157,7 @@ def build_task(
     """Construct one task whose schedule realizes the family hazard."""
     task_seed = stable_seed("task", seed, scene_id, family, task_type, idx)
     layout_seed = stable_seed("layout", seed, scene_id)
-    world = _world_for(scene_id, layout_seed, ticks_per_day)
+    world, _ = generate_world(layout_seed, scene_id, ticks_per_day=ticks_per_day)
     casting = scene_casting(scene_id)
     moves: list[Move] = list(_ambient(world, casting, task_seed, days))
 
@@ -312,18 +307,12 @@ def generate_suite(
 
 
 def _location_at(task: TaskSpec, world: WorldState, entity_id: str, tick: int) -> Location:
-    loc = world.objects[entity_id].location
-    for move in task.schedule.moves:
-        if move.entity_id != entity_id:
-            continue
-        if move.absolute_tick(task.ticks_per_day) <= tick:
-            loc = move.location
-    return loc
+    return world.at(task.schedule, tick).objects[entity_id].location
 
 
 def check_family_hazard(task: TaskSpec) -> None:
     """Verify the family's defining condition against ground truth."""
-    world = _world_for(task.scene_id, task.layout_seed, task.ticks_per_day)
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     target = world.objects.get(task.target_entity)
     if target is None:
         raise GenerationError(f"{task.task_id}: target missing from world")
@@ -417,7 +406,7 @@ def optimal_counts(task: TaskSpec) -> dict:
         return dict(OPTIMAL_VISIBLE)
     if task.type == "interactive":
         return dict(OPTIMAL_INTERACTIVE)
-    world = _world_for(task.scene_id, task.layout_seed, task.ticks_per_day)
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     return _commonsense_optimal(world, task.target_entity)
 
 

@@ -137,11 +137,15 @@ def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: in
 @click.option("--days", type=click.IntRange(MIN_PATROL_DAYS, MAX_PATROL_DAYS), default=3, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="graphs.jsonl", show_default=True)
 def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) -> None:
-    """Export per-day scene-graph snapshots (nodes and edges)."""
-    from .homesim import export_scene_graph, fast_forward
+    """Export the world file's per-day scene-graph snapshots (nodes and edges)."""
+    from .homesim import export_scene_graph
 
     world, world_hash, schedule, schedule_hash = _read_world_and_schedule(world_path, schedule_path)
-    fast_forward(world, schedule, days)
+    tpd = world.ticks_per_day
+    try:
+        graphs = [export_scene_graph(world.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
+    except ValueError as exc:
+        raise click.ClickException(f"{world_path}: {exc}") from exc
     config = {
         "cmd": "export-graphs", "days": days,
         "world_hash": world_hash, "schedule_hash": schedule_hash,
@@ -149,8 +153,8 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
                                   "days": days}) + "\n")
-        for day in range(days):
-            fh.write(canonical_dumps(export_scene_graph(world, day).to_dict()) + "\n")
+        for graph in graphs:
+            fh.write(canonical_dumps(graph.to_dict()) + "\n")
     click.echo(f"graphs={days} out={out}")
 
 
@@ -307,8 +311,8 @@ def cmd_run_task(tasks_path: str, index: int, method: str, mode: str, budget: in
         raise click.ClickException(f"task index {index} out of range [0, {len(tasks)})")
     task = tasks[index]
     config = _suite_config(method, mode, budget, seed, 1, llm_url, llm_model)
-    memory, graphs, embedder = prepare_task(task, mode, config)
-    result = run_task_episode(task, method, mode, config, memory, graphs, embedder)
+    memory, graphs, embedder, world = prepare_task(task, mode, config)
+    result = run_task_episode(task, method, mode, config, memory, graphs, embedder, world)
     click.echo(
         f"task={task.task_id} success={'true' if result.success else 'false'} "
         f"steps={result.steps_used} termination={result.termination}"

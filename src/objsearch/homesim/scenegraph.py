@@ -1,15 +1,16 @@
-"""Ground-truth scene-graph snapshots of the world, one per day.
+"""Ground-truth scene-graph snapshots of the world.
 
-Snapshots reflect the environment state as of the end of the requested day.
-Node ids are the stable entity/landmark/room ids, so diffing two days yields
-exactly the edges that changed.
+A snapshot is the world as it stands; the graph of day d is the snapshot of
+the start world at the last tick of that day, ``start.at(schedule, (d + 1) *
+ticks_per_day - 1)``. Node ids are the stable entity/landmark/room ids, so
+diffing two days yields exactly the edges that changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .world import LOC_INSIDE, LOC_LANDMARK, WorldState, generate_world
+from .world import LOC_INSIDE, LOC_LANDMARK, WorldState
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,12 @@ def graph_diff(a: SceneGraph, b: SceneGraph) -> dict:
     }
 
 
-def _build_graph(world: WorldState, day: int) -> SceneGraph:
+def export_scene_graph(world: WorldState) -> SceneGraph:
+    """Snapshot of the world as it stands, labelled with the world's day.
+
+    For the graph of a past day, export a copy of the world at that day's
+    last tick (``WorldState.at``); the world itself is not changed.
+    """
     nodes: list[dict] = []
     edges: list[tuple[str, str, str]] = []
     for room in world.rooms.values():
@@ -78,29 +84,7 @@ def _build_graph(world: WorldState, day: int) -> SceneGraph:
             edges.append((obj.entity_id, "held_by", "robot"))
     nodes.sort(key=lambda n: n["id"])
     edges.sort()
-    return SceneGraph(day=day, nodes=tuple(nodes), edges=tuple(edges))
-
-
-def export_scene_graph(world: WorldState, day: int) -> SceneGraph:
-    """Snapshot of the world as of the end of the given day.
-
-    Earlier days are reconstructed by replaying the moves the world has
-    already applied, so the export is valid for any fully elapsed day.
-    """
-    tpd = world.ticks_per_day
-    if day < 0 or (day + 1) * tpd > world.clock:
-        raise ValueError(
-            f"day {day} out of range: world clock {world.clock} has completed "
-            f"{world.clock // tpd} day(s)"
-        )
-    end_tick = (day + 1) * tpd - 1
-    replica, _ = generate_world(world.layout_seed, world.scene_id, ticks_per_day=tpd)
-    for move in world.applied_moves:
-        if move.absolute_tick(tpd) <= end_tick:
-            obj = replica.objects.get(move.entity_id)
-            if obj is not None:
-                obj.location = move.location
-    return _build_graph(replica, day)
+    return SceneGraph(day=world.day, nodes=tuple(nodes), edges=tuple(edges))
 
 
 __all__ = ["SceneGraph", "export_scene_graph", "graph_diff"]

@@ -8,6 +8,7 @@ mid-episode if the schedule says so.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from ..core import (
     CONTAINMENT_OPEN_AIR,
     Pose,
     VisibleEntity,
-    canonical_dumps,
     stable_seed,
 )
 
@@ -223,6 +223,25 @@ class WorldState:
         self.clock += 1
         self.sync(schedule)
 
+    def at(self, schedule: Schedule, tick: int) -> "WorldState":
+        """A copy of this world at a tick no earlier than its clock, with the
+        moves due by then applied. It shares only the frozen rooms and
+        landmarks, so what is done in it (an episode's opens and picks) stays
+        in it."""
+        if tick < self.clock:
+            raise ValueError(f"tick {tick} is before the world clock {self.clock}")
+        twin = copy.copy(self)
+        twin.objects = {
+            eid: WorldObject(o.entity_id, o.class_label, o.attributes, o.location)
+            for eid, o in self.objects.items()
+        }
+        twin.receptacle_open = dict(self.receptacle_open)
+        twin.inventory = list(self.inventory)
+        twin.applied_moves = list(self.applied_moves)
+        twin.clock = tick
+        twin.sync(schedule)
+        return twin
+
     @property
     def day(self) -> int:
         return self.clock // self.ticks_per_day
@@ -296,9 +315,6 @@ class WorldState:
             "objects": [o.to_dict() for o in self.objects.values()],
             "clock": self.clock,
         }
-
-    def config_text(self) -> str:
-        return canonical_dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "WorldState":

@@ -50,7 +50,6 @@ from objsearch.homesim import (
     Schedule,
     WorldObject,
     WorldState,
-    fast_forward,
     generate_world,
 )
 from objsearch.memstore import LongTermMemory, build
@@ -78,8 +77,8 @@ def executor_for(world, memory=None):
 
 def standard_setup(scene=1, family="attribute", ttype="visible", idx=0):
     task = build_task(scene, family, ttype, idx, seed=7)
-    memory, graphs, embedder = prepare_task(task, "oracle", CONFIG)
-    return task, memory, graphs, embedder
+    memory, graphs, embedder, world = prepare_task(task, "oracle", CONFIG)
+    return task, memory, graphs, embedder, world
 
 
 # -- parsing helpers -------------------------------------------------------------
@@ -232,9 +231,9 @@ def test_policy_abort_termination():
 
 
 def test_action_counts_sum_to_steps():
-    task, memory, graphs, embedder = standard_setup()
+    task, memory, graphs, embedder, world = standard_setup()
     for method in ("random", "sg_s", "tr_s", "star"):
-        r = run_task_episode(task, method, "oracle", CONFIG, memory, graphs, embedder)
+        r = run_task_episode(task, method, "oracle", CONFIG, memory, graphs, embedder, world)
         assert sum(r.action_counts.values()) == r.steps_used
 
 
@@ -376,10 +375,10 @@ def test_random_policy_succeeds_on_single_landmark_world():
 
 
 def test_random_policy_never_emits_temporal_tools():
-    task, memory, graphs, embedder = standard_setup()
+    task, memory, graphs, embedder, world = standard_setup()
     for seed in range(100):
         config = SuiteConfig(methods=("random",), modes=("oracle",), seed=seed)
-        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder)
+        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -388,16 +387,16 @@ def test_random_policy_weak_on_hidden_targets():
     for seed in range(10):
         config = SuiteConfig(methods=("random",), modes=("oracle",), seed=seed)
         task = build_task(1, "attribute", "interactive", 0, seed=7)
-        memory, graphs, embedder = prepare_task(task, "oracle", config)
-        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder)
+        memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder, world)
         wins += int(r.success)
     assert wins / 10 <= 0.2
 
 
 def test_random_policy_deterministic_given_seed():
-    task, memory, graphs, embedder = standard_setup()
-    r1 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder)
-    r2 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup()
+    r1 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -405,23 +404,23 @@ def test_random_policy_deterministic_given_seed():
 
 
 def test_trs_unmoved_object_three_spatial_actions():
-    task, memory, graphs, embedder = standard_setup(family="attribute")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="attribute")
+    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     physical = r.action_counts["perception"] + r.action_counts["navigation"] + r.action_counts["manipulation"]
     assert physical == 3
 
 
 def test_trs_moved_object_fails_without_retry():
-    task, memory, graphs, embedder = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
+    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
     assert not r.success
     assert r.termination == "policy_abort"
 
 
 def test_trs_day_reference_triggers_window_query():
-    task, memory, graphs, embedder = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
+    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert "temporal_query" in tools
     window_args = [a.args for a, _ in r.trace.steps if a.tool == "temporal_query"]
@@ -429,8 +428,8 @@ def test_trs_day_reference_triggers_window_query():
 
 
 def test_trs_runs_fixed_probe_set_first():
-    task, memory, graphs, embedder = standard_setup(family="class")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="class")
+    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools[0] == "semantic_query"
     assert "spatial_query" in tools[:3]
@@ -440,8 +439,8 @@ def test_trs_runs_fixed_probe_set_first():
 
 
 def test_sgs_unique_class_goes_straight_to_landmark():
-    task, memory, graphs, embedder = standard_setup(family="class")
-    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="class")
+    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools == ["navigate", "detect", "pick"]
@@ -450,8 +449,8 @@ def test_sgs_unique_class_goes_straight_to_landmark():
 
 def test_sgs_never_issues_temporal_actions():
     for family in ("class", "attribute", "spatial", "spatial_temporal", "spatial_frequentist"):
-        task, memory, graphs, embedder = standard_setup(family=family)
-        r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder)
+        task, memory, graphs, embedder, world = standard_setup(family=family)
+        r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -463,8 +462,8 @@ def test_sgs_twin_receptacles_at_chance():
     outcomes = []
     for seed in range(16):
         config = SuiteConfig(methods=("sg_s",), modes=("oracle",), seed=seed)
-        memory, graphs, embedder = prepare_task(task, "oracle", config)
-        r = run_task_episode(task, "sg_s", "oracle", config, memory, graphs, embedder)
+        memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+        r = run_task_episode(task, "sg_s", "oracle", config, memory, graphs, embedder, world)
         nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
         chosen.append(nav.args["landmark"])
         outcomes.append(r.success)
@@ -476,23 +475,23 @@ def test_sgs_twin_receptacles_at_chance():
 def test_sgs_attribute_collision_resolved_by_node_attributes():
     """Two folder nodes share the class label; the attribute fields on the
     ground-truth nodes single out the green one."""
-    task, memory, graphs, embedder = standard_setup(family="attribute")
+    task, memory, graphs, embedder, world = standard_setup(family="attribute")
     assert task.instruction == "find the green folder"
-    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder)
+    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     picked = [a.args["entity"] for a, _ in r.trace.steps if a.tool == "pick"]
     assert picked == ["folder_1"]
 
 
 def test_sgs_unresolvable_reference_aborts():
-    task, memory, graphs, embedder = standard_setup(family="class")
+    task, memory, graphs, embedder, world = standard_setup(family="class")
     policy = SgPlusSPolicy(graphs, seed=0)
     decision = policy("find the unicorn", WorkingMemory.fresh(Instruction(text="x"), 20), 20, {})
     assert decision is None
 
 
 def test_sgs_closed_receptacle_contents_invisible_to_resolution():
-    task, memory, graphs, embedder = standard_setup()
+    task, memory, graphs, embedder, world = standard_setup()
     policy = SgPlusSPolicy(graphs, seed=0)
     h = WorkingMemory.fresh(Instruction(text="bring me the milk"), 20)
     assert policy("bring me the milk", h, 20, {}) is None
@@ -502,9 +501,8 @@ def test_sgs_closed_receptacle_contents_invisible_to_resolution():
 
 
 def test_star_prior_table_first_navigation_in_prior_room():
-    task, memory, graphs, embedder = standard_setup(family="commonsense", ttype="commonsense")
-    world, _ = generate_world(task.layout_seed, task.scene_id)
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="commonsense", ttype="commonsense")
+    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     first_nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
     assert world.landmarks[first_nav.args["landmark"]].room_id == "kitchen"
@@ -512,8 +510,8 @@ def test_star_prior_table_first_navigation_in_prior_room():
 
 
 def test_star_moved_object_recovers_after_failed_probe():
-    task, memory, graphs, embedder = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
+    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools.count("navigate") >= 2  # stale probe plus recovery
@@ -522,8 +520,8 @@ def test_star_moved_object_recovers_after_failed_probe():
 
 def test_star_twin_receptacles_resolved_via_raw_fetch():
     task = build_task(1, "attribute", "interactive", 0, seed=7)
-    memory, graphs, embedder = prepare_task(task, "oracle", CONFIG)
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
+    memory, graphs, embedder, world = prepare_task(task, "oracle", CONFIG)
+    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert "fetch_raw" in tools
@@ -532,8 +530,8 @@ def test_star_twin_receptacles_resolved_via_raw_fetch():
 
 
 def test_star_commit_threshold_suppresses_late_queries():
-    task, memory, graphs, embedder = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
+    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
     budget = 20
     for i, (action, _) in enumerate(r.trace.steps):
         remaining = budget - i
@@ -542,9 +540,9 @@ def test_star_commit_threshold_suppresses_late_queries():
 
 
 def test_star_deterministic_trace():
-    task, memory, graphs, embedder = standard_setup(family="spatial_frequentist")
-    r1 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
-    r2 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder)
+    task, memory, graphs, embedder, world = standard_setup(family="spatial_frequentist")
+    r1 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -555,8 +553,8 @@ def test_star_deterministic_trace():
 def fold_setup():
     """An interactive task (twin receptacles, a moved target) and its memory."""
     task = build_task(1, "spatial_temporal", "interactive", 0, seed=7)
-    memory, _, embedder = prepare_task(task, "oracle", CONFIG)
-    return task, memory, embedder
+    memory, _, embedder, world = prepare_task(task, "oracle", CONFIG)
+    return task, memory, embedder, world
 
 
 def fold_instructions(world):
@@ -596,11 +594,10 @@ def fold_actions(draw, world, n_records):
     return draw(st.lists(actions, min_size=1, max_size=12))
 
 
-def fold_trace(task, memory, embedder, actions):
+def fold_trace(task, memory, embedder, world, actions):
     """Working memories for every prefix of the actions, executed as
-    run_episode does on a fresh world at task time."""
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
-    fast_forward(world, task.schedule, task.days)
+    run_episode does on a copy of the world at task time."""
+    world = world.at(task.schedule, world.clock)
     registry = default_registry(world)
     executor = ActionExecutor(memory, world, task.schedule, embedder)
     h = WorkingMemory.fresh(Instruction(text="unused"), 20)
@@ -646,11 +643,11 @@ def test_incremental_trace_view_equals_a_fresh_one(data):
     view, and the same decisions, as folding the whole trace afresh: along
     every prefix, on the same trace again, on a shorter one, on an unrelated
     one and for another instruction."""
-    task, memory, embedder = fold_setup()
+    task, memory, embedder, at_task = fold_setup()
     world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     text, other_text = (data.draw(st.sampled_from(fold_instructions(world))) for _ in range(2))
-    prefixes = fold_trace(task, memory, embedder, data.draw(fold_actions(world, len(memory))))
-    unrelated = fold_trace(task, memory, embedder, data.draw(fold_actions(world, len(memory))))[-1]
+    prefixes = fold_trace(task, memory, embedder, at_task, data.draw(fold_actions(world, len(memory))))
+    unrelated = fold_trace(task, memory, embedder, at_task, data.draw(fold_actions(world, len(memory))))[-1]
     h = prefixes[-1]
     shorter = prefixes[data.draw(st.integers(0, len(prefixes) - 1))]
     calls = [(text, hk) for hk in prefixes]

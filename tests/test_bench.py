@@ -19,6 +19,7 @@ from objsearch.bench import (
     optimal_counts,
     prepare_task,
     run_suite,
+    run_task_episode,
     wilson_interval,
 )
 from objsearch.bench.tasks import interactive_per_family
@@ -103,7 +104,7 @@ def test_interactive_target_ends_inside_twin():
 def test_commonsense_target_never_observed():
     task = build_task(1, "commonsense", "commonsense", 0, seed=4)
     config = SuiteConfig(methods=("star",), modes=("oracle",), seed=4)
-    memory, _, _ = prepare_task(task, "oracle", config)
+    memory, *_ = prepare_task(task, "oracle", config)
     for rec in memory.records:
         assert all(e.entity_id != task.target_entity for e in rec.raw.visible_entities)
 
@@ -317,16 +318,13 @@ def test_isolated_methods_get_empty_memory():
     store."""
     task = build_task(1, "class", "visible", 0, seed=2)
     config = SuiteConfig(methods=("random",), modes=("oracle",), seed=2)
-    memory, graphs, embedder = prepare_task(task, "oracle", config)
+    memory, graphs, embedder, world = prepare_task(task, "oracle", config)
     from objsearch.memstore import LongTermMemory
-    from objsearch.homesim import fast_forward, generate_world
     from objsearch.agent import ActionExecutor, default_registry, run_episode, PolicyDecision
     from objsearch.core import Action
 
-    world, _ = generate_world(task.layout_seed, task.scene_id)
-    fast_forward(world, task.schedule, task.days)
-
     # Mirror the suite wiring for isolated methods.
+    world = world.at(task.schedule, world.clock)
     empty = LongTermMemory(d=memory.d, ticks_per_day=memory.ticks_per_day)
     executor = ActionExecutor(empty, world, task.schedule, embedder)
     probe_hits = []
@@ -339,6 +337,29 @@ def test_isolated_methods_get_empty_memory():
 
     run_episode(task.instruction_full(), executor, probing, default_registry(world), budget=3)
     assert probe_hits == [[]]
+
+
+def test_episodes_leave_the_prepared_world_as_it_was():
+    """Each episode runs on its own copy of the patrolled world: a star
+    episode that opens a receptacle and picks the target leaves the world it
+    was given unchanged, and the next episode runs as on a fresh one."""
+    task = build_task(1, "attribute", "interactive", 0, seed=7)
+    config = SuiteConfig(methods=("star", "tr_s"), modes=("oracle",), seed=7)
+    memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+
+    def state(w):
+        return (w.to_dict(), dict(w.receptacle_open), list(w.inventory), list(w.applied_moves),
+                w.robot_pose, w.robot_focus)
+
+    before = state(world)
+    star = run_task_episode(task, "star", "oracle", config, memory, graphs, embedder, world)
+    tools = [a.tool for a, _ in star.trace.steps]
+    assert star.success and "open" in tools and "pick" in tools
+    assert state(world) == before
+    for method in config.methods:
+        after = run_task_episode(task, method, "oracle", config, memory, graphs, embedder, world)
+        fresh = run_task_episode(task, method, "oracle", config, *prepare_task(task, "oracle", config))
+        assert after.trace == fresh.trace
 
 
 def test_crash_containment(tmp_path):
@@ -369,11 +390,12 @@ def test_llm_endpoint_is_in_the_lineage_hash():
 
 
 def test_suite_patrols_once_per_task(monkeypatch):
-    """The unit of work is the task: one patrol and one set of day graphs per
-    task, one memory per (task, mode)."""
+    """The unit of work is the task: one generated world, one patrol and one
+    set of day graphs per task, one memory per (task, mode). Episodes run on
+    copies of the patrolled world and generate none."""
     from objsearch.bench import suite
 
-    calls = {"patrol": 0, "export_scene_graph": 0, "build": 0}
+    calls = {"generate_world": 0, "patrol": 0, "export_scene_graph": 0, "build": 0}
 
     def counting(name):
         original = getattr(suite, name)
@@ -390,6 +412,7 @@ def test_suite_patrols_once_per_task(monkeypatch):
     config = SuiteConfig(methods=("random", "star"), modes=("oracle", "realistic"), seed=2)
     report = run_suite(tasks, config)
     assert calls == {
+        "generate_world": 2,
         "patrol": 2,
         "export_scene_graph": sum(t.days for t in tasks),
         "build": 4,

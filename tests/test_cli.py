@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from objsearch import artifacts
 from objsearch.cli import main
 from objsearch.memstore import load
-from objsearch.homesim import generate_world
+from objsearch.homesim import generate_world, read_stream
 
 
 @pytest.fixture()
@@ -110,6 +110,47 @@ def test_export_graphs_per_day(pipeline, tmp_path):
     assert lines[0]["days"] == 3
     assert [g["day"] for g in lines[1:]] == [0, 1, 2]
     assert all(g["nodes"] and g["edges"] for g in lines[1:])
+
+
+def edited_world(pipeline, tmp_path, edit):
+    doc = json.load(open(pipeline["world"]))
+    edit(doc["world"])
+    path = tmp_path / "edited_world.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_export_graphs_reads_the_world_file(pipeline, tmp_path):
+    """Graphs come from the placements in the given world file, as patrol's
+    observations do, not from the world its seeds would generate."""
+    def book_on_bed(world):
+        [book] = [o for o in world["objects"] if o["entity_id"] == "book_1"]
+        book["location"] = {"kind": "landmark", "ref": "bed"}
+
+    world = edited_world(pipeline, tmp_path, book_on_bed)
+    stream, out = str(tmp_path / "stream.jsonl"), str(tmp_path / "graphs.jsonl")
+    invoke(CliRunner(), "patrol", "--world", world, "--schedule", pipeline["schedule"], "--out", stream)
+    seen = {e.landmark_id for _, _, obs in read_stream(stream)[1]
+            for e in obs.visible_entities if e.entity_id == "book_1"}
+    assert seen == {"bed"}
+    invoke(CliRunner(), "export-graphs", "--world", world, "--schedule", pipeline["schedule"],
+           "--days", "3", "--out", out)
+    graphs = [json.loads(line) for line in open(out).read().splitlines()[1:]]
+    assert len(graphs) == 3
+    for graph in graphs:
+        assert ["book_1", "at", "bed"] in graph["edges"]
+        assert ["book_1", "at", "bookshelf"] not in graph["edges"]
+
+
+def test_export_graphs_rejects_a_clock_past_the_day(pipeline, tmp_path):
+    world = edited_world(pipeline, tmp_path, lambda w: w.update(clock=250))
+    out = tmp_path / "graphs.jsonl"
+    result = CliRunner().invoke(main, ["export-graphs", "--world", world, "--schedule",
+                                       pipeline["schedule"], "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{world}: tick 199 is before the world clock 250" in result.output
+    assert not out.exists()
 
 
 def test_build_memory_header_records_mode(pipeline):

@@ -1,10 +1,13 @@
 """Simulator: world generation, patrol streams, skills, scene graphs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objsearch.core import CONTAINMENT_INSIDE_OPEN, SymbolicObservation, Timestep, render_caption
 from objsearch.homesim import (
     LOC_INSIDE,
+    LOC_INVENTORY,
     LOC_LANDMARK,
     Location,
     Move,
@@ -236,6 +239,39 @@ def test_patrol_equals_per_tick_reference(scene, tpd):
     assert len({id(obs) for _, _, obs in stream}) < len(stream) // 5
 
 
+@settings(max_examples=30, deadline=None)
+@given(scene=st.sampled_from(SCENE_IDS), tpd=st.sampled_from([200, 1300]), data=st.data())
+def test_world_at_tick_composes_and_equals_per_tick_reference(scene, tpd, data):
+    """start.at(s, t2) is start.at(s, t1).at(s, t2) is the start world
+    advanced one tick at a time to t2; the start world is left as it is,
+    and a copy cannot go back in time."""
+    days = 3
+    start, _ = generate_world(6, scene, ticks_per_day=tpd)
+    schedule = busy_schedule(start, days)
+    t1 = data.draw(st.integers(0, days * tpd), label="t1")
+    t2 = data.draw(st.integers(t1, days * tpd), label="t2")
+    before = world_end_state(start)
+    direct = start.at(schedule, t2)
+    chained = start.at(schedule, t1).at(schedule, t2)
+    reference, _ = generate_world(6, scene, ticks_per_day=tpd)
+    reference.sync(schedule)
+    for _ in range(t2):
+        reference.advance(schedule)
+    assert world_end_state(direct) == world_end_state(chained) == world_end_state(reference)
+    assert world_end_state(start) == before
+    if t2 > 0:
+        with pytest.raises(ValueError, match="before the world clock"):
+            direct.at(schedule, data.draw(st.integers(0, t2 - 1), label="earlier"))
+    # What happens in a copy stays in it.
+    held = next(iter(direct.objects.values()))
+    held.location = Location(LOC_INVENTORY)
+    direct.inventory.append(held.entity_id)
+    direct.receptacle_open[next(iter(direct.receptacle_open))] = True
+    direct.applied_moves.clear()
+    assert world_end_state(start) == before
+    assert world_end_state(chained) == world_end_state(reference)
+
+
 def test_stream_file_round_trip(tmp_path):
     world, schedule = generate_world(2, 1)
     stream = patrol(world, schedule, days=3)
@@ -395,49 +431,49 @@ def test_occlusion_soundness_randomized():
 # -- scene graphs --------------------------------------------------------------------
 
 
-def graph_world(days=3):
-    world, _ = generate_world(1, 1)
+def graph_days(days=3):
+    """Day graphs of a world whose toy moves at the start of day 1: each one
+    a copy of the start world at the day's last tick."""
+    start, _ = generate_world(1, 1)
     move = Move(day=1, tick_of_day=0, entity_id="toy_1", location=Location(LOC_LANDMARK, "sofa"))
     schedule = Schedule(seed=0, moves=(move,))
-    patrol(world, schedule, days=days)
-    return world
+    tpd = start.ticks_per_day
+    return [export_scene_graph(start.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
 
 
 def test_scene_graph_at_edge():
-    world = graph_world()
-    g0 = export_scene_graph(world, 0)
+    g0 = graph_days()[0]
     assert ("mug_1", "at", "sink") in g0.edges
     assert ("toy_1", "at", "bed") in g0.edges
 
 
 def test_scene_graph_day_diff_is_exactly_the_move():
-    world = graph_world()
-    g0 = export_scene_graph(world, 0)
-    g1 = export_scene_graph(world, 1)
+    g0, g1, g2 = graph_days()
     diff = graph_diff(g0, g1)
     assert diff["added"] == [("toy_1", "at", "sofa")]
     assert diff["removed"] == [("toy_1", "at", "bed")]
+    assert graph_diff(g1, g2) == {"added": [], "removed": []}
 
 
 def test_scene_graph_stable_node_ids():
-    world = graph_world()
-    for day in range(3):
-        g = export_scene_graph(world, day)
+    for g in graph_days():
         assert g.node("mug_1") is not None
         assert g.node("mug_1")["label"] == "mug"
 
 
 def test_scene_graph_day_out_of_range():
-    world = graph_world()
+    """A graph is labelled with its world's day; a day that a world's clock
+    has passed is out of its reach, and is taken from the start world."""
+    assert [g.day for g in graph_days()] == [0, 1, 2]
+    world, schedule = generate_world(1, 1)
+    patrol(world, schedule, days=3)
+    assert export_scene_graph(world).day == 3
     with pytest.raises(ValueError):
-        export_scene_graph(world, 3)
-    with pytest.raises(ValueError):
-        export_scene_graph(world, -1)
+        world.at(schedule, world.ticks_per_day - 1)
 
 
 def test_scene_graph_includes_rooms_landmarks_containment():
-    world = graph_world()
-    g = export_scene_graph(world, 0)
+    g = graph_days()[0]
     kinds = {n["kind"] for n in g.nodes}
     assert kinds == {"room", "landmark", "receptacle", "object"}
     assert ("milk_1", "inside", "fridge") in g.edges
