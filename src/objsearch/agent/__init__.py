@@ -20,7 +20,7 @@ from .policies import (
     parse_caption,
     parse_instruction,
 )
-from .registry import ActionExecutor, SPATIAL_TOOLS, TEMPORAL_TOOLS, default_registry
+from .registry import ActionExecutor, default_registry
 from .wire import WIRE_VERSION, WireParseError, build_request, decode_response, encode_request
 
 __all__ = [
@@ -32,10 +32,8 @@ __all__ = [
     "Policy",
     "PolicyDecision",
     "RandomSearchPolicy",
-    "SPATIAL_TOOLS",
     "SgPlusSPolicy",
     "StarScriptedPolicy",
-    "TEMPORAL_TOOLS",
     "TERMINATION_ABORT",
     "TERMINATION_BUDGET",
     "TERMINATION_RETRIEVED",

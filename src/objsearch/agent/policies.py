@@ -173,7 +173,6 @@ class TraceView:
         self.picked_ok: set[str] = set()
         self.pick_failed: set[str] = set()
         self.last_day: Optional[int] = None
-        self.last_t: Optional[int] = None
         self.ticks_per_day: Optional[int] = None
         self.first_hit: Optional[dict] = None
         self.focus: Optional[str] = None
@@ -203,7 +202,6 @@ class TraceView:
                 self.ticks_per_day = payload["ticks_per_day"]
             if payload.get("last_day") is not None:
                 self.last_day = payload["last_day"]
-                self.last_t = payload.get("last_t")
             for view in payload.get("hits", []):
                 idx = view["record_index"]
                 if idx in self.hits:
@@ -251,9 +249,6 @@ class TraceView:
             if a.tool == tool and all(a.args.get(k) == v for k, v in args.items()):
                 return True
         return False
-
-    def temporal_steps(self) -> int:
-        return len(self.queries)
 
     def matches(self) -> list[HitMatch]:
         """Instruction-matching phrases across all retrieval hits, by record order."""

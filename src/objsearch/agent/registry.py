@@ -7,16 +7,12 @@ way a policy touches memory or world state.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..core import Action, Outcome, ParamSpec, ToolRegistry, ToolSpec
+from ..core import Action, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
 from ..embed import Embedder, TransportError
 from ..homesim import Schedule, WorldState, detect, navigate, open_receptacle, pick
-
-TEMPORAL_TOOLS = ("semantic_query", "temporal_query", "spatial_query", "fetch_raw")
-SPATIAL_TOOLS = ("navigate", "detect", "open", "pick")
-
 
 def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     """Build the standard registry; navigate/open argument enums and the
@@ -140,8 +136,55 @@ def _memory_meta(memory: LongTermMemory) -> dict:
     }
 
 
-def _retrieval_outcome(memory: LongTermMemory, result: QueryResult) -> Outcome:
-    return Outcome(kind="retrieval", payload={"hits": record_views(memory, result.hits), **_memory_meta(memory)})
+def _r(args: Mapping[str, Any]) -> int:
+    return int(args.get("r", DEFAULT_TOP_R))
+
+
+def _semantic(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> QueryResult:
+    return memory.query_semantic(args["query"], embedder, r=_r(args))
+
+
+def _temporal(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> QueryResult:
+    if "timestep" in args:
+        return memory.query_temporal(t_center=int(args["timestep"]), r=_r(args))
+    return memory.query_temporal(day_window=(int(args["day_start"]), int(args["day_end"])), r=_r(args))
+
+
+def _spatial(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> QueryResult:
+    return memory.query_spatial((float(args["x"]), float(args["y"])), float(args["radius"]), r=_r(args))
+
+
+def _fetch_raw(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> SymbolicObservation:
+    return memory.fetch_raw(int(args["record_index"]))
+
+
+def _hits_payload(memory: LongTermMemory, args: Mapping[str, Any], result: QueryResult) -> dict:
+    return {"hits": record_views(memory, result.hits), **_memory_meta(memory)}
+
+
+def _record_payload(memory: LongTermMemory, args: Mapping[str, Any], raw: SymbolicObservation) -> dict:
+    """The record's hit view, without a score and with its raw entities."""
+    [view] = record_views(memory, [(int(args["record_index"]), 0.0)])
+    del view["score"]
+    view["entities"] = [e.to_dict() for e in raw.visible_entities]
+    return {**_memory_meta(memory), "record": view}
+
+
+# Temporal tool -> (its one memory call, the payload built from the call's result).
+_QUERIES: dict[str, tuple[Callable[..., Any], Callable[..., dict]]] = {
+    "semantic_query": (_semantic, _hits_payload),
+    "temporal_query": (_temporal, _hits_payload),
+    "spatial_query": (_spatial, _hits_payload),
+    "fetch_raw": (_fetch_raw, _record_payload),
+}
+
+# Skill tool -> (skill, outcome kind, its one argument or None).
+_SKILLS = {
+    "navigate": (navigate, "skill_result", "landmark"),
+    "detect": (detect, "perception", None),
+    "open": (open_receptacle, "skill_result", "receptacle"),
+    "pick": (pick, "skill_result", "entity"),
+}
 
 
 def _error_outcome(exc: Exception) -> Outcome:
@@ -152,95 +195,29 @@ def _error_outcome(exc: Exception) -> Outcome:
 class ActionExecutor:
     """Dispatches validated actions to memory queries or robot skills."""
 
-    def __init__(
-        self,
-        memory: LongTermMemory,
-        world: WorldState,
-        schedule: Schedule,
-        embedder: Embedder,
-        default_r: int = DEFAULT_TOP_R,
-    ):
+    def __init__(self, memory: LongTermMemory, world: WorldState, schedule: Schedule, embedder: Embedder):
         self.memory = memory
         self.world = world
         self.schedule = schedule
         self.embedder = embedder
-        self.default_r = default_r
 
     def execute(self, action: Action) -> Outcome:
-        """Run one schema-valid action. Bad arguments to temporal tools come
-        back as an error outcome; nothing here raises for them."""
-        tool = action.tool
+        """Run one schema-valid action; every such action gets an outcome.
+        A temporal tool that cannot run (bad argument, an index out of range,
+        an overflowing number, a failed embedding call) returns the error
+        outcome. A tool the registry does not know raises KeyError."""
         args = action.args
-        if tool == "semantic_query":
-            r = int(args.get("r", self.default_r))
-            try:
-                result = self.memory.query_semantic(args["query"], self.embedder, r=r)
-            except (ValueError, TransportError) as exc:  # EmbeddingError is a ValueError
-                return _error_outcome(exc)
-            return _retrieval_outcome(self.memory, result)
-        if tool == "temporal_query":
-            r = int(args.get("r", self.default_r))
-            try:
-                if "timestep" in args:
-                    result = self.memory.query_temporal(t_center=int(args["timestep"]), r=r)
-                else:
-                    result = self.memory.query_temporal(
-                        day_window=(int(args["day_start"]), int(args["day_end"])), r=r
-                    )
-            except ValueError as exc:
-                return _error_outcome(exc)
-            return _retrieval_outcome(self.memory, result)
-        if tool == "spatial_query":
-            r = int(args.get("r", self.default_r))
-            try:
-                result = self.memory.query_spatial(
-                    (float(args["x"]), float(args["y"])), float(args["radius"]), r=r
-                )
-            except ValueError as exc:
-                return _error_outcome(exc)
-            return _retrieval_outcome(self.memory, result)
-        if tool == "fetch_raw":
-            idx = int(args["record_index"])
-            try:
-                raw = self.memory.fetch_raw(idx)
-            except IndexError as exc:
-                return _error_outcome(exc)
-            f = self.memory.fields([idx])
-            return Outcome(
-                kind="retrieval",
-                payload={
-                    **_memory_meta(self.memory),
-                    "record": {
-                        "record_index": idx,
-                        "t": f["t"][0],
-                        "day": f["day"][0],
-                        "room": f["room"][0],
-                        "x": f["x"][0],
-                        "y": f["y"][0],
-                        "caption": raw.caption,
-                        "keyframe": raw.keyframe,
-                        "entities": [e.to_dict() for e in raw.visible_entities],
-                    }
-                },
-            )
-        if tool == "navigate":
-            return Outcome(
-                kind="skill_result",
-                payload=navigate(self.world, self.schedule, args["landmark"]).to_payload(),
-            )
-        if tool == "detect":
-            return Outcome(kind="perception", payload=detect(self.world, self.schedule).to_payload())
-        if tool == "open":
-            return Outcome(
-                kind="skill_result",
-                payload=open_receptacle(self.world, self.schedule, args["receptacle"]).to_payload(),
-            )
-        if tool == "pick":
-            return Outcome(
-                kind="skill_result",
-                payload=pick(self.world, self.schedule, args["entity"]).to_payload(),
-            )
-        raise ValueError(f"unknown tool {tool!r}")
+        query = _QUERIES.get(action.tool)
+        if query is None:
+            skill, kind, name = _SKILLS[action.tool]
+            skill_args = () if name is None else (args[name],)
+            return Outcome(kind=kind, payload=skill(self.world, self.schedule, *skill_args).to_payload())
+        call, build = query
+        try:  # EmbeddingError is a ValueError, OverflowError an ArithmeticError
+            payload = build(self.memory, args, call(self.memory, self.embedder, args))
+        except (ValueError, LookupError, ArithmeticError, TransportError) as exc:
+            return _error_outcome(exc)
+        return Outcome(kind="retrieval", payload=payload)
 
 
-__all__ = ["ActionExecutor", "SPATIAL_TOOLS", "TEMPORAL_TOOLS", "default_registry", "record_views"]
+__all__ = ["ActionExecutor", "default_registry", "record_views"]

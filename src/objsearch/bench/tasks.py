@@ -78,7 +78,7 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TaskSpec":
-        return cls(
+        spec = cls(
             task_id=str(d["task_id"]),
             instruction=str(d["instruction"]),
             family=str(d["family"]),
@@ -92,6 +92,8 @@ class TaskSpec:
             schedule=Schedule.from_dict(d["schedule"]),
             task_seed=int(d["task_seed"]),
         )
+        spec.schedule.check(spec.ticks_per_day)
+        return spec
 
 
 def default_prior_table() -> dict[str, str]:

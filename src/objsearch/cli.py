@@ -79,6 +79,10 @@ def _read_world_and_schedule(world_path: str, schedule_path: str) -> tuple[World
     [(schedule, schedule_hash)] = _read_json(
         schedule_path, lambda d: (Schedule.from_dict(d["schedule"]), d["config_hash"])
     )
+    try:
+        schedule.check(world.ticks_per_day)
+    except ValueError as exc:
+        raise click.ClickException(f"{schedule_path}: {exc}") from exc
     return world, world_hash, schedule, schedule_hash
 
 

@@ -455,10 +455,6 @@ class ToolSpec:
         if self.output_kind not in OUTCOME_KINDS:
             raise ValueError(f"unknown output kind {self.output_kind!r}")
 
-    @property
-    def is_temporal(self) -> bool:
-        return self.category == "temporal_query"
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -124,16 +124,24 @@ def write_stream(
     artifacts.write(path, {**(meta or {}), **STREAM_FORMAT}, records)
 
 
-def _tick_from_dict(d: dict) -> tuple[Timestep, Pose, SymbolicObservation]:
+def _tick_from_dict(d: dict) -> tuple[Timestep, Pose, tuple[VisibleEntity, ...]]:
     entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
-    obs = SymbolicObservation(visible_entities=entities, caption=render_caption(entities, mode="oracle"))
-    return Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), obs
+    return Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), entities
 
 
 def read_stream(path: str) -> tuple[dict, list[tuple[Timestep, Pose, SymbolicObservation]]]:
     """Read a stream file back, verifying its checksum and format. Observations
-    carry oracle captions so the stream is directly usable."""
-    return artifacts.read(path, _tick_from_dict, expect=STREAM_FORMAT)
+    carry oracle captions so the stream is directly usable. Consecutive ticks
+    with equal entity lists share one observation object, as patrol's repeated
+    views do, so a memory built from the file shares their raws."""
+    header, ticks = artifacts.read(path, _tick_from_dict, expect=STREAM_FORMAT)
+    stream: list[tuple[Timestep, Pose, SymbolicObservation]] = []
+    obs = None
+    for t, pose, entities in ticks:
+        if obs is None or obs.visible_entities != entities:
+            obs = SymbolicObservation(visible_entities=entities, caption=render_caption(entities, mode="oracle"))
+        stream.append((t, pose, obs))
+    return header, stream
 
 
 __all__ = [

@@ -8,7 +8,9 @@ scoped by the visibility rule in WorldState.visible_entities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..core import Pose, VisibleEntity
 from .world import LOC_INVENTORY, Location, Schedule, WorldState
@@ -44,61 +46,64 @@ class Detection:
         }
 
 
+def _tick(skill: Callable[..., Any]) -> Callable[..., Any]:
+    """Run a skill as one tick of the world: sync it to the schedule, act,
+    then advance the clock one tick."""
+
+    @functools.wraps(skill)
+    def run(world: WorldState, schedule: Schedule, *args: Any) -> Any:
+        world.sync(schedule)
+        result = skill(world, schedule, *args)
+        world.advance(schedule)
+        return result
+
+    return run
+
+
+@_tick
 def navigate(world: WorldState, schedule: Schedule, landmark_id: str) -> SkillResult:
     """Teleport-with-cost to a landmark's approach pose."""
-    world.sync(schedule)
     if landmark_id not in world.landmarks:
-        world.advance(schedule)
         return SkillResult("navigate", False, reason="unknown landmark")
     world.robot_pose = world.approach_pose(landmark_id)
     world.robot_focus = landmark_id
-    world.advance(schedule)
     return SkillResult(
         "navigate", True,
         detail={"landmark": landmark_id, "room": world.robot_pose.room_id},
     )
 
 
+@_tick
 def detect(world: WorldState, schedule: Schedule) -> Detection:
     """Ground-truth detection from the current pose."""
-    world.sync(schedule)
-    detection = Detection(entities=tuple(world.visible_entities()), from_pose=world.robot_pose)
-    world.advance(schedule)
-    return detection
+    return Detection(entities=tuple(world.visible_entities()), from_pose=world.robot_pose)
 
 
+@_tick
 def open_receptacle(world: WorldState, schedule: Schedule, receptacle_id: str) -> SkillResult:
     """Open a receptacle; the robot must be focused at it."""
-    world.sync(schedule)
     lm = world.landmarks.get(receptacle_id)
     if lm is None or not lm.is_receptacle:
-        world.advance(schedule)
         return SkillResult("open", False, reason="not a receptacle")
     if world.robot_focus != receptacle_id:
-        world.advance(schedule)
         return SkillResult("open", False, reason="out of reach")
     world.receptacle_open[receptacle_id] = True
-    world.advance(schedule)
     return SkillResult("open", True, detail={"receptacle": receptacle_id})
 
 
+@_tick
 def pick(world: WorldState, schedule: Schedule, entity_id: str) -> SkillResult:
     """Grasp a visible entity and move it to the robot inventory."""
-    world.sync(schedule)
     obj = world.objects.get(entity_id)
     if obj is None:
-        world.advance(schedule)
         return SkillResult("pick", False, reason="unknown entity")
     if obj.location.kind == LOC_INVENTORY:
-        world.advance(schedule)
         return SkillResult("pick", False, reason="already held")
     visible_ids = {e.entity_id for e in world.visible_entities()}
     if entity_id not in visible_ids:
-        world.advance(schedule)
         return SkillResult("pick", False, reason="not visible")
     obj.location = Location(kind=LOC_INVENTORY)
     world.inventory.append(entity_id)
-    world.advance(schedule)
     return SkillResult("pick", True, detail={"entity": entity_id})
 
 

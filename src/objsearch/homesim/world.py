@@ -131,6 +131,18 @@ class Schedule:
             sorted(self.moves, key=lambda m: (m.day, m.tick_of_day, m.entity_id))
         )
 
+    def check(self, ticks_per_day: int) -> None:
+        """Raise ValueError for a move before day 0 or with a tick_of_day
+        outside [0, ticks_per_day). Moves apply in (day, tick_of_day) order
+        and sync stops at the first one not yet due, so such a move would
+        hold back later moves that are."""
+        for m in self.moves:
+            if m.day < 0 or not 0 <= m.tick_of_day < ticks_per_day:
+                raise ValueError(
+                    f"move of {m.entity_id} at day {m.day}, tick_of_day {m.tick_of_day}: "
+                    f"needs day >= 0 and tick_of_day in [0, {ticks_per_day})"
+                )
+
     def to_dict(self) -> dict:
         return {"seed": self.seed, "moves": [m.to_dict() for m in self.moves]}
 
@@ -352,8 +364,6 @@ class WorldState:
 #
 # The structural skeleton of each scene is fixed (family feasibility depends
 # on it); the layout seed only jitters cosmetic attributes of filler objects.
-
-_ATTR_PALETTE = ("red", "blue", "green", "black", "white", "yellow", "grey")
 
 
 def _scene_template(scene_id: int) -> dict:

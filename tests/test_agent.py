@@ -325,6 +325,11 @@ def test_retrieval_indices_survive_for_fetch_raw():
     assert rec["record_index"] == idx
     assert rec["caption"] == out1.payload["hits"][0]["caption"]
     assert rec["entities"], "raw entities exposed for re-inspection"
+    # The fetched record is the record's hit view, without a score and with
+    # its raw entities.
+    hit = {k: v for k, v in out1.payload["hits"][0].items() if k != "score"}
+    entities = [e.to_dict() for e in memory.fetch_raw(idx).visible_entities]
+    assert rec == {**hit, "entities": entities}
 
 
 def test_fetch_raw_out_of_range_is_outcome_not_crash():
@@ -360,6 +365,63 @@ def test_bad_query_arguments_are_error_outcomes(action):
     out = executor.execute(action)
     assert out.kind == "retrieval"
     assert out.payload["hits"] == [] and out.payload["error"]
+
+
+# Ints past every fixed width and floats that are no finite number: the
+# executor must still answer with an outcome.
+_ANY_INT = st.integers() | st.sampled_from([10**30, -10**30, 2**63, 2**64])
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 10**30, 10**400, -10**400])
+
+
+def _with_r(draw, args):
+    if draw(st.booleans()):
+        args["r"] = draw(_ANY_INT)
+    return args
+
+
+@st.composite
+def schema_valid_actions(draw, world):
+    tool = draw(st.sampled_from(sorted(t.name for t in default_registry(world).tools)))
+    if tool == "semantic_query":
+        args = _with_r(draw, {"query": draw(st.text())})
+    elif tool == "temporal_query":
+        if draw(st.booleans()):
+            args = _with_r(draw, {"timestep": draw(_ANY_INT)})
+        else:
+            args = _with_r(draw, {"day_start": draw(_ANY_INT), "day_end": draw(_ANY_INT)})
+    elif tool == "spatial_query":
+        args = _with_r(draw, {"x": draw(_ANY_FLOAT), "y": draw(_ANY_FLOAT), "radius": draw(_ANY_FLOAT)})
+    elif tool == "fetch_raw":
+        args = {"record_index": draw(_ANY_INT)}
+    elif tool == "navigate":
+        args = {"landmark": draw(st.sampled_from(sorted(world.landmarks)))}
+    elif tool == "open":
+        args = {"receptacle": draw(st.sampled_from(sorted(world.receptacle_open)))}
+    elif tool == "pick":
+        args = {"entity": draw(st.text())}
+    else:
+        args = {}
+    return Action(tool, args)
+
+
+@functools.lru_cache(maxsize=1)
+def shared_patrolled_executor():
+    return patrolled_executor()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_executor_is_total_over_schema_valid_actions(data):
+    """Every schema-valid action of all 8 tools gets an outcome of its tool's
+    kind; none raises, whatever its numbers or text."""
+    executor = shared_patrolled_executor()
+    registry = default_registry(executor.world)
+    action = data.draw(schema_valid_actions(executor.world))
+    assert validate_action(action, registry) == []
+    out = executor.execute(action)
+    assert out.kind == registry.get(action.tool).output_kind
+    if "error" in out.payload:
+        assert out.payload["hits"] == [] and isinstance(out.payload["error"], str)
 
 
 # -- random policy --------------------------------------------------------------------

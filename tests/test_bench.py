@@ -59,6 +59,18 @@ def test_task_ids_unique_and_serializable():
         assert again == t
 
 
+@pytest.mark.parametrize("day, tick_of_day", [(0, 200), (1, 250), (-1, 10), (0, -1)])
+def test_task_from_dict_rejects_a_move_off_the_day(day, tick_of_day):
+    """A task file's schedule may hold no move before day 0 or outside
+    [0, ticks_per_day): such a move would hold back moves that are due."""
+    d = generate_suite(scenes=(1,), per_family=1, seed=0)[0].to_dict()
+    assert d["ticks_per_day"] == 200
+    d["schedule"]["moves"].append({"day": day, "tick_of_day": tick_of_day, "entity_id": "book_1",
+                                   "location": {"kind": "landmark", "ref": "bed"}})
+    with pytest.raises(ValueError, match=f"day {day}, tick_of_day {tick_of_day}"):
+        TaskSpec.from_dict(d)
+
+
 def test_generation_deterministic():
     a = [t.to_dict() for t in generate_suite(per_family=2, seed=9)]
     b = [t.to_dict() for t in generate_suite(per_family=2, seed=9)]

@@ -153,6 +153,39 @@ def test_export_graphs_rejects_a_clock_past_the_day(pipeline, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["patrol", "export-graphs"])
+def test_schedule_file_with_a_move_off_the_day_is_refused(pipeline, tmp_path, command):
+    doc = json.load(open(pipeline["schedule"]))
+    doc["schedule"]["moves"].append({"day": 0, "tick_of_day": 250, "entity_id": "book_1",
+                                     "location": {"kind": "landmark", "ref": "bed"}})
+    schedule = tmp_path / "late_schedule.json"
+    schedule.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    result = CliRunner().invoke(main, [command, "--world", pipeline["world"], "--schedule", str(schedule),
+                                       "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{schedule}: move of book_1 at day 0, tick_of_day 250" in result.output
+    assert not out.exists()
+
+
+def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline, tmp_path):
+    """The stream file read back shares one observation across equal
+    consecutive ticks, so build-memory stores no more raws than a build of
+    the patrol itself, with the same records."""
+    from objsearch.embed import EmbedderConfig
+    from objsearch.homesim import patrol
+    from objsearch.memstore import build, persist
+
+    world, schedule = generate_world(3, 1)
+    built = build(patrol(world, schedule, days=3), EmbedderConfig(d=256), ticks_per_day=200)
+    persist(built, str(tmp_path / "memory.jsonl"))
+    in_process, _ = artifacts.verify(str(tmp_path / "memory.jsonl"))
+    from_file, _ = artifacts.verify(pipeline["oracle"])
+    assert from_file["raws"] <= in_process["raws"] < from_file["count"] == 600
+    assert list(load(pipeline["oracle"]).records) == list(built.records)
+
+
 def test_build_memory_header_records_mode(pipeline):
     header = json.loads(open(pipeline["oracle"]).readline())
     assert header["mode"] == "oracle"

@@ -282,6 +282,11 @@ def test_stream_file_round_trip(tmp_path):
     assert loaded[5][0] == stream[5][0]
     assert loaded[5][1] == stream[5][1]
     assert loaded[5][2].visible_entities == stream[5][2].visible_entities
+    # Consecutive ticks with equal entity lists share one observation, as
+    # patrol's repeated views do.
+    for (_, _, prev), (_, _, obs) in zip(loaded, loaded[1:]):
+        assert (obs is prev) == (obs.visible_entities == prev.visible_entities)
+    assert len({id(obs) for _, _, obs in loaded}) <= len({id(obs) for _, _, obs in stream})
     # Corruption is caught.
     text = open(path).read()
     open(path, "w").write(text.replace("toy", "tyo", 1))
