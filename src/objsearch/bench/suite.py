@@ -28,7 +28,15 @@ from ..agent import (
     default_registry,
     run_episode,
 )
-from ..core import ACTION_CATEGORIES, DEFAULT_NOISE, NoiseModel, canonical_dumps, config_hash, stable_seed
+from ..core import (
+    ACTION_CATEGORIES,
+    DEFAULT_NOISE,
+    NoiseModel,
+    ObservationStream,
+    canonical_dumps,
+    config_hash,
+    stable_seed,
+)
 from ..embed import Embedder, EmbedderConfig
 from ..homesim import WorldState, export_scene_graph, generate_world, patrol
 from ..memstore import LongTermMemory, build
@@ -118,7 +126,7 @@ def make_policy(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _observe(task: TaskSpec) -> tuple[list, list, WorldState]:
+def _observe(task: TaskSpec) -> tuple[ObservationStream, list, WorldState]:
     """The mode-independent part of a task: its per-day scene graphs, the
     patrol stream, and the world at task time."""
     tpd = task.ticks_per_day
@@ -128,7 +136,7 @@ def _observe(task: TaskSpec) -> tuple[list, list, WorldState]:
     return stream, graphs, world
 
 
-def _build_memory(task: TaskSpec, stream: list, mode: str, config: SuiteConfig):
+def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: SuiteConfig):
     """One mode's memory over the task's stream, with a fresh embedder."""
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     memory = build(

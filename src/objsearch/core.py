@@ -7,12 +7,15 @@ separators, so re-encoding a decoded value is byte-exact.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -182,6 +185,88 @@ class SymbolicObservation:
             caption=str(d["caption"]),
             keyframe=bool(d["keyframe"]),
         )
+
+
+Tick = tuple[Timestep, Pose, SymbolicObservation]
+
+
+class ObservationStream(SequenceABC):
+    """Read-only observation stream kept as runs.
+
+    A run is ``(t0, day, length, pose, obs)``: the ticks t0 .. t0+length-1,
+    all on one day, seen from one pose object with one observation object.
+    The stream is still the sequence of (Timestep, Pose,
+    SymbolicObservation) ticks: its length is the tick count, it indexes,
+    slices and iterates by tick, and it equals any sequence of equal ticks.
+    Timesteps are made only when a tick is read.
+    """
+
+    __hash__ = None  # type: ignore[assignment]  # equal to lists, which do not hash
+
+    def __init__(self, runs: Iterable[tuple[int, int, int, Pose, SymbolicObservation]]):
+        self._t0: list[int] = []
+        self._day: list[int] = []
+        self._length: list[int] = []
+        self._pose: list[Pose] = []
+        self._obs: list[SymbolicObservation] = []
+        self._start = [0]  # tick index of each run's first tick, then the tick count
+        for t0, day, length, pose, obs in runs:
+            if t0 < 0 or day < 0 or length < 1:
+                raise ValueError(f"bad run: t0={t0}, day={day}, length={length}")
+            self._t0.append(t0)
+            self._day.append(day)
+            self._length.append(length)
+            self._pose.append(pose)
+            self._obs.append(obs)
+            self._start.append(self._start[-1] + length)
+
+    @classmethod
+    def of(cls, ticks: Iterable[Tick]) -> "ObservationStream":
+        """The stream of any ticks. Consecutive ticks join one run when their
+        pose and observation are the same objects and their timesteps follow
+        on within one day. A stream is returned as it is."""
+        if isinstance(ticks, cls):
+            return ticks
+        runs: list[list] = []
+        for t, pose, obs in ticks:
+            if runs:
+                run = runs[-1]
+                if pose is run[3] and obs is run[4] and t.day == run[1] and t.value == run[0] + run[2]:
+                    run[2] += 1
+                    continue
+            runs.append([t.value, t.day, 1, pose, obs])
+        return cls(runs)
+
+    def runs(self) -> Iterator[tuple[int, int, int, Pose, SymbolicObservation]]:
+        """The runs in order, as (t0, day, length, pose, obs)."""
+        return zip(self._t0, self._day, self._length, self._pose, self._obs)
+
+    def __len__(self) -> int:
+        return self._start[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ObservationStream.of([self[j] for j in range(len(self))[i]])
+        n = len(self)
+        j = operator.index(i)
+        if not -n <= j < n:
+            raise IndexError(f"tick index {i} out of range [0, {n})")
+        j %= n
+        r = bisect.bisect_right(self._start, j) - 1
+        return Timestep(self._t0[r] + j - self._start[r], self._day[r]), self._pose[r], self._obs[r]
+
+    def __iter__(self) -> Iterator[Tick]:
+        for t0, day, length, pose, obs in self.runs():
+            for t in range(t0, t0 + length):
+                yield Timestep(t, day), pose, obs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"ObservationStream({len(self)} ticks in {len(self._t0)} runs)"
 
 
 DEFAULT_LABEL_POOL = (
@@ -563,12 +648,14 @@ __all__ = [
     "Instruction",
     "MemoryRecord",
     "NoiseModel",
+    "ObservationStream",
     "OUTCOME_KINDS",
     "Outcome",
     "ParamSpec",
     "Pose",
     "SymbolicObservation",
     "TASK_TYPES",
+    "Tick",
     "Timestep",
     "ToolRegistry",
     "ToolSpec",

@@ -5,7 +5,10 @@ embedding is stored once, as a row of one (k, d) table, and each distinct
 raw observation once, in one list; a record holds a row id and a raw id. A
 record's timestep, day, position, yaw and room are columns. MemoryRecords
 are built only when asked for (``record``, ``records``); queries and the
-executor's views read the columns.
+executor's views read the columns. ``build`` takes its stream as runs of
+ticks with one pose and one observation (core.ObservationStream) and fills
+the columns per run, so the only per-record Python work left is rendering
+realistic captions.
 
 Retrieval is an exact full scan over the columns. A semantic query scores
 the k table rows and gathers the scores by row id, which gives the same
@@ -32,7 +35,8 @@ Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
   ``row`` and ``raw`` index the two tables.
 
 ``load`` switches on the header's ``format_version``: a v1 file (one
-``MemoryRecord.to_dict`` line per record, no tables) still loads.
+``MemoryRecord.to_dict`` line per record, no tables) still loads, sharing
+equal non-keyframe raws of consecutive records.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ from .core import (
     MemoryRecord,
     NoiseModel,
     DEFAULT_NOISE,
+    ObservationStream,
     Pose,
     SymbolicObservation,
+    Tick,
     Timestep,
     render_caption,
     stable_seed,
@@ -475,7 +481,8 @@ class LongTermMemory:
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first.
-        A non-finite center or radius is an error, not an empty result."""
+        A non-finite center or radius is an error, not an empty result; a
+        finite one, however far, measures every distance that fits a float."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if not np.all(np.isfinite([*center, radius])):
@@ -485,8 +492,18 @@ class LongTermMemory:
         n = self._n
         if n == 0:
             return QueryResult(hits=())
-        c = np.asarray(center, dtype=np.float64)
-        dist = np.round(np.linalg.norm(self._pos[:n] - c, axis=1), SCORE_DECIMALS)
+        # np.linalg.norm squares the offsets, and rounding scales them up,
+        # so a far but finite center overflows to inf; those entries, and
+        # only those, are recomputed with np.hypot, which does not square,
+        # and kept unrounded where rounding would overflow again.
+        with np.errstate(over="ignore"):
+            offsets = self._pos[:n] - np.asarray(center, dtype=np.float64)
+            dist = np.round(np.linalg.norm(offsets, axis=1), SCORE_DECIMALS)
+            far = np.isinf(dist)
+            if far.any():
+                exact = np.hypot(offsets[far, 0], offsets[far, 1])
+                rounded = np.round(exact, SCORE_DECIMALS)
+                dist[far] = np.where(np.isinf(rounded), exact, rounded)
         idx = np.nonzero(dist <= radius)[0]
         order = idx[np.argsort(dist[idx], kind="stable")][:r]
         return self._result(order, dist[order])
@@ -499,7 +516,7 @@ class LongTermMemory:
 
 
 def build(
-    stream: Iterable[tuple[Timestep, Pose, SymbolicObservation]],
+    stream: Iterable[Tick],
     embedder: Embedder | EmbedderConfig,
     mode: str = "oracle",
     *,
@@ -514,15 +531,19 @@ def build(
     rendered from the raw entity lists under the requested mode (the noise
     seed for each record derives from noise_seed and its timestep), embedded
     once per distinct caption, and stored alongside the raw observation.
-    Every snapshot_every-th record is flagged as a keyframe. An oracle
-    caption depends only on the entity list, so a record whose entity tuple
-    is the previous record's own object (as patrol hands out for a repeated
-    view) reuses that record's caption.
+    Every snapshot_every-th record is flagged as a keyframe.
+
+    The stream is taken as runs (ObservationStream.of): ticks of one day
+    seen from one pose object with one observation object. An oracle
+    caption depends only on the entity list, so it is rendered once per run;
+    a realistic one is rendered per record. The record columns are filled
+    per run, with no per-record Python work.
 
     Records share raw observations per view: consecutive non-keyframe
     records whose stream observation is the same object and whose caption is
-    the same share one stored raw observation. A keyframe or a new view gets
-    its own. All records go into the memory as one columnar batch.
+    the same share one stored raw observation. So a new raw starts at a
+    keyframe, at the record after one, and where the observation or the
+    caption changes. All records go into the memory as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -533,40 +554,68 @@ def build(
         embedder_id=embedder.embedder_id,
         mode=mode,
     )
-    cols: tuple[list, ...] = tuple([] for _ in RECORD_FIELDS)
-    t, day, x, y, yaw, room, row_ids, raw_ids = cols
+    stream = ObservationStream.of(stream)
+    runs = list(stream.runs())
+    n = len(stream)
+    lengths = np.array([run[2] for run in runs], dtype=np.int64)
+    run_first = np.cumsum(lengths) - lengths
+    # Pieces: stretches of one run with one caption, in record order. Each
+    # has its first record, observation, caption and embedding row, and
+    # whether its observation or caption differs from the record before.
+    first: list[int] = []
+    observations: list[SymbolicObservation] = []
+    captions: list[str] = []
+    rows: list[int] = []
+    changed: list[bool] = []
     row_of_caption: dict[str, int] = {}
     embeddings: list[np.ndarray] = []
-    raws: list[SymbolicObservation] = []
-    last_entities: Optional[tuple] = None
-    last_obs: Optional[SymbolicObservation] = None
-    caption = ""
-    for i, (ts, pose, obs) in enumerate(stream):
-        if mode != "oracle" or obs.visible_entities is not last_entities:
+    for i, (t0, _, length, _, obs) in zip(run_first.tolist(), runs):
+        for t in range(t0, t0 + (1 if mode == "oracle" else length)):
             caption = render_caption(
                 obs.visible_entities,
                 mode=mode,
-                seed=stable_seed("caption", noise_seed, ts.value),
+                seed=stable_seed("caption", noise_seed, t),
                 noise=noise,
             )
-            last_entities = obs.visible_entities
-        keyframe = i % snapshot_every == 0
-        if keyframe or obs is not last_obs or raws[-1].keyframe or raws[-1].caption != caption:
-            raws.append(replace(obs, caption=caption, keyframe=keyframe))
-            last_obs = obs
-        row = row_of_caption.get(caption)
-        if row is None:
-            row = row_of_caption[caption] = len(embeddings)
-            embeddings.append(embedder(caption))
-        t.append(ts.value)
-        day.append(ts.day)
-        x.append(pose.position[0])
-        y.append(pose.position[1])
-        yaw.append(pose.yaw)
-        room.append(pose.room_id)
-        row_ids.append(row)
-        raw_ids.append(len(raws) - 1)
-    memory.extend(Batch(*cols, embeddings=embeddings, raws=raws))
+            if t > t0 and caption == captions[-1]:
+                continue
+            row = row_of_caption.get(caption)
+            if row is None:
+                row = row_of_caption[caption] = len(embeddings)
+                embeddings.append(embedder(caption))
+            changed.append(not captions or obs is not observations[-1] or caption != captions[-1])
+            first.append(i + t - t0)
+            observations.append(obs)
+            captions.append(caption)
+            rows.append(row)
+    index = np.arange(n, dtype=np.int64)
+    keyframe = index % snapshot_every == 0
+    new_raw = keyframe.copy()
+    new_raw[1:] |= keyframe[:-1]
+    new_raw[np.array(first, dtype=np.int64)[np.array(changed, dtype=bool)]] = True
+    piece = np.repeat(np.arange(len(first)), np.diff(np.array([*first, n], dtype=np.int64)))
+    raws = [
+        SymbolicObservation(observations[p].visible_entities, captions[p], keyframe=k)
+        for p, k in zip(piece[new_raw].tolist(), keyframe[new_raw].tolist())
+    ]
+
+    def per_run(values, dtype) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=dtype), lengths)
+
+    poses = [run[3] for run in runs]
+    batch = Batch(
+        t=per_run([run[0] for run in runs], np.int64) + index - np.repeat(run_first, lengths),
+        day=per_run([run[1] for run in runs], np.int64),
+        x=per_run([pose.position[0] for pose in poses], np.float64),
+        y=per_run([pose.position[1] for pose in poses], np.float64),
+        yaw=per_run([pose.yaw for pose in poses], np.float64),
+        room=per_run([pose.room_id for pose in poses], object),
+        row=np.array(rows, dtype=np.int64)[piece],
+        raw=np.cumsum(new_raw) - 1,
+        embeddings=embeddings,
+        raws=raws,
+    )
+    memory.extend(batch)
     return memory
 
 
@@ -635,6 +684,13 @@ def load(path: str) -> LongTermMemory:
         raise IntegrityError(f"malformed header: {exc}") from exc
     if version == 1:
         [batch] = artifacts.sections(header, lines, MemoryRecord.from_dict)  # MemoryRecords
+        # Each v1 line has its own raw. A raw equal to the one before, with
+        # neither a keyframe, becomes that one, so the raws are shared as a
+        # build shares them.
+        for j in range(1, len(batch)):
+            prev = batch[j - 1].raw
+            if not prev.keyframe and batch[j].raw == prev:
+                batch[j] = replace(batch[j], raw=prev)
     else:
         embeddings, raws, records = artifacts.sections(
             header, lines, _record_line,

@@ -111,6 +111,20 @@ def test_memory_file_v1_still_loads(tmp_path):
     assert list(memstore.load(path).records) == list(memory.records)
 
 
+def test_memory_file_v1_loads_with_shared_raws(tmp_path):
+    """A v1 line carries its own raw; load shares equal non-keyframe raws
+    of consecutive records, so re-persisting writes no more raw lines than
+    persisting the build."""
+    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
+    loaded = memstore.load(MEMORY_V1)
+    assert list(loaded.records) == list(memory.records)
+    path = str(tmp_path / "memory.jsonl")
+    memstore.persist(loaded, path)
+    header, _ = artifacts.verify(path)
+    assert header["count"] == 40 and header["raws"] <= len(memory._raws) == 13
+    assert list(memstore.load(path).records) == list(memory.records)
+
+
 def test_tables_come_before_records_and_are_counted(tmp_path):
     path = str(tmp_path / "a.jsonl")
     artifacts.write(path, {"kind": "k"}, [1, 2], tables={"a": ["x"], "b": [[0], [1], [2]]})

@@ -1,10 +1,19 @@
 """Simulator: world generation, patrol streams, skills, scene graphs."""
 
+import functools
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objsearch.core import CONTAINMENT_INSIDE_OPEN, SymbolicObservation, Timestep, render_caption
+from objsearch.core import (
+    CONTAINMENT_INSIDE_OPEN,
+    ObservationStream,
+    SymbolicObservation,
+    Timestep,
+    render_caption,
+)
 from objsearch.homesim import (
     LOC_INSIDE,
     LOC_INVENTORY,
@@ -237,6 +246,129 @@ def test_patrol_equals_per_tick_reference(scene, tpd):
     assert len(w1.applied_moves) == len(schedule.moves)
     # Views are shared between ticks, not recomputed per tick.
     assert len({id(obs) for _, _, obs in stream}) < len(stream) // 5
+
+
+@st.composite
+def patrol_setups(draw):
+    """A world, a schedule and a start state for a 3-day patrol. Moves fall
+    at tick 0, on route-slot boundaries, anywhere, several on one tick, and
+    off the day (tick_of_day below 0 or past ticks_per_day, which
+    Schedule.check refuses): those make the schedule's absolute ticks
+    unsorted. Some receptacles may start open, and the clock past 0."""
+    days = 3
+    scene = draw(st.sampled_from(SCENE_IDS), label="scene")
+    route_length = len(patrol_route(generate_world(6, scene)[0]))
+    tpd = draw(st.sampled_from([route_length, 200, 1300]), label="tpd")
+    world, _ = generate_world(6, scene, ticks_per_day=tpd)
+    boundaries = [t for t in range(tpd) if t * route_length // tpd != (t - 1) * route_length // tpd]
+    when = st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.integers(0, days - 1), st.sampled_from(boundaries)),
+        st.tuples(st.integers(0, days), st.integers(0, tpd - 1)),
+        st.tuples(st.integers(0, days - 1), st.integers(tpd, 2 * tpd)),
+        st.tuples(st.integers(1, days), st.integers(-tpd, -1)),
+    )
+    places = [Location(LOC_LANDMARK, lm) for lm in world.landmarks] + [
+        Location(LOC_INSIDE, lm) for lm in world.receptacle_open
+    ]
+    moves = []
+    for _ in range(draw(st.integers(0, 12), label="moves")):
+        if moves and draw(st.booleans(), label="same tick as the last"):
+            day, tick = moves[-1].day, moves[-1].tick_of_day
+        else:
+            day, tick = draw(when, label="when")
+        moves.append(Move(day, tick, draw(st.sampled_from(sorted(world.objects))), draw(st.sampled_from(places))))
+    opened = draw(st.lists(st.sampled_from(sorted(world.receptacle_open)), unique=True, max_size=2), label="open")
+    clock = draw(st.sampled_from([0, 0, tpd // 2 + 1, tpd]), label="start clock")
+    return scene, tpd, days, Schedule(seed=0, moves=tuple(moves)), opened, clock
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=patrol_setups())
+def test_patrol_runs_equal_per_tick_reference_on_any_schedule(setup):
+    scene, tpd, days, schedule, opened, clock = setup
+    worlds = []
+    for _ in range(2):
+        world, _ = generate_world(6, scene, ticks_per_day=tpd)
+        world.receptacle_open.update(dict.fromkeys(opened, True))
+        world.clock = clock
+        worlds.append(world)
+    stream = patrol(worlds[0], schedule, days)
+    reference = reference_patrol(worlds[1], schedule, days)
+    assert stream == reference and reference == stream
+    assert world_end_state(worlds[0]) == world_end_state(worlds[1])
+
+
+def test_patrol_makes_no_per_tick_object(monkeypatch):
+    world, _ = generate_world(6, 2, ticks_per_day=1300)
+    schedule = busy_schedule(world, 3)
+
+    def refuse(self):
+        raise AssertionError("patrol made a Timestep")
+
+    monkeypatch.setattr(Timestep, "__post_init__", refuse)
+    stream = patrol(world, schedule, 3)
+    monkeypatch.undo()
+    assert len(stream) == 3900
+    assert len(list(stream.runs())) < len(stream) // 50
+
+
+@functools.lru_cache(maxsize=None)
+def small_stream():
+    world, schedule = generate_world(2, 1)
+    return patrol(world, schedule, days=3)
+
+
+indices = st.one_of(st.none(), st.integers(-700, 700))
+
+
+@settings(max_examples=60, deadline=None)
+@given(i=st.integers(-600, 599), start=indices, stop=indices,
+       step=st.one_of(st.none(), st.integers(-9, 9).filter(bool)))
+def test_stream_sequence_protocol_matches_its_list(i, start, stop, step):
+    stream = small_stream()
+    ticks = list(stream)
+    assert len(stream) == len(ticks) == 600 == sum(run[2] for run in stream.runs())
+    assert stream[i] == ticks[i]
+    part = slice(start, stop, step)
+    assert stream[part] == ticks[part] and ticks[part] == stream[part]
+    assert list(stream[part]) == ticks[part] and len(stream[part]) == len(ticks[part])
+    assert stream == ticks and ticks == stream and stream == tuple(ticks) and tuple(ticks) == stream
+    assert ObservationStream.of(stream) is stream
+    assert list(ObservationStream.of(ticks).runs()) == list(stream.runs())
+    other = list(ticks)
+    t, pose, obs = other[i]
+    other[i] = (Timestep(t.value, t.day + 1), pose, obs)
+    assert stream != other and other != stream
+    assert stream != ticks[:-1] and ticks[:-1] != stream
+    for bad in (600, -601):
+        with pytest.raises(IndexError):
+            stream[bad]
+    with pytest.raises(TypeError):
+        hash(stream)
+
+
+def test_stream_and_memory_files_are_frozen(tmp_path):
+    """write_stream and persist bytes of a 1300-ticks/day busy-schedule
+    stream, as written before patrol and build worked per run."""
+    from objsearch.embed import Embedder, EmbedderConfig
+    from objsearch.memstore import build, persist
+
+    world, _ = generate_world(6, 2, ticks_per_day=1300)
+    stream = patrol(world, busy_schedule(world, 3), 3)
+    path = tmp_path / "file.jsonl"
+    write_stream(str(path), stream)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "eebab153be969180b31fda1db3935383813b4b183b7b4954445abb80a143e6be"
+    )
+    embedder = Embedder(EmbedderConfig(d=64))
+    for mode, digest in (
+        ("oracle", "8136966b7819e37ea626ba39aa5f4b1f732f1128518062d0a98ddca0b4697ac5"),
+        ("realistic", "805a4aeca122b733068096a0f70dbdce0a0d1fce3ed1c76a3d291099c959a82f"),
+    ):
+        memory = build(stream, embedder, mode=mode, noise_seed=2, snapshot_every=7, ticks_per_day=1300)
+        persist(memory, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from objsearch.core import (
     MemoryRecord,
+    ObservationStream,
     Pose,
     SymbolicObservation,
     Timestep,
@@ -25,7 +27,7 @@ from objsearch.core import (
 )
 from objsearch import artifacts
 from objsearch.embed import Embedder, EmbedderConfig
-from objsearch.homesim import generate_world, patrol
+from objsearch.homesim import generate_world, patrol, read_stream, write_stream
 from objsearch.memstore import (
     BatchError,
     IntegrityError,
@@ -201,6 +203,48 @@ def test_build_shares_one_raw_observation_per_view():
         else:
             assert rec.raw is prev.raw
     assert len({id(rec.raw) for rec in recs}) < len(recs) / 5
+
+
+@pytest.fixture(scope="module")
+def run_streams(tmp_path_factory):
+    """A patrol stream, and the same stream read back from its file, whose
+    consecutive runs at one room's landmarks share one observation."""
+    world, schedule = generate_world(1, 2)
+    patrolled = patrol(world, schedule, days=3)
+    path = str(tmp_path_factory.mktemp("stream") / "stream.jsonl")
+    write_stream(path, patrolled)
+    _, from_file = read_stream(path)
+    runs = list(from_file.runs())
+    assert any(a[4] is b[4] and a[3] != b[3] for a, b in zip(runs, runs[1:]))
+    return {"patrol": patrolled, "file": from_file}
+
+
+def reference_raw_ids(stream, captions, snapshot_every):
+    """Per tick: a record shares the raw of the record before unless either
+    is a keyframe or the observation object or the caption changes."""
+    ids: list[int] = []
+    for i, ((_, _, obs), caption) in enumerate(zip(stream, captions)):
+        shared = (i > 0 and i % snapshot_every and (i - 1) % snapshot_every
+                  and obs is stream[i - 1][2] and caption == captions[i - 1])
+        ids.append(ids[-1] if shared else (ids[-1] + 1 if ids else 0))
+    return ids
+
+
+@pytest.mark.parametrize("source", ["patrol", "file"])
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+@pytest.mark.parametrize("snapshot_every", [1, 2, 7, 25])
+def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, source, mode, snapshot_every):
+    stream = run_streams[source]
+    assert isinstance(stream, ObservationStream)
+    args = dict(mode=mode, noise_seed=3, snapshot_every=snapshot_every, ticks_per_day=200)
+    got = build(stream, EMB, **args)
+    per_tick = build(list(stream), EMB, **args)
+    assert_same_memory(got, per_tick)
+    assert got._raws == per_tick._raws
+    captions = [record.raw.caption for record in got.records]
+    want = reference_raw_ids(list(stream), captions, snapshot_every)
+    assert got._raw_id[: len(got)].tolist() == per_tick._raw_id[: len(got)].tolist() == want
+    assert_same_memory(got, reference_build(stream, EMB, mode, 3, snapshot_every, 200))
 
 
 EMB32 = Embedder(EmbedderConfig(d=32))
@@ -434,6 +478,39 @@ def test_spatial_tie_break_lower_index():
     memory = fill(new_memory(), [(t, f"caption {t}", (1.0, 0.0)) for t in range(4)])
     result = memory.query_spatial((0.0, 0.0), radius=2.0, r=3)
     assert result.indices == (0, 1, 2)
+
+
+def test_spatial_far_center_measures_every_record():
+    memory = build(patrol_stream(7, 1, 3), EMB, ticks_per_day=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = memory.query_spatial((1e200, 1e200), radius=1e308, r=len(memory))
+    assert sorted(result.indices) == list(range(len(memory)))
+    assert all(1.4e200 < score < 1.42e200 for _, score in result.hits)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positions=st.lists(st.tuples(finite, finite), min_size=1, max_size=12), center=st.tuples(finite, finite))
+def test_spatial_distances_are_norms_wherever_the_norm_does_not_overflow(positions, center):
+    memory = fill(new_memory(), [(t, "a mug on the sink", pos) for t, pos in enumerate(positions)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = memory.query_spatial(center, radius=sys.float_info.max, r=len(positions))
+    scores = dict(result.hits)
+    with np.errstate(all="ignore"):
+        offsets = memory.spatial_index - np.asarray(center)
+        norm = np.round(np.linalg.norm(offsets, axis=1), SCORE_DECIMALS)
+        exact = np.hypot(offsets[:, 0], offsets[:, 1])
+    for i in range(len(positions)):
+        if np.isfinite(norm[i]):
+            assert scores[i] == norm[i]
+        elif np.isfinite(exact[i]):
+            assert scores[i] == pytest.approx(exact[i], rel=1e-12)
+        else:
+            assert i not in scores
 
 
 # -- randomized oracle equivalence ---------------------------------------------------------
