@@ -189,12 +189,18 @@ def cmd_build_memory(
         raise click.ClickException(
             f"stream {stream_path} has no config.ticks_per_day (a positive integer) in its header"
         )
-    for i, (t, _, _) in enumerate(stream):
-        if t.day != t.value // tpd:
+    # A run has one day and t // tpd never decreases along it, so a run fits
+    # if its first and last ticks do; otherwise its first bad tick is its
+    # first or the first tick of the next day.
+    first = 0
+    for t0, day, length, _, _ in stream.runs():
+        if not day == t0 // tpd == (t0 + length - 1) // tpd:
+            t = t0 if t0 // tpd != day else (day + 1) * tpd
             raise click.ClickException(
-                f"stream {stream_path}: record {i} (t={t.value}, day={t.day}) "
+                f"stream {stream_path}: record {first + t - t0} (t={t}, day={day}) "
                 f"does not fit ticks_per_day={tpd} from its header"
             )
+        first += length
     if embed_url:
         embed_config = EmbedderConfig(kind="external", d=dim, endpoint=embed_url, model=embed_model)
     else:

@@ -3,12 +3,13 @@
 The memory is columnar and content-addressed. Each distinct caption
 embedding is stored once, as a row of one (k, d) table, and each distinct
 raw observation once, in one list; a record holds a row id and a raw id. A
-record's timestep, day, position, yaw and room are columns. MemoryRecords
-are built only when asked for (``record``, ``records``); queries and the
-executor's views read the columns. ``build`` takes its stream as runs of
-ticks with one pose and one observation (core.ObservationStream) and fills
-the columns per run, so the only per-record Python work left is rendering
-realistic captions.
+record's timestep, day, position, yaw and room are columns. Records enter
+only as a columnar ``Batch`` (``extend``), from ``build`` and ``load``.
+MemoryRecords are built only when asked for (``record``, ``records``);
+queries and the executor's views read the columns. ``build`` takes its
+stream as runs of ticks with one pose and one observation
+(core.ObservationStream) and fills the columns per run, so the only
+per-record Python work left is rendering realistic captions.
 
 Retrieval is an exact full scan over the columns. A semantic query scores
 the k table rows and gathers the scores by row id, which gives the same
@@ -16,9 +17,9 @@ scores, hits and tie order as scoring every record. Desk-scale memories stay
 well under 1e5 records, where exact scan is both fast and trivially testable
 against a linear oracle.
 
-Concurrency: one writer may append or extend while readers query. A batch
-is validated whole and published at once: its table rows are written before
-any record refers to them, then its record columns, then the record count.
+Concurrency: one writer may extend while readers query. A batch is
+validated whole and published at once: its table rows are written before any
+record refers to them, then its record columns, then the record count.
 Readers snapshot the record count first and then slice each column. So every
 query sees a consistent prefix of the insertion order that ends at a batch
 boundary: a whole batch or none of it.
@@ -35,17 +36,16 @@ Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
   ``row`` and ``raw`` index the two tables.
 
 ``load`` switches on the header's ``format_version``: a v1 file (one
-``MemoryRecord.to_dict`` line per record, no tables) still loads, sharing
-equal non-keyframe raws of consecutive records.
+``MemoryRecord.to_dict`` line per record, no tables) still loads. Its lines
+are turned into v2's tables and record lines: equal embeddings share one
+row, and equal non-keyframe raws of consecutive records share one raw.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class BatchError(ValueError):
 
 @dataclass(frozen=True)
 class Batch:
-    """Records in columnar form, as extend takes them from build and load.
+    """Records in columnar form, the one form in which extend takes them.
 
     One sequence per field of RECORD_FIELDS. embeddings and raws are the
     table entries new with this batch; a record's row and raw ids index the
@@ -159,33 +159,6 @@ def _grown(a: np.ndarray, need: int, used: int) -> np.ndarray:
     return grown
 
 
-class RecordsView(SequenceABC):
-    """Read-only sequence of the records published when it was made."""
-
-    def __init__(self, memory: "LongTermMemory"):
-        self._memory = memory
-        self._n = len(memory)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            built = self._memory._built(self._n)
-            return [built[j] for j in range(self._n)[i]]
-        j = operator.index(i)
-        if not -self._n <= j < self._n:
-            raise IndexError(f"record index {i} out of range [0, {self._n})")
-        j %= self._n
-        # O(1): a record no pass has built yet is built alone, not with the
-        # prefix before it.
-        built = self._memory._records
-        return built[j] if j < len(built) else self._memory.record(j)
-
-    def __iter__(self):
-        return iter(self._memory._built(self._n)[: self._n])
-
-
 class LongTermMemory:
     """Append-only record columns over an embedding table and a raw table,
     plus three query indices."""
@@ -208,17 +181,11 @@ class LongTermMemory:
         self.embedder_id = embedder_id
         self.mode = mode
         self._n = 0
-        self._records: list[MemoryRecord] = []  # see _built
+        self._records: list[MemoryRecord] = []  # see records
         # Tables: distinct embedding rows and distinct raw observations.
         self._k = 0
         self._table = np.zeros((8, d), dtype=np.float64)
         self._raws: list[SymbolicObservation] = []
-        # Lookups that let MemoryRecords share stored table entries, filled
-        # only when MemoryRecords are added (see _batch_of): the bytes of an
-        # embedding row and the id() of a stored raw.
-        self._row_of: dict[bytes, int] = {}
-        self._raw_of: dict[int, int] = {}
-        self._keyed = (0, 0)  # the rows and raws entered in those lookups
         cap = 64
         self._t = np.zeros(cap, dtype=np.int64)
         self._day = np.zeros(cap, dtype=np.int64)
@@ -232,8 +199,17 @@ class LongTermMemory:
         return self._n
 
     @property
-    def records(self) -> Sequence[MemoryRecord]:
-        return RecordsView(self)
+    def records(self) -> list[MemoryRecord]:
+        """The published records as a new list: records added later are not
+        in it. The MemoryRecords are built on the first read and kept, so a
+        later read costs a list copy; build and load never build them. A
+        racing reader may build the same prefix again; either list is
+        correct."""
+        n = self._n
+        built = self._records
+        if len(built) < n:
+            built = self._records = built + [self.record(i) for i in range(len(built), n)]
+        return built[:n]
 
     def record(self, i: int) -> MemoryRecord:
         """One record by index, built from the columns."""
@@ -253,17 +229,6 @@ class LongTermMemory:
         if not (0 <= i < self._n):
             raise IndexError(f"record index {i} out of range [0, {self._n})")
         return Timestep(value=int(self._t[i]), day=int(self._day[i]))
-
-    def _built(self, n: int) -> list[MemoryRecord]:
-        """At least the first n records as MemoryRecords, built on the first
-        use of records and kept, so that later passes cost what a list's do.
-        A racing reader may build the same prefix again; either list is
-        correct."""
-        built = self._records
-        if len(built) < n:
-            built = built + [self.record(i) for i in range(len(built), n)]
-            self._records = built
-        return built
 
     def fields(self, indices: Sequence[int]) -> dict[str, list]:
         """Fields of the given records, one list per field: t, day, x, y,
@@ -285,91 +250,24 @@ class LongTermMemory:
             "raw": [raws[j] for j in self._raw_id[idx].tolist()],
         }
 
-    @property
-    def semantic_index(self) -> np.ndarray:
-        """The (n, d) embedding of every record, gathered on each call."""
-        n = self._n
-        return self._table[self._row_id[:n]]
-
-    @property
-    def temporal_index(self) -> np.ndarray:
-        return self._t[: self._n]
-
-    @property
-    def spatial_index(self) -> np.ndarray:
-        return self._pos[: self._n]
-
-    def append(self, record: MemoryRecord) -> int:
-        """Append one record; see extend."""
-        return self.extend((record,))
-
-    def _batch_of(self, records: list[MemoryRecord]) -> tuple[Batch, list[int]]:
-        """records as a Batch, sharing table entries: an embedding whose
-        bytes equal a row's, or a raw observation that is a stored one (the
-        same object), reuses it. Also returns, per new row, the position of
-        the record that brought it."""
-        k, m = self._k, len(self._raws)
-        for j in range(self._keyed[0], k):
-            self._row_of.setdefault(self._table[j].tobytes(), j)
-        for j in range(self._keyed[1], m):
-            self._raw_of[id(self._raws[j])] = j
-        self._keyed = (k, m)
-        rows: dict[bytes, int] = {}
-        raw_of: dict[int, int] = {}
-        embeddings: list[np.ndarray] = []
-        raws: list[SymbolicObservation] = []
-        origin: list[int] = []
-        cols: tuple[list, ...] = tuple([] for _ in RECORD_FIELDS)
-        t, day, x, y, yaw, room, row_ids, raw_ids = cols
-        for j, record in enumerate(records):
-            key = record.embedding.tobytes()
-            row = self._row_of.get(key, rows.get(key))
-            if row is None:
-                row = rows[key] = k + len(embeddings)
-                embeddings.append(record.embedding)
-                origin.append(j)
-            raw = self._raw_of.get(id(record.raw), raw_of.get(id(record.raw)))
-            if raw is None:
-                raw = raw_of[id(record.raw)] = m + len(raws)
-                raws.append(record.raw)
-            t.append(record.t.value)
-            day.append(record.t.day)
-            x.append(record.pose.position[0])
-            y.append(record.pose.position[1])
-            yaw.append(record.pose.yaw)
-            room.append(record.pose.room_id)
-            row_ids.append(row)
-            raw_ids.append(raw)
-        return Batch(*cols, embeddings=embeddings, raws=raws), origin
-
-    def extend(self, records: Union[Batch, Iterable[MemoryRecord]]) -> int:
+    def extend(self, batch: Batch) -> int:
         """Append a batch of records and return the index of its first one.
 
-        records is a Batch or MemoryRecords; MemoryRecords share table
-        entries as _batch_of says. The whole batch is checked before
-        anything is stored: every new table row must have shape (d,) and
-        unit norm (checked once per row), timesteps and days must be
-        non-negative, row and raw ids must index the tables, and timestamps
-        must increase strictly, within the batch and after the last stored
-        record. A bad batch raises BatchError and stores nothing. It names
-        the first bad record's position in the batch; a bad new row of a
-        Batch is named by its position among the new rows, and one of
-        MemoryRecords by the record that brought it.
+        The whole batch is checked before anything is stored: every new
+        table row must have shape (d,) and unit norm (checked once per row),
+        timesteps and days must be non-negative, row and raw ids must index
+        the tables, and timestamps must increase strictly, within the batch
+        and after the last stored record. A bad batch raises BatchError and
+        stores nothing. A bad new row is named by its position among the new
+        rows, before any record is checked; otherwise the error names the
+        first bad record's position in the batch.
         """
-        if isinstance(records, Batch):
-            batch, origin = records, None
-        else:
-            batch, origin = self._batch_of(list(records))
         n, k, m = self._n, self._k, len(self._raws)
-        problems: list[tuple[int, str]] = []  # (record position, reason)
         embeddings = [np.asarray(vec, dtype=np.float64) for vec in batch.embeddings]
         for j, vec in enumerate(embeddings):
             reason = _row_problem(vec, self.d)
             if reason is not None:
-                if origin is None:
-                    raise BatchError(j, reason, part="embeddings")
-                problems.append((origin[j], reason))
-                break
+                raise BatchError(j, reason, part="embeddings")
         t = np.asarray(batch.t, dtype=np.int64)
         day = np.asarray(batch.day, dtype=np.int64)
         row = np.asarray(batch.row, dtype=np.int64)
@@ -378,20 +276,16 @@ class LongTermMemory:
         if any(len(col) != size for col in (day, batch.x, batch.y, batch.yaw, batch.room, row, raw)):
             raise ValueError("batch columns differ in length")
         k_after, m_after = k + len(embeddings), m + len(batch.raws)
+        # The timestamp before each one; -1 stands before an empty memory.
+        prev = np.concatenate(([self._t[n - 1] if n else -1], t[:-1]))
         checks = (
             ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
             ((row < 0) | (row >= k_after), lambda j: f"row id {row[j]} out of range [0, {k_after})"),
             ((raw < 0) | (raw >= m_after), lambda j: f"raw id {raw[j]} out of range [0, {m_after})"),
+            (t <= prev, lambda j: f"non-monotonic timestamp {t[j]} after {prev[j]}"),
         )
-        for mask, why in checks:
-            j = _first(mask)
-            if j is not None:
-                problems.append((j, why(j)))
-        # The timestamp before each one; -1 stands before an empty memory.
-        prev = np.concatenate(([self._t[n - 1] if n else -1], t[:-1]))
-        j = _first(t <= prev)
-        if j is not None:
-            problems.append((j, f"non-monotonic timestamp {t[j]} after {prev[j]}"))
+        # (record position, reason) of each check's first bad record
+        problems = [(j, why(j)) for mask, why in checks if (j := _first(mask)) is not None]
         if problems:
             raise BatchError(*min(problems, key=lambda p: p[0]))
         if not size:
@@ -665,6 +559,30 @@ def _record_line(values: list) -> list:
     return values
 
 
+def _v1_tables(records: list[MemoryRecord], d: int) -> tuple[list, list, list]:
+    """v1 records as the tables and record lines of v2. Equal embeddings
+    (by bytes) share one row, and a raw equal to the one before, with
+    neither a keyframe, shares that raw. A bad row is named by the first
+    record that has it."""
+    row_of: dict[bytes, int] = {}
+    embeddings: list[np.ndarray] = []
+    raws: list[SymbolicObservation] = []
+    lines = []
+    for j, record in enumerate(records):
+        row = row_of.setdefault(record.embedding.tobytes(), len(embeddings))
+        if row == len(embeddings):
+            reason = _row_problem(record.embedding, d)
+            if reason is not None:
+                raise IntegrityError(f"record {j}: {reason}")
+            embeddings.append(record.embedding)
+        # raws[-1] is the raw of the record before.
+        if not raws or raws[-1].keyframe or record.raw != raws[-1]:
+            raws.append(record.raw)
+        t, pose = record.t, record.pose
+        lines.append((t.value, t.day, *pose.position, pose.yaw, pose.room_id, row, len(raws) - 1))
+    return embeddings, raws, lines
+
+
 def load(path: str) -> LongTermMemory:
     """Load a memory file of format version 1 or 2, verifying the checksum,
     the header, every table row and every record."""
@@ -683,21 +601,15 @@ def load(path: str) -> LongTermMemory:
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
     if version == 1:
-        [batch] = artifacts.sections(header, lines, MemoryRecord.from_dict)  # MemoryRecords
-        # Each v1 line has its own raw. A raw equal to the one before, with
-        # neither a keyframe, becomes that one, so the raws are shared as a
-        # build shares them.
-        for j in range(1, len(batch)):
-            prev = batch[j - 1].raw
-            if not prev.keyframe and batch[j].raw == prev:
-                batch[j] = replace(batch[j], raw=prev)
+        [records] = artifacts.sections(header, lines, MemoryRecord.from_dict)
+        embeddings, raws, records = _v1_tables(records, memory.d)
     else:
         embeddings, raws, records = artifacts.sections(
             header, lines, _record_line,
             tables={"embeddings": _embedding_row, "raws": SymbolicObservation.from_dict},
         )
-        columns = list(zip(*records)) or [()] * len(RECORD_FIELDS)
-        batch = Batch(*columns, embeddings=embeddings, raws=raws)
+    columns = list(zip(*records)) or [()] * len(RECORD_FIELDS)
+    batch = Batch(*columns, embeddings=embeddings, raws=raws)
     try:
         memory.extend(batch)
     except BatchError as exc:

@@ -1,0 +1,41 @@
+"""Shared test helpers. Test modules import them with ``from conftest import ...``."""
+
+from objsearch.core import SymbolicObservation, VisibleEntity
+from objsearch.memstore import Batch
+
+
+def spec_batch(memory, specs, embedder):
+    """A Batch of one record per (t, caption, pos) spec, to extend memory
+    with as it stands now.
+
+    Record t's raw is a new observation of one mug, "e<t>", at the sink,
+    with the caption; its day is t // memory.ticks_per_day, its yaw 0 and
+    its room "kitchen". Its embedding is embedder(caption); a caption whose
+    embedding is already a row of the memory, or of this batch, shares that
+    row, and new rows and raws are numbered after the memory's tables.
+    """
+    specs = list(specs)
+    row_of = {memory._table[j].tobytes(): j for j in range(memory._k)}
+    embeddings, raws, rows = [], [], []
+    for t, caption, _ in specs:
+        vec = embedder(caption)
+        row = row_of.setdefault(vec.tobytes(), memory._k + len(embeddings))
+        if row == memory._k + len(embeddings):
+            embeddings.append(vec)
+        rows.append(row)
+        entity = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
+        raws.append(SymbolicObservation(visible_entities=(entity,), caption=caption))
+    ts = [t for t, _, _ in specs]
+    m = len(memory._raws)
+    return Batch(
+        t=ts,
+        day=[t // memory.ticks_per_day for t in ts],
+        x=[pos[0] for _, _, pos in specs],
+        y=[pos[1] for _, _, pos in specs],
+        yaw=[0.0] * len(specs),
+        room=["kitchen"] * len(specs),
+        row=rows,
+        raw=list(range(m, m + len(specs))),
+        embeddings=embeddings,
+        raws=raws,
+    )

@@ -4,13 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import heapq
 import json
-import math
 import random
 import time
 
+import numpy as np
 import pytest
 
+from conftest import spec_batch
 from objsearch.agent import (
     ActionExecutor,
     PolicyDecision,
@@ -30,7 +32,7 @@ from objsearch.bench import (
     run_task_episode,
 )
 from objsearch.bench.suite import PHYSICAL_CATEGORIES
-from objsearch.core import Action, MemoryRecord, Pose, SymbolicObservation, Timestep, VisibleEntity
+from objsearch.core import Action
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import (
     Landmark,
@@ -107,61 +109,54 @@ def test_criterion_1_retrieval_oracle_equivalence():
              "toy", "sofa", "lamp", "counter", "bed", "cabinet"]
 
     def random_memory(n):
-        records = []
+        """A memory of n records extended as one Batch, and the test's own
+        columns of it: timesteps, positions and embeddings."""
+        specs = []
         t = 0
         for _ in range(n):
             t += rng.randrange(1, 3)
             caption = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6)))
             pos = (rng.randrange(0, 10) * 0.5, rng.randrange(0, 10) * 0.5)
-            ent = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(),
-                                landmark_id="sink")
-            records.append(MemoryRecord(
-                t=Timestep.at(t, 100),
-                pose=Pose(position=pos, yaw=0.0, room_id="r"),
-                embedding=emb(caption),
-                raw=SymbolicObservation(visible_entities=(ent,), caption=caption),
-            ))
+            specs.append((t, caption, pos))
         memory = LongTermMemory(d=64, ticks_per_day=100)
-        memory.extend(records)
-        return memory
+        memory.extend(spec_batch(memory, specs, emb))
+        ts = np.array([t for t, _, _ in specs])
+        positions = np.array([pos for _, _, pos in specs])
+        embeddings = np.array([emb(caption) for _, caption, _ in specs])
+        return memory, ts, positions, embeddings
 
-    def oracle_semantic(memory, qvec, r):
-        scored = sorted(
-            ((round(float(rec.embedding @ qvec), SCORE_DECIMALS), i)
-             for i, rec in enumerate(memory.records)),
-            key=lambda s: (-s[0], s[1]),
-        )
-        return [i for _, i in scored[:r]]
+    # Linear scans over the test's own columns. heapq keeps the r smallest
+    # (key, index) pairs, so ties go to the lower index.
+    def top(r, keys, indices):
+        return [i for _, i in heapq.nsmallest(r, zip(keys.tolist(), indices.tolist()))]
 
-    def oracle_point(memory, center, r):
-        scored = sorted(
-            ((abs(rec.t.value - center), i) for i, rec in enumerate(memory.records)),
-            key=lambda s: (s[0], s[1]),
-        )
-        return [i for _, i in scored[:r]]
+    def oracle_semantic(embeddings, qvec, r):
+        scores = np.round(embeddings @ qvec, SCORE_DECIMALS)
+        return top(r, -scores, np.arange(len(scores)))
 
-    def oracle_spatial(memory, center, radius, r):
-        scored = sorted(
-            ((d, i) for i, rec in enumerate(memory.records)
-             if (d := round(math.dist(rec.pose.position, center), SCORE_DECIMALS)) <= radius),
-            key=lambda s: (s[0], s[1]),
-        )
-        return [i for _, i in scored[:r]]
+    def oracle_point(ts, center, r):
+        return top(r, np.abs(ts - center), np.arange(len(ts)))
+
+    def oracle_spatial(positions, center, radius, r):
+        offsets = positions - np.array(center)
+        dist = np.round(np.hypot(offsets[:, 0], offsets[:, 1]), SCORE_DECIMALS)
+        inside = np.flatnonzero(dist <= radius)
+        return top(r, dist[inside], inside)
 
     start = time.monotonic()
     checked = 0
     for _ in range(100):
-        memory = random_memory(rng.randrange(50, 1001))
+        memory, ts, positions, embeddings = random_memory(rng.randrange(50, 1001))
         queries = 100
         for _ in range(queries):
             r = rng.randrange(1, 16)
             qtext = " ".join(rng.choice(vocab) for _ in range(2))
-            assert list(memory.query_semantic(qtext, emb, r=r).indices) == oracle_semantic(memory, emb(qtext), r)
-            center = rng.randrange(0, memory.records[-1].t.value + 10)
-            assert list(memory.query_temporal(t_center=center, r=r).indices) == oracle_point(memory, center, r)
+            assert list(memory.query_semantic(qtext, emb, r=r).indices) == oracle_semantic(embeddings, emb(qtext), r)
+            center = rng.randrange(0, int(ts[-1]) + 10)
+            assert list(memory.query_temporal(t_center=center, r=r).indices) == oracle_point(ts, center, r)
             pos = (rng.randrange(0, 10) * 0.5, rng.randrange(0, 10) * 0.5)
             radius = rng.choice([0.5, 1.0, 2.0, 4.0])
-            assert list(memory.query_spatial(pos, radius, r=r).indices) == oracle_spatial(memory, pos, radius, r)
+            assert list(memory.query_spatial(pos, radius, r=r).indices) == oracle_spatial(positions, pos, radius, r)
             checked += 3
     elapsed = time.monotonic() - start
     report(1, elapsed < 60.0,

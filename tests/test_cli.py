@@ -382,16 +382,21 @@ def test_build_memory_refuses_records_off_the_header_ticks_per_day(tmp_path):
     from objsearch.homesim import patrol, write_stream
 
     world, schedule = generate_world(3, 1, ticks_per_day=1300)
-    stream_path = str(tmp_path / "stream.jsonl")
-    write_stream(stream_path, patrol(world, schedule, days=3), meta={"config": {"ticks_per_day": 200}})
-    out = tmp_path / "memory.jsonl"
-    result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
-    assert result.exit_code == 1
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    # Tick 200 is day 0 at 1300 ticks/day, but day 1 at the header's 200.
-    assert f"stream {stream_path}: record 200 (t=200, day=0)" in result.output
-    assert "ticks_per_day=200" in result.output
-    assert not out.exists()
+    stream = patrol(world, schedule, days=3)
+    starts = {t0 for t0, *_ in stream.runs()}
+    # At 1300 ticks/day, tick 174 starts a run and tick 200 falls inside one.
+    # Each is the first tick a header's ticks_per_day puts on day 1.
+    for header_tpd, first_bad, starts_run in ((174, 174, True), (200, 200, False)):
+        assert (first_bad in starts) == starts_run
+        stream_path = str(tmp_path / f"stream{header_tpd}.jsonl")
+        write_stream(stream_path, stream, meta={"config": {"ticks_per_day": header_tpd}})
+        out = tmp_path / f"memory{header_tpd}.jsonl"
+        result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (f"stream {stream_path}: record {first_bad} (t={first_bad}, day=0) "
+                f"does not fit ticks_per_day={header_tpd} from its header") in result.output
+        assert not out.exists()
 
 
 # Well-formed JSON of the wrong shape: a world file without its world, a report

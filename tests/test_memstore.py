@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import spec_batch
 from objsearch.core import (
-    MemoryRecord,
     ObservationStream,
     Pose,
     SymbolicObservation,
@@ -29,6 +29,7 @@ from objsearch import artifacts
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import generate_world, patrol, read_stream, write_stream
 from objsearch.memstore import (
+    Batch,
     BatchError,
     IntegrityError,
     LongTermMemory,
@@ -42,28 +43,18 @@ from objsearch.memstore import (
 EMB = Embedder(EmbedderConfig(d=64))
 
 
-def synthetic_record(t, caption, pos, ticks_per_day=200):
-    ent = VisibleEntity(
-        entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink"
-    )
-    return MemoryRecord(
-        t=Timestep.at(t, ticks_per_day),
-        pose=Pose(position=pos, yaw=0.0, room_id="kitchen"),
-        embedding=EMB(caption),
-        raw=SymbolicObservation(visible_entities=(ent,), caption=caption),
-    )
-
-
-def fill(memory, specs):
-    for t, caption, pos in specs:
-        memory.append(synthetic_record(t, caption, pos))
+def new_memory(specs=(), **kw):
+    """A memory (d 64, 200 ticks/day unless kw says otherwise) holding one
+    batch of the (t, caption, pos) specs; see conftest.spec_batch."""
+    args = dict(d=64, ticks_per_day=200)
+    args.update(kw)
+    memory = LongTermMemory(**args)
+    memory.extend(spec_batch(memory, specs, EMB))
     return memory
 
 
-def new_memory(**kw):
-    args = dict(d=64, ticks_per_day=200)
-    args.update(kw)
-    return LongTermMemory(**args)
+def extend(memory, specs):
+    return memory.extend(spec_batch(memory, specs, EMB))
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -121,9 +112,9 @@ def test_build_length_conservation():
         stream.append((Timestep.at(t, 200), Pose(position=(0, 0), yaw=0, room_id="kitchen"), obs))
     memory = build(stream, EMB, ticks_per_day=200)
     assert len(memory) == 10
-    assert memory.semantic_index.shape == (10, 64)
-    assert memory.temporal_index.shape == (10,)
-    assert memory.spatial_index.shape == (10, 2)
+    snap = memory._snapshot()
+    assert snap.embeddings[snap.row].shape == (10, 64)
+    assert snap.t.shape == snap.x.shape == snap.y.shape == (10,)
 
 
 def test_build_from_three_day_patrol():
@@ -149,24 +140,31 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
 
 
 def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day):
-    """One record per tick, each with its own raw observation, appended one
-    at a time: the per-tick loop that build batches."""
+    """One record per tick, each with its own embedding row and raw
+    observation, extended one single-record batch at a time: the per-tick
+    loop that build batches."""
     memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day,
                             snapshot_every=snapshot_every, embedder_id=embedder.embedder_id, mode=mode)
     for i, (t, pose, obs) in enumerate(stream):
         caption = render_caption(obs.visible_entities, mode=mode,
                                  seed=stable_seed("caption", noise_seed, t.value))
         raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
-        memory.append(MemoryRecord(t=t, pose=pose, embedding=embedder(caption), raw=raw))
+        memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
+                            yaw=[pose.yaw], room=[pose.room_id], row=[i], raw=[i],
+                            embeddings=[embedder(caption)], raws=[raw]))
     return memory
 
 
 def assert_same_memory(a, b):
+    """Equal records, and equal columns of equal dtype, each record's
+    embedding gathered from its row."""
     assert len(a) == len(b)
-    assert list(a.records) == list(b.records)
-    for name in ("semantic_index", "temporal_index", "spatial_index"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert getattr(a, name).dtype == getattr(b, name).dtype
+    assert a.records == b.records
+    sa, sb = a._snapshot(), b._snapshot()
+    for name in ("t", "day", "x", "y", "yaw", "room"):
+        assert np.array_equal(getattr(sa, name), getattr(sb, name))
+        assert getattr(sa, name).dtype == getattr(sb, name).dtype
+    assert np.array_equal(sa.embeddings[sa.row], sb.embeddings[sb.row])
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,113 +248,120 @@ def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, sour
 EMB32 = Embedder(EmbedderConfig(d=32))
 
 
-@settings(max_examples=60, deadline=None)
+def with_entry(batch, field, j, value):
+    """batch with entry j of field replaced by value."""
+    entries = list(getattr(batch, field))
+    entries[j] = value
+    return replace(batch, **{field: entries})
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     stored=st.integers(0, 5),
     gaps=st.lists(st.integers(1, 4), max_size=40),
-    bad_at=st.one_of(st.none(), st.integers(0, 39)),
-    bad_kind=st.sampled_from(["dimension", "repeat", "earlier"]),
+    cuts=st.lists(st.integers(0, 40), max_size=6),
+    bad=st.one_of(st.none(), st.tuples(
+        st.sampled_from(["dimension", "norm", "repeat", "earlier", "row", "raw"]),
+        st.integers(0, 39),
+        st.booleans(),
+    )),
 )
-def test_extend_equals_sequential_appends(stored, gaps, bad_at, bad_kind):
+def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
+    """One Batch gives the same memory as its records extended in any split
+    into sub-batches, down to one record each. A single bad entry anywhere
+    (a new row of the wrong dimension or not unit norm, a repeated or earlier
+    t, a row or raw id out of range) raises BatchError naming its position
+    and part, and stores nothing."""
     head = [(t, f"caption {t}", (t, 0)) for t in range(0, 3 * stored, 3)]
     last = head[-1][0] if head else -1
     ts = [last + c for c in itertools.accumulate(gaps)]
-    batch = [synthetic_record(t, f"a mug on the sink {t % 5}", (t % 7, 0.5)) for t in ts]
-    memory = fill(new_memory(), head)
-    if bad_at is None or bad_at >= len(batch):
-        want = fill(new_memory(), head)
-        for rec in batch:
-            want.append(rec)
+    specs = [(t, f"a mug on the sink {t % 5}", (t % 7, 0.5)) for t in ts]
+    memory = new_memory(head)
+    batch = spec_batch(memory, specs, EMB)
+    if bad is None:
+        split = new_memory(head)
+        bounds = sorted({0, len(specs), *(c for c in cuts if c < len(specs))})
+        for a, b in zip(bounds, bounds[1:]):
+            extend(split, specs[a:b])
         assert memory.extend(batch) == len(head)
-        assert_same_memory(memory, want)
-        assert np.array_equal(memory.semantic_index, np.array([r.embedding for r in memory.records]).reshape(-1, 64))
-        assert memory.temporal_index.tolist() == [r.t.value for r in memory.records]
-        assert memory.spatial_index.tolist() == [list(r.pose.position) for r in memory.records]
+        assert_same_memory(memory, split)
+        assert (memory._k, memory._raws) == (split._k, split._raws)
         return
-    rec = batch[bad_at]
-    if bad_kind == "dimension":
-        batch[bad_at] = replace(rec, embedding=EMB32("a mug"))
+    kind, at, low = bad
+    if kind in ("dimension", "norm"):
+        assume(batch.embeddings)
+        part, j = "embeddings", at % len(batch.embeddings)
+        vec = EMB32("a mug") if kind == "dimension" else 2 * batch.embeddings[j]
+        batch = with_entry(batch, "embeddings", j, vec)
     else:
-        prev = ts[bad_at - 1] if bad_at else last
-        t = prev if bad_kind == "repeat" else prev - 1
-        assume(t >= 0)
-        batch[bad_at] = replace(rec, t=Timestep.at(t, 200))
-    before = fill(new_memory(), head)
+        assume(specs)
+        part, j = "record", at % len(specs)
+        if kind in ("repeat", "earlier"):
+            prev = ts[j - 1] if j else last
+            t = prev if kind == "repeat" else prev - 1
+            assume(t >= 0)
+            batch = with_entry(batch, "t", j, t)
+        else:
+            size = memory._k + len(batch.embeddings) if kind == "row" else len(memory._raws) + len(specs)
+            batch = with_entry(batch, kind, j, -1 if low else size)
+    tables = (memory._k, list(memory._raws))
     with pytest.raises(BatchError) as info:
         memory.extend(batch)
-    assert info.value.position == bad_at
-    assert_same_memory(memory, before)
+    assert (info.value.position, info.value.part) == (j, part)
+    assert_same_memory(memory, new_memory(head))
+    assert (memory._k, memory._raws) == tables
 
 
 def test_extend_bad_batch_is_value_error_naming_position():
-    memory = fill(new_memory(), [(5, "a mug on the sink", (0, 0))])
-    batch = [synthetic_record(t, "a mug", (0, 0)) for t in (6, 7, 7, 9)]
+    memory = new_memory([(5, "a mug on the sink", (0, 0))])
     with pytest.raises(ValueError, match="batch position 2: non-monotonic timestamp 7 after 7"):
-        memory.extend(batch)
+        extend(memory, [(t, "a mug", (0, 0)) for t in (6, 7, 7, 9)])
     with pytest.raises(ValueError, match="batch position 0: non-monotonic timestamp 4 after 5"):
-        memory.extend([synthetic_record(4, "a mug", (0, 0))])
+        extend(memory, [(4, "a mug", (0, 0))])
     assert len(memory) == 1
-    assert memory.extend([]) == 1
+    assert extend(memory, []) == 1
 
 
 def test_record_by_index():
-    memory = fill(new_memory(), [(t, f"a mug on the sink {t}", (t, 0)) for t in range(3)])
+    memory = new_memory([(t, f"a mug on the sink {t}", (t, 0)) for t in range(3)])
     assert [memory.record(i) for i in range(3)] == list(memory.records)
     for bad in (-1, 3):
         with pytest.raises(IndexError):
             memory.record(bad)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(0, 12),
-    more=st.integers(0, 6),
-    iterate_first=st.booleans(),
-    iterate_after=st.booleans(),
-    ints=st.lists(st.integers(-20, 20), max_size=8),
-    slices=st.lists(
-        st.tuples(*[st.one_of(st.none(), st.integers(-15, 15))] * 2, st.sampled_from([None, 1, 2, -1, -3])),
-        max_size=4,
-    ),
-)
-def test_records_view_indexes_like_its_list(n, more, iterate_first, iterate_after, ints, slices):
-    """records[i] and records[s] equal list(records)[i] and [s], for a view
-    made before later records are added, whether or not a pass has already
-    built its records or more; an index outside the view's own length is an
-    IndexError."""
-    memory = fill(new_memory(), [(t, f"a mug on the sink {t % 3}", (t, 0)) for t in range(n)])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 12), more=st.integers(0, 6), read_first=st.booleans(), read_after=st.booleans())
+def test_records_view_indexes_like_its_list(n, more, read_first, read_after):
+    """records is a new list of the records published when it was read, each
+    equal to record(i): records added later are not in it, whether or not a
+    read before or after has built MemoryRecords, and changing the list
+    changes no later read."""
+    memory = new_memory([(t, f"a mug on the sink {t % 3}", (t, 0)) for t in range(n)])
+    if read_first:
+        memory.records.insert(0, None)
     view = memory.records
-    if iterate_first:
-        list(view)
-    fill(memory, [(n + t, "a mug", (0, 0)) for t in range(more)])
-    if iterate_after:
-        list(memory.records)
-    want = [memory.record(i) for i in range(n)]
-    assert len(view) == n
-    for i in ints:
-        if -n <= i < n:
-            assert view[i] == want[i]
-        else:
-            with pytest.raises(IndexError):
-                view[i]
-    for start, stop, step in slices:
-        assert view[start:stop:step] == want[start:stop:step]
-    assert list(view) == want
+    extend(memory, [(n + t, "a mug", (0, 0)) for t in range(more)])
+    if read_after:
+        assert len(memory.records) == n + more
+    assert view == [memory.record(i) for i in range(n)]
+    view.insert(0, None)
+    assert memory.records == [memory.record(i) for i in range(n + more)]
 
 
 def test_spatial_rejects_non_finite_arguments():
-    memory = fill(new_memory(), [(t, "a mug on the sink", (t, 0)) for t in range(3)])
+    memory = new_memory([(t, "a mug on the sink", (t, 0)) for t in range(3)])
     for center, radius in (((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0), ((0.0, 0.0), math.nan)):
         with pytest.raises(ValueError):
             memory.query_spatial(center, radius, r=5)
 
 
 def test_build_rejects_non_monotonic_timestamps():
-    memory = fill(new_memory(), [(5, "a mug on the sink", (0, 0))])
+    memory = new_memory([(5, "a mug on the sink", (0, 0))])
     with pytest.raises(ValueError):
-        memory.append(synthetic_record(5, "again", (0, 0)))
+        extend(memory, [(5, "again", (0, 0))])
     with pytest.raises(ValueError):
-        memory.append(synthetic_record(3, "earlier", (0, 0)))
+        extend(memory, [(3, "earlier", (0, 0))])
 
 
 def test_keyframe_stride():
@@ -383,8 +388,7 @@ def test_build_is_task_agnostic_signature():
 
 
 def test_semantic_unique_mention_ranked_first():
-    memory = fill(
-        new_memory(),
+    memory = new_memory(
         [
             (0, "a red mug on the sink", (0, 0)),
             (1, "a green folder on the study desk", (1, 0)),
@@ -397,7 +401,7 @@ def test_semantic_unique_mention_ranked_first():
 
 
 def test_semantic_exact_caption_scores_one():
-    memory = fill(new_memory(), [(0, "a red mug on the sink", (0, 0))])
+    memory = new_memory([(0, "a red mug on the sink", (0, 0))])
     result = memory.query_semantic("a red mug on the sink", EMB, r=1)
     assert result.hits[0][1] == pytest.approx(1.0, abs=1e-6)
 
@@ -407,8 +411,7 @@ def test_semantic_empty_memory():
 
 
 def test_semantic_tie_break_lower_index():
-    memory = fill(
-        new_memory(),
+    memory = new_memory(
         [(t, "a red mug on the sink", (0, 0)) for t in range(5)],
     )
     result = memory.query_semantic("red mug", EMB, r=3)
@@ -419,14 +422,14 @@ def test_semantic_tie_break_lower_index():
 
 
 def test_temporal_point_with_tie_break():
-    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(10)])
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(10)])
     result = memory.query_temporal(t_center=5, r=3)
     assert result.indices == (5, 4, 6)
     assert oracle_temporal_point(memory, 5, 3) == [5, 4, 6]
 
 
 def test_temporal_point_exact_timestamp():
-    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(10)])
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(10)])
     assert memory.query_temporal(t_center=7, r=1).indices == (7,)
 
 
@@ -443,7 +446,7 @@ def test_temporal_window_selects_day():
 
 
 def test_temporal_window_invalid():
-    memory = fill(new_memory(), [(0, "x y", (0, 0))])
+    memory = new_memory([(0, "x y", (0, 0))])
     with pytest.raises(ValueError):
         memory.query_temporal(day_window=(2, 1))
     with pytest.raises(ValueError):
@@ -456,18 +459,18 @@ def test_temporal_window_invalid():
 
 
 def test_spatial_exact_pose_match():
-    memory = fill(new_memory(), [(t, f"caption {t}", (float(t), 0.0)) for t in range(5)])
+    memory = new_memory([(t, f"caption {t}", (float(t), 0.0)) for t in range(5)])
     result = memory.query_spatial((2.0, 0.0), radius=0.01, r=5)
     assert result.indices == (2,)
 
 
 def test_spatial_no_hits_outside_radius():
-    memory = fill(new_memory(), [(0, "caption", (10.0, 10.0))])
+    memory = new_memory([(0, "caption", (10.0, 10.0))])
     assert memory.query_spatial((0.0, 0.0), radius=1.0, r=5).hits == ()
 
 
 def test_spatial_line_layout_distance_sorted():
-    memory = fill(new_memory(), [(t, f"caption {t}", (float(t), 0.0)) for t in range(5)])
+    memory = new_memory([(t, f"caption {t}", (float(t), 0.0)) for t in range(5)])
     result = memory.query_spatial((0.0, 0.0), radius=2.5, r=10)
     assert result.indices == (0, 1, 2)
     assert [round(s, 6) for _, s in result.hits] == [0.0, 1.0, 2.0]
@@ -475,7 +478,7 @@ def test_spatial_line_layout_distance_sorted():
 
 
 def test_spatial_tie_break_lower_index():
-    memory = fill(new_memory(), [(t, f"caption {t}", (1.0, 0.0)) for t in range(4)])
+    memory = new_memory([(t, f"caption {t}", (1.0, 0.0)) for t in range(4)])
     result = memory.query_spatial((0.0, 0.0), radius=2.0, r=3)
     assert result.indices == (0, 1, 2)
 
@@ -495,13 +498,13 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(positions=st.lists(st.tuples(finite, finite), min_size=1, max_size=12), center=st.tuples(finite, finite))
 def test_spatial_distances_are_norms_wherever_the_norm_does_not_overflow(positions, center):
-    memory = fill(new_memory(), [(t, "a mug on the sink", pos) for t, pos in enumerate(positions)])
+    memory = new_memory([(t, "a mug on the sink", pos) for t, pos in enumerate(positions)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = memory.query_spatial(center, radius=sys.float_info.max, r=len(positions))
     scores = dict(result.hits)
     with np.errstate(all="ignore"):
-        offsets = memory.spatial_index - np.asarray(center)
+        offsets = np.asarray(positions, dtype=np.float64) - np.asarray(center)
         norm = np.round(np.linalg.norm(offsets, axis=1), SCORE_DECIMALS)
         exact = np.hypot(offsets[:, 0], offsets[:, 1])
     for i in range(len(positions)):
@@ -517,15 +520,15 @@ def test_spatial_distances_are_norms_wherever_the_norm_does_not_overflow(positio
 
 
 def random_memory(rng, n, ticks_per_day=50):
-    memory = new_memory(ticks_per_day=ticks_per_day)
+    specs = []
     t = 0
     vocab = ["mug", "folder", "book", "sink", "desk", "red", "green", "toy", "sofa", "lamp"]
     for _ in range(n):
         t += rng.randrange(1, 4)
         words = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 6)))
         pos = (rng.randrange(0, 8) * 0.5, rng.randrange(0, 8) * 0.5)
-        memory.append(synthetic_record(t, words, pos, ticks_per_day))
-    return memory
+        specs.append((t, words, pos))
+    return new_memory(specs, ticks_per_day=ticks_per_day)
 
 
 def test_oracle_equivalence_randomized():
@@ -549,9 +552,9 @@ def test_oracle_equivalence_randomized():
 
 
 def test_monotone_insertion_preserves_tie_order():
-    memory = fill(new_memory(), [(t, "a red mug on the sink", (1.0, 1.0)) for t in range(6)])
+    memory = new_memory([(t, "a red mug on the sink", (1.0, 1.0)) for t in range(6)])
     before = memory.query_semantic("red mug", EMB, r=4).indices
-    memory.append(synthetic_record(99, "a red mug on the sink", (1.0, 1.0)))
+    extend(memory, [(99, "a red mug on the sink", (1.0, 1.0))])
     after = memory.query_semantic("red mug", EMB, r=4).indices
     assert before == after
 
@@ -569,14 +572,14 @@ def test_score_bounds():
 
 
 def test_fetch_raw_round_trip():
-    memory = fill(new_memory(), [(0, "a red mug on the sink", (0, 0))])
+    memory = new_memory([(0, "a red mug on the sink", (0, 0))])
     raw = memory.fetch_raw(0)
     assert raw.caption == "a red mug on the sink"
     assert raw.visible_entities[0].entity_id == "e0"
 
 
 def test_fetch_raw_out_of_range():
-    memory = fill(new_memory(), [(0, "a red mug on the sink", (0, 0))])
+    memory = new_memory([(0, "a red mug on the sink", (0, 0))])
     with pytest.raises(IndexError):
         memory.fetch_raw(1)
     with pytest.raises(IndexError):
@@ -622,7 +625,7 @@ def test_persist_empty_memory(tmp_path):
 
 
 def test_truncated_file_rejected(tmp_path):
-    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(5)])
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     text = open(path).read()
@@ -639,18 +642,23 @@ def persist_v1(memory, path, extra_header=None):
 
 
 def test_corrupt_record_named(tmp_path):
-    import hashlib
-
-    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)])
-    path = str(tmp_path / "memory.jsonl")
-    persist_v1(memory, path)
-    lines = open(path).read().splitlines()
-    lines[2] = lines[2].replace('"value":1', '"value":"bogus"')
-    body = "\n".join(lines[:-1]) + "\n"
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % checksum)
-    with pytest.raises(IntegrityError, match="record 1"):
-        load(path)
+    """A corrupt v1 record line is an IntegrityError naming the record, the
+    rows and timestamps that extend checks included."""
+    wrong_dimension = [1.0] + [0.0] * 62  # unit norm, so only extend's row check sees it
+    cases = [
+        (2, lambda rec: {**rec, "t": {**rec["t"], "value": "bogus"}}, "record 1"),
+        (2, lambda rec: {**rec, "embedding": [2 * v for v in rec["embedding"]]},
+         "record 1: embedding must be unit norm, got 2.0"),
+        (3, lambda rec: {**rec, "embedding": wrong_dimension}, r"record 2: embedding dimension \(63,\) != \(64,\)"),
+        (4, lambda rec: {**rec, "t": {"value": 1, "day": 0}}, "record 3: non-monotonic timestamp 1 after 2"),
+    ]
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
+    for line, edit, message in cases:
+        path = str(tmp_path / "memory.jsonl")
+        persist_v1(memory, path)
+        rewrite_line(path, line, edit)
+        with pytest.raises(IntegrityError, match=message):
+            load(path)
 
 
 # -- concurrency ---------------------------------------------------------------------------
@@ -664,11 +672,11 @@ def test_concurrent_readers_see_consistent_prefix():
     def reader():
         while not stop.is_set():
             n = len(memory)
-            sem = memory.semantic_index
-            ts = memory.temporal_index
-            pos = memory.spatial_index
-            if not (len(sem) >= n and len(ts) >= n and len(pos) >= n):
-                errors.append(f"torn read: {len(sem)}/{len(ts)}/{len(pos)} vs {n}")
+            snap = memory._snapshot()
+            if not len(snap.t) == len(snap.x) == len(snap.row) == len(snap.raw) >= n:
+                errors.append(f"torn read: {len(snap.t)}/{len(snap.x)}/{len(snap.row)} vs {n}")
+            if len(snap.row) and (snap.row.max() >= len(snap.embeddings) or snap.raw.max() >= len(snap.raws)):
+                errors.append("a published record names an unpublished table entry")
             result = memory.query_temporal(t_center=0, r=5)
             if any(i >= len(memory) for i in result.indices):
                 errors.append("query returned unpublished record")
@@ -677,7 +685,7 @@ def test_concurrent_readers_see_consistent_prefix():
     for th in threads:
         th.start()
     for t in range(300):
-        memory.append(synthetic_record(t, f"caption {t}", (0.0, 0.0)))
+        extend(memory, [(t, f"caption {t}", (0.0, 0.0))])
     stop.set()
     for th in threads:
         th.join()
@@ -695,8 +703,8 @@ def test_concurrent_readers_see_whole_batches():
             n = len(memory)
             if n % batch:
                 errors.append(f"saw {n} records, not a whole number of batches")
-            if len(memory.records) < n or len(memory.temporal_index) < n:
-                errors.append("index shorter than the published count")
+            if len(memory.records) < n or len(memory._snapshot().t) < n:
+                errors.append("columns shorter than the published count")
 
     threads = [threading.Thread(target=reader) for _ in range(3)]
     interval = sys.getswitchinterval()
@@ -705,8 +713,7 @@ def test_concurrent_readers_see_whole_batches():
         for th in threads:
             th.start()
         for b in range(batches):
-            memory.extend(synthetic_record(t, f"caption {t % 10}", (0.0, 0.0))
-                          for t in range(b * batch, (b + 1) * batch))
+            extend(memory, [(t, f"caption {t % 10}", (0.0, 0.0)) for t in range(b * batch, (b + 1) * batch)])
     finally:
         stop.set()
         sys.setswitchinterval(interval)
@@ -720,7 +727,7 @@ def test_concurrent_readers_see_whole_batches():
 def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
     import hashlib
 
-    memory = fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(5)])
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
     persist_v1(memory, path)
     lines = open(path).read().splitlines()
@@ -749,7 +756,7 @@ def rewrite_header(path, edit):
 )
 def test_load_header_missing_key_is_integrity_error(tmp_path, key):
     path = str(tmp_path / "memory.jsonl")
-    persist(fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    persist(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
     rewrite_header(path, lambda header: header.pop(key))
     with pytest.raises(IntegrityError, match=f"malformed header: missing '{key}'"):
         load(path)
@@ -766,7 +773,7 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
 )
 def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message):
     path = str(tmp_path / "memory.jsonl")
-    persist(fill(new_memory(), [(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    persist(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=message):
         load(path)
@@ -796,7 +803,7 @@ def test_semantic_k_rows_equal_n_by_d_scan(batches, query, r):
     memory = new_memory()
     t = 0
     for captions in batches:
-        memory.extend(synthetic_record(t + j, c, (j, 0)) for j, c in enumerate(captions))
+        extend(memory, [(t + j, c, (j, 0)) for j, c in enumerate(captions)])
         t += len(captions)
     assert memory._k == len({c for captions in batches for c in captions})
     qvec = EMB(query)
@@ -828,6 +835,16 @@ def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, 
     persist_v1(memory, v1)
     from_v1 = load(v1)
     assert_loaded_equals(from_v1, memory)
+    # v1 shares a row between equal embeddings, and a raw between
+    # consecutive non-keyframe records by value; a build shares a row between
+    # equal captions, and a raw only where the stream's observation is the
+    # same object. So v1 stores no more of either.
+    recs = memory.records
+    rows = len({rec.embedding.tobytes() for rec in recs})
+    shared = sum(1 for prev, rec in zip(recs, recs[1:])
+                 if not (prev.raw.keyframe or rec.raw.keyframe) and rec.raw == prev.raw)
+    assert (from_v1._k, len(from_v1._raws)) == (rows, len(recs) - shared)
+    assert from_v1._k <= memory._k and len(from_v1._raws) <= len(memory._raws)
     persist(from_v1, again)
     assert_loaded_equals(load(again), memory)
     for q in ("green folder", "red mug sink"):
@@ -870,7 +887,7 @@ def record_edit(field, value):
     ],
 )
 def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
-    memory = fill(new_memory(), [(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)])
+    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     load(path)
@@ -880,14 +897,15 @@ def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
 
 
 def test_table_rows_are_shared_and_checked_once():
-    memory = fill(new_memory(), [(t, CAPTIONS[t % 2], (t, 0)) for t in range(6)])
+    memory = new_memory([(t, CAPTIONS[t % 2], (t, 0)) for t in range(6)])
     assert memory._k == 2
-    assert memory.semantic_index.shape == (6, 64)
-    batch = [synthetic_record(6, CAPTIONS[0], (0, 0)), synthetic_record(7, "a new caption", (0, 0))]
-    batch[1] = replace(batch[1], embedding=EMB32("a mug"))
+    assert memory._snapshot().row.tolist() == [0, 1] * 3
+    batch = spec_batch(memory, [(6, CAPTIONS[0], (0, 0)), (7, "a new caption", (0, 0))], EMB)
+    # The stored row is shared, not checked again; only the new row is.
+    assert (batch.row, len(batch.embeddings)) == ([0, 2], 1)
     with pytest.raises(BatchError) as info:
-        memory.extend(batch)
-    assert info.value.position == 1 and info.value.part == "record"
+        memory.extend(with_entry(batch, "embeddings", 0, EMB32("a mug")))
+    assert info.value.position == 0 and info.value.part == "embeddings"
     assert (len(memory), memory._k) == (6, 2)
 
 
@@ -942,8 +960,7 @@ def test_concurrent_record_passes_see_their_prefix():
         for th in threads:
             th.start()
         for b in range(batches):
-            memory.extend(synthetic_record(t, f"caption {t % 10}", (0.0, 0.0))
-                          for t in range(b * batch, (b + 1) * batch))
+            extend(memory, [(t, f"caption {t % 10}", (0.0, 0.0)) for t in range(b * batch, (b + 1) * batch)])
     finally:
         stop.set()
         sys.setswitchinterval(interval)
