@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,19 +67,24 @@ def _hash_feature(feature: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _buckets(features: Sequence[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's bucket, and its sign (+1.0 or -1.0)."""
+    hashes = np.fromiter(map(_hash_feature, features), dtype=np.uint64, count=len(features))
+    return (hashes % d).astype(np.intp), np.where(hashes >> 63 != 0, 1.0, -1.0)
+
+
+def _token_features(tokens: list[str]) -> list[str]:
+    """Unigrams, then bigrams."""
+    return [*tokens, *(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))]
+
+
 def _reference_embed(text: str, d: int) -> np.ndarray:
     tokens = normalize_text(text)
     if not tokens:
         raise EmbeddingError("text has no tokens after normalization")
-    features = list(tokens)
-    features.extend(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))
-    hashes = [_hash_feature(feat) for feat in features]
-    idx = np.fromiter((h % d for h in hashes), dtype=np.intp, count=len(hashes))
-    signs = np.fromiter((1.0 if (h >> 63) & 1 else -1.0 for h in hashes), dtype=np.float64,
-                        count=len(hashes))
     # Sums of +-1.0 are exact in any order, so this equals adding each sign
     # into its bucket in turn, bit for bit.
-    vec = np.bincount(idx, weights=signs, minlength=d)
+    vec = np.bincount(*_buckets(_token_features(tokens), d), minlength=d)
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
         # Signed-hash cancellation can zero the vector in pathological cases;
@@ -142,11 +148,12 @@ def embed_text(
 
 
 class Embedder:
-    """Callable wrapper with an optional in-run memo table.
+    """Callable wrapper with optional in-run memo tables.
 
     Patrol streams repeat captions heavily (a room looks the same from every
-    landmark in it), so memoizing by exact text is a large win when building
-    memories.
+    landmark in it), so memoizing by exact text is a large win when embedding
+    queries. Memories embed their captions in one batch (embed_captions),
+    which memoizes the captions' phrases instead.
     """
 
     def __init__(self, config: EmbedderConfig, memoize: bool = True,
@@ -154,6 +161,9 @@ class Embedder:
         self.config = config
         self._post = post
         self._memo: Optional[dict[str, np.ndarray]] = {} if memoize else None
+        # phrase -> (feature buckets, signs, first token, last token), or None
+        # for a phrase without tokens
+        self._phrases: Optional[dict[str, Optional[tuple[np.ndarray, str, str]]]] = {} if memoize else None
 
     @property
     def d(self) -> int:
@@ -175,6 +185,66 @@ class Embedder:
             vec.flags.writeable = False
             self._memo[text] = vec
         return vec
+
+    def embed_captions(self, captions: Sequence[Sequence[str]]) -> np.ndarray:
+        """The embeddings of captions given as phrases, as a (k, d) array:
+        row i is self("; ".join(captions[i])), bit for bit.
+
+        No token spans "; ", so a reference caption's features are its
+        phrases' unigrams and bigrams plus, at each "; ", the bigram of the
+        last token before it and the first token after it. Its pre-norm
+        vector adds each feature's sign into its bucket; sums of +-1.0 are
+        exact in any order, so all captions are summed in one pass, and the
+        row norms are those of the joined texts. Each phrase's buckets and
+        signs are memoized on this embedder. A caption with a phrase
+        without tokens, or whose counts cancel to zero, and every caption of
+        an external embedder, goes through __call__.
+        """
+        d = self.d
+        if self.config.kind != "reference":
+            return np.array([self("; ".join(phrases)) for phrases in captions]).reshape(-1, d)
+        memo = self._phrases if self._phrases is not None else {}
+        flat = list(itertools.chain.from_iterable(captions))
+        number = {p: j for j, p in enumerate(dict.fromkeys(flat))}  # distinct phrases
+        new = [p for p in number if p not in memo]
+        tokens = [normalize_text(p) for p in new]
+        features = [_token_features(ts) for ts in tokens]
+        ends = np.cumsum([len(fs) for fs in features]).tolist()
+        buckets, signs = _buckets(list(itertools.chain.from_iterable(features)), d)
+        for p, ts, a, z in zip(new, tokens, [0, *ends], ends):
+            memo[p] = (buckets[a:z], signs[a:z], ts[0], ts[-1]) if ts else None
+        entries = [memo[p] for p in number]
+        # Phrase occurrences, in caption order: the phrase and its caption.
+        sizes = np.fromiter(map(len, captions), dtype=np.intp, count=len(captions))
+        ids = np.fromiter(map(number.__getitem__, flat), dtype=np.intp, count=len(flat))
+        owner = np.repeat(np.arange(len(captions)), sizes)
+        tokenless = np.array([e is None for e in entries], dtype=bool)
+        direct = (sizes == 0) | (np.bincount(owner, weights=tokenless[ids], minlength=len(captions)) > 0)
+        keep = ~direct[owner]
+        ids, owner = ids[keep], owner[keep]
+        # Each distinct phrase's features, end to end.
+        lengths = np.array([0 if e is None else len(e[0]) for e in entries], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        table_b = np.concatenate([np.empty(0, np.intp), *(e[0] for e in entries if e is not None)])
+        table_s = np.concatenate([np.empty(0), *(e[1] for e in entries if e is not None)])
+        count = lengths[ids]
+        at = np.repeat(starts[ids] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        # The bigram at each "; ": adjacent occurrences in one caption.
+        adjacent = np.flatnonzero(owner[1:] == owner[:-1])
+        pair_ids, pair_of = np.unique(ids[adjacent] * len(entries) + ids[adjacent + 1], return_inverse=True)
+        pair_b, pair_s = _buckets([f"{entries[a][3]}_{entries[b][2]}"
+                                   for a, b in zip(*np.divmod(pair_ids, len(entries)))], d)
+        rows = np.concatenate([np.repeat(owner, count), owner[adjacent]])
+        vecs = np.bincount(rows * d + np.concatenate([table_b[at], pair_b[pair_of]]),
+                           weights=np.concatenate([table_s[at], pair_s[pair_of]]),
+                           minlength=len(captions) * d).reshape(-1, d).astype(np.float64, copy=False)
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+        direct |= norms < 1e-12
+        norms[direct] = 1.0
+        vecs /= norms[:, None]
+        for i in np.flatnonzero(direct).tolist():
+            vecs[i] = self("; ".join(captions[i]))
+        return vecs
 
 
 __all__ = [

@@ -462,7 +462,6 @@ def build(
     rows: list[int] = []
     changed: list[bool] = []
     row_of_caption: dict[str, int] = {}
-    embeddings: list[np.ndarray] = []
     for i, (t0, _, length, _, obs) in zip(run_first.tolist(), runs):
         for t in range(t0, t0 + (1 if mode == "oracle" else length)):
             caption = render_caption(
@@ -473,10 +472,7 @@ def build(
             )
             if t > t0 and caption == captions[-1]:
                 continue
-            row = row_of_caption.get(caption)
-            if row is None:
-                row = row_of_caption[caption] = len(embeddings)
-                embeddings.append(embedder(caption))
+            row = row_of_caption.setdefault(caption, len(row_of_caption))
             changed.append(not captions or obs is not observations[-1] or caption != captions[-1])
             first.append(i + t - t0)
             observations.append(obs)
@@ -506,7 +502,7 @@ def build(
         room=per_run([pose.room_id for pose in poses], object),
         row=np.array(rows, dtype=np.int64)[piece],
         raw=np.cumsum(new_raw) - 1,
-        embeddings=embeddings,
+        embeddings=embedder.embed_captions([caption.split("; ") for caption in row_of_caption]),
         raws=raws,
     )
     memory.extend(batch)

@@ -202,3 +202,73 @@ def test_memo_vectors_are_read_only(config):
         v[0] = 1.0
     assert np.array_equal(emb("red mug"), snapshot)
     assert Embedder(config, memoize=False, post=fake_external_post)("red mug").flags.writeable
+
+
+PHRASE_WORDS = ["a", "red", "mug", "on", "the", "sink", "inside", "fridge", "nothing", "notable", "x_y", "7"]
+PHRASES = st.one_of(
+    st.lists(st.sampled_from(PHRASE_WORDS), min_size=1, max_size=8).map(" ".join),
+    st.text(alphabet="ab z09_,.!", max_size=12),  # may have no tokens
+)
+
+
+def assert_rows_equal_calls(emb, captions):
+    got = emb.embed_captions(captions)
+    want = np.array([Embedder(emb.config, memoize=False, post=fake_external_post)("; ".join(c))
+                     for c in captions]).reshape(len(captions), emb.d)
+    assert got.shape == (len(captions), emb.d) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    captions=st.lists(st.lists(PHRASES, min_size=1, max_size=5).map(tuple), max_size=12),
+    d=st.sampled_from([8, 64, 256]),
+)
+def test_embed_captions_rows_equal_calls(captions, d):
+    """Each batch row is the embedding of the joined caption, bit for bit,
+    also when phrases repeat across captions, on a reused phrase memo, and
+    with captions that have no tokens at all (which raise, as they do one
+    by one)."""
+    emb = Embedder(EmbedderConfig(d=d))
+    if any(not normalize_text("; ".join(c)) for c in captions):
+        with pytest.raises(EmbeddingError):
+            emb.embed_captions(captions)
+        return
+    assert_rows_equal_calls(emb, captions)
+    assert_rows_equal_calls(emb, captions[::-1])
+
+
+@pytest.mark.parametrize("d", [8, 64, 256])
+def test_embed_captions_single_phrase_and_empty_caption(d):
+    emb = Embedder(EmbedderConfig(d=d))
+    assert_rows_equal_calls(emb, [("nothing notable",), ("a red mug on the sink",)])
+    assert_rows_equal_calls(emb, [])
+    assert_rows_equal_calls(emb, [("a red mug on the sink", "!!", "a book inside the fridge")])
+
+
+def test_embed_captions_zero_norm_goes_through_call(monkeypatch):
+    """An odd number of +-1 features never sums to zero, so cancellation can
+    only be forced: with every sign zeroed, both paths fall back to the
+    caption's first unigram."""
+    import objsearch.embed as embed_module
+
+    buckets = embed_module._buckets
+    monkeypatch.setattr(embed_module, "_buckets", lambda features, d: (buckets(features, d)[0], np.zeros(len(features))))
+    emb = Embedder(EmbedderConfig(d=64))
+    got = emb.embed_captions([("a red mug", "on the sink")])
+    assert got.tobytes() == emb("a red mug; on the sink").tobytes()
+    assert np.count_nonzero(got) == 1
+
+
+def test_embed_captions_external_kind_calls_endpoint_per_caption():
+    config = EmbedderConfig(kind="external", d=256, endpoint="http://embed.local", model="m1")
+    inputs = []
+
+    def post(url, payload, timeout):
+        inputs.append(payload["input"])
+        return fake_external_post(url, payload, timeout)
+
+    emb = Embedder(config, post=post)
+    captions = [("a red mug on the sink", "a book on the desk"), ("nothing notable",)]
+    assert_rows_equal_calls(emb, captions)
+    assert inputs == ["a red mug on the sink; a book on the desk", "nothing notable"]
