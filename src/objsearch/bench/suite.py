@@ -31,6 +31,7 @@ from ..agent import (
 from ..core import (
     ACTION_CATEGORIES,
     DEFAULT_NOISE,
+    NOISE_VERSION,
     NoiseModel,
     ObservationStream,
     canonical_dumps,
@@ -91,6 +92,10 @@ class SuiteConfig:
             "noise": {"p_drop": self.noise.p_drop, "p_mislabel": self.noise.p_mislabel},
             "parallelism": self.parallelism,
         }
+        # Realistic memories also depend on the noise model's version and
+        # label pool. Oracle-only configs carry neither, so their hash is stable.
+        if "realistic" in self.modes:
+            d["noise"].update(version=NOISE_VERSION, label_pool=list(self.noise.label_pool))
         # The model behind an llm policy changes results; keep it in the
         # lineage. Scripted configs carry no llm key, so their hash is stable.
         if self.llm is not None:

@@ -24,7 +24,7 @@ from .bench import (
     run_suite,
     run_task_episode,
 )
-from .core import NoiseModel, canonical_dumps, canonical_loads, config_hash
+from .core import NOISE_VERSION, NoiseModel, canonical_dumps, canonical_loads, config_hash
 from .embed import EmbedderConfig
 from .homesim import (
     MAX_PATROL_DAYS,
@@ -167,7 +167,7 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
 @click.option("--mode", type=click.Choice(["oracle", "realistic"]), default="oracle", show_default=True)
 @click.option("--d", "dim", type=int, default=256, show_default=True, help="Embedding dimension.")
 @click.option("--snapshot-every", type=int, default=25, show_default=True)
-@click.option("--noise-seed", type=int, default=0, show_default=True)
+@click.option("--noise-seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--p-drop", type=float, default=0.1, show_default=True)
 @click.option("--p-mislabel", type=float, default=0.1, show_default=True)
 @click.option("--embed-url", type=str, default=None, envvar="OBJSEARCH_EMBED_URL",
@@ -219,6 +219,8 @@ def cmd_build_memory(
         "noise_seed": noise_seed, "p_drop": p_drop, "p_mislabel": p_mislabel,
         "stream_hash": header.get("config_hash"),
     }
+    if mode == "realistic":
+        config["noise_version"] = NOISE_VERSION
     persist(memory, out, extra_header={"config_hash": config_hash(config)})
     click.echo(f"records={len(memory)} mode={mode} d={dim}")
 

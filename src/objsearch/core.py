@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import operator
-import random
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
@@ -285,9 +284,21 @@ DEFAULT_LABEL_POOL = (
 )
 
 
+# The noise model's version. v2 draws each entity's noise from a
+# counter-based generator (noise_draws); v1 seeded one random.Random per
+# record.
+NOISE_VERSION = 2
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Caption noise applied in realistic mode: per-entity drop and mislabel."""
+    """Caption noise applied in realistic mode: per-entity drop and mislabel.
+
+    Each entity of a record has its own four draws (see noise_draws and
+    render_caption): it is dropped with probability p_drop, and otherwise
+    mislabeled with probability p_mislabel to a uniformly drawn label of
+    label_pool other than its own.
+    """
 
     p_drop: float = 0.1
     p_mislabel: float = 0.1
@@ -301,6 +312,29 @@ class NoiseModel:
 DEFAULT_NOISE = NoiseModel()
 
 
+def noise_draws(noise_seed: int, slot: int, timesteps: Sequence[int]) -> np.ndarray:
+    """The draws (u_drop, u_mislabel, u_label, unused) of entity slot `slot`
+    at each of the given timesteps, as an (n, 4) array.
+
+    Row i is Generator(Philox(key=[noise_seed, slot], counter=t_i)).random(4),
+    the key taken as two uint64 words: a counter-based stream (Salmon et al.,
+    SC'11) keyed by the noise seed and the slot, at the record's timestep.
+    Philox steps its counter before each block of four, so row r of a block
+    drawn from counter t is the draw at counter t + r; one generator serves
+    each stretch of consecutive timesteps.
+    """
+    if not 0 <= noise_seed < 2**64:
+        raise ValueError(f"noise_seed must lie in [0, 2**64), got {noise_seed}")
+    key = np.array([noise_seed, slot], dtype=np.uint64)
+    t = np.asarray(timesteps, dtype=np.int64)
+    out = np.empty((len(t), 4))
+    starts = [0, *(np.flatnonzero(np.diff(t) != 1) + 1).tolist()] if len(t) else []
+    for a, b in zip(starts, [*starts[1:], len(t)]):
+        philox = np.random.Philox(key=key, counter=int(t[a]))
+        out[a:b] = np.random.Generator(philox).random((b - a, 4))
+    return out
+
+
 def _entity_phrase(class_label: str, attributes: Sequence[str], landmark_name: str, containment: str) -> str:
     descr = " ".join([*attributes, class_label]) if attributes else class_label
     if containment == CONTAINMENT_INSIDE_OPEN:
@@ -311,28 +345,36 @@ def _entity_phrase(class_label: str, attributes: Sequence[str], landmark_name: s
 def render_caption(
     visible_entities: Sequence[VisibleEntity],
     mode: str = "oracle",
-    seed: int = 0,
+    draws: Optional[Sequence[Sequence[float]]] = None,
     noise: NoiseModel = DEFAULT_NOISE,
 ) -> str:
     """Render the caption text for an entity list.
 
     Oracle mode instantiates the template on ground-truth labels. Realistic
-    mode first perturbs the entity list with the noise model (drop, then class
-    mislabel) using the given seed, then renders the same template. Identical
-    (entities, mode, seed) triples always produce identical captions.
+    mode first perturbs each entity with its row of draws (u_drop,
+    u_mislabel, u_label, unused), all in [0, 1): the entity is dropped when
+    u_drop < p_drop; otherwise, when u_mislabel < p_mislabel, its class
+    becomes pool[floor(u_label * len(pool))], where pool is the label pool
+    without the true label (or the true label alone). Then it renders the
+    same template. Identical (entities, mode, draws) always produce
+    identical captions. memstore.build takes a record's draws from
+    noise_draws, one slot per entity.
     """
     if mode not in ("oracle", "realistic"):
         raise ValueError(f"unknown caption mode {mode!r}")
+    noisy = mode == "realistic"
+    if noisy and (draws is None or len(draws) != len(visible_entities)):
+        raise ValueError("realistic captions need one row of draws per entity")
     phrases = []
-    rng = random.Random(seed) if mode == "realistic" else None
-    for ent in visible_entities:
+    for i, ent in enumerate(visible_entities):
         label = ent.class_label
-        if rng is not None:
-            if rng.random() < noise.p_drop:
+        if noisy:
+            u_drop, u_mislabel, u_label = draws[i][:3]  # type: ignore[index]
+            if u_drop < noise.p_drop:
                 continue
-            if rng.random() < noise.p_mislabel:
+            if u_mislabel < noise.p_mislabel:
                 pool = [c for c in noise.label_pool if c != label] or [label]
-                label = pool[rng.randrange(len(pool))]
+                label = pool[int(u_label * len(pool))]
         phrases.append(_entity_phrase(label, ent.attributes, ent.landmark_name, ent.containment))
     if not phrases:
         return EMPTY_CAPTION
@@ -647,6 +689,7 @@ __all__ = [
     "FAMILIES",
     "Instruction",
     "MemoryRecord",
+    "NOISE_VERSION",
     "NoiseModel",
     "ObservationStream",
     "OUTCOME_KINDS",
@@ -664,6 +707,7 @@ __all__ = [
     "canonical_dumps",
     "canonical_loads",
     "config_hash",
+    "noise_draws",
     "normalize_yaw",
     "render_caption",
     "stable_seed",

@@ -8,8 +8,10 @@ only as a columnar ``Batch`` (``extend``), from ``build`` and ``load``.
 MemoryRecords are built only when asked for (``record``, ``records``);
 queries and the executor's views read the columns. ``build`` takes its
 stream as runs of ticks with one pose and one observation
-(core.ObservationStream) and fills the columns per run, so the only
-per-record Python work left is rendering realistic captions.
+(core.ObservationStream) and fills the columns per run. Realistic noise
+is drawn for all records at once, and captions are rendered per distinct
+(entity list, noise) and embedded in one batch; the Python work left is
+per distinct caption and per stored raw.
 
 Retrieval is an exact full scan over the columns. A semantic query scores
 the k table rows and gathers the scores by row id, which gives the same
@@ -58,8 +60,8 @@ from .core import (
     SymbolicObservation,
     Tick,
     Timestep,
+    noise_draws,
     render_caption,
-    stable_seed,
 )
 from . import artifacts
 from .artifacts import IntegrityError
@@ -350,9 +352,9 @@ class LongTermMemory:
         day_window: Optional[tuple[int, int]] = None,
         r: int = DEFAULT_TOP_R,
     ) -> QueryResult:
-        """Point form: top-r by |t - t_center|, ties toward smaller t.
-        Window form: records with day in [d_start, d_end], most recent first,
-        truncated to r."""
+        """Point form: top-r by |t - t_center|, ties toward smaller t, each
+        scored by its exact distance. Window form: records with day in
+        [d_start, d_end], most recent first, truncated to r."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if (t_center is None) == (day_window is None):
@@ -362,9 +364,13 @@ class LongTermMemory:
             return QueryResult(hits=())
         ts = self._t[:n]
         if t_center is not None:
-            dist = np.abs(ts - int(t_center))
-            order = np.argsort(dist, kind="stable")[:r]
-            return self._result(order, dist[order].astype(np.float64))
+            # Timesteps are distinct, so a centre past either end orders them
+            # as that end does: clamped into [0, max t] it fits int64. The
+            # distances are taken in Python ints, exact for any centre.
+            center = int(t_center)
+            order = np.argsort(np.abs(ts - min(max(center, 0), int(ts[-1]))), kind="stable")[:r]
+            hits = zip(order.tolist(), ts[order].tolist())
+            return QueryResult(hits=tuple((i, float(abs(t - center))) for i, t in hits))
         d_start, d_end = day_window  # type: ignore[misc]
         if d_start > d_end:
             raise ValueError(f"empty day window [{d_start}, {d_end}]")
@@ -409,6 +415,44 @@ class LongTermMemory:
         return self._raws[self._raw_id[record_index]]
 
 
+def _noise_codes(entity_lists: list, lists: np.ndarray, t: np.ndarray, noise: NoiseModel,
+                 noise_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the noise model does to each entity slot of each record (see
+    core.render_caption), with the draws it does it by.
+
+    Record i has entity list entity_lists[lists[i]] and timestep t[i]. Returns
+    codes, an (n, slots) array for the longest list's slots, and draws, the
+    (slots, n, 4) array of core.noise_draws per slot. A code is -1 where the
+    entity is dropped, 1 + m where it is mislabeled to the m-th label of its
+    pool, and 0 where it is kept or the record has no entity. Records with
+    one entity list and equal codes have one caption.
+    """
+    slots = max(map(len, entity_lists), default=0)
+    pool = np.zeros((len(entity_lists), slots), dtype=np.int64)  # pool sizes; 0: no entity
+    for a, entities in enumerate(entity_lists):
+        for j, ent in enumerate(entities):
+            pool[a, j] = len(noise.label_pool) - noise.label_pool.count(ent.class_label) or 1
+    draws = np.array([noise_draws(noise_seed, j, t) for j in range(slots)]).reshape(slots, len(t), 4)
+    size = pool[lists].T
+    label = (draws[..., 2] * size).astype(np.int64)
+    codes = np.where(draws[..., 0] < noise.p_drop, -1, np.where(draws[..., 1] < noise.p_mislabel, 1 + label, 0))
+    return np.where(size > 0, codes, 0).T, draws
+
+
+def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, c) integer array, numbered in order of
+    first appearance: each row's number, and each number's first row."""
+    n = len(key)
+    # Equal rows are looked for among the first rows of runs of equal rows.
+    starts = np.flatnonzero(np.concatenate(([n > 0], (key[1:] != key[:-1]).any(axis=1))))
+    rows = np.ascontiguousarray(key[starts]).view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return np.repeat(number[inverse], np.diff(starts, append=n)), starts[first[order]]
+
+
 def build(
     stream: Iterable[Tick],
     embedder: Embedder | EmbedderConfig,
@@ -422,22 +466,27 @@ def build(
     """Construct long-term memory from an observation stream.
 
     Construction is task-agnostic: it sees only the stream. Captions are
-    rendered from the raw entity lists under the requested mode (the noise
-    seed for each record derives from noise_seed and its timestep), embedded
-    once per distinct caption, and stored alongside the raw observation.
-    Every snapshot_every-th record is flagged as a keyframe.
+    rendered from the raw entity lists under the requested mode, embedded
+    once per distinct caption in one batch (Embedder.embed_captions), and
+    stored alongside the raw observation. Every snapshot_every-th record is
+    flagged as a keyframe.
 
     The stream is taken as runs (ObservationStream.of): ticks of one day
     seen from one pose object with one observation object. An oracle
-    caption depends only on the entity list, so it is rendered once per run;
-    a realistic one is rendered per record. The record columns are filled
-    per run, with no per-record Python work.
+    caption depends only on the entity list. A realistic one also depends
+    on the record's noise: the draws of core.noise_draws at its timestep,
+    one slot per entity, turned into drop/keep/mislabel codes for all
+    records at once. A caption is rendered once per distinct (entity list,
+    codes), and the record columns are filled with no per-record Python
+    work.
 
     Records share raw observations per view: consecutive non-keyframe
     records whose stream observation is the same object and whose caption is
     the same share one stored raw observation. So a new raw starts at a
     keyframe, at the record after one, and where the observation or the
-    caption changes. All records go into the memory as one columnar batch.
+    caption changes. Equal raws (observation, caption, keyframe) are one
+    object; the file stores each by value. All records go into the memory
+    as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -453,56 +502,62 @@ def build(
     n = len(stream)
     lengths = np.array([run[2] for run in runs], dtype=np.int64)
     run_first = np.cumsum(lengths) - lengths
-    # Pieces: stretches of one run with one caption, in record order. Each
-    # has its first record, observation, caption and embedding row, and
-    # whether its observation or caption differs from the record before.
-    first: list[int] = []
-    observations: list[SymbolicObservation] = []
-    captions: list[str] = []
-    rows: list[int] = []
-    changed: list[bool] = []
-    row_of_caption: dict[str, int] = {}
-    for i, (t0, _, length, _, obs) in zip(run_first.tolist(), runs):
-        for t in range(t0, t0 + (1 if mode == "oracle" else length)):
-            caption = render_caption(
-                obs.visible_entities,
-                mode=mode,
-                seed=stable_seed("caption", noise_seed, t),
-                noise=noise,
-            )
-            if t > t0 and caption == captions[-1]:
-                continue
-            row = row_of_caption.setdefault(caption, len(row_of_caption))
-            changed.append(not captions or obs is not observations[-1] or caption != captions[-1])
-            first.append(i + t - t0)
-            observations.append(obs)
-            captions.append(caption)
-            rows.append(row)
     index = np.arange(n, dtype=np.int64)
-    keyframe = index % snapshot_every == 0
-    new_raw = keyframe.copy()
-    new_raw[1:] |= keyframe[:-1]
-    new_raw[np.array(first, dtype=np.int64)[np.array(changed, dtype=bool)]] = True
-    piece = np.repeat(np.arange(len(first)), np.diff(np.array([*first, n], dtype=np.int64)))
-    raws = [
-        SymbolicObservation(observations[p].visible_entities, captions[p], keyframe=k)
-        for p, k in zip(piece[new_raw].tolist(), keyframe[new_raw].tolist())
-    ]
 
     def per_run(values, dtype) -> np.ndarray:
         return np.repeat(np.array(values, dtype=dtype), lengths)
 
+    t = per_run([run[0] for run in runs], np.int64) + index - np.repeat(run_first, lengths)
+    # Each record's observation, numbered by identity, and its entity list,
+    # numbered by value; both in order of first run.
+    observations = list({id(run[4]): run[4] for run in runs}.values())
+    obs_number = {id(o): j for j, o in enumerate(observations)}
+    obs = per_run([obs_number[id(run[4])] for run in runs], np.int64)
+    list_number: dict[tuple, int] = {}
+    lists = per_run([list_number.setdefault(run[4].visible_entities, len(list_number)) for run in runs], np.int64)
+    entity_lists = list(list_number)
+    # A variant is an entity list, and in realistic mode the codes of its
+    # noise, numbered in order of first record. Each variant's caption is
+    # rendered from its first record, so that rows are numbered in order of
+    # first use.
+    draws = None
+    if mode == "realistic":
+        codes, draws = _noise_codes(entity_lists, lists, t, noise, noise_seed)
+        variant, first = _first_seen(np.column_stack([lists, codes]))
+    else:
+        variant, first = lists, np.unique(lists, return_index=True)[1]
+    rows: dict[str, int] = {}
+    row_of_variant = np.empty(len(first), dtype=np.int64)
+    for v, i in enumerate(first.tolist()):
+        entities = entity_lists[lists[i]]
+        caption = render_caption(entities, mode=mode, noise=noise,
+                                 draws=None if draws is None else draws[: len(entities), i].tolist())
+        row_of_variant[v] = rows.setdefault(caption, len(rows))
+    row = row_of_variant[variant]
+    keyframe = index % snapshot_every == 0
+    new_raw = keyframe.copy()
+    new_raw[1:] |= keyframe[:-1] | (obs[1:] != obs[:-1]) | (row[1:] != row[:-1])
+    captions = list(rows)
+    # Equal (observation, caption, keyframe) raws are one object.
+    raws: list[SymbolicObservation] = []
+    made: dict[tuple[int, int, bool], SymbolicObservation] = {}
+    for key in zip(obs[new_raw].tolist(), row[new_raw].tolist(), keyframe[new_raw].tolist()):
+        raw = made.get(key)
+        if raw is None:
+            raw = made[key] = SymbolicObservation(observations[key[0]].visible_entities, captions[key[1]],
+                                                  keyframe=key[2])
+        raws.append(raw)
     poses = [run[3] for run in runs]
     batch = Batch(
-        t=per_run([run[0] for run in runs], np.int64) + index - np.repeat(run_first, lengths),
+        t=t,
         day=per_run([run[1] for run in runs], np.int64),
         x=per_run([pose.position[0] for pose in poses], np.float64),
         y=per_run([pose.position[1] for pose in poses], np.float64),
         yaw=per_run([pose.yaw for pose in poses], np.float64),
         room=per_run([pose.room_id for pose in poses], object),
-        row=np.array(rows, dtype=np.int64)[piece],
+        row=row,
         raw=np.cumsum(new_raw) - 1,
-        embeddings=embedder.embed_captions([caption.split("; ") for caption in row_of_caption]),
+        embeddings=embedder.embed_captions([caption.split("; ") for caption in captions]),
         raws=raws,
     )
     memory.extend(batch)

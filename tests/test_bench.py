@@ -23,7 +23,16 @@ from objsearch.bench import (
     wilson_interval,
 )
 from objsearch.bench.tasks import interactive_per_family
-from objsearch.core import Action, Instruction, Outcome, WorkingMemory, canonical_dumps
+from objsearch.core import (
+    DEFAULT_LABEL_POOL,
+    NOISE_VERSION,
+    Action,
+    Instruction,
+    NoiseModel,
+    Outcome,
+    WorkingMemory,
+    canonical_dumps,
+)
 from objsearch.homesim import LOC_INSIDE, generate_world
 
 
@@ -270,8 +279,9 @@ def test_suite_output_is_frozen(tmp_path):
     """Golden digests of a small slice: one scene, both modes, every scripted
     method, and two 1300-ticks/day tasks whose episodes query whole-day
     windows. The digests were computed before the policies' trace view became
-    incremental; any change to a decision, an outcome or the log format
-    changes them."""
+    incremental, and re-pinned when noise model v2 changed realistic captions
+    (and realistic configs' lineage); any change to a decision, an outcome or
+    the log format changes them."""
     tasks = [
         build_task(1, "spatial_temporal", "visible", 0, 0, 3, 200),
         build_task(1, "spatial_frequentist", "interactive", 0, 0, 3, 200),
@@ -283,10 +293,10 @@ def test_suite_output_is_frozen(tmp_path):
     log = tmp_path / "episodes.jsonl"
     report = run_suite(tasks, config, log_path=str(log))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "6293918a5b4a95f9a32f4eef844dbe0677c5d579d3eed0f6b290ef622cd29dc8"
+        "aa11c54c2a504e022fd00f8c97d6bd50ed1f903625ba417039d55df6438e46ee"
     )
     assert hashlib.sha256(canonical_dumps(report.to_dict()).encode()).hexdigest() == (
-        "38adc8f0edae56e97d6ab77693db86ea47aba5588614f54be76c6a1378edd955"
+        "026641f6f3652e8cc35e0ecf47b6aac1266ff74902c7ac5b895702708ca04559"
     )
 
 
@@ -398,7 +408,23 @@ def test_llm_endpoint_is_in_the_lineage_hash():
     # Scripted configs carry no llm key, so their hashes are the same as before.
     assert "llm" not in cfg().to_dict()
     assert cfg().config_hash() == "020e6ebe9dc05e36"
-    assert SuiteConfig(modes=("oracle", "realistic"), seed=3).config_hash() == "fc55ce910f69c250"
+    # Realistic configs gained the noise version and label pool (noise v2).
+    assert SuiteConfig(modes=("oracle", "realistic"), seed=3).config_hash() == "7109f6f8d2b8f059"
+
+
+def test_noise_model_is_in_the_lineage_hash():
+    """The label pool and the noise version change realistic memories, so
+    they are in a realistic config's lineage; an oracle-only config's dict
+    is as it was."""
+    realistic = SuiteConfig(modes=("realistic",))
+    pool = SuiteConfig(modes=("realistic",), noise=NoiseModel(label_pool=("mug", "book")))
+    assert realistic.config_hash() != pool.config_hash()
+    assert realistic.to_dict()["noise"] == {
+        "p_drop": 0.1, "p_mislabel": 0.1, "version": NOISE_VERSION, "label_pool": list(DEFAULT_LABEL_POOL),
+    }
+    assert SuiteConfig().to_dict()["noise"] == {"p_drop": 0.1, "p_mislabel": 0.1}
+    oracle_pool = SuiteConfig(noise=NoiseModel(label_pool=("mug", "book")))
+    assert oracle_pool.config_hash() == SuiteConfig().config_hash()
 
 
 def test_suite_patrols_once_per_task(monkeypatch):

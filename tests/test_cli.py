@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from objsearch import artifacts
 from objsearch.cli import main
+from objsearch.core import NOISE_VERSION, config_hash
 from objsearch.memstore import load
 from objsearch.homesim import generate_world, read_stream
 
@@ -219,6 +220,27 @@ def test_build_memory_writes_format_v2_with_config_hash(pipeline):
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])
     assert len(hashes) == 2  # the mode is in the producing config
+
+
+def test_build_memory_lineage_names_the_noise_version(pipeline):
+    """A realistic memory's producing config carries the noise model's
+    version; an oracle one's does not, so its hash is as it was."""
+    stream_hash = json.loads(open(pipeline["stream"]).readline())["config_hash"]
+    for mode in ("oracle", "realistic"):
+        config = {"cmd": "build-memory", "mode": mode, "d": 256, "snapshot_every": 25, "noise_seed": 0,
+                  "p_drop": 0.1, "p_mislabel": 0.1, "stream_hash": stream_hash}
+        if mode == "realistic":
+            config["noise_version"] = NOISE_VERSION
+        header, _ = artifacts.verify(pipeline[mode])
+        assert header["config_hash"] == config_hash(config)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_build_memory_rejects_a_noise_seed_outside_the_key_range(pipeline, tmp_path, seed):
+    result = CliRunner().invoke(main, ["build-memory", "--stream", pipeline["stream"], "--mode", "realistic",
+                                       "--noise-seed", seed, "--out", str(tmp_path / "m.jsonl")])
+    assert result.exit_code == 2
+    assert "noise-seed" in result.output
 
 
 def test_build_memory_corrupt_stream_exits_nonzero(pipeline, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objsearch.core import (
     Action,
@@ -18,6 +20,7 @@ from objsearch.core import (
     WorkingMemory,
     canonical_dumps,
     canonical_loads,
+    noise_draws,
     normalize_yaw,
     render_caption,
     validate_action,
@@ -185,24 +188,76 @@ def test_caption_landmark_display_name_used():
 def test_caption_forced_drop_yields_empty_caption():
     noise = NoiseModel(p_drop=1.0, p_mislabel=0.0)
     ent = make_entity(entity_id="mug_1", cls="mug", attrs=("red",), landmark="sink")
-    assert render_caption([ent], mode="realistic", seed=7, noise=noise) == "nothing notable"
+    for draws in noise_draws(7, 0, range(200)):
+        assert render_caption([ent], mode="realistic", draws=[draws], noise=noise) == "nothing notable"
+
+
+def entity_draws(noise_seed, t, count):
+    """The draws of a record's first count entity slots at timestep t."""
+    return [noise_draws(noise_seed, j, [t])[0] for j in range(count)]
 
 
 def test_caption_deterministic_per_seed():
     noise = NoiseModel(p_drop=0.3, p_mislabel=0.5)
     ents = [make_entity(entity_id=f"e{i}", cls="mug", attrs=("red",), landmark="sink") for i in range(6)]
-    a = render_caption(ents, mode="realistic", seed=11, noise=noise)
-    b = render_caption(ents, mode="realistic", seed=11, noise=noise)
+    a = render_caption(ents, mode="realistic", draws=entity_draws(11, 0, 6), noise=noise)
+    b = render_caption(ents, mode="realistic", draws=entity_draws(11, 0, 6), noise=noise)
     assert a == b
-    c = render_caption(ents, mode="realistic", seed=12, noise=noise)
+    c = render_caption(ents, mode="realistic", draws=entity_draws(12, 0, 6), noise=noise)
     # Other seeds exist that collide, but this pair is pinned not to.
     assert a != c
+    # The draws are all that varies: oracle mode takes none, realistic needs
+    # one row per entity.
+    assert render_caption(ents, mode="oracle") == "; ".join(["a red mug on the sink"] * 6)
+    with pytest.raises(ValueError):
+        render_caption(ents, mode="realistic", draws=entity_draws(11, 0, 5), noise=noise)
+    with pytest.raises(ValueError):
+        render_caption(ents, mode="realistic", noise=noise)
 
 
 def test_caption_mislabel_substitutes_class():
     noise = NoiseModel(p_drop=0.0, p_mislabel=1.0, label_pool=("mug", "book"))
     ent = make_entity(entity_id="m", cls="mug", attrs=(), landmark="sink")
-    assert render_caption([ent], mode="realistic", seed=3, noise=noise) == "a book on the sink"
+    for draws in noise_draws(3, 0, range(200)):
+        assert render_caption([ent], mode="realistic", draws=[draws], noise=noise) == "a book on the sink"
+    # The label is pool[floor(u_label * len(pool))], the pool without the
+    # true label; a pool of the true label alone keeps it.
+    noise = NoiseModel(p_drop=0.0, p_mislabel=1.0, label_pool=("mug", "book", "toy"))
+    for u_label, label in ((0.0, "book"), (0.4999, "book"), (0.5, "toy"), (1 - 2**-53, "toy")):
+        assert render_caption([ent], "realistic", [(0.5, 0.5, u_label, 0.5)], noise) == f"a {label} on the sink"
+    lone = NoiseModel(p_drop=0.0, p_mislabel=1.0, label_pool=("mug",))
+    assert render_caption([ent], "realistic", [(0.5, 0.5, 0.9, 0.5)], lone) == "a mug on the sink"
+    # Drop is decided first, then mislabel, each by its own draw.
+    noise = NoiseModel(p_drop=0.5, p_mislabel=0.5, label_pool=("mug", "book"))
+    assert render_caption([ent], "realistic", [(0.49, 0.0, 0.0, 0.0)], noise) == "nothing notable"
+    assert render_caption([ent], "realistic", [(0.5, 0.49, 0.0, 0.0)], noise) == "a book on the sink"
+    assert render_caption([ent], "realistic", [(0.5, 0.5, 0.0, 0.0)], noise) == "a mug on the sink"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noise_seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1]),
+    slot=st.integers(0, 40),
+    timesteps=st.sets(st.integers(0, 2**40), max_size=30).map(sorted),
+    stretch=st.integers(0, 40),
+)
+def test_noise_draws_rows_are_the_counter_form(noise_seed, slot, timesteps, stretch):
+    """Row i of a slot's block is the draw of a generator keyed by (noise
+    seed, slot) at counter t_i, whether t_i starts a stretch of consecutive
+    timesteps or continues one."""
+    ts = sorted(set(timesteps) | set(range(1000, 1000 + stretch)))
+    block = noise_draws(noise_seed, slot, ts)
+    assert block.shape == (len(ts), 4)
+    for t, row in zip(ts, block):
+        key = np.array([noise_seed, slot], dtype=np.uint64)  # a list of Python ints may go through float64
+        want = np.random.Generator(np.random.Philox(key=key, counter=t)).random(4)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_noise_draws_refuse_a_seed_outside_the_key():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            noise_draws(seed, 0, [0])
 
 
 # -- action validation -----------------------------------------------------------

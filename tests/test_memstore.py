@@ -23,7 +23,6 @@ from objsearch.core import (
     Timestep,
     VisibleEntity,
     render_caption,
-    stable_seed,
 )
 from objsearch import artifacts
 from objsearch.embed import Embedder, EmbedderConfig
@@ -140,14 +139,17 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
 
 
 def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day):
-    """One record per tick, each with its own embedding row and raw
-    observation, extended one single-record batch at a time: the per-tick
-    loop that build batches."""
+    """One record per tick, each with its own embedding row (Embedder.__call__)
+    and raw observation, extended one single-record batch at a time: the
+    per-tick loop that build batches. A realistic caption takes entity j's
+    draws from the counter form of the noise model: Philox keyed by
+    (noise_seed, j), at counter t."""
     memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day,
                             snapshot_every=snapshot_every, embedder_id=embedder.embedder_id, mode=mode)
     for i, (t, pose, obs) in enumerate(stream):
-        caption = render_caption(obs.visible_entities, mode=mode,
-                                 seed=stable_seed("caption", noise_seed, t.value))
+        draws = [np.random.Generator(np.random.Philox(key=[noise_seed, j], counter=t.value)).random(4)
+                 for j in range(len(obs.visible_entities))]
+        caption = render_caption(obs.visible_entities, mode=mode, draws=draws if mode == "realistic" else None)
         raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
         memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
                             yaw=[pose.yaw], room=[pose.room_id], row=[i], raw=[i],
@@ -431,6 +433,35 @@ def test_temporal_point_with_tie_break():
 def test_temporal_point_exact_timestamp():
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(10)])
     assert memory.query_temporal(t_center=7, r=1).indices == (7,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 2**40), min_size=1, max_size=12),
+    center=st.integers(-2**70, 2**70) | st.sampled_from([2**63 - 1, 2**63, -2**63, 2**64]),
+    r=st.integers(1, 14),
+)
+def test_temporal_point_equals_python_int_scan(gaps, center, r):
+    """Any integer centre, past int64 too, gets the hits of a linear scan in
+    Python ints, each scored by its exact distance as a float."""
+    ts = list(itertools.accumulate(gaps, initial=0))
+    memory = new_memory([(t, f"caption {i}", (0, 0)) for i, t in enumerate(ts)])
+    want = sorted(range(len(ts)), key=lambda i: (abs(ts[i] - center), i))[:r]
+    assert memory.query_temporal(t_center=center, r=r).hits == tuple(
+        (i, float(abs(ts[i] - center))) for i in want
+    )
+
+
+def test_temporal_point_past_int64_through_the_executor():
+    from objsearch.agent import ActionExecutor
+    from objsearch.core import Action
+
+    world, schedule = generate_world(3, 1)
+    memory = build(patrol(world, schedule, days=3), EMB, ticks_per_day=200)
+    executor = ActionExecutor(memory, world, schedule, EMB)
+    out = executor.execute(Action("temporal_query", {"timestep": 2**63, "r": 2}))
+    assert "error" not in out.payload
+    assert [h["record_index"] for h in out.payload["hits"]] == [599, 598]
 
 
 def test_temporal_window_selects_day():
@@ -969,3 +1000,48 @@ def test_concurrent_record_passes_see_their_prefix():
         assert not th.is_alive()
     assert errors == []
     assert [rec.t.value for rec in memory.records] == list(range(batch * batches))
+
+
+def test_noise_rates_lie_in_binomial_intervals():
+    """Over a 7,800-record realistic memory, the share of entities dropped is
+    within the 99.9% Wilson interval around p_drop's trials, and the share of
+    kept entities mislabeled within the one around p_mislabel's. Each entity
+    of this stream has its own attribute, so each caption phrase names its
+    entity and its label."""
+    from objsearch.bench import wilson_interval
+    from objsearch.core import DEFAULT_LABEL_POOL, NoiseModel
+
+    rng = random.Random(5)
+    observations = []
+    for i in range(8):
+        entities = tuple(
+            VisibleEntity(entity_id=f"e{i}_{k}", class_label=DEFAULT_LABEL_POOL[(i + k) % 12],
+                          attributes=(f"tag{i}x{k}",), landmark_id="desk")
+            for k in range(1 + i % 5)
+        )
+        observations.append(SymbolicObservation(visible_entities=entities, caption=""))
+    pose = Pose(position=(0.0, 0.0), yaw=0.0, room_id="study")
+    runs, t = [], 0
+    while t < 7800:
+        length = min(rng.randint(1, 30), 7800 - t, 1300 - t % 1300)
+        runs.append((t, t // 1300, length, pose, rng.choice(observations)))
+        t += length
+    noise = NoiseModel(p_drop=0.1, p_mislabel=0.2)
+    memory = build(ObservationStream(runs), EmbedderConfig(d=16), mode="realistic", noise=noise,
+                   noise_seed=2024, ticks_per_day=1300)
+    assert len(memory) == 7800
+    truth = {e.attributes[0]: e.class_label for obs in observations for e in obs.visible_entities}
+    entities = kept = mislabeled = 0
+    for raw in memory.fields(range(len(memory)))["raw"]:
+        entities += len(raw.visible_entities)
+        if raw.caption == "nothing notable":
+            continue
+        for phrase in raw.caption.split("; "):
+            _, tag, label, *_ = phrase.split()
+            kept += 1
+            mislabeled += label != truth[tag]
+    z999 = 3.2905267314919255
+    low, high = wilson_interval(entities - kept, entities, z=z999)
+    assert low <= noise.p_drop <= high, (entities - kept, entities)
+    low, high = wilson_interval(mislabeled, kept, z=z999)
+    assert low <= noise.p_mislabel <= high, (mislabeled, kept)
