@@ -107,7 +107,8 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
 
 def record_views(memory: LongTermMemory, hits: Sequence[tuple[int, float]]) -> list[dict]:
     """Compact policy-facing views of memory hits, caption level only: one
-    gather per memory column, no MemoryRecord built."""
+    gather per memory column, no MemoryRecord built. A record is a keyframe
+    when its index is a multiple of the memory's snapshot_every."""
     f = memory.fields([i for i, _ in hits])
     return [
         {
@@ -119,7 +120,7 @@ def record_views(memory: LongTermMemory, hits: Sequence[tuple[int, float]]) -> l
             "x": x,
             "y": y,
             "caption": raw.caption,
-            "keyframe": raw.keyframe,
+            "keyframe": i % memory.snapshot_every == 0,
         }
         for (i, score), t, day, room, x, y, raw in zip(hits, f["t"], f["day"], f["room"], f["x"], f["y"], f["raw"])
     ]

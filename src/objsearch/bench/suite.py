@@ -194,17 +194,19 @@ def run_task_episode(
     )
 
 
-def _episode_record(task: TaskSpec, method: str, mode: str, result) -> dict:
+def _episode_record(task: TaskSpec, method: str, mode: str, success: bool, steps_used: int,
+                    termination: str, action_counts: Mapping[str, int]) -> dict:
+    """The report's record of one episode, finished or crashed."""
     return {
         "task_id": task.task_id,
         "family": task.family,
         "type": task.type,
         "method": method,
         "mode": mode,
-        "success": result.success,
-        "steps_used": result.steps_used,
-        "termination": result.termination,
-        "action_counts": dict(result.action_counts),
+        "success": success,
+        "steps_used": steps_used,
+        "termination": termination,
+        "action_counts": dict(action_counts),
         "optimal_counts": dict(task.optimal_counts),
     }
 
@@ -244,25 +246,15 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
 
             try:
                 result = run_task_episode(task, method, mode, config, memory, graphs, embedder, world, log_step)
-                record = _episode_record(task, method, mode, result)
+                record = _episode_record(task, method, mode, result.success, result.steps_used,
+                                         result.termination, result.action_counts)
                 success = adjudicate(task, result)
                 if success != result.success:
                     record["adjudication_mismatch"] = True
                 record["success"] = success and result.success
             except Exception as exc:  # noqa: BLE001 - crash containment per episode
-                record = {
-                    "task_id": task.task_id,
-                    "family": task.family,
-                    "type": task.type,
-                    "method": method,
-                    "mode": mode,
-                    "success": False,
-                    "steps_used": steps,
-                    "termination": "crash",
-                    "action_counts": counts,
-                    "optimal_counts": dict(task.optimal_counts),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+                record = _episode_record(task, method, mode, False, steps, "crash", counts)
+                record["error"] = f"{type(exc).__name__}: {exc}"
             records.append(record)
             log_lines.append(
                 canonical_dumps(

@@ -162,7 +162,6 @@ class SymbolicObservation:
 
     visible_entities: tuple[VisibleEntity, ...]
     caption: str
-    keyframe: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "visible_entities", tuple(self.visible_entities))
@@ -174,7 +173,6 @@ class SymbolicObservation:
         return {
             "visible_entities": [e.to_dict() for e in self.visible_entities],
             "caption": self.caption,
-            "keyframe": self.keyframe,
         }
 
     @classmethod
@@ -182,7 +180,6 @@ class SymbolicObservation:
         return cls(
             visible_entities=tuple(VisibleEntity.from_dict(e) for e in d["visible_entities"]),
             caption=str(d["caption"]),
-            keyframe=bool(d["keyframe"]),
         )
 
 
@@ -381,6 +378,22 @@ def render_caption(
     return "; ".join(phrases)
 
 
+def embedding_problem(vec: np.ndarray, d: Optional[int] = None) -> Optional[str]:
+    """Why a float64 vector cannot be a caption embedding, or None. It must
+    be 1-D, of length d when d is given, and of unit norm; a NaN or inf
+    entry fails the norm check."""
+    if vec.ndim != 1:
+        return f"embedding must be 1-D, got shape {vec.shape}"
+    if d is not None and vec.shape != (d,):
+        return f"embedding dimension {vec.shape} != {(d,)}"
+    # np.linalg.norm's dot-then-sqrt; a sum that overflows is inf, and fails.
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(vec @ vec)
+    if not abs(norm - 1.0) <= 1e-6:
+        return f"embedding must be unit norm, got {norm:.8f}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class MemoryRecord:
     """One patrol observation: time, pose, caption embedding, raw observation."""
@@ -392,13 +405,10 @@ class MemoryRecord:
 
     def __post_init__(self) -> None:
         emb = np.asarray(self.embedding, dtype=np.float64)
-        if emb.ndim != 1:
-            raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
+        reason = embedding_problem(emb)
+        if reason is not None:
+            raise ValueError(reason)
         object.__setattr__(self, "embedding", emb)
-        # The dot-then-sqrt that np.linalg.norm runs on a 1-D float64 vector.
-        norm = math.sqrt(emb @ emb)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"embedding must be unit norm, got {norm:.8f}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryRecord):
@@ -707,6 +717,7 @@ __all__ = [
     "canonical_dumps",
     "canonical_loads",
     "config_hash",
+    "embedding_problem",
     "noise_draws",
     "normalize_yaw",
     "render_caption",

@@ -148,7 +148,7 @@ def embed_text(
 
 
 class Embedder:
-    """Callable wrapper with optional in-run memo tables.
+    """Callable wrapper with in-run memo tables.
 
     Patrol streams repeat captions heavily (a room looks the same from every
     landmark in it), so memoizing by exact text is a large win when embedding
@@ -156,14 +156,13 @@ class Embedder:
     which memoizes the captions' phrases instead.
     """
 
-    def __init__(self, config: EmbedderConfig, memoize: bool = True,
-                 post: Callable[[str, dict, float], dict] = _default_post):
+    def __init__(self, config: EmbedderConfig, post: Callable[[str, dict, float], dict] = _default_post):
         self.config = config
         self._post = post
-        self._memo: Optional[dict[str, np.ndarray]] = {} if memoize else None
+        self._memo: dict[str, np.ndarray] = {}
         # phrase -> (feature buckets, signs, first token, last token), or None
         # for a phrase without tokens
-        self._phrases: Optional[dict[str, Optional[tuple[np.ndarray, str, str]]]] = {} if memoize else None
+        self._phrases: dict[str, Optional[tuple[np.ndarray, np.ndarray, str, str]]] = {}
 
     @property
     def d(self) -> int:
@@ -176,14 +175,12 @@ class Embedder:
     def __call__(self, text: str) -> np.ndarray:
         """The unit-norm embedding of text. A memoized vector is read-only,
         since every later caller (and every record built from it) shares it."""
-        if self._memo is not None:
-            hit = self._memo.get(text)
-            if hit is not None:
-                return hit
+        hit = self._memo.get(text)
+        if hit is not None:
+            return hit
         vec = embed_text(self.config, text, post=self._post)
-        if self._memo is not None:
-            vec.flags.writeable = False
-            self._memo[text] = vec
+        vec.flags.writeable = False
+        self._memo[text] = vec
         return vec
 
     def embed_captions(self, captions: Sequence[Sequence[str]]) -> np.ndarray:
@@ -203,7 +200,7 @@ class Embedder:
         d = self.d
         if self.config.kind != "reference":
             return np.array([self("; ".join(phrases)) for phrases in captions]).reshape(-1, d)
-        memo = self._phrases if self._phrases is not None else {}
+        memo = self._phrases
         flat = list(itertools.chain.from_iterable(captions))
         number = {p: j for j, p in enumerate(dict.fromkeys(flat))}  # distinct phrases
         new = [p for p in number if p not in memo]

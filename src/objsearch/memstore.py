@@ -1,17 +1,18 @@
 """Append-only long-term memory with semantic, temporal, and spatial indices.
 
 The memory is columnar and content-addressed. Each distinct caption
-embedding is stored once, as a row of one (k, d) table, and each distinct
-raw observation once, in one list; a record holds a row id and a raw id. A
-record's timestep, day, position, yaw and room are columns. Records enter
-only as a columnar ``Batch`` (``extend``), from ``build`` and ``load``.
+embedding (by bytes) is stored once, as a row of one (k, d) table, and each
+distinct raw observation (entity list and caption) once, in one list; a
+record holds a row id and a raw id. A record's timestep, day, position, yaw
+and room are columns. Records enter only as a columnar ``Batch``
+(``extend``), from ``build`` and ``load``.
 MemoryRecords are built only when asked for (``record``, ``records``);
 queries and the executor's views read the columns. ``build`` takes its
 stream as runs of ticks with one pose and one observation
 (core.ObservationStream) and fills the columns per run. Realistic noise
 is drawn for all records at once, and captions are rendered per distinct
 (entity list, noise) and embedded in one batch; the Python work left is
-per distinct caption and per stored raw.
+per distinct caption and per distinct raw.
 
 Retrieval is an exact full scan over the columns. A semantic query scores
 the k table rows and gathers the scores by row id, which gives the same
@@ -26,7 +27,7 @@ Readers snapshot the record count first and then slice each column. So every
 query sees a consistent prefix of the insertion order that ends at a batch
 boundary: a whole batch or none of it.
 
-Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
+Memory file v3 (``FORMAT_VERSION = 3``), a checksummed artifact file
 (see artifacts.py):
 
 - header: ``format_version``, ``d``, ``ticks_per_day``, ``snapshot_every``,
@@ -37,16 +38,16 @@ Memory file v2 (``FORMAT_VERSION = 2``), a checksummed artifact file
 - n lines, one per record: ``[t, day, x, y, yaw, room, row, raw]``, where
   ``row`` and ``raw`` index the two tables.
 
-``load`` switches on the header's ``format_version``: a v1 file (one
-``MemoryRecord.to_dict`` line per record, no tables) still loads. Its lines
-are turned into v2's tables and record lines: equal embeddings share one
-row, and equal non-keyframe raws of consecutive records share one raw.
+A record is a keyframe when its index is a multiple of ``snapshot_every``.
+``load`` switches on the header's ``format_version``: v1 (one
+``MemoryRecord.to_dict`` line per record) and v2 (v3 with a ``keyframe``
+flag on each raw) still load, re-keyed by value and checked against the
+keyframe stride (see ``_by_value``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +61,7 @@ from .core import (
     SymbolicObservation,
     Tick,
     Timestep,
+    embedding_problem,
     noise_draws,
     render_caption,
 )
@@ -67,7 +69,7 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import Embedder, EmbedderConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_SNAPSHOT_EVERY = 25
 DEFAULT_TOP_R = 5
 
@@ -75,7 +77,7 @@ DEFAULT_TOP_R = 5
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of a v2 record line.
+# The fields of one record, in the order of a record line.
 RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
 
 
@@ -134,17 +136,6 @@ class QueryResult:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.hits)
-
-
-def _row_problem(vec: np.ndarray, d: int) -> Optional[str]:
-    """Why vec cannot be an embedding row, or None."""
-    if vec.shape != (d,):
-        return f"embedding dimension {vec.shape} != {(d,)}"
-    # The dot-then-sqrt that MemoryRecord checks.
-    norm = math.sqrt(vec @ vec)
-    if abs(norm - 1.0) > 1e-6:
-        return f"embedding must be unit norm, got {norm:.8f}"
-    return None
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -267,7 +258,7 @@ class LongTermMemory:
         n, k, m = self._n, self._k, len(self._raws)
         embeddings = [np.asarray(vec, dtype=np.float64) for vec in batch.embeddings]
         for j, vec in enumerate(embeddings):
-            reason = _row_problem(vec, self.d)
+            reason = embedding_problem(vec, self.d)
             if reason is not None:
                 raise BatchError(j, reason, part="embeddings")
         t = np.asarray(batch.t, dtype=np.int64)
@@ -468,8 +459,8 @@ def build(
     Construction is task-agnostic: it sees only the stream. Captions are
     rendered from the raw entity lists under the requested mode, embedded
     once per distinct caption in one batch (Embedder.embed_captions), and
-    stored alongside the raw observation. Every snapshot_every-th record is
-    flagged as a keyframe.
+    stored alongside the raw observation. A record is a keyframe when its
+    index is a multiple of snapshot_every (see agent.registry.record_views).
 
     The stream is taken as runs (ObservationStream.of): ticks of one day
     seen from one pose object with one observation object. An oracle
@@ -480,13 +471,11 @@ def build(
     codes), and the record columns are filled with no per-record Python
     work.
 
-    Records share raw observations per view: consecutive non-keyframe
-    records whose stream observation is the same object and whose caption is
-    the same share one stored raw observation. So a new raw starts at a
-    keyframe, at the record after one, and where the observation or the
-    caption changes. Equal raws (observation, caption, keyframe) are one
-    object; the file stores each by value. All records go into the memory
-    as one columnar batch.
+    Both tables are keyed by value. Each distinct (entity list, caption) is
+    one raw, and each distinct embedding (by bytes) one row, so captions
+    whose embeddings are equal share a row. Rows and raws are numbered in
+    order of first use. All records go into the memory as one columnar
+    batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -502,51 +491,36 @@ def build(
     n = len(stream)
     lengths = np.array([run[2] for run in runs], dtype=np.int64)
     run_first = np.cumsum(lengths) - lengths
-    index = np.arange(n, dtype=np.int64)
 
     def per_run(values, dtype) -> np.ndarray:
         return np.repeat(np.array(values, dtype=dtype), lengths)
 
-    t = per_run([run[0] for run in runs], np.int64) + index - np.repeat(run_first, lengths)
-    # Each record's observation, numbered by identity, and its entity list,
-    # numbered by value; both in order of first run.
-    observations = list({id(run[4]): run[4] for run in runs}.values())
-    obs_number = {id(o): j for j, o in enumerate(observations)}
-    obs = per_run([obs_number[id(run[4])] for run in runs], np.int64)
+    t = per_run([run[0] for run in runs], np.int64) + np.arange(n, dtype=np.int64) - np.repeat(run_first, lengths)
+    # Each record's entity list, numbered by value in order of first run.
     list_number: dict[tuple, int] = {}
     lists = per_run([list_number.setdefault(run[4].visible_entities, len(list_number)) for run in runs], np.int64)
     entity_lists = list(list_number)
     # A variant is an entity list, and in realistic mode the codes of its
     # noise, numbered in order of first record. Each variant's caption is
-    # rendered from its first record, so that rows are numbered in order of
-    # first use.
+    # rendered from its first record.
     draws = None
     if mode == "realistic":
         codes, draws = _noise_codes(entity_lists, lists, t, noise, noise_seed)
         variant, first = _first_seen(np.column_stack([lists, codes]))
     else:
         variant, first = lists, np.unique(lists, return_index=True)[1]
-    rows: dict[str, int] = {}
-    row_of_variant = np.empty(len(first), dtype=np.int64)
+    # Each variant's raw, (entity list, caption), numbered in order of first
+    # use; then each raw's row, numbered by embedding bytes in the same order.
+    raw_number: dict[tuple[int, str], int] = {}
+    raw_of = np.empty(len(first), dtype=np.int64)
     for v, i in enumerate(first.tolist()):
         entities = entity_lists[lists[i]]
         caption = render_caption(entities, mode=mode, noise=noise,
                                  draws=None if draws is None else draws[: len(entities), i].tolist())
-        row_of_variant[v] = rows.setdefault(caption, len(rows))
-    row = row_of_variant[variant]
-    keyframe = index % snapshot_every == 0
-    new_raw = keyframe.copy()
-    new_raw[1:] |= keyframe[:-1] | (obs[1:] != obs[:-1]) | (row[1:] != row[:-1])
-    captions = list(rows)
-    # Equal (observation, caption, keyframe) raws are one object.
-    raws: list[SymbolicObservation] = []
-    made: dict[tuple[int, int, bool], SymbolicObservation] = {}
-    for key in zip(obs[new_raw].tolist(), row[new_raw].tolist(), keyframe[new_raw].tolist()):
-        raw = made.get(key)
-        if raw is None:
-            raw = made[key] = SymbolicObservation(observations[key[0]].visible_entities, captions[key[1]],
-                                                  keyframe=key[2])
-        raws.append(raw)
+        raw_of[v] = raw_number.setdefault((int(lists[i]), caption), len(raw_number))
+    vectors = embedder.embed_captions([caption.split("; ") for _, caption in raw_number])
+    row_of, first_raw = _first_seen(vectors.view(np.int64))
+    raw = raw_of[variant]
     poses = [run[3] for run in runs]
     batch = Batch(
         t=t,
@@ -555,10 +529,10 @@ def build(
         y=per_run([pose.position[1] for pose in poses], np.float64),
         yaw=per_run([pose.yaw for pose in poses], np.float64),
         room=per_run([pose.room_id for pose in poses], object),
-        row=row,
-        raw=np.cumsum(new_raw) - 1,
-        embeddings=embedder.embed_captions([caption.split("; ") for caption in captions]),
-        raws=raws,
+        row=row_of[raw],
+        raw=raw,
+        embeddings=vectors[first_raw],
+        raws=[SymbolicObservation(entity_lists[a], caption) for a, caption in raw_number],
     )
     memory.extend(batch)
     return memory
@@ -570,7 +544,7 @@ _HEADER_KEYS = ("format_version", "d", "ticks_per_day", "snapshot_every", "embed
 
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v2 (see the module docstring) in the checksummed
+    """Write a memory file v3 (see the module docstring) in the checksummed
     artifact format.
 
     extra_header fields (e.g. a producing-config hash) are merged into the
@@ -599,7 +573,7 @@ def _embedding_row(values: list) -> np.ndarray:
 
 
 def _record_line(values: list) -> list:
-    """One v2 record line, type-checked field by field."""
+    """One record line, type-checked field by field."""
     if type(values) is not list or len(values) != len(RECORD_FIELDS):
         raise ValueError(f"expected a list of {len(RECORD_FIELDS)} fields")
     t, day, x, y, yaw, room, row, raw = values
@@ -610,37 +584,49 @@ def _record_line(values: list) -> list:
     return values
 
 
-def _v1_tables(records: list[MemoryRecord], d: int) -> tuple[list, list, list]:
-    """v1 records as the tables and record lines of v2. Equal embeddings
-    (by bytes) share one row, and a raw equal to the one before, with
-    neither a keyframe, shares that raw. A bad row is named by the first
-    record that has it."""
-    row_of: dict[bytes, int] = {}
-    embeddings: list[np.ndarray] = []
-    raws: list[SymbolicObservation] = []
-    lines = []
-    for j, record in enumerate(records):
-        row = row_of.setdefault(record.embedding.tobytes(), len(embeddings))
-        if row == len(embeddings):
-            reason = _row_problem(record.embedding, d)
-            if reason is not None:
-                raise IntegrityError(f"record {j}: {reason}")
-            embeddings.append(record.embedding)
-        # raws[-1] is the raw of the record before.
-        if not raws or raws[-1].keyframe or record.raw != raws[-1]:
-            raws.append(record.raw)
-        t, pose = record.t, record.pose
-        lines.append((t.value, t.day, *pose.position, pose.yaw, pose.room_id, row, len(raws) - 1))
-    return embeddings, raws, lines
+def _legacy_raw(line: dict) -> tuple[SymbolicObservation, bool]:
+    """A v1 or v2 raw observation, and the keyframe flag stored with it."""
+    return SymbolicObservation.from_dict(line), bool(line["keyframe"])
+
+
+def _v1_record(line: dict, d: int) -> tuple[MemoryRecord, bool]:
+    """A v1 record line with a d-dimensional embedding, and the keyframe
+    flag stored on its raw."""
+    record = MemoryRecord.from_dict(line)
+    reason = embedding_problem(record.embedding, d)
+    if reason is not None:
+        raise ValueError(reason)
+    return record, bool(line["raw"]["keyframe"])
+
+
+def _by_value(legacy: LongTermMemory, flags: Sequence[bool]) -> LongTermMemory:
+    """A loaded v1 or v2 memory as a build keys it: equal rows (by bytes)
+    and equal raws each one entry, numbered in order of first use. flags are
+    the legacy raws' keyframe flags; a record whose flag is not index %
+    snapshot_every == 0 is refused, not relabelled."""
+    snap = legacy._snapshot()
+    keyframe = np.asarray(flags, dtype=bool)[snap.raw]
+    off = _first(keyframe != (np.arange(len(keyframe)) % legacy.snapshot_every == 0))
+    if off is not None:
+        raise IntegrityError(f"record {off}: keyframe flag {bool(keyframe[off])} "
+                             "is not index % snapshot_every == 0")
+    value_of: dict[SymbolicObservation, int] = {}
+    raw_value = np.array([value_of.setdefault(raw, len(value_of)) for raw in snap.raws], dtype=np.int64)
+    row, first_row = _first_seen(_first_seen(snap.embeddings.view(np.int64))[0][snap.row][:, None])
+    raw, first_raw = _first_seen(raw_value[snap.raw][:, None])
+    memory = LongTermMemory(legacy.d, legacy.ticks_per_day, legacy.snapshot_every, legacy.embedder_id, legacy.mode)
+    memory.extend(replace(snap, row=row, raw=raw, embeddings=snap.embeddings[snap.row[first_row]],
+                          raws=[snap.raws[j] for j in snap.raw[first_raw].tolist()]))
+    return memory
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file of format version 1 or 2, verifying the checksum,
-    the header, every table row and every record."""
+    """Load a memory file of format version 1, 2 or 3, verifying the
+    checksum, the header, every table row and every record."""
     header, lines = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
-    if version not in (1, FORMAT_VERSION):
-        raise IntegrityError(f"unsupported format_version {version!r}, expected 1 or {FORMAT_VERSION}")
+    if version not in (1, 2, FORMAT_VERSION):
+        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2 or {FORMAT_VERSION}")
     try:
         memory = LongTermMemory(
             d=int(header["d"]),
@@ -652,20 +638,28 @@ def load(path: str) -> LongTermMemory:
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
     if version == 1:
-        [records] = artifacts.sections(header, lines, MemoryRecord.from_dict)
-        embeddings, raws, records = _v1_tables(records, memory.d)
+        # Each record its own row and raw; _by_value shares them.
+        [v1] = artifacts.sections(header, lines, lambda line: _v1_record(line, memory.d))
+        embeddings, raws = [r.embedding for r, _ in v1], [(r.raw, flag) for r, flag in v1]
+        records = [(r.t.value, r.t.day, *r.pose.position, r.pose.yaw, r.pose.room_id, j, j)
+                   for j, (r, _) in enumerate(v1)]
     else:
         embeddings, raws, records = artifacts.sections(
             header, lines, _record_line,
-            tables={"embeddings": _embedding_row, "raws": SymbolicObservation.from_dict},
+            tables={"embeddings": _embedding_row,
+                    "raws": SymbolicObservation.from_dict if version == FORMAT_VERSION else _legacy_raw},
         )
+    flags = None
+    if version != FORMAT_VERSION:
+        flags = [flag for _, flag in raws]
+        raws = [raw for raw, _ in raws]
     columns = list(zip(*records)) or [()] * len(RECORD_FIELDS)
     batch = Batch(*columns, embeddings=embeddings, raws=raws)
     try:
         memory.extend(batch)
     except BatchError as exc:
         raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
-    return memory
+    return memory if flags is None else _by_value(memory, flags)
 
 
 __all__ = [

@@ -86,42 +86,62 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+MEMORY_V3_SHA256 = "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"
+
+
 def test_memory_file_bytes_are_frozen(tmp_path):
     """These bytes change only together with memstore.FORMAT_VERSION."""
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 2
-    assert sha256_of(path) == "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"
+    assert memstore.FORMAT_VERSION == 3
+    assert sha256_of(path) == MEMORY_V3_SHA256
 
 
-MEMORY_V1 = os.path.join(os.path.dirname(__file__), "data", "memory_v1.jsonl")
+# The same memory as persisted by format versions 1 and 2, bytes frozen.
+LEGACY_FILES = {
+    1: (os.path.join(os.path.dirname(__file__), "data", "memory_v1.jsonl"),
+        "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"),
+    2: (os.path.join(os.path.dirname(__file__), "data", "memory_v2.jsonl"),
+        "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"),
+}
 
 
-def test_memory_file_v1_still_loads(tmp_path):
-    """The same memory as persisted by format version 1, bytes frozen."""
-    assert sha256_of(MEMORY_V1) == "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"
+def assert_legacy_file_loads_as_the_build(version, tmp_path):
+    """The frozen file loads equal to the build, tables included, and
+    re-persists as the frozen v3 bytes."""
+    path, digest = LEGACY_FILES[version]
+    assert sha256_of(path) == digest
+    assert artifacts.verify(path)[0]["format_version"] == version
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
-    loaded = memstore.load(MEMORY_V1)
+    loaded = memstore.load(path)
     assert list(loaded.records) == list(memory.records)
     assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
         memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
-    path = str(tmp_path / "memory.jsonl")
-    memstore.persist(loaded, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert list(memstore.load(path).records) == list(memory.records)
+    assert (loaded._k, loaded._raws) == (memory._k, memory._raws)
+    again = str(tmp_path / "memory.jsonl")
+    memstore.persist(loaded, again, extra_header={"config_hash": "0123456789abcdef"})
+    assert sha256_of(again) == MEMORY_V3_SHA256
+
+
+def test_memory_file_v1_still_loads(tmp_path):
+    assert_legacy_file_loads_as_the_build(1, tmp_path)
+
+
+def test_memory_file_v2_still_loads(tmp_path):
+    assert_legacy_file_loads_as_the_build(2, tmp_path)
 
 
 def test_memory_file_v1_loads_with_shared_raws(tmp_path):
-    """A v1 line carries its own raw; load shares equal non-keyframe raws
-    of consecutive records, so re-persisting writes no more raw lines than
-    persisting the build."""
+    """A v1 line carries its own raw; load keys raws by value, so
+    re-persisting writes as many raw lines as persisting the build."""
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
-    loaded = memstore.load(MEMORY_V1)
+    loaded = memstore.load(LEGACY_FILES[1][0])
     assert list(loaded.records) == list(memory.records)
     path = str(tmp_path / "memory.jsonl")
     memstore.persist(loaded, path)
     header, _ = artifacts.verify(path)
-    assert header["count"] == 40 and header["raws"] <= len(memory._raws) == 13
+    assert header["count"] == 40 and header["raws"] == len(memory._raws) == 1
     assert list(memstore.load(path).records) == list(memory.records)
 
 

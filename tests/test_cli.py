@@ -171,9 +171,8 @@ def test_schedule_file_with_a_move_off_the_day_is_refused(pipeline, tmp_path, co
 
 
 def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline, tmp_path):
-    """The stream file read back shares one observation across equal
-    consecutive ticks, so build-memory stores no more raws than a build of
-    the patrol itself, with the same records."""
+    """build-memory from the stream file stores the same records, rows and
+    raws as a build of the patrol itself: both key raws by value."""
     from objsearch.embed import EmbedderConfig
     from objsearch.homesim import patrol
     from objsearch.memstore import build, persist
@@ -183,7 +182,8 @@ def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline,
     persist(built, str(tmp_path / "memory.jsonl"))
     in_process, _ = artifacts.verify(str(tmp_path / "memory.jsonl"))
     from_file, _ = artifacts.verify(pipeline["oracle"])
-    assert from_file["raws"] <= in_process["raws"] < from_file["count"] == 600
+    assert (from_file["raws"], from_file["embeddings"]) == (in_process["raws"], in_process["embeddings"])
+    assert from_file["raws"] < from_file["count"] == 600
     assert list(load(pipeline["oracle"]).records) == list(built.records)
 
 
@@ -209,12 +209,12 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v2_with_config_hash(pipeline):
+def test_build_memory_writes_format_v3_with_config_hash(pipeline):
     hashes = set()
     for mode in ("oracle", "realistic"):
         header, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert (len(memory), memory.mode) == (600, mode)
         assert header["embeddings"] < 600  # one row per distinct caption
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])

@@ -78,13 +78,17 @@ def test_observation_rejects_duplicate_entity_ids():
 
 
 def test_memory_record_requires_unit_norm():
-    with pytest.raises(ValueError):
-        MemoryRecord(
-            t=Timestep(0, 0),
-            pose=Pose(position=(0, 0), yaw=0, room_id="r"),
-            embedding=np.ones(8),
-            raw=SymbolicObservation(visible_entities=(), caption="nothing notable"),
-        )
+    """Not unit norm, and NaN or inf entries, whose norm compares false."""
+    one_inf = np.zeros(8)
+    one_inf[0] = np.inf
+    for embedding in (np.ones(8), np.full(8, np.nan), one_inf):
+        with pytest.raises(ValueError, match="unit norm"):
+            MemoryRecord(
+                t=Timestep(0, 0),
+                pose=Pose(position=(0, 0), yaw=0, room_id="r"),
+                embedding=embedding,
+                raw=SymbolicObservation(visible_entities=(), caption="nothing notable"),
+            )
 
 
 def test_memory_record_rejects_non_1d_embedding():
@@ -109,7 +113,7 @@ def test_instruction_hides_annotations_after_redaction():
         Timestep(value=7, day=0),
         Pose(position=(1.25, -3.5), yaw=0.1, room_id="kitchen"),
         make_entity(),
-        SymbolicObservation(visible_entities=(make_entity(),), caption="a green folder on the study desk", keyframe=True),
+        SymbolicObservation(visible_entities=(make_entity(),), caption="a green folder on the study desk"),
         make_record(),
         Instruction(text="find the mug", family="spatial", type="visible"),
         Action(tool="navigate", args={"landmark": "sink"}),

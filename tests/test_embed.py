@@ -201,7 +201,7 @@ def test_memo_vectors_are_read_only(config):
     with pytest.raises(ValueError):
         v[0] = 1.0
     assert np.array_equal(emb("red mug"), snapshot)
-    assert Embedder(config, memoize=False, post=fake_external_post)("red mug").flags.writeable
+    assert embed_text(config, "red mug", fake_external_post).flags.writeable
 
 
 PHRASE_WORDS = ["a", "red", "mug", "on", "the", "sink", "inside", "fridge", "nothing", "notable", "x_y", "7"]
@@ -213,7 +213,7 @@ PHRASES = st.one_of(
 
 def assert_rows_equal_calls(emb, captions):
     got = emb.embed_captions(captions)
-    want = np.array([Embedder(emb.config, memoize=False, post=fake_external_post)("; ".join(c))
+    want = np.array([embed_text(emb.config, "; ".join(c), fake_external_post)
                      for c in captions]).reshape(len(captions), emb.d)
     assert got.shape == (len(captions), emb.d) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()

@@ -351,7 +351,8 @@ def test_stream_sequence_protocol_matches_its_list(i, start, stop, step):
 def test_stream_and_memory_files_are_frozen(tmp_path):
     """write_stream and persist bytes of a 1300-ticks/day busy-schedule
     stream, as written before patrol and build worked per run; the realistic
-    memory as noise model v2 draws its captions."""
+    memory as noise model v2 draws its captions; both memories as memory
+    file v3, which the v2 files of the same memories re-persist to."""
     from objsearch.embed import Embedder, EmbedderConfig
     from objsearch.memstore import build, persist
 
@@ -364,8 +365,8 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     )
     embedder = Embedder(EmbedderConfig(d=64))
     for mode, digest in (
-        ("oracle", "8136966b7819e37ea626ba39aa5f4b1f732f1128518062d0a98ddca0b4697ac5"),
-        ("realistic", "7d015f8c99bde9c5c41307d7bb6d4b200d2033a075e45636afaf44fbfd2506ed"),
+        ("oracle", "d3a27bcde51133978813acbfd64c06991ffce6a464b87a94a152ca4ef17b5405"),
+        ("realistic", "375933ef51673b65e7f5c53eba12345a9de2dcd4c85d7bb5aa395539a1130d4e"),
     ):
         memory = build(stream, embedder, mode=mode, noise_seed=2, snapshot_every=7, ticks_per_day=1300)
         persist(memory, str(path))

@@ -150,7 +150,7 @@ def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_pe
         draws = [np.random.Generator(np.random.Philox(key=[noise_seed, j], counter=t.value)).random(4)
                  for j in range(len(obs.visible_entities))]
         caption = render_caption(obs.visible_entities, mode=mode, draws=draws if mode == "realistic" else None)
-        raw = replace(obs, caption=caption, keyframe=(i % snapshot_every == 0))
+        raw = replace(obs, caption=caption)
         memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
                             yaw=[pose.yaw], room=[pose.room_id], row=[i], raw=[i],
                             embeddings=[embedder(caption)], raws=[raw]))
@@ -194,15 +194,18 @@ def test_build_equals_per_tick_reference(layout_seed, scene_id, days, mode, snap
 
 
 def test_build_shares_one_raw_observation_per_view():
+    """In both modes, records share a raw exactly when their raws are equal
+    by value (entity list and caption), keyframes included; an oracle memory
+    stores one raw per distinct view."""
     stream = patrol_stream(0, 1, 3)
-    memory = build(stream, EMB, mode="oracle", snapshot_every=25, ticks_per_day=200)
-    recs = memory.records
-    for prev, rec, (_, _, prev_obs), (_, _, obs) in zip(recs, recs[1:], stream, stream[1:]):
-        if rec.raw.keyframe or prev.raw.keyframe or obs is not prev_obs:
-            assert rec.raw is not prev.raw
-        else:
-            assert rec.raw is prev.raw
-    assert len({id(rec.raw) for rec in recs}) < len(recs) / 5
+    for mode in ("oracle", "realistic"):
+        memory = build(stream, EMB, mode=mode, snapshot_every=25, ticks_per_day=200)
+        recs = memory.records
+        assert len(set(memory._raws)) == len(memory._raws)
+        for prev, rec in zip(recs, recs[1:]):
+            assert (rec.raw is prev.raw) == (rec.raw == prev.raw)
+        if mode == "oracle":
+            assert len(memory._raws) == len({obs.visible_entities for _, _, obs in stream}) < len(recs) / 50
 
 
 @pytest.fixture(scope="module")
@@ -219,15 +222,10 @@ def run_streams(tmp_path_factory):
     return {"patrol": patrolled, "file": from_file}
 
 
-def reference_raw_ids(stream, captions, snapshot_every):
-    """Per tick: a record shares the raw of the record before unless either
-    is a keyframe or the observation object or the caption changes."""
-    ids: list[int] = []
-    for i, ((_, _, obs), caption) in enumerate(zip(stream, captions)):
-        shared = (i > 0 and i % snapshot_every and (i - 1) % snapshot_every
-                  and obs is stream[i - 1][2] and caption == captions[i - 1])
-        ids.append(ids[-1] if shared else (ids[-1] + 1 if ids else 0))
-    return ids
+def first_use_ids(keys):
+    """Per key: equal keys share one id, numbered in order of first use."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
 @pytest.mark.parametrize("source", ["patrol", "file"])
@@ -241,9 +239,11 @@ def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, sour
     per_tick = build(list(stream), EMB, **args)
     assert_same_memory(got, per_tick)
     assert got._raws == per_tick._raws
-    captions = [record.raw.caption for record in got.records]
-    want = reference_raw_ids(list(stream), captions, snapshot_every)
+    want = first_use_ids((obs.visible_entities, record.raw.caption)
+                         for (_, _, obs), record in zip(stream, got.records))
     assert got._raw_id[: len(got)].tolist() == per_tick._raw_id[: len(got)].tolist() == want
+    want = first_use_ids(record.embedding.tobytes() for record in got.records)
+    assert got._row_id[: len(got)].tolist() == want
     assert_same_memory(got, reference_build(stream, EMB, mode, 3, snapshot_every, 200))
 
 
@@ -263,7 +263,7 @@ def with_entry(batch, field, j, value):
     gaps=st.lists(st.integers(1, 4), max_size=40),
     cuts=st.lists(st.integers(0, 40), max_size=6),
     bad=st.one_of(st.none(), st.tuples(
-        st.sampled_from(["dimension", "norm", "repeat", "earlier", "row", "raw"]),
+        st.sampled_from(["dimension", "norm", "nan", "repeat", "earlier", "row", "raw"]),
         st.integers(0, 39),
         st.booleans(),
     )),
@@ -271,9 +271,9 @@ def with_entry(batch, field, j, value):
 def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
     """One Batch gives the same memory as its records extended in any split
     into sub-batches, down to one record each. A single bad entry anywhere
-    (a new row of the wrong dimension or not unit norm, a repeated or earlier
-    t, a row or raw id out of range) raises BatchError naming its position
-    and part, and stores nothing."""
+    (a new row of the wrong dimension, not unit norm or all NaN, a repeated
+    or earlier t, a row or raw id out of range) raises BatchError naming its
+    position and part, and stores nothing."""
     head = [(t, f"caption {t}", (t, 0)) for t in range(0, 3 * stored, 3)]
     last = head[-1][0] if head else -1
     ts = [last + c for c in itertools.accumulate(gaps)]
@@ -290,10 +290,10 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
         assert (memory._k, memory._raws) == (split._k, split._raws)
         return
     kind, at, low = bad
-    if kind in ("dimension", "norm"):
+    if kind in ("dimension", "norm", "nan"):
         assume(batch.embeddings)
         part, j = "embeddings", at % len(batch.embeddings)
-        vec = EMB32("a mug") if kind == "dimension" else 2 * batch.embeddings[j]
+        vec = {"dimension": EMB32("a mug"), "norm": 2 * batch.embeddings[j], "nan": np.full(64, np.nan)}[kind]
         batch = with_entry(batch, "embeddings", j, vec)
     else:
         assume(specs)
@@ -367,15 +367,17 @@ def test_build_rejects_non_monotonic_timestamps():
 
 
 def test_keyframe_stride():
+    from objsearch.agent.registry import record_views
+
     stream = []
     for t in range(60):
         ent = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
         obs = SymbolicObservation(visible_entities=(ent,), caption="")
         stream.append((Timestep.at(t, 200), Pose(position=(0, 0), yaw=0, room_id="kitchen"), obs))
     memory = build(stream, EMB, ticks_per_day=200, snapshot_every=25)
-    flagged = [i for i, rec in enumerate(memory.records) if rec.raw.keyframe]
+    views = record_views(memory, [(i, 0.0) for i in range(len(memory))])
+    flagged = [view["record_index"] for view in views if view["keyframe"]]
     assert flagged == [0, 25, 50]
-    assert memory.fetch_raw(25).keyframe
     assert len(memory.fetch_raw(25).visible_entities) == 1
 
 
@@ -665,11 +667,35 @@ def test_truncated_file_rejected(tmp_path):
         load(path)
 
 
-def persist_v1(memory, path, extra_header=None):
-    """The memory file v1 writer: one MemoryRecord.to_dict line per record."""
-    header = {**(extra_header or {}), "format_version": 1, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
-              "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode}
-    artifacts.write(path, header, (rec.to_dict() for rec in memory.records))
+def legacy_header(memory, version):
+    return {"format_version": version, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
+            "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode}
+
+
+def legacy_raw(raw, keyframe):
+    """A raw line of memory file v1 or v2: the raw with its keyframe flag."""
+    return {**raw.to_dict(), "keyframe": keyframe}
+
+
+def persist_v1(memory, path):
+    """The memory file v1 writer: one MemoryRecord.to_dict line per record,
+    its raw flagged as a keyframe every snapshot_every records."""
+    every = memory.snapshot_every
+    artifacts.write(path, legacy_header(memory, 1), (
+        {**rec.to_dict(), "raw": legacy_raw(rec.raw, i % every == 0)} for i, rec in enumerate(memory.records)))
+
+
+def persist_v2(memory, path):
+    """The memory file v2 writer: v3's tables and record lines, with a raw
+    line per (raw, keyframe flag) that records use, in order of first use."""
+    snap = memory._snapshot()
+    every = memory.snapshot_every
+    number: dict = {}
+    raw = [number.setdefault((j, i % every == 0), len(number)) for i, j in enumerate(snap.raw.tolist())]
+    lines = zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[:-1]), raw)
+    tables = {"embeddings": [row.tolist() for row in snap.embeddings],
+              "raws": [legacy_raw(snap.raws[j], keyframe) for j, keyframe in number]}
+    artifacts.write(path, legacy_header(memory, 2), lines, tables=tables)
 
 
 def test_corrupt_record_named(tmp_path):
@@ -796,7 +822,7 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 3, "unsupported format_version 3, expected 1 or 2"),
+        ("format_version", 4, "unsupported format_version 4, expected 1, 2 or 3"),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("count", 2, "record count mismatch: header says 2, found 3"),
@@ -847,6 +873,12 @@ def assert_loaded_equals(loaded, memory):
         memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
 
 
+def assert_same_tables(a, b):
+    """Equal embedding rows (by bytes) and raws, in the same order."""
+    assert (a._k, a._raws) == (b._k, b._raws)
+    assert a._snapshot().embeddings.tobytes() == b._snapshot().embeddings.tobytes()
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     layout_seed=st.integers(0, 3),
@@ -855,31 +887,95 @@ def assert_loaded_equals(loaded, memory):
     snapshot_every=st.sampled_from([1, 7, 25]),
 )
 def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
+    """The memory persisted as v3, v2 and v1 loads equal to the build from
+    each, tables included: the legacy loaders key rows by bytes and raws by
+    value, in order of first use, as the build does. Each loaded memory
+    re-persists as the build's v3 bytes."""
     memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
                    snapshot_every=snapshot_every, ticks_per_day=200)
     root = tmp_path_factory.mktemp("files")
-    v2, v1, again = (str(root / name) for name in ("v2.jsonl", "v1.jsonl", "again.jsonl"))
-    persist(memory, v2)
-    loaded = load(v2)
-    assert_loaded_equals(loaded, memory)
-    assert (loaded._k, len(loaded._raws)) == (memory._k, len(memory._raws))
-    persist_v1(memory, v1)
-    from_v1 = load(v1)
-    assert_loaded_equals(from_v1, memory)
-    # v1 shares a row between equal embeddings, and a raw between
-    # consecutive non-keyframe records by value; a build shares a row between
-    # equal captions, and a raw only where the stream's observation is the
-    # same object. So v1 stores no more of either.
-    recs = memory.records
-    rows = len({rec.embedding.tobytes() for rec in recs})
-    shared = sum(1 for prev, rec in zip(recs, recs[1:])
-                 if not (prev.raw.keyframe or rec.raw.keyframe) and rec.raw == prev.raw)
-    assert (from_v1._k, len(from_v1._raws)) == (rows, len(recs) - shared)
-    assert from_v1._k <= memory._k and len(from_v1._raws) <= len(memory._raws)
-    persist(from_v1, again)
-    assert_loaded_equals(load(again), memory)
+    v3 = str(root / "v3.jsonl")
+    persist(memory, v3)
+    for writer in (persist, persist_v2, persist_v1):
+        path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
+        writer(memory, path)
+        loaded = load(path)
+        assert_loaded_equals(loaded, memory)
+        assert_same_tables(loaded, memory)
+        persist(loaded, again)
+        assert open(again, "rb").read() == open(v3, "rb").read()
     for q in ("green folder", "red mug sink"):
-        assert load(again).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+        assert load(v3).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_legacy_keyframe_flag_off_the_stride_is_refused(tmp_path, version):
+    """A v1 or v2 file whose stored keyframe flag is not index %
+    snapshot_every == 0 is refused, naming the first such record."""
+    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)], snapshot_every=2)
+    path = str(tmp_path / "memory.jsonl")
+    if version == 1:
+        persist_v1(memory, path)
+        line, edit = 4, lambda rec: {**rec, "raw": {**rec["raw"], "keyframe": True}}  # record 3
+    else:
+        # 3 embedding rows (lines 1-3), then one raw per record (lines 4-8)
+        persist_v2(memory, path)
+        line, edit = 7, lambda raw: {**raw, "keyframe": True}  # record 3's raw
+    assert load(path).records == memory.records
+    rewrite_line(path, line, edit)
+    with pytest.raises(IntegrityError, match=r"record 3: keyframe flag True is not index % snapshot_every == 0"):
+        load(path)
+
+
+def view_pool():
+    """Entity lists for random streams: a list and a value-equal copy of it
+    (one raw), a list whose caption differs only in case (a different raw
+    and caption, an equal embedding row), two entities, and none."""
+    def mug(attribute, landmark="sink", entity="m1"):
+        return VisibleEntity(entity_id=entity, class_label="mug", attributes=(attribute,), landmark_id=landmark)
+
+    lists = [(mug("red"),), (mug("red"),), (mug("Red"),), (mug("red"), mug("blue", "desk", "m2")), ()]
+    return [SymbolicObservation(visible_entities=entities, caption="") for entities in lists]
+
+
+VIEWS = view_pool()
+POSES = [Pose(position=(x, 0.5 * x), yaw=0.1 * x, room_id="kitchen" if x < 2 else "study") for x in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9), st.sampled_from(range(len(POSES))),
+                            st.sampled_from(range(len(VIEWS)))), max_size=12),
+    snapshot_every=st.integers(1, 9),
+    mode=st.sampled_from(["oracle", "realistic"]),
+    noise_seed=st.integers(0, 3),
+)
+def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapshot_every, mode, noise_seed):
+    """Over random streams (runs of (gap, length, pose, view), 10 ticks a
+    day): build equals the per-tick reference; its raws and rows are
+    pairwise distinct by value; persist then load gives equal records and
+    tables; and each record's view is a keyframe exactly when its index is
+    a multiple of snapshot_every."""
+    from objsearch.agent.registry import record_views
+
+    ticks, t = [], 0
+    for gap, length, pose, view in runs:
+        t += gap
+        for _ in range(length):
+            ticks.append((Timestep.at(t, 10), POSES[pose], VIEWS[view]))
+            t += 1
+    memory = build(ticks, EMB, mode=mode, noise_seed=noise_seed, snapshot_every=snapshot_every, ticks_per_day=10)
+    assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, snapshot_every, 10))
+    assert len(set(memory._raws)) == len(memory._raws)
+    rows = memory._snapshot().embeddings
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
+    persist(memory, path)
+    loaded = load(path)
+    assert_loaded_equals(loaded, memory)
+    assert_same_tables(loaded, memory)
+    views = record_views(loaded, [(i, 0.0) for i in range(len(loaded))])
+    assert [view["keyframe"] for view in views] == [i % snapshot_every == 0 for i in range(len(ticks))]
 
 
 def rewrite_line(path, index, edit):
@@ -908,6 +1004,7 @@ def record_edit(field, value):
         (12, record_edit("row", -1), r"record 3: row id -1 out of range \[0, 3\)"),
         (10, record_edit("raw", 5), r"record 1: raw id 5 out of range \[0, 5\)"),
         (2, lambda row: [2 * v for v in row], "embeddings 1: embedding must be unit norm, got 2.0"),
+        (2, lambda row: [math.nan] * len(row), "embeddings 1: embedding must be unit norm, got nan"),
         (3, lambda row: row[:-1], r"embeddings 2: embedding dimension \(63,\) != \(64,\)"),
         (12, record_edit("t", 2), "record 3: non-monotonic timestamp 2 after 2"),
         (9, record_edit("t", -1), "record 0: timestep value and day must be non-negative"),
@@ -963,8 +1060,10 @@ def test_retrieval_outcomes_build_no_memory_record(monkeypatch):
         assert views
         for view in views:
             rec = want[view["record_index"]]
+            i = view["record_index"]
             assert (view["t"], view["day"], view["room"], view["x"], view["y"], view["caption"], view["keyframe"]) == (
-                rec.t.value, rec.t.day, rec.pose.room_id, *rec.pose.position, rec.raw.caption, rec.raw.keyframe)
+                rec.t.value, rec.t.day, rec.pose.room_id, *rec.pose.position, rec.raw.caption,
+                i % memory.snapshot_every == 0)
 
 
 def test_concurrent_record_passes_see_their_prefix():
