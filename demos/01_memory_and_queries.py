@@ -1,8 +1,8 @@
 """Build a long-term memory from a patrol and query it three ways.
 
 The robot patrols scene 1 for three days, captioning what it sees. Memory
-construction is task-agnostic: it only stores and indexes. At query time we
-ask the three indices different questions and finish by re-inspecting one raw
+construction is task-agnostic: it only stores. At query time we ask by
+meaning, by time and by place, and finish by re-inspecting one raw
 observation, which carries the exact entity and landmark identities that the
 caption blurs.
 """

@@ -1,4 +1,4 @@
-"""Append-only long-term memory with semantic, temporal, and spatial indices.
+"""Append-only long-term memory with semantic, temporal, and spatial queries.
 
 The memory is columnar and content-addressed. Each distinct caption
 embedding (by bytes) is stored once, as a row of one (k, d) table, and each
@@ -14,11 +14,13 @@ is drawn for all records at once, and captions are rendered per distinct
 (entity list, noise) and embedded in one batch; the Python work left is
 per distinct caption and per distinct raw.
 
-Retrieval is an exact full scan over the columns. A semantic query scores
-the k table rows and gathers the scores by row id, which gives the same
-scores, hits and tie order as scoring every record. Desk-scale memories stay
-well under 1e5 records, where exact scan is both fast and trivially testable
-against a linear oracle.
+Retrieval is exact, with no index structure beyond the columns. A semantic
+query scores the k table rows, gathers the scores by row id and sorts them
+once (stable), which gives the same scores, hits and tie order as scoring
+every record. Timesteps increase strictly, so a temporal query is a binary
+search of the t column plus O(r) work: O(log n + r). A spatial query is one
+vectorized distance pass over the position columns plus a sort of the
+records within the radius. Each answers exactly as a linear scan would.
 
 Concurrency: one writer may extend while readers query. A batch is
 validated whole and published at once: its table rows are written before any
@@ -154,7 +156,7 @@ def _grown(a: np.ndarray, need: int, used: int) -> np.ndarray:
 
 class LongTermMemory:
     """Append-only record columns over an embedding table and a raw table,
-    plus three query indices."""
+    queried by meaning, time and place straight from the columns."""
 
     _COLUMNS = ("_t", "_day", "_pos", "_yaw", "_room", "_row_id", "_raw_id")
 
@@ -168,6 +170,8 @@ class LongTermMemory:
     ):
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
+        if ticks_per_day < 1:
+            raise ValueError("ticks_per_day must be >= 1")
         self.d = d
         self.ticks_per_day = ticks_per_day
         self.snapshot_every = snapshot_every
@@ -344,8 +348,11 @@ class LongTermMemory:
         r: int = DEFAULT_TOP_R,
     ) -> QueryResult:
         """Point form: top-r by |t - t_center|, ties toward smaller t, each
-        scored by its exact distance. Window form: records with day in
-        [d_start, d_end], most recent first, truncated to r."""
+        scored by its exact distance. Window form: records with day
+        t // ticks_per_day in [d_start, d_end], most recent first, truncated
+        to r. Either costs one binary search of the sorted t column plus a
+        stable sort of at most 2r timesteps (point) or a slice of r (window):
+        O(log n + r), for any integer centre or days."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if (t_center is None) == (day_window is None):
@@ -354,26 +361,35 @@ class LongTermMemory:
         if n == 0:
             return QueryResult(hits=())
         ts = self._t[:n]
+        last = int(ts[-1])
         if t_center is not None:
-            # Timesteps are distinct, so a centre past either end orders them
-            # as that end does: clamped into [0, max t] it fits int64. The
-            # distances are taken in Python ints, exact for any centre.
+            # Timesteps increase strictly: clamped into [0, last], a centre
+            # orders them as before and fits int64, and its r nearest lie within
+            # r places of its insertion point. Distances are exact Python ints.
             center = int(t_center)
-            order = np.argsort(np.abs(ts - min(max(center, 0), int(ts[-1]))), kind="stable")[:r]
+            clamped = min(max(center, 0), last)
+            lo = max(0, int(np.searchsorted(ts, clamped)) - r)
+            order = lo + np.argsort(np.abs(ts[lo : lo + 2 * r] - clamped), kind="stable")[:r]
             hits = zip(order.tolist(), ts[order].tolist())
             return QueryResult(hits=tuple((i, float(abs(t - center))) for i, t in hits))
         d_start, d_end = day_window  # type: ignore[misc]
         if d_start > d_end:
             raise ValueError(f"empty day window [{d_start}, {d_end}]")
-        days = ts // self.ticks_per_day
-        idx = np.nonzero((days >= d_start) & (days <= d_end))[0]
-        order = idx[np.argsort(-ts[idx], kind="stable")][:r]
+        # The slice of t in [d_start, d_end + 1) * tpd, days clamped into
+        # [0, last day + 1]; a bound past the last t counts every record.
+        tpd = self.ticks_per_day
+        bounds = [min(max(day, 0), last // tpd + 1) * tpd for day in (d_start, d_end + 1)]
+        lo, hi = (np.searchsorted(ts, [min(b, last) for b in bounds]) + [b > last for b in bounds]).tolist()
+        order = np.arange(hi - 1, max(lo, hi - r) - 1, -1)
         return self._result(order, ts[order].astype(np.float64))
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
-        """Records whose pose lies within radius of center, nearest first.
-        A non-finite center or radius is an error, not an empty result; a
-        finite one, however far, measures every distance that fits a float."""
+        """Records whose pose lies within radius of center, nearest first,
+        ties toward the lower index, truncated to r. The cost is one
+        vectorized distance pass over all records plus a stable sort of those
+        within the radius. A non-finite center or radius is an error, not an
+        empty result; a finite one, however far, measures every distance that
+        fits a float."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if not np.all(np.isfinite([*center, radius])):
@@ -383,16 +399,18 @@ class LongTermMemory:
         n = self._n
         if n == 0:
             return QueryResult(hits=())
-        # np.linalg.norm squares the offsets, and rounding scales them up,
-        # so a far but finite center overflows to inf; those entries, and
-        # only those, are recomputed with np.hypot, which does not square,
-        # and kept unrounded where rounding would overflow again.
+        # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
+        # offsets, and rounding scales them up, so a far but finite center
+        # overflows to inf; those entries, and only those, are recomputed with
+        # np.hypot, which does not square, and kept unrounded where rounding
+        # would overflow again.
         with np.errstate(over="ignore"):
-            offsets = self._pos[:n] - np.asarray(center, dtype=np.float64)
-            dist = np.round(np.linalg.norm(offsets, axis=1), SCORE_DECIMALS)
+            dx = self._pos[:n, 0] - float(center[0])
+            dy = self._pos[:n, 1] - float(center[1])
+            dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
             far = np.isinf(dist)
             if far.any():
-                exact = np.hypot(offsets[far, 0], offsets[far, 1])
+                exact = np.hypot(dx[far], dy[far])
                 rounded = np.round(exact, SCORE_DECIMALS)
                 dist[far] = np.where(np.isinf(rounded), exact, rounded)
         idx = np.nonzero(dist <= radius)[0]
@@ -584,9 +602,17 @@ def _record_line(values: list) -> list:
     return values
 
 
+def _keyframe_flag(raw: dict) -> bool:
+    """The keyframe flag stored on a v1 or v2 raw line: a JSON boolean."""
+    flag = raw["keyframe"]
+    if type(flag) is not bool:
+        raise ValueError(f"keyframe flag must be a boolean, got {flag!r}")
+    return flag
+
+
 def _legacy_raw(line: dict) -> tuple[SymbolicObservation, bool]:
     """A v1 or v2 raw observation, and the keyframe flag stored with it."""
-    return SymbolicObservation.from_dict(line), bool(line["keyframe"])
+    return SymbolicObservation.from_dict(line), _keyframe_flag(line)
 
 
 def _v1_record(line: dict, d: int) -> tuple[MemoryRecord, bool]:
@@ -596,7 +622,7 @@ def _v1_record(line: dict, d: int) -> tuple[MemoryRecord, bool]:
     reason = embedding_problem(record.embedding, d)
     if reason is not None:
         raise ValueError(reason)
-    return record, bool(line["raw"]["keyframe"])
+    return record, _keyframe_flag(line["raw"])
 
 
 def _by_value(legacy: LongTermMemory, flags: Sequence[bool]) -> LongTermMemory:
@@ -622,16 +648,22 @@ def _by_value(legacy: LongTermMemory, flags: Sequence[bool]) -> LongTermMemory:
 
 def load(path: str) -> LongTermMemory:
     """Load a memory file of format version 1, 2 or 3, verifying the
-    checksum, the header, every table row and every record."""
+    checksum, the header, every table row and every record. The header's
+    format_version, d, ticks_per_day and snapshot_every, and a legacy raw's
+    keyframe flag, must have their JSON types (integer, boolean) exactly."""
     header, lines = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
-    if version not in (1, 2, FORMAT_VERSION):
+    # JSON integers only: true == 1 and 3.0 == 3 in Python.
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
         raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2 or {FORMAT_VERSION}")
     try:
+        for key in ("d", "ticks_per_day", "snapshot_every"):
+            if type(header[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {header[key]!r}")
         memory = LongTermMemory(
-            d=int(header["d"]),
-            ticks_per_day=int(header["ticks_per_day"]),
-            snapshot_every=int(header["snapshot_every"]),
+            d=header["d"],
+            ticks_per_day=header["ticks_per_day"],
+            snapshot_every=header["snapshot_every"],
             embedder_id=str(header["embedder_id"]),
             mode=str(header["mode"]),
         )

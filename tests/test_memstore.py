@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import warnings
@@ -488,6 +489,35 @@ def test_temporal_window_invalid():
         memory.query_temporal(t_center=1, day_window=(0, 1))
 
 
+any_day = st.integers(-2**70, 2**70) | st.sampled_from([-2**63, 2**63 - 1, 2**63, 2**64])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.integers(0, 120),
+    gaps=st.lists(st.integers(1, 6), min_size=0, max_size=30),
+    ticks_per_day=st.integers(1, 50),
+    data=st.data(),
+)
+def test_temporal_window_equals_python_int_scan(first, gaps, ticks_per_day, data):
+    """Any integer days, negative or past int64 too, and any r get the hits
+    of a linear scan in Python ints: newest first, scored by timestep. Gaps
+    run from one tick to several days."""
+    scale = data.draw(st.sampled_from([1, ticks_per_day]))
+    ts = list(itertools.accumulate((g * scale for g in gaps), initial=first))
+    memory = new_memory([(t, "a mug on the sink", (0, 0)) for t in ts], ticks_per_day=ticks_per_day)
+    last_day = ts[-1] // ticks_per_day
+    day = st.integers(-3, last_day + 3) | any_day
+    d_start, d_end = data.draw(day), data.draw(day)
+    r = data.draw(st.integers(1, len(ts) + 3) | st.sampled_from([2**63, 2**70]))
+    if d_start > d_end:
+        with pytest.raises(ValueError, match="empty day window"):
+            memory.query_temporal(day_window=(d_start, d_end), r=r)
+        return
+    want = [i for i in reversed(range(len(ts))) if d_start <= ts[i] // ticks_per_day <= d_end][:r]
+    assert memory.query_temporal(day_window=(d_start, d_end), r=r).hits == tuple((i, float(ts[i])) for i in want)
+
+
 # -- spatial queries ---------------------------------------------------------------------
 
 
@@ -547,6 +577,35 @@ def test_spatial_distances_are_norms_wherever_the_norm_does_not_overflow(positio
             assert scores[i] == pytest.approx(exact[i], rel=1e-12)
         else:
             assert i not in scores
+
+
+coordinate = st.sampled_from([-2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-10, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5),
+    center=st.tuples(coordinate, coordinate),
+    data=st.data(),
+)
+def test_spatial_hits_are_the_radius_cut_in_norm_then_index_order(pool, center, data):
+    """Many records per position, so distances tie; the radius is one of the
+    distances, so records lie exactly on it; r is at most the number within
+    it. The hits are the records within the radius ordered by rounded norm,
+    then index, cut to r, each scored by its rounded norm."""
+    positions = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    memory = new_memory([(t, "a mug on the sink", pos) for t, pos in enumerate(positions)])
+
+    def norm(pos):
+        dx, dy = pos[0] - center[0], pos[1] - center[1]
+        return float(np.round(math.sqrt(dx * dx + dy * dy), SCORE_DECIMALS))
+
+    dist = [norm(pos) for pos in positions]
+    radius = data.draw(st.sampled_from([d for d in dist if d > 0] or [1.0]))
+    inside = sorted((i for i in range(len(positions)) if dist[i] <= radius), key=lambda i: (dist[i], i))
+    r = data.draw(st.integers(1, max(1, len(inside))))
+    result = memory.query_spatial(center, radius, r=r)
+    assert result.hits == tuple((i, dist[i]) for i in inside[:r])
 
 
 # -- randomized oracle equivalence ---------------------------------------------------------
@@ -825,6 +884,7 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
         ("format_version", 4, "unsupported format_version 4, expected 1, 2 or 3"),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
+        ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
         ("count", 2, "record count mismatch: header says 2, found 3"),
     ],
 )
@@ -833,6 +893,61 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
     persist(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=message):
+        load(path)
+
+
+def test_ticks_per_day_must_be_positive():
+    for ticks_per_day in (0, -1):
+        with pytest.raises(ValueError, match="ticks_per_day must be >= 1"):
+            LongTermMemory(d=4, ticks_per_day=ticks_per_day)
+
+
+@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("format_version", True, "unsupported format_version True"),
+        ("format_version", 3.0, "unsupported format_version 3.0"),
+        ("format_version", 1.0, "unsupported format_version 1.0"),
+        ("format_version", "3", "unsupported format_version '3'"),
+        ("d", "64", "malformed header: d must be an integer, got '64'"),
+        ("d", 64.0, "malformed header: d must be an integer, got 64.0"),
+        ("d", 64.7, "malformed header: d must be an integer, got 64.7"),
+        ("ticks_per_day", "200", "malformed header: ticks_per_day must be an integer, got '200'"),
+        ("ticks_per_day", 200.0, "malformed header: ticks_per_day must be an integer, got 200.0"),
+        ("ticks_per_day", True, "malformed header: ticks_per_day must be an integer, got True"),
+        ("snapshot_every", 25.0, "malformed header: snapshot_every must be an integer, got 25.0"),
+        ("snapshot_every", True, "malformed header: snapshot_every must be an integer, got True"),
+    ],
+)
+def test_load_header_takes_json_integers_only(tmp_path, version, key, value, message):
+    """format_version, d, ticks_per_day and snapshot_every are JSON integers:
+    no boolean, float or string stands in for one, in a v1 or a v3 file."""
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)])
+    path = str(tmp_path / "memory.jsonl")
+    (persist_v1 if version == 1 else persist)(memory, path)
+    assert load(path).records == memory.records
+    rewrite_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
+
+
+@pytest.mark.parametrize("flag", ["no", "", 0, 1, None, [True]])
+@pytest.mark.parametrize("version", [1, 2])
+def test_legacy_keyframe_flag_must_be_a_boolean(tmp_path, version, flag):
+    """A v1 or v2 keyframe flag is a JSON boolean; any other value is refused,
+    naming the record (v1) or the raw line (v2)."""
+    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)], snapshot_every=2)
+    path = str(tmp_path / "memory.jsonl")
+    if version == 1:
+        persist_v1(memory, path)
+        line, edit, where = 1, lambda rec: {**rec, "raw": {**rec["raw"], "keyframe": flag}}, "record 0"
+    else:
+        persist_v2(memory, path)  # 3 embedding rows (lines 1-3), then one raw per record
+        line, edit, where = 4, lambda raw: {**raw, "keyframe": flag}, "raws 0"
+    assert load(path).records == memory.records
+    rewrite_line(path, line, edit)
+    with pytest.raises(IntegrityError, match=re.escape(f"{where}: keyframe flag must be a boolean, got {flag!r}")):
         load(path)
 
 
