@@ -368,10 +368,11 @@ class LongTermMemory:
             # r places of its insertion point. Distances are exact Python ints.
             center = int(t_center)
             clamped = min(max(center, 0), last)
-            lo = max(0, int(np.searchsorted(ts, clamped)) - r)
-            order = lo + np.argsort(np.abs(ts[lo : lo + 2 * r] - clamped), kind="stable")[:r]
-            hits = zip(order.tolist(), ts[order].tolist())
-            return QueryResult(hits=tuple((i, float(abs(t - center))) for i, t in hits))
+            lo = max(0, int(ts.searchsorted(clamped)) - r)
+            near = ts[lo : lo + 2 * r]
+            order = np.abs(near - clamped).argsort(kind="stable")[:r]
+            hits = zip(order.tolist(), near[order].tolist())
+            return QueryResult(hits=tuple((lo + j, float(abs(t - center))) for j, t in hits))
         d_start, d_end = day_window  # type: ignore[misc]
         if d_start > d_end:
             raise ValueError(f"empty day window [{d_start}, {d_end}]")
@@ -379,7 +380,7 @@ class LongTermMemory:
         # [0, last day + 1]; a bound past the last t counts every record.
         tpd = self.ticks_per_day
         bounds = [min(max(day, 0), last // tpd + 1) * tpd for day in (d_start, d_end + 1)]
-        lo, hi = (np.searchsorted(ts, [min(b, last) for b in bounds]) + [b > last for b in bounds]).tolist()
+        lo, hi = (ts.searchsorted([min(b, last) for b in bounds]) + [b > last for b in bounds]).tolist()
         order = np.arange(hi - 1, max(lo, hi - r) - 1, -1)
         return self._result(order, ts[order].astype(np.float64))
 
