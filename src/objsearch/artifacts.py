@@ -74,31 +74,34 @@ def verify(path: str, *, expect: Optional[Mapping[str, Any]] = None,
 
 
 def sections(header: Mapping[str, Any], lines: list[str], decode: Callable[[Any], Any] = _identity,
-             tables: Optional[Mapping[str, Callable[[Any], Any]]] = None) -> list[list]:
+             tables: Optional[Mapping[str, Callable[[Any], Any]]] = None, name: str = "record") -> list[list]:
     """Split the lines that verify returned into the named tables, in order,
     each as long as its header key says, and the records, which must number
     header["count"]; pass each line through its table's decoder or decode.
+    Every size is a JSON integer (no float or boolean) and non-negative.
     Return the decoded tables, then the records. A failure raises
-    IntegrityError naming the table (or "record") and the line's index in it."""
+    IntegrityError naming the table (or name, for a record line) and the
+    line's index in it."""
     tables = tables or {}
     sizes = []
-    for name in tables:
-        size = header.get(name)
+    for key in (*tables, "count"):
+        size = header.get(key)
         if type(size) is not int or size < 0:
-            raise IntegrityError(f"malformed header: {name!r} must be a line count, got {size!r}")
+            raise IntegrityError(f"malformed header: {key!r} must be a line count, got {size!r}")
         sizes.append(size)
+    *sizes, count = sizes
     found = len(lines) - sum(sizes)
-    if header["count"] != found:
-        raise IntegrityError(f"record count mismatch: header says {header['count']}, found {found}")
+    if count != found:
+        raise IntegrityError(f"{name} count mismatch: header says {count}, found {found}")
     out, start = [], 0
-    for (name, fn), size in zip([*tables.items(), ("record", decode)], [*sizes, found]):
-        part = []
+    for (part, fn), size in zip([*tables.items(), (name, decode)], [*sizes, found]):
+        decoded = []
         for i, line in enumerate(lines[start:start + size]):
             try:
-                part.append(fn(canonical_loads(line)))
+                decoded.append(fn(canonical_loads(line)))
             except Exception as exc:  # noqa: BLE001 - any decode failure is a corrupt line
-                raise IntegrityError(f"{name} {i}: {exc}") from exc
-        out.append(part)
+                raise IntegrityError(f"{part} {i}: {exc}") from exc
+        out.append(decoded)
         start += size
     return out
 

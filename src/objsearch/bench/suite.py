@@ -31,6 +31,7 @@ from ..agent import (
 from ..core import (
     ACTION_CATEGORIES,
     DEFAULT_NOISE,
+    MODES,
     NOISE_VERSION,
     NoiseModel,
     ObservationStream,
@@ -44,7 +45,6 @@ from ..memstore import LongTermMemory, build
 from .tasks import TaskSpec, adjudicate, default_prior_table
 
 METHODS = ("random", "sg_s", "tr_s", "star", "llm")
-MODES = ("oracle", "realistic")
 
 PHYSICAL_CATEGORIES = ("perception", "navigation", "manipulation")
 

@@ -37,6 +37,8 @@ OUTCOME_KINDS = ("retrieval", "perception", "skill_result")
 ACTION_CATEGORIES = ("temporal_query", "perception", "navigation", "manipulation")
 
 EMPTY_CAPTION = "nothing notable"
+# Caption modes: ground-truth labels, or labels under the noise model.
+MODES = ("oracle", "realistic")
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -357,7 +359,7 @@ def render_caption(
     identical captions. memstore.build takes a record's draws from
     noise_draws, one slot per entity.
     """
-    if mode not in ("oracle", "realistic"):
+    if mode not in MODES:
         raise ValueError(f"unknown caption mode {mode!r}")
     noisy = mode == "realistic"
     if noisy and (draws is None or len(draws) != len(visible_entities)):
@@ -698,6 +700,7 @@ __all__ = [
     "EMPTY_CAPTION",
     "FAMILIES",
     "Instruction",
+    "MODES",
     "MemoryRecord",
     "NOISE_VERSION",
     "NoiseModel",

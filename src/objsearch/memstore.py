@@ -29,22 +29,25 @@ Readers snapshot the record count first and then slice each column. So every
 query sees a consistent prefix of the insertion order that ends at a batch
 boundary: a whole batch or none of it.
 
-Memory file v3 (``FORMAT_VERSION = 3``), a checksummed artifact file
+Memory file v4 (``FORMAT_VERSION = 4``), a checksummed artifact file
 (see artifacts.py):
 
 - header: ``format_version``, ``d``, ``ticks_per_day``, ``snapshot_every``,
-  ``embedder_id``, ``mode``, and the table sizes ``embeddings`` (k),
-  ``raws`` (m) and ``count`` (n, the records);
+  ``embedder_id``, ``mode``, ``records`` (n, the record total), and the
+  line counts ``embeddings`` (k), ``raws`` (m) and ``count`` (the runs);
 - k lines, each one embedding row as a list of d floats;
 - m lines, each one raw observation (``SymbolicObservation.to_dict``);
-- n lines, one per record: ``[t, day, x, y, yaw, room, row, raw]``, where
-  ``row`` and ``raw`` index the two tables.
+- one line per maximal run of records: ``[t, day, x, y, yaw, room, row,
+  raw, length]``, the records t, t+1, ..., t+length-1 with the other seven
+  fields equal (floats equal by bits, so 0.0 and -0.0 never share a run).
+  ``row`` and ``raw`` index the two tables; the lengths sum to n.
 
 A record is a keyframe when its index is a multiple of ``snapshot_every``.
-``load`` switches on the header's ``format_version``: v1 (one
-``MemoryRecord.to_dict`` line per record) and v2 (v3 with a ``keyframe``
-flag on each raw) still load, re-keyed by value and checked against the
-keyframe stride (see ``_by_value``).
+``load`` switches on the header's ``format_version``. v3 (one record line
+``[t, day, x, y, yaw, room, row, raw]`` per record, ``count`` the records)
+loads as runs of length 1. v1 (one ``MemoryRecord.to_dict`` line per
+record) and v2 (v3 with a ``keyframe`` flag on each raw) still load, re-keyed
+by value and checked against the keyframe stride (see ``_by_value``).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    MODES,
     MemoryRecord,
     NoiseModel,
     DEFAULT_NOISE,
@@ -71,7 +75,7 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import Embedder, EmbedderConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_SNAPSHOT_EVERY = 25
 DEFAULT_TOP_R = 5
 
@@ -79,7 +83,8 @@ DEFAULT_TOP_R = 5
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of a record line.
+# The fields of one record, in the order of a record line; a run line
+# appends its length.
 RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
 
 
@@ -562,13 +567,28 @@ def build(
 _HEADER_KEYS = ("format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode")
 
 
+def _run_starts(snap: Batch) -> np.ndarray:
+    """The index of each maximal run's first record: a run's t rises by 1
+    and its other fields are equal, the float columns by their bits."""
+    n = len(snap.t)
+    change = np.diff(snap.t) != 1
+    for name in RECORD_FIELDS[1:]:
+        column = getattr(snap, name)
+        if column.dtype == np.float64:
+            column = column.view(np.int64)
+        change |= column[1:] != column[:-1]
+    return np.flatnonzero(np.concatenate(([n > 0], change)))
+
+
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v3 (see the module docstring) in the checksummed
-    artifact format.
+    """Write a memory file v4 (see the module docstring) in the checksummed
+    artifact format: the two tables, then one line per maximal run of
+    records, found by comparing neighbouring records column by column.
 
     extra_header fields (e.g. a producing-config hash) are merged into the
     header without displacing the required keys.
     """
+    snap = memory._snapshot()
     header = {
         **(extra_header or {}),
         "format_version": FORMAT_VERSION,
@@ -577,29 +597,34 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "snapshot_every": memory.snapshot_every,
         "embedder_id": memory.embedder_id,
         "mode": memory.mode,
+        "records": len(snap.t),
     }
-    snap = memory._snapshot()
-    columns = [getattr(snap, name).tolist() for name in RECORD_FIELDS]
+    starts = _run_starts(snap)
+    columns = [getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS]
+    lengths = np.diff(starts, append=len(snap.t)).tolist()
     tables = {
         "embeddings": (row.tolist() for row in snap.embeddings),
         "raws": (raw.to_dict() for raw in snap.raws),
     }
-    artifacts.write(path, header, zip(*columns), tables=tables)
+    artifacts.write(path, header, zip(*columns, lengths), tables=tables)
 
 
 def _embedding_row(values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _record_line(values: list) -> list:
-    """One record line, type-checked field by field."""
-    if type(values) is not list or len(values) != len(RECORD_FIELDS):
-        raise ValueError(f"expected a list of {len(RECORD_FIELDS)} fields")
-    t, day, x, y, yaw, room, row, raw = values
+def _run_line(values: list, size: int) -> list:
+    """One line of size fields, type-checked field by field: a v4 run line
+    (a record line and the run's length), or a v2 or v3 record line."""
+    if type(values) is not list or len(values) != size:
+        raise ValueError(f"expected a list of {size} fields")
+    t, day, x, y, yaw, room, row, raw, *length = values
     if not (type(t) is int and type(day) is int and type(row) is int and type(raw) is int
             and type(room) is str and type(x) in (float, int) and type(y) in (float, int)
             and type(yaw) in (float, int)):
         raise ValueError(f"malformed field types in {values!r}")
+    if length and (type(length[0]) is not int or length[0] < 1):
+        raise ValueError(f"run length must be an integer >= 1, got {length[0]!r}")
     return values
 
 
@@ -647,51 +672,102 @@ def _by_value(legacy: LongTermMemory, flags: Sequence[bool]) -> LongTermMemory:
     return memory
 
 
+def _extend_by_runs(memory: LongTermMemory, columns: list, lengths: Sequence[int], total: int, name: str,
+                    embeddings: list, raws: list) -> None:
+    """Extend an empty memory with runs of records: columns holds each run's
+    first record (one sequence per field of RECORD_FIELDS) and lengths its
+    record count. The lengths must sum to total, which is checked before
+    anything is expanded. The runs are expanded into one Batch by np.repeat,
+    with no per-record Python, and extend checks every record: so runs that
+    overlap in time or are out of order are refused. A run holding a record
+    that extend refuses raises IntegrityError naming its line: name and its
+    index among the runs."""
+    held = sum(lengths)
+    if held != total:
+        raise IntegrityError(f"record total mismatch: header says {total}, runs hold {held}")
+    dtypes = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
+    try:
+        t, *rest = (np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes))
+    except OverflowError as exc:
+        raise IntegrityError(f"a {name} line's field is out of range: {exc}") from exc
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths  # each run's first record
+    batch = Batch(np.repeat(t - starts, lengths) + np.arange(total),
+                  *(np.repeat(column, lengths) for column in rest), embeddings=embeddings, raws=raws)
+    try:
+        memory.extend(batch)
+    except BatchError as exc:
+        if exc.part != "record":
+            raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
+        run = int(starts.searchsorted(exc.position, side="right")) - 1
+        raise IntegrityError(f"{name} {run}: {exc.reason}") from exc
+
+
 def load(path: str) -> LongTermMemory:
-    """Load a memory file of format version 1, 2 or 3, verifying the
-    checksum, the header, every table row and every record. The header's
-    format_version, d, ticks_per_day and snapshot_every, and a legacy raw's
-    keyframe flag, must have their JSON types (integer, boolean) exactly."""
+    """Load a memory file of format version 1 to 4, verifying the checksum,
+    the header, every table row and every record.
+
+    The header's format_version, d, ticks_per_day, snapshot_every and (v4)
+    records must be JSON integers, embedder_id and mode JSON strings, and
+    mode one of core.MODES; a legacy raw's keyframe flag must be a JSON
+    boolean. Every version then loads as runs (see _extend_by_runs): a v4
+    file's run lines, and each v2 or v3 record line or decoded v1 record as
+    a run of one. A failure raises IntegrityError naming the header field,
+    the table row, or the run (v4) or record line (v1 to v3)."""
     header, lines = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 3.0 == 3 in Python.
-    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
-        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2 or {FORMAT_VERSION}")
+    if type(version) is not int or version not in (1, 2, 3, FORMAT_VERSION):
+        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2, 3 or {FORMAT_VERSION}")
+    v4 = version == FORMAT_VERSION
+    if v4 and "records" not in header:
+        raise IntegrityError("malformed header: missing 'records'")
+    integers = ("d", "ticks_per_day", "snapshot_every") + (("records",) if v4 else ())
     try:
-        for key in ("d", "ticks_per_day", "snapshot_every"):
+        for key in integers:
             if type(header[key]) is not int:
                 raise ValueError(f"{key} must be an integer, got {header[key]!r}")
+        if v4 and header["records"] < 0:
+            raise ValueError(f"records must be >= 0, got {header['records']}")
+        for key in ("embedder_id", "mode"):
+            if type(header[key]) is not str:
+                raise ValueError(f"{key} must be a string, got {header[key]!r}")
+        if header["mode"] not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {header['mode']!r}")
         memory = LongTermMemory(
             d=header["d"],
             ticks_per_day=header["ticks_per_day"],
             snapshot_every=header["snapshot_every"],
-            embedder_id=str(header["embedder_id"]),
-            mode=str(header["mode"]),
+            embedder_id=header["embedder_id"],
+            mode=header["mode"],
         )
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
+    name = "run" if v4 else "record"
     if version == 1:
         # Each record its own row and raw; _by_value shares them.
         [v1] = artifacts.sections(header, lines, lambda line: _v1_record(line, memory.d))
         embeddings, raws = [r.embedding for r, _ in v1], [(r.raw, flag) for r, flag in v1]
-        records = [(r.t.value, r.t.day, *r.pose.position, r.pose.yaw, r.pose.room_id, j, j)
-                   for j, (r, _) in enumerate(v1)]
+        runs = [(r.t.value, r.t.day, *r.pose.position, r.pose.yaw, r.pose.room_id, j, j)
+                for j, (r, _) in enumerate(v1)]
     else:
-        embeddings, raws, records = artifacts.sections(
-            header, lines, _record_line,
+        size = len(RECORD_FIELDS) + v4
+        embeddings, raws, runs = artifacts.sections(
+            header, lines, lambda line: _run_line(line, size),
             tables={"embeddings": _embedding_row,
-                    "raws": SymbolicObservation.from_dict if version == FORMAT_VERSION else _legacy_raw},
+                    "raws": SymbolicObservation.from_dict if version >= 3 else _legacy_raw},
+            name=name,
         )
     flags = None
-    if version != FORMAT_VERSION:
+    if version < 3:
         flags = [flag for _, flag in raws]
         raws = [raw for raw, _ in raws]
-    columns = list(zip(*records)) or [()] * len(RECORD_FIELDS)
-    batch = Batch(*columns, embeddings=embeddings, raws=raws)
-    try:
-        memory.extend(batch)
-    except BatchError as exc:
-        raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
+    columns = list(zip(*runs)) or [()] * (len(RECORD_FIELDS) + v4)
+    if v4:
+        lengths, total = columns.pop(), header["records"]
+    else:
+        lengths, total = [1] * len(runs), len(runs)
+    _extend_by_runs(memory, columns, lengths, total, name, embeddings, raws)
     return memory if flags is None else _by_value(memory, flags)
 
 

@@ -1,5 +1,8 @@
 """Shared test helpers. Test modules import them with ``from conftest import ...``."""
 
+import hashlib
+import json
+
 from objsearch.core import SymbolicObservation, VisibleEntity
 from objsearch.memstore import Batch
 
@@ -39,3 +42,13 @@ def spec_batch(memory, specs, embedder):
         embeddings=embeddings,
         raws=raws,
     )
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the header of an artifact file and re-checksum it."""
+    lines = open(path).read().splitlines()[:-1]
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    body = "\n".join(lines) + "\n"
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())

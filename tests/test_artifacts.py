@@ -2,16 +2,18 @@
 
 import hashlib
 import os
+import re
 import tempfile
 
 import pytest
+from conftest import rewrite_header
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch import artifacts, memstore
 from objsearch.artifacts import IntegrityError
 from objsearch.embed import EmbedderConfig
-from objsearch.homesim import generate_world, patrol, write_stream
+from objsearch.homesim import generate_world, patrol, read_stream, write_stream
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
@@ -86,7 +88,7 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-MEMORY_V3_SHA256 = "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"
+MEMORY_V4_SHA256 = "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"
 
 
 def test_memory_file_bytes_are_frozen(tmp_path):
@@ -94,22 +96,24 @@ def test_memory_file_bytes_are_frozen(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 3
-    assert sha256_of(path) == MEMORY_V3_SHA256
+    assert memstore.FORMAT_VERSION == 4
+    assert sha256_of(path) == MEMORY_V4_SHA256
 
 
-# The same memory as persisted by format versions 1 and 2, bytes frozen.
+# The same memory as persisted by format versions 1, 2 and 3, bytes frozen.
 LEGACY_FILES = {
     1: (os.path.join(os.path.dirname(__file__), "data", "memory_v1.jsonl"),
         "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"),
     2: (os.path.join(os.path.dirname(__file__), "data", "memory_v2.jsonl"),
         "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"),
+    3: (os.path.join(os.path.dirname(__file__), "data", "memory_v3.jsonl"),
+        "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"),
 }
 
 
 def assert_legacy_file_loads_as_the_build(version, tmp_path):
     """The frozen file loads equal to the build, tables included, and
-    re-persists as the frozen v3 bytes."""
+    re-persists as the frozen v4 bytes."""
     path, digest = LEGACY_FILES[version]
     assert sha256_of(path) == digest
     assert artifacts.verify(path)[0]["format_version"] == version
@@ -121,7 +125,7 @@ def assert_legacy_file_loads_as_the_build(version, tmp_path):
     assert (loaded._k, loaded._raws) == (memory._k, memory._raws)
     again = str(tmp_path / "memory.jsonl")
     memstore.persist(loaded, again, extra_header={"config_hash": "0123456789abcdef"})
-    assert sha256_of(again) == MEMORY_V3_SHA256
+    assert sha256_of(again) == MEMORY_V4_SHA256
 
 
 def test_memory_file_v1_still_loads(tmp_path):
@@ -130,6 +134,10 @@ def test_memory_file_v1_still_loads(tmp_path):
 
 def test_memory_file_v2_still_loads(tmp_path):
     assert_legacy_file_loads_as_the_build(2, tmp_path)
+
+
+def test_memory_file_v3_still_loads(tmp_path):
+    assert_legacy_file_loads_as_the_build(3, tmp_path)
 
 
 def test_memory_file_v1_loads_with_shared_raws(tmp_path):
@@ -141,7 +149,7 @@ def test_memory_file_v1_loads_with_shared_raws(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memstore.persist(loaded, path)
     header, _ = artifacts.verify(path)
-    assert header["count"] == 40 and header["raws"] == len(memory._raws) == 1
+    assert header["records"] == 40 and header["raws"] == len(memory._raws) == 1
     assert list(memstore.load(path).records) == list(memory.records)
 
 
@@ -157,6 +165,26 @@ def test_tables_come_before_records_and_are_counted(tmp_path):
         artifacts.sections(header, lines, tables={"a": str, "b": lambda row: len(row[0])})
     with pytest.raises(IntegrityError, match="malformed header: 'c' must be a line count, got None"):
         artifacts.sections(header, lines, tables={"c": str})
+
+
+@pytest.mark.parametrize("kind", ["memory", "stream"])
+@pytest.mark.parametrize("count", [40.0, 3.0, True, "40", None, -1])
+def test_count_must_be_a_json_integer(tmp_path, kind, count):
+    """A checksummed file whose header count is not a non-negative JSON
+    integer is refused, even where it equals the line count as a number."""
+    path = str(tmp_path / "file.jsonl")
+    if kind == "memory":
+        memstore.persist(memstore.build(frozen_stream(), EmbedderConfig(d=16)), path)
+        load = memstore.load
+    else:
+        write_stream(path, frozen_stream())
+        load = read_stream
+    assert artifacts.verify(path)[0]["count"] == (3 if kind == "memory" else 40)  # run lines or ticks
+    load(path)
+    rewrite_header(path, lambda header: header.update({"count": count}))
+    message = f"malformed header: 'count' must be a line count, got {count!r}"
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
 
 
 def test_stream_file_bytes_are_frozen(tmp_path):

@@ -183,14 +183,14 @@ def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline,
     in_process, _ = artifacts.verify(str(tmp_path / "memory.jsonl"))
     from_file, _ = artifacts.verify(pipeline["oracle"])
     assert (from_file["raws"], from_file["embeddings"]) == (in_process["raws"], in_process["embeddings"])
-    assert from_file["raws"] < from_file["count"] == 600
+    assert from_file["raws"] < from_file["records"] == 600
     assert list(load(pipeline["oracle"]).records) == list(built.records)
 
 
 def test_build_memory_header_records_mode(pipeline):
     header = json.loads(open(pipeline["oracle"]).readline())
     assert header["mode"] == "oracle"
-    assert header["count"] == 600
+    assert header["records"] == 600
     header = json.loads(open(pipeline["realistic"]).readline())
     assert header["mode"] == "realistic"
 
@@ -209,13 +209,13 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v3_with_config_hash(pipeline):
+def test_build_memory_writes_format_v4_with_config_hash(pipeline):
     hashes = set()
     for mode in ("oracle", "realistic"):
         header, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 3
-        assert (len(memory), memory.mode) == (600, mode)
+        assert header["format_version"] == 4
+        assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
         assert header["embeddings"] < 600  # one row per distinct caption
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])

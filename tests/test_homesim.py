@@ -352,7 +352,7 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     """write_stream and persist bytes of a 1300-ticks/day busy-schedule
     stream, as written before patrol and build worked per run; the realistic
     memory as noise model v2 draws its captions; both memories as memory
-    file v3, which the v2 files of the same memories re-persist to."""
+    file v4, which the v3 files of the same memories re-persist to."""
     from objsearch.embed import Embedder, EmbedderConfig
     from objsearch.memstore import build, persist
 
@@ -365,8 +365,8 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     )
     embedder = Embedder(EmbedderConfig(d=64))
     for mode, digest in (
-        ("oracle", "d3a27bcde51133978813acbfd64c06991ffce6a464b87a94a152ca4ef17b5405"),
-        ("realistic", "375933ef51673b65e7f5c53eba12345a9de2dcd4c85d7bb5aa395539a1130d4e"),
+        ("oracle", "ca73839dbc7074c5a42a73430083ba6de965fe185a34ca2c22c9e357dfe0a95e"),
+        ("realistic", "ed82d745215678ab8d6b0d8d481e07c04409489bb590bb99cca8255155f26bec"),
     ):
         memory = build(stream, embedder, mode=mode, noise_seed=2, snapshot_every=7, ticks_per_day=1300)
         persist(memory, str(path))

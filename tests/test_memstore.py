@@ -13,10 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spec_batch
+from conftest import rewrite_header, spec_batch
 from objsearch.core import (
     ObservationStream,
     Pose,
@@ -744,6 +744,15 @@ def persist_v1(memory, path):
         {**rec.to_dict(), "raw": legacy_raw(rec.raw, i % every == 0)} for i, rec in enumerate(memory.records)))
 
 
+def persist_v3(memory, path):
+    """The memory file v3 writer: the two tables, then one record line per
+    record."""
+    snap = memory._snapshot()
+    lines = zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS))
+    tables = {"embeddings": [row.tolist() for row in snap.embeddings], "raws": [raw.to_dict() for raw in snap.raws]}
+    artifacts.write(path, legacy_header(memory, 3), lines, tables=tables)
+
+
 def persist_v2(memory, path):
     """The memory file v2 writer: v3's tables and record lines, with a raw
     line per (raw, keyframe flag) that records use, in order of first use."""
@@ -854,21 +863,8 @@ def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
         load(path)
 
 
-def rewrite_header(path, edit):
-    """Apply edit to the header of a memory file and re-checksum it."""
-    import hashlib
-    import json
-
-    lines = open(path).read().splitlines()[:-1]
-    header = json.loads(lines[0])
-    edit(header)
-    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    body = "\n".join(lines) + "\n"
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
-
-
 @pytest.mark.parametrize(
-    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count"]
+    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records"]
 )
 def test_load_header_missing_key_is_integrity_error(tmp_path, key):
     path = str(tmp_path / "memory.jsonl")
@@ -881,11 +877,19 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 4, "unsupported format_version 4, expected 1, 2 or 3"),
+        ("format_version", 5, "unsupported format_version 5, expected 1, 2, 3 or 4"),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
-        ("count", 2, "record count mismatch: header says 2, found 3"),
+        ("count", 2, "run count mismatch: header says 2, found 3"),
+        ("records", 3.0, "malformed header: records must be an integer, got 3.0"),
+        ("records", True, "malformed header: records must be an integer, got True"),
+        ("records", "3", "malformed header: records must be an integer, got '3'"),
+        ("records", -1, "malformed header: records must be >= 0, got -1"),
+        ("records", 2, "record total mismatch: header says 2, runs hold 3"),
+        ("records", 4, "record total mismatch: header says 4, runs hold 3"),
+        # Checked before anything is expanded: no array of this size is made.
+        ("records", 10**15, f"record total mismatch: header says {10**15}, runs hold 3"),
     ],
 )
 def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message):
@@ -902,7 +906,10 @@ def test_ticks_per_day_must_be_positive():
             LongTermMemory(d=4, ticks_per_day=ticks_per_day)
 
 
-@pytest.mark.parametrize("version", [1, 3])
+LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist}
+
+
+@pytest.mark.parametrize("version", [1, 3, 4])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -922,11 +929,38 @@ def test_ticks_per_day_must_be_positive():
 )
 def test_load_header_takes_json_integers_only(tmp_path, version, key, value, message):
     """format_version, d, ticks_per_day and snapshot_every are JSON integers:
-    no boolean, float or string stands in for one, in a v1 or a v3 file."""
+    no boolean, float or string stands in for one, in a v1, v3 or v4 file."""
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)])
     path = str(tmp_path / "memory.jsonl")
-    (persist_v1 if version == 1 else persist)(memory, path)
+    LEGACY_WRITERS[version](memory, path)
     assert load(path).records == memory.records
+    rewrite_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
+
+
+@pytest.mark.parametrize("version", [1, 3, 4])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mode", 5, "malformed header: mode must be a string, got 5"),
+        ("mode", None, "malformed header: mode must be a string, got None"),
+        ("mode", ["oracle"], "malformed header: mode must be a string, got ['oracle']"),
+        ("mode", "weird", "malformed header: mode must be one of oracle, realistic, got 'weird'"),
+        ("mode", "Oracle", "malformed header: mode must be one of oracle, realistic, got 'Oracle'"),
+        ("embedder_id", None, "malformed header: embedder_id must be a string, got None"),
+        ("embedder_id", 7, "malformed header: embedder_id must be a string, got 7"),
+        ("embedder_id", False, "malformed header: embedder_id must be a string, got False"),
+    ],
+)
+def test_load_header_takes_json_strings_only(tmp_path, version, key, value, message):
+    """embedder_id and mode are JSON strings, taken as they are, and mode is
+    oracle or realistic, in a v1, v3 or v4 file."""
+    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id="an embedder",
+                        mode="realistic")
+    path = str(tmp_path / "memory.jsonl")
+    LEGACY_WRITERS[version](memory, path)
+    assert (load(path).embedder_id, load(path).mode) == ("an embedder", "realistic")
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
@@ -1002,25 +1036,25 @@ def assert_same_tables(a, b):
     snapshot_every=st.sampled_from([1, 7, 25]),
 )
 def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
-    """The memory persisted as v3, v2 and v1 loads equal to the build from
-    each, tables included: the legacy loaders key rows by bytes and raws by
-    value, in order of first use, as the build does. Each loaded memory
-    re-persists as the build's v3 bytes."""
+    """The memory persisted as v4, v3, v2 and v1 loads equal to the build
+    from each, tables included: the legacy loaders key rows by bytes and raws
+    by value, in order of first use, as the build does. Each loaded memory
+    re-persists as the build's v4 bytes."""
     memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
                    snapshot_every=snapshot_every, ticks_per_day=200)
     root = tmp_path_factory.mktemp("files")
-    v3 = str(root / "v3.jsonl")
-    persist(memory, v3)
-    for writer in (persist, persist_v2, persist_v1):
+    v4 = str(root / "v4.jsonl")
+    persist(memory, v4)
+    for writer in (persist, persist_v3, persist_v2, persist_v1):
         path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
         writer(memory, path)
         loaded = load(path)
         assert_loaded_equals(loaded, memory)
         assert_same_tables(loaded, memory)
         persist(loaded, again)
-        assert open(again, "rb").read() == open(v3, "rb").read()
+        assert open(again, "rb").read() == open(v4, "rb").read()
     for q in ("green folder", "red mug sink"):
-        assert load(v3).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+        assert load(v4).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -1105,8 +1139,9 @@ def rewrite_line(path, index, edit):
 
 
 def record_edit(field, value):
+    """Set one field of a record or run line (a run line ends with its length)."""
     def edit(line):
-        line[RECORD_FIELDS.index(field)] = value
+        line[(*RECORD_FIELDS, "length").index(field)] = value
         return line
     return edit
 
@@ -1114,17 +1149,17 @@ def record_edit(field, value):
 @pytest.mark.parametrize(
     "line, edit, message",
     [
-        # 3 embedding rows (lines 1-3), 5 raws (lines 4-8), 5 records (lines 9-13)
-        (11, record_edit("row", 3), r"record 2: row id 3 out of range \[0, 3\)"),
-        (12, record_edit("row", -1), r"record 3: row id -1 out of range \[0, 3\)"),
-        (10, record_edit("raw", 5), r"record 1: raw id 5 out of range \[0, 5\)"),
+        # 3 embedding rows (lines 1-3), 5 raws (lines 4-8), 5 runs of one record (lines 9-13)
+        (11, record_edit("row", 3), r"run 2: row id 3 out of range \[0, 3\)"),
+        (12, record_edit("row", -1), r"run 3: row id -1 out of range \[0, 3\)"),
+        (10, record_edit("raw", 5), r"run 1: raw id 5 out of range \[0, 5\)"),
         (2, lambda row: [2 * v for v in row], "embeddings 1: embedding must be unit norm, got 2.0"),
         (2, lambda row: [math.nan] * len(row), "embeddings 1: embedding must be unit norm, got nan"),
         (3, lambda row: row[:-1], r"embeddings 2: embedding dimension \(63,\) != \(64,\)"),
-        (12, record_edit("t", 2), "record 3: non-monotonic timestamp 2 after 2"),
-        (9, record_edit("t", -1), "record 0: timestep value and day must be non-negative"),
-        (13, lambda line: line[:-1], "record 4: expected a list of 8 fields"),
-        (10, record_edit("room", 7), "record 1: malformed field types"),
+        (12, record_edit("t", 2), "run 3: non-monotonic timestamp 2 after 2"),
+        (9, record_edit("t", -1), "run 0: timestep value and day must be non-negative"),
+        (13, lambda line: line[:-1], "run 4: expected a list of 9 fields"),
+        (10, record_edit("room", 7), "run 1: malformed field types"),
         (5, lambda raw: {**raw, "visible_entities": raw["visible_entities"] * 2},
          "raws 1: duplicate entity_id within one observation"),
     ],
@@ -1137,6 +1172,111 @@ def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
     rewrite_line(path, line, edit)
     with pytest.raises(IntegrityError, match=message):
         load(path)
+
+
+def runs_memory():
+    """A memory of three runs, 10 ticks a day, with one row and one raw:
+    t 0-2 and t 3-4 in two poses, then t 7-9 back in the first."""
+    ticks = [(Timestep.at(t, 10), POSES[1 if 3 <= t <= 4 else 0], VIEWS[0]) for t in (0, 1, 2, 3, 4, 7, 8, 9)]
+    return build(ticks, EMB, ticks_per_day=10)
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        # 1 embedding row (line 1), 1 raw (line 2), runs t 0-2, 3-4, 7-9 (lines 3-5)
+        (3, record_edit("length", 0), "run 0: run length must be an integer >= 1, got 0"),
+        (4, record_edit("length", -2), "run 1: run length must be an integer >= 1, got -2"),
+        (4, record_edit("length", 2.0), "run 1: run length must be an integer >= 1, got 2.0"),
+        (4, record_edit("length", True), "run 1: run length must be an integer >= 1, got True"),
+        (5, record_edit("length", "3"), "run 2: run length must be an integer >= 1, got '3'"),
+        (5, record_edit("length", None), "run 2: run length must be an integer >= 1, got None"),
+        # Run 0 would now overlap run 1; the total is checked first.
+        (3, record_edit("length", 4), "record total mismatch: header says 8, runs hold 9"),
+        (5, record_edit("length", 2), "record total mismatch: header says 8, runs hold 7"),
+        (4, record_edit("t", 2), "run 1: non-monotonic timestamp 2 after 2"),
+        (5, record_edit("t", 1), "run 2: non-monotonic timestamp 1 after 4"),
+        (4, record_edit("t", 0), "run 1: non-monotonic timestamp 0 after 2"),
+        # extend refuses a record of the run; the error names the run, not record 5 or 6.
+        (5, record_edit("row", 1), "run 2: row id 1 out of range [0, 1)"),
+        (5, record_edit("day", -1), "run 2: timestep value and day must be non-negative"),
+        (5, record_edit("t", 2**63), "a run line's field is out of range"),
+    ],
+)
+def test_v4_run_line_corruption_names_the_run(tmp_path, line, edit, message):
+    memory = runs_memory()
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    assert artifacts.verify(path)[0]["count"] == 3
+    assert_same_bits(load(path), memory)
+    rewrite_line(path, line, edit)
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
+
+
+def assert_same_bits(a, b):
+    """Equal header fields, and equal columns and tables as bytes, so that
+    0.0 and -0.0 differ."""
+    assert (a.d, a.ticks_per_day, a.snapshot_every, a.embedder_id, a.mode) == (
+        b.d, b.ticks_per_day, b.snapshot_every, b.embedder_id, b.mode)
+    sa, sb = a._snapshot(), b._snapshot()
+    for name in RECORD_FIELDS:
+        ca, cb = getattr(sa, name), getattr(sb, name)
+        assert ca.dtype == cb.dtype, name
+        assert (ca.tolist() if ca.dtype == object else ca.tobytes()) == (
+            cb.tolist() if cb.dtype == object else cb.tobytes()), name
+    assert sa.embeddings.tobytes() == sb.embeddings.tobytes()
+    assert sa.raws == sb.raws
+
+
+# Poses for random runs: 0.0 and -0.0 in either coordinate (equal as floats,
+# not as bits), two value-equal poses that are different objects, and a pose
+# that differs from them only in its room.
+SIGNED_POSES = [Pose(position=(0.0, 0.0), yaw=0.0, room_id="kitchen"),
+                Pose(position=(-0.0, 0.0), yaw=0.0, room_id="kitchen"),
+                Pose(position=(0.0, -0.0), yaw=0.0, room_id="kitchen"),
+                Pose(position=(1.5, 0.75), yaw=0.1, room_id="study"),
+                Pose(position=(1.5, 0.75), yaw=0.1, room_id="study"),
+                Pose(position=(1.5, 0.75), yaw=0.1, room_id="hall")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9), st.sampled_from(range(len(SIGNED_POSES))),
+                            st.sampled_from(range(len(VIEWS)))), max_size=12),
+    mode=st.sampled_from(["oracle", "realistic"]),
+    noise_seed=st.integers(0, 3),
+)
+# Adjacent runs that join (value-equal poses, value-equal views) and that do
+# not (-0.0 after 0.0, another room, a gap, a day boundary at t 10).
+@example(runs=[(0, 3, 3, 0), (0, 2, 4, 1), (0, 2, 5, 1), (0, 2, 0, 1), (0, 2, 1, 1), (1, 3, 2, 1), (0, 4, 2, 1)],
+         mode="oracle", noise_seed=0)
+def test_persist_writes_one_line_per_maximal_run(tmp_path_factory, runs, mode, noise_seed):
+    """Over random streams (runs of (gap, length 1-9, pose, view), 10 ticks
+    a day, so runs cross day boundaries and poses recur in runs that are not
+    adjacent): persist writes one run line per maximal run of records (t
+    rising by 1, the other fields equal by bits), counted here record by
+    record, and load gives the build back bit for bit, tables included."""
+    ticks, t = [], 0
+    for gap, length, pose, view in runs:
+        t += gap
+        for _ in range(length):
+            ticks.append((Timestep.at(t, 10), SIGNED_POSES[pose], VIEWS[view]))
+            t += 1
+    memory = build(ticks, EMB, mode=mode, noise_seed=noise_seed, ticks_per_day=10)
+    path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
+    persist(memory, path)
+    snap = memory._snapshot()
+    ts = snap.t.tolist()
+    # Each record's fields other than t, floats by their bits (float.hex).
+    rest = [(day, x.hex(), y.hex(), yaw.hex(), room, row, raw) for day, x, y, yaw, room, row, raw
+            in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
+    maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
+    header, _ = artifacts.verify(path)
+    assert (header["count"], header["records"]) == (maximal, len(ticks))
+    loaded = load(path)
+    assert_same_bits(loaded, memory)
+    assert loaded.records == memory.records
 
 
 def test_table_rows_are_shared_and_checked_once():
