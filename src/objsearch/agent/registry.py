@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..core import Action, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
 from ..embed import Embedder, TransportError
@@ -105,24 +107,28 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     return ToolRegistry(tools, landmarks=landmark_table, rooms=rooms)
 
 
-def record_views(memory: LongTermMemory, hits: Sequence[tuple[int, float]]) -> list[dict]:
-    """Compact policy-facing views of memory hits, caption level only: one
-    gather per memory column, no MemoryRecord built. A record is a keyframe
-    when its index is a multiple of the memory's snapshot_every."""
-    f = memory.fields([i for i, _ in hits])
+def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[float]) -> list[dict]:
+    """Compact policy-facing views of memory hits, caption level only: hit j
+    is record index[j] with score[j]. One gather per memory column, no
+    MemoryRecord built. A record is a keyframe when its index is a multiple
+    of the memory's snapshot_every."""
+    index = np.asarray(index, dtype=np.intp)
+    f = memory.fields(index)
+    keyframe = (index % memory.snapshot_every == 0).tolist()
     return [
         {
             "record_index": i,
-            "score": score,
+            "score": s,
             "t": t,
             "day": day,
             "room": room,
             "x": x,
             "y": y,
             "caption": raw.caption,
-            "keyframe": i % memory.snapshot_every == 0,
+            "keyframe": key,
         }
-        for (i, score), t, day, room, x, y, raw in zip(hits, f["t"], f["day"], f["room"], f["x"], f["y"], f["raw"])
+        for i, s, t, day, room, x, y, raw, key in zip(
+            index.tolist(), np.asarray(score).tolist(), f["t"], f["day"], f["room"], f["x"], f["y"], f["raw"], keyframe)
     ]
 
 
@@ -160,12 +166,12 @@ def _fetch_raw(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, An
 
 
 def _hits_payload(memory: LongTermMemory, args: Mapping[str, Any], result: QueryResult) -> dict:
-    return {"hits": record_views(memory, result.hits), **_memory_meta(memory)}
+    return {"hits": record_views(memory, result.index, result.score), **_memory_meta(memory)}
 
 
 def _record_payload(memory: LongTermMemory, args: Mapping[str, Any], raw: SymbolicObservation) -> dict:
     """The record's hit view, without a score and with its raw entities."""
-    [view] = record_views(memory, [(int(args["record_index"]), 0.0)])
+    [view] = record_views(memory, [int(args["record_index"])], [0.0])
     del view["score"]
     view["entities"] = [e.to_dict() for e in raw.visible_entities]
     return {**_memory_meta(memory), "record": view}

@@ -141,10 +141,12 @@ def _observe(task: TaskSpec) -> tuple[ObservationStream, list, WorldState]:
     return stream, graphs, world
 
 
-def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: SuiteConfig):
-    """One mode's memory over the task's stream, with a fresh embedder."""
-    embedder = Embedder(EmbedderConfig(d=config.embed_dim))
-    memory = build(
+def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: SuiteConfig,
+                  embedder: Embedder) -> LongTermMemory:
+    """One mode's memory over the task's stream. The embedder memoizes
+    phrases and queries, and its embeddings do not depend on what it has
+    seen, so one task's memories and episodes share one."""
+    return build(
         stream,
         embedder,
         mode=mode,
@@ -152,14 +154,13 @@ def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: 
         noise_seed=stable_seed("noise", config.seed, task.task_id),
         ticks_per_day=task.ticks_per_day,
     )
-    return memory, embedder
 
 
 def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
     """The mode's memory, the day graphs, the embedder and the world at task time."""
     stream, graphs, world = _observe(task)
-    memory, embedder = _build_memory(task, stream, mode, config)
-    return memory, graphs, embedder, world
+    embedder = Embedder(EmbedderConfig(d=config.embed_dim))
+    return _build_memory(task, stream, mode, config, embedder), graphs, embedder, world
 
 
 def run_task_episode(
@@ -217,10 +218,11 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
     stream, graphs, world = _observe(task)
     # Action categories depend only on the tool; the world adds argument enums.
     registry = default_registry()
+    embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     records: list[dict] = []
     log_lines: list[str] = []
     for mode in config.modes:
-        memory, embedder = _build_memory(task, stream, mode, config)
+        memory = _build_memory(task, stream, mode, config, embedder)
         for method in config.methods:
             header = {
                 "event": "episode_start",
@@ -271,7 +273,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 )
             )
         # Free this mode's memory before the next one is built.
-        del memory, embedder
+        del memory
     return records, log_lines
 
 

@@ -14,13 +14,13 @@ is drawn for all records at once, and captions are rendered per distinct
 (entity list, noise) and embedded in one batch; the Python work left is
 per distinct caption and per distinct raw.
 
-Retrieval is exact, with no index structure beyond the columns. A semantic
-query scores the k table rows, gathers the scores by row id and sorts them
-once (stable), which gives the same scores, hits and tie order as scoring
-every record. Timesteps increase strictly, so a temporal query is a binary
-search of the t column plus O(r) work: O(log n + r). A spatial query is one
-vectorized distance pass over the position columns plus a sort of the
-records within the radius. Each answers exactly as a linear scan would.
+Retrieval is exact: each query answers as a linear scan would. A semantic
+query scores the k table rows and reads the best rows' postings (their
+records, ascending) up to r hits, O(k·d + k log k + r); a spatial query does
+the same over the P distinct positions within the radius, O(P log P + r).
+The postings and position ids are derived indexes, built in O(n) on first
+use after each extend and never stored. Timesteps increase strictly, so a
+temporal query is a binary search of the t column plus O(r) work.
 
 Concurrency: one writer may extend while readers query. A batch is
 validated whole and published at once: its table rows are written before any
@@ -52,6 +52,7 @@ by value and checked against the keyframe stride (see ``_by_value``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -124,25 +125,34 @@ class Batch:
     raws: Sequence[SymbolicObservation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryResult:
-    """Ranked hits from one memory query, best first.
+    """Ranked hits from one memory query, best first, as two columns: hit j
+    is record index[j] with score[j].
 
     Score semantics depend on the query: cosine similarity (semantic, higher
     is better), absolute timestep distance (temporal point, lower is better),
     timestep value (temporal window, recency order), Euclidean distance in
     meters (spatial, lower is better). Ties always break toward the lower
-    record index.
+    record index. hits and indices give the columns as Python tuples.
     """
 
-    hits: tuple[tuple[int, float], ...]
+    index: np.ndarray
+    score: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.hits)
+        return len(self.index)
+
+    @property
+    def hits(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.index.tolist(), self.score.tolist()))
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.hits)
+        return tuple(self.index.tolist())
+
+
+_NO_HITS = QueryResult(np.zeros(0, dtype=np.int64), np.zeros(0))  # empty, so safe to share
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -159,9 +169,41 @@ def _grown(a: np.ndarray, need: int, used: int) -> np.ndarray:
     return grown
 
 
+def _postings(ids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of m entries' records, given each record's entry id: the record
+    indices sorted by id (stable), and each id's start and count in them."""
+    count = np.bincount(ids, minlength=m)
+    return np.argsort(ids, kind="stable"), np.cumsum(count) - count, count
+
+
+def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray] = None) -> tuple:
+    """The first r records of the entries (all when None) by (entry key,
+    index), NaN keys last, and each one's entry. Ranked entries are read,
+    at most r records each, until they hold r; those tied with the last read
+    are read too, and tied entries' records merge by index."""
+    records, start, count = postings
+    r = min(r, len(records))
+    ranked = key.argsort(kind="stable") if entries is None else entries[key[entries].argsort(kind="stable")]
+    size = np.minimum(count[ranked], r)
+    ends = size.cumsum()
+    cut = int(ends.searchsorted(r))
+    if cut < len(ranked):
+        keys = key[ranked]
+        cut = int(keys.searchsorted(keys[cut], side="right"))
+    ranked, size, ends = ranked[:cut], size[:cut], ends[:cut]
+    # Entry j's records fill positions ends[j] - size[j] to ends[j] - 1.
+    entry = ranked.repeat(size)
+    index = records[np.arange(len(entry)) + (start[ranked] - ends + size).repeat(size)]
+    if cut > 1:
+        merged = np.lexsort((index, key[entry]))[:r]
+        index, entry = index[merged], entry[merged]
+    return index[:r], entry[:r]
+
+
 class LongTermMemory:
     """Append-only record columns over an embedding table and a raw table,
-    queried by meaning, time and place straight from the columns."""
+    queried by meaning, time and place from the columns and the indexes
+    derived from them (see _index)."""
 
     _COLUMNS = ("_t", "_day", "_pos", "_yaw", "_room", "_row_id", "_raw_id")
 
@@ -184,6 +226,7 @@ class LongTermMemory:
         self.mode = mode
         self._n = 0
         self._records: list[MemoryRecord] = []  # see records
+        self._indexes: tuple = (0,)  # see _index
         # Tables: distinct embedding rows and distinct raw observations.
         self._k = 0
         self._table = np.zeros((8, d), dtype=np.float64)
@@ -326,20 +369,31 @@ class LongTermMemory:
 
     # -- queries ------------------------------------------------------------
 
-    def _result(self, order: np.ndarray, scores: np.ndarray) -> QueryResult:
-        return QueryResult(hits=tuple(zip(order.tolist(), scores.tolist())))
+    def _index(self) -> tuple:
+        """(n, row postings, position postings, distinct positions) over the
+        first n records, n the published count; positions are keyed by their
+        float bits. Built on first use after an extend, never persisted; a
+        racing reader may build it for its own n, and either is correct."""
+        n = self._n
+        index = self._indexes
+        if index[0] != n:
+            k = self._k  # read after n: rows are published before their records
+            place, first = _first_seen(self._pos[:n].view(np.int64))
+            index = self._indexes = (n, _postings(self._row_id[:n], k), _postings(place, len(first)), self._pos[first])
+        return index
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
+        """Top-r records by cosine similarity to qvec, rounded to
+        SCORE_DECIMALS, from the k table rows' scores and the best rows'
+        postings (see _top): O(k·d + k log k + r)."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        n = self._n
-        if n == 0:
-            return QueryResult(hits=())
-        row, k = self._row_id[:n], self._k
-        table_scores = np.round(self._table[:k] @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
-        scores = table_scores[row]
-        order = np.argsort(-scores, kind="stable")[:r]
-        return self._result(order, scores[order])
+        if self._n == 0:
+            return _NO_HITS
+        _, rows, _, _ = self._index()
+        scores = np.round(self._table[: len(rows[1])] @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
+        index, row = _top(-scores, rows, r)
+        return QueryResult(index, scores[row])
 
     def query_semantic(self, query: str, embedder: Embedder, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Top-r records by cosine similarity between the embedded query and
@@ -364,7 +418,7 @@ class LongTermMemory:
             raise ValueError("provide exactly one of t_center and day_window")
         n = self._n
         if n == 0:
-            return QueryResult(hits=())
+            return _NO_HITS
         ts = self._t[:n]
         last = int(ts[-1])
         if t_center is not None:
@@ -376,8 +430,7 @@ class LongTermMemory:
             lo = max(0, int(ts.searchsorted(clamped)) - r)
             near = ts[lo : lo + 2 * r]
             order = np.abs(near - clamped).argsort(kind="stable")[:r]
-            hits = zip(order.tolist(), near[order].tolist())
-            return QueryResult(hits=tuple((lo + j, float(abs(t - center))) for j, t in hits))
+            return QueryResult(lo + order, np.array([float(abs(t - center)) for t in near[order].tolist()]))
         d_start, d_end = day_window  # type: ignore[misc]
         if d_start > d_end:
             raise ValueError(f"empty day window [{d_start}, {d_end}]")
@@ -387,41 +440,39 @@ class LongTermMemory:
         bounds = [min(max(day, 0), last // tpd + 1) * tpd for day in (d_start, d_end + 1)]
         lo, hi = (ts.searchsorted([min(b, last) for b in bounds]) + [b > last for b in bounds]).tolist()
         order = np.arange(hi - 1, max(lo, hi - r) - 1, -1)
-        return self._result(order, ts[order].astype(np.float64))
+        return QueryResult(order, ts[order].astype(np.float64))
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first,
-        ties toward the lower index, truncated to r. The cost is one
-        vectorized distance pass over all records plus a stable sort of those
-        within the radius. A non-finite center or radius is an error, not an
-        empty result; a finite one, however far, measures every distance that
-        fits a float."""
+        ties toward the lower index, truncated to r, from the P distinct
+        positions and the postings of the nearest (see _top): O(P log P + r).
+        A non-finite center or radius is an error, not an empty result; a
+        finite one, however far, measures every distance that fits a float."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        if not np.all(np.isfinite([*center, radius])):
+        if not all(map(math.isfinite, (*center, radius))):
             raise ValueError("center and radius must be finite")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        n = self._n
-        if n == 0:
-            return QueryResult(hits=())
+        if self._n == 0:
+            return _NO_HITS
+        _, _, places, pos = self._index()
         # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
         # offsets, and rounding scales them up, so a far but finite center
         # overflows to inf; those entries, and only those, are recomputed with
         # np.hypot, which does not square, and kept unrounded where rounding
         # would overflow again.
         with np.errstate(over="ignore"):
-            dx = self._pos[:n, 0] - float(center[0])
-            dy = self._pos[:n, 1] - float(center[1])
+            dx = pos[:, 0] - float(center[0])
+            dy = pos[:, 1] - float(center[1])
             dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
             far = np.isinf(dist)
             if far.any():
                 exact = np.hypot(dx[far], dy[far])
                 rounded = np.round(exact, SCORE_DECIMALS)
                 dist[far] = np.where(np.isinf(rounded), exact, rounded)
-        idx = np.nonzero(dist <= radius)[0]
-        order = idx[np.argsort(dist[idx], kind="stable")][:r]
-        return self._result(order, dist[order])
+        index, place = _top(dist, places, r, np.flatnonzero(dist <= radius))
+        return QueryResult(index, dist[place])
 
     def fetch_raw(self, record_index: int) -> SymbolicObservation:
         """Return the stored raw observation for one record, unchanged."""

@@ -376,7 +376,7 @@ def test_keyframe_stride():
         obs = SymbolicObservation(visible_entities=(ent,), caption="")
         stream.append((Timestep.at(t, 200), Pose(position=(0, 0), yaw=0, room_id="kitchen"), obs))
     memory = build(stream, EMB, ticks_per_day=200, snapshot_every=25)
-    views = record_views(memory, [(i, 0.0) for i in range(len(memory))])
+    views = record_views(memory, range(len(memory)), [0.0] * len(memory))
     flagged = [view["record_index"] for view in views if view["keyframe"]]
     assert flagged == [0, 25, 50]
     assert len(memory.fetch_raw(25).visible_entities) == 1
@@ -1016,6 +1016,81 @@ def test_semantic_k_rows_equal_n_by_d_scan(batches, query, r):
     assert memory.query_semantic_vector(qvec, r=r).hits == scan_semantic(memory, qvec, r)
 
 
+def scan_spatial(memory, center, radius, r):
+    """The radius cut over every record's own position: each distance in
+    the rounded sqrt(dx*dx + dy*dy), np.hypot where that overflows (kept
+    unrounded where rounding overflows again), then those within the radius
+    stable-sorted by distance and cut to r."""
+    pos = np.array([rec.pose.position for rec in memory.records], dtype=np.float64).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        dx, dy = pos[:, 0] - center[0], pos[:, 1] - center[1]
+        dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
+        far = np.isinf(dist)
+        exact = np.hypot(dx[far], dy[far])
+        rounded = np.round(exact, SCORE_DECIMALS)
+        dist[far] = np.where(np.isinf(rounded), exact, rounded)
+    inside = np.flatnonzero(dist <= radius)
+    order = inside[np.argsort(dist[inside], kind="stable")][:r]
+    return tuple(zip(order.tolist(), dist[order].tolist()))
+
+
+UNIT = np.eye(4)
+# Table rows, distinct by bytes, whose rounded scores tie across rows for
+# some query: 1e-12 rounds to 0.0 and -1e-12 to -0.0, which ties 0.0.
+TIE_ROWS = [UNIT[0], UNIT[1], UNIT[2], np.array([1.0, 1e-12, 0.0, 0.0]), np.array([1.0, -1e-12, 0.0, 0.0]),
+            np.array([0.6, 0.8, 0.0, 0.0]), np.array([0.8, 0.6, 0.0, 0.0]), -UNIT[0]]
+TIE_QUERIES = [UNIT[0], UNIT[1], np.array([0.6, 0.8, 0.0, 0.0]), np.full(4, 0.5),
+               np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2), np.full(4, np.nan), np.array([np.inf, 0.0, 0.0, 0.0])]
+# Positions equal but for the sign of a zero are distinct positions at equal distances.
+PLACES = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (3.0, 4.0)]
+CENTRES = [(0.0, 0.0), (-0.0, -0.0), (0.5, 0.5), (3.0, 0.0), (1e200, -1e200), (1e308, 0.0), (-1.7e308, 1.7e308)]
+RADII = [0.5, 1.0, 5.0, 1.5e200, 1e308, sys.float_info.max]
+index_steps = st.one_of(
+    st.tuples(st.just("extend"), st.lists(st.tuples(st.integers(0, len(TIE_ROWS) - 1),
+                                                    st.integers(0, len(PLACES) - 1)), min_size=1, max_size=12)),
+    st.tuples(st.just("semantic"), st.integers(0, len(TIE_QUERIES) - 1), st.integers(1, 40) | st.just(10**9)),
+    st.tuples(st.just("spatial"), st.sampled_from(CENTRES), st.sampled_from(RADII), st.integers(1, 40) | st.just(10**9)),
+)
+
+
+def same_hits(a, b):
+    """Equal indices and scores, a zero's sign included; any NaN equals any NaN."""
+    return [(i, repr(s)) for i, s in a] == [(i, repr(s)) for i, s in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(index_steps, min_size=1, max_size=12))
+def test_index_backed_queries_equal_the_linear_scans(steps):
+    """Extends and queries interleaved, so a query after an extend must see
+    the new records. Each semantic query equals scan_semantic and each
+    spatial query the radius-cut scan, scores included, on rows that tie
+    across the table, positions that differ only in a zero's sign, far
+    centres on the hypot path, NaN and inf query vectors, and r past the
+    number of matches."""
+    memory = LongTermMemory(d=4, ticks_per_day=10)
+    row_of: dict[int, int] = {}  # TIE_ROWS index -> table row, in order of first use
+    for kind, *args in steps:
+        if kind == "extend":
+            [records] = args
+            new = [p for p in dict.fromkeys(p for p, _ in records) if p not in row_of]
+            row_of.update({p: len(row_of) + j for j, p in enumerate(new)})
+            n, m, size = len(memory), len(memory._raws), len(records)
+            memory.extend(Batch(
+                t=range(n, n + size), day=[t // 10 for t in range(n, n + size)],
+                x=[PLACES[q][0] for _, q in records], y=[PLACES[q][1] for _, q in records],
+                yaw=[0.0] * size, room=["kitchen"] * size, row=[row_of[p] for p, _ in records], raw=[m] * size,
+                embeddings=[TIE_ROWS[p] for p in new], raws=[SymbolicObservation((), f"batch {m}")],
+            ))
+        elif kind == "semantic":
+            q, r = args
+            with np.errstate(invalid="ignore"):
+                assert same_hits(memory.query_semantic_vector(TIE_QUERIES[q], r=r).hits,
+                                 scan_semantic(memory, TIE_QUERIES[q], r))
+        else:
+            centre, radius, r = args
+            assert same_hits(memory.query_spatial(centre, radius, r=r).hits, scan_spatial(memory, centre, radius, r))
+
+
 def assert_loaded_equals(loaded, memory):
     assert_same_memory(loaded, memory)
     assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
@@ -1123,7 +1198,7 @@ def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapsho
     loaded = load(path)
     assert_loaded_equals(loaded, memory)
     assert_same_tables(loaded, memory)
-    views = record_views(loaded, [(i, 0.0) for i in range(len(loaded))])
+    views = record_views(loaded, range(len(loaded)), [0.0] * len(loaded))
     assert [view["keyframe"] for view in views] == [i % snapshot_every == 0 for i in range(len(ticks))]
 
 
