@@ -849,6 +849,44 @@ def test_concurrent_readers_see_whole_batches():
     assert len(memory) == batch * batches
 
 
+def test_concurrent_index_backed_queries_see_whole_batches():
+    """Readers run semantic and spatial queries, which build and replace the
+    cached indexes, while a writer extends with new table rows in every
+    batch: every answer holding all records covers a whole-batch prefix,
+    each record once, at least as long as the memory was before the query."""
+    memory = new_memory()
+    batch, batches = 7, 300
+    qvec = EMB("caption 3")
+    errors = []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            for query in (lambda: memory.query_semantic_vector(qvec, r=10**9),
+                          lambda: memory.query_spatial((0.0, 0.0), sys.float_info.max, r=10**9)):
+                n = len(memory)
+                seen = sorted(query().indices)
+                if len(seen) < n or len(seen) % batch or seen != list(range(len(seen))):
+                    errors.append(f"{len(seen)} hits after {n} records are not a whole-batch prefix")
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for b in range(batches):
+            extend(memory, [(t, f"caption {t}", (t % 4, -0.0)) for t in range(b * batch, (b + 1) * batch)])
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive()
+    assert errors == []
+    assert len(memory.query_spatial((0.0, 0.0), sys.float_info.max, r=10**9)) == batch * batches
+
+
 def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
     import hashlib
 
