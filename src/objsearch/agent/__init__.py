@@ -20,7 +20,7 @@ from .policies import (
     parse_caption,
     parse_instruction,
 )
-from .registry import ActionExecutor, default_registry
+from .registry import ActionExecutor, default_registry, outcome_json
 from .wire import WIRE_VERSION, WireParseError, build_request, decode_response, encode_request
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "decode_response",
     "default_registry",
     "encode_request",
+    "outcome_json",
     "parse_caption",
     "parse_instruction",
     "run_episode",

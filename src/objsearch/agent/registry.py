@@ -11,7 +11,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core import Action, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec
+from ..core import Action, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec, canonical_dumps
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
 from ..embed import Embedder, TransportError
 from ..homesim import Schedule, WorldState, detect, navigate, open_receptacle, pick
@@ -132,6 +132,69 @@ def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[f
     ]
 
 
+_HITS_PAYLOAD_KEYS = frozenset(("hits", "last_day", "last_t", "ticks_per_day", "total"))
+
+
+def _remember(memo: dict, value: Any) -> str:
+    """canonical_dumps(value), kept in memo under value. Zeros are not kept:
+    0.0 == -0.0 and both hash alike, so one sign's key would answer for the
+    other's."""
+    text = canonical_dumps(value)
+    if type(value) is str or value:
+        memo[value] = text
+    return text
+
+
+def _hits_json(hits: list, memo: dict) -> Optional[str]:
+    """The canonical text of a list of record_views hits, inner to its
+    brackets, or None when a hit has another key set or field type. Caption,
+    room, x and y texts come from memo; only str and float values are looked
+    up there, so a key never answers for an equal value of another type."""
+    get = memo.get
+    parts = []
+    for h in hits:
+        if type(h) is not dict or len(h) != 9:
+            return None
+        try:
+            caption, room, x, y = h["caption"], h["room"], h["x"], h["y"]
+            day, t, i, score, key = h["day"], h["t"], h["record_index"], h["score"], h["keyframe"]
+        except KeyError:
+            return None
+        if (type(caption) is not str or type(room) is not str or type(x) is not float
+                or type(y) is not float or type(score) is not float or type(day) is not int
+                or type(t) is not int or type(i) is not int or type(key) is not bool):
+            return None
+        caption = get(caption) or _remember(memo, caption)
+        room = get(room) or _remember(memo, room)
+        x = get(x) or _remember(memo, x)
+        y = get(y) or _remember(memo, y)
+        # A finite float's canonical text is its repr; NaN and inf are not.
+        score = repr(score) if score - score == 0.0 else canonical_dumps(score)
+        key = "true" if key else "false"
+        # The keys in sorted order. An f-string: a 9-field %-format costs
+        # about half as much again.
+        parts.append(f'{{"caption":{caption},"day":{day},"keyframe":{key},"record_index":{i},'
+                     f'"room":{room},"score":{score},"t":{t},"x":{x},"y":{y}}}')
+    return ",".join(parts)
+
+
+def outcome_json(outcome: Outcome, memo: dict) -> str:
+    """canonical_dumps(outcome.to_dict()), byte for byte. A retrieval payload
+    of the executor's key set has its hits written by one format, with the
+    texts of their captions, rooms and positions memoized by value in memo;
+    any other payload is encoded whole. memo is a dict the caller owns: one
+    per run of related outcomes, so that it stays small and is freed with
+    them."""
+    payload = outcome.payload
+    if payload.keys() == _HITS_PAYLOAD_KEYS and type(payload["hits"]) is list:
+        hits = _hits_json(payload["hits"], memo)
+        if hits is not None:
+            # The other keys sort after "hits"; splice their object's body in.
+            rest = canonical_dumps({k: v for k, v in payload.items() if k != "hits"})
+            return '{"kind":%s,"payload":{"hits":[%s],%s}' % (canonical_dumps(outcome.kind), hits, rest[1:])
+    return canonical_dumps(outcome.to_dict())
+
+
 def _memory_meta(memory: LongTermMemory) -> dict:
     n = len(memory)
     last = memory.timestep(n - 1) if n else None
@@ -227,4 +290,4 @@ class ActionExecutor:
         return Outcome(kind="retrieval", payload=payload)
 
 
-__all__ = ["ActionExecutor", "default_registry", "record_views"]
+__all__ = ["ActionExecutor", "default_registry", "outcome_json", "record_views"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..core import Action, WorkingMemory, canonical_dumps, canonical_loads
+from .registry import outcome_json
 
 WIRE_VERSION = 1
 
@@ -44,7 +45,15 @@ def encode_request(
     tool_schemas: Mapping[str, Any],
     h: WorkingMemory,
 ) -> str:
-    return canonical_dumps(build_request(instruction, remaining_budget, tool_schemas, h))
+    """canonical_dumps(build_request(...)), byte for byte. Each trace
+    outcome is written by outcome_json, with one memo for the request."""
+    memo: dict = {}
+    trace = ",".join(
+        '{"action":%s,"outcome":%s}' % (canonical_dumps(a.to_dict()), outcome_json(o, memo)) for a, o in h.steps
+    )
+    return '{"instruction":%s,"remaining_budget":%s,"tool_schemas":%s,"trace":[%s],"version":%s}' % (
+        canonical_dumps(instruction), canonical_dumps(remaining_budget), canonical_dumps(dict(tool_schemas)),
+        trace, canonical_dumps(WIRE_VERSION))
 
 
 def decode_response(text: str) -> tuple[Action, str]:

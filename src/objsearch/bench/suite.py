@@ -6,6 +6,12 @@ world once, takes day graphs from copies of it and patrols it to task time;
 then per mode it builds a memory and runs every method, each episode on its
 own copy of the patrolled world. Results are reduced in task order so the
 output is byte-identical regardless of worker count.
+
+Every log line is canonical_dumps of its event. A step line is composed
+around agent.registry.outcome_json, which writes a retrieval outcome's hits
+with one fixed format; the texts of their captions, rooms and positions come
+from a memo that lives for one task's episodes, never longer, so that it
+stays small. The bytes equal canonical_dumps of the step record.
 """
 
 from __future__ import annotations
@@ -26,15 +32,18 @@ from ..agent import (
     TrPlusSPolicy,
     classify_action,
     default_registry,
+    outcome_json,
     run_episode,
 )
 from ..core import (
     ACTION_CATEGORIES,
+    Action,
     DEFAULT_NOISE,
     MODES,
     NOISE_VERSION,
     NoiseModel,
     ObservationStream,
+    Outcome,
     canonical_dumps,
     config_hash,
     stable_seed,
@@ -212,6 +221,17 @@ def _episode_record(task: TaskSpec, method: str, mode: str, success: bool, steps
     }
 
 
+def _step_line(k: int, action: Action, outcome: Outcome, rationale: str, memo: dict) -> str:
+    """The log line of step k: canonical_dumps of {"event": "step", "k": k,
+    "action": ..., "outcome": ...}, plus "rationale" when it is not empty,
+    byte for byte. The outcome is written by outcome_json with memo."""
+    line = '{"action":%s,"event":"step","k":%s,"outcome":%s' % (
+        canonical_dumps(action.to_dict()), canonical_dumps(k), outcome_json(outcome, memo))
+    if rationale:
+        line += ',"rationale":' + canonical_dumps(rationale)
+    return line + "}"
+
+
 def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
     """Worker: every (mode, method) episode of one task. Returns episode
     records and raw log lines in (mode, method) order."""
@@ -219,6 +239,9 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
     # Action categories depend only on the tool; the world adds argument enums.
     registry = default_registry()
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
+    lineage = config.config_hash()
+    # Texts of the task's hit fields, shared by its step lines (see _step_line).
+    memo: dict = {}
     records: list[dict] = []
     log_lines: list[str] = []
     for mode in config.modes:
@@ -229,7 +252,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 "task_id": task.task_id,
                 "method": method,
                 "mode": mode,
-                "config_hash": config.config_hash(),
+                "config_hash": lineage,
                 "instruction": task.instruction,
             }
             log_lines.append(canonical_dumps(header))
@@ -239,10 +262,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
 
             def log_step(k: int, action, outcome, rationale: str = "") -> None:
                 nonlocal steps
-                record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
-                if rationale:
-                    record["rationale"] = rationale
-                log_lines.append(canonical_dumps(record))
+                log_lines.append(_step_line(k, action, outcome, rationale, memo))
                 counts[classify_action(action, registry)] += 1
                 steps = k
 

@@ -1,9 +1,11 @@
 """Decision loop, unified action space accounting, and scripted policies."""
 
 import functools
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,11 @@ from objsearch.agent import (
     PolicyDecision,
     RandomSearchPolicy,
     SgPlusSPolicy,
+    build_request,
     classify_action,
     default_registry,
+    encode_request,
+    outcome_json,
     run_episode,
 )
 from objsearch.agent.policies import (
@@ -31,14 +36,17 @@ from objsearch.agent.policies import (
     trace_view,
 )
 from objsearch.bench import SuiteConfig, build_task, default_prior_table, prepare_task, run_task_episode
+from objsearch.bench.suite import _step_line
 from objsearch.core import (
     CONTAINMENTS,
     CONTAINMENT_INSIDE_OPEN,
     Action,
     Instruction,
     Outcome,
+    SymbolicObservation,
     VisibleEntity,
     WorkingMemory,
+    canonical_dumps,
     render_caption,
     validate_action,
 )
@@ -52,7 +60,7 @@ from objsearch.homesim import (
     WorldState,
     generate_world,
 )
-from objsearch.memstore import LongTermMemory, build
+from objsearch.memstore import Batch, LongTermMemory, build
 from objsearch.homesim import patrol
 
 
@@ -422,6 +430,111 @@ def test_executor_is_total_over_schema_valid_actions(data):
     assert out.kind == registry.get(action.tool).output_kind
     if "error" in out.payload:
         assert out.payload["hits"] == [] and isinstance(out.payload["error"], str)
+
+
+# -- outcome encoding -------------------------------------------------------------------
+
+# Texts a JSON encoder must escape: quotes, backslashes, control characters,
+# non-ASCII and the line separators JSON allows raw but ASCII output escapes.
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\b\n\u2028\u2029\xe9\u6f22\U0001f642 a') | st.characters(), max_size=8)
+# Both zeros (equal and hashing alike), the smallest subnormal, the largest
+# magnitudes and any other finite float.
+_POSITION = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hit_memories(draw):
+    """A memory of 1-12 records over drawn captions, rooms and positions,
+    its embeddings rows of the 4 x 4 identity."""
+    captions = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    rooms = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    positions = draw(st.lists(st.tuples(_POSITION, _POSITION), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    tpd = draw(st.integers(1, 5))
+    t = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
+    pos = [draw(st.sampled_from(positions)) for _ in range(n)]
+    memory = LongTermMemory(d=4, ticks_per_day=tpd, snapshot_every=draw(st.integers(1, 3)))
+    memory.extend(Batch(
+        t=t, day=[v // tpd for v in t], x=[p[0] for p in pos], y=[p[1] for p in pos], yaw=[0.0] * n,
+        room=[draw(st.sampled_from(rooms)) for _ in range(n)],
+        row=[draw(st.integers(0, 3)) for _ in range(n)],
+        raw=[draw(st.integers(0, len(captions) - 1)) for _ in range(n)],
+        embeddings=list(np.eye(4)),
+        raws=[SymbolicObservation(visible_entities=(), caption=c) for c in captions],
+    ))
+    return memory, positions
+
+
+@st.composite
+def memory_actions(draw, n, positions):
+    """Any retrieval action on a memory of n records, errors included."""
+    r = {"r": draw(st.integers(1, 15))} if draw(st.booleans()) else {}
+    x, y = draw(st.sampled_from(positions))
+    return draw(st.sampled_from([
+        Action("semantic_query", {"query": "mug", **r}),
+        Action("temporal_query", {"timestep": draw(st.integers(-2, 60)), **r}),
+        Action("temporal_query", {"day_start": draw(st.integers(-1, 20)), "day_end": draw(st.integers(-1, 20)), **r}),
+        Action("spatial_query", {"x": x, "y": y, "radius": draw(st.sampled_from([1e-9, 1.0, 1e308])), **r}),
+        Action("fetch_raw", {"record_index": draw(st.integers(-1, n))}),
+    ]))
+
+
+def _skill_and_schema_outcomes():
+    executor = executor_for(tiny_world())
+    steps = [(a, executor.execute(a)) for a in (
+        Action("navigate", {"landmark": "spot_0"}), Action("detect", {}),
+        Action("pick", {"entity": "mug_1"}), Action("pick", {"entity": "mug_9"}))]
+    bad = Action("open", {"receptacle": 1})
+    errors = validate_action(bad, default_registry(executor.world))
+    steps.append((bad, Outcome(kind="skill_result", payload={"success": False, "reason": "schema_error",
+                                                            "errors": errors})))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_outcome_json_and_step_lines_equal_canonical_dumps(data):
+    """outcome_json, the suite's step lines and wire requests are
+    canonical_dumps of the same records, byte for byte, over executor
+    outcomes of random memories (NaN and inf query vectors, both zeros,
+    escaped texts), error payloads and skill outcomes, with one memo shared
+    by all of them."""
+    memory, positions = data.draw(hit_memories())
+    qvec = data.draw(st.sampled_from([np.eye(4)[0], np.full(4, np.nan), np.array([np.inf, 0, 0, 0]),
+                                      np.array([-np.inf, 1, 0, 0])]))
+    executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), lambda query: qvec)
+    actions = data.draw(st.lists(memory_actions(len(memory), positions), min_size=1, max_size=6))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the scores of an inf query
+        steps = [(a, executor.execute(a)) for a in actions] + _skill_and_schema_outcomes()
+    memo: dict = {}
+    h = WorkingMemory.fresh(Instruction(text="find the mug"), len(steps))
+    for k, (action, outcome) in enumerate(steps, start=1):
+        assert outcome_json(outcome, memo) == canonical_dumps(outcome.to_dict())
+        rationale = data.draw(st.sampled_from(["", "\u2028 \u00e9\"\\"]) | _TEXT)
+        record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
+        if rationale:
+            record["rationale"] = rationale
+        assert _step_line(k, action, outcome, rationale, memo) == canonical_dumps(record)
+        h = h.append(action, outcome)
+    schema = default_registry().schema()
+    assert encode_request("find the mug", 3, schema, h) == canonical_dumps(build_request("find the mug", 3, schema, h))
+
+
+def test_outcome_json_encodes_foreign_hits_whole():
+    """Hits that are not record_views' shape are encoded whole, even when an
+    equal value of another type is in the memo: 1 == 1.0 == True and
+    0 == 0.0 == -0.0 == False."""
+    memo: dict = {}
+    hit = {"record_index": 0, "score": 1.0, "t": 3, "day": 0, "room": "den", "x": 1.0, "y": -0.0,
+           "caption": "a mug", "keyframe": True}
+    meta = {"total": 1, "ticks_per_day": 5, "last_t": 3, "last_day": 0}
+    for h in (hit, {**hit, "x": 1}, {**hit, "x": True}, {**hit, "y": 0}, {**hit, "y": False},
+              {**hit, "caption": 1.0}, {**hit, "room": 1}, {**hit, "score": 1}, {**hit, "day": True},
+              {**hit, "t": 3.0}, {**hit, "record_index": False}, {**hit, "keyframe": 1},
+              {**hit, "x": np.float64(1.0)}, {k: v for k, v in hit.items() if k != "y"},
+              {**hit, "extra": 1}, dict(sorted(hit.items()))):
+        outcome = Outcome(kind="retrieval", payload={"hits": [hit, h], **meta})
+        assert outcome_json(outcome, memo) == canonical_dumps(outcome.to_dict()), h
 
 
 # -- random policy --------------------------------------------------------------------
