@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from ..core import Action, Outcome, WorkingMemory, stable_seed
+from ..core import Action, Hits, Outcome, WorkingMemory, stable_seed
 from .loop import PolicyDecision
 
 ATTRIBUTE_VOCAB = frozenset(
@@ -163,7 +163,7 @@ class TraceView:
     def __init__(self, h: WorkingMemory, parsed: ParsedInstruction):
         self.parsed = parsed
         self.steps: tuple[tuple[Action, Outcome], ...] = ()
-        self.hits: dict[int, dict] = {}
+        self.hits: set[int] = set()  # record indices seen in retrieval hits
         self.fetched: dict[int, dict] = {}
         self.queries: list[Action] = []
         self.navigated: set[str] = set()
@@ -196,24 +196,29 @@ class TraceView:
         payload = outcome.payload
         if outcome.kind == "retrieval":
             self.queries.append(action)
-            if self.first_hit is None and payload.get("hits"):
-                self.first_hit = payload["hits"][0]
+            hits = payload.get("hits", ())
+            if self.first_hit is None and hits:
+                self.first_hit = hits[0]
             if payload.get("ticks_per_day") is not None:
                 self.ticks_per_day = payload["ticks_per_day"]
             if payload.get("last_day") is not None:
                 self.last_day = payload["last_day"]
-            for view in payload.get("hits", []):
-                idx = view["record_index"]
-                if idx in self.hits:
+            if isinstance(hits, Hits):
+                index, captions, ts, days = hits.record_index, hits.caption, hits.t, hits.day
+            else:  # hit dicts: the columns the fold reads
+                index, captions, ts, days = ([hit[k] for hit in hits] for k in ("record_index", "caption", "t", "day"))
+            # Fold each unseen hit; a caption is matched once per view.
+            seen, matched, new = self.hits, self._caption_matches, tuple.__new__
+            for idx, caption, t, day in zip(index, captions, ts, days):
+                if idx in seen:
                     continue
-                self.hits[idx] = view
-                ents = self._caption_matches.get(view["caption"])
+                seen.add(idx)
+                ents = matched.get(caption)
                 if ents is None:
-                    ents = self._match_caption(view["caption"])
-                if ents:
-                    t, day = view["t"], view["day"]
+                    ents = self._match_caption(caption)
+                if ents:  # HitMatch(...) by tuple.__new__, without its Python-level __new__
                     self._hit_matches[idx] = tuple(
-                        HitMatch(idx, t, day, e.landmark_name, e.contained, e.attributes) for e in ents
+                        [new(HitMatch, (idx, t, day, e.landmark_name, e.contained, e.attributes)) for e in ents]
                     )
                     self._matches = None
             rec = payload.get("record")

@@ -3,15 +3,20 @@
 Temporal tools run against long-term memory, spatial tools against the world.
 The registry is the only thing policies see; executing an action is the only
 way a policy touches memory or world state.
+
+A query's hits reach policies as a core.Hits (record_views): fields gathered
+once as columns, a dict built only when a hit is read, and written to logs
+from the columns by outcome_json, byte for byte as canonical_dumps.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core import Action, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec, canonical_dumps
+from ..core import Action, Hits, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec, canonical_dumps
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
 from ..embed import Embedder, TransportError
 from ..homesim import Schedule, WorldState, detect, navigate, open_receptacle, pick
@@ -107,91 +112,68 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     return ToolRegistry(tools, landmarks=landmark_table, rooms=rooms)
 
 
-def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[float]) -> list[dict]:
+def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[float]) -> Hits:
     """Compact policy-facing views of memory hits, caption level only: hit j
-    is record index[j] with score[j]. One gather per memory column, no
-    MemoryRecord built. A record is a keyframe when its index is a multiple
-    of the memory's snapshot_every."""
-    index = np.asarray(index, dtype=np.intp)
+    is record index[j] with score[j]. One gather per memory column, no dict
+    until a hit is read (core.Hits). A record is a keyframe when its index is
+    a multiple of the memory's snapshot_every."""
+    index, score = np.asarray(index, dtype=np.intp), np.asarray(score)
     f = memory.fields(index)
-    keyframe = (index % memory.snapshot_every == 0).tolist()
-    return [
-        {
-            "record_index": i,
-            "score": s,
-            "t": t,
-            "day": day,
-            "room": room,
-            "x": x,
-            "y": y,
-            "caption": raw.caption,
-            "keyframe": key,
-        }
-        for i, s, t, day, room, x, y, raw, key in zip(
-            index.tolist(), np.asarray(score).tolist(), f["t"], f["day"], f["room"], f["x"], f["y"], f["raw"], keyframe)
-    ]
+    hits = _Views if score.dtype == np.float64 else Hits
+    return hits(index.tolist(), score.tolist(), f["t"], f["day"], f["room"], f["x"], f["y"],
+                [raw.caption for raw in f["raw"]], (index % memory.snapshot_every == 0).tolist())
+
+
+class _Views(Hits):
+    """record_views' Hits of float scores, whose columns (numpy's tolist) have
+    the types _hits_text writes unchecked; any other Hits is encoded whole."""
+
+    __slots__ = ()
 
 
 _HITS_PAYLOAD_KEYS = frozenset(("hits", "last_day", "last_t", "ticks_per_day", "total"))
 
 
-def _remember(memo: dict, value: Any) -> str:
-    """canonical_dumps(value), kept in memo under value. Zeros are not kept:
-    0.0 == -0.0 and both hash alike, so one sign's key would answer for the
-    other's."""
-    text = canonical_dumps(value)
-    if type(value) is str or value:
-        memo[value] = text
-    return text
+def _text(value: Any) -> str:
+    """canonical_dumps(value), by a cheaper path for a str, int or finite float."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int or type(value) is float and value - value == 0.0:
+        return repr(value)
+    return canonical_dumps(value)
 
 
-def _hits_json(hits: list, memo: dict) -> Optional[str]:
-    """The canonical text of a list of record_views hits, inner to its
-    brackets, or None when a hit has another key set or field type. Caption,
-    room, x and y texts come from memo; only str and float values are looked
-    up there, so a key never answers for an equal value of another type."""
-    get = memo.get
+def _hits_text(hits: Hits) -> str:
+    """canonical_dumps(list(hits)) inside its brackets, from the columns. Hits
+    of one run of records differ only in keyframe, record_index, score and t,
+    so caption, day, room, x and y texts are remade only when one changes or
+    x or y is a zero (0.0 == -0.0, and their texts differ), or a caption or
+    room is not a str (1 == 1.0 == True, and their texts differ)."""
     parts = []
-    for h in hits:
-        if type(h) is not dict or len(h) != 9:
-            return None
-        try:
-            caption, room, x, y = h["caption"], h["room"], h["x"], h["y"]
-            day, t, i, score, key = h["day"], h["t"], h["record_index"], h["score"], h["keyframe"]
-        except KeyError:
-            return None
-        if (type(caption) is not str or type(room) is not str or type(x) is not float
-                or type(y) is not float or type(score) is not float or type(day) is not int
-                or type(t) is not int or type(i) is not int or type(key) is not bool):
-            return None
-        caption = get(caption) or _remember(memo, caption)
-        room = get(room) or _remember(memo, room)
-        x = get(x) or _remember(memo, x)
-        y = get(y) or _remember(memo, y)
+    place = None
+    for i, s, t, day, room, x, y, caption, key in zip(
+            hits.record_index, hits.score, hits.t, hits.day, hits.room, hits.x, hits.y, hits.caption, hits.keyframe):
+        if (caption, day, room, x, y) != place or not (x and y):
+            place = (caption, day, room, x, y) if type(caption) is str and type(room) is str else None
+            head = f'{{"caption":{_text(caption)},"day":{_text(day)},"keyframe":'
+            mid = f',"room":{_text(room)},"score":'
+            tail = f',"x":{_text(x)},"y":{_text(y)}}}'
         # A finite float's canonical text is its repr; NaN and inf are not.
-        score = repr(score) if score - score == 0.0 else canonical_dumps(score)
-        key = "true" if key else "false"
-        # The keys in sorted order. An f-string: a 9-field %-format costs
-        # about half as much again.
-        parts.append(f'{{"caption":{caption},"day":{day},"keyframe":{key},"record_index":{i},'
-                     f'"room":{room},"score":{score},"t":{t},"x":{x},"y":{y}}}')
+        score = repr(s) if s - s == 0.0 else canonical_dumps(s)
+        parts.append(f'{head}{"true" if key else "false"},"record_index":{i}{mid}{score},"t":{t}{tail}')
     return ",".join(parts)
 
 
-def outcome_json(outcome: Outcome, memo: dict) -> str:
+def outcome_json(outcome: Outcome) -> str:
     """canonical_dumps(outcome.to_dict()), byte for byte. A retrieval payload
-    of the executor's key set has its hits written by one format, with the
-    texts of their captions, rooms and positions memoized by value in memo;
-    any other payload is encoded whole. memo is a dict the caller owns: one
-    per run of related outcomes, so that it stays small and is freed with
-    them."""
+    of the executor's key set has record_views' Hits written from their
+    columns (see _hits_text); any other payload is encoded whole."""
     payload = outcome.payload
-    if payload.keys() == _HITS_PAYLOAD_KEYS and type(payload["hits"]) is list:
-        hits = _hits_json(payload["hits"], memo)
-        if hits is not None:
-            # The other keys sort after "hits"; splice their object's body in.
-            rest = canonical_dumps({k: v for k, v in payload.items() if k != "hits"})
-            return '{"kind":%s,"payload":{"hits":[%s],%s}' % (canonical_dumps(outcome.kind), hits, rest[1:])
+    if payload.keys() == _HITS_PAYLOAD_KEYS and type(payload["hits"]) is _Views:
+        # The other keys sort after "hits"; splice their object's body in.
+        rest = canonical_dumps({k: v for k, v in payload.items() if k != "hits"})
+        return '{"kind":%s,"payload":{"hits":[%s],%s}' % (
+            canonical_dumps(outcome.kind), _hits_text(payload["hits"]), rest[1:])
     return canonical_dumps(outcome.to_dict())
 
 

@@ -46,10 +46,9 @@ def encode_request(
     h: WorkingMemory,
 ) -> str:
     """canonical_dumps(build_request(...)), byte for byte. Each trace
-    outcome is written by outcome_json, with one memo for the request."""
-    memo: dict = {}
+    outcome is written by outcome_json."""
     trace = ",".join(
-        '{"action":%s,"outcome":%s}' % (canonical_dumps(a.to_dict()), outcome_json(o, memo)) for a, o in h.steps
+        '{"action":%s,"outcome":%s}' % (canonical_dumps(a.to_dict()), outcome_json(o)) for a, o in h.steps
     )
     return '{"instruction":%s,"remaining_budget":%s,"tool_schemas":%s,"trace":[%s],"version":%s}' % (
         canonical_dumps(instruction), canonical_dumps(remaining_budget), canonical_dumps(dict(tool_schemas)),

@@ -9,9 +9,9 @@ output is byte-identical regardless of worker count.
 
 Every log line is canonical_dumps of its event. A step line is composed
 around agent.registry.outcome_json, which writes a retrieval outcome's hits
-with one fixed format; the texts of their captions, rooms and positions come
-from a memo that lives for one task's episodes, never longer, so that it
-stays small. The bytes equal canonical_dumps of the step record.
+(a core.Hits, gathered once as columns by the executor) straight from their
+columns, with no dict per hit. The bytes equal canonical_dumps of the step
+record.
 """
 
 from __future__ import annotations
@@ -221,12 +221,12 @@ def _episode_record(task: TaskSpec, method: str, mode: str, success: bool, steps
     }
 
 
-def _step_line(k: int, action: Action, outcome: Outcome, rationale: str, memo: dict) -> str:
+def _step_line(k: int, action: Action, outcome: Outcome, rationale: str) -> str:
     """The log line of step k: canonical_dumps of {"event": "step", "k": k,
     "action": ..., "outcome": ...}, plus "rationale" when it is not empty,
-    byte for byte. The outcome is written by outcome_json with memo."""
+    byte for byte. The outcome is written by outcome_json."""
     line = '{"action":%s,"event":"step","k":%s,"outcome":%s' % (
-        canonical_dumps(action.to_dict()), canonical_dumps(k), outcome_json(outcome, memo))
+        canonical_dumps(action.to_dict()), canonical_dumps(k), outcome_json(outcome))
     if rationale:
         line += ',"rationale":' + canonical_dumps(rationale)
     return line + "}"
@@ -240,8 +240,6 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
     registry = default_registry()
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     lineage = config.config_hash()
-    # Texts of the task's hit fields, shared by its step lines (see _step_line).
-    memo: dict = {}
     records: list[dict] = []
     log_lines: list[str] = []
     for mode in config.modes:
@@ -262,7 +260,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
 
             def log_step(k: int, action, outcome, rationale: str = "") -> None:
                 nonlocal steps
-                log_lines.append(_step_line(k, action, outcome, rationale, memo))
+                log_lines.append(_step_line(k, action, outcome, rationale))
                 counts[classify_action(action, registry)] += 1
                 steps = k
 

@@ -41,9 +41,15 @@ EMPTY_CAPTION = "nothing notable"
 MODES = ("oracle", "realistic")
 
 
+def _as_list(obj: Any) -> list:
+    if isinstance(obj, Hits):
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj: Any) -> str:
-    """Serialize to the canonical JSON form used everywhere in this package."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Serialize to the canonical JSON form used everywhere in this package, a Hits as its list."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_as_list)
 
 
 def canonical_loads(text: str) -> Any:
@@ -484,6 +490,36 @@ class Action:
         return cls(tool=str(d["tool"]), args=dict(d.get("args", {})))
 
 
+class Hits(SequenceABC):
+    """Ranked retrieval hits, read-only: one list per field of KEYS, of Python
+    int, float, str or bool. Reading a hit builds a fresh dict in KEYS order,
+    a slice a Hits. It equals any sequence of those dicts, and is encoded so."""
+
+    KEYS = __slots__ = ("record_index", "score", "t", "day", "room", "x", "y", "caption", "keyframe")
+
+    def __init__(self, record_index: list, score: list, t: list, day: list, room: list,
+                 x: list, y: list, caption: list, keyframe: list):
+        self.record_index, self.score, self.t, self.day, self.room = record_index, score, t, day, room
+        self.x, self.y, self.caption, self.keyframe = x, y, caption, keyframe
+
+    def __len__(self) -> int:
+        return len(self.record_index)
+
+    def __getitem__(self, i):
+        row = [getattr(self, key)[i] for key in self.KEYS]
+        return Hits(*row) if isinstance(i, slice) else dict(zip(self.KEYS, row))
+
+    def __iter__(self) -> Iterator[dict]:
+        keys = self.KEYS
+        for row in zip(*(getattr(self, key) for key in keys)):
+            yield dict(zip(keys, row))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class Outcome:
     """Result of executing one action."""
@@ -699,6 +735,7 @@ __all__ = [
     "DEFAULT_NOISE",
     "EMPTY_CAPTION",
     "FAMILIES",
+    "Hits",
     "Instruction",
     "MODES",
     "MemoryRecord",

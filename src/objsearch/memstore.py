@@ -299,7 +299,7 @@ class LongTermMemory:
         """Append a batch of records and return the index of its first one.
 
         The whole batch is checked before anything is stored: every new
-        table row must have shape (d,) and unit norm (checked once per row),
+        table row must have shape (d,) and unit norm (see _new_rows),
         timesteps and days must be non-negative, row and raw ids must index
         the tables, and timestamps must increase strictly, within the batch
         and after the last stored record. A bad batch raises BatchError and
@@ -308,11 +308,7 @@ class LongTermMemory:
         first bad record's position in the batch.
         """
         n, k, m = self._n, self._k, len(self._raws)
-        embeddings = [np.asarray(vec, dtype=np.float64) for vec in batch.embeddings]
-        for j, vec in enumerate(embeddings):
-            reason = embedding_problem(vec, self.d)
-            if reason is not None:
-                raise BatchError(j, reason, part="embeddings")
+        embeddings = self._new_rows(batch.embeddings)
         t = np.asarray(batch.t, dtype=np.int64)
         day = np.asarray(batch.day, dtype=np.int64)
         row = np.asarray(batch.row, dtype=np.int64)
@@ -337,7 +333,7 @@ class LongTermMemory:
             return n
         # Table rows first, then record columns, then the count: rows below
         # _n, and every table entry they name, are immutable once published.
-        if embeddings:
+        if k_after > k:
             self._table = _grown(self._table, k_after, k)
             self._table[k:k_after] = embeddings
             self._k = k_after
@@ -355,6 +351,25 @@ class LongTermMemory:
         self._raw_id[n:end] = raw
         self._n = end
         return n
+
+    def _new_rows(self, embeddings: Sequence[np.ndarray]) -> np.ndarray:
+        """A batch's new rows as one float64 array; the first row that
+        core.embedding_problem refuses raises BatchError. Only rows whose einsum
+        norm is not 1e-9 inside its bound are referred to it (it sums by dot)."""
+        try:
+            rows = np.asarray(embeddings, dtype=np.float64)
+        except ValueError:  # rows of unequal lengths, or not numbers
+            rows = np.zeros((0, 0))
+        suspect = range(len(embeddings))
+        if rows.ndim == 2 and rows.shape[1] == self.d:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            suspect = np.flatnonzero(~(np.abs(norm - 1.0) < 1e-6 - 1e-9)).tolist()
+        for j in suspect:
+            reason = embedding_problem(np.asarray(embeddings[j], dtype=np.float64), self.d)
+            if reason is not None:
+                raise BatchError(j, reason, part="embeddings")
+        return rows
 
     def _snapshot(self) -> Batch:
         """The published records and the table entries they may name,

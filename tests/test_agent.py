@@ -24,6 +24,8 @@ from objsearch.agent import (
     outcome_json,
     run_episode,
 )
+from conftest import spec_batch
+from objsearch.agent.registry import record_views
 from objsearch.agent.policies import (
     ATTRIBUTE_VOCAB,
     CaptionEntity,
@@ -41,6 +43,7 @@ from objsearch.core import (
     CONTAINMENTS,
     CONTAINMENT_INSIDE_OPEN,
     Action,
+    Hits,
     Instruction,
     Outcome,
     SymbolicObservation,
@@ -497,44 +500,125 @@ def test_outcome_json_and_step_lines_equal_canonical_dumps(data):
     """outcome_json, the suite's step lines and wire requests are
     canonical_dumps of the same records, byte for byte, over executor
     outcomes of random memories (NaN and inf query vectors, both zeros,
-    escaped texts), error payloads and skill outcomes, with one memo shared
-    by all of them."""
+    escaped texts), the same outcomes with their hits as a list of dicts
+    (as Outcome.from_dict gives them), error payloads and skill outcomes."""
     memory, positions = data.draw(hit_memories())
     qvec = data.draw(st.sampled_from([np.eye(4)[0], np.full(4, np.nan), np.array([np.inf, 0, 0, 0]),
                                       np.array([-np.inf, 1, 0, 0])]))
     executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), lambda query: qvec)
     actions = data.draw(st.lists(memory_actions(len(memory), positions), min_size=1, max_size=6))
     with np.errstate(invalid="ignore"):  # inf * 0 in the scores of an inf query
-        steps = [(a, executor.execute(a)) for a in actions] + _skill_and_schema_outcomes()
-    memo: dict = {}
+        steps = [(a, executor.execute(a)) for a in actions]
+    steps += [(a, Outcome(o.kind, {**o.payload, "hits": [dict(hit) for hit in o.payload["hits"]]}))
+              for a, o in steps if "hits" in o.payload] + _skill_and_schema_outcomes()
     h = WorkingMemory.fresh(Instruction(text="find the mug"), len(steps))
     for k, (action, outcome) in enumerate(steps, start=1):
-        assert outcome_json(outcome, memo) == canonical_dumps(outcome.to_dict())
+        assert outcome_json(outcome) == canonical_dumps(outcome.to_dict())
         rationale = data.draw(st.sampled_from(["", "\u2028 \u00e9\"\\"]) | _TEXT)
         record = {"event": "step", "k": k, "action": action.to_dict(), "outcome": outcome.to_dict()}
         if rationale:
             record["rationale"] = rationale
-        assert _step_line(k, action, outcome, rationale, memo) == canonical_dumps(record)
+        assert _step_line(k, action, outcome, rationale) == canonical_dumps(record)
         h = h.append(action, outcome)
     schema = default_registry().schema()
     assert encode_request("find the mug", 3, schema, h) == canonical_dumps(build_request("find the mug", 3, schema, h))
 
 
+def reference_views(memory, index, score):
+    """record_views' dicts, built per hit from MemoryRecords."""
+    views = []
+    for i, s in zip(index, score):
+        rec = memory.record(i)
+        views.append({"record_index": i, "score": s, "t": rec.t.value, "day": rec.t.day, "room": rec.pose.room_id,
+                      "x": rec.pose.position[0], "y": rec.pose.position[1], "caption": rec.raw.caption,
+                      "keyframe": i % memory.snapshot_every == 0})
+    return views
+
+
+def columns_of(views):
+    """The Hits of hit dicts with the Hits.KEYS."""
+    return Hits(*([view[key] for view in views] for key in Hits.KEYS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hits_read_as_record_views_dicts(data):
+    """record_views' Hits reads as the dicts of each hit's record: length,
+    truth, every index (negative ones too), slices, iteration and key order,
+    equality both ways, a fresh dict on every read, and the same canonical
+    JSON as the list of those dicts."""
+    memory, _ = data.draw(hit_memories())
+    index = data.draw(st.lists(st.integers(0, len(memory) - 1), max_size=8))
+    score = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(index), max_size=len(index)))
+    hits, views = record_views(memory, index, score), reference_views(memory, index, score)
+    assert (len(hits), bool(hits)) == (len(views), bool(views))
+    assert hits == views and views == hits and hits == tuple(views) and not hits != views
+    assert [hits[j] for j in range(-len(hits), len(hits))] == views + views
+    for j in (len(hits), -len(hits) - 1):
+        with pytest.raises(IndexError):
+            hits[j]
+    part = hits[1:-1:2]
+    assert type(part) is Hits and part == views[1:-1:2]
+    assert [list(view) for view in hits] == [list(Hits.KEYS)] * len(views)
+    assert columns_of(views) == hits and isinstance(hits, Hits)
+    for view in hits:
+        view.clear()
+    if hits:
+        hits[0]["caption"] = "another caption"
+        assert hits[0] == views[0]
+        assert hits != views[:-1] and hits != [{**views[0], "score": "not a score"}] + views[1:]
+    assert list(hits) == views and hits != "not a sequence of hits"
+    assert canonical_dumps(hits) == canonical_dumps(list(hits)) == canonical_dumps(views)
+    assert canonical_dumps({"hits": hits}) == canonical_dumps({"hits": views})
+
+
+def test_outcome_json_remakes_texts_where_a_run_changes():
+    """Neighbouring hits that differ only in room, in caption or in the sign
+    of a zero (0.0 == -0.0, and they hash alike) each get their own texts,
+    and so do rooms and captions that are not a str but equal one another
+    (1 == 1.0 == True)."""
+    rows = [("den", "a mug", 2.0, 1.0), ("hall", "a mug", 2.0, 1.0), ("hall", "a cup", 2.0, 1.0),
+            ("hall", "a cup", -0.0, 1.0), ("hall", "a cup", -0.0, 1.0), ("hall", "a cup", 1.0, -0.0),
+            ("hall", "a cup", 1.0, 0.0), ("hall", "a cup", 0.0, 0.0), ("hall", "a cup", 0.0, 0.0),
+            (1, "a cup", 1.0, 1.0), (1.0, "a cup", 1.0, 1.0), (True, "a cup", 1.0, 1.0),
+            ("hall", 1, 1.0, 1.0), ("hall", 1.0, 1.0, 1.0), ("hall", True, 1.0, 1.0)]
+    captions = [(str, "a mug"), (str, "a cup"), (int, 1), (float, 1.0), (bool, True)]
+    memory = LongTermMemory(d=4, ticks_per_day=5)
+    memory.extend(Batch(
+        t=range(len(rows)), day=[t // 5 for t in range(len(rows))], x=[row[2] for row in rows],
+        y=[row[3] for row in rows], yaw=[0.0] * len(rows), room=[row[0] for row in rows], row=[0] * len(rows),
+        raw=[captions.index((type(row[1]), row[1])) for row in rows], embeddings=[np.eye(4)[0]],
+        raws=[SymbolicObservation(visible_entities=(), caption=c) for _, c in captions],
+    ))
+    executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), EMB)
+    for action in (Action("temporal_query", {"day_start": 0, "day_end": 2, "r": len(rows)}),
+                   Action("temporal_query", {"timestep": 0, "r": len(rows)})):
+        outcome = executor.execute(action)
+        assert len(outcome.payload["hits"]) == len(rows)
+        assert outcome_json(outcome) == canonical_dumps(outcome.to_dict())
+
+
 def test_outcome_json_encodes_foreign_hits_whole():
-    """Hits that are not record_views' shape are encoded whole, even when an
-    equal value of another type is in the memo: 1 == 1.0 == True and
-    0 == 0.0 == -0.0 == False."""
-    memo: dict = {}
+    """Hit dicts, of record_views' shape or not, are encoded whole, also when
+    a field's value equals one of another type: 1 == 1.0 == True and
+    0 == 0.0 == -0.0 == False. So are the same hits as a Hits not made by
+    record_views, and record_views' hits of scores that are not floats."""
     hit = {"record_index": 0, "score": 1.0, "t": 3, "day": 0, "room": "den", "x": 1.0, "y": -0.0,
            "caption": "a mug", "keyframe": True}
     meta = {"total": 1, "ticks_per_day": 5, "last_t": 3, "last_day": 0}
     for h in (hit, {**hit, "x": 1}, {**hit, "x": True}, {**hit, "y": 0}, {**hit, "y": False},
               {**hit, "caption": 1.0}, {**hit, "room": 1}, {**hit, "score": 1}, {**hit, "day": True},
               {**hit, "t": 3.0}, {**hit, "record_index": False}, {**hit, "keyframe": 1},
-              {**hit, "x": np.float64(1.0)}, {k: v for k, v in hit.items() if k != "y"},
-              {**hit, "extra": 1}, dict(sorted(hit.items()))):
-        outcome = Outcome(kind="retrieval", payload={"hits": [hit, h], **meta})
-        assert outcome_json(outcome, memo) == canonical_dumps(outcome.to_dict()), h
+              {**hit, "x": np.float64(1.0)}, {**hit, "score": np.float64(1.0)},
+              {k: v for k, v in hit.items() if k != "y"}, {**hit, "extra": 1}, dict(sorted(hit.items()))):
+        for hits in ([hit, h], columns_of([hit, h])) if h.keys() >= set(Hits.KEYS) else ([hit, h],):
+            outcome = Outcome(kind="retrieval", payload={"hits": hits, **meta})
+            assert outcome_json(outcome) == canonical_dumps(outcome.to_dict()), h
+    memory = LongTermMemory(d=EMB.config.d, ticks_per_day=5)
+    memory.extend(spec_batch(memory, [(0, "a mug", (0.0, 0.0))], EMB))
+    for score in ([1, 2], [True, False], np.array([1.0, 2.0], dtype=np.float32)):
+        outcome = Outcome(kind="retrieval", payload={"hits": record_views(memory, [0, 0], score), **meta})
+        assert outcome_json(outcome) == canonical_dumps(outcome.to_dict()), score
 
 
 # -- random policy --------------------------------------------------------------------
@@ -795,15 +879,15 @@ def view_state(view):
 
 
 def reference_matches(h, parsed):
-    """The whole-trace scan the fold replaced: the first view of each
-    retrieved record, and the instruction-matching phrases of their captions
+    """The whole-trace scan the fold replaced: the retrieved record indices,
+    and the instruction-matching phrases of each one's first view's caption
     in record order."""
     hits = {}
     for _, outcome in h.steps:
         if outcome.kind == "retrieval":
             for hit in outcome.payload.get("hits", []):
                 hits.setdefault(hit["record_index"], hit)
-    return hits, [
+    return set(hits), [
         HitMatch(idx, hit["t"], hit["day"], ent.landmark_name, ent.contained, ent.attributes)
         for idx, hit in sorted(hits.items())
         for ent in parse_caption(hit["caption"])
@@ -844,6 +928,45 @@ def test_incremental_trace_view_equals_a_fresh_one(data):
         for instruction, hk in calls:
             args = (instruction, hk, hk.remaining_budget, schema)
             assert policy(*args) == make()(*args)
+
+
+def with_listed_hits(h):
+    """h with each outcome's hits as a list of dicts, as Outcome.from_dict
+    gives them."""
+    steps = tuple((a, Outcome(o.kind, {**o.payload, "hits": [dict(hit) for hit in o.payload["hits"]]}))
+                  if "hits" in o.payload else (a, o) for a, o in h.steps)
+    return WorkingMemory(h.instruction, steps, h.remaining_budget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_trace_view_folds_listed_hits_as_it_folds_hits(data):
+    """A trace whose hits are lists of dicts folds to the same view as the
+    executor's Hits: seen records, matches, first hit, fetched records and
+    the memory's last day and day length, along every prefix."""
+    task, memory, embedder, at_task = fold_setup()
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    parsed = parse_instruction(data.draw(st.sampled_from(fold_instructions(world))))
+    for hk in fold_trace(task, memory, embedder, at_task, data.draw(fold_actions(world, len(memory)))):
+        columns, listed = TraceView(hk, parsed), TraceView(with_listed_hits(hk), parsed)
+        assert (columns.hits, columns.matches(), columns.first_hit, columns.fetched, columns.last_day,
+                columns.ticks_per_day) == (listed.hits, listed.matches(), listed.first_hit, listed.fetched,
+                                           listed.last_day, listed.ticks_per_day)
+
+
+def test_trace_view_keeps_the_first_view_of_a_record():
+    """A record seen again, here under another caption and time, keeps the
+    matches of its first view; its neighbour in the same hits is new."""
+    first = {"record_index": 3, "score": 1.0, "t": 3, "day": 0, "room": "den", "x": 0.0, "y": 0.0,
+             "caption": "a red mug on the sink", "keyframe": False}
+    again = {**first, "t": 9, "caption": "a red mug inside the fridge"}
+    query = Action("semantic_query", {"query": "red mug"})
+    h = WorkingMemory.fresh(Instruction(text="find the red mug"), 5)
+    h = h.append(query, Outcome("retrieval", {"hits": [first]}))
+    h = h.append(query, Outcome("retrieval", {"hits": columns_of([again, {**again, "record_index": 4}])}))
+    view = TraceView(h, parse_instruction("find the red mug"))
+    assert view.hits == {3, 4} and view.first_hit == first
+    assert [(m.record_index, m.t, m.landmark_name) for m in view.matches()] == [(3, 3, "sink"), (4, 9, "fridge")]
 
 
 # -- llm policy ------------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from objsearch.core import (
     SymbolicObservation,
     Timestep,
     VisibleEntity,
+    embedding_problem,
     render_caption,
 )
 from objsearch import artifacts
@@ -1127,6 +1128,92 @@ def test_index_backed_queries_equal_the_linear_scans(steps):
         else:
             centre, radius, r = args
             assert same_hits(memory.query_spatial(centre, radius, r=r).hits, scan_spatial(memory, centre, radius, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([1, 4, 256]),
+    specs=st.lists(st.tuples(st.sampled_from([1 - 1e-6, 1 + 1e-6]), st.integers(-6, 6), st.integers(0, 2**32 - 1)),
+                   min_size=1, max_size=8),
+)
+def test_new_rows_are_judged_as_embedding_problem_judges_them(d, specs):
+    """Rows whose norms sit a few ulps either side of 1 - 1e-6 and 1 + 1e-6:
+    extend's batch screen refers each one near the bound to
+    core.embedding_problem, so the batch is refused exactly when a row has
+    a problem, naming the first such row with its message."""
+    rows = []
+    for bound, ulps, seed in specs:
+        scale = bound
+        for _ in range(abs(ulps)):
+            scale = np.nextafter(scale, math.copysign(math.inf, ulps))
+        u = np.random.default_rng(seed).standard_normal(d)
+        rows.append(scale * (u / math.sqrt(u @ u)))
+    problems = [(j, reason) for j, row in enumerate(rows) if (reason := embedding_problem(row, d)) is not None]
+    memory = LongTermMemory(d=d, ticks_per_day=10)
+    batch = Batch(t=[0], day=[0], x=[0.0], y=[0.0], yaw=[0.0], room=["kitchen"], row=[0], raw=[0],
+                  embeddings=rows, raws=[SymbolicObservation((), "a row")])
+    if not problems:
+        memory.extend(batch)
+        assert memory._snapshot().embeddings.tobytes() == np.array(rows).tobytes()
+        return
+    with pytest.raises(BatchError) as info:
+        memory.extend(batch)
+    assert (info.value.part, info.value.position, info.value.reason) == ("embeddings", *problems[0])
+    assert len(memory) == 0 and memory._k == 0
+
+
+# Rows that score 0.0 or -0.0 against UNIT[0] (and all rows against UNIT[3]),
+# distinct by bytes, and a few that score above or below them; the cut of a
+# small r then falls inside a tie group of up to 60 rows. NaN scores tie too.
+ZERO_ROWS = [np.array([sign * 1e-12, math.cos(a), math.sin(a), 0.0])
+             for sign in (0.0, 1.0, -1.0) for a in np.linspace(0.1, 3.0, 20)]
+GROUP_ROWS = ZERO_ROWS + [UNIT[0], np.array([0.6, 0.8, 0.0, 0.0]), np.array([0.8, 0.6, 0.0, 0.0]), -UNIT[0]]
+GROUP_QUERIES = [UNIT[0], UNIT[3], np.full(4, np.nan)]
+# Distinct positions, up to the sign of a zero, that all lie 5.0 from the
+# origin, and some nearer and farther ones.
+RING = [(5 * math.cos(a), 5 * math.sin(a)) for a in np.linspace(0.0, 6.0, 25)] + [
+    (3.0, 4.0), (-4.0, 3.0), (0.0, 5.0), (-0.0, 5.0), (5.0, -0.0), (-5.0, 0.0)]
+GROUP_PLACES = RING + [(1.0, 0.0), (0.0, -1.0), (6.0, 0.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, len(GROUP_ROWS) - 1), st.integers(0, len(GROUP_PLACES) - 1),
+                            st.just(1) | st.integers(1, 4)), min_size=1, max_size=60),
+    unused=st.lists(st.tuples(st.integers(0, len(GROUP_ROWS) - 1), st.integers(0, 60)), max_size=20),
+    r=st.integers(1, 30) | st.just(10**9),
+)
+@example(runs=[(row, 0, 1) for row in range(12)], unused=[], r=5)  # 12 tied rows of one record each, 5 of them read
+@example(runs=[(0, 0, 1), (1, 0, 1)], unused=[(2, 2)], r=1)  # the last table row, tied at the cut, has no record
+@example(runs=[(0, 0, 1), (1, 0, 1)], unused=[(2, 0)], r=1)  # so has the first
+def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused, r):
+    """Semantic and spatial queries whose r-th hit falls in a tie group of
+    many table rows or positions (zero scores of both signs, NaN scores,
+    positions on one circle) equal the linear scans. Table rows that no
+    record uses, each (GROUP_ROWS index, table position) of unused, tie at
+    the cut too."""
+    slots = [(row, True) for row in dict.fromkeys(row for row, _, _ in runs)]
+    for row, at in unused:
+        slots.insert(at, (row, False))
+    position = {row: j for j, (row, used) in enumerate(slots) if used}
+    t = [0]
+    for _, _, length in runs:
+        t += range(t[-1] + 1, t[-1] + 1 + length)
+    t = t[1:]
+    memory = LongTermMemory(d=4, ticks_per_day=10)
+    memory.extend(Batch(
+        t=t, day=[v // 10 for v in t], yaw=[0.0] * len(t), room=["kitchen"] * len(t), raw=[0] * len(t),
+        x=[GROUP_PLACES[p][0] for _, p, n in runs for _ in range(n)],
+        y=[GROUP_PLACES[p][1] for _, p, n in runs for _ in range(n)],
+        row=[position[row] for row, _, n in runs for _ in range(n)],
+        embeddings=[GROUP_ROWS[row] for row, _ in slots], raws=[SymbolicObservation((), "a run")],
+    ))
+    for qvec in GROUP_QUERIES:
+        with np.errstate(invalid="ignore"):
+            assert same_hits(memory.query_semantic_vector(qvec, r=r).hits, scan_semantic(memory, qvec, r))
+    for radius in (1.0, 5.0, 10.0):
+        assert same_hits(memory.query_spatial((0.0, 0.0), radius, r=r).hits,
+                         scan_spatial(memory, (0.0, 0.0), radius, r))
 
 
 def assert_loaded_equals(loaded, memory):
