@@ -20,7 +20,7 @@ from .policies import (
     parse_caption,
     parse_instruction,
 )
-from .registry import ActionExecutor, default_registry, outcome_json
+from .registry import R_MAX, ActionExecutor, default_registry, outcome_json
 from .wire import WIRE_VERSION, WireParseError, build_request, decode_response, encode_request
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "LLMPolicyConfig",
     "Policy",
     "PolicyDecision",
+    "R_MAX",
     "RandomSearchPolicy",
     "SgPlusSPolicy",
     "StarScriptedPolicy",

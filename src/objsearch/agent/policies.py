@@ -33,12 +33,12 @@ from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from ..core import Action, Hits, Outcome, WorkingMemory, stable_seed
 from .loop import PolicyDecision
+from .registry import R_MAX
 
 ATTRIBUTE_VOCAB = frozenset(
     {"red", "blue", "green", "black", "white", "yellow", "grey", "small", "large", "oak"}
 )
 
-DEFAULT_WINDOW_R = 200
 DEFAULT_SEMANTIC_R = 25
 
 
@@ -144,8 +144,8 @@ def parse_caption(caption: str) -> list[CaptionEntity]:
 
 class HitMatch(NamedTuple):
     """One instruction-matching entity phrase found in a retrieval hit. A
-    named tuple because a whole-day window makes hundreds per step, and a
-    tuple is built several times faster than a frozen dataclass."""
+    named tuple because a semantic query makes up to r per step, and a tuple
+    is built several times faster than a frozen dataclass."""
 
     record_index: int
     t: int
@@ -173,7 +173,6 @@ class TraceView:
         self.picked_ok: set[str] = set()
         self.pick_failed: set[str] = set()
         self.last_day: Optional[int] = None
-        self.ticks_per_day: Optional[int] = None
         self.first_hit: Optional[dict] = None
         self.focus: Optional[str] = None
         # Caption -> its entities that match the instruction; record index ->
@@ -199,8 +198,6 @@ class TraceView:
             hits = payload.get("hits", ())
             if self.first_hit is None and hits:
                 self.first_hit = hits[0]
-            if payload.get("ticks_per_day") is not None:
-                self.ticks_per_day = payload["ticks_per_day"]
             if payload.get("last_day") is not None:
                 self.last_day = payload["last_day"]
             if isinstance(hits, Hits):
@@ -378,6 +375,14 @@ def _detection_match(
     return candidates[0]["entity_id"] if candidates else None
 
 
+def _window_action(day: int) -> Action:
+    """A whole day's window, one hit per run of identical records: a run's
+    newest record stands for the run, and within a run only record_index and
+    t change, so the view's newest sighting per landmark is the same as from
+    every record of the day."""
+    return Action("temporal_query", {"day_start": day, "day_end": day, "r": R_MAX, "per": "run"})
+
+
 # ---------------------------------------------------------------------------
 # Random baseline
 
@@ -426,10 +431,7 @@ class TrPlusSPolicy:
     def _probes(self, parsed: ParsedInstruction, view: TraceView) -> list[Action]:
         probes = [Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})]
         if parsed.day_ref == "yesterday" and view.last_day is not None:
-            r = view.ticks_per_day or DEFAULT_WINDOW_R
-            probes.append(
-                Action("temporal_query", {"day_start": view.last_day, "day_end": view.last_day, "r": r})
-            )
+            probes.append(_window_action(view.last_day))
         if view.first_hit is not None:
             hit = view.first_hit
             probes.append(
@@ -634,10 +636,6 @@ class StarScriptedPolicy:
         self.max_fetches = max_fetches
         self._view: Optional[TraceView] = None
 
-    def _window_action(self, view: TraceView, day: int) -> Action:
-        r = view.ticks_per_day or DEFAULT_WINDOW_R
-        return Action("temporal_query", {"day_start": day, "day_end": day, "r": r})
-
     def _wanted_windows(self, parsed: ParsedInstruction, view: TraceView) -> list[int]:
         if view.last_day is None:
             return []
@@ -662,7 +660,7 @@ class StarScriptedPolicy:
                 )
             for day in self._wanted_windows(parsed, view):
                 if not view.issued("temporal_query", day_start=day, day_end=day):
-                    return PolicyDecision(self._window_action(view, day))
+                    return PolicyDecision(_window_action(day))
 
         matches = view.matches()
         target = view.target_from_fetched()
@@ -688,7 +686,7 @@ class StarScriptedPolicy:
             and view.last_day is not None
             and not view.issued("temporal_query", day_start=view.last_day, day_end=view.last_day)
         ):
-            return PolicyDecision(self._window_action(view, view.last_day))
+            return PolicyDecision(_window_action(view.last_day))
         return self._sweep(parsed, view, schema, matches, target_id)
 
     def _fetch_wanted(
@@ -861,7 +859,6 @@ __all__ = [
     "CaptionEntity",
     "DEFAULT_COMMIT_THRESHOLD",
     "DEFAULT_SEMANTIC_R",
-    "DEFAULT_WINDOW_R",
     "HitMatch",
     "ParsedInstruction",
     "RandomSearchPolicy",

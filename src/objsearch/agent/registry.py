@@ -16,10 +16,27 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core import Action, Hits, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec, canonical_dumps
+from ..core import (
+    INT64_MAX, INT64_MIN, Action, Hits, Outcome, ParamSpec, SymbolicObservation, ToolRegistry, ToolSpec,
+    canonical_dumps,
+)
 from ..memstore import DEFAULT_TOP_R, LongTermMemory, QueryResult
 from ..embed import Embedder, TransportError
 from ..homesim import Schedule, WorldState, detect, navigate, open_receptacle, pick
+
+# The largest r a query may ask for: one day at the top of the full-scale band
+# (1200..1500 ticks/day), so a whole-day window fits in one query at every
+# documented scale, per record or per run (realistic captions change at most
+# ticks, so a realistic 1300-tick day holds about a thousand runs).
+# perfbench's retrieval mix asks day windows for 200 records, so it must stay
+# >= 200.
+R_MAX = 1500
+_R = ParamSpec("r", "int", required=False, minimum=1, maximum=R_MAX)
+
+
+def _int64(name: str, required: bool = False) -> ParamSpec:
+    return ParamSpec(name, "int", required=required, minimum=INT64_MIN, maximum=INT64_MAX)
+
 
 def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     """Build the standard registry; navigate/open argument enums and the
@@ -42,7 +59,7 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
             output_kind="retrieval",
             params=(
                 ParamSpec("query", "str"),
-                ParamSpec("r", "int", required=False),
+                _R,
             ),
             description="Top-r past observations whose captions best match the query text.",
         ),
@@ -51,14 +68,17 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
             category="temporal_query",
             output_kind="retrieval",
             params=(
-                ParamSpec("timestep", "int", required=False),
-                ParamSpec("day_start", "int", required=False),
-                ParamSpec("day_end", "int", required=False),
-                ParamSpec("r", "int", required=False),
+                _int64("timestep"),
+                _int64("day_start"),
+                _int64("day_end"),
+                _R,
+                ParamSpec("per", "str", required=False, enum=("record", "run")),
             ),
             description=(
                 "Past observations around a timestep (point form) or within a day "
-                "window (day_start/day_end), most recent first."
+                "window (day_start/day_end), most recent first. In the window form, "
+                'per "run" gives one hit per run of consecutive identical observations '
+                '(its newest) instead of one per observation ("record", the default).'
             ),
         ),
         ToolSpec(
@@ -68,8 +88,8 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
             params=(
                 ParamSpec("x", "float"),
                 ParamSpec("y", "float"),
-                ParamSpec("radius", "float"),
-                ParamSpec("r", "int", required=False),
+                ParamSpec("radius", "float", minimum=0, exclusive_minimum=True),
+                _R,
             ),
             description="Past observations taken within radius meters of (x, y).",
         ),
@@ -77,7 +97,7 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
             name="fetch_raw",
             category="temporal_query",
             output_kind="retrieval",
-            params=(ParamSpec("record_index", "int"),),
+            params=(_int64("record_index", required=True),),
             description="Re-inspect one stored observation in full detail.",
         ),
         ToolSpec(
@@ -197,9 +217,10 @@ def _semantic(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any
 
 
 def _temporal(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> QueryResult:
+    per = args.get("per", "record")
     if "timestep" in args:
-        return memory.query_temporal(t_center=int(args["timestep"]), r=_r(args))
-    return memory.query_temporal(day_window=(int(args["day_start"]), int(args["day_end"])), r=_r(args))
+        return memory.query_temporal(t_center=int(args["timestep"]), r=_r(args), per=per)
+    return memory.query_temporal(day_window=(int(args["day_start"]), int(args["day_end"])), r=_r(args), per=per)
 
 
 def _spatial(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, Any]) -> QueryResult:
@@ -272,4 +293,4 @@ class ActionExecutor:
         return Outcome(kind="retrieval", payload=payload)
 
 
-__all__ = ["ActionExecutor", "default_registry", "outcome_json", "record_views"]
+__all__ = ["ActionExecutor", "R_MAX", "default_registry", "outcome_json", "record_views"]

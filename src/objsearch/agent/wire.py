@@ -13,7 +13,9 @@ from typing import Any, Mapping
 from ..core import Action, WorkingMemory, canonical_dumps, canonical_loads
 from .registry import outcome_json
 
-WIRE_VERSION = 1
+# v2: tool parameters carry bounds (ParamSpec.minimum/maximum), which reject
+# requests v1 accepted, and temporal_query takes per.
+WIRE_VERSION = 2
 
 
 class WireParseError(ValueError):

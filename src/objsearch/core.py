@@ -598,20 +598,53 @@ class WorkingMemory:
 # Unified action space: tool schemas and validation
 
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
 @dataclass(frozen=True)
 class ParamSpec:
-    """Declared argument of a tool."""
+    """Declared argument of a tool. A number must lie in [minimum, maximum]
+    where they are given, above minimum when exclusive_minimum, and a float
+    argument must be finite."""
 
     name: str
     kind: str  # "str" | "int" | "float"
     required: bool = True
     enum: Optional[tuple[str, ...]] = None
+    minimum: Optional[float] = None
+    maximum: Optional[float] = None
+    exclusive_minimum: bool = False
 
     def to_dict(self) -> dict:
         d: dict[str, Any] = {"name": self.name, "kind": self.kind, "required": self.required}
         if self.enum is not None:
             d["enum"] = list(self.enum)
+        if self.minimum is not None:
+            d["minimum"] = self.minimum
+        if self.exclusive_minimum:
+            d["exclusive_minimum"] = True
+        if self.maximum is not None:
+            d["maximum"] = self.maximum
         return d
+
+    def bound_problem(self, value: Any) -> Optional[str]:
+        """Why a value of the right kind is out of bounds, or None. Bounds
+        compare exactly, however large an int is."""
+        if self.kind == "float":
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past every float
+                finite = False
+            if not finite:
+                return "must be a finite number"
+        if self.minimum is not None:
+            if self.exclusive_minimum and not value > self.minimum:
+                return f"must be > {self.minimum}"
+            if value < self.minimum:
+                return f"must be >= {self.minimum}"
+        if self.maximum is not None and value > self.maximum:
+            return f"must be <= {self.maximum}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -689,8 +722,9 @@ _KIND_CHECKS = {
 
 
 def validate_action(action: Action, registry: ToolRegistry) -> list[str]:
-    """Check an action against the registry. Returns field-level diagnostics;
-    an empty list means the action is valid."""
+    """Check an action against the registry: tool, argument names, kinds,
+    enums and bounds (ParamSpec.bound_problem). Returns field-level
+    diagnostics; an empty list means the action is valid."""
     if len(registry) == 0:
         raise ValueError("registry is empty")
     spec = registry.get(action.tool)
@@ -712,6 +746,10 @@ def validate_action(action: Action, registry: ToolRegistry) -> list[str]:
             continue
         if p.enum is not None and value not in p.enum:
             errors.append(f"{p.name}: {value!r} not in allowed values")
+            continue
+        problem = p.bound_problem(value)
+        if problem is not None:
+            errors.append(f"{p.name}: {problem}")
     # Tools may declare mutually exclusive argument forms via groups encoded
     # in the description; the only such tool is temporal_query, handled here.
     if spec.name == "temporal_query" and not errors:
@@ -723,6 +761,8 @@ def validate_action(action: Action, registry: ToolRegistry) -> list[str]:
             errors.append("timestep: provide either timestep or day_start/day_end")
         if has_window and ("day_start" not in action.args or "day_end" not in action.args):
             errors.append("day_start: window form needs both day_start and day_end")
+        if has_point and "per" in action.args:
+            errors.append("per: only the window form takes per")
     return errors
 
 
@@ -736,6 +776,8 @@ __all__ = [
     "EMPTY_CAPTION",
     "FAMILIES",
     "Hits",
+    "INT64_MAX",
+    "INT64_MIN",
     "Instruction",
     "MODES",
     "MemoryRecord",

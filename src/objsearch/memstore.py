@@ -20,7 +20,9 @@ records, ascending) up to r hits, O(k·d + k log k + r); a spatial query does
 the same over the P distinct positions within the radius, O(P log P + r).
 The postings and position ids are derived indexes, built in O(n) on first
 use after each extend and never stored. Timesteps increase strictly, so a
-temporal query is a binary search of the t column plus O(r) work.
+temporal query is a binary search of the t column plus O(r) work; a day
+window asked per run also searches the ends of the maximal runs of records,
+derived the same way (the runs of memory file v4).
 
 Concurrency: one writer may extend while readers query. A batch is
 validated whole and published at once: its table rows are written before any
@@ -227,6 +229,7 @@ class LongTermMemory:
         self._n = 0
         self._records: list[MemoryRecord] = []  # see records
         self._indexes: tuple = (0,)  # see _index
+        self._runs: tuple = (0,)  # see _run_ends
         # Tables: distinct embedding rows and distinct raw observations.
         self._k = 0
         self._table = np.zeros((8, d), dtype=np.float64)
@@ -371,10 +374,10 @@ class LongTermMemory:
                 raise BatchError(j, reason, part="embeddings")
         return rows
 
-    def _snapshot(self) -> Batch:
-        """The published records and the table entries they may name,
-        as arrays."""
-        n = self._n
+    def _snapshot(self, n: Optional[int] = None) -> Batch:
+        """The published records (the first n when given) and the table
+        entries they may name, as arrays."""
+        n = self._n if n is None else n
         k = self._k
         return Batch(
             self._t[:n], self._day[:n], self._pos[:n, 0], self._pos[:n, 1], self._yaw[:n],
@@ -420,17 +423,23 @@ class LongTermMemory:
         t_center: Optional[int] = None,
         day_window: Optional[tuple[int, int]] = None,
         r: int = DEFAULT_TOP_R,
+        per: str = "record",
     ) -> QueryResult:
         """Point form: top-r by |t - t_center|, ties toward smaller t, each
         scored by its exact distance. Window form: records with day
         t // ticks_per_day in [d_start, d_end], most recent first, truncated
-        to r. Either costs one binary search of the sorted t column plus a
-        stable sort of at most 2r timesteps (point) or a slice of r (window):
-        O(log n + r), for any integer centre or days."""
+        to r; with per="run", one hit per maximal run of records inside the
+        window (see _run_starts), the run's newest. Either costs one binary
+        search of the sorted t column plus a stable sort of at most 2r
+        timesteps (point), a slice of r (window) or a binary search of the
+        run ends and a slice of r (window per run): O(log n + r), for any
+        integer centre or days."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if (t_center is None) == (day_window is None):
             raise ValueError("provide exactly one of t_center and day_window")
+        if per not in ("record", "run") or per == "run" and day_window is None:
+            raise ValueError(f"per must be 'record', or 'run' in the window form, got {per!r}")
         n = self._n
         if n == 0:
             return _NO_HITS
@@ -454,8 +463,27 @@ class LongTermMemory:
         tpd = self.ticks_per_day
         bounds = [min(max(day, 0), last // tpd + 1) * tpd for day in (d_start, d_end + 1)]
         lo, hi = (ts.searchsorted([min(b, last) for b in bounds]) + [b > last for b in bounds]).tolist()
-        order = np.arange(hi - 1, max(lo, hi - r) - 1, -1)
+        if per == "record" or hi == lo:
+            order = np.arange(hi - 1, max(lo, hi - r) - 1, -1)
+        else:
+            # The window's newest record ends its run inside the window; the
+            # other runs end at the run ends in [lo, hi - 1).
+            ends = self._run_ends(n)
+            a, b = ends.searchsorted([lo, hi - 1]).tolist()
+            order = np.concatenate(([hi - 1], ends[max(a, b - r + 1) : b][::-1]))
         return QueryResult(order, ts[order].astype(np.float64))
+
+    def _run_ends(self, n: int) -> np.ndarray:
+        """The index of each maximal run's last record among the first n
+        records, ascending (runs as in persist, see _run_starts). Derived on
+        first use after an extend, keyed by n like _index and never stored,
+        so a memory that gets no per-run window never derives them; a racing
+        reader may derive them for its own n, and either is correct."""
+        runs = self._runs
+        if runs[0] != n:
+            starts = _run_starts(self._snapshot(n))
+            runs = self._runs = (n, np.append(starts[1:], n) - 1)
+        return runs[1]
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first,

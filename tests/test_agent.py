@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.agent import (
+    R_MAX,
     ActionExecutor,
     ChatCompletionPolicy,
     LLMPolicyConfig,
@@ -37,7 +38,14 @@ from objsearch.agent.policies import (
     parse_instruction,
     trace_view,
 )
-from objsearch.bench import SuiteConfig, build_task, default_prior_table, prepare_task, run_task_episode
+from objsearch.bench import (
+    SuiteConfig,
+    build_task,
+    default_prior_table,
+    generate_suite,
+    prepare_task,
+    run_task_episode,
+)
 from objsearch.bench.suite import _step_line
 from objsearch.core import (
     CONTAINMENTS,
@@ -356,26 +364,86 @@ def patrolled_executor():
     return ActionExecutor(memory, world, schedule, EMB)
 
 
+# Arguments outside the registry's bounds, each with the argument named and
+# whether the memory, asked directly, refuses it too.
+_OUT_OF_BOUNDS = [
+    (Action("semantic_query", {"query": "green folder", "r": 0}), "r", True),
+    (Action("semantic_query", {"query": "green folder", "r": R_MAX + 1}), "r", False),
+    (Action("temporal_query", {"timestep": 10, "r": 0}), "r", True),
+    (Action("temporal_query", {"timestep": 2**63}), "timestep", False),
+    (Action("temporal_query", {"day_start": -2**63 - 1, "day_end": 0}), "day_start", False),
+    (Action("temporal_query", {"day_start": 0, "day_end": 2**63}), "day_end", False),
+    (Action("temporal_query", {"day_start": 0, "day_end": 0, "per": "hour"}), "per", True),
+    (Action("temporal_query", {"timestep": 10, "per": "run"}), "per", True),
+    (Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": 2.0, "r": 0}), "r", True),
+    (Action("spatial_query", {"x": math.nan, "y": 1.0, "radius": 2.0}), "x", True),
+    (Action("spatial_query", {"x": 1.0, "y": math.nan, "radius": 2.0}), "y", True),
+    (Action("spatial_query", {"x": 1.0, "y": -math.inf, "radius": 2.0}), "y", True),
+    (Action("spatial_query", {"x": 10**400, "y": 1.0, "radius": 2.0}), "x", True),
+    (Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.nan}), "radius", True),
+    (Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.inf}), "radius", True),
+    (Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": 0.0}), "radius", True),
+    (Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": -1}), "radius", True),
+    (Action("fetch_raw", {"record_index": -2**63 - 1}), "record_index", True),
+]
+
+
+def _action_id(action):
+    return f"{action.tool}-{sorted(action.args.items())}"
+
+
 @pytest.mark.parametrize(
     "action",
-    [
-        Action("semantic_query", {"query": "!!!"}),
-        Action("semantic_query", {"query": "green folder", "r": 0}),
-        Action("temporal_query", {"timestep": 10, "r": 0}),
-        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": 2.0, "r": 0}),
-        Action("spatial_query", {"x": math.nan, "y": 1.0, "radius": 2.0}),
-        Action("spatial_query", {"x": 1.0, "y": math.nan, "radius": 2.0}),
-        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.nan}),
-        Action("spatial_query", {"x": 1.0, "y": 1.0, "radius": math.inf}),
-    ],
-    ids=lambda a: f"{a.tool}-{sorted(a.args.items())}",
+    [Action("semantic_query", {"query": "!!!"})] + [a for a, _, refused in _OUT_OF_BOUNDS if refused],
+    ids=_action_id,
 )
 def test_bad_query_arguments_are_error_outcomes(action):
+    """A query the memory cannot answer gets the error outcome, never an
+    exception: a schema-valid one, and out-of-bounds ones that skip
+    validate_action."""
     executor = patrolled_executor()
-    assert validate_action(action, default_registry(executor.world)) == []
     out = executor.execute(action)
     assert out.kind == "retrieval"
     assert out.payload["hits"] == [] and out.payload["error"]
+
+
+@pytest.mark.parametrize("action, name", [(a, name) for a, name, _ in _OUT_OF_BOUNDS],
+                         ids=[_action_id(a) for a, _, _ in _OUT_OF_BOUNDS])
+def test_out_of_bounds_arguments_are_schema_errors(action, name):
+    errors = validate_action(action, default_registry())
+    assert errors and all(e.startswith(f"{name}: ") for e in errors), errors
+
+
+@pytest.mark.parametrize("action", [
+    Action("semantic_query", {"query": "!!!", "r": R_MAX}),
+    Action("temporal_query", {"timestep": 2**63 - 1, "r": 1}),
+    Action("temporal_query", {"day_start": -2**63, "day_end": 2**63 - 1, "per": "run"}),
+    Action("temporal_query", {"day_start": 0, "day_end": 0, "per": "record"}),
+    Action("spatial_query", {"x": -1e308, "y": 2, "radius": 5e-324}),
+    Action("fetch_raw", {"record_index": 2**63 - 1}),
+], ids=_action_id)
+def test_arguments_at_their_bounds_are_valid(action):
+    assert validate_action(action, default_registry()) == []
+
+
+def test_unbounded_r_is_a_schema_error_not_a_whole_memory():
+    """On the 3,900-record memory of a full-scale task, spatial_query with a
+    radius around the world and r 10**9 once answered with every record (a
+    984,132 B outcome). It is now schema_error feedback, and the memory is
+    not queried."""
+    task = generate_suite(scenes=(1,), per_family=1, ticks_per_day=1300)[0]
+    memory, _, embedder, world = prepare_task(task, "oracle", CONFIG)
+    assert len(memory.query_spatial((0, 0), 1e9, r=10**9)) == len(memory) == 3900
+    action = Action("spatial_query", {"x": 0, "y": 0, "radius": 1e9, "r": 10**9})
+    executor = ActionExecutor(memory, world, task.schedule, embedder)
+
+    def policy(text, h, remaining, schema):
+        return PolicyDecision(action) if not h.steps else None
+
+    result = run_episode("find the mug", executor, policy, default_registry(world), budget=3)
+    [(_, outcome)] = result.trace.steps
+    assert outcome.payload == {"success": False, "reason": "schema_error", "errors": [f"r: must be <= {R_MAX}"]}
+    assert len(outcome_json(outcome)) < 200
 
 
 # Ints past every fixed width and floats that are no finite number: the
@@ -390,8 +458,16 @@ def _with_r(draw, args):
     return args
 
 
+def _with_per(draw, args):
+    if draw(st.booleans()):
+        args["per"] = draw(st.sampled_from(["record", "run"]) | st.text(max_size=4))
+    return args
+
+
 @st.composite
-def schema_valid_actions(draw, world):
+def query_and_skill_actions(draw, world):
+    """Actions of every tool with arguments of the declared kinds and of any
+    size, in the registry's bounds or not."""
     tool = draw(st.sampled_from(sorted(t.name for t in default_registry(world).tools)))
     if tool == "semantic_query":
         args = _with_r(draw, {"query": draw(st.text())})
@@ -400,6 +476,7 @@ def schema_valid_actions(draw, world):
             args = _with_r(draw, {"timestep": draw(_ANY_INT)})
         else:
             args = _with_r(draw, {"day_start": draw(_ANY_INT), "day_end": draw(_ANY_INT)})
+        args = _with_per(draw, args)
     elif tool == "spatial_query":
         args = _with_r(draw, {"x": draw(_ANY_FLOAT), "y": draw(_ANY_FLOAT), "radius": draw(_ANY_FLOAT)})
     elif tool == "fetch_raw":
@@ -415,6 +492,31 @@ def schema_valid_actions(draw, world):
     return Action(tool, args)
 
 
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+_IN_INT64 = lambda v: -2**63 <= v < 2**63  # noqa: E731
+_BOUNDS = {
+    "r": lambda v: 1 <= v <= R_MAX,
+    "timestep": _IN_INT64, "day_start": _IN_INT64, "day_end": _IN_INT64, "record_index": _IN_INT64,
+    "x": _finite, "y": _finite, "radius": lambda v: _finite(v) and v > 0,
+    "per": lambda v: v in ("record", "run"),
+}
+
+
+def in_bounds(action):
+    """The registry's bounds, restated: each argument's, and per only in a
+    temporal_query's window form."""
+    args = action.args
+    if "timestep" in args and "per" in args:
+        return False
+    return all(_BOUNDS.get(k, lambda v: True)(v) for k, v in args.items())
+
+
 @functools.lru_cache(maxsize=1)
 def shared_patrolled_executor():
     return patrolled_executor()
@@ -423,12 +525,15 @@ def shared_patrolled_executor():
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_executor_is_total_over_schema_valid_actions(data):
-    """Every schema-valid action of all 8 tools gets an outcome of its tool's
-    kind; none raises, whatever its numbers or text."""
+    """validate_action accepts an action of the declared kinds exactly when
+    its arguments are in the registry's bounds. Every such action of all 8
+    tools gets an outcome of its tool's kind, and so does every other one
+    given to the executor directly: none raises, whatever its numbers or
+    text."""
     executor = shared_patrolled_executor()
     registry = default_registry(executor.world)
-    action = data.draw(schema_valid_actions(executor.world))
-    assert validate_action(action, registry) == []
+    action = data.draw(query_and_skill_actions(executor.world))
+    assert (validate_action(action, registry) == []) == in_bounds(action)
     out = executor.execute(action)
     assert out.kind == registry.get(action.tool).output_kind
     if "error" in out.payload:
@@ -839,6 +944,8 @@ def fold_actions(draw, world, n_records):
                   st.sampled_from([5, 25])),
         st.builds(lambda d: Action("temporal_query", {"day_start": d, "day_end": d, "r": 200}),
                   st.integers(0, 3)),
+        st.builds(lambda d, r: Action("temporal_query", {"day_start": d, "day_end": d, "r": r, "per": "run"}),
+                  st.integers(0, 3), st.sampled_from([3, R_MAX])),
         st.builds(lambda t: Action("temporal_query", {"timestep": t, "r": 5}), st.integers(0, 700)),
         st.builds(lambda i: Action("spatial_query", {"x": world.landmarks[i].position[0],
                                                      "y": world.landmarks[i].position[1],
@@ -943,15 +1050,60 @@ def with_listed_hits(h):
 def test_trace_view_folds_listed_hits_as_it_folds_hits(data):
     """A trace whose hits are lists of dicts folds to the same view as the
     executor's Hits: seen records, matches, first hit, fetched records and
-    the memory's last day and day length, along every prefix."""
+    the memory's last day, along every prefix."""
     task, memory, embedder, at_task = fold_setup()
     world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     parsed = parse_instruction(data.draw(st.sampled_from(fold_instructions(world))))
     for hk in fold_trace(task, memory, embedder, at_task, data.draw(fold_actions(world, len(memory)))):
         columns, listed = TraceView(hk, parsed), TraceView(with_listed_hits(hk), parsed)
-        assert (columns.hits, columns.matches(), columns.first_hit, columns.fetched, columns.last_day,
-                columns.ticks_per_day) == (listed.hits, listed.matches(), listed.first_hit, listed.fetched,
-                                           listed.last_day, listed.ticks_per_day)
+        assert (columns.hits, columns.matches(), columns.first_hit, columns.fetched, columns.last_day) == (
+            listed.hits, listed.matches(), listed.first_hit, listed.fetched, listed.last_day)
+
+
+@functools.lru_cache(maxsize=None)
+def window_setup(mode):
+    """fold_setup's task with its memory in either mode, and an executor."""
+    task = build_task(1, "spatial_temporal", "interactive", 0, seed=7)
+    memory, _, embedder, world = prepare_task(task, mode, CONFIG)
+    return world, ActionExecutor(memory, world, task.schedule, embedder)
+
+
+def newest_sightings(view):
+    """The newest t of the instruction's matches per (landmark, contained)."""
+    newest = {}
+    for m in view.matches():
+        key = (m.landmark_name, m.contained)
+        newest[key] = max(newest.get(key, -1), m.t)
+    return newest
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_per_run_window_decides_as_the_whole_day(data):
+    """A day asked per run folds to the decisions of the same day asked per
+    record, after the same semantic query or none: the newest sighting per
+    (landmark, contained), tr_s's plan and star's hypotheses."""
+    world, executor = window_setup(data.draw(st.sampled_from(["oracle", "realistic"])))
+    memory = executor.memory
+    text = data.draw(st.sampled_from(fold_instructions(world)))
+    parsed = parse_instruction(text)
+    day = data.draw(st.integers(0, memory.timestep(len(memory) - 1).day))
+    first = data.draw(st.sampled_from([None, "red mug", "green folder", "mug sink", "keys"]))
+    schema = default_registry(world).schema()
+    views = []
+    for window in ({"r": memory.ticks_per_day}, {"r": R_MAX, "per": "run"}):
+        h = WorkingMemory.fresh(Instruction(text=text), 20)
+        actions = [] if first is None else [Action("semantic_query", {"query": first, "r": 25})]
+        for action in actions + [Action("temporal_query", {"day_start": day, "day_end": day, **window})]:
+            h = h.append(action, executor.execute(action))
+        views.append(TraceView(h, parsed))
+    per_record, per_run = views
+    assert len(per_run.hits) <= len(per_record.hits)
+    assert newest_sightings(per_run) == newest_sightings(per_record)
+    assert TrPlusSPolicy()._plan(parsed, per_run, schema) == TrPlusSPolicy()._plan(parsed, per_record, schema)
+    star = StarScriptedPolicy()
+    assert (star._hypotheses(parsed, per_run, schema, per_run.matches(), None)
+            == star._hypotheses(parsed, per_record, schema, per_record.matches(), None))
 
 
 def test_trace_view_keeps_the_first_view_of_a_record():

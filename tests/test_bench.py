@@ -280,8 +280,10 @@ def test_suite_output_is_frozen(tmp_path):
     method, and two 1300-ticks/day tasks whose episodes query whole-day
     windows. The digests were computed before the policies' trace view became
     incremental, and re-pinned when noise model v2 changed realistic captions
-    (and realistic configs' lineage); any change to a decision, an outcome or
-    the log format changes them."""
+    (and realistic configs' lineage). The log digest was re-pinned when the
+    policies' whole-day windows came to ask for one hit per run of records
+    (the report's stayed); any change to a decision, an outcome or the log
+    format changes them."""
     tasks = [
         build_task(1, "spatial_temporal", "visible", 0, 0, 3, 200),
         build_task(1, "spatial_frequentist", "interactive", 0, 0, 3, 200),
@@ -293,7 +295,7 @@ def test_suite_output_is_frozen(tmp_path):
     log = tmp_path / "episodes.jsonl"
     report = run_suite(tasks, config, log_path=str(log))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "aa11c54c2a504e022fd00f8c97d6bd50ed1f903625ba417039d55df6438e46ee"
+        "ecf749caecd518c6178402e39f863aab3952c6804a58d060aa6a6cb7a30ad6b7"
     )
     assert hashlib.sha256(canonical_dumps(report.to_dict()).encode()).hexdigest() == (
         "026641f6f3652e8cc35e0ecf47b6aac1266ff74902c7ac5b895702708ca04559"

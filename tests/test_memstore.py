@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import struct
 import sys
 import threading
 import warnings
@@ -519,6 +520,93 @@ def test_temporal_window_equals_python_int_scan(first, gaps, ticks_per_day, data
     assert memory.query_temporal(day_window=(d_start, d_end), r=r).hits == tuple((i, float(ts[i])) for i in want)
 
 
+def test_temporal_window_per_run_and_per_record():
+    memory = LongTermMemory(d=64, ticks_per_day=10)
+    memory.extend(run_batch(memory, list(range(0, 30)), 4))  # runs end at 3, 7, 11, ...
+    assert memory.query_temporal(day_window=(1, 1), r=10).indices == tuple(range(19, 9, -1))
+    # Day 1 is t 10..19; the day column splits the run 8..11, so day 1's runs
+    # end at 11, 15 and 19.
+    assert memory.query_temporal(day_window=(1, 1), r=10, per="run").indices == (19, 15, 11)
+    assert memory.query_temporal(day_window=(1, 1), r=2, per="run").indices == (19, 15)
+    assert memory.query_temporal(day_window=(5, 9), per="run").hits == ()
+    for bad in ("records", "RUN", None):
+        with pytest.raises(ValueError, match="per must be"):
+            memory.query_temporal(day_window=(0, 0), per=bad)
+    with pytest.raises(ValueError, match="per must be"):
+        memory.query_temporal(t_center=3, per="run")
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+def oracle_run_window(columns, ticks_per_day, d_start, d_end, r):
+    """Linear scan: the records in the window, grouped into maximal runs (t
+    rises by 1, every other field equal, floats by bits), each run's newest,
+    newest first, the first r."""
+    t = columns["t"]
+    key = [(columns["day"][i], float_bits(columns["x"][i]), float_bits(columns["y"][i]),
+            float_bits(columns["yaw"][i]), columns["room"][i], columns["row"][i], columns["raw"][i])
+           for i in range(len(t))]
+    inside = [i for i in range(len(t)) if d_start <= t[i] // ticks_per_day <= d_end]
+    newest = [i for j, i in enumerate(inside)
+              if j + 1 == len(inside) or not (inside[j + 1] == i + 1 and t[i + 1] == t[i] + 1 and key[i + 1] == key[i])]
+    return newest[::-1][:r]
+
+
+@st.composite
+def run_columns(draw):
+    """Record columns in which neighbours often repeat every field but t, so
+    runs form, some of them over gaps in t, or differ only in the sign of one
+    float (0.0 and -0.0 never share a run); days from t or all 0."""
+    n = draw(st.integers(1, 40))
+    ticks_per_day = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n - 1, max_size=n - 1))
+    t = list(itertools.accumulate(gaps, initial=draw(st.integers(0, 30))))
+    fields = st.tuples(st.sampled_from([0.0, -0.0, 1.5]), st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
+                       st.sampled_from(["kitchen", "den"]), st.integers(0, 1), st.integers(0, 1))
+    rows = [draw(fields)]
+    for _ in range(n - 1):
+        step = draw(st.integers(0, 4))
+        if step == 0:
+            rows.append(draw(fields))
+        elif step == 1:
+            j = draw(st.integers(0, 2))
+            rows.append(rows[-1][:j] + (-rows[-1][j],) + rows[-1][j + 1:])
+        else:
+            rows.append(rows[-1])
+    x, y, yaw, room, row, raw = (list(c) for c in zip(*rows))
+    day = [v // ticks_per_day for v in t] if draw(st.booleans()) else [0] * n
+    return ticks_per_day, {"t": t, "day": day, "x": x, "y": y, "yaw": yaw, "room": room, "row": row, "raw": raw}
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=run_columns(), data=st.data())
+def test_temporal_window_per_run_equals_a_run_grouping_scan(drawn, data):
+    """A per-run day window answers as a linear scan that groups the window's
+    records into maximal runs, on a memory extended in several batches (runs
+    continue across them), after each batch: for any days, windows outside
+    the memory included, and any r, including one that cuts the window."""
+    ticks_per_day, columns = drawn
+    n = len(columns["t"])
+    memory = LongTermMemory(d=2, ticks_per_day=ticks_per_day)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=3)) + [n]))
+    start = 0
+    for cut in cuts:
+        table = {"embeddings": list(np.eye(2)), "raws": [SymbolicObservation((), "a"), SymbolicObservation((), "b")]}
+        memory.extend(Batch(**{k: v[start:cut] for k, v in columns.items()},
+                            **(table if start == 0 else {"embeddings": [], "raws": []})))
+        start = cut
+        prefix = {k: v[:cut] for k, v in columns.items()}
+        last_day = prefix["t"][-1] // ticks_per_day
+        day = st.integers(-2, last_day + 2) | st.sampled_from([-2**70, 2**70])
+        d_start, d_end = sorted((data.draw(day), data.draw(day)))
+        r = data.draw(st.integers(1, cut + 2) | st.just(2**70))
+        want = oracle_run_window(prefix, ticks_per_day, d_start, d_end, r)
+        result = memory.query_temporal(day_window=(d_start, d_end), r=r, per="run")
+        assert result.hits == tuple((i, float(prefix["t"][i])) for i in want)
+
+
 # -- spatial queries ---------------------------------------------------------------------
 
 
@@ -850,13 +938,31 @@ def test_concurrent_readers_see_whole_batches():
     assert len(memory) == batch * batches
 
 
+def run_batch(memory, ts, length):
+    """A Batch of records t in ts where t // length names the row, the raw
+    and the position: so runs of length records, and the new table entries
+    the batch's records name first."""
+    k, m = memory._k, len(memory._raws)
+    groups = [t // length for t in ts]
+    new = sorted({g for g in groups if g >= k})
+    return Batch(
+        t=ts, day=[t // memory.ticks_per_day for t in ts], x=[g % 4 for g in groups], y=[-0.0] * len(ts),
+        yaw=[0.0] * len(ts), room=["kitchen"] * len(ts), row=groups, raw=groups,
+        embeddings=[EMB(f"caption {g}") for g in new],
+        raws=[SymbolicObservation(visible_entities=(), caption=f"caption {g}") for g in new],
+    )
+
+
 def test_concurrent_index_backed_queries_see_whole_batches():
     """Readers run semantic and spatial queries, which build and replace the
-    cached indexes, while a writer extends with new table rows in every
-    batch: every answer holding all records covers a whole-batch prefix,
-    each record once, at least as long as the memory was before the query."""
+    cached indexes, and per-run day windows, which derive the run ends, while
+    a writer extends with new table rows in every batch and runs of 5 records
+    that cross batch boundaries: every answer holding all records covers a
+    whole-batch prefix, each record once, at least as long as the memory was
+    before the query, and the per-run window names exactly that prefix's
+    run ends, the newest record first."""
     memory = new_memory()
-    batch, batches = 7, 300
+    batch, batches, length = 7, 300, 5
     qvec = EMB("caption 3")
     errors = []
     stop = threading.Event()
@@ -869,6 +975,12 @@ def test_concurrent_index_backed_queries_see_whole_batches():
                 seen = sorted(query().indices)
                 if len(seen) < n or len(seen) % batch or seen != list(range(len(seen))):
                     errors.append(f"{len(seen)} hits after {n} records are not a whole-batch prefix")
+            n = len(memory)
+            hits = list(memory.query_temporal(day_window=(0, 2**70), r=10**9, per="run").indices)
+            prefix = hits[0] + 1 if hits else 0
+            want = [i for i in reversed(range(prefix)) if i == prefix - 1 or i % length == length - 1]
+            if prefix < n or prefix % batch or hits != want:
+                errors.append(f"per-run window after {n} records is not the run ends of a whole-batch prefix")
 
     threads = [threading.Thread(target=reader) for _ in range(3)]
     interval = sys.getswitchinterval()
@@ -877,7 +989,7 @@ def test_concurrent_index_backed_queries_see_whole_batches():
         for th in threads:
             th.start()
         for b in range(batches):
-            extend(memory, [(t, f"caption {t}", (t % 4, -0.0)) for t in range(b * batch, (b + 1) * batch)])
+            memory.extend(run_batch(memory, list(range(b * batch, (b + 1) * batch)), length))
     finally:
         stop.set()
         sys.setswitchinterval(interval)
@@ -886,6 +998,7 @@ def test_concurrent_index_backed_queries_see_whole_batches():
         assert not th.is_alive()
     assert errors == []
     assert len(memory.query_spatial((0.0, 0.0), sys.float_info.max, r=10**9)) == batch * batches
+    assert len(memory.query_temporal(day_window=(0, 2**70), r=10**9, per="run")) == batch * batches // length
 
 
 def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
