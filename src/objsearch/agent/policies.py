@@ -3,7 +3,11 @@
 Every policy here decides as a pure function of (instruction text, working
 memory, remaining budget, registry schema), so fixed seeds replay identical
 episodes. None of them can touch world state or long-term memory except
-through the actions they emit.
+through the actions they emit. Their tuning values (SEMANTIC_R,
+COMMIT_THRESHOLD, MAX_FETCHES) are module constants, not arguments, and each
+rule they share is stated once: a present-tense landmark reference is
+ParsedInstruction.present_landmark, the newest fetched sighting of an entity
+TraceView._newest_fetched.
 
 The state a decision reads is a TraceView, a fold over the trace's steps. A
 policy instance keeps its last view (one entry, for as long as the instance
@@ -29,7 +33,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from ..core import Action, Hits, Outcome, WorkingMemory, stable_seed
 from .loop import PolicyDecision
@@ -39,7 +43,12 @@ ATTRIBUTE_VOCAB = frozenset(
     {"red", "blue", "green", "black", "white", "yellow", "grey", "small", "large", "oak"}
 )
 
-DEFAULT_SEMANTIC_R = 25
+# Tuning values shared by every instance: the top r of a semantic (and TR+S's
+# spatial) query, the remaining budget at which STAR stops querying memory and
+# commits to physical search, and the most raw observations STAR fetches.
+SEMANTIC_R = 25
+COMMIT_THRESHOLD = 4
+MAX_FETCHES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +72,12 @@ class ParsedInstruction:
         if self.landmark_phrase:
             return f"{self.descriptor} {self.landmark_phrase}"
         return self.descriptor
+
+    @property
+    def present_landmark(self) -> Optional[str]:
+        """The landmark phrase of a present-tense reference ("the mug on the
+        desk"): the instruction itself names where the object stands now."""
+        return self.landmark_phrase if self.day_ref is None else None
 
     def matches(self, class_label: str, attributes: Iterable[str]) -> bool:
         """An entity matches when its class is the instruction's and it has
@@ -258,18 +273,24 @@ class TraceView:
             self._matches = [m for idx in sorted(self._hit_matches) for m in self._hit_matches[idx]]
         return list(self._matches)
 
-    def detection_at(self, landmark_id: str, after_step: int = -1) -> Optional[list[dict]]:
+    def fresh_detection(self, landmark_id: str) -> Optional[list[dict]]:
         """Entities from the latest detection taken while focused at the
-        landmark, optionally restricted to detects after a given step."""
-        for step, det_focus, entities in reversed(self.detections):
-            if det_focus == landmark_id and step > after_step:
+        landmark since it was last opened, so they reflect its opened state."""
+        after = self.open_step.get(landmark_id, -1)
+        for step, focus, entities in reversed(self.detections):
+            if focus == landmark_id and step > after:
                 return entities
         return None
 
-    def fresh_detection(self, landmark_id: str) -> Optional[list[dict]]:
-        """Detection at the landmark that reflects its opened state."""
-        after = self.open_step.get(landmark_id, -1)
-        return self.detection_at(landmark_id, after_step=after)
+    def _newest_fetched(self, wanted: Callable[[dict], bool]) -> Optional[tuple[dict, dict]]:
+        """(record, entity) of the newest fetched raw sighting of an entity
+        that wanted accepts; ties go to the record fetched first."""
+        best: Optional[tuple[dict, dict]] = None
+        for rec in self.fetched.values():
+            for ent in rec.get("entities", []):
+                if wanted(ent) and (best is None or rec["t"] > best[0]["t"]):
+                    best = (rec, ent)
+        return best
 
     def target_from_fetched(self) -> Optional[dict]:
         """Exact target entity pinned down by a fetched raw observation.
@@ -278,29 +299,19 @@ class TraceView:
         landmark, so only sightings at the referenced landmark resolve the
         identity; plain instructions accept any class/attribute match.
         """
-        anchored_required = self.parsed.landmark_phrase is not None
-        best: Optional[tuple[int, dict]] = None
-        for rec in self.fetched.values():
-            for ent in rec.get("entities", []):
-                if not self.parsed.matches(ent["class_label"], ent["attributes"]):
-                    continue
-                if anchored_required and ent["landmark_name"] != self.parsed.landmark_phrase:
-                    continue
-                if best is None or rec["t"] > best[0]:
-                    best = (rec["t"], ent)
-        return best[1] if best else None
+        parsed, phrase = self.parsed, self.parsed.landmark_phrase
+        found = self._newest_fetched(
+            lambda ent: parsed.matches(ent["class_label"], ent["attributes"])
+            and (phrase is None or ent["landmark_name"] == phrase)
+        )
+        return found[1] if found else None
 
     def entity_sighting(self, entity_id: str) -> Optional[dict]:
         """Latest fetched raw sighting of a specific entity."""
-        best: Optional[tuple[int, dict, dict]] = None
-        for rec in self.fetched.values():
-            for ent in rec.get("entities", []):
-                if ent["entity_id"] == entity_id:
-                    if best is None or rec["t"] > best[0]:
-                        best = (rec["t"], rec, ent)
-        if best is None:
+        found = self._newest_fetched(lambda ent: ent["entity_id"] == entity_id)
+        if found is None:
             return None
-        _, rec, ent = best
+        rec, ent = found
         return {
             "t": rec["t"],
             "landmark_id": ent["landmark_id"],
@@ -326,10 +337,6 @@ def trace_view(last: Optional[TraceView], h: WorkingMemory, parsed: ParsedInstru
 
 def schema_landmarks(schema: Mapping[str, Any]) -> list[dict]:
     return list(schema.get("landmarks", []))
-
-
-def schema_rooms(schema: Mapping[str, Any]) -> list[str]:
-    return list(schema.get("rooms", []))
 
 
 def landmarks_named(schema: Mapping[str, Any], name: str) -> list[dict]:
@@ -373,6 +380,12 @@ def _detection_match(
         if anchored:
             candidates = anchored
     return candidates[0]["entity_id"] if candidates else None
+
+
+def _semantic_action(parsed: ParsedInstruction) -> Action:
+    """The instruction's semantic query: its descriptor and any landmark
+    phrase, top SEMANTIC_R."""
+    return Action("semantic_query", {"query": parsed.query_text, "r": SEMANTIC_R})
 
 
 def _window_action(day: int) -> Action:
@@ -424,18 +437,16 @@ class TrPlusSPolicy:
     plan aimed at the most recent matching sighting. No replanning: when the
     plan does not produce the object, the policy gives up."""
 
-    def __init__(self, semantic_r: int = DEFAULT_SEMANTIC_R):
-        self.semantic_r = semantic_r
-        self._view: Optional[TraceView] = None
+    _view: Optional[TraceView] = None  # see trace_view
 
     def _probes(self, parsed: ParsedInstruction, view: TraceView) -> list[Action]:
-        probes = [Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})]
+        probes = [_semantic_action(parsed)]
         if parsed.day_ref == "yesterday" and view.last_day is not None:
             probes.append(_window_action(view.last_day))
         if view.first_hit is not None:
             hit = view.first_hit
             probes.append(
-                Action("spatial_query", {"x": hit["x"], "y": hit["y"], "radius": 2.5, "r": self.semantic_r})
+                Action("spatial_query", {"x": hit["x"], "y": hit["y"], "radius": 2.5, "r": SEMANTIC_R})
             )
         return probes
 
@@ -444,10 +455,8 @@ class TrPlusSPolicy:
     ) -> Optional[list[Action]]:
         landmark: Optional[str] = None
         contained = False
-        if parsed.landmark_phrase is not None and parsed.day_ref is None:
-            # Present-tense reference: the instruction itself names where the
-            # object stands right now.
-            named = landmarks_named(schema, parsed.landmark_phrase)
+        if parsed.present_landmark is not None:
+            named = landmarks_named(schema, parsed.present_landmark)
             if named:
                 landmark = named[0]["id"]
         if landmark is None:
@@ -487,8 +496,7 @@ class TrPlusSPolicy:
         action = plan[plan_step]
         if action.tool == "pick":
             entities = view.fresh_detection(view.focus or "") or []
-            phrase = parsed.landmark_phrase if parsed.day_ref is None else None
-            entity = _detection_match(entities, parsed, None, view.picked_ok, phrase)
+            entity = _detection_match(entities, parsed, None, view.picked_ok, parsed.present_landmark)
             if entity is None:
                 return None
             return PolicyDecision(Action("pick", {"entity": entity}))
@@ -608,9 +616,6 @@ class SgPlusSPolicy:
 # Interleaved temporal/spatial search
 
 
-DEFAULT_COMMIT_THRESHOLD = 4
-
-
 class StarScriptedPolicy:
     """Interleaves memory queries with physical probing.
 
@@ -619,21 +624,12 @@ class StarScriptedPolicy:
     receptacles), probes hypotheses with navigate/detect, opens the remembered
     receptacle when the target is not in the open, and falls back to a
     class-to-room prior plus a per-room sweep when memory offers nothing.
-    Once the remaining budget reaches the commit threshold it stops issuing
+    Once the remaining budget reaches COMMIT_THRESHOLD it stops issuing
     temporal actions and spends the rest on its best physical options.
     """
 
-    def __init__(
-        self,
-        prior_table: Optional[Mapping[str, str]] = None,
-        commit_threshold: int = DEFAULT_COMMIT_THRESHOLD,
-        semantic_r: int = DEFAULT_SEMANTIC_R,
-        max_fetches: int = 5,
-    ):
+    def __init__(self, prior_table: Optional[Mapping[str, str]] = None):
         self.prior_table = dict(prior_table or {})
-        self.commit_threshold = commit_threshold
-        self.semantic_r = semantic_r
-        self.max_fetches = max_fetches
         self._view: Optional[TraceView] = None
 
     def _wanted_windows(self, parsed: ParsedInstruction, view: TraceView) -> list[int]:
@@ -650,14 +646,12 @@ class StarScriptedPolicy:
     ) -> Optional[PolicyDecision]:
         parsed = parse_instruction(instruction)
         view = self._view = trace_view(self._view, h, parsed)
-        committed = remaining <= self.commit_threshold
+        committed = remaining <= COMMIT_THRESHOLD
 
         # Gather temporal evidence.
         if not committed:
             if not view.issued("semantic_query"):
-                return PolicyDecision(
-                    Action("semantic_query", {"query": parsed.query_text, "r": self.semantic_r})
-                )
+                return PolicyDecision(_semantic_action(parsed))
             for day in self._wanted_windows(parsed, view):
                 if not view.issued("temporal_query", day_start=day, day_end=day):
                     return PolicyDecision(_window_action(day))
@@ -668,7 +662,7 @@ class StarScriptedPolicy:
         target_attrs = tuple(target["attributes"]) if target else ()
 
         # Pin identity and exact landmarks by re-inspecting raw observations.
-        if not committed and matches and len(view.fetched) < self.max_fetches:
+        if not committed and matches and len(view.fetched) < MAX_FETCHES:
             fetch_index = self._fetch_wanted(parsed, view, matches, target_id, target_attrs)
             if fetch_index is not None:
                 return PolicyDecision(Action("fetch_raw", {"record_index": fetch_index}))
@@ -744,9 +738,9 @@ class StarScriptedPolicy:
             if sighting is not None:
                 add(sighting["landmark_id"], True)
             return out
-        if parsed.landmark_phrase is not None and parsed.day_ref is None:
-            # Present-tense reference: the named landmark is hypothesis one.
-            for lm in landmarks_named(schema, parsed.landmark_phrase):
+        if parsed.present_landmark is not None:
+            # The named landmark is hypothesis one.
+            for lm in landmarks_named(schema, parsed.present_landmark):
                 add(lm["id"], bool(lm.get("receptacle")))
         # Caption-level sightings, newest first. Ambiguous twin names fall
         # back to every twin in id order unless a fetch pinned the exact one.
@@ -771,9 +765,8 @@ class StarScriptedPolicy:
         entities = view.fresh_detection(landmark_id)
         if entities is None:
             return PolicyDecision(Action("detect"))
-        phrase = view.parsed.landmark_phrase if view.parsed.day_ref is None else None
         entity = _detection_match(
-            entities, view.parsed, target_id, view.picked_ok | view.pick_failed, phrase
+            entities, view.parsed, target_id, view.picked_ok | view.pick_failed, view.parsed.present_landmark
         )
         if entity is not None:
             return PolicyDecision(Action("pick", {"entity": entity}))
@@ -795,29 +788,20 @@ class StarScriptedPolicy:
         matches: list[HitMatch],
         target_id: Optional[str],
     ) -> Optional[PolicyDecision]:
-        rooms = schema_rooms(schema)
+        rooms = list(schema.get("rooms", []))
         prior_room = self.prior_table.get(parsed.class_label)
         ordered = [r for r in [prior_room] if r in rooms]
         ordered.extend(r for r in rooms if r not in ordered)
         # With no sightings but a usable prior, cover the prior room fully
         # (open air, then its receptacles) before moving on; otherwise check
         # open air everywhere first and leave receptacles for last.
-        deep_first = not matches and prior_room in rooms
-        if deep_first:
-            for room in ordered:
-                decision = self._sweep_room_open_air(view, schema, room, target_id)
-                if decision is not None:
-                    return decision
-                decision = self._sweep_room_receptacles(view, schema, room, target_id)
-                if decision is not None:
-                    return decision
-            return None
-        for room in ordered:
-            decision = self._sweep_room_open_air(view, schema, room, target_id)
-            if decision is not None:
-                return decision
-        for room in ordered:
-            decision = self._sweep_room_receptacles(view, schema, room, target_id)
+        sweeps = (self._sweep_room_open_air, self._sweep_room_receptacles)
+        if not matches and prior_room in rooms:
+            phases = [(sweep, room) for room in ordered for sweep in sweeps]
+        else:
+            phases = [(sweep, room) for sweep in sweeps for room in ordered]
+        for sweep, room in phases:
+            decision = sweep(view, schema, room, target_id)
             if decision is not None:
                 return decision
         return None
@@ -856,12 +840,13 @@ class StarScriptedPolicy:
 
 __all__ = [
     "ATTRIBUTE_VOCAB",
+    "COMMIT_THRESHOLD",
     "CaptionEntity",
-    "DEFAULT_COMMIT_THRESHOLD",
-    "DEFAULT_SEMANTIC_R",
     "HitMatch",
+    "MAX_FETCHES",
     "ParsedInstruction",
     "RandomSearchPolicy",
+    "SEMANTIC_R",
     "SgPlusSPolicy",
     "StarScriptedPolicy",
     "TraceView",

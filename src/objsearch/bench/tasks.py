@@ -118,10 +118,6 @@ def _home_landmark(world: WorldState, entity_id: str) -> str:
     return loc.ref
 
 
-def _landmark_name(world: WorldState, landmark_id: str) -> str:
-    return world.landmarks[landmark_id].name
-
-
 def _free_landmark(world: WorldState, casting: dict, avoid_room: str, idx: int) -> str:
     options = [
         lm
@@ -131,20 +127,6 @@ def _free_landmark(world: WorldState, casting: dict, avoid_room: str, idx: int) 
     if not options:
         raise GenerationError("no free landmark outside the target's home room")
     return options[idx % len(options)]
-
-
-def _ambient(world: WorldState, casting: dict, task_seed: int, days: int) -> tuple[Move, ...]:
-    schedule = ambient_schedule(
-        world, casting["drifters"], seed=stable_seed("task-ambient", task_seed), days=days
-    )
-    return schedule.moves
-
-
-def _descriptor(world: WorldState, entity_id: str, with_attrs: bool = True) -> str:
-    obj = world.objects[entity_id]
-    if with_attrs and obj.attributes:
-        return " ".join([*obj.attributes, obj.class_label])
-    return obj.class_label
 
 
 def build_task(
@@ -161,7 +143,8 @@ def build_task(
     layout_seed = stable_seed("layout", seed, scene_id)
     world, _ = generate_world(layout_seed, scene_id, ticks_per_day=ticks_per_day)
     casting = scene_casting(scene_id)
-    moves: list[Move] = list(_ambient(world, casting, task_seed, days))
+    ambient = ambient_schedule(world, casting["drifters"], stable_seed("task-ambient", task_seed), days)
+    moves: list[Move] = list(ambient.moves)
 
     if task_type == "commonsense":
         hidden = sorted(casting["hidden"])
@@ -169,23 +152,10 @@ def build_task(
         instruction = f"bring me the {world.objects[target].class_label}"
         optimal = _commonsense_optimal(world, target)
         family = "commonsense"
-    elif task_type == "interactive":
-        target, instruction = _interactive_cast(world, casting, family, idx)
-        pairs = casting["twin_pairs"]
-        pair = pairs[idx % len(pairs)]
-        twin = pair[(idx // len(pairs)) % 2]
-        # The target surfaces on top of the twin just as the patrol reaches
-        # that room on the final day, so the sighting lands in memory; it
-        # disappears inside at task time.
-        twin_room = world.landmarks[twin].room_id
-        seg_start, _ = room_segment(world, twin_room)
-        moves.append(Move(days - 1, max(1, seg_start), target, Location(LOC_LANDMARK, twin)))
-        moves.append(Move(days, 0, target, Location(LOC_INSIDE, twin)))
-        optimal = dict(OPTIMAL_INTERACTIVE)
     else:
-        target, instruction, extra = _visible_cast(world, casting, family, idx, days)
+        target, instruction, extra = _cast(world, casting, family, task_type, idx, days)
         moves.extend(extra)
-        optimal = dict(OPTIMAL_VISIBLE)
+        optimal = dict(OPTIMAL_INTERACTIVE if task_type == "interactive" else OPTIMAL_VISIBLE)
 
     schedule = Schedule(seed=task_seed, moves=tuple(moves))
     task = TaskSpec(
@@ -206,66 +176,57 @@ def build_task(
     return task
 
 
-def _visible_cast(
-    world: WorldState, casting: dict, family: str, idx: int, days: int
+# Per family: the casting entry that holds its target (None: the scene's
+# unique class), its instruction template, and for a visible task the day,
+# counted back from task time, on which the target leaves home for a free
+# landmark (None: it stays). Templates name the class {cls}, the full
+# descriptor {descr} and the home landmark {lname}.
+_CASTS = {
+    "class": (None, "find the {cls}", None),
+    "attribute": ("attribute_pair", "find the {descr}", None),
+    "spatial": ("spatial_pair", "find the {cls} on the {lname}", None),
+    "spatial_temporal": ("spatial_pair", "find the {cls} that was on the {lname} yesterday", 0),
+    "spatial_frequentist": ("attribute_pair", "find the {descr} that is usually by the {lname}", 1),
+}
+# An interactive target is inside a receptacle at task time, so a spatial
+# instruction names where it was.
+_INTERACTIVE_SPATIAL = "find the {cls} that was by the {lname}"
+
+
+def _cast(
+    world: WorldState, casting: dict, family: str, task_type: str, idx: int, days: int
 ) -> tuple[str, str, list[Move]]:
-    if family == "class":
-        target = casting["unique_class"]
-        return target, f"find the {world.objects[target].class_label}", []
-    if family == "attribute":
-        pair = casting["attribute_pair"]
-        target = pair[idx % 2]
-        return target, f"find the {_descriptor(world, target)}", []
-    if family == "spatial":
-        pair = casting["spatial_pair"]
-        target = pair[idx % 2]
-        lname = _landmark_name(world, _home_landmark(world, target))
-        return target, f"find the {world.objects[target].class_label} on the {lname}", []
-    if family == "spatial_temporal":
-        pair = casting["spatial_pair"]
-        target = pair[idx % 2]
-        home = _home_landmark(world, target)
-        lname = _landmark_name(world, home)
-        dest = _free_landmark(world, casting, world.landmarks[home].room_id, idx)
-        moves = [Move(days, 0, target, Location(LOC_LANDMARK, dest))]
-        cls = world.objects[target].class_label
-        return target, f"find the {cls} that was on the {lname} yesterday", moves
-    if family == "spatial_frequentist":
-        pair = casting["attribute_pair"]
-        target = pair[idx % 2]
-        home = _home_landmark(world, target)
-        lname = _landmark_name(world, home)
-        dest = _free_landmark(world, casting, world.landmarks[home].room_id, idx)
-        moves = [Move(days - 1, 0, target, Location(LOC_LANDMARK, dest))]
-        descr = _descriptor(world, target)
-        return target, f"find the {descr} that is usually by the {lname}", moves
-    raise GenerationError(f"unknown family {family!r}")
+    """The target, instruction and extra moves of a visible or interactive
+    task of one family (see _CASTS); pairs alternate their target by idx.
 
-
-def _interactive_cast(
-    world: WorldState, casting: dict, family: str, idx: int
-) -> tuple[str, str]:
-    if family == "class":
-        target = casting["unique_class"]
-        return target, f"find the {world.objects[target].class_label}"
-    if family == "attribute":
-        target = casting["attribute_pair"][idx % 2]
-        return target, f"find the {_descriptor(world, target)}"
-    if family == "spatial":
-        target = casting["spatial_pair"][idx % 2]
-        lname = _landmark_name(world, _home_landmark(world, target))
-        cls = world.objects[target].class_label
-        return target, f"find the {cls} that was by the {lname}"
-    if family == "spatial_temporal":
-        target = casting["spatial_pair"][idx % 2]
-        lname = _landmark_name(world, _home_landmark(world, target))
-        cls = world.objects[target].class_label
-        return target, f"find the {cls} that was on the {lname} yesterday"
-    if family == "spatial_frequentist":
-        target = casting["attribute_pair"][idx % 2]
-        lname = _landmark_name(world, _home_landmark(world, target))
-        return target, f"find the {_descriptor(world, target)} that is usually by the {lname}"
-    raise GenerationError(f"unknown family {family!r}")
+    An interactive target surfaces on top of one of a twin pair of
+    receptacles just as the patrol reaches that room on the final day, so the
+    sighting lands in memory; it disappears inside at task time."""
+    if family not in _CASTS:
+        raise GenerationError(f"unknown family {family!r}")
+    pair, template, days_back = _CASTS[family]
+    if task_type == "interactive" and family == "spatial":
+        template = _INTERACTIVE_SPATIAL
+    target = casting["unique_class"] if pair is None else casting[pair][idx % 2]
+    obj = world.objects[target]
+    fields = {"cls": obj.class_label, "descr": " ".join([*obj.attributes, obj.class_label])}
+    home = None
+    if "{lname}" in template:
+        home = _home_landmark(world, target)
+        fields["lname"] = world.landmarks[home].name
+    moves: list[Move] = []
+    if task_type == "interactive":
+        pairs = casting["twin_pairs"]
+        twin = pairs[idx % len(pairs)][(idx // len(pairs)) % 2]
+        seg_start, _ = room_segment(world, world.landmarks[twin].room_id)
+        moves = [
+            Move(days - 1, max(1, seg_start), target, Location(LOC_LANDMARK, twin)),
+            Move(days, 0, target, Location(LOC_INSIDE, twin)),
+        ]
+    elif days_back is not None:
+        dest = _free_landmark(world, casting, world.landmarks[home].room_id, idx)
+        moves = [Move(days - days_back, 0, target, Location(LOC_LANDMARK, dest))]
+    return target, template.format(**fields), moves
 
 
 def _commonsense_optimal(world: WorldState, target: str) -> dict:

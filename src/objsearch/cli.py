@@ -19,11 +19,10 @@ from .bench import (
     TaskSpec,
     build_fixture_suite,
     generate_suite,
-    prepare_task,
     render_report,
     run_suite,
-    run_task_episode,
 )
+from .bench.suite import _run_task
 from .core import NOISE_VERSION, NoiseModel, canonical_dumps, canonical_loads, config_hash
 from .embed import EmbedderConfig
 from .homesim import (
@@ -292,18 +291,23 @@ def _load_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
 
 def _suite_config(methods: str, modes: str, budget: int, seed: int, parallelism: int,
                   llm_url: str | None, llm_model: str) -> SuiteConfig:
+    """The suite configuration; an unknown method or mode is a usage error
+    naming the valid ones."""
     llm = None
     url = llm_url or os.environ.get("OBJSEARCH_LLM_URL")
     if url:
         llm = LLMPolicyConfig(url=url, model=llm_model)
-    return SuiteConfig(
-        methods=tuple(methods.split(",")),
-        modes=tuple(modes.split(",")),
-        budget=budget,
-        seed=seed,
-        parallelism=parallelism,
-        llm=llm,
-    )
+    try:
+        return SuiteConfig(
+            methods=tuple(methods.split(",")),
+            modes=tuple(modes.split(",")),
+            budget=budget,
+            seed=seed,
+            parallelism=parallelism,
+            llm=llm,
+        )
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 @main.command("run-task")
@@ -317,18 +321,20 @@ def _suite_config(methods: str, modes: str, budget: int, seed: int, parallelism:
 @click.option("--llm-model", type=str, default="default", show_default=True)
 def cmd_run_task(tasks_path: str, index: int, method: str, mode: str, budget: int,
                  seed: int, llm_url: str | None, llm_model: str) -> None:
-    """Run a single task episode and print the outcome."""
+    """Run a single task episode, as run-suite does, and print its adjudicated
+    outcome; a crashed episode exits 1 with its error."""
     _, tasks = _load_tasks(tasks_path)
     if not (0 <= index < len(tasks)):
         raise click.ClickException(f"task index {index} out of range [0, {len(tasks)})")
     task = tasks[index]
     config = _suite_config(method, mode, budget, seed, 1, llm_url, llm_model)
-    memory, graphs, embedder, world = prepare_task(task, mode, config)
-    result = run_task_episode(task, method, mode, config, memory, graphs, embedder, world)
+    [record], _ = _run_task(task, config)
     click.echo(
-        f"task={task.task_id} success={'true' if result.success else 'false'} "
-        f"steps={result.steps_used} termination={result.termination}"
+        f"task={task.task_id} success={'true' if record['success'] else 'false'} "
+        f"steps={record['steps_used']} termination={record['termination']}"
     )
+    if "error" in record:
+        raise click.ClickException(record["error"])
 
 
 @main.command("run-suite")

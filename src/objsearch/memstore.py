@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -205,7 +205,7 @@ def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray]
 class LongTermMemory:
     """Append-only record columns over an embedding table and a raw table,
     queried by meaning, time and place from the columns and the indexes
-    derived from them (see _index)."""
+    derived from them (see _derive)."""
 
     _COLUMNS = ("_t", "_day", "_pos", "_yaw", "_room", "_row_id", "_raw_id")
 
@@ -227,9 +227,7 @@ class LongTermMemory:
         self.embedder_id = embedder_id
         self.mode = mode
         self._n = 0
-        self._records: list[MemoryRecord] = []  # see records
-        self._indexes: tuple = (0,)  # see _index
-        self._runs: tuple = (0,)  # see _run_ends
+        self._derived: dict[str, tuple[int, Any]] = {}  # see _derive
         # Tables: distinct embedding rows and distinct raw observations.
         self._k = 0
         self._table = np.zeros((8, d), dtype=np.float64)
@@ -250,14 +248,13 @@ class LongTermMemory:
     def records(self) -> list[MemoryRecord]:
         """The published records as a new list: records added later are not
         in it. The MemoryRecords are built on the first read and kept, so a
-        later read costs a list copy; build and load never build them. A
-        racing reader may build the same prefix again; either list is
-        correct."""
-        n = self._n
-        built = self._records
-        if len(built) < n:
-            built = self._records = built + [self.record(i) for i in range(len(built), n)]
-        return built[:n]
+        later read costs a list copy; build and load never build them."""
+
+        def extend(n: int) -> list[MemoryRecord]:
+            built = self._derived.get("records", (0, []))[1]
+            return built[:n] + [self.record(i) for i in range(len(built), n)]
+
+        return list(self._derive("records", self._n, extend))
 
     def record(self, i: int) -> MemoryRecord:
         """One record by index, built from the columns."""
@@ -387,18 +384,21 @@ class LongTermMemory:
 
     # -- queries ------------------------------------------------------------
 
-    def _index(self) -> tuple:
-        """(n, row postings, position postings, distinct positions) over the
-        first n records, n the published count; positions are keyed by their
-        float bits. Built on first use after an extend, never persisted; a
-        racing reader may build it for its own n, and either is correct."""
-        n = self._n
-        index = self._indexes
-        if index[0] != n:
-            k = self._k  # read after n: rows are published before their records
-            place, first = _first_seen(self._pos[:n].view(np.int64))
-            index = self._indexes = (n, _postings(self._row_id[:n], k), _postings(place, len(first)), self._pos[first])
-        return index
+    def _derive(self, name: str, n: int, make: Callable[[int], Any]) -> Any:
+        """make(n), a value derived from the first n records, kept under name
+        until it is asked for with another n; never persisted. Callers read
+        n once, so a racing extend cannot hand one a value past its snapshot,
+        and a racing reader derives the value for its own n."""
+        kept = self._derived.get(name)
+        if kept is None or kept[0] != n:
+            kept = self._derived[name] = (n, make(n))
+        return kept[1]
+
+    def _places(self, n: int) -> tuple:
+        """(postings, positions) of the distinct positions of the first n
+        records, keyed by their float bits."""
+        place, first = _first_seen(self._pos[:n].view(np.int64))
+        return _postings(place, len(first)), self._pos[first]
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Top-r records by cosine similarity to qvec, rounded to
@@ -406,9 +406,12 @@ class LongTermMemory:
         postings (see _top): O(k·d + k log k + r)."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        if self._n == 0:
+        n = self._n
+        if n == 0:
             return _NO_HITS
-        _, rows, _, _ = self._index()
+        # The k table rows' postings; k is read after n, as rows are
+        # published before their records.
+        rows = self._derive("rows", n, lambda n: _postings(self._row_id[:n], self._k))
         scores = np.round(self._table[: len(rows[1])] @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
         index, row = _top(-scores, rows, r)
         return QueryResult(index, scores[row])
@@ -468,22 +471,15 @@ class LongTermMemory:
         else:
             # The window's newest record ends its run inside the window; the
             # other runs end at the run ends in [lo, hi - 1).
-            ends = self._run_ends(n)
+            ends = self._derive("run_ends", n, self._run_ends)
             a, b = ends.searchsorted([lo, hi - 1]).tolist()
             order = np.concatenate(([hi - 1], ends[max(a, b - r + 1) : b][::-1]))
         return QueryResult(order, ts[order].astype(np.float64))
 
     def _run_ends(self, n: int) -> np.ndarray:
         """The index of each maximal run's last record among the first n
-        records, ascending (runs as in persist, see _run_starts). Derived on
-        first use after an extend, keyed by n like _index and never stored,
-        so a memory that gets no per-run window never derives them; a racing
-        reader may derive them for its own n, and either is correct."""
-        runs = self._runs
-        if runs[0] != n:
-            starts = _run_starts(self._snapshot(n))
-            runs = self._runs = (n, np.append(starts[1:], n) - 1)
-        return runs[1]
+        records, ascending (runs as in persist, see _run_starts)."""
+        return np.append(_run_starts(self._snapshot(n))[1:], n) - 1
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first,
@@ -497,9 +493,10 @@ class LongTermMemory:
             raise ValueError("center and radius must be finite")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if self._n == 0:
+        n = self._n
+        if n == 0:
             return _NO_HITS
-        _, _, places, pos = self._index()
+        places, pos = self._derive("places", n, self._places)
         # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
         # offsets, and rounding scales them up, so a far but finite center
         # overflows to inf; those entries, and only those, are recomputed with

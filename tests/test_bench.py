@@ -7,6 +7,7 @@ import pytest
 
 from objsearch.agent import LLMPolicyConfig
 from objsearch.bench import (
+    FIXTURE_KINDS,
     GenerationError,
     SuiteConfig,
     TaskSpec,
@@ -300,6 +301,23 @@ def test_suite_output_is_frozen(tmp_path):
     assert hashlib.sha256(canonical_dumps(report.to_dict()).encode()).hexdigest() == (
         "026641f6f3652e8cc35e0ecf47b6aac1266ff74902c7ac5b895702708ca04559"
     )
+
+
+def test_generated_task_suites_are_frozen():
+    """Golden digest of whole task files: the desk suite, the full-scale
+    slice, a four-day suite on another seed, and every fixture kind at two
+    seeds. Any change to a target, an instruction or a schedule move of any
+    family and task type changes it."""
+    suites = [
+        generate_suite(per_family=3),
+        generate_suite(per_family=1, ticks_per_day=1300),
+        generate_suite(per_family=2, days=4, seed=5),
+    ]
+    suites += [build_fixture_suite(kind, seed=seed) for kind in FIXTURE_KINDS for seed in (0, 3)]
+    digest = hashlib.sha256()
+    for task in (task for suite in suites for task in suite):
+        digest.update(canonical_dumps(task.to_dict()).encode() + b"\n")
+    assert digest.hexdigest() == "8b1b19ffeb47fff469c71f203a131d2565000e57b9206a93901264afc05b9ca8"
 
 
 def test_report_conservation(small_report):

@@ -284,6 +284,32 @@ def test_run_task_on_fixture(suite_artifacts, tmp_path):
     assert "success=true" in result.output
 
 
+@pytest.mark.parametrize("args, message, valid", [
+    (["run-suite", "--methods", "star,nope"], "unknown method 'nope'", "'sg_s'"),
+    (["run-suite", "--modes", "noisy"], "unknown mode 'noisy'", "'realistic'"),
+    (["run-task", "--method", "nope"], "unknown method 'nope'", "'sg_s'"),
+])
+def test_unknown_method_or_mode_is_a_usage_error(suite_artifacts, tmp_path, monkeypatch, args, message, valid):
+    """Exit 2 with a message naming the bad value and the valid ones, not a
+    traceback; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, [*args, "--tasks", suite_artifacts["tasks"]], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert message in result.output and valid in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_task_contains_a_crash_like_run_suite(suite_artifacts):
+    """An llm run with no endpoint crashes inside its episode: the outcome
+    line is printed, and the command exits 1 with the episode's error."""
+    result = CliRunner(env={"OBJSEARCH_LLM_URL": None}).invoke(
+        main, ["run-task", "--tasks", suite_artifacts["tasks"], "--method", "llm"])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert re.search(r"^task=\S+ success=false steps=0 termination=crash$", result.output, re.M)
+    assert "ValueError: llm method requires an endpoint configuration" in result.output
+
+
 def test_run_suite_reruns_identical(suite_artifacts):
     runner = CliRunner()
     report2 = str(suite_artifacts["root"] / "report2.json")
