@@ -153,8 +153,8 @@ def _observe(task: TaskSpec) -> tuple[ObservationStream, list, WorldState]:
 def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: SuiteConfig,
                   embedder: Embedder) -> LongTermMemory:
     """One mode's memory over the task's stream. The embedder memoizes
-    phrases and queries, and its embeddings do not depend on what it has
-    seen, so one task's memories and episodes share one."""
+    queries, and its embeddings do not depend on what it has seen, so one
+    task's memories and episodes share one."""
     return build(
         stream,
         embedder,

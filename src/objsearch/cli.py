@@ -315,7 +315,7 @@ def _suite_config(methods: str, modes: str, budget: int, seed: int, parallelism:
 @click.option("--index", type=int, default=0, show_default=True, help="Task index within the file.")
 @click.option("--method", type=str, default="star", show_default=True)
 @click.option("--mode", type=click.Choice(["oracle", "realistic"]), default="oracle", show_default=True)
-@click.option("--budget", type=int, default=20, show_default=True)
+@click.option("--budget", type=click.IntRange(1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--llm-url", type=str, default=None, envvar="OBJSEARCH_LLM_URL")
 @click.option("--llm-model", type=str, default="default", show_default=True)
@@ -341,7 +341,7 @@ def cmd_run_task(tasks_path: str, index: int, method: str, mode: str, budget: in
 @click.option("--tasks", "tasks_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--methods", type=str, default="random,sg_s,tr_s,star", show_default=True)
 @click.option("--modes", type=str, default="oracle", show_default=True)
-@click.option("--budget", type=int, default=20, show_default=True)
+@click.option("--budget", type=click.IntRange(1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--parallelism", type=int, default=1, show_default=True)
 @click.option("--llm-url", type=str, default=None, envvar="OBJSEARCH_LLM_URL")

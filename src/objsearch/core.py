@@ -300,7 +300,7 @@ class NoiseModel:
     """Caption noise applied in realistic mode: per-entity drop and mislabel.
 
     Each entity of a record has its own four draws (see noise_draws and
-    render_caption): it is dropped with probability p_drop, and otherwise
+    noise_codes): it is dropped with probability p_drop, and otherwise
     mislabeled with probability p_mislabel to a uniformly drawn label of
     label_pool other than its own.
     """
@@ -340,11 +340,31 @@ def noise_draws(noise_seed: int, slot: int, timesteps: Sequence[int]) -> np.ndar
     return out
 
 
-def _entity_phrase(class_label: str, attributes: Sequence[str], landmark_name: str, containment: str) -> str:
-    descr = " ".join([*attributes, class_label]) if attributes else class_label
-    if containment == CONTAINMENT_INSIDE_OPEN:
-        return f"a {descr} inside the {landmark_name}"
-    return f"a {descr} on the {landmark_name}"
+def mislabel_pool(entity: VisibleEntity, noise: NoiseModel = DEFAULT_NOISE) -> list[str]:
+    """The labels an entity may be mislabeled to: the label pool without its
+    true label, or the true label alone."""
+    return [c for c in noise.label_pool if c != entity.class_label] or [entity.class_label]
+
+
+def noise_codes(draws: np.ndarray, pool_sizes: np.ndarray, noise: NoiseModel = DEFAULT_NOISE) -> np.ndarray:
+    """Each entity's noise code from its draws (u_drop, u_mislabel, u_label,
+    ...) on the last axis and the size of its mislabel_pool: -1 if u_drop <
+    p_drop (dropped), else 1 + floor(u_label * pool size) if u_mislabel <
+    p_mislabel (mislabeled to that label of its pool), else 0 (kept)."""
+    draws = np.asarray(draws, dtype=np.float64)
+    label = (draws[..., 2] * pool_sizes).astype(np.int64)
+    return np.where(draws[..., 0] < noise.p_drop, -1, np.where(draws[..., 1] < noise.p_mislabel, 1 + label, 0))
+
+
+def entity_phrase(entity: VisibleEntity, code: int = 0, noise: NoiseModel = DEFAULT_NOISE) -> Optional[str]:
+    """One entity's caption phrase under a noise code (noise_codes), or None
+    if dropped. Code 1 + m names the m-th label of its mislabel_pool."""
+    if code < 0:
+        return None
+    label = mislabel_pool(entity, noise)[code - 1] if code else entity.class_label
+    descr = " ".join([*entity.attributes, label])
+    where = "inside" if entity.containment == CONTAINMENT_INSIDE_OPEN else "on"
+    return f"a {descr} {where} the {entity.landmark_name}"
 
 
 def render_caption(
@@ -353,37 +373,26 @@ def render_caption(
     draws: Optional[Sequence[Sequence[float]]] = None,
     noise: NoiseModel = DEFAULT_NOISE,
 ) -> str:
-    """Render the caption text for an entity list.
+    """The caption of an entity list: its entities' phrases (entity_phrase)
+    joined by "; ", or EMPTY_CAPTION when none is left.
 
-    Oracle mode instantiates the template on ground-truth labels. Realistic
-    mode first perturbs each entity with its row of draws (u_drop,
-    u_mislabel, u_label, unused), all in [0, 1): the entity is dropped when
-    u_drop < p_drop; otherwise, when u_mislabel < p_mislabel, its class
-    becomes pool[floor(u_label * len(pool))], where pool is the label pool
-    without the true label (or the true label alone). Then it renders the
-    same template. Identical (entities, mode, draws) always produce
-    identical captions. memstore.build takes a record's draws from
+    Oracle mode keeps every entity. Realistic mode codes each one by its row
+    of draws (u_drop, u_mislabel, u_label, unused), all in [0, 1), with
+    noise_codes. Identical (entities, mode, draws) give identical captions.
+    memstore.build composes captions the same way, from the draws of
     noise_draws, one slot per entity.
     """
     if mode not in MODES:
         raise ValueError(f"unknown caption mode {mode!r}")
-    noisy = mode == "realistic"
-    if noisy and (draws is None or len(draws) != len(visible_entities)):
-        raise ValueError("realistic captions need one row of draws per entity")
-    phrases = []
-    for i, ent in enumerate(visible_entities):
-        label = ent.class_label
-        if noisy:
-            u_drop, u_mislabel, u_label = draws[i][:3]  # type: ignore[index]
-            if u_drop < noise.p_drop:
-                continue
-            if u_mislabel < noise.p_mislabel:
-                pool = [c for c in noise.label_pool if c != label] or [label]
-                label = pool[int(u_label * len(pool))]
-        phrases.append(_entity_phrase(label, ent.attributes, ent.landmark_name, ent.containment))
-    if not phrases:
-        return EMPTY_CAPTION
-    return "; ".join(phrases)
+    codes = [0] * len(visible_entities)
+    if mode == "realistic":
+        if draws is None or len(draws) != len(visible_entities):
+            raise ValueError("realistic captions need one row of draws per entity")
+        if visible_entities:
+            codes = noise_codes([row[:3] for row in draws], [len(mislabel_pool(e, noise)) for e in visible_entities],
+                                noise).tolist()
+    phrases = [entity_phrase(e, code, noise) for e, code in zip(visible_entities, codes) if code >= 0]
+    return "; ".join(phrases) or EMPTY_CAPTION
 
 
 def embedding_problem(vec: np.ndarray, d: Optional[int] = None) -> Optional[str]:
@@ -800,6 +809,9 @@ __all__ = [
     "canonical_loads",
     "config_hash",
     "embedding_problem",
+    "entity_phrase",
+    "mislabel_pool",
+    "noise_codes",
     "noise_draws",
     "normalize_yaw",
     "render_caption",

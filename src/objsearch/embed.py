@@ -78,6 +78,19 @@ def _token_features(tokens: list[str]) -> list[str]:
     return [*tokens, *(f"{a}_{b}" for a, b in zip(tokens, tokens[1:]))]
 
 
+# Every task of a scene meets the same few phrases.
+@functools.lru_cache(maxsize=_FEATURE_MEMO_SIZE)
+def _phrase_features(phrase: str, d: int) -> Optional[tuple[np.ndarray, np.ndarray, str, str]]:
+    """A phrase's feature buckets and signs at dimension d (read-only), and
+    its first and last token; None for a phrase without tokens."""
+    tokens = normalize_text(phrase)
+    if not tokens:
+        return None
+    buckets, signs = _buckets(_token_features(tokens), d)
+    buckets.flags.writeable = signs.flags.writeable = False
+    return buckets, signs, tokens[0], tokens[-1]
+
+
 def _reference_embed(text: str, d: int) -> np.ndarray:
     tokens = normalize_text(text)
     if not tokens:
@@ -153,16 +166,13 @@ class Embedder:
     Patrol streams repeat captions heavily (a room looks the same from every
     landmark in it), so memoizing by exact text is a large win when embedding
     queries. Memories embed their captions in one batch (embed_captions),
-    which memoizes the captions' phrases instead.
+    from phrase features memoized once per process (_phrase_features).
     """
 
     def __init__(self, config: EmbedderConfig, post: Callable[[str, dict, float], dict] = _default_post):
         self.config = config
         self._post = post
         self._memo: dict[str, np.ndarray] = {}
-        # phrase -> (feature buckets, signs, first token, last token), or None
-        # for a phrase without tokens
-        self._phrases: dict[str, Optional[tuple[np.ndarray, np.ndarray, str, str]]] = {}
 
     @property
     def d(self) -> int:
@@ -193,24 +203,16 @@ class Embedder:
         vector adds each feature's sign into its bucket; sums of +-1.0 are
         exact in any order, so all captions are summed in one pass, and the
         row norms are those of the joined texts. Each phrase's buckets and
-        signs are memoized on this embedder. A caption with a phrase
+        signs come from a bounded process-wide memo. A caption with a phrase
         without tokens, or whose counts cancel to zero, and every caption of
         an external embedder, goes through __call__.
         """
         d = self.d
         if self.config.kind != "reference":
             return np.array([self("; ".join(phrases)) for phrases in captions]).reshape(-1, d)
-        memo = self._phrases
         flat = list(itertools.chain.from_iterable(captions))
         number = {p: j for j, p in enumerate(dict.fromkeys(flat))}  # distinct phrases
-        new = [p for p in number if p not in memo]
-        tokens = [normalize_text(p) for p in new]
-        features = [_token_features(ts) for ts in tokens]
-        ends = np.cumsum([len(fs) for fs in features]).tolist()
-        buckets, signs = _buckets(list(itertools.chain.from_iterable(features)), d)
-        for p, ts, a, z in zip(new, tokens, [0, *ends], ends):
-            memo[p] = (buckets[a:z], signs[a:z], ts[0], ts[-1]) if ts else None
-        entries = [memo[p] for p in number]
+        entries = [_phrase_features(p, d) for p in number]
         # Phrase occurrences, in caption order: the phrase and its caption.
         sizes = np.fromiter(map(len, captions), dtype=np.intp, count=len(captions))
         ids = np.fromiter(map(number.__getitem__, flat), dtype=np.intp, count=len(flat))

@@ -10,9 +10,9 @@ MemoryRecords are built only when asked for (``record``, ``records``);
 queries and the executor's views read the columns. ``build`` takes its
 stream as runs of ticks with one pose and one observation
 (core.ObservationStream) and fills the columns per run. Realistic noise
-is drawn for all records at once, and captions are rendered per distinct
-(entity list, noise) and embedded in one batch; the Python work left is
-per distinct caption and per distinct raw.
+is coded for all records at once, each distinct phrase rendered once, and
+captions joined from phrase ids and embedded in one batch; the Python work
+left is per distinct phrase and per distinct raw.
 
 Retrieval is exact: each query answers as a linear scan would. A semantic
 query scores the k table rows and reads the best rows' postings (their
@@ -54,6 +54,7 @@ by value and checked against the keyframe stride (see ``_by_value``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -65,14 +66,17 @@ from .core import (
     MemoryRecord,
     NoiseModel,
     DEFAULT_NOISE,
+    EMPTY_CAPTION,
     ObservationStream,
     Pose,
     SymbolicObservation,
     Tick,
     Timestep,
     embedding_problem,
+    entity_phrase,
+    mislabel_pool,
+    noise_codes,
     noise_draws,
-    render_caption,
 )
 from . import artifacts
 from .artifacts import IntegrityError
@@ -521,42 +525,42 @@ class LongTermMemory:
         return self._raws[self._raw_id[record_index]]
 
 
-def _noise_codes(entity_lists: list, lists: np.ndarray, t: np.ndarray, noise: NoiseModel,
-                 noise_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """What the noise model does to each entity slot of each record (see
-    core.render_caption), with the draws it does it by.
-
-    Record i has entity list entity_lists[lists[i]] and timestep t[i]. Returns
-    codes, an (n, slots) array for the longest list's slots, and draws, the
-    (slots, n, 4) array of core.noise_draws per slot. A code is -1 where the
-    entity is dropped, 1 + m where it is mislabeled to the m-th label of its
-    pool, and 0 where it is kept or the record has no entity. Records with
-    one entity list and equal codes have one caption.
-    """
-    slots = max(map(len, entity_lists), default=0)
-    pool = np.zeros((len(entity_lists), slots), dtype=np.int64)  # pool sizes; 0: no entity
-    for a, entities in enumerate(entity_lists):
-        for j, ent in enumerate(entities):
-            pool[a, j] = len(noise.label_pool) - noise.label_pool.count(ent.class_label) or 1
+def _noise_codes(size: np.ndarray, lists: np.ndarray, t: np.ndarray, noise: NoiseModel,
+                 noise_seed: int) -> np.ndarray:
+    """The noise codes (core.noise_codes) of each record's entity slots, an
+    (n, slots) array, -1 where a slot holds no entity. Record i has entity
+    list lists[i], whose slots' pool sizes are size[lists[i]] (0: no entity),
+    and timestep t[i]; slot j has the draws of core.noise_draws(noise_seed,
+    j, t)."""
+    slots = size.shape[1]
     draws = np.array([noise_draws(noise_seed, j, t) for j in range(slots)]).reshape(slots, len(t), 4)
-    size = pool[lists].T
-    label = (draws[..., 2] * size).astype(np.int64)
-    codes = np.where(draws[..., 0] < noise.p_drop, -1, np.where(draws[..., 1] < noise.p_mislabel, 1 + label, 0))
-    return np.where(size > 0, codes, 0).T, draws
+    size = size[lists].T
+    return np.where(size > 0, noise_codes(draws, size, noise), -1).T
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_weights(c: int) -> np.ndarray:
+    """c random odd uint64 weights, the row hash of _first_seen."""
+    return np.random.PCG64(c).random_raw(c) | np.uint64(1)
 
 
 def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, c) integer array, numbered in order of
-    first appearance: each row's number, and each number's first row."""
-    n = len(key)
-    # Equal rows are looked for among the first rows of runs of equal rows.
-    starts = np.flatnonzero(np.concatenate(([n > 0], (key[1:] != key[:-1]).any(axis=1))))
-    rows = np.ascontiguousarray(key[starts]).view(np.dtype((np.void, key.itemsize * key.shape[1])))
-    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    """The distinct rows of an (n, c) 64-bit integer array, numbered in order
+    of first appearance: each row's number, and each number's first row.
+
+    Rows are told apart by a hash, a random weighting of their words with
+    each word's high half folded into its low one (float bits differ high);
+    if any row differs from the first row of its hash, by an exact sort."""
+    words = key.view(np.uint64)
+    _, first, inverse = np.unique((words ^ (words >> np.uint64(32))) @ _hash_weights(key.shape[1]),
+                                  return_index=True, return_inverse=True)
+    if not np.array_equal(key[first[inverse]], key):
+        rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.itemsize * key.shape[1])))
+        _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
-    return np.repeat(number[inverse], np.diff(starts, append=n)), starts[first[order]]
+    return number[inverse], first[order]
 
 
 def build(
@@ -572,7 +576,7 @@ def build(
     """Construct long-term memory from an observation stream.
 
     Construction is task-agnostic: it sees only the stream. Captions are
-    rendered from the raw entity lists under the requested mode, embedded
+    composed from the raw entity lists under the requested mode, embedded
     once per distinct caption in one batch (Embedder.embed_captions), and
     stored alongside the raw observation. A record is a keyframe when its
     index is a multiple of snapshot_every (see agent.registry.record_views).
@@ -581,16 +585,17 @@ def build(
     seen from one pose object with one observation object. An oracle
     caption depends only on the entity list. A realistic one also depends
     on the record's noise: the draws of core.noise_draws at its timestep,
-    one slot per entity, turned into drop/keep/mislabel codes for all
-    records at once. A caption is rendered once per distinct (entity list,
-    codes), and the record columns are filled with no per-record Python
-    work.
+    one slot per entity, coded by core.noise_codes for all records at once.
+    Each distinct (entity list, slot, code) phrase is rendered once; each
+    distinct (entity list, codes) joins its phrases into its caption and
+    hands them to the embedder as they are. The record columns are filled
+    with no per-record Python work.
 
     Both tables are keyed by value. Each distinct (entity list, caption) is
-    one raw, and each distinct embedding (by bytes) one row, so captions
-    whose embeddings are equal share a row. Rows and raws are numbered in
-    order of first use. All records go into the memory as one columnar
-    batch.
+    one raw (so codes that give one caption share it), and each distinct
+    embedding (by bytes) one row, so captions whose embeddings are equal
+    share a row. Rows and raws are numbered in order of first use. All
+    records go into the memory as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -615,27 +620,39 @@ def build(
     list_number: dict[tuple, int] = {}
     lists = per_run([list_number.setdefault(run[4].visible_entities, len(list_number)) for run in runs], np.int64)
     entity_lists = list(list_number)
-    # A variant is an entity list, and in realistic mode the codes of its
-    # noise, numbered in order of first record. Each variant's caption is
-    # rendered from its first record.
-    draws = None
+    slots = max(map(len, entity_lists), default=0)
+    size = np.zeros((len(entity_lists), slots), dtype=np.int64)  # label pool sizes; 0: no entity
+    for a, entities in enumerate(entity_lists):
+        size[a, : len(entities)] = [len(mislabel_pool(ent, noise)) for ent in entities]
+    # A variant is an entity list and, in realistic mode, the noise codes of
+    # its slots, numbered in order of first record.
     if mode == "realistic":
-        codes, draws = _noise_codes(entity_lists, lists, t, noise, noise_seed)
+        codes = _noise_codes(size, lists, t, noise, noise_seed)
         variant, first = _first_seen(np.column_stack([lists, codes]))
+        vlist, vcodes = lists[first], codes[first]
     else:
-        variant, first = lists, np.unique(lists, return_index=True)[1]
+        variant, vlist, vcodes = lists, np.arange(len(entity_lists)), np.where(size > 0, 0, -1)
+    # Each variant's phrase ids, -1 where a slot has no phrase: each distinct
+    # (entity list, slot, code) is rendered once.
+    live = vcodes >= 0
+    span = len(noise.label_pool) + 2  # codes lie in [0, span)
+    keys, phrase_of = np.unique(((vlist[:, None] * slots + np.arange(slots)) * span + vcodes)[live],
+                                return_inverse=True)
+    texts = [entity_phrase(entity_lists[key // span // slots][key // span % slots], key % span, noise)
+             for key in keys.tolist()]
+    phrase = np.full(vcodes.shape, -1)
+    phrase[live] = phrase_of
     # Each variant's raw, (entity list, caption), numbered in order of first
-    # use; then each raw's row, numbered by embedding bytes in the same order.
-    raw_number: dict[tuple[int, str], int] = {}
-    raw_of = np.empty(len(first), dtype=np.int64)
-    for v, i in enumerate(first.tolist()):
-        entities = entity_lists[lists[i]]
-        caption = render_caption(entities, mode=mode, noise=noise,
-                                 draws=None if draws is None else draws[: len(entities), i].tolist())
-        raw_of[v] = raw_number.setdefault((int(lists[i]), caption), len(raw_number))
-    vectors = embedder.embed_captions([caption.split("; ") for _, caption in raw_number])
+    # use, with its phrases; then each raw's row, numbered by embedding bytes
+    # in the same order.
+    raws: dict[tuple[int, str], tuple[int, tuple[str, ...]]] = {}
+    raw_of = []
+    for a, ids in zip(vlist.tolist(), phrase.tolist()):
+        phrases = tuple([texts[p] for p in ids if p >= 0]) or (EMPTY_CAPTION,)
+        raw_of.append(raws.setdefault((a, "; ".join(phrases)), (len(raws), phrases))[0])
+    vectors = embedder.embed_captions([phrases for _, phrases in raws.values()])
     row_of, first_raw = _first_seen(vectors.view(np.int64))
-    raw = raw_of[variant]
+    raw = np.array(raw_of, dtype=np.int64)[variant]
     poses = [run[3] for run in runs]
     batch = Batch(
         t=t,
@@ -647,7 +664,7 @@ def build(
         row=row_of[raw],
         raw=raw,
         embeddings=vectors[first_raw],
-        raws=[SymbolicObservation(entity_lists[a], caption) for a, caption in raw_number],
+        raws=[SymbolicObservation(entity_lists[a], caption) for a, caption in raws],
     )
     memory.extend(batch)
     return memory

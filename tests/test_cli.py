@@ -299,6 +299,20 @@ def test_unknown_method_or_mode_is_a_usage_error(suite_artifacts, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run-suite", "run-task"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(suite_artifacts, tmp_path, monkeypatch, command, budget):
+    """A budget below 1 exits 2 naming --budget, runs no episode and writes
+    nothing."""
+    monkeypatch.chdir(tmp_path)
+    method = "--methods" if command == "run-suite" else "--method"
+    args = [command, "--tasks", suite_artifacts["tasks"], method, "star", "--budget", budget]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "--budget" in result.output and "crash" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_task_contains_a_crash_like_run_suite(suite_artifacts):
     """An llm run with no endpoint crashes inside its episode: the outcome
     line is printed, and the command exits 1 with the episode's error."""

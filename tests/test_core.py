@@ -1,6 +1,7 @@
 """Core type construction, serialization, captions, and action validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.core import (
+    EMPTY_CAPTION,
     Action,
     Instruction,
     MemoryRecord,
@@ -20,6 +22,9 @@ from objsearch.core import (
     WorkingMemory,
     canonical_dumps,
     canonical_loads,
+    entity_phrase,
+    mislabel_pool,
+    noise_codes,
     noise_draws,
     normalize_yaw,
     render_caption,
@@ -217,6 +222,50 @@ def test_caption_deterministic_per_seed():
         render_caption(ents, mode="realistic", draws=entity_draws(11, 0, 5), noise=noise)
     with pytest.raises(ValueError):
         render_caption(ents, mode="realistic", noise=noise)
+
+
+NOISES = [
+    NoiseModel(),
+    NoiseModel(p_drop=0.3, p_mislabel=0.5, label_pool=("mug", "book", "toy")),
+    NoiseModel(p_drop=0.0, p_mislabel=1.0, label_pool=("mug",)),
+    NoiseModel(p_drop=1.0, p_mislabel=1.0, label_pool=()),
+]
+
+
+def draw_value(noise):
+    """A draw in [0, 1): any, or one on an edge of the rule (p_drop,
+    p_mislabel, the largest double below 1)."""
+    return st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from([0.0, noise.p_drop, noise.p_mislabel, 1 - 2**-53]).filter(lambda u: u < 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), noise=st.sampled_from(NOISES),
+       labels=st.lists(st.sampled_from(["mug", "book", "toy", "plant"]), max_size=5))
+def test_caption_is_the_join_of_coded_entity_phrases(data, noise, labels):
+    """render_caption is the "; " join of entity_phrase over noise_codes (or
+    EMPTY_CAPTION), and each code follows the rule read one draw at a time:
+    drop when u_drop < p_drop, else the pool label at floor(u_label * pool
+    size) when u_mislabel < p_mislabel, else keep."""
+    ents = [make_entity(entity_id=f"e{i}", cls=label, attrs=("red",) * (i % 2), landmark="sink")
+            for i, label in enumerate(labels)]
+    u = draw_value(noise)
+    draws = [data.draw(st.tuples(u, u, u, st.just(0.5))) for _ in ents]
+    sizes = [len(mislabel_pool(e, noise)) for e in ents]
+    codes = noise_codes(np.array(draws).reshape(-1, 4), sizes, noise).tolist()
+    phrases = [entity_phrase(e, code, noise) for e, code in zip(ents, codes) if code >= 0]
+    assert render_caption(ents, "realistic", draws, noise) == ("; ".join(phrases) or EMPTY_CAPTION)
+    for ent, (u_drop, u_mislabel, u_label, _), size, code in zip(ents, draws, sizes, codes):
+        pool = [c for c in noise.label_pool if c != ent.class_label] or [ent.class_label]
+        assert mislabel_pool(ent, noise) == pool
+        if u_drop < noise.p_drop:
+            assert code == -1 and entity_phrase(ent, code, noise) is None
+        elif u_mislabel < noise.p_mislabel:
+            label = pool[int(u_label * len(pool))]
+            assert entity_phrase(ent, code, noise) == entity_phrase(replace(ent, class_label=label))
+        else:
+            assert code == 0
+    assert render_caption(ents, "oracle") == ("; ".join(entity_phrase(e) for e in ents) or EMPTY_CAPTION)
 
 
 def test_caption_mislabel_substitutes_class():

@@ -1,5 +1,6 @@
 """Reference embedder determinism and retrieval-ordering properties."""
 
+import functools
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from objsearch.embed import (
     EmbeddingError,
     TransportError,
     _hash_feature,
+    _phrase_features,
     embed_text,
     normalize_text,
 )
@@ -180,8 +182,9 @@ def test_reference_embed_equals_per_feature_loop(text, d):
 
 
 def test_feature_memo_is_bounded():
-    info = _hash_feature.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 65536
+    for memo in (_hash_feature, _phrase_features):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 65536
 
 
 def fake_external_post(url, payload, timeout):
@@ -254,6 +257,10 @@ def test_embed_captions_zero_norm_goes_through_call(monkeypatch):
 
     buckets = embed_module._buckets
     monkeypatch.setattr(embed_module, "_buckets", lambda features, d: (buckets(features, d)[0], np.zeros(len(features))))
+    # A fresh phrase memo: the process-wide one may hold these phrases with
+    # their true signs, and must not keep the zeroed ones.
+    fresh = functools.lru_cache(maxsize=None)(embed_module._phrase_features.__wrapped__)
+    monkeypatch.setattr(embed_module, "_phrase_features", fresh)
     emb = Embedder(EmbedderConfig(d=64))
     got = emb.embed_captions([("a red mug", "on the sink")])
     assert got.tobytes() == emb("a red mug; on the sink").tobytes()

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_header, spec_batch
 from objsearch.core import (
+    DEFAULT_NOISE,
+    NoiseModel,
     ObservationStream,
     Pose,
     SymbolicObservation,
@@ -27,7 +29,7 @@ from objsearch.core import (
     embedding_problem,
     render_caption,
 )
-from objsearch import artifacts
+from objsearch import artifacts, memstore
 from objsearch.embed import Embedder, EmbedderConfig
 from objsearch.homesim import generate_world, patrol, read_stream, write_stream
 from objsearch.memstore import (
@@ -141,7 +143,7 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
     assert list(shared.records) == list(copied.records)
 
 
-def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day):
+def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day, noise=DEFAULT_NOISE):
     """One record per tick, each with its own embedding row (Embedder.__call__)
     and raw observation, extended one single-record batch at a time: the
     per-tick loop that build batches. A realistic caption takes entity j's
@@ -152,7 +154,8 @@ def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_pe
     for i, (t, pose, obs) in enumerate(stream):
         draws = [np.random.Generator(np.random.Philox(key=[noise_seed, j], counter=t.value)).random(4)
                  for j in range(len(obs.visible_entities))]
-        caption = render_caption(obs.visible_entities, mode=mode, draws=draws if mode == "realistic" else None)
+        caption = render_caption(obs.visible_entities, mode=mode, draws=draws if mode == "realistic" else None,
+                                 noise=noise)
         raw = replace(obs, caption=caption)
         memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
                             yaw=[pose.yaw], room=[pose.room_id], row=[i], raw=[i],
@@ -229,6 +232,34 @@ def first_use_ids(keys):
     """Per key: equal keys share one id, numbered in order of first use."""
     ids: dict = {}
     return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+WORDS = [0, 1, -1, 2**63 - 1, -2**63, *np.array([1.5, 2.0, -0.0, 0.1]).view(np.int64).tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@example(rows=0, width=3, kinds=1, seed=0, collide=False)
+@example(rows=20, width=300, kinds=3, seed=1, collide=True)
+@given(rows=st.integers(0, 40), width=st.integers(1, 300), kinds=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), collide=st.booleans())
+def test_first_seen_numbers_rows_by_first_appearance(rows, width, kinds, seed, collide):
+    """_first_seen numbers an int64 matrix's rows as a dict would, by first
+    appearance, over rows drawn from a few base rows (each maybe changed in
+    one word). With every row hashed alike it takes its exact fallback and
+    still agrees."""
+    rng = np.random.default_rng(seed)
+    words = np.array(WORDS, dtype=np.int64)
+    base = words[rng.integers(0, len(words), (kinds, width))]
+    key = base[rng.integers(0, kinds, rows)]
+    changed = rng.random(rows) < 0.3
+    key[changed, rng.integers(0, width, int(changed.sum()))] = words[rng.integers(0, len(words), int(changed.sum()))]
+    want = first_use_ids(row.tobytes() for row in key)
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            patch.setattr(memstore, "_hash_weights", lambda c: np.zeros(c, dtype=np.uint64))
+        number, first = memstore._first_seen(key)
+    assert number.tolist() == want
+    assert first.tolist() == [want.index(j) for j in range(len(first))]
 
 
 @pytest.mark.parametrize("source", ["patrol", "file"])
@@ -1392,27 +1423,36 @@ def test_legacy_keyframe_flag_off_the_stride_is_refused(tmp_path, version):
 def view_pool():
     """Entity lists for random streams: a list and a value-equal copy of it
     (one raw), a list whose caption differs only in case (a different raw
-    and caption, an equal embedding row), two entities, and none."""
-    def mug(attribute, landmark="sink", entity="m1"):
-        return VisibleEntity(entity_id=entity, class_label="mug", attributes=(attribute,), landmark_id=landmark)
+    and caption, an equal embedding row), two entities, two entities with
+    equal phrases (dropping either gives one caption), a book among mugs,
+    and none."""
+    def mug(attribute, landmark="sink", entity="m1", label="mug"):
+        return VisibleEntity(entity_id=entity, class_label=label, attributes=(attribute,), landmark_id=landmark)
 
-    lists = [(mug("red"),), (mug("red"),), (mug("Red"),), (mug("red"), mug("blue", "desk", "m2")), ()]
+    lists = [(mug("red"),), (mug("red"),), (mug("Red"),), (mug("red"), mug("blue", "desk", "m2")),
+             (mug("red"), mug("red", entity="m3")),
+             (mug("red", entity="m3"), mug("red", entity="b1", label="book"), mug("red")), ()]
     return [SymbolicObservation(visible_entities=entities, caption="") for entities in lists]
 
 
 VIEWS = view_pool()
 POSES = [Pose(position=(x, 0.5 * x), yaw=0.1 * x, room_id="kitchen" if x < 2 else "study") for x in range(3)]
+# Noise under which distinct codes give equal captions: a one-label pool
+# mislabels a mug as a mug, and frequent drops meet equal phrases.
+VIEW_NOISES = [DEFAULT_NOISE, NoiseModel(p_drop=0.4, p_mislabel=0.5, label_pool=("mug",)),
+               NoiseModel(p_drop=0.3, p_mislabel=0.6, label_pool=("mug", "book"))]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9), st.sampled_from(range(len(POSES))),
                             st.sampled_from(range(len(VIEWS)))), max_size=12),
     snapshot_every=st.integers(1, 9),
     mode=st.sampled_from(["oracle", "realistic"]),
     noise_seed=st.integers(0, 3),
+    noise=st.sampled_from(VIEW_NOISES),
 )
-def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapshot_every, mode, noise_seed):
+def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapshot_every, mode, noise_seed, noise):
     """Over random streams (runs of (gap, length, pose, view), 10 ticks a
     day): build equals the per-tick reference; its raws and rows are
     pairwise distinct by value; persist then load gives equal records and
@@ -1426,8 +1466,9 @@ def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapsho
         for _ in range(length):
             ticks.append((Timestep.at(t, 10), POSES[pose], VIEWS[view]))
             t += 1
-    memory = build(ticks, EMB, mode=mode, noise_seed=noise_seed, snapshot_every=snapshot_every, ticks_per_day=10)
-    assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, snapshot_every, 10))
+    memory = build(ticks, EMB, mode=mode, noise=noise, noise_seed=noise_seed, snapshot_every=snapshot_every,
+                   ticks_per_day=10)
+    assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, snapshot_every, 10, noise))
     assert len(set(memory._raws)) == len(memory._raws)
     rows = memory._snapshot().embeddings
     assert len({row.tobytes() for row in rows}) == len(rows)
