@@ -160,6 +160,12 @@ class VisibleEntity:
         )
 
 
+def _check_entity_ids(entities: Sequence[VisibleEntity]) -> None:
+    ids = [e.entity_id for e in entities]
+    if len(ids) != len(set(ids)):
+        raise ValueError("duplicate entity_id within one observation")
+
+
 @dataclass(frozen=True)
 class SymbolicObservation:
     """Symbolic stand-in for one camera observation.
@@ -173,9 +179,27 @@ class SymbolicObservation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "visible_entities", tuple(self.visible_entities))
-        ids = [e.entity_id for e in self.visible_entities]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate entity_id within one observation")
+        _check_entity_ids(self.visible_entities)
+
+    @classmethod
+    def sharing(cls, entity_lists: Sequence[tuple[VisibleEntity, ...]],
+                raws: Iterable[tuple[int, str]]) -> list["SymbolicObservation"]:
+        """One observation per (list id, caption) in raws, each holding the
+        tuple entity_lists[list id] itself. Each list is checked once, as the
+        constructor checks it, however many observations share it; a bad
+        list raises ValueError naming its id."""
+        for a, entities in enumerate(entity_lists):
+            try:
+                _check_entity_ids(entities)
+            except ValueError as exc:
+                raise ValueError(f"entity list {a}: {exc}") from None
+        made = []
+        for a, caption in raws:
+            obs = object.__new__(cls)
+            object.__setattr__(obs, "visible_entities", entity_lists[a])
+            object.__setattr__(obs, "caption", caption)
+            made.append(obs)
+        return made
 
     def to_dict(self) -> dict:
         return {

@@ -5,8 +5,14 @@ yields the robot pose and the ground-truth visible entity list at that pose;
 the stream is what memory construction consumes. Ticks that see the same
 view share one observation object, so consumers may key per-view work on
 object identity, and the stream is kept as runs of such ticks
-(core.ObservationStream), so patrol, the stream file writer and memory
-construction work per run, not per tick.
+(core.ObservationStream), so patrol, the stream file writer and reader and
+memory construction work per run, not per tick.
+
+Stream file v2 (``STREAM_FORMAT``), a checksummed artifact file: a header
+with ``format: "patrol-stream"``, ``version: 2`` and the caller's meta
+fields, then one record per run, ``{t0, day, length, pose, entities}``.
+``read_stream`` still reads v1 files (one record per tick); ``write_stream``
+writes v2 only.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .world import Schedule, WorldState
 
 MIN_PATROL_DAYS = 3
 MAX_PATROL_DAYS = 6
-STREAM_FORMAT = {"format": "patrol-stream", "version": 1}
+STREAM_FORMAT = {"format": "patrol-stream", "version": 2}
 
 
 def patrol_route(world: WorldState) -> list[str]:
@@ -141,26 +147,36 @@ def write_stream(
     stream: Iterable[Tick],
     meta: dict | None = None,
 ) -> None:
-    """Write an observation stream file, one tick per record; meta fields
-    join the header without displacing the format keys. The records are
-    written run by run (see ObservationStream).
+    """Write an observation stream file v2, one record per run of the
+    stream (core.ObservationStream): ``{t0, day, length, pose, entities}``.
+    meta fields join the header without displacing the format keys.
 
     Captions are not stored; they are a function of the entity lists and the
     caption mode chosen at memory-build time.
     """
-
-    def records():
-        for t0, day, length, pose, obs in ObservationStream.of(stream).runs():
-            view = {"pose": pose.to_dict(), "entities": [e.to_dict() for e in obs.visible_entities]}
-            for t in range(t0, t0 + length):
-                yield {"t": {"value": t, "day": day}, **view}
-
-    artifacts.write(path, {**(meta or {}), **STREAM_FORMAT}, records())
+    records = (
+        {"t0": t0, "day": day, "length": length, "pose": pose.to_dict(),
+         "entities": [e.to_dict() for e in obs.visible_entities]}
+        for t0, day, length, pose, obs in ObservationStream.of(stream).runs()
+    )
+    artifacts.write(path, {**(meta or {}), **STREAM_FORMAT}, records)
 
 
 def _tick_from_dict(d: dict) -> tuple[Timestep, Pose, tuple[VisibleEntity, ...]]:
+    """A v1 record: one tick."""
     entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
     return Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), entities
+
+
+def _run_from_dict(d: dict) -> tuple[int, int, int, Pose, tuple[VisibleEntity, ...]]:
+    """A v2 record: one run, its t0, day and length JSON integers."""
+    t0, day, length = d["t0"], d["day"], d["length"]
+    if not all(type(v) is int for v in (t0, day, length)):
+        raise ValueError(f"t0, day and length must be integers, got {t0!r}, {day!r}, {length!r}")
+    if t0 < 0 or day < 0 or length < 1:
+        raise ValueError(f"bad run: t0={t0}, day={day}, length={length}")
+    entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
+    return t0, day, length, Pose.from_dict(d["pose"]), entities
 
 
 def read_stream(path: str) -> tuple[dict, ObservationStream]:
@@ -168,19 +184,29 @@ def read_stream(path: str) -> tuple[dict, ObservationStream]:
     carry oracle captions so the stream is directly usable. Consecutive ticks
     with equal entity lists share one observation object, as patrol's repeated
     views do, so a memory built from the file shares their raws; consecutive
-    equal poses share one pose object, so the stream keeps patrol's runs."""
-    header, ticks = artifacts.read(path, _tick_from_dict, expect=STREAM_FORMAT)
+    equal poses share one pose object.
+
+    A v2 file's runs are the stream's runs, as written. A v1 file (one
+    record per tick, ``{t: {value, day}, pose, entities}``) is still read;
+    its ticks join runs as ObservationStream.of joins them."""
+    header, lines = artifacts.verify(path, expect={"format": STREAM_FORMAT["format"]}, require=("version",))
+    version = header["version"]
+    if type(version) is not int or version not in (1, STREAM_FORMAT["version"]):
+        raise artifacts.IntegrityError(f"unsupported version {version!r}, expected 1 or {STREAM_FORMAT['version']}")
+    v1 = version == 1
+    [records] = artifacts.sections(header, lines, _tick_from_dict if v1 else _run_from_dict,
+                                   name="record" if v1 else "run")
 
     def shared():
         pose = obs = None
-        for t, p, entities in ticks:
+        for *head, p, entities in records:
             if obs is None or obs.visible_entities != entities:
                 obs = SymbolicObservation(visible_entities=entities, caption=render_caption(entities, mode="oracle"))
             if p != pose:
                 pose = p
-            yield t, pose, obs
+            yield *head, pose, obs
 
-    return header, ObservationStream.of(shared())
+    return header, ObservationStream.of(shared()) if v1 else ObservationStream(shared())
 
 
 __all__ = [

@@ -22,7 +22,7 @@ The postings and position ids are derived indexes, built in O(n) on first
 use after each extend and never stored. Timesteps increase strictly, so a
 temporal query is a binary search of the t column plus O(r) work; a day
 window asked per run also searches the ends of the maximal runs of records,
-derived the same way (the runs of memory file v4).
+derived the same way (the runs of the memory file).
 
 Concurrency: one writer may extend while readers query. A batch is
 validated whole and published at once: its table rows are written before any
@@ -31,31 +31,47 @@ Readers snapshot the record count first and then slice each column. So every
 query sees a consistent prefix of the insertion order that ends at a batch
 boundary: a whole batch or none of it.
 
-Memory file v4 (``FORMAT_VERSION = 4``), a checksummed artifact file
-(see artifacts.py):
+Memory file v5 (``FORMAT_VERSION = 5``), a checksummed artifact file (see
+artifacts.py), holds the tables and the maximal runs of records (t rises by
+1 and the other fields are equal, floats by their bits, so 0.0 and -0.0
+never share a run) column by column:
 
 - header: ``format_version``, ``d``, ``ticks_per_day``, ``snapshot_every``,
-  ``embedder_id``, ``mode``, ``records`` (n, the record total), and the
-  line counts ``embeddings`` (k), ``raws`` (m) and ``count`` (the runs);
-- k lines, each one embedding row as a list of d floats;
-- m lines, each one raw observation (``SymbolicObservation.to_dict``);
-- one line per maximal run of records: ``[t, day, x, y, yaw, room, row,
-  raw, length]``, the records t, t+1, ..., t+length-1 with the other seven
-  fields equal (floats equal by bits, so 0.0 and -0.0 never share a run).
-  ``row`` and ``raw`` index the two tables; the lengths sum to n.
+  ``embedder_id``, ``mode``, the counts ``records`` (n), ``runs``, ``rows``
+  (k) and ``raws`` (m), and the line counts ``entity_lists`` and ``count``;
+- one line per distinct entity list of the raws, a list of entity dicts;
+- one line per column of the run table, ``{name: [value per run]}``: ``t0``
+  (a run's first timestep), ``length`` (its record count; the lengths sum
+  to n), ``day``, ``x``, ``y``, ``yaw``, ``room``, ``row`` and ``raw``;
+- one line per column of the raw table: ``raw_list`` (an entity list's
+  index) and ``raw_caption``, one value per raw;
+- ``{"embeddings": ...}``: the (k, d) float64 table as little-endian bytes
+  in base64, bit for bit.
 
-A record is a keyframe when its index is a multiple of ``snapshot_every``.
-``load`` switches on the header's ``format_version``. v3 (one record line
-``[t, day, x, y, yaw, room, row, raw]`` per record, ``count`` the records)
-loads as runs of length 1. v1 (one ``MemoryRecord.to_dict`` line per
-record) and v2 (v3 with a ``keyframe`` flag on each raw) still load, re-keyed
-by value and checked against the keyframe stride (see ``_by_value``).
+So persist and load encode and decode a fixed number of lines plus one per
+distinct entity list, however many records, runs or raws there are. ``load``
+type-checks each column whole and names the column and its first bad run
+or raw, then extends the memory with the runs, checking every record.
+
+A record is a keyframe when its index is a multiple of ``snapshot_every``;
+no file stores a flag. ``load`` switches on the header's
+``format_version`` and still reads the older files; ``persist`` writes v5
+only. v4 (tables of k embedding rows and m raw dicts, then one line
+``[t, day, x, y, yaw, room, row, raw, length]`` per maximal run) loads as
+it is; v3 (one record line ``[t, day, x, y, yaw, room, row, raw]`` per
+record, ``count`` the records) loads as runs of length 1. v1 (one
+``MemoryRecord.to_dict`` line per record) and v2 (v3 with a ``keyframe``
+flag on each raw) load re-keyed by value and checked against the keyframe
+stride (see ``_by_value``). These readers stay so that every file written
+before still loads; only the committed test fixtures exercise v1 to v3.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -72,6 +88,7 @@ from .core import (
     SymbolicObservation,
     Tick,
     Timestep,
+    VisibleEntity,
     embedding_problem,
     entity_phrase,
     mislabel_pool,
@@ -82,7 +99,7 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import Embedder, EmbedderConfig
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_SNAPSHOT_EVERY = 25
 DEFAULT_TOP_R = 5
 
@@ -563,6 +580,22 @@ def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse], first[order]
 
 
+def _numbered(values: Sequence) -> tuple[list[int], list]:
+    """Each value's number, equal values numbered alike in order of first
+    appearance, and the distinct values. A value object met before is
+    numbered by its identity, so a list that repeats a few objects hashes
+    each of them once; values holds them alive, so no identity is reused."""
+    by_id: dict[int, int] = {}
+    by_value: dict[Any, int] = {}
+    numbers = []
+    for value in values:
+        number = by_id.get(id(value))
+        if number is None:
+            number = by_id[id(value)] = by_value.setdefault(value, len(by_value))
+        numbers.append(number)
+    return numbers, list(by_value)
+
+
 def build(
     stream: Iterable[Tick],
     embedder: Embedder | EmbedderConfig,
@@ -617,9 +650,8 @@ def build(
 
     t = per_run([run[0] for run in runs], np.int64) + np.arange(n, dtype=np.int64) - np.repeat(run_first, lengths)
     # Each record's entity list, numbered by value in order of first run.
-    list_number: dict[tuple, int] = {}
-    lists = per_run([list_number.setdefault(run[4].visible_entities, len(list_number)) for run in runs], np.int64)
-    entity_lists = list(list_number)
+    list_ids, entity_lists = _numbered([run[4].visible_entities for run in runs])
+    lists = per_run(list_ids, np.int64)
     slots = max(map(len, entity_lists), default=0)
     size = np.zeros((len(entity_lists), slots), dtype=np.int64)  # label pool sizes; 0: no entity
     for a, entities in enumerate(entity_lists):
@@ -664,7 +696,7 @@ def build(
         row=row_of[raw],
         raw=raw,
         embeddings=vectors[first_raw],
-        raws=[SymbolicObservation(entity_lists[a], caption) for a, caption in raws],
+        raws=SymbolicObservation.sharing(entity_lists, raws),
     )
     memory.extend(batch)
     return memory
@@ -673,6 +705,17 @@ def build(
 # -- persistence -------------------------------------------------------------
 
 _HEADER_KEYS = ("format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode")
+# The column lines of a memory file v5, in file order: each column's JSON
+# value type (float admits an integer) and the count of its values.
+_V5_COLUMNS = {
+    "t0": (int, "runs"), "length": (int, "runs"), "day": (int, "runs"), "x": (float, "runs"),
+    "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "row": (int, "runs"),
+    "raw": (int, "runs"), "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
+}
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
+# The JSON integers an int column (int64) and a float column (float64) hold.
+_INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
+              float: ("float64", -int(sys.float_info.max), int(sys.float_info.max))}
 
 
 def _run_starts(snap: Batch) -> np.ndarray:
@@ -689,14 +732,19 @@ def _run_starts(snap: Batch) -> np.ndarray:
 
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v4 (see the module docstring) in the checksummed
-    artifact format: the two tables, then one line per maximal run of
-    records, found by comparing neighbouring records column by column.
+    """Write a memory file v5 (see the module docstring) in the checksummed
+    artifact format: the entity lists, then one line per column of the run
+    table (runs found by comparing neighbouring records column by column)
+    and of the raw table, then the embedding table as one base64 line. The
+    number of lines encoded grows with the distinct entity lists only.
 
     extra_header fields (e.g. a producing-config hash) are merged into the
     header without displacing the required keys.
     """
     snap = memory._snapshot()
+    n = len(snap.t)
+    starts = _run_starts(snap)
+    list_ids, entity_lists = _numbered([raw.visible_entities for raw in snap.raws])
     header = {
         **(extra_header or {}),
         "format_version": FORMAT_VERSION,
@@ -705,16 +753,21 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "snapshot_every": memory.snapshot_every,
         "embedder_id": memory.embedder_id,
         "mode": memory.mode,
-        "records": len(snap.t),
+        "records": n,
+        "runs": len(starts),
+        "rows": len(snap.embeddings),
+        "raws": len(snap.raws),
     }
-    starts = _run_starts(snap)
-    columns = [getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS]
-    lengths = np.diff(starts, append=len(snap.t)).tolist()
-    tables = {
-        "embeddings": (row.tolist() for row in snap.embeddings),
-        "raws": (raw.to_dict() for raw in snap.raws),
-    }
-    artifacts.write(path, header, zip(*columns, lengths), tables=tables)
+    values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
+    values["t0"] = values.pop("t")
+    values["length"] = np.diff(starts, append=n).tolist()
+    values["raw_list"] = list_ids
+    values["raw_caption"] = [raw.caption for raw in snap.raws]
+    lines = [{name: values[name]} for name in _V5_COLUMNS]
+    table = np.ascontiguousarray(snap.embeddings, dtype="<f8")
+    lines.append({"embeddings": base64.b64encode(table.tobytes()).decode("ascii")})
+    lists = ([e.to_dict() for e in entities] for entities in entity_lists)
+    artifacts.write(path, header, lines, tables={"entity_lists": lists})
 
 
 def _embedding_row(values: list) -> np.ndarray:
@@ -811,32 +864,109 @@ def _extend_by_runs(memory: LongTermMemory, columns: list, lengths: Sequence[int
         raise IntegrityError(f"{name} {run}: {exc.reason}") from exc
 
 
+def _first_bad(values: list, bad: Callable[[Any], bool]) -> int:
+    return next(j for j, value in enumerate(values) if bad(value))
+
+
+def _v5_column(line: Any, name: str, kind: type, size: int, item: str) -> list:
+    """The values of a v5 column line {name: values}: a list of size
+    values, one per item, all of the column's JSON type, integers within
+    the column's int64 or float64 range. A failure names the column and its
+    first bad item."""
+    if type(line) is not dict or list(line) != [name]:
+        raise IntegrityError(f"expected the {name!r} column line")
+    values = line[name]
+    if type(values) is not list or len(values) != size:
+        got = len(values) if type(values) is list else type(values).__name__
+        raise IntegrityError(f"column {name!r}: expected {size} values, one per {item}, got {got}")
+    types, seen = _JSON_TYPES[kind], set(map(type, values))
+    if not seen <= types:
+        j = _first_bad(values, lambda value: type(value) not in types)
+        raise IntegrityError(f"column {name!r} {item} {j}: expected a JSON {kind.__name__}, got {values[j]!r}")
+    if int in seen:
+        dtype, low, high = _INT_RANGE[kind]
+        ints = values if kind is int else [value for value in values if type(value) is int]
+        if min(ints) < low or max(ints) > high:
+            j = _first_bad(values, lambda value: type(value) is int and not low <= value <= high)
+            raise IntegrityError(f"column {name!r} {item} {j}: {values[j]} is out of the {dtype} range")
+    return values
+
+
+def _v5_embeddings(line: Any, k: int, d: int) -> np.ndarray:
+    """The (k, d) embedding table of a v5 file's last line, little-endian
+    float64 bytes in base64."""
+    if type(line) is not dict or list(line) != ["embeddings"] or type(line["embeddings"]) is not str:
+        raise IntegrityError("expected the 'embeddings' line, a base64 string")
+    try:
+        data = base64.b64decode(line["embeddings"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise IntegrityError(f"column 'embeddings': bad base64: {exc}") from exc
+    if len(data) != k * d * 8:
+        raise IntegrityError(f"column 'embeddings': {len(data)} bytes, expected {k * d * 8}, 8 per float of "
+                             f"{k} rows of {d}")
+    return np.frombuffer(data, dtype="<f8").reshape(k, d)  # extend copies it into the table
+
+
+def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
+    if type(line) is not list:
+        raise ValueError(f"expected a list of entities, got {line!r}")
+    return tuple(VisibleEntity.from_dict(entity) for entity in line)
+
+
+def _load_v5(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
+    """Fill an empty memory from the lines of a v5 file: each column is
+    type-checked whole, run lengths must be at least 1 and list ids index
+    the entity lists, then the runs go through _extend_by_runs."""
+    entity_lists, lines = artifacts.sections(header, lines, tables={"entity_lists": _entity_list}, name="column")
+    if len(lines) != len(_V5_COLUMNS) + 1:
+        raise IntegrityError(f"expected {len(_V5_COLUMNS) + 1} column lines, found {len(lines)}")
+    columns = {name: _v5_column(line, name, kind, header[count], count[:-1])
+               for line, (name, (kind, count)) in zip(lines, _V5_COLUMNS.items())}
+    embeddings = _v5_embeddings(lines[-1], header["rows"], memory.d)
+    lengths, ids = columns["length"], columns["raw_list"]
+    if lengths and min(lengths) < 1:
+        j = _first_bad(lengths, lambda length: length < 1)
+        raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
+    if ids and (min(ids) < 0 or max(ids) >= len(entity_lists)):
+        j = _first_bad(ids, lambda a: not 0 <= a < len(entity_lists))
+        raise IntegrityError(f"column 'raw_list' raw {j}: list id {ids[j]} out of range [0, {len(entity_lists)})")
+    try:
+        raws = SymbolicObservation.sharing(entity_lists, zip(ids, columns["raw_caption"]))
+    except ValueError as exc:
+        raise IntegrityError(str(exc)) from exc
+    runs = [columns["t0" if name == "t" else name] for name in RECORD_FIELDS]
+    _extend_by_runs(memory, runs, lengths, header["records"], "run", embeddings, raws)
+
+
 def load(path: str) -> LongTermMemory:
-    """Load a memory file of format version 1 to 4, verifying the checksum,
+    """Load a memory file of format version 1 to 5, verifying the checksum,
     the header, every table row and every record.
 
-    The header's format_version, d, ticks_per_day, snapshot_every and (v4)
-    records must be JSON integers, embedder_id and mode JSON strings, and
-    mode one of core.MODES; a legacy raw's keyframe flag must be a JSON
-    boolean. Every version then loads as runs (see _extend_by_runs): a v4
-    file's run lines, and each v2 or v3 record line or decoded v1 record as
-    a run of one. A failure raises IntegrityError naming the header field,
-    the table row, or the run (v4) or record line (v1 to v3)."""
+    The header's format_version, d, ticks_per_day, snapshot_every and the
+    counts (v4: records; v5: records, runs, rows and raws, each at least 0)
+    must be JSON integers, embedder_id and mode JSON strings, and mode one
+    of core.MODES; a legacy raw's keyframe flag must be a JSON boolean.
+    Every version then loads as runs (see _extend_by_runs): a v5 file's
+    columns (see _load_v5), a v4 file's run lines, and each v2 or v3 record
+    line or decoded v1 record as a run of one. A failure raises
+    IntegrityError naming the header field, the table row, the column (v5),
+    or the run (v4, v5) or record line (v1 to v3)."""
     header, lines = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 3.0 == 3 in Python.
-    if type(version) is not int or version not in (1, 2, 3, FORMAT_VERSION):
-        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2, 3 or {FORMAT_VERSION}")
-    v4 = version == FORMAT_VERSION
-    if v4 and "records" not in header:
-        raise IntegrityError("malformed header: missing 'records'")
-    integers = ("d", "ticks_per_day", "snapshot_every") + (("records",) if v4 else ())
+    if type(version) is not int or version not in (1, 2, 3, 4, FORMAT_VERSION):
+        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2, 3, 4 or {FORMAT_VERSION}")
+    counts = {4: ("records",), FORMAT_VERSION: ("records", "runs", "rows", "raws")}.get(version, ())
+    for key in counts:
+        if key not in header:
+            raise IntegrityError(f"malformed header: missing {key!r}")
     try:
-        for key in integers:
+        for key in ("d", "ticks_per_day", "snapshot_every", *counts):
             if type(header[key]) is not int:
                 raise ValueError(f"{key} must be an integer, got {header[key]!r}")
-        if v4 and header["records"] < 0:
-            raise ValueError(f"records must be >= 0, got {header['records']}")
+        for key in counts:
+            if header[key] < 0:
+                raise ValueError(f"{key} must be >= 0, got {header[key]}")
         for key in ("embedder_id", "mode"):
             if type(header[key]) is not str:
                 raise ValueError(f"{key} must be a string, got {header[key]!r}")
@@ -851,6 +981,10 @@ def load(path: str) -> LongTermMemory:
         )
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
+    if version == FORMAT_VERSION:
+        _load_v5(memory, header, lines)
+        return memory
+    v4 = version == 4
     name = "run" if v4 else "record"
     if version == 1:
         # Each record its own row and raw; _by_value shares them.

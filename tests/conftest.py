@@ -52,3 +52,11 @@ def rewrite_header(path, edit):
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     body = "\n".join(lines) + "\n"
     open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+
+
+def rewrite_line(path, index, edit):
+    """Replace line index of an artifact file by edit(parsed line) and re-checksum it."""
+    lines = open(path).read().splitlines()[:-1]
+    lines[index] = json.dumps(edit(json.loads(lines[index])), sort_keys=True, separators=(",", ":"))
+    body = "\n".join(lines) + "\n"
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())

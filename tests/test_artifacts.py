@@ -88,7 +88,7 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-MEMORY_V4_SHA256 = "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"
+MEMORY_V5_SHA256 = "e7c0fa32dfe5df01ffc987a983cc1ef6475cad775b7e9bb6f31e74067ab27e38"
 
 
 def test_memory_file_bytes_are_frozen(tmp_path):
@@ -96,24 +96,23 @@ def test_memory_file_bytes_are_frozen(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 4
-    assert sha256_of(path) == MEMORY_V4_SHA256
+    assert memstore.FORMAT_VERSION == 5
+    assert sha256_of(path) == MEMORY_V5_SHA256
 
 
-# The same memory as persisted by format versions 1, 2 and 3, bytes frozen.
+DATA = os.path.join(os.path.dirname(__file__), "data")
+# The same memory as persisted by format versions 1 to 4, bytes frozen.
 LEGACY_FILES = {
-    1: (os.path.join(os.path.dirname(__file__), "data", "memory_v1.jsonl"),
-        "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"),
-    2: (os.path.join(os.path.dirname(__file__), "data", "memory_v2.jsonl"),
-        "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"),
-    3: (os.path.join(os.path.dirname(__file__), "data", "memory_v3.jsonl"),
-        "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"),
+    1: (os.path.join(DATA, "memory_v1.jsonl"), "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"),
+    2: (os.path.join(DATA, "memory_v2.jsonl"), "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"),
+    3: (os.path.join(DATA, "memory_v3.jsonl"), "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"),
+    4: (os.path.join(DATA, "memory_v4.jsonl"), "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"),
 }
 
 
 def assert_legacy_file_loads_as_the_build(version, tmp_path):
     """The frozen file loads equal to the build, tables included, and
-    re-persists as the frozen v4 bytes."""
+    re-persists as the frozen v5 bytes."""
     path, digest = LEGACY_FILES[version]
     assert sha256_of(path) == digest
     assert artifacts.verify(path)[0]["format_version"] == version
@@ -125,7 +124,7 @@ def assert_legacy_file_loads_as_the_build(version, tmp_path):
     assert (loaded._k, loaded._raws) == (memory._k, memory._raws)
     again = str(tmp_path / "memory.jsonl")
     memstore.persist(loaded, again, extra_header={"config_hash": "0123456789abcdef"})
-    assert sha256_of(again) == MEMORY_V4_SHA256
+    assert sha256_of(again) == MEMORY_V5_SHA256
 
 
 def test_memory_file_v1_still_loads(tmp_path):
@@ -138,6 +137,10 @@ def test_memory_file_v2_still_loads(tmp_path):
 
 def test_memory_file_v3_still_loads(tmp_path):
     assert_legacy_file_loads_as_the_build(3, tmp_path)
+
+
+def test_memory_file_v4_still_loads(tmp_path):
+    assert_legacy_file_loads_as_the_build(4, tmp_path)
 
 
 def test_memory_file_v1_loads_with_shared_raws(tmp_path):
@@ -179,7 +182,7 @@ def test_count_must_be_a_json_integer(tmp_path, kind, count):
     else:
         write_stream(path, frozen_stream())
         load = read_stream
-    assert artifacts.verify(path)[0]["count"] == (3 if kind == "memory" else 40)  # run lines or ticks
+    assert artifacts.verify(path)[0]["count"] == (12 if kind == "memory" else 3)  # column lines or runs
     load(path)
     rewrite_header(path, lambda header: header.update({"count": count}))
     message = f"malformed header: 'count' must be a line count, got {count!r}"
@@ -187,8 +190,25 @@ def test_count_must_be_a_json_integer(tmp_path, kind, count):
         load(path)
 
 
+STREAM_V2_SHA256 = "5ecdd2504e5c30cf02d4716aa154c634cb1f6ac1d430c7f749713e9f9a8287b0"
+
+
 def test_stream_file_bytes_are_frozen(tmp_path):
     """These bytes change only together with the stream format version."""
     path = str(tmp_path / "stream.jsonl")
     write_stream(path, frozen_stream(), meta={"config": {"ticks_per_day": 200}})
+    assert sha256_of(path) == STREAM_V2_SHA256
+
+
+def test_stream_file_v1_still_reads(tmp_path):
+    """The frozen v1 file (one line per tick) of the same stream reads as
+    its ticks and runs, and re-writes as the frozen v2 bytes."""
+    path = os.path.join(DATA, "stream_v1.jsonl")
     assert sha256_of(path) == "06813ebdfe576949a12434871dc2662ef35695e576c0c32dd3366ac9730dac05"
+    header, stream = read_stream(path)
+    assert (header["version"], header["count"]) == (1, 40)
+    assert stream == frozen_stream()
+    assert list(stream.runs()) == list(frozen_stream().runs())
+    again = str(tmp_path / "stream.jsonl")
+    write_stream(again, stream, meta={"config": header["config"]})
+    assert sha256_of(again) == STREAM_V2_SHA256

@@ -59,8 +59,10 @@ def test_patrol_writes_expected_line_count(runner, tmp_path):
                     "--days", "3", "--out", stream_path)
     assert result.exit_code == 0
     assert "observations=600" in result.output
-    lines = open(stream_path).read().splitlines()
-    assert len(lines) == 600 + 2  # header + records + checksum
+    header, stream = read_stream(stream_path)
+    runs = list(stream.runs())
+    assert (header["version"], header["count"], len(stream)) == (2, len(runs), 600)
+    assert len(open(stream_path).read().splitlines()) == len(runs) + 2  # header + runs + checksum
 
 
 def test_patrol_rejects_day_range(runner, tmp_path):
@@ -182,7 +184,7 @@ def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline,
     persist(built, str(tmp_path / "memory.jsonl"))
     in_process, _ = artifacts.verify(str(tmp_path / "memory.jsonl"))
     from_file, _ = artifacts.verify(pipeline["oracle"])
-    assert (from_file["raws"], from_file["embeddings"]) == (in_process["raws"], in_process["embeddings"])
+    assert (from_file["raws"], from_file["rows"]) == (in_process["raws"], in_process["rows"])
     assert from_file["raws"] < from_file["records"] == 600
     assert list(load(pipeline["oracle"]).records) == list(built.records)
 
@@ -209,14 +211,14 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v4_with_config_hash(pipeline):
+def test_build_memory_writes_format_v5_with_config_hash(pipeline):
     hashes = set()
     for mode in ("oracle", "realistic"):
         header, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 4
+        assert header["format_version"] == 5
         assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
-        assert header["embeddings"] < 600  # one row per distinct caption
+        assert header["rows"] < 600  # one row per distinct caption
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])
     assert len(hashes) == 2  # the mode is in the producing config

@@ -2,16 +2,20 @@
 
 import functools
 import hashlib
+import re
 
 import pytest
+from conftest import rewrite_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.core import (
     CONTAINMENT_INSIDE_OPEN,
     ObservationStream,
+    Pose,
     SymbolicObservation,
     Timestep,
+    VisibleEntity,
     render_caption,
 )
 from objsearch.homesim import (
@@ -350,9 +354,9 @@ def test_stream_sequence_protocol_matches_its_list(i, start, stop, step):
 
 def test_stream_and_memory_files_are_frozen(tmp_path):
     """write_stream and persist bytes of a 1300-ticks/day busy-schedule
-    stream, as written before patrol and build worked per run; the realistic
-    memory as noise model v2 draws its captions; both memories as memory
-    file v4, which the v3 files of the same memories re-persist to."""
+    stream: stream file v2 and memory file v5, the realistic memory as noise
+    model v2 draws its captions. The stream file v1 and memory file v4 of
+    the same stream and memories read back equal to them."""
     from objsearch.embed import Embedder, EmbedderConfig
     from objsearch.memstore import build, persist
 
@@ -361,12 +365,13 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     path = tmp_path / "file.jsonl"
     write_stream(str(path), stream)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "eebab153be969180b31fda1db3935383813b4b183b7b4954445abb80a143e6be"
+        "0411e32b1391f57202d171c9e2a2654702dcf5cb1f93c62548e26ebff2358440"
     )
+    assert list(read_stream(str(path))[1].runs()) == list(stream.runs())
     embedder = Embedder(EmbedderConfig(d=64))
     for mode, digest in (
-        ("oracle", "ca73839dbc7074c5a42a73430083ba6de965fe185a34ca2c22c9e357dfe0a95e"),
-        ("realistic", "ed82d745215678ab8d6b0d8d481e07c04409489bb590bb99cca8255155f26bec"),
+        ("oracle", "e3bfd56d412330edd04b5bca7c7ca27db15ccf77058d2cbb2893eea6619ca21a"),
+        ("realistic", "709c1e66ea21e93836d20aa85b59929e5459c6d6884e66b666201405c8b87ee3"),
     ):
         memory = build(stream, embedder, mode=mode, noise_seed=2, snapshot_every=7, ticks_per_day=1300)
         persist(memory, str(path))
@@ -425,6 +430,70 @@ def test_stream_file_round_trip(tmp_path):
     text = open(path).read()
     open(path, "w").write(text.replace("toy", "tyo", 1))
     with pytest.raises(ValueError, match="checksum"):
+        read_stream(path)
+
+
+# Poses equal as values (0.0 == -0.0) and not, and entity lists: one, an
+# equal copy of it, another, none.
+STREAM_POSES = [((0.0, 1.0), 0.5, "kitchen"), ((-0.0, 1.0), 0.5, "kitchen"), ((2.5, 1.0), -3.0, "study")]
+STREAM_VIEWS = [("mug_1",), ("mug_1",), ("mug_1", "book_1"), ()]
+
+
+def stream_entities(ids):
+    return tuple(VisibleEntity(entity_id=e, class_label=e.split("_")[0], attributes=("red",), landmark_id="desk")
+                 for e in ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6), st.integers(0, 2), st.integers(0, 3)),
+                     max_size=12))
+def test_stream_file_v2_keeps_runs_and_sharing(tmp_path_factory, runs):
+    """Over random streams of runs (gap, length, pose, view), 10 ticks a
+    day, that share a pose or an observation object exactly where
+    consecutive runs have equal ones: the stream read back from its file
+    has the same runs, one record per run, and the same sharing."""
+    made, t = [], 0
+    for gap, length, pose, view in runs:
+        t += gap
+        length = min(length, 10 - t % 10)
+        p = Pose(*STREAM_POSES[pose])
+        entities = stream_entities(STREAM_VIEWS[view])
+        if made and made[-1][3] == p:
+            p = made[-1][3]
+        if made and made[-1][4].visible_entities == entities:
+            obs = made[-1][4]
+        else:
+            obs = SymbolicObservation(entities, render_caption(entities, mode="oracle"))
+        made.append((t, t // 10, length, p, obs))
+        t += length
+    stream = ObservationStream(made)
+    path = str(tmp_path_factory.mktemp("stream") / "stream.jsonl")
+    write_stream(path, stream)
+    header, loaded = read_stream(path)
+    got = list(loaded.runs())
+    assert header["count"] == len(got) == len(made)
+    assert got == made and loaded == stream
+    for k in range(1, len(got)):
+        assert (got[k][3] is got[k - 1][3]) == (made[k][3] is made[k - 1][3])
+        assert (got[k][4] is got[k - 1][4]) == (made[k][4] is made[k - 1][4])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda run: {**run, "length": 0}, "run 1: bad run: t0=5, day=0, length=0"),
+    (lambda run: {**run, "t0": -1}, "run 1: bad run: t0=-1, day=0, length=2"),
+    (lambda run: {**run, "day": True}, "run 1: t0, day and length must be integers, got 5, True, 2"),
+    (lambda run: {**run, "length": 2.0}, "run 1: t0, day and length must be integers, got 5, 0, 2.0"),
+    (lambda run: {k: v for k, v in run.items() if k != "pose"}, "run 1: 'pose'"),
+])
+def test_stream_file_v2_corruption_names_the_run(tmp_path, edit, message):
+    entities = stream_entities(["mug_1"])
+    obs = SymbolicObservation(entities, render_caption(entities, mode="oracle"))
+    pose = Pose(*STREAM_POSES[0])
+    path = str(tmp_path / "stream.jsonl")
+    write_stream(path, ObservationStream([(0, 0, 5, pose, obs), (5, 0, 2, Pose(*STREAM_POSES[2]), obs)]))
+    assert len(read_stream(path)[1]) == 7
+    rewrite_line(path, 2, edit)
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_stream(path)
 
 
@@ -625,7 +694,7 @@ def test_stream_meta_cannot_displace_format_keys(tmp_path):
     path = str(tmp_path / "stream.jsonl")
     write_stream(path, stream, meta={"count": 3, "format": "other", "version": 9, "note": "kept"})
     header, loaded = read_stream(path)
-    assert (header["count"], header["format"], header["version"]) == (600, "patrol-stream", 1)
+    assert (header["count"], header["format"], header["version"]) == (len(list(stream.runs())), "patrol-stream", 2)
     assert header["note"] == "kept" and len(loaded) == 600
 
 
@@ -640,6 +709,7 @@ def test_read_stream_rejects_other_formats(tmp_path):
     persist(build(stream[:20], EmbedderConfig(d=16)), path)
     with pytest.raises(ValueError, match="malformed header: missing 'format'"):
         read_stream(path)
-    artifacts.write(path, {"format": "patrol-stream", "version": 2}, [])
-    with pytest.raises(ValueError, match="unsupported version 2, expected 1"):
-        read_stream(path)
+    for version in (3, 0, True, 2.0, "2"):
+        artifacts.write(path, {"format": "patrol-stream", "version": version}, [])
+        with pytest.raises(ValueError, match=re.escape(f"unsupported version {version!r}, expected 1 or 2")):
+            read_stream(path)

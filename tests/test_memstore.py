@@ -1,8 +1,10 @@
 """Memory store: construction, the three query modalities against linear-scan
 oracles, raw retrieval, and file persistence."""
 
+import base64
 import functools
 import itertools
+import json
 import math
 import random
 import re
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_header, spec_batch
+from conftest import rewrite_header, rewrite_line, spec_batch
 from objsearch.core import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -212,6 +214,35 @@ def test_build_shares_one_raw_observation_per_view():
             assert (rec.raw is prev.raw) == (rec.raw == prev.raw)
         if mode == "oracle":
             assert len(memory._raws) == len({obs.visible_entities for _, _, obs in stream}) < len(recs) / 50
+
+
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+def test_build_hashes_and_checks_each_entity_list_once(monkeypatch, mode):
+    """build numbers entity lists by tuple identity before value, so each
+    entity of a tuple object that many runs share is hashed once, and it
+    checks each distinct list's ids once, however many raws share it."""
+    import objsearch.core as core_module
+
+    stream = ObservationStream.of(patrol_stream(1, 2, 3))
+    tuples = {id(obs.visible_entities): obs.visible_entities for *_, obs in stream.runs()}
+    distinct = len(set(tuples.values()))
+    assert len(list(stream.runs())) > len(tuples) > distinct
+    calls = {"hash": 0, "ids": 0}
+    entity_hash, check_ids = VisibleEntity.__hash__, core_module._check_entity_ids
+
+    def hashed(entity):
+        calls["hash"] += 1
+        return entity_hash(entity)
+
+    def checked(entities):
+        calls["ids"] += 1
+        return check_ids(entities)
+
+    monkeypatch.setattr(VisibleEntity, "__hash__", hashed)
+    monkeypatch.setattr(core_module, "_check_entity_ids", checked)
+    memory = build(stream, EMB, mode=mode, noise_seed=1, ticks_per_day=200)
+    assert calls == {"hash": sum(map(len, tuples.values())), "ids": distinct}
+    assert len(memory._raws) >= calls["ids"]
 
 
 @pytest.fixture(scope="module")
@@ -873,6 +904,18 @@ def persist_v3(memory, path):
     artifacts.write(path, legacy_header(memory, 3), lines, tables=tables)
 
 
+def persist_v4(memory, path):
+    """The memory file v4 writer: the two tables, then one line per maximal
+    run of records, [t, day, x, y, yaw, room, row, raw, length]."""
+    snap = memory._snapshot()
+    starts = memstore._run_starts(snap)
+    columns = [getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS]
+    lengths = np.diff(starts, append=len(snap.t)).tolist()
+    tables = {"embeddings": [row.tolist() for row in snap.embeddings], "raws": [raw.to_dict() for raw in snap.raws]}
+    artifacts.write(path, {**legacy_header(memory, 4), "records": len(snap.t)}, zip(*columns, lengths),
+                    tables=tables)
+
+
 def persist_v2(memory, path):
     """The memory file v2 writer: v3's tables and record lines, with a raw
     line per (raw, keyframe flag) that records use, in order of first use."""
@@ -1047,7 +1090,8 @@ def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records"]
+    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records",
+            "runs", "rows", "raws"]
 )
 def test_load_header_missing_key_is_integrity_error(tmp_path, key):
     path = str(tmp_path / "memory.jsonl")
@@ -1060,11 +1104,12 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 5, "unsupported format_version 5, expected 1, 2, 3 or 4"),
+        ("format_version", 6, "unsupported format_version 6, expected 1, 2, 3, 4 or 5"),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
-        ("count", 2, "run count mismatch: header says 2, found 3"),
+        ("count", 2, "column count mismatch: header says 2, found 12"),
+        ("entity_lists", 2, "column count mismatch: header says 12, found 13"),
         ("records", 3.0, "malformed header: records must be an integer, got 3.0"),
         ("records", True, "malformed header: records must be an integer, got True"),
         ("records", "3", "malformed header: records must be an integer, got '3'"),
@@ -1073,6 +1118,13 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
         ("records", 4, "record total mismatch: header says 4, runs hold 3"),
         # Checked before anything is expanded: no array of this size is made.
         ("records", 10**15, f"record total mismatch: header says {10**15}, runs hold 3"),
+        ("runs", -1, "malformed header: runs must be >= 0, got -1"),
+        ("runs", 3.0, "malformed header: runs must be an integer, got 3.0"),
+        ("rows", True, "malformed header: rows must be an integer, got True"),
+        ("raws", "3", "malformed header: raws must be an integer, got '3'"),
+        ("runs", 4, "column 't0': expected 4 values, one per run, got 3"),
+        ("raws", 2, "column 'raw_list': expected 2 values, one per raw, got 3"),
+        ("rows", 2, "column 'embeddings': 1536 bytes, expected 1024, 8 per float of 2 rows of 64"),
     ],
 )
 def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message):
@@ -1089,10 +1141,10 @@ def test_ticks_per_day_must_be_positive():
             LongTermMemory(d=4, ticks_per_day=ticks_per_day)
 
 
-LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist}
+LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist_v4, 5: persist}
 
 
-@pytest.mark.parametrize("version", [1, 3, 4])
+@pytest.mark.parametrize("version", [1, 3, 4, 5])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -1112,7 +1164,7 @@ LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist}
 )
 def test_load_header_takes_json_integers_only(tmp_path, version, key, value, message):
     """format_version, d, ticks_per_day and snapshot_every are JSON integers:
-    no boolean, float or string stands in for one, in a v1, v3 or v4 file."""
+    no boolean, float or string stands in for one, in a v1, v3, v4 or v5 file."""
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)])
     path = str(tmp_path / "memory.jsonl")
     LEGACY_WRITERS[version](memory, path)
@@ -1122,7 +1174,7 @@ def test_load_header_takes_json_integers_only(tmp_path, version, key, value, mes
         load(path)
 
 
-@pytest.mark.parametrize("version", [1, 3, 4])
+@pytest.mark.parametrize("version", [1, 3, 4, 5])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -1138,7 +1190,7 @@ def test_load_header_takes_json_integers_only(tmp_path, version, key, value, mes
 )
 def test_load_header_takes_json_strings_only(tmp_path, version, key, value, message):
     """embedder_id and mode are JSON strings, taken as they are, and mode is
-    oracle or realistic, in a v1, v3 or v4 file."""
+    oracle or realistic, in a v1, v3, v4 or v5 file."""
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id="an embedder",
                         mode="realistic")
     path = str(tmp_path / "memory.jsonl")
@@ -1380,25 +1432,25 @@ def assert_same_tables(a, b):
     snapshot_every=st.sampled_from([1, 7, 25]),
 )
 def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
-    """The memory persisted as v4, v3, v2 and v1 loads equal to the build
-    from each, tables included: the legacy loaders key rows by bytes and raws
-    by value, in order of first use, as the build does. Each loaded memory
-    re-persists as the build's v4 bytes."""
+    """The memory persisted as v5, v4, v3, v2 and v1 loads equal to the
+    build from each, tables included: the legacy loaders key rows by bytes
+    and raws by value, in order of first use, as the build does. Each loaded
+    memory re-persists as the build's v5 bytes."""
     memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
                    snapshot_every=snapshot_every, ticks_per_day=200)
     root = tmp_path_factory.mktemp("files")
-    v4 = str(root / "v4.jsonl")
-    persist(memory, v4)
-    for writer in (persist, persist_v3, persist_v2, persist_v1):
+    v5 = str(root / "v5.jsonl")
+    persist(memory, v5)
+    for writer in (persist, persist_v4, persist_v3, persist_v2, persist_v1):
         path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
         writer(memory, path)
         loaded = load(path)
         assert_loaded_equals(loaded, memory)
         assert_same_tables(loaded, memory)
         persist(loaded, again)
-        assert open(again, "rb").read() == open(v4, "rb").read()
+        assert open(again, "rb").read() == open(v5, "rb").read()
     for q in ("green folder", "red mug sink"):
-        assert load(v4).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+        assert load(v5).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -1481,17 +1533,6 @@ def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapsho
     assert [view["keyframe"] for view in views] == [i % snapshot_every == 0 for i in range(len(ticks))]
 
 
-def rewrite_line(path, index, edit):
-    """Replace line index of a memory file by edit(parsed line) and re-checksum it."""
-    import hashlib
-    import json
-
-    lines = open(path).read().splitlines()[:-1]
-    lines[index] = json.dumps(edit(json.loads(lines[index])), sort_keys=True, separators=(",", ":"))
-    body = "\n".join(lines) + "\n"
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
-
-
 def record_edit(field, value):
     """Set one field of a record or run line (a run line ends with its length)."""
     def edit(line):
@@ -1521,7 +1562,7 @@ def record_edit(field, value):
 def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
     memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
-    persist(memory, path)
+    persist_v4(memory, path)
     load(path)
     rewrite_line(path, line, edit)
     with pytest.raises(IntegrityError, match=message):
@@ -1560,12 +1601,124 @@ def runs_memory():
 def test_v4_run_line_corruption_names_the_run(tmp_path, line, edit, message):
     memory = runs_memory()
     path = str(tmp_path / "memory.jsonl")
-    persist(memory, path)
+    persist_v4(memory, path)
     assert artifacts.verify(path)[0]["count"] == 3
     assert_same_bits(load(path), memory)
     rewrite_line(path, line, edit)
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
+
+
+def column_edit(name, j, value):
+    """Set value j of a v5 column line."""
+    def edit(line):
+        line[name][j] = value
+        return line
+    return edit
+
+
+def embeddings_edit(edit):
+    """Edit the bytes of a v5 embeddings line."""
+    def line_edit(line):
+        return {"embeddings": base64.b64encode(edit(base64.b64decode(line["embeddings"]))).decode("ascii")}
+    return line_edit
+
+
+def doubled(data):
+    return (np.frombuffer(data, dtype="<f8") * 2).astype("<f8").tobytes()
+
+
+# runs_memory as a v5 file: the header (line 0), one entity list (line 1),
+# then one line per column: t0, length, day, x, y, yaw, room, row, raw
+# (lines 2-10, three runs), raw_list, raw_caption (lines 11-12, one raw) and
+# embeddings (line 13, one row of 64 floats).
+V5_LINE = {name: 2 + i for i, name in enumerate(
+    ("t0", "length", "day", "x", "y", "yaw", "room", "row", "raw", "raw_list", "raw_caption", "embeddings"))}
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        # An int column takes JSON integers only; a float column integers too.
+        ("day", column_edit("day", 1, True), "column 'day' run 1: expected a JSON int, got True"),
+        ("row", column_edit("row", 2, 1.5), "column 'row' run 2: expected a JSON int, got 1.5"),
+        ("t0", column_edit("t0", 0, 0.0), "column 't0' run 0: expected a JSON int, got 0.0"),
+        ("raw_list", column_edit("raw_list", 0, False), "column 'raw_list' raw 0: expected a JSON int, got False"),
+        ("x", column_edit("x", 1, True), "column 'x' run 1: expected a JSON float, got True"),
+        ("yaw", column_edit("yaw", 2, "0.5"), "column 'yaw' run 2: expected a JSON float, got '0.5'"),
+        ("room", column_edit("room", 1, 7), "column 'room' run 1: expected a JSON str, got 7"),
+        ("raw_caption", column_edit("raw_caption", 0, None),
+         "column 'raw_caption' raw 0: expected a JSON str, got None"),
+        ("t0", column_edit("t0", 2, 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
+        ("day", column_edit("day", 0, -(2**63) - 1), f"column 'day' run 0: {-(2**63) - 1} is out of the int64 range"),
+        ("y", column_edit("y", 1, 10**309), f"column 'y' run 1: {10**309} is out of the float64 range"),
+        # A column whose length is not the header's count.
+        ("t0", lambda line: {"t0": line["t0"][:2]}, "column 't0': expected 3 values, one per run, got 2"),
+        ("yaw", lambda line: {"yaw": line["yaw"] * 2}, "column 'yaw': expected 3 values, one per run, got 6"),
+        ("room", lambda line: {"room": "kitchen"}, "column 'room': expected 3 values, one per run, got str"),
+        ("raw_caption", lambda line: {"raw_caption": []},
+         "column 'raw_caption': expected 1 values, one per raw, got 0"),
+        ("day", lambda line: {"days": line["day"]}, "expected the 'day' column line"),
+        # Run lengths of at least 1, summing to records.
+        ("length", column_edit("length", 0, 0), "column 'length' run 0: run length must be >= 1, got 0"),
+        ("length", column_edit("length", 1, -2), "column 'length' run 1: run length must be >= 1, got -2"),
+        ("length", column_edit("length", 0, 4), "record total mismatch: header says 8, runs hold 9"),
+        ("length", column_edit("length", 2, 2), "record total mismatch: header says 8, runs hold 7"),
+        # The embeddings line: base64 of exactly k*d*8 bytes.
+        ("embeddings", lambda line: {"embeddings": line["embeddings"][:-4] + "AA*="},
+         "column 'embeddings': bad base64"),
+        ("embeddings", lambda line: {"embeddings": "é" + line["embeddings"][1:]}, "column 'embeddings': bad base64"),
+        ("embeddings", embeddings_edit(lambda data: data[:-8]),
+         "column 'embeddings': 504 bytes, expected 512, 8 per float of 1 rows of 64"),
+        ("embeddings", lambda line: {"embeddings": [line["embeddings"]]}, "expected the 'embeddings' line"),
+        ("embeddings", embeddings_edit(doubled), "embeddings 0: embedding must be unit norm, got 2.0"),
+        # Ids in range, checked whole; extend's checks name the run.
+        ("raw_list", column_edit("raw_list", 0, 1), "column 'raw_list' raw 0: list id 1 out of range [0, 1)"),
+        ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
+        ("row", column_edit("row", 2, 1), "run 2: row id 1 out of range [0, 1)"),
+        ("raw", column_edit("raw", 1, -1), "run 1: raw id -1 out of range [0, 1)"),
+        ("t0", column_edit("t0", 1, 2), "run 1: non-monotonic timestamp 2 after 2"),
+        ("day", column_edit("day", 2, -1), "run 2: timestep value and day must be non-negative"),
+    ],
+)
+def test_v5_corruption_names_the_column_or_run(tmp_path, name, edit, message):
+    memory = runs_memory()
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    header, lines = artifacts.verify(path)
+    assert (header["entity_lists"], header["count"], header["runs"], header["raws"], header["rows"]) == (1, 12, 3, 1, 1)
+    assert list(json.loads(lines[V5_LINE[name] - 1])) == [name]
+    assert_same_bits(load(path), memory)
+    rewrite_line(path, V5_LINE[name], edit)
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
+
+
+def test_v5_float_columns_take_json_integers(tmp_path):
+    memory = runs_memory()
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    rewrite_line(path, V5_LINE["x"], column_edit("x", 0, 2))
+    assert load(path)._snapshot().x.tolist()[:3] == [2.0] * 3
+
+
+def test_v5_entity_list_corruption_names_the_list(tmp_path):
+    """An entity list is checked once, as SymbolicObservation checks one,
+    however many raws share it."""
+    memory = build([(Timestep.at(t, 10), POSES[0], VIEWS[5]) for t in range(6)], EMB, mode="realistic",
+                   noise=VIEW_NOISES[1], ticks_per_day=10)
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    assert artifacts.verify(path)[0]["entity_lists"] == 1 < len(memory._raws)
+    load(path)
+    rewrite_line(path, 1, lambda entities: entities + entities[:1])
+    with pytest.raises(IntegrityError, match="entity list 0: duplicate entity_id within one observation"):
+        load(path)
+    rewrite_line(path, 1, lambda entities: {"entities": entities})
+    with pytest.raises(IntegrityError, match="entity_lists 0: expected a list of entities"):
+        load(path)
+    with pytest.raises(ValueError, match="duplicate entity_id within one observation"):
+        SymbolicObservation(visible_entities=VIEWS[5].visible_entities * 2, caption="")
 
 
 def assert_same_bits(a, b):
@@ -1602,15 +1755,19 @@ SIGNED_POSES = [Pose(position=(0.0, 0.0), yaw=0.0, room_id="kitchen"),
     noise_seed=st.integers(0, 3),
 )
 # Adjacent runs that join (value-equal poses, value-equal views) and that do
-# not (-0.0 after 0.0, another room, a gap, a day boundary at t 10).
+# not (-0.0 after 0.0, another room, a gap, a day boundary at t 10); an empty
+# memory; a memory of one run.
 @example(runs=[(0, 3, 3, 0), (0, 2, 4, 1), (0, 2, 5, 1), (0, 2, 0, 1), (0, 2, 1, 1), (1, 3, 2, 1), (0, 4, 2, 1)],
          mode="oracle", noise_seed=0)
-def test_persist_writes_one_line_per_maximal_run(tmp_path_factory, runs, mode, noise_seed):
+@example(runs=[], mode="oracle", noise_seed=0)
+@example(runs=[(2, 5, 1, 3)], mode="oracle", noise_seed=0)
+def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs, mode, noise_seed):
     """Over random streams (runs of (gap, length 1-9, pose, view), 10 ticks
     a day, so runs cross day boundaries and poses recur in runs that are not
-    adjacent): persist writes one run line per maximal run of records (t
-    rising by 1, the other fields equal by bits), counted here record by
-    record, and load gives the build back bit for bit, tables included."""
+    adjacent): each run column of the file holds one entry per maximal run
+    of records (t rising by 1, the other fields equal by bits), counted here
+    record by record, and load gives the build back bit for bit, column by
+    column, tables included."""
     ticks, t = [], 0
     for gap, length, pose, view in runs:
         t += gap
@@ -1626,11 +1783,44 @@ def test_persist_writes_one_line_per_maximal_run(tmp_path_factory, runs, mode, n
     rest = [(day, x.hex(), y.hex(), yaw.hex(), room, row, raw) for day, x, y, yaw, room, row, raw
             in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
     maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
-    header, _ = artifacts.verify(path)
-    assert (header["count"], header["records"]) == (maximal, len(ticks))
+    header, lines = artifacts.verify(path)
+    assert (header["runs"], header["records"], header["rows"], header["raws"]) == (
+        maximal, len(ticks), memory._k, len(memory._raws))
+    columns = [json.loads(line) for line in lines[header["entity_lists"]:]]
+    assert [len(column[name]) for column, name in zip(columns, ("t0", "length", *RECORD_FIELDS[1:]))] == [maximal] * 9
     loaded = load(path)
     assert_same_bits(loaded, memory)
     assert loaded.records == memory.records
+
+
+def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch):
+    """persist and load call canonical_dumps and json.loads a fixed number
+    of times plus one per distinct entity list, however many runs, records
+    and raws the memory holds; load checks each entity list's ids once."""
+    import objsearch.artifacts as artifacts_module
+    import objsearch.core as core_module
+
+    stream = patrol_stream(1, 2, 3)
+    memory = build(stream, EMB, mode="realistic", noise_seed=1, ticks_per_day=200)
+    lists = len({raw.visible_entities for raw in memory._raws})
+    assert len(memory._raws) > 10 * lists and len(memstore._run_starts(memory._snapshot())) > 10 * lists
+    calls = {"dumps": 0, "loads": 0, "ids": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(artifacts_module, "canonical_dumps", counted("dumps", artifacts_module.canonical_dumps))
+    monkeypatch.setattr(artifacts_module, "canonical_loads", counted("loads", artifacts_module.canonical_loads))
+    monkeypatch.setattr(core_module, "_check_entity_ids", counted("ids", core_module._check_entity_ids))
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    loaded = load(path)
+    # header, lists, 11 columns, embeddings and the checksum line.
+    assert calls == {"dumps": lists + 14, "loads": lists + 14, "ids": lists}
+    assert_same_bits(loaded, memory)
 
 
 def test_table_rows_are_shared_and_checked_once():
