@@ -183,8 +183,10 @@ def cmd_build_memory(
         header, stream = read_stream(stream_path)
     except ValueError as exc:
         raise click.ClickException(f"stream integrity error: {exc}") from exc
-    tpd = header.get("config", {}).get("ticks_per_day")
-    if not isinstance(tpd, int) or tpd < 1:
+    config = header.get("config")
+    tpd = config.get("ticks_per_day") if isinstance(config, dict) else None
+    # A JSON integer only: true == 1 in Python.
+    if type(tpd) is not int or tpd < 1:
         raise click.ClickException(
             f"stream {stream_path} has no config.ticks_per_day (a positive integer) in its header"
         )

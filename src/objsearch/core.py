@@ -461,23 +461,6 @@ class MemoryRecord:
             and np.array_equal(self.embedding, other.embedding)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t.to_dict(),
-            "pose": self.pose.to_dict(),
-            "embedding": [float(v) for v in self.embedding],
-            "raw": self.raw.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "MemoryRecord":
-        return cls(
-            t=Timestep.from_dict(d["t"]),
-            pose=Pose.from_dict(d["pose"]),
-            embedding=np.asarray(d["embedding"], dtype=np.float64),
-            raw=SymbolicObservation.from_dict(d["raw"]),
-        )
-
 
 @dataclass(frozen=True)
 class Instruction:

@@ -54,16 +54,14 @@ type-checks each column whole and names the column and its first bad run
 or raw, then extends the memory with the runs, checking every record.
 
 A record is a keyframe when its index is a multiple of ``snapshot_every``;
-no file stores a flag. ``load`` switches on the header's
-``format_version`` and still reads the older files; ``persist`` writes v5
-only. v4 (tables of k embedding rows and m raw dicts, then one line
-``[t, day, x, y, yaw, room, row, raw, length]`` per maximal run) loads as
-it is; v3 (one record line ``[t, day, x, y, yaw, room, row, raw]`` per
-record, ``count`` the records) loads as runs of length 1. v1 (one
-``MemoryRecord.to_dict`` line per record) and v2 (v3 with a ``keyframe``
-flag on each raw) load re-keyed by value and checked against the keyframe
-stride (see ``_by_value``). These readers stay so that every file written
-before still loads; only the committed test fixtures exercise v1 to v3.
+no file stores a flag. ``persist`` writes v5 only; ``load`` reads v5 and
+v4, which has the same header with the count ``records`` alone, tables of
+k embedding rows (lists of floats) and m raw dicts, then one line
+``[t, day, x, y, yaw, room, row, raw, length]`` per maximal run. A v4
+file's run lines are transposed into the run columns and checked as v5's
+are. Files of v1 to v3 are refused; nothing writes them any more, and a
+memory of one is rebuilt from its stream file with
+``objsearch build-memory``.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ import base64
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,8 +105,8 @@ DEFAULT_TOP_R = 5
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of a record line; a run line
-# appends its length.
+# The fields of one record, in the order of Batch's columns and of a v4
+# run line, which appends the run's length.
 RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
 
 
@@ -712,6 +710,8 @@ _V5_COLUMNS = {
     "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "row": (int, "runs"),
     "raw": (int, "runs"), "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
 }
+# The fields of a v4 run line, named as the v5 run columns they load as.
+_V4_FIELDS = ("t0", *RECORD_FIELDS[1:], "length")
 _JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
 # The JSON integers an int column (int64) and a float column (float64) hold.
 _INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
@@ -774,108 +774,52 @@ def _embedding_row(values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _run_line(values: list, size: int) -> list:
-    """One line of size fields, type-checked field by field: a v4 run line
-    (a record line and the run's length), or a v2 or v3 record line."""
-    if type(values) is not list or len(values) != size:
-        raise ValueError(f"expected a list of {size} fields")
-    t, day, x, y, yaw, room, row, raw, *length = values
-    if not (type(t) is int and type(day) is int and type(row) is int and type(raw) is int
-            and type(room) is str and type(x) in (float, int) and type(y) in (float, int)
-            and type(yaw) in (float, int)):
-        raise ValueError(f"malformed field types in {values!r}")
-    if length and (type(length[0]) is not int or length[0] < 1):
-        raise ValueError(f"run length must be an integer >= 1, got {length[0]!r}")
+def _run_line(values: Any) -> list:
+    """A v4 run line: a list of the record fields and the run's length."""
+    if type(values) is not list or len(values) != len(_V4_FIELDS):
+        raise ValueError(f"expected a list of {len(_V4_FIELDS)} fields")
     return values
 
 
-def _keyframe_flag(raw: dict) -> bool:
-    """The keyframe flag stored on a v1 or v2 raw line: a JSON boolean."""
-    flag = raw["keyframe"]
-    if type(flag) is not bool:
-        raise ValueError(f"keyframe flag must be a boolean, got {flag!r}")
-    return flag
-
-
-def _legacy_raw(line: dict) -> tuple[SymbolicObservation, bool]:
-    """A v1 or v2 raw observation, and the keyframe flag stored with it."""
-    return SymbolicObservation.from_dict(line), _keyframe_flag(line)
-
-
-def _v1_record(line: dict, d: int) -> tuple[MemoryRecord, bool]:
-    """A v1 record line with a d-dimensional embedding, and the keyframe
-    flag stored on its raw."""
-    record = MemoryRecord.from_dict(line)
-    reason = embedding_problem(record.embedding, d)
-    if reason is not None:
-        raise ValueError(reason)
-    return record, _keyframe_flag(line["raw"])
-
-
-def _by_value(legacy: LongTermMemory, flags: Sequence[bool]) -> LongTermMemory:
-    """A loaded v1 or v2 memory as a build keys it: equal rows (by bytes)
-    and equal raws each one entry, numbered in order of first use. flags are
-    the legacy raws' keyframe flags; a record whose flag is not index %
-    snapshot_every == 0 is refused, not relabelled."""
-    snap = legacy._snapshot()
-    keyframe = np.asarray(flags, dtype=bool)[snap.raw]
-    off = _first(keyframe != (np.arange(len(keyframe)) % legacy.snapshot_every == 0))
-    if off is not None:
-        raise IntegrityError(f"record {off}: keyframe flag {bool(keyframe[off])} "
-                             "is not index % snapshot_every == 0")
-    value_of: dict[SymbolicObservation, int] = {}
-    raw_value = np.array([value_of.setdefault(raw, len(value_of)) for raw in snap.raws], dtype=np.int64)
-    row, first_row = _first_seen(_first_seen(snap.embeddings.view(np.int64))[0][snap.row][:, None])
-    raw, first_raw = _first_seen(raw_value[snap.raw][:, None])
-    memory = LongTermMemory(legacy.d, legacy.ticks_per_day, legacy.snapshot_every, legacy.embedder_id, legacy.mode)
-    memory.extend(replace(snap, row=row, raw=raw, embeddings=snap.embeddings[snap.row[first_row]],
-                          raws=[snap.raws[j] for j in snap.raw[first_raw].tolist()]))
-    return memory
-
-
-def _extend_by_runs(memory: LongTermMemory, columns: list, lengths: Sequence[int], total: int, name: str,
-                    embeddings: list, raws: list) -> None:
-    """Extend an empty memory with runs of records: columns holds each run's
-    first record (one sequence per field of RECORD_FIELDS) and lengths its
-    record count. The lengths must sum to total, which is checked before
-    anything is expanded. The runs are expanded into one Batch by np.repeat,
-    with no per-record Python, and extend checks every record: so runs that
-    overlap in time or are out of order are refused. A run holding a record
-    that extend refuses raises IntegrityError naming its line: name and its
-    index among the runs."""
+def _extend_by_runs(memory: LongTermMemory, columns: dict, total: int, embeddings: Any, raws: list) -> None:
+    """Extend an empty memory with runs of records: columns holds the run
+    columns of _V5_COLUMNS, each type-checked (see _column): each run's
+    first record and its length. Every length must be at least 1 and the
+    lengths must sum to total, which is checked before anything is expanded.
+    The runs are expanded into one Batch by np.repeat, with no per-record
+    Python, and extend checks every record: so runs that overlap in time or
+    are out of order are refused. A run holding a record that extend
+    refuses raises IntegrityError naming the run."""
+    lengths = columns["length"]
+    if lengths and min(lengths) < 1:
+        j = _first_bad(lengths, lambda length: length < 1)
+        raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
     held = sum(lengths)
     if held != total:
         raise IntegrityError(f"record total mismatch: header says {total}, runs hold {held}")
-    dtypes = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
-    try:
-        t, *rest = (np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes))
-    except OverflowError as exc:
-        raise IntegrityError(f"a {name} line's field is out of range: {exc}") from exc
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths  # each run's first record
-    batch = Batch(np.repeat(t - starts, lengths) + np.arange(total),
-                  *(np.repeat(column, lengths) for column in rest), embeddings=embeddings, raws=raws)
+    dtypes = (np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
+    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths) for name, dtype in zip(RECORD_FIELDS[1:], dtypes))
+    batch = Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
+                  *rest, embeddings=embeddings, raws=raws)
     try:
         memory.extend(batch)
     except BatchError as exc:
         if exc.part != "record":
             raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
         run = int(starts.searchsorted(exc.position, side="right")) - 1
-        raise IntegrityError(f"{name} {run}: {exc.reason}") from exc
+        raise IntegrityError(f"run {run}: {exc.reason}") from exc
 
 
 def _first_bad(values: list, bad: Callable[[Any], bool]) -> int:
     return next(j for j, value in enumerate(values) if bad(value))
 
 
-def _v5_column(line: Any, name: str, kind: type, size: int, item: str) -> list:
-    """The values of a v5 column line {name: values}: a list of size
-    values, one per item, all of the column's JSON type, integers within
-    the column's int64 or float64 range. A failure names the column and its
-    first bad item."""
-    if type(line) is not dict or list(line) != [name]:
-        raise IntegrityError(f"expected the {name!r} column line")
-    values = line[name]
+def _column(values: Any, name: str, kind: type, size: int, item: str) -> list:
+    """The values of a column: a list of size values, one per item, all of
+    the column's JSON type, integers within the column's int64 or float64
+    range. A failure names the column and its first bad item."""
     if type(values) is not list or len(values) != size:
         got = len(values) if type(values) is list else type(values).__name__
         raise IntegrityError(f"column {name!r}: expected {size} values, one per {item}, got {got}")
@@ -890,6 +834,13 @@ def _v5_column(line: Any, name: str, kind: type, size: int, item: str) -> list:
             j = _first_bad(values, lambda value: type(value) is int and not low <= value <= high)
             raise IntegrityError(f"column {name!r} {item} {j}: {values[j]} is out of the {dtype} range")
     return values
+
+
+def _v5_column(line: Any, name: str, kind: type, size: int, item: str) -> list:
+    """The values of a v5 column line {name: values} (see _column)."""
+    if type(line) is not dict or list(line) != [name]:
+        raise IntegrityError(f"expected the {name!r} column line")
+    return _column(line[name], name, kind, size, item)
 
 
 def _v5_embeddings(line: Any, k: int, d: int) -> np.ndarray:
@@ -913,20 +864,29 @@ def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
     return tuple(VisibleEntity.from_dict(entity) for entity in line)
 
 
+def _load_v4(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
+    """Fill an empty memory from the lines of a v4 file: its run lines are
+    transposed into the run columns of a v5 file, type-checked whole as
+    those are, then the runs go through _extend_by_runs."""
+    embeddings, raws, runs = artifacts.sections(
+        header, lines, _run_line, tables={"embeddings": _embedding_row, "raws": SymbolicObservation.from_dict},
+        name="run")
+    columns = {name: _column([run[j] for run in runs], name, _V5_COLUMNS[name][0], len(runs), "run")
+               for j, name in enumerate(_V4_FIELDS)}
+    _extend_by_runs(memory, columns, header["records"], embeddings, raws)
+
+
 def _load_v5(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
     """Fill an empty memory from the lines of a v5 file: each column is
-    type-checked whole, run lengths must be at least 1 and list ids index
-    the entity lists, then the runs go through _extend_by_runs."""
+    type-checked whole and list ids must index the entity lists, then the
+    runs go through _extend_by_runs."""
     entity_lists, lines = artifacts.sections(header, lines, tables={"entity_lists": _entity_list}, name="column")
     if len(lines) != len(_V5_COLUMNS) + 1:
         raise IntegrityError(f"expected {len(_V5_COLUMNS) + 1} column lines, found {len(lines)}")
     columns = {name: _v5_column(line, name, kind, header[count], count[:-1])
                for line, (name, (kind, count)) in zip(lines, _V5_COLUMNS.items())}
     embeddings = _v5_embeddings(lines[-1], header["rows"], memory.d)
-    lengths, ids = columns["length"], columns["raw_list"]
-    if lengths and min(lengths) < 1:
-        j = _first_bad(lengths, lambda length: length < 1)
-        raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
+    ids = columns["raw_list"]
     if ids and (min(ids) < 0 or max(ids) >= len(entity_lists)):
         j = _first_bad(ids, lambda a: not 0 <= a < len(entity_lists))
         raise IntegrityError(f"column 'raw_list' raw {j}: list id {ids[j]} out of range [0, {len(entity_lists)})")
@@ -934,29 +894,30 @@ def _load_v5(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
         raws = SymbolicObservation.sharing(entity_lists, zip(ids, columns["raw_caption"]))
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
-    runs = [columns["t0" if name == "t" else name] for name in RECORD_FIELDS]
-    _extend_by_runs(memory, runs, lengths, header["records"], "run", embeddings, raws)
+    _extend_by_runs(memory, columns, header["records"], embeddings, raws)
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file of format version 1 to 5, verifying the checksum,
+    """Load a memory file of format version 4 or 5, verifying the checksum,
     the header, every table row and every record.
 
     The header's format_version, d, ticks_per_day, snapshot_every and the
     counts (v4: records; v5: records, runs, rows and raws, each at least 0)
     must be JSON integers, embedder_id and mode JSON strings, and mode one
-    of core.MODES; a legacy raw's keyframe flag must be a JSON boolean.
-    Every version then loads as runs (see _extend_by_runs): a v5 file's
-    columns (see _load_v5), a v4 file's run lines, and each v2 or v3 record
-    line or decoded v1 record as a run of one. A failure raises
-    IntegrityError naming the header field, the table row, the column (v5),
-    or the run (v4, v5) or record line (v1 to v3)."""
+    of core.MODES. Both versions load as run columns, checked by one column
+    check (see _column) and then extended as runs (see _extend_by_runs): a
+    v5 file's column lines (see _load_v5) or a v4 file's run lines,
+    transposed (see _load_v4). A failure raises IntegrityError naming the
+    header field, the table row or the column and its run or raw. Any other
+    format_version is refused: a memory of v1 to v3 is rebuilt from its
+    stream with ``objsearch build-memory``."""
     header, lines = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 3.0 == 3 in Python.
-    if type(version) is not int or version not in (1, 2, 3, 4, FORMAT_VERSION):
-        raise IntegrityError(f"unsupported format_version {version!r}, expected 1, 2, 3, 4 or {FORMAT_VERSION}")
-    counts = {4: ("records",), FORMAT_VERSION: ("records", "runs", "rows", "raws")}.get(version, ())
+    if type(version) is not int or version not in (4, FORMAT_VERSION):
+        raise IntegrityError(f"unsupported format_version {version!r}, expected 4 or {FORMAT_VERSION}; rebuild "
+                             "an older memory from its stream with `objsearch build-memory`")
+    counts = ("records",) if version == 4 else ("records", "runs", "rows", "raws")
     for key in counts:
         if key not in header:
             raise IntegrityError(f"malformed header: missing {key!r}")
@@ -981,36 +942,8 @@ def load(path: str) -> LongTermMemory:
         )
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
-    if version == FORMAT_VERSION:
-        _load_v5(memory, header, lines)
-        return memory
-    v4 = version == 4
-    name = "run" if v4 else "record"
-    if version == 1:
-        # Each record its own row and raw; _by_value shares them.
-        [v1] = artifacts.sections(header, lines, lambda line: _v1_record(line, memory.d))
-        embeddings, raws = [r.embedding for r, _ in v1], [(r.raw, flag) for r, flag in v1]
-        runs = [(r.t.value, r.t.day, *r.pose.position, r.pose.yaw, r.pose.room_id, j, j)
-                for j, (r, _) in enumerate(v1)]
-    else:
-        size = len(RECORD_FIELDS) + v4
-        embeddings, raws, runs = artifacts.sections(
-            header, lines, lambda line: _run_line(line, size),
-            tables={"embeddings": _embedding_row,
-                    "raws": SymbolicObservation.from_dict if version >= 3 else _legacy_raw},
-            name=name,
-        )
-    flags = None
-    if version < 3:
-        flags = [flag for _, flag in raws]
-        raws = [raw for raw, _ in raws]
-    columns = list(zip(*runs)) or [()] * (len(RECORD_FIELDS) + v4)
-    if v4:
-        lengths, total = columns.pop(), header["records"]
-    else:
-        lengths, total = [1] * len(runs), len(runs)
-    _extend_by_runs(memory, columns, lengths, total, name, embeddings, raws)
-    return memory if flags is None else _by_value(memory, flags)
+    (_load_v4 if version == 4 else _load_v5)(memory, header, lines)
+    return memory
 
 
 __all__ = [

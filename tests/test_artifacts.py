@@ -101,21 +101,14 @@ def test_memory_file_bytes_are_frozen(tmp_path):
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-# The same memory as persisted by format versions 1 to 4, bytes frozen.
-LEGACY_FILES = {
-    1: (os.path.join(DATA, "memory_v1.jsonl"), "2d393cd22c45d90583a54b695c8c51c404d7c9627c671e97f7e35ec557a93a90"),
-    2: (os.path.join(DATA, "memory_v2.jsonl"), "518d185db091776ead132ef30aeef1db53a32f57bf5a81b0e3d5920c66f67a37"),
-    3: (os.path.join(DATA, "memory_v3.jsonl"), "b60dfa4a5f42e7324b99ade18970fe39b9d8bdde5de903186cf0c31e4cd4035c"),
-    4: (os.path.join(DATA, "memory_v4.jsonl"), "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"),
-}
 
 
-def assert_legacy_file_loads_as_the_build(version, tmp_path):
-    """The frozen file loads equal to the build, tables included, and
-    re-persists as the frozen v5 bytes."""
-    path, digest = LEGACY_FILES[version]
-    assert sha256_of(path) == digest
-    assert artifacts.verify(path)[0]["format_version"] == version
+def test_memory_file_v4_still_loads(tmp_path):
+    """The frozen v4 file of the same memory loads equal to the build,
+    tables included, and re-persists as the frozen v5 bytes."""
+    path = os.path.join(DATA, "memory_v4.jsonl")
+    assert sha256_of(path) == "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"
+    assert artifacts.verify(path)[0]["format_version"] == 4
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
     loaded = memstore.load(path)
     assert list(loaded.records) == list(memory.records)
@@ -125,35 +118,6 @@ def assert_legacy_file_loads_as_the_build(version, tmp_path):
     again = str(tmp_path / "memory.jsonl")
     memstore.persist(loaded, again, extra_header={"config_hash": "0123456789abcdef"})
     assert sha256_of(again) == MEMORY_V5_SHA256
-
-
-def test_memory_file_v1_still_loads(tmp_path):
-    assert_legacy_file_loads_as_the_build(1, tmp_path)
-
-
-def test_memory_file_v2_still_loads(tmp_path):
-    assert_legacy_file_loads_as_the_build(2, tmp_path)
-
-
-def test_memory_file_v3_still_loads(tmp_path):
-    assert_legacy_file_loads_as_the_build(3, tmp_path)
-
-
-def test_memory_file_v4_still_loads(tmp_path):
-    assert_legacy_file_loads_as_the_build(4, tmp_path)
-
-
-def test_memory_file_v1_loads_with_shared_raws(tmp_path):
-    """A v1 line carries its own raw; load keys raws by value, so
-    re-persisting writes as many raw lines as persisting the build."""
-    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
-    loaded = memstore.load(LEGACY_FILES[1][0])
-    assert list(loaded.records) == list(memory.records)
-    path = str(tmp_path / "memory.jsonl")
-    memstore.persist(loaded, path)
-    header, _ = artifacts.verify(path)
-    assert header["records"] == 40 and header["raws"] == len(memory._raws) == 1
-    assert list(memstore.load(path).records) == list(memory.records)
 
 
 def test_tables_come_before_records_and_are_counted(tmp_path):

@@ -428,12 +428,21 @@ def test_run_suite_summary_counts_crashes_and_aborts(suite_artifacts, tmp_path, 
     assert fields["crashes"] == "11" and fields["aborts"] == "11"
 
 
-def test_build_memory_requires_ticks_per_day_in_stream_header(tmp_path):
+# A stream header with no config, whose config is not a JSON object, or
+# whose config.ticks_per_day is not a positive JSON integer.
+@pytest.mark.parametrize(
+    "meta",
+    [{}, {"config": "x"}, {"config": [1]}, {"config": None}, {"config": {}}, {"config": {"ticks_per_day": 0}},
+     {"config": {"ticks_per_day": -1300}}, {"config": {"ticks_per_day": "1300"}},
+     {"config": {"ticks_per_day": 1300.0}}, {"config": {"ticks_per_day": True}}],
+    ids=["none", "str", "list", "null", "no-tpd", "tpd-zero", "tpd-negative", "tpd-str", "tpd-float", "tpd-bool"],
+)
+def test_build_memory_requires_ticks_per_day_in_stream_header(tmp_path, meta):
     from objsearch.homesim import patrol, write_stream
 
     world, schedule = generate_world(3, 1, ticks_per_day=1300)
     stream_path = str(tmp_path / "stream.jsonl")
-    write_stream(stream_path, patrol(world, schedule, days=3))
+    write_stream(stream_path, patrol(world, schedule, days=3), meta=meta)
     out = tmp_path / "memory.jsonl"
     result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
     assert result.exit_code == 1

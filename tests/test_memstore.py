@@ -877,33 +877,6 @@ def test_truncated_file_rejected(tmp_path):
         load(path)
 
 
-def legacy_header(memory, version):
-    return {"format_version": version, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
-            "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode}
-
-
-def legacy_raw(raw, keyframe):
-    """A raw line of memory file v1 or v2: the raw with its keyframe flag."""
-    return {**raw.to_dict(), "keyframe": keyframe}
-
-
-def persist_v1(memory, path):
-    """The memory file v1 writer: one MemoryRecord.to_dict line per record,
-    its raw flagged as a keyframe every snapshot_every records."""
-    every = memory.snapshot_every
-    artifacts.write(path, legacy_header(memory, 1), (
-        {**rec.to_dict(), "raw": legacy_raw(rec.raw, i % every == 0)} for i, rec in enumerate(memory.records)))
-
-
-def persist_v3(memory, path):
-    """The memory file v3 writer: the two tables, then one record line per
-    record."""
-    snap = memory._snapshot()
-    lines = zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS))
-    tables = {"embeddings": [row.tolist() for row in snap.embeddings], "raws": [raw.to_dict() for raw in snap.raws]}
-    artifacts.write(path, legacy_header(memory, 3), lines, tables=tables)
-
-
 def persist_v4(memory, path):
     """The memory file v4 writer: the two tables, then one line per maximal
     run of records, [t, day, x, y, yaw, room, row, raw, length]."""
@@ -911,42 +884,11 @@ def persist_v4(memory, path):
     starts = memstore._run_starts(snap)
     columns = [getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS]
     lengths = np.diff(starts, append=len(snap.t)).tolist()
+    header = {"format_version": 4, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
+              "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode,
+              "records": len(snap.t)}
     tables = {"embeddings": [row.tolist() for row in snap.embeddings], "raws": [raw.to_dict() for raw in snap.raws]}
-    artifacts.write(path, {**legacy_header(memory, 4), "records": len(snap.t)}, zip(*columns, lengths),
-                    tables=tables)
-
-
-def persist_v2(memory, path):
-    """The memory file v2 writer: v3's tables and record lines, with a raw
-    line per (raw, keyframe flag) that records use, in order of first use."""
-    snap = memory._snapshot()
-    every = memory.snapshot_every
-    number: dict = {}
-    raw = [number.setdefault((j, i % every == 0), len(number)) for i, j in enumerate(snap.raw.tolist())]
-    lines = zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[:-1]), raw)
-    tables = {"embeddings": [row.tolist() for row in snap.embeddings],
-              "raws": [legacy_raw(snap.raws[j], keyframe) for j, keyframe in number]}
-    artifacts.write(path, legacy_header(memory, 2), lines, tables=tables)
-
-
-def test_corrupt_record_named(tmp_path):
-    """A corrupt v1 record line is an IntegrityError naming the record, the
-    rows and timestamps that extend checks included."""
-    wrong_dimension = [1.0] + [0.0] * 62  # unit norm, so only extend's row check sees it
-    cases = [
-        (2, lambda rec: {**rec, "t": {**rec["t"], "value": "bogus"}}, "record 1"),
-        (2, lambda rec: {**rec, "embedding": [2 * v for v in rec["embedding"]]},
-         "record 1: embedding must be unit norm, got 2.0"),
-        (3, lambda rec: {**rec, "embedding": wrong_dimension}, r"record 2: embedding dimension \(63,\) != \(64,\)"),
-        (4, lambda rec: {**rec, "t": {"value": 1, "day": 0}}, "record 3: non-monotonic timestamp 1 after 2"),
-    ]
-    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
-    for line, edit, message in cases:
-        path = str(tmp_path / "memory.jsonl")
-        persist_v1(memory, path)
-        rewrite_line(path, line, edit)
-        with pytest.raises(IntegrityError, match=message):
-            load(path)
+    artifacts.write(path, header, zip(*columns, lengths), tables=tables)
 
 
 # -- concurrency ---------------------------------------------------------------------------
@@ -1075,20 +1017,6 @@ def test_concurrent_index_backed_queries_see_whole_batches():
     assert len(memory.query_temporal(day_window=(0, 2**70), r=10**9, per="run")) == batch * batches // length
 
 
-def test_load_names_the_record_that_fails_the_batch_check(tmp_path):
-    import hashlib
-
-    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
-    path = str(tmp_path / "memory.jsonl")
-    persist_v1(memory, path)
-    lines = open(path).read().splitlines()
-    lines[4] = lines[4].replace('"value":3', '"value":2')
-    body = "\n".join(lines[:-1]) + "\n"
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
-    with pytest.raises(IntegrityError, match="record 3: non-monotonic timestamp 2 after 2"):
-        load(path)
-
-
 @pytest.mark.parametrize(
     "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records",
             "runs", "rows", "raws"]
@@ -1101,10 +1029,14 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, key):
         load(path)
 
 
+# The refusal of any format_version but 4 and 5.
+REFUSED = "expected 4 or 5; rebuild an older memory from its stream with `objsearch build-memory`"
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", 6, "unsupported format_version 6, expected 1, 2, 3, 4 or 5"),
+        *(("format_version", version, f"unsupported format_version {version}, {REFUSED}") for version in (1, 2, 3, 6)),
         ("d", "wide", "malformed header"),
         ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
@@ -1131,7 +1063,44 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
     path = str(tmp_path / "memory.jsonl")
     persist(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
     rewrite_header(path, lambda header: header.update({key: value}))
-    with pytest.raises(IntegrityError, match=message):
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records"]
+)
+def test_load_v4_header_missing_key_is_integrity_error(tmp_path, key):
+    path = str(tmp_path / "memory.jsonl")
+    persist_v4(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    rewrite_header(path, lambda header: header.pop(key))
+    with pytest.raises(IntegrityError, match=f"malformed header: missing '{key}'"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        # A v4 body under an older or newer version is refused, not read as that version.
+        *(("format_version", version, f"unsupported format_version {version}, {REFUSED}") for version in (1, 2, 3, 6)),
+        ("d", "wide", "malformed header"),
+        ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
+        ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
+        ("count", 2, "run count mismatch: header says 2, found 3"),
+        ("records", 3.0, "malformed header: records must be an integer, got 3.0"),
+        ("records", True, "malformed header: records must be an integer, got True"),
+        ("records", "3", "malformed header: records must be an integer, got '3'"),
+        ("records", -1, "malformed header: records must be >= 0, got -1"),
+        ("records", 2, "record total mismatch: header says 2, runs hold 3"),
+        ("records", 4, "record total mismatch: header says 4, runs hold 3"),
+        ("records", 10**15, f"record total mismatch: header says {10**15}, runs hold 3"),
+    ],
+)
+def test_load_v4_header_bad_value_is_integrity_error(tmp_path, key, value, message):
+    path = str(tmp_path / "memory.jsonl")
+    persist_v4(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    rewrite_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
 
 
@@ -1141,17 +1110,18 @@ def test_ticks_per_day_must_be_positive():
             LongTermMemory(d=4, ticks_per_day=ticks_per_day)
 
 
-LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist_v4, 5: persist}
+WRITERS = {4: persist_v4, 5: persist}
 
 
-@pytest.mark.parametrize("version", [1, 3, 4, 5])
+@pytest.mark.parametrize("version", [4, 5])
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("format_version", True, "unsupported format_version True"),
-        ("format_version", 3.0, "unsupported format_version 3.0"),
-        ("format_version", 1.0, "unsupported format_version 1.0"),
-        ("format_version", "3", "unsupported format_version '3'"),
+        ("format_version", True, f"unsupported format_version True, {REFUSED}"),
+        ("format_version", 3.0, f"unsupported format_version 3.0, {REFUSED}"),
+        ("format_version", 1.0, f"unsupported format_version 1.0, {REFUSED}"),
+        ("format_version", 4.0, f"unsupported format_version 4.0, {REFUSED}"),
+        ("format_version", "3", f"unsupported format_version '3', {REFUSED}"),
         ("d", "64", "malformed header: d must be an integer, got '64'"),
         ("d", 64.0, "malformed header: d must be an integer, got 64.0"),
         ("d", 64.7, "malformed header: d must be an integer, got 64.7"),
@@ -1164,17 +1134,17 @@ LEGACY_WRITERS = {1: persist_v1, 2: persist_v2, 3: persist_v3, 4: persist_v4, 5:
 )
 def test_load_header_takes_json_integers_only(tmp_path, version, key, value, message):
     """format_version, d, ticks_per_day and snapshot_every are JSON integers:
-    no boolean, float or string stands in for one, in a v1, v3, v4 or v5 file."""
+    no boolean, float or string stands in for one, in a v4 or v5 file."""
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)])
     path = str(tmp_path / "memory.jsonl")
-    LEGACY_WRITERS[version](memory, path)
+    WRITERS[version](memory, path)
     assert load(path).records == memory.records
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
 
 
-@pytest.mark.parametrize("version", [1, 3, 4, 5])
+@pytest.mark.parametrize("version", [4, 5])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -1190,33 +1160,14 @@ def test_load_header_takes_json_integers_only(tmp_path, version, key, value, mes
 )
 def test_load_header_takes_json_strings_only(tmp_path, version, key, value, message):
     """embedder_id and mode are JSON strings, taken as they are, and mode is
-    oracle or realistic, in a v1, v3, v4 or v5 file."""
+    oracle or realistic, in a v4 or v5 file."""
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id="an embedder",
                         mode="realistic")
     path = str(tmp_path / "memory.jsonl")
-    LEGACY_WRITERS[version](memory, path)
+    WRITERS[version](memory, path)
     assert (load(path).embedder_id, load(path).mode) == ("an embedder", "realistic")
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
-        load(path)
-
-
-@pytest.mark.parametrize("flag", ["no", "", 0, 1, None, [True]])
-@pytest.mark.parametrize("version", [1, 2])
-def test_legacy_keyframe_flag_must_be_a_boolean(tmp_path, version, flag):
-    """A v1 or v2 keyframe flag is a JSON boolean; any other value is refused,
-    naming the record (v1) or the raw line (v2)."""
-    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)], snapshot_every=2)
-    path = str(tmp_path / "memory.jsonl")
-    if version == 1:
-        persist_v1(memory, path)
-        line, edit, where = 1, lambda rec: {**rec, "raw": {**rec["raw"], "keyframe": flag}}, "record 0"
-    else:
-        persist_v2(memory, path)  # 3 embedding rows (lines 1-3), then one raw per record
-        line, edit, where = 4, lambda raw: {**raw, "keyframe": flag}, "raws 0"
-    assert load(path).records == memory.records
-    rewrite_line(path, line, edit)
-    with pytest.raises(IntegrityError, match=re.escape(f"{where}: keyframe flag must be a boolean, got {flag!r}")):
         load(path)
 
 
@@ -1431,17 +1382,16 @@ def assert_same_tables(a, b):
     mode=st.sampled_from(["oracle", "realistic"]),
     snapshot_every=st.sampled_from([1, 7, 25]),
 )
-def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
-    """The memory persisted as v5, v4, v3, v2 and v1 loads equal to the
-    build from each, tables included: the legacy loaders key rows by bytes
-    and raws by value, in order of first use, as the build does. Each loaded
-    memory re-persists as the build's v5 bytes."""
+def test_v4_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
+    """The memory persisted as v5 and as v4 loads equal to the build from
+    each, tables included, and each loaded memory re-persists as the
+    build's v5 bytes."""
     memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
                    snapshot_every=snapshot_every, ticks_per_day=200)
     root = tmp_path_factory.mktemp("files")
     v5 = str(root / "v5.jsonl")
     persist(memory, v5)
-    for writer in (persist, persist_v4, persist_v3, persist_v2, persist_v1):
+    for writer in (persist, persist_v4):
         path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
         writer(memory, path)
         loaded = load(path)
@@ -1451,25 +1401,6 @@ def test_v2_and_v1_files_load_equal_to_the_build(tmp_path_factory, layout_seed, 
         assert open(again, "rb").read() == open(v5, "rb").read()
     for q in ("green folder", "red mug sink"):
         assert load(v5).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_legacy_keyframe_flag_off_the_stride_is_refused(tmp_path, version):
-    """A v1 or v2 file whose stored keyframe flag is not index %
-    snapshot_every == 0 is refused, naming the first such record."""
-    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)], snapshot_every=2)
-    path = str(tmp_path / "memory.jsonl")
-    if version == 1:
-        persist_v1(memory, path)
-        line, edit = 4, lambda rec: {**rec, "raw": {**rec["raw"], "keyframe": True}}  # record 3
-    else:
-        # 3 embedding rows (lines 1-3), then one raw per record (lines 4-8)
-        persist_v2(memory, path)
-        line, edit = 7, lambda raw: {**raw, "keyframe": True}  # record 3's raw
-    assert load(path).records == memory.records
-    rewrite_line(path, line, edit)
-    with pytest.raises(IntegrityError, match=r"record 3: keyframe flag True is not index % snapshot_every == 0"):
-        load(path)
 
 
 def view_pool():
@@ -1554,7 +1485,7 @@ def record_edit(field, value):
         (12, record_edit("t", 2), "run 3: non-monotonic timestamp 2 after 2"),
         (9, record_edit("t", -1), "run 0: timestep value and day must be non-negative"),
         (13, lambda line: line[:-1], "run 4: expected a list of 9 fields"),
-        (10, record_edit("room", 7), "run 1: malformed field types"),
+        (10, record_edit("room", 7), "column 'room' run 1: expected a JSON str, got 7"),
         (5, lambda raw: {**raw, "visible_entities": raw["visible_entities"] * 2},
          "raws 1: duplicate entity_id within one observation"),
     ],
@@ -1580,12 +1511,12 @@ def runs_memory():
     "line, edit, message",
     [
         # 1 embedding row (line 1), 1 raw (line 2), runs t 0-2, 3-4, 7-9 (lines 3-5)
-        (3, record_edit("length", 0), "run 0: run length must be an integer >= 1, got 0"),
-        (4, record_edit("length", -2), "run 1: run length must be an integer >= 1, got -2"),
-        (4, record_edit("length", 2.0), "run 1: run length must be an integer >= 1, got 2.0"),
-        (4, record_edit("length", True), "run 1: run length must be an integer >= 1, got True"),
-        (5, record_edit("length", "3"), "run 2: run length must be an integer >= 1, got '3'"),
-        (5, record_edit("length", None), "run 2: run length must be an integer >= 1, got None"),
+        (3, record_edit("length", 0), "column 'length' run 0: run length must be >= 1, got 0"),
+        (4, record_edit("length", -2), "column 'length' run 1: run length must be >= 1, got -2"),
+        (4, record_edit("length", 2.0), "column 'length' run 1: expected a JSON int, got 2.0"),
+        (4, record_edit("length", True), "column 'length' run 1: expected a JSON int, got True"),
+        (5, record_edit("length", "3"), "column 'length' run 2: expected a JSON int, got '3'"),
+        (5, record_edit("length", None), "column 'length' run 2: expected a JSON int, got None"),
         # Run 0 would now overlap run 1; the total is checked first.
         (3, record_edit("length", 4), "record total mismatch: header says 8, runs hold 9"),
         (5, record_edit("length", 2), "record total mismatch: header says 8, runs hold 7"),
@@ -1595,7 +1526,7 @@ def runs_memory():
         # extend refuses a record of the run; the error names the run, not record 5 or 6.
         (5, record_edit("row", 1), "run 2: row id 1 out of range [0, 1)"),
         (5, record_edit("day", -1), "run 2: timestep value and day must be non-negative"),
-        (5, record_edit("t", 2**63), "a run line's field is out of range"),
+        (5, record_edit("t", 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
     ],
 )
 def test_v4_run_line_corruption_names_the_run(tmp_path, line, edit, message):
@@ -1672,6 +1603,8 @@ V5_LINE = {name: 2 + i for i, name in enumerate(
          "column 'embeddings': 504 bytes, expected 512, 8 per float of 1 rows of 64"),
         ("embeddings", lambda line: {"embeddings": [line["embeddings"]]}, "expected the 'embeddings' line"),
         ("embeddings", embeddings_edit(doubled), "embeddings 0: embedding must be unit norm, got 2.0"),
+        ("embeddings", embeddings_edit(lambda data: np.full(64, math.nan, dtype="<f8").tobytes()),
+         "embeddings 0: embedding must be unit norm, got nan"),
         # Ids in range, checked whole; extend's checks name the run.
         ("raw_list", column_edit("raw_list", 0, 1), "column 'raw_list' raw 0: list id 1 out of range [0, 1)"),
         ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
@@ -1692,6 +1625,37 @@ def test_v5_corruption_names_the_column_or_run(tmp_path, name, edit, message):
     rewrite_line(path, V5_LINE[name], edit)
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "name, j, value", [("room", 1, 7), ("length", 0, 0), ("t0", 2, 2**63), ("x", 1, "0.5"), ("row", 2, True),
+                       ("x", 0, 2**1024),
+                       # Each run column, by a wrong JSON type and by a value out of range.
+                       ("t0", 0, 0.0), ("t0", 1, "3"), ("day", 1, True), ("day", 2, None),
+                       ("day", 0, -(2**63) - 1), ("x", 2, None), ("y", 0, [0.5]), ("y", 1, 10**309),
+                       ("yaw", 2, "0.5"), ("yaw", 1, True), ("room", 0, None), ("room", 2, ["kitchen"]),
+                       ("row", 0, 1.5), ("row", 1, 2**63), ("raw", 1, "0"), ("raw", 2, False),
+                       ("raw", 0, 2**64), ("length", 1, -2), ("length", 2, 2.0), ("length", 1, True),
+                       ("length", 0, "3")],
+)
+def test_v4_and_v5_corruption_give_one_message(tmp_path, name, j, value):
+    """One corrupt value of a run column, written as a v4 run line's field and
+    as a v5 column line's value, is refused with one message that names the
+    column and the run: both formats go through one column check."""
+    memory = runs_memory()
+    path = str(tmp_path / "memory.jsonl")
+    messages = []
+    # runs_memory's v4 file holds one embedding row and one raw (lines 1-2),
+    # then run j on line 3 + j.
+    for writer, line, edit in ((persist_v4, 3 + j, record_edit("t" if name == "t0" else name, value)),
+                               (persist, V5_LINE[name], column_edit(name, j, value))):
+        writer(memory, path)
+        rewrite_line(path, line, edit)
+        with pytest.raises(IntegrityError) as raised:
+            load(path)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"column '{name}' run {j}: ")
 
 
 def test_v5_float_columns_take_json_integers(tmp_path):
