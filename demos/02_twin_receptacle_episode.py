@@ -18,7 +18,8 @@ print("target moves:", [
 print()
 
 config = SuiteConfig(methods=("star",), modes=("oracle",), seed=7)
-memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+memories, graphs, embedder, world = prepare_task(task, config)
+memory = memories["oracle"]
 
 
 def narrate(k, action, outcome, rationale=""):
@@ -40,11 +41,11 @@ def narrate(k, action, outcome, rationale=""):
               f"{payload.get('reason', '')}")
 
 
-result = run_task_episode(task, "star", "oracle", config, memory, graphs, embedder, world, narrate)
+result = run_task_episode(task, "star", config, memory, graphs, embedder, world, narrate)
 print(f"\nsuccess={result.success} in {result.steps_used} steps "
       f"({result.action_counts})")
 
 print("\nthe one-shot baselines on the same task:")
 for method in ("tr_s", "sg_s", "random"):
-    r = run_task_episode(task, method, "oracle", config, memory, graphs, embedder, world)
+    r = run_task_episode(task, method, config, memory, graphs, embedder, world)
     print(f"  {method:7s} success={r.success} steps={r.steps_used} termination={r.termination}")

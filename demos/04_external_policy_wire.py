@@ -16,7 +16,8 @@ from objsearch.bench import SuiteConfig, build_task, prepare_task
 task = build_task(scene_id=1, family="class", task_type="visible", idx=0, seed=3)
 config = SuiteConfig(methods=("llm",), modes=("oracle",), seed=3)
 # The world comes back patrolled to task time; the episode runs on it.
-memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+memories, graphs, embedder, world = prepare_task(task, config)
+memory = memories["oracle"]
 
 scripted_replies = iter([
     "hmm, let me think about where the book might be",   # malformed: reprompted

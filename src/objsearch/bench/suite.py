@@ -1,10 +1,10 @@
 """Suite runner: executes (task, mode, method) episodes, aggregates success
 rates with Wilson intervals, and writes deterministic raw logs.
 
-The unit of work, serial or parallel, is the task: a worker generates its
-world once, takes day graphs from copies of it and patrols it to task time;
-then per mode it builds a memory and runs every method, each episode on its
-own copy of the patrolled world. Results are reduced in task order so the
+The unit of work, serial or parallel, is the task: a worker runs
+prepare_task once, then every mode and method, each episode on its own copy
+of the patrolled world. run-task, the demos and the tests set tasks up
+through the same prepare_task. Results are reduced in task order so the
 output is byte-identical regardless of worker count.
 
 Every log line is canonical_dumps of its event. A step line is composed
@@ -42,7 +42,6 @@ from ..core import (
     MODES,
     NOISE_VERSION,
     NoiseModel,
-    ObservationStream,
     Outcome,
     canonical_dumps,
     config_hash,
@@ -84,12 +83,14 @@ class SuiteConfig:
     llm: Optional[LLMPolicyConfig] = None
 
     def __post_init__(self) -> None:
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; valid: {METHODS}")
-        for m in self.modes:
-            if m not in MODES:
-                raise ValueError(f"unknown mode {m!r}; valid: {MODES}")
+        # Episodes are told apart by (task, mode, method), and prepare_task
+        # keys memories by mode, so each may be named once.
+        for kind, names, valid in (("method", self.methods, METHODS), ("mode", self.modes, MODES)):
+            for m in names:
+                if m not in valid:
+                    raise ValueError(f"unknown {kind} {m!r}; valid: {valid}")
+            if len(set(names)) != len(names):
+                raise ValueError(f"repeated {kind} in {names}")
 
     def to_dict(self) -> dict:
         d = {
@@ -140,42 +141,36 @@ def make_policy(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _observe(task: TaskSpec) -> tuple[ObservationStream, list, WorldState]:
-    """The mode-independent part of a task: its per-day scene graphs, the
-    patrol stream, and the world at task time."""
+def prepare_task(
+    task: TaskSpec, config: SuiteConfig
+) -> tuple[dict[str, LongTermMemory], list, Embedder, WorldState]:
+    """What a task's episodes share: a memory per mode of config.modes (a
+    dict in that order), built from one patrol of the task's world; the
+    per-day scene graphs, taken from copies of it at each day's last tick;
+    one embedder, since its embeddings do not depend on what it has seen;
+    and the world at task time."""
     tpd = task.ticks_per_day
     world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=tpd)
     graphs = [export_scene_graph(world.at(task.schedule, (d + 1) * tpd - 1)) for d in range(task.days)]
     stream = patrol(world, task.schedule, task.days)
-    return stream, graphs, world
-
-
-def _build_memory(task: TaskSpec, stream: ObservationStream, mode: str, config: SuiteConfig,
-                  embedder: Embedder) -> LongTermMemory:
-    """One mode's memory over the task's stream. The embedder memoizes
-    queries, and its embeddings do not depend on what it has seen, so one
-    task's memories and episodes share one."""
-    return build(
-        stream,
-        embedder,
-        mode=mode,
-        noise=config.noise,
-        noise_seed=stable_seed("noise", config.seed, task.task_id),
-        ticks_per_day=task.ticks_per_day,
-    )
-
-
-def prepare_task(task: TaskSpec, mode: str, config: SuiteConfig):
-    """The mode's memory, the day graphs, the embedder and the world at task time."""
-    stream, graphs, world = _observe(task)
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
-    return _build_memory(task, stream, mode, config, embedder), graphs, embedder, world
+    memories = {
+        mode: build(
+            stream,
+            embedder,
+            mode=mode,
+            noise=config.noise,
+            noise_seed=stable_seed("noise", config.seed, task.task_id),
+            ticks_per_day=tpd,
+        )
+        for mode in config.modes
+    }
+    return memories, graphs, embedder, world
 
 
 def run_task_episode(
     task: TaskSpec,
     method: str,
-    mode: str,
     config: SuiteConfig,
     memory: LongTermMemory,
     graphs: list,
@@ -183,13 +178,15 @@ def run_task_episode(
     world: WorldState,
     step_callback: Optional[Callable] = None,
 ):
-    """One episode on a copy of the world at task time."""
+    """One episode of method on a copy of the world at task time, over one
+    of prepare_task's memories; the episode's mode is that memory's mode.
+    random and sg_s get an empty store of the same shape instead."""
     world = world.at(task.schedule, world.clock)
     registry = default_registry(world)
     episode_memory = memory
     if method in ("random", "sg_s"):
         episode_memory = LongTermMemory(
-            d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=memory.embedder_id, mode=mode
+            d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=memory.embedder_id, mode=memory.mode
         )
     executor = ActionExecutor(episode_memory, world, task.schedule, embedder)
     policy = make_policy(method, task, config, scene_graphs=graphs)
@@ -235,15 +232,13 @@ def _step_line(k: int, action: Action, outcome: Outcome, rationale: str) -> str:
 def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
     """Worker: every (mode, method) episode of one task. Returns episode
     records and raw log lines in (mode, method) order."""
-    stream, graphs, world = _observe(task)
+    memories, graphs, embedder, world = prepare_task(task, config)
     # Action categories depend only on the tool; the world adds argument enums.
     registry = default_registry()
-    embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     lineage = config.config_hash()
     records: list[dict] = []
     log_lines: list[str] = []
-    for mode in config.modes:
-        memory = _build_memory(task, stream, mode, config, embedder)
+    for mode, memory in memories.items():
         for method in config.methods:
             header = {
                 "event": "episode_start",
@@ -265,7 +260,7 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 steps = k
 
             try:
-                result = run_task_episode(task, method, mode, config, memory, graphs, embedder, world, log_step)
+                result = run_task_episode(task, method, config, memory, graphs, embedder, world, log_step)
                 record = _episode_record(task, method, mode, result.success, result.steps_used,
                                          result.termination, result.action_counts)
                 success = adjudicate(task, result)
@@ -290,8 +285,6 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                     }
                 )
             )
-        # Free this mode's memory before the next one is built.
-        del memory
     return records, log_lines
 
 

@@ -23,7 +23,9 @@ from ..homesim import (
     Schedule,
     WorldState,
     ambient_schedule,
+    check_patrol,
     generate_world,
+    route_length,
     scene_casting,
 )
 from ..homesim.patrol import room_segment
@@ -92,6 +94,9 @@ class TaskSpec:
             schedule=Schedule.from_dict(d["schedule"]),
             task_seed=int(d["task_seed"]),
         )
+        # What prepare_task needs of a task from outside: a scene it can
+        # patrol over its days, and a schedule that fits them.
+        check_patrol(spec.days, spec.ticks_per_day, route_length(spec.scene_id))
         spec.schedule.check(spec.ticks_per_day)
         return spec
 

@@ -24,15 +24,18 @@ from .bench import (
 )
 from .bench.suite import _run_task
 from .core import NOISE_VERSION, NoiseModel, canonical_dumps, canonical_loads, config_hash
-from .embed import EmbedderConfig
+from .embed import MIN_DIM, EmbedderConfig
 from .homesim import (
     MAX_PATROL_DAYS,
     MIN_PATROL_DAYS,
+    SCENE_IDS,
     Schedule,
     WorldState,
+    check_patrol,
     generate_world,
     patrol,
     read_stream,
+    route_length,
     write_stream,
 )
 from .agent import TERMINATION_ABORT, LLMPolicyConfig
@@ -94,7 +97,7 @@ def main() -> None:
 @main.command("gen-world")
 @click.option("--scene", type=click.IntRange(1, 3), required=True, help="Scene template id.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Layout seed.")
-@click.option("--ticks-per-day", type=int, default=200, show_default=True)
+@click.option("--ticks-per-day", type=click.IntRange(1), default=200, show_default=True)
 @click.option("--out-world", type=click.Path(dir_okay=False), default="world.json", show_default=True)
 @click.option("--out-schedule", type=click.Path(dir_okay=False), default="schedule.json", show_default=True)
 def cmd_gen_world(scene: int, seed: int, ticks_per_day: int, out_world: str, out_schedule: str) -> None:
@@ -129,7 +132,10 @@ def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: in
         "world_hash": world_hash,
         "schedule_hash": schedule_hash,
     }
-    stream = patrol(world, schedule, days)
+    try:
+        stream = patrol(world, schedule, days)
+    except ValueError as exc:
+        raise click.ClickException(f"{world_path}: {exc}") from exc
     write_stream(out, stream, meta={"config": config, "config_hash": config_hash(config)})
     click.echo(f"observations={len(stream)} days={days} ticks_per_day={world.ticks_per_day}")
 
@@ -164,11 +170,12 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
 @main.command("build-memory")
 @click.option("--stream", "stream_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--mode", type=click.Choice(["oracle", "realistic"]), default="oracle", show_default=True)
-@click.option("--d", "dim", type=int, default=256, show_default=True, help="Embedding dimension.")
-@click.option("--snapshot-every", type=int, default=25, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(MIN_DIM), default=256, show_default=True,
+              help="Embedding dimension.")
+@click.option("--snapshot-every", type=click.IntRange(1), default=25, show_default=True)
 @click.option("--noise-seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-@click.option("--p-drop", type=float, default=0.1, show_default=True)
-@click.option("--p-mislabel", type=float, default=0.1, show_default=True)
+@click.option("--p-drop", type=click.FloatRange(0, 1), default=0.1, show_default=True)
+@click.option("--p-mislabel", type=click.FloatRange(0, 1), default=0.1, show_default=True)
 @click.option("--embed-url", type=str, default=None, envvar="OBJSEARCH_EMBED_URL",
               help="External embedding endpoint; the hashed reference embedder is used otherwise.")
 @click.option("--embed-model", type=str, default="default", show_default=True)
@@ -226,18 +233,31 @@ def cmd_build_memory(
     click.echo(f"records={len(memory)} mode={mode} d={dim}")
 
 
+def _scene_ids(ctx: click.Context, param: click.Parameter, value: str) -> tuple[int, ...]:
+    """The comma-separated scene ids of --scenes: known ones, each once, since
+    a scene's task ids repeat."""
+    try:
+        ids = tuple(int(s) for s in value.split(","))
+    except ValueError:
+        ids = ()
+    if not ids or not set(ids) <= set(SCENE_IDS) or len(set(ids)) != len(ids):
+        raise click.BadParameter(f"expected distinct scene ids among {SCENE_IDS}, got {value!r}")
+    return ids
+
+
 @main.command("gen-tasks")
-@click.option("--per-family", type=int, default=3, show_default=True)
-@click.option("--scenes", type=str, default="1,2,3", show_default=True)
+@click.option("--per-family", type=click.IntRange(1), default=3, show_default=True)
+@click.option("--scenes", type=str, default="1,2,3", show_default=True, callback=_scene_ids)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--days", type=click.IntRange(MIN_PATROL_DAYS, MAX_PATROL_DAYS), default=3, show_default=True)
 @click.option("--ticks-per-day", type=int, default=200, show_default=True)
 @click.option("--fixture", type=click.Choice(list(FIXTURE_KINDS)), default=None,
               help="Emit a named fixture suite instead of the generated one.")
-@click.option("--n", "fixture_n", type=int, default=20, show_default=True, help="Fixture task count.")
+@click.option("--n", "fixture_n", type=click.IntRange(1), default=20, show_default=True,
+              help="Fixture task count.")
 @click.option("--out", type=click.Path(dir_okay=False), default="tasks.jsonl", show_default=True)
 def cmd_gen_tasks(
-    per_family: int, scenes: str, seed: int, days: int, ticks_per_day: int,
+    per_family: int, scenes: tuple[int, ...], seed: int, days: int, ticks_per_day: int,
     fixture: str | None, fixture_n: int, out: str,
 ) -> None:
     """Generate the benchmark task suite (or a fixture suite)."""
@@ -245,11 +265,15 @@ def cmd_gen_tasks(
         tasks = build_fixture_suite(fixture, n=fixture_n, seed=seed)
         config = {"cmd": "gen-tasks", "fixture": fixture, "n": fixture_n, "seed": seed}
     else:
-        scene_ids = tuple(int(s) for s in scenes.split(","))
-        tasks = generate_suite(scene_ids, per_family=per_family, seed=seed,
+        for scene_id in scenes:
+            try:
+                check_patrol(days, ticks_per_day, route_length(scene_id))
+            except ValueError as exc:
+                raise click.BadParameter(f"scene {scene_id}: {exc}", param_hint="'--ticks-per-day'") from exc
+        tasks = generate_suite(scenes, per_family=per_family, seed=seed,
                                days=days, ticks_per_day=ticks_per_day)
         config = {
-            "cmd": "gen-tasks", "per_family": per_family, "scenes": list(scene_ids),
+            "cmd": "gen-tasks", "per_family": per_family, "scenes": list(scenes),
             "seed": seed, "days": days, "ticks_per_day": ticks_per_day,
         }
     with open(out, "w", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 DEFAULT_DIM = 256
+MIN_DIM = 8
 _FEATURE_MEMO_SIZE = 4096
 _NORMALIZER_VERSION = "lc-strip-v1"
 
@@ -44,8 +45,8 @@ class EmbedderConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("reference", "external"):
             raise ValueError(f"unknown embedder kind {self.kind!r}")
-        if self.d < 8:
-            raise ValueError("embedding dimension must be >= 8")
+        if self.d < MIN_DIM:
+            raise ValueError(f"embedding dimension must be >= {MIN_DIM}")
 
     @property
     def embedder_id(self) -> str:
@@ -248,6 +249,7 @@ class Embedder:
 
 __all__ = [
     "DEFAULT_DIM",
+    "MIN_DIM",
     "Embedder",
     "EmbedderConfig",
     "EmbeddingError",

@@ -29,7 +29,7 @@ from ..core import (
     VisibleEntity,
     render_caption,
 )
-from .world import Schedule, WorldState
+from .world import Schedule, WorldState, _scene_template
 
 MIN_PATROL_DAYS = 3
 MAX_PATROL_DAYS = 6
@@ -47,6 +47,22 @@ def patrol_route(world: WorldState) -> list[str]:
     return ordered
 
 
+def route_length(scene_id: int) -> int:
+    """The length of patrol_route over any world of the scene; an unknown
+    scene is a ValueError."""
+    return len(_scene_template(scene_id)["landmarks"])
+
+
+def check_patrol(days: int, ticks_per_day: int, landmarks: int) -> None:
+    """Raise ValueError unless a patrol of days days can run on a route of
+    that many landmarks: days lies in [MIN_PATROL_DAYS, MAX_PATROL_DAYS], and
+    a day has a tick for every landmark."""
+    if not (MIN_PATROL_DAYS <= days <= MAX_PATROL_DAYS):
+        raise ValueError(f"days must lie in [{MIN_PATROL_DAYS}, {MAX_PATROL_DAYS}], got {days}")
+    if ticks_per_day < landmarks:
+        raise ValueError(f"ticks_per_day={ticks_per_day} cannot cover the {landmarks}-landmark route")
+
+
 def _route_slots(ticks_per_day: int, n: int) -> list[int]:
     """Slot bounds of an n-landmark route over one day: landmark i holds the
     ticks [b[i], b[i+1]) of the day, those with tick * n // ticks_per_day == i."""
@@ -57,8 +73,8 @@ def patrol(world: WorldState, schedule: Schedule, days: int) -> ObservationStrea
     """Run the patrol and return the observation stream.
 
     The stream has exactly days * ticks_per_day ticks and every landmark is
-    visited at least once per day (ticks_per_day must be no smaller than the
-    route length). The world is mutated: its clock ends at task time T.
+    visited at least once per day (check_patrol says which days and
+    ticks_per_day can run). The world is mutated: its clock ends at task time T.
 
     The stream is made run by run, never tick by tick. A run is a stretch of
     one route slot that ends where the slot, the day or the wait for the
@@ -68,12 +84,9 @@ def patrol(world: WorldState, schedule: Schedule, days: int) -> ObservationStrea
     scheduled moves change what a landmark shows, and runs with one view
     share one (pose, observation) pair.
     """
-    if not (MIN_PATROL_DAYS <= days <= MAX_PATROL_DAYS):
-        raise ValueError(f"days must lie in [{MIN_PATROL_DAYS}, {MAX_PATROL_DAYS}], got {days}")
     tpd = world.ticks_per_day
     route = patrol_route(world)
-    if tpd < len(route):
-        raise ValueError(f"ticks_per_day={tpd} cannot cover the {len(route)}-landmark route")
+    check_patrol(days, tpd, len(route))
     bounds = _route_slots(tpd, len(route))
     moves = schedule.moves
     start = world.clock
@@ -212,10 +225,12 @@ def read_stream(path: str) -> tuple[dict, ObservationStream]:
 __all__ = [
     "MAX_PATROL_DAYS",
     "MIN_PATROL_DAYS",
+    "check_patrol",
     "fast_forward",
     "patrol",
     "patrol_route",
     "read_stream",
     "room_segment",
+    "route_length",
     "write_stream",
 ]

@@ -60,9 +60,10 @@ def run_fixture_suite(kind: str, methods: tuple[str, ...], n: int = 20, seed: in
     tasks = build_fixture_suite(kind, n=n, seed=seed)
     results: dict[str, list] = {m: [] for m in methods}
     for task in tasks:
-        memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+        memories, graphs, embedder, world = prepare_task(task, config)
+        memory = memories["oracle"]
         for method in methods:
-            r = run_task_episode(task, method, "oracle", config, memory, graphs, embedder, world)
+            r = run_task_episode(task, method, config, memory, graphs, embedder, world)
             assert adjudicate(task, r) == r.success
             results[method].append(r)
     return tasks, results

@@ -1,5 +1,6 @@
 """Decision loop, unified action space accounting, and scripted policies."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -96,7 +97,8 @@ def executor_for(world, memory=None):
 
 def standard_setup(scene=1, family="attribute", ttype="visible", idx=0):
     task = build_task(scene, family, ttype, idx, seed=7)
-    memory, graphs, embedder, world = prepare_task(task, "oracle", CONFIG)
+    memories, graphs, embedder, world = prepare_task(task, CONFIG)
+    memory = memories["oracle"]
     return task, memory, graphs, embedder, world
 
 
@@ -252,7 +254,7 @@ def test_policy_abort_termination():
 def test_action_counts_sum_to_steps():
     task, memory, graphs, embedder, world = standard_setup()
     for method in ("random", "sg_s", "tr_s", "star"):
-        r = run_task_episode(task, method, "oracle", CONFIG, memory, graphs, embedder, world)
+        r = run_task_episode(task, method, CONFIG, memory, graphs, embedder, world)
         assert sum(r.action_counts.values()) == r.steps_used
 
 
@@ -432,7 +434,8 @@ def test_unbounded_r_is_a_schema_error_not_a_whole_memory():
     984,132 B outcome). It is now schema_error feedback, and the memory is
     not queried."""
     task = generate_suite(scenes=(1,), per_family=1, ticks_per_day=1300)[0]
-    memory, _, embedder, world = prepare_task(task, "oracle", CONFIG)
+    memories, _, embedder, world = prepare_task(task, CONFIG)
+    memory = memories["oracle"]
     assert len(memory.query_spatial((0, 0), 1e9, r=10**9)) == len(memory) == 3900
     action = Action("spatial_query", {"x": 0, "y": 0, "radius": 1e9, "r": 10**9})
     executor = ActionExecutor(memory, world, task.schedule, embedder)
@@ -742,7 +745,7 @@ def test_random_policy_never_emits_temporal_tools():
     task, memory, graphs, embedder, world = standard_setup()
     for seed in range(100):
         config = SuiteConfig(methods=("random",), modes=("oracle",), seed=seed)
-        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder, world)
+        r = run_task_episode(task, "random", config, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -751,16 +754,17 @@ def test_random_policy_weak_on_hidden_targets():
     for seed in range(10):
         config = SuiteConfig(methods=("random",), modes=("oracle",), seed=seed)
         task = build_task(1, "attribute", "interactive", 0, seed=7)
-        memory, graphs, embedder, world = prepare_task(task, "oracle", config)
-        r = run_task_episode(task, "random", "oracle", config, memory, graphs, embedder, world)
+        memories, graphs, embedder, world = prepare_task(task, config)
+        memory = memories["oracle"]
+        r = run_task_episode(task, "random", config, memory, graphs, embedder, world)
         wins += int(r.success)
     assert wins / 10 <= 0.2
 
 
 def test_random_policy_deterministic_given_seed():
     task, memory, graphs, embedder, world = standard_setup()
-    r1 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder, world)
-    r2 = run_task_episode(task, "random", "oracle", CONFIG, memory, graphs, embedder, world)
+    r1 = run_task_episode(task, "random", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode(task, "random", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -769,7 +773,7 @@ def test_random_policy_deterministic_given_seed():
 
 def test_trs_unmoved_object_three_spatial_actions():
     task, memory, graphs, embedder, world = standard_setup(family="attribute")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     physical = r.action_counts["perception"] + r.action_counts["navigation"] + r.action_counts["manipulation"]
     assert physical == 3
@@ -777,14 +781,14 @@ def test_trs_unmoved_object_three_spatial_actions():
 
 def test_trs_moved_object_fails_without_retry():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     assert not r.success
     assert r.termination == "policy_abort"
 
 
 def test_trs_day_reference_triggers_window_query():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert "temporal_query" in tools
     window_args = [a.args for a, _ in r.trace.steps if a.tool == "temporal_query"]
@@ -793,7 +797,7 @@ def test_trs_day_reference_triggers_window_query():
 
 def test_trs_runs_fixed_probe_set_first():
     task, memory, graphs, embedder, world = standard_setup(family="class")
-    r = run_task_episode(task, "tr_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools[0] == "semantic_query"
     assert "spatial_query" in tools[:3]
@@ -804,7 +808,7 @@ def test_trs_runs_fixed_probe_set_first():
 
 def test_sgs_unique_class_goes_straight_to_landmark():
     task, memory, graphs, embedder, world = standard_setup(family="class")
-    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools == ["navigate", "detect", "pick"]
@@ -814,7 +818,7 @@ def test_sgs_unique_class_goes_straight_to_landmark():
 def test_sgs_never_issues_temporal_actions():
     for family in ("class", "attribute", "spatial", "spatial_temporal", "spatial_frequentist"):
         task, memory, graphs, embedder, world = standard_setup(family=family)
-        r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
+        r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -826,8 +830,9 @@ def test_sgs_twin_receptacles_at_chance():
     outcomes = []
     for seed in range(16):
         config = SuiteConfig(methods=("sg_s",), modes=("oracle",), seed=seed)
-        memory, graphs, embedder, world = prepare_task(task, "oracle", config)
-        r = run_task_episode(task, "sg_s", "oracle", config, memory, graphs, embedder, world)
+        memories, graphs, embedder, world = prepare_task(task, config)
+        memory = memories["oracle"]
+        r = run_task_episode(task, "sg_s", config, memory, graphs, embedder, world)
         nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
         chosen.append(nav.args["landmark"])
         outcomes.append(r.success)
@@ -841,7 +846,7 @@ def test_sgs_attribute_collision_resolved_by_node_attributes():
     ground-truth nodes single out the green one."""
     task, memory, graphs, embedder, world = standard_setup(family="attribute")
     assert task.instruction == "find the green folder"
-    r = run_task_episode(task, "sg_s", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     picked = [a.args["entity"] for a, _ in r.trace.steps if a.tool == "pick"]
     assert picked == ["folder_1"]
@@ -866,7 +871,7 @@ def test_sgs_closed_receptacle_contents_invisible_to_resolution():
 
 def test_star_prior_table_first_navigation_in_prior_room():
     task, memory, graphs, embedder, world = standard_setup(family="commonsense", ttype="commonsense")
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     first_nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
     assert world.landmarks[first_nav.args["landmark"]].room_id == "kitchen"
@@ -875,7 +880,7 @@ def test_star_prior_table_first_navigation_in_prior_room():
 
 def test_star_moved_object_recovers_after_failed_probe():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools.count("navigate") >= 2  # stale probe plus recovery
@@ -884,8 +889,9 @@ def test_star_moved_object_recovers_after_failed_probe():
 
 def test_star_twin_receptacles_resolved_via_raw_fetch():
     task = build_task(1, "attribute", "interactive", 0, seed=7)
-    memory, graphs, embedder, world = prepare_task(task, "oracle", CONFIG)
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    memories, graphs, embedder, world = prepare_task(task, CONFIG)
+    memory = memories["oracle"]
+    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert "fetch_raw" in tools
@@ -895,7 +901,7 @@ def test_star_twin_receptacles_resolved_via_raw_fetch():
 
 def test_star_commit_threshold_suppresses_late_queries():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
     budget = 20
     for i, (action, _) in enumerate(r.trace.steps):
         remaining = budget - i
@@ -905,8 +911,8 @@ def test_star_commit_threshold_suppresses_late_queries():
 
 def test_star_deterministic_trace():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_frequentist")
-    r1 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
-    r2 = run_task_episode(task, "star", "oracle", CONFIG, memory, graphs, embedder, world)
+    r1 = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -917,7 +923,8 @@ def test_star_deterministic_trace():
 def fold_setup():
     """An interactive task (twin receptacles, a moved target) and its memory."""
     task = build_task(1, "spatial_temporal", "interactive", 0, seed=7)
-    memory, _, embedder, world = prepare_task(task, "oracle", CONFIG)
+    memories, _, embedder, world = prepare_task(task, CONFIG)
+    memory = memories["oracle"]
     return task, memory, embedder, world
 
 
@@ -1064,7 +1071,8 @@ def test_trace_view_folds_listed_hits_as_it_folds_hits(data):
 def window_setup(mode):
     """fold_setup's task with its memory in either mode, and an executor."""
     task = build_task(1, "spatial_temporal", "interactive", 0, seed=7)
-    memory, _, embedder, world = prepare_task(task, mode, CONFIG)
+    memories, _, embedder, world = prepare_task(task, dataclasses.replace(CONFIG, modes=(mode,)))
+    memory = memories[mode]
     return world, ActionExecutor(memory, world, task.schedule, embedder)
 
 

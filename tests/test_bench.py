@@ -126,7 +126,7 @@ def test_interactive_target_ends_inside_twin():
 def test_commonsense_target_never_observed():
     task = build_task(1, "commonsense", "commonsense", 0, seed=4)
     config = SuiteConfig(methods=("star",), modes=("oracle",), seed=4)
-    memory, *_ = prepare_task(task, "oracle", config)
+    memory = prepare_task(task, config)[0]["oracle"]
     for rec in memory.records:
         assert all(e.entity_id != task.target_entity for e in rec.raw.visible_entities)
 
@@ -360,7 +360,8 @@ def test_isolated_methods_get_empty_memory():
     store."""
     task = build_task(1, "class", "visible", 0, seed=2)
     config = SuiteConfig(methods=("random",), modes=("oracle",), seed=2)
-    memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+    memories, graphs, embedder, world = prepare_task(task, config)
+    memory = memories["oracle"]
     from objsearch.memstore import LongTermMemory
     from objsearch.agent import ActionExecutor, default_registry, run_episode, PolicyDecision
     from objsearch.core import Action
@@ -387,20 +388,22 @@ def test_episodes_leave_the_prepared_world_as_it_was():
     was given unchanged, and the next episode runs as on a fresh one."""
     task = build_task(1, "attribute", "interactive", 0, seed=7)
     config = SuiteConfig(methods=("star", "tr_s"), modes=("oracle",), seed=7)
-    memory, graphs, embedder, world = prepare_task(task, "oracle", config)
+    memories, graphs, embedder, world = prepare_task(task, config)
+    memory = memories["oracle"]
 
     def state(w):
         return (w.to_dict(), dict(w.receptacle_open), list(w.inventory), list(w.applied_moves),
                 w.robot_pose, w.robot_focus)
 
     before = state(world)
-    star = run_task_episode(task, "star", "oracle", config, memory, graphs, embedder, world)
+    star = run_task_episode(task, "star", config, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in star.trace.steps]
     assert star.success and "open" in tools and "pick" in tools
     assert state(world) == before
     for method in config.methods:
-        after = run_task_episode(task, method, "oracle", config, memory, graphs, embedder, world)
-        fresh = run_task_episode(task, method, "oracle", config, *prepare_task(task, "oracle", config))
+        after = run_task_episode(task, method, config, memory, graphs, embedder, world)
+        memories, *prepared = prepare_task(task, config)
+        fresh = run_task_episode(task, method, config, memories["oracle"], *prepared)
         assert after.trace == fresh.trace
 
 
@@ -448,18 +451,25 @@ def test_noise_model_is_in_the_lineage_hash():
 
 
 def test_suite_patrols_once_per_task(monkeypatch):
-    """The unit of work is the task: one generated world, one patrol and one
-    set of day graphs per task, one memory per (task, mode). Episodes run on
-    copies of the patrolled world and generate none."""
+    """The unit of work is the task: one prepare_task call per task, with
+    one generated world, one patrol and one set of day graphs, and one memory
+    per (task, mode). Episodes run through run_task_episode, on copies of the
+    patrolled world, over the memory of their own mode, and generate none.
+    Calls are counted at the module's globals, where a tracer wraps them."""
     from objsearch.bench import suite
 
-    calls = {"generate_world": 0, "patrol": 0, "export_scene_graph": 0, "build": 0}
+    calls = {"generate_world": 0, "patrol": 0, "export_scene_graph": 0, "build": 0,
+             "prepare_task": 0, "run_task_episode": 0}
+    memory_modes = []
 
     def counting(name):
         original = getattr(suite, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "run_task_episode":
+                task, method, _, memory = args[:4]
+                memory_modes.append((task.task_id, memory.mode, method))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(suite, name, wrapper)
@@ -474,10 +484,12 @@ def test_suite_patrols_once_per_task(monkeypatch):
         "patrol": 2,
         "export_scene_graph": sum(t.days for t in tasks),
         "build": 4,
+        "prepare_task": 2,
+        "run_task_episode": 8,
     }
-    assert [(e["task_id"], e["mode"], e["method"]) for e in report.episodes] == [
-        (t.task_id, mode, method) for t in tasks for mode in config.modes for method in config.methods
-    ]
+    expected = [(t.task_id, mode, method) for t in tasks for mode in config.modes for method in config.methods]
+    assert [(e["task_id"], e["mode"], e["method"]) for e in report.episodes] == expected
+    assert memory_modes == expected
 
 
 @pytest.mark.parametrize("parallelism,methods", [(1, ("random", "llm")), (2, ("random", "star"))])

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from objsearch import artifacts
 from objsearch.cli import main
-from objsearch.core import NOISE_VERSION, config_hash
+from objsearch.core import NOISE_VERSION, canonical_dumps, config_hash
 from objsearch.memstore import load
 from objsearch.homesim import generate_world, read_stream
 
@@ -78,6 +78,22 @@ def test_patrol_rejects_day_range(runner, tmp_path):
         main, ["patrol", "--world", world_path, "--schedule", sched_path, "--days", "2"]
     )
     assert result.exit_code == 2
+
+
+def test_patrol_refuses_a_world_whose_day_is_shorter_than_its_route(runner, tmp_path):
+    """A world can have fewer ticks per day than its patrol route has
+    landmarks; patrolling it exits 1 naming the world file, not with a
+    traceback."""
+    world_path = str(tmp_path / "world.json")
+    sched_path = str(tmp_path / "schedule.json")
+    invoke(runner, "gen-world", "--scene", "1", "--ticks-per-day", "5",
+           "--out-world", world_path, "--out-schedule", sched_path)
+    result = CliRunner().invoke(main, ["patrol", "--world", world_path, "--schedule", sched_path,
+                                       "--out", str(tmp_path / "stream.jsonl")])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{world_path}: ticks_per_day=5 cannot cover the 15-landmark route" in result.output
+    assert not (tmp_path / "stream.jsonl").exists()
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +306,8 @@ def test_run_task_on_fixture(suite_artifacts, tmp_path):
     (["run-suite", "--methods", "star,nope"], "unknown method 'nope'", "'sg_s'"),
     (["run-suite", "--modes", "noisy"], "unknown mode 'noisy'", "'realistic'"),
     (["run-task", "--method", "nope"], "unknown method 'nope'", "'sg_s'"),
+    (["run-suite", "--modes", "oracle,oracle"], "repeated mode", "'oracle'"),
+    (["run-suite", "--methods", "star,random,star"], "repeated method", "'star'"),
 ])
 def test_unknown_method_or_mode_is_a_usage_error(suite_artifacts, tmp_path, monkeypatch, args, message, valid):
     """Exit 2 with a message naming the bad value and the valid ones, not a
@@ -312,6 +330,34 @@ def test_budget_below_one_is_a_usage_error(suite_artifacts, tmp_path, monkeypatc
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 2, result.output
     assert "--budget" in result.output and "crash" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, option", [
+    (["gen-world", "--scene", "1", "--ticks-per-day", "0"], "--ticks-per-day"),
+    (["gen-tasks", "--per-family", "0"], "--per-family"),
+    (["gen-tasks", "--fixture", "commonsense", "--n", "-3"], "--n"),
+    (["gen-tasks", "--scenes", "4"], "--scenes"),
+    (["gen-tasks", "--scenes", "x"], "--scenes"),
+    (["gen-tasks", "--scenes", "1,1"], "--scenes"),
+    (["gen-tasks", "--ticks-per-day", "5"], "--ticks-per-day"),
+    (["gen-tasks", "--scenes", "2", "--ticks-per-day", "15"], "--ticks-per-day"),
+    (["build-memory", "--d", "0"], "--d"),
+    (["build-memory", "--snapshot-every", "0"], "--snapshot-every"),
+    (["build-memory", "--mode", "realistic", "--p-drop", "2"], "--p-drop"),
+    (["build-memory", "--p-mislabel", "-0.5"], "--p-mislabel"),
+])
+def test_option_values_the_library_refuses_are_usage_errors(pipeline, tmp_path, monkeypatch, args, option):
+    """An option value the library would refuse exits 2 naming the option,
+    not with a traceback, and writes nothing. Repeated scenes would repeat
+    task ids; a day shorter than the scene's patrol route cannot be
+    patrolled (scene 2's route has 16 landmarks)."""
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "build-memory":
+        args = [*args, "--stream", pipeline["stream"]]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert f"'{option}'" in result.output
     assert list(tmp_path.iterdir()) == []
 
 
@@ -374,22 +420,37 @@ def test_report_json_format_round_trips(suite_artifacts):
     assert "success_rates" in body and "episodes" in body
 
 
-@pytest.mark.parametrize("case", ["empty", "bad_header", "no_count", "truncated", "bad_task"])
+@pytest.mark.parametrize("case", ["empty", "bad_header", "no_count", "truncated", "bad_task",
+                                  "few_days", "many_days", "short_day", "no_scene"])
 def test_run_suite_rejects_malformed_task_file(suite_artifacts, tmp_path, case):
+    """A task file is refused whole, before any episode runs: no report is
+    written. That includes a task prepare_task could not set up."""
     lines = open(suite_artifacts["tasks"]).read().splitlines()
     assert len(lines) == 12
+
+    def edited(**fields):
+        return lines[:2] + [canonical_dumps({**json.loads(lines[2]), **fields})] + lines[3:]
+
     body = {
         "empty": [],
         "bad_header": ["{not json"] + lines[1:],
         "no_count": ['{"config_hash":"x"}'] + lines[1:],
         "truncated": lines[:4],
         "bad_task": lines[:2] + ['{"task_id":"t"}'] + lines[3:],
+        "few_days": edited(days=2),
+        "many_days": edited(days=7),
+        "short_day": edited(ticks_per_day=5),
+        "no_scene": edited(scene_id=4),
     }[case]
     path = tmp_path / "tasks.jsonl"
     path.write_text("".join(line + "\n" for line in body))
     report = tmp_path / "report.json"
     expected = {"empty": "empty", "truncated": "header count 11 != 3 tasks",
-                "bad_task": "task 1"}.get(case, "malformed header")
+                "bad_task": "task 1",
+                "few_days": "task 1: days must lie in [3, 6], got 2",
+                "many_days": "task 1: days must lie in [3, 6], got 7",
+                "short_day": "task 1: ticks_per_day=5 cannot cover the 15-landmark route",
+                "no_scene": "task 1: unknown scene_id 4"}.get(case, "malformed header")
     for args in (["run-suite", "--out-report", str(report)], ["run-task"]):
         result = CliRunner().invoke(main, [*args, "--tasks", str(path)])
         assert result.exit_code == 1, result.output

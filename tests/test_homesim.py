@@ -37,6 +37,7 @@ from objsearch.homesim import (
     patrol,
     patrol_route,
     pick,
+    route_length,
     scene_casting,
     read_stream,
     room_segment,
@@ -120,6 +121,20 @@ def test_patrol_day_range_enforced():
     world2, schedule2 = generate_world(2, 1)
     with pytest.raises(ValueError):
         patrol(world2, schedule2, days=7)
+
+
+@pytest.mark.parametrize("scene", SCENE_IDS)
+def test_route_length_is_the_shortest_day_patrol_accepts(scene):
+    """route_length gives a scene's route length without a world, for
+    checking task files: patrol covers a day of that many ticks and refuses
+    one tick fewer."""
+    n = route_length(scene)
+    world, schedule = generate_world(0, scene, ticks_per_day=n)
+    assert len(patrol_route(world)) == n
+    assert len(patrol(world, schedule, days=3)) == 3 * n
+    short, schedule = generate_world(0, scene, ticks_per_day=n - 1)
+    with pytest.raises(ValueError, match=f"ticks_per_day={n - 1} cannot cover the {n}-landmark route"):
+        patrol(short, schedule, days=3)
 
 
 def test_patrol_full_scale_band():
