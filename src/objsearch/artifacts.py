@@ -1,4 +1,6 @@
-"""Checksummed line files, the on-disk format of memories and patrol streams.
+"""Checksummed line files, the on-disk format of memories (memstore.persist),
+patrol streams (homesim.write_stream), task suites (bench.write_tasks) and
+scene-graph exports (homesim.write_graphs); episode logs are not.
 
 A header line, then the lines of each named table, then one record per line,
 then a trailer ``{"sha256": <hex>}``, all canonical JSON ending in a bare
@@ -68,7 +70,8 @@ def verify(path: str, *, expect: Optional[Mapping[str, Any]] = None,
         if key not in header:
             raise IntegrityError(f"malformed header: missing {key!r}")
     for key, value in expect.items():
-        if header[key] != value:
+        # Of the same JSON type too: true == 1 and 2.0 == 2 in Python.
+        if type(header[key]) is not type(value) or header[key] != value:
             raise IntegrityError(f"unsupported {key} {header[key]!r}, expected {value!r}")
     return header, lines[1:]
 
@@ -107,11 +110,12 @@ def sections(header: Mapping[str, Any], lines: list[str], decode: Callable[[Any]
 
 
 def read(path: str, decode: Callable[[Any], Any] = _identity, *,
-         expect: Optional[Mapping[str, Any]] = None, require: Iterable[str] = ()) -> tuple[dict, list]:
+         expect: Optional[Mapping[str, Any]] = None, require: Iterable[str] = (),
+         name: str = "record") -> tuple[dict, list]:
     """Read a file of records with no tables: verify it, then pass each
-    record through decode. Any failure raises IntegrityError."""
+    record through decode. Any failure raises IntegrityError (see sections)."""
     header, lines = verify(path, expect=expect, require=require)
-    [records] = sections(header, lines, decode)
+    [records] = sections(header, lines, decode, name=name)
     return header, records
 
 

@@ -21,6 +21,8 @@ from .tasks import (
     default_prior_table,
     generate_suite,
     optimal_counts,
+    read_tasks,
+    write_tasks,
 )
 
 __all__ = [
@@ -39,9 +41,11 @@ __all__ = [
     "generate_suite",
     "optimal_counts",
     "prepare_task",
+    "read_tasks",
     "render_report",
     "render_success_table",
     "run_suite",
     "run_task_episode",
     "wilson_interval",
+    "write_tasks",
 ]

@@ -48,7 +48,7 @@ from ..core import (
     stable_seed,
 )
 from ..embed import Embedder, EmbedderConfig
-from ..homesim import WorldState, export_scene_graph, generate_world, patrol
+from ..homesim import WorldState, day_graphs, generate_world, patrol
 from ..memstore import LongTermMemory, build
 from .tasks import TaskSpec, adjudicate, default_prior_table
 
@@ -149,9 +149,8 @@ def prepare_task(
     per-day scene graphs, taken from copies of it at each day's last tick;
     one embedder, since its embeddings do not depend on what it has seen;
     and the world at task time."""
-    tpd = task.ticks_per_day
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=tpd)
-    graphs = [export_scene_graph(world.at(task.schedule, (d + 1) * tpd - 1)) for d in range(task.days)]
+    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    graphs = day_graphs(world, task.schedule, task.days)
     stream = patrol(world, task.schedule, task.days)
     embedder = Embedder(EmbedderConfig(d=config.embed_dim))
     memories = {
@@ -161,7 +160,7 @@ def prepare_task(
             mode=mode,
             noise=config.noise,
             noise_seed=stable_seed("noise", config.seed, task.task_id),
-            ticks_per_day=tpd,
+            ticks_per_day=task.ticks_per_day,
         )
         for mode in config.modes
     }

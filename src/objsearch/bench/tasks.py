@@ -5,14 +5,19 @@ Full-scale counts (per_family=15 over 3 scenes: 225 visible, 90 interactive,
 45 commonsense) and the desk-scale default (per_family=3: 45/30/9) come from
 the same arithmetic: visible = 5 * scenes * n, interactive = 5 * scenes *
 ceil(2n/5), commonsense = scenes * n.
+
+A task file v2 (``TASKS_FORMAT``) is an artifact file of one
+``TaskSpec.to_dict`` a line. An unversioned task file is refused; its header
+holds the ``gen-tasks`` config that regenerates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping
 
+from .. import artifacts
 from ..core import Instruction, stable_seed
 from ..homesim import (
     LOC_INSIDE,
@@ -39,6 +44,8 @@ DEFAULT_TICKS_PER_DAY = 200
 OPTIMAL_VISIBLE = {"perception": 1, "navigation": 1, "manipulation": 1}
 OPTIMAL_INTERACTIVE = {"perception": 2, "navigation": 1, "manipulation": 2}
 
+TASKS_FORMAT = {"format": "tasks", "version": 2}
+
 
 class GenerationError(RuntimeError):
     """A family constraint cannot be satisfied in the requested world."""
@@ -63,42 +70,36 @@ class TaskSpec:
         return Instruction(text=self.instruction, family=self.family, type=self.type)
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "instruction": self.instruction,
-            "family": self.family,
-            "type": self.type,
-            "target_entity": self.target_entity,
-            "optimal_counts": dict(self.optimal_counts),
-            "scene_id": self.scene_id,
-            "layout_seed": self.layout_seed,
-            "days": self.days,
-            "ticks_per_day": self.ticks_per_day,
-            "schedule": self.schedule.to_dict(),
-            "task_seed": self.task_seed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "optimal_counts": dict(self.optimal_counts), "schedule": self.schedule.to_dict()}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TaskSpec":
-        spec = cls(
-            task_id=str(d["task_id"]),
-            instruction=str(d["instruction"]),
-            family=str(d["family"]),
-            type=str(d["type"]),
-            target_entity=str(d["target_entity"]),
-            optimal_counts=dict(d["optimal_counts"]),
-            scene_id=int(d["scene_id"]),
-            layout_seed=int(d["layout_seed"]),
-            days=int(d["days"]),
-            ticks_per_day=int(d["ticks_per_day"]),
-            schedule=Schedule.from_dict(d["schedule"]),
-            task_seed=int(d["task_seed"]),
-        )
+        # The str and int fields (by their annotations, strings here) take
+        # JSON strings and integers only: true == 1 and 3.0 == 3 in Python.
+        kinds = {"str": (str, "string"), "int": (int, "integer")}
+        scalars = {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
+        for name, (kind, json_type) in scalars.items():
+            if type(d[name]) is not kind:
+                raise ValueError(f"{name} must be a JSON {json_type}, got {d[name]!r}")
+        spec = cls(**{name: d[name] for name in scalars}, optimal_counts=dict(d["optimal_counts"]),
+                   schedule=Schedule.from_dict(d["schedule"]))
         # What prepare_task needs of a task from outside: a scene it can
         # patrol over its days, and a schedule that fits them.
         check_patrol(spec.days, spec.ticks_per_day, route_length(spec.scene_id))
         spec.schedule.check(spec.ticks_per_day)
         return spec
+
+
+def write_tasks(path: str, tasks: Iterable[TaskSpec], meta: Mapping[str, Any]) -> None:
+    """Write a task file v2; meta fields join its header."""
+    artifacts.write(path, {**meta, **TASKS_FORMAT}, (task.to_dict() for task in tasks))
+
+
+def read_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
+    """The header and tasks of a task file v2; any failure raises
+    artifacts.IntegrityError, a bad task line named ``task i``."""
+    return artifacts.read(path, TaskSpec.from_dict, expect=TASKS_FORMAT, name="task")
 
 
 def default_prior_table() -> dict[str, str]:
@@ -143,7 +144,12 @@ def build_task(
     days: int = DEFAULT_DAYS,
     ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
 ) -> TaskSpec:
-    """Construct one task whose schedule realizes the family hazard."""
+    """Construct one task whose schedule realizes the family hazard; a scene
+    it cannot patrol (homesim.check_patrol) is a ValueError naming it."""
+    try:
+        check_patrol(days, ticks_per_day, route_length(scene_id))
+    except ValueError as exc:
+        raise ValueError(f"scene {scene_id}: {exc}") from exc
     task_seed = stable_seed("task", seed, scene_id, family, task_type, idx)
     layout_seed = stable_seed("layout", seed, scene_id)
     world, _ = generate_world(layout_seed, scene_id, ticks_per_day=ticks_per_day)
@@ -384,6 +390,7 @@ __all__ = [
     "GenerationError",
     "OPTIMAL_INTERACTIVE",
     "OPTIMAL_VISIBLE",
+    "TASKS_FORMAT",
     "TaskSpec",
     "VISIBLE_FAMILIES",
     "adjudicate",
@@ -393,4 +400,6 @@ __all__ = [
     "generate_suite",
     "interactive_per_family",
     "optimal_counts",
+    "read_tasks",
+    "write_tasks",
 ]

@@ -12,6 +12,7 @@ from typing import Any, Callable, Iterator
 
 import click
 
+from .artifacts import IntegrityError
 from .bench import (
     FIXTURE_KINDS,
     SuiteConfig,
@@ -19,8 +20,10 @@ from .bench import (
     TaskSpec,
     build_fixture_suite,
     generate_suite,
+    read_tasks,
     render_report,
     run_suite,
+    write_tasks,
 )
 from .bench.suite import _run_task
 from .core import NOISE_VERSION, NoiseModel, canonical_dumps, canonical_loads, config_hash
@@ -31,15 +34,15 @@ from .homesim import (
     SCENE_IDS,
     Schedule,
     WorldState,
-    check_patrol,
+    day_graphs,
     generate_world,
     patrol,
     read_stream,
-    route_length,
+    write_graphs,
     write_stream,
 )
 from .agent import TERMINATION_ABORT, LLMPolicyConfig
-from .memstore import build as build_memory_from_stream, persist
+from .memstore import BatchError, build as build_memory_from_stream, persist
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -147,23 +150,16 @@ def cmd_patrol(world_path: str, schedule_path: str, days: int, ticks_per_day: in
 @click.option("--out", type=click.Path(dir_okay=False), default="graphs.jsonl", show_default=True)
 def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) -> None:
     """Export the world file's per-day scene-graph snapshots (nodes and edges)."""
-    from .homesim import export_scene_graph
-
     world, world_hash, schedule, schedule_hash = _read_world_and_schedule(world_path, schedule_path)
-    tpd = world.ticks_per_day
     try:
-        graphs = [export_scene_graph(world.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
+        graphs = day_graphs(world, schedule, days)
     except ValueError as exc:
         raise click.ClickException(f"{world_path}: {exc}") from exc
     config = {
         "cmd": "export-graphs", "days": days,
         "world_hash": world_hash, "schedule_hash": schedule_hash,
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
-                                  "days": days}) + "\n")
-        for graph in graphs:
-            fh.write(canonical_dumps(graph.to_dict()) + "\n")
+    write_graphs(out, graphs, meta={"config": config, "config_hash": config_hash(config)})
     click.echo(f"graphs={days} out={out}")
 
 
@@ -197,31 +193,22 @@ def cmd_build_memory(
         raise click.ClickException(
             f"stream {stream_path} has no config.ticks_per_day (a positive integer) in its header"
         )
-    # A run has one day and t // tpd never decreases along it, so a run fits
-    # if its first and last ticks do; otherwise its first bad tick is its
-    # first or the first tick of the next day.
-    first = 0
-    for t0, day, length, _, _ in stream.runs():
-        if not day == t0 // tpd == (t0 + length - 1) // tpd:
-            t = t0 if t0 // tpd != day else (day + 1) * tpd
-            raise click.ClickException(
-                f"stream {stream_path}: record {first + t - t0} (t={t}, day={day}) "
-                f"does not fit ticks_per_day={tpd} from its header"
-            )
-        first += length
     if embed_url:
         embed_config = EmbedderConfig(kind="external", d=dim, endpoint=embed_url, model=embed_model)
     else:
         embed_config = EmbedderConfig(d=dim)
-    memory = build_memory_from_stream(
-        stream,
-        embed_config,
-        mode=mode,
-        noise=NoiseModel(p_drop=p_drop, p_mislabel=p_mislabel),
-        noise_seed=noise_seed,
-        snapshot_every=snapshot_every,
-        ticks_per_day=tpd,
-    )
+    try:
+        memory = build_memory_from_stream(
+            stream,
+            embed_config,
+            mode=mode,
+            noise=NoiseModel(p_drop=p_drop, p_mislabel=p_mislabel),
+            noise_seed=noise_seed,
+            snapshot_every=snapshot_every,
+            ticks_per_day=tpd,
+        )
+    except BatchError as exc:  # such as a record whose day is not t // tpd
+        raise click.ClickException(f"stream {stream_path}: {exc}") from exc
     config = {
         "cmd": "build-memory", "mode": mode, "d": dim, "snapshot_every": snapshot_every,
         "noise_seed": noise_seed, "p_drop": p_drop, "p_mislabel": p_mislabel,
@@ -265,22 +252,16 @@ def cmd_gen_tasks(
         tasks = build_fixture_suite(fixture, n=fixture_n, seed=seed)
         config = {"cmd": "gen-tasks", "fixture": fixture, "n": fixture_n, "seed": seed}
     else:
-        for scene_id in scenes:
-            try:
-                check_patrol(days, ticks_per_day, route_length(scene_id))
-            except ValueError as exc:
-                raise click.BadParameter(f"scene {scene_id}: {exc}", param_hint="'--ticks-per-day'") from exc
-        tasks = generate_suite(scenes, per_family=per_family, seed=seed,
-                               days=days, ticks_per_day=ticks_per_day)
+        try:
+            tasks = generate_suite(scenes, per_family=per_family, seed=seed,
+                                   days=days, ticks_per_day=ticks_per_day)
+        except ValueError as exc:  # a scene its days cannot patrol; other options are typed
+            raise click.BadParameter(str(exc), param_hint="'--ticks-per-day'") from exc
         config = {
             "cmd": "gen-tasks", "per_family": per_family, "scenes": list(scenes),
             "seed": seed, "days": days, "ticks_per_day": ticks_per_day,
         }
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps({"config": config, "config_hash": config_hash(config),
-                                  "count": len(tasks)}) + "\n")
-        for task in tasks:
-            fh.write(canonical_dumps(task.to_dict()) + "\n")
+    write_tasks(out, tasks, meta={"config": config, "config_hash": config_hash(config)})
     by_type: dict[str, int] = {}
     for task in tasks:
         by_type[task.type] = by_type.get(task.type, 0) + 1
@@ -292,27 +273,10 @@ def cmd_gen_tasks(
 
 
 def _load_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
-    """Read a task file: a header whose count matches the task lines after it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise click.ClickException(f"task file {path} is empty")
     try:
-        header = canonical_loads(lines[0])
-        count = header["count"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise click.ClickException(f"task file {path}: malformed header: {exc}") from exc
-    if count != len(lines) - 1:
-        raise click.ClickException(
-            f"task file {path}: header count {count} != {len(lines) - 1} tasks (truncated?)"
-        )
-    tasks = []
-    for i, line in enumerate(lines[1:]):
-        try:
-            tasks.append(TaskSpec.from_dict(canonical_loads(line)))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise click.ClickException(f"task file {path}: task {i}: {exc}") from exc
-    return header, tasks
+        return read_tasks(path)
+    except IntegrityError as exc:
+        raise click.ClickException(f"task file {path}: {exc}") from exc
 
 
 def _suite_config(methods: str, modes: str, budget: int, seed: int, parallelism: int,

@@ -1,16 +1,18 @@
 """Ground-truth scene-graph snapshots of the world.
 
 A snapshot is the world as it stands; the graph of day d is the snapshot of
-the start world at the last tick of that day, ``start.at(schedule, (d + 1) *
-ticks_per_day - 1)``. Node ids are the stable entity/landmark/room ids, so
-diffing two days yields exactly the edges that changed.
+the start world at the last tick of that day (``day_graphs``). Node ids are
+the stable entity/landmark/room ids, so diffing two days yields exactly the
+edges that changed. ``write_graphs`` exports graphs as an artifact file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .world import LOC_INSIDE, LOC_LANDMARK, WorldState
+from .. import artifacts
+from .world import LOC_INSIDE, LOC_LANDMARK, Schedule, WorldState
 
 
 @dataclass(frozen=True)
@@ -87,4 +89,16 @@ def export_scene_graph(world: WorldState) -> SceneGraph:
     return SceneGraph(day=world.day, nodes=tuple(nodes), edges=tuple(edges))
 
 
-__all__ = ["SceneGraph", "export_scene_graph", "graph_diff"]
+def day_graphs(start: WorldState, schedule: Schedule, days: int) -> list[SceneGraph]:
+    """The graph of each of days days, from a copy of the start world at the
+    day's last tick (WorldState.at, so a clock past it is a ValueError)."""
+    tpd = start.ticks_per_day
+    return [export_scene_graph(start.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
+
+
+def write_graphs(path: str, graphs: Iterable[SceneGraph], meta: dict) -> None:
+    """Write a scene-graph file v2, one to_dict a line; meta fields join its header."""
+    artifacts.write(path, {**meta, "format": "scene-graphs", "version": 2}, (graph.to_dict() for graph in graphs))
+
+
+__all__ = ["SceneGraph", "day_graphs", "export_scene_graph", "graph_diff", "write_graphs"]

@@ -3,9 +3,9 @@
 The memory is columnar and content-addressed. Each distinct caption
 embedding (by bytes) is stored once, as a row of one (k, d) table, and each
 distinct raw observation (entity list and caption) once, in one list; a
-record holds a row id and a raw id. A record's timestep, day, position, yaw
-and room are columns. Records enter only as a columnar ``Batch``
-(``extend``), from ``build`` and ``load``.
+record holds a row id and a raw id. A record's timestep, day (t //
+ticks_per_day), position, yaw and room are columns. Records enter only as a
+columnar ``Batch`` (``extend``), from ``build`` and ``load``.
 MemoryRecords are built only when asked for (``record``, ``records``);
 queries and the executor's views read the columns. ``build`` takes its
 stream as runs of ticks with one pose and one observation
@@ -317,14 +317,14 @@ class LongTermMemory:
     def extend(self, batch: Batch) -> int:
         """Append a batch of records and return the index of its first one.
 
-        The whole batch is checked before anything is stored: every new
-        table row must have shape (d,) and unit norm (see _new_rows),
-        timesteps and days must be non-negative, row and raw ids must index
-        the tables, and timestamps must increase strictly, within the batch
-        and after the last stored record. A bad batch raises BatchError and
-        stores nothing. A bad new row is named by its position among the new
-        rows, before any record is checked; otherwise the error names the
-        first bad record's position in the batch.
+        The whole batch is checked before anything is stored: every new table
+        row must have shape (d,) and unit norm (see _new_rows), timesteps must
+        be non-negative and days t // ticks_per_day, row and raw ids must index
+        the tables, and timestamps must increase strictly, within the batch and
+        after the last stored record. A bad batch raises BatchError and stores
+        nothing. A bad new row is named by its position among the new rows,
+        before any record is checked; otherwise the error names the first bad
+        record's position in the batch.
         """
         n, k, m = self._n, self._k, len(self._raws)
         embeddings = self._new_rows(batch.embeddings)
@@ -338,8 +338,11 @@ class LongTermMemory:
         k_after, m_after = k + len(embeddings), m + len(batch.raws)
         # The timestamp before each one; -1 stands before an empty memory.
         prev = np.concatenate(([self._t[n - 1] if n else -1], t[:-1]))
+        tpd = self.ticks_per_day
         checks = (
             ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
+            (day != t // tpd, lambda j: f"day {day[j]} is not t // ticks_per_day = {t[j] // tpd} "
+                                        f"for t={t[j]} at ticks_per_day={tpd}"),
             ((row < 0) | (row >= k_after), lambda j: f"row id {row[j]} out of range [0, {k_after})"),
             ((raw < 0) | (raw >= m_after), lambda j: f"raw id {raw[j]} out of range [0, {m_after})"),
             (t <= prev, lambda j: f"non-monotonic timestamp {t[j]} after {prev[j]}"),

@@ -44,19 +44,27 @@ def spec_batch(memory, specs, embedder):
     )
 
 
+def rewrite_lines(path, edit):
+    """Replace the lines of an artifact file before its checksum line by
+    edit(those lines, as strings) and re-checksum it."""
+    lines = edit(open(path).read().splitlines()[:-1])
+    body = "".join(line + "\n" for line in lines)
+    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+
+
 def rewrite_header(path, edit):
     """Apply edit to the header of an artifact file and re-checksum it."""
-    lines = open(path).read().splitlines()[:-1]
-    header = json.loads(lines[0])
-    edit(header)
-    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    body = "\n".join(lines) + "\n"
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+    def edited(header):
+        edit(header)
+        return header
+
+    rewrite_line(path, 0, edited)
 
 
 def rewrite_line(path, index, edit):
     """Replace line index of an artifact file by edit(parsed line) and re-checksum it."""
-    lines = open(path).read().splitlines()[:-1]
-    lines[index] = json.dumps(edit(json.loads(lines[index])), sort_keys=True, separators=(",", ":"))
-    body = "\n".join(lines) + "\n"
-    open(path, "w").write(body + '{"sha256":"%s"}\n' % hashlib.sha256(body.encode()).hexdigest())
+    def edited(lines):
+        lines[index] = json.dumps(edit(json.loads(lines[index])), sort_keys=True, separators=(",", ":"))
+        return lines
+
+    rewrite_lines(path, edited)

@@ -1,9 +1,14 @@
 """Benchmark layer: suite arithmetic, family hazards, adjudication, metrics."""
 
+import functools
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objsearch.agent import LLMPolicyConfig
 from objsearch.bench import (
@@ -19,9 +24,11 @@ from objsearch.bench import (
     generate_suite,
     optimal_counts,
     prepare_task,
+    read_tasks,
     run_suite,
     run_task_episode,
     wilson_interval,
+    write_tasks,
 )
 from objsearch.bench.tasks import interactive_per_family
 from objsearch.core import (
@@ -85,6 +92,54 @@ def test_generation_deterministic():
     a = [t.to_dict() for t in generate_suite(per_family=2, seed=9)]
     b = [t.to_dict() for t in generate_suite(per_family=2, seed=9)]
     assert a == b
+
+
+@pytest.mark.parametrize("ticks_per_day, scene_id, landmarks", [(5, 1, 15), (15, 2, 16)])
+def test_a_day_shorter_than_the_route_generates_no_task(ticks_per_day, scene_id, landmarks):
+    """A task whose scene cannot be patrolled in a day is refused when it is
+    built, naming the scene, not when its suite runs."""
+    message = f"scene {scene_id}: ticks_per_day={ticks_per_day} cannot cover the {landmarks}-landmark route"
+    with pytest.raises(ValueError, match=message):
+        generate_suite(scenes=(scene_id,), per_family=1, ticks_per_day=ticks_per_day)
+    with pytest.raises(ValueError, match=message):
+        build_task(scene_id, "class", "visible", 0, seed=0, ticks_per_day=ticks_per_day)
+
+
+@functools.cache
+def task_pool():
+    """Generated tasks of every scene, family and type, at two day lengths,
+    and a few tasks of each fixture suite."""
+    tasks = [*generate_suite(per_family=1, seed=4), *generate_suite(scenes=(2,), per_family=1, ticks_per_day=1300)]
+    for kind in FIXTURE_KINDS:
+        tasks.extend(build_fixture_suite(kind, n=3, seed=1))
+    return tasks
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.integers(0, 10**6), max_size=12),
+       meta=st.dictionaries(st.text().filter(lambda k: k not in ("format", "version", "count")), JSON_VALUES,
+                            max_size=4))
+def test_task_file_round_trip(picks, meta):
+    """write_tasks then read_tasks gives back the header (meta, the format
+    keys and the count) and equal tasks, and each task line is the task's
+    canonical JSON, as the unversioned task files held them."""
+    pool = task_pool()
+    tasks = [pool[j % len(pool)] for j in picks]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "tasks.jsonl")
+        write_tasks(path, tasks, meta)
+        header, again = read_tasks(path)
+        lines = open(path, encoding="utf-8").read().splitlines()
+    assert header == {**meta, "format": "tasks", "version": 2, "count": len(tasks)}
+    assert again == tasks
+    assert lines[1:-1] == [canonical_dumps(task.to_dict()) for task in tasks]
 
 
 def test_per_family_must_be_positive():
@@ -455,15 +510,18 @@ def test_suite_patrols_once_per_task(monkeypatch):
     one generated world, one patrol and one set of day graphs, and one memory
     per (task, mode). Episodes run through run_task_episode, on copies of the
     patrolled world, over the memory of their own mode, and generate none.
-    Calls are counted at the module's globals, where a tracer wraps them."""
+    Calls are counted at the globals of the module that makes them, where a
+    tracer wraps them: day_graphs exports the graphs."""
     from objsearch.bench import suite
+    from objsearch.homesim import scenegraph
 
-    calls = {"generate_world": 0, "patrol": 0, "export_scene_graph": 0, "build": 0,
+    calls = {"generate_world": 0, "patrol": 0, "day_graphs": 0, "export_scene_graph": 0, "build": 0,
              "prepare_task": 0, "run_task_episode": 0}
     memory_modes = []
 
     def counting(name):
-        original = getattr(suite, name)
+        module = scenegraph if name == "export_scene_graph" else suite
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -472,7 +530,7 @@ def test_suite_patrols_once_per_task(monkeypatch):
                 memory_modes.append((task.task_id, memory.mode, method))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(suite, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
         counting(name)
@@ -482,6 +540,7 @@ def test_suite_patrols_once_per_task(monkeypatch):
     assert calls == {
         "generate_world": 2,
         "patrol": 2,
+        "day_graphs": 2,
         "export_scene_graph": sum(t.days for t in tasks),
         "build": 4,
         "prepare_task": 2,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import rewrite_header, rewrite_line, rewrite_lines
 from objsearch import artifacts
 from objsearch.cli import main
 from objsearch.core import NOISE_VERSION, canonical_dumps, config_hash
@@ -21,6 +22,12 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
+
+
+def flip_a_byte(path):
+    data = bytearray(open(path, "rb").read())
+    data[len(data) // 2] ^= 1
+    open(path, "wb").write(bytes(data))
 
 
 def test_gen_world_summary_matches_generator(runner, tmp_path):
@@ -125,10 +132,14 @@ def test_export_graphs_per_day(pipeline, tmp_path):
         main, ["export-graphs", "--world", pipeline["world"], "--schedule", pipeline["schedule"],
                "--days", "3", "--out", out], catch_exceptions=False)
     assert result.exit_code == 0
-    lines = [json.loads(l) for l in open(out).read().splitlines()]
-    assert lines[0]["days"] == 3
-    assert [g["day"] for g in lines[1:]] == [0, 1, 2]
-    assert all(g["nodes"] and g["edges"] for g in lines[1:])
+    header, graphs = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
+    assert (header["count"], header["config"]["days"]) == (3, 3)
+    assert [g["day"] for g in graphs] == [0, 1, 2]
+    assert all(g["nodes"] and g["edges"] for g in graphs)
+    # A checksummed artifact: one changed byte fails the read.
+    flip_a_byte(out)
+    with pytest.raises(artifacts.IntegrityError, match="checksum mismatch"):
+        artifacts.verify(out)
 
 
 def edited_world(pipeline, tmp_path, edit):
@@ -154,7 +165,7 @@ def test_export_graphs_reads_the_world_file(pipeline, tmp_path):
     assert seen == {"bed"}
     invoke(CliRunner(), "export-graphs", "--world", world, "--schedule", pipeline["schedule"],
            "--days", "3", "--out", out)
-    graphs = [json.loads(line) for line in open(out).read().splitlines()[1:]]
+    _, graphs = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
     assert len(graphs) == 3
     for graph in graphs:
         assert ["book_1", "at", "bed"] in graph["edges"]
@@ -420,42 +431,75 @@ def test_report_json_format_round_trips(suite_artifacts):
     assert "success_rates" in body and "episodes" in body
 
 
-@pytest.mark.parametrize("case", ["empty", "bad_header", "no_count", "truncated", "bad_task",
-                                  "few_days", "many_days", "short_day", "no_scene"])
+def task_edit(**fields):
+    """Set fields of task 1 (line 2) of a task file."""
+    return lambda path: rewrite_line(path, 2, lambda task: {**task, **fields})
+
+
+def truncated(path):
+    """The header and 3 tasks, as a writer cut short leaves the file."""
+    lines = open(path).read().splitlines()[:4]
+    open(path, "w").write("".join(line + "\n" for line in lines))
+
+
+def unversioned(path):
+    """The task file as written before format version 2: a header with the
+    config, its hash and the count, then the task lines, and no checksum."""
+    lines = open(path).read().splitlines()[:-1]
+    header = {k: v for k, v in json.loads(lines[0]).items() if k not in ("format", "version")}
+    open(path, "w").write("".join(line + "\n" for line in [canonical_dumps(header), *lines[1:]]))
+
+
+# Each case: how a copy of an 11-task file is edited (all but flip_a_byte,
+# truncated and unversioned re-checksum it), and what the refusal says.
+MALFORMED_TASK_FILES = {
+    "empty": (lambda path: open(path, "w").close(), "file too short"),
+    "bad_header": (lambda path: rewrite_line(path, 0, lambda header: [header]),
+                   "malformed header: not a JSON object"),
+    "no_count": (lambda path: rewrite_header(path, lambda header: header.pop("count")),
+                 "malformed header: missing 'count'"),
+    "truncated": (truncated, "missing or malformed checksum line"),
+    "dropped_tasks": (lambda path: rewrite_lines(path, lambda lines: lines[:4]),
+                      "task count mismatch: header says 11, found 3"),
+    "bad_task": (lambda path: rewrite_line(path, 2, lambda task: {"task_id": "t"}), "task 1: 'instruction'"),
+    "few_days": (task_edit(days=2), "task 1: days must lie in [3, 6], got 2"),
+    "many_days": (task_edit(days=7), "task 1: days must lie in [3, 6], got 7"),
+    "short_day": (task_edit(ticks_per_day=5), "task 1: ticks_per_day=5 cannot cover the 15-landmark route"),
+    "no_scene": (task_edit(scene_id=4), "task 1: unknown scene_id 4"),
+    "one_byte": (flip_a_byte, "checksum mismatch: file corrupt or truncated"),
+    "unversioned": (unversioned, "missing or malformed checksum line"),
+    "no_format": (lambda path: rewrite_header(path, lambda header: header.pop("format")),
+                  "malformed header: missing 'format'"),
+    "other_format": (lambda path: rewrite_header(path, lambda header: header.update(format="patrol-stream")),
+                     "unsupported format 'patrol-stream', expected 'tasks'"),
+    "float_version": (lambda path: rewrite_header(path, lambda header: header.update(version=2.0)),
+                      "unsupported version 2.0, expected 2"),
+    # Each field of a task line takes its own JSON type only.
+    "float_days": (task_edit(days=3.9), "task 1: days must be a JSON integer, got 3.9"),
+    "bool_scene": (task_edit(scene_id=True), "task 1: scene_id must be a JSON integer, got True"),
+    "str_ticks_per_day": (task_edit(ticks_per_day="200"), "task 1: ticks_per_day must be a JSON integer, got '200'"),
+    "float_layout_seed": (task_edit(layout_seed=1.5), "task 1: layout_seed must be a JSON integer, got 1.5"),
+    "int_task_id": (task_edit(task_id=7), "task 1: task_id must be a JSON string, got 7"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TASK_FILES))
 def test_run_suite_rejects_malformed_task_file(suite_artifacts, tmp_path, case):
-    """A task file is refused whole, before any episode runs: no report is
-    written. That includes a task prepare_task could not set up."""
-    lines = open(suite_artifacts["tasks"]).read().splitlines()
-    assert len(lines) == 12
-
-    def edited(**fields):
-        return lines[:2] + [canonical_dumps({**json.loads(lines[2]), **fields})] + lines[3:]
-
-    body = {
-        "empty": [],
-        "bad_header": ["{not json"] + lines[1:],
-        "no_count": ['{"config_hash":"x"}'] + lines[1:],
-        "truncated": lines[:4],
-        "bad_task": lines[:2] + ['{"task_id":"t"}'] + lines[3:],
-        "few_days": edited(days=2),
-        "many_days": edited(days=7),
-        "short_day": edited(ticks_per_day=5),
-        "no_scene": edited(scene_id=4),
-    }[case]
+    """A task file is refused whole, before any episode runs: the command
+    exits 1 naming the file, and no report is written. That includes a task
+    prepare_task could not set up, and a task file of the format before
+    version 2, which has no checksum."""
     path = tmp_path / "tasks.jsonl"
-    path.write_text("".join(line + "\n" for line in body))
+    path.write_bytes(open(suite_artifacts["tasks"], "rb").read())
+    assert artifacts.verify(str(path))[0]["count"] == 11
+    edit, expected = MALFORMED_TASK_FILES[case]
+    edit(str(path))
     report = tmp_path / "report.json"
-    expected = {"empty": "empty", "truncated": "header count 11 != 3 tasks",
-                "bad_task": "task 1",
-                "few_days": "task 1: days must lie in [3, 6], got 2",
-                "many_days": "task 1: days must lie in [3, 6], got 7",
-                "short_day": "task 1: ticks_per_day=5 cannot cover the 15-landmark route",
-                "no_scene": "task 1: unknown scene_id 4"}.get(case, "malformed header")
     for args in (["run-suite", "--out-report", str(report)], ["run-task"]):
         result = CliRunner().invoke(main, [*args, "--tasks", str(path)])
         assert result.exit_code == 1, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert expected in result.output
+        assert f"task file {path}: {expected}" in result.output
     assert not report.exists()
 
 
@@ -528,8 +572,8 @@ def test_build_memory_refuses_records_off_the_header_ticks_per_day(tmp_path):
         result = CliRunner().invoke(main, ["build-memory", "--stream", stream_path, "--out", str(out)])
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert (f"stream {stream_path}: record {first_bad} (t={first_bad}, day=0) "
-                f"does not fit ticks_per_day={header_tpd} from its header") in result.output
+        assert (f"stream {stream_path}: batch position {first_bad}: day 0 is not t // ticks_per_day = 1 "
+                f"for t={first_bad} at ticks_per_day={header_tpd}") in result.output
         assert not out.exists()
 
 

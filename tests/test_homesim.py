@@ -27,6 +27,7 @@ from objsearch.homesim import (
     SCENE_IDS,
     Schedule,
     ambient_schedule,
+    day_graphs,
     detect,
     export_scene_graph,
     fast_forward,
@@ -660,8 +661,11 @@ def graph_days(days=3):
     start, _ = generate_world(1, 1)
     move = Move(day=1, tick_of_day=0, entity_id="toy_1", location=Location(LOC_LANDMARK, "sofa"))
     schedule = Schedule(seed=0, moves=(move,))
+    graphs = day_graphs(start, schedule, days)
     tpd = start.ticks_per_day
-    return [export_scene_graph(start.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
+    assert graphs == [export_scene_graph(start.at(schedule, (d + 1) * tpd - 1)) for d in range(days)]
+    assert start.clock == 0  # the start world is not changed
+    return graphs
 
 
 def test_scene_graph_at_edge():
@@ -693,6 +697,8 @@ def test_scene_graph_day_out_of_range():
     assert export_scene_graph(world).day == 3
     with pytest.raises(ValueError):
         world.at(schedule, world.ticks_per_day - 1)
+    with pytest.raises(ValueError, match="tick 199 is before the world clock 600"):
+        day_graphs(world, schedule, 3)
 
 
 def test_scene_graph_includes_rooms_landmarks_containment():

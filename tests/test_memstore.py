@@ -620,7 +620,8 @@ def oracle_run_window(columns, ticks_per_day, d_start, d_end, r):
 def run_columns(draw):
     """Record columns in which neighbours often repeat every field but t, so
     runs form, some of them over gaps in t, or differ only in the sign of one
-    float (0.0 and -0.0 never share a run); days from t or all 0."""
+    float (0.0 and -0.0 never share a run); each day is t // ticks_per_day,
+    as extend requires."""
     n = draw(st.integers(1, 40))
     ticks_per_day = draw(st.integers(1, 12))
     gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n - 1, max_size=n - 1))
@@ -638,7 +639,7 @@ def run_columns(draw):
         else:
             rows.append(rows[-1])
     x, y, yaw, room, row, raw = (list(c) for c in zip(*rows))
-    day = [v // ticks_per_day for v in t] if draw(st.booleans()) else [0] * n
+    day = [v // ticks_per_day for v in t]
     return ticks_per_day, {"t": t, "day": day, "x": x, "y": y, "yaw": yaw, "room": room, "row": row, "raw": raw}
 
 
@@ -1625,6 +1626,43 @@ def test_v5_corruption_names_the_column_or_run(tmp_path, name, edit, message):
     rewrite_line(path, V5_LINE[name], edit)
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
+
+
+def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
+    """A record's day is t // ticks_per_day. extend refuses a batch holding
+    one that is not, naming the record, and stores nothing; build refuses a
+    stream whose days do not fit its ticks_per_day; load refuses a v4 or v5
+    file whose day column, or header ticks_per_day, is off, naming the run.
+    Without this a day window would return hits marked with another day."""
+    memory = LongTermMemory(d=64, ticks_per_day=10)
+    batch = spec_batch(memory, [(t, f"caption {t}", (0, 0)) for t in range(15)], EMB)
+    shifted = replace(batch, day=[*batch.day[:12], 0, *batch.day[13:]])
+    with pytest.raises(BatchError, match=re.escape(
+            "batch position 12: day 0 is not t // ticks_per_day = 1 for t=12 at ticks_per_day=10")):
+        memory.extend(shifted)
+    assert (len(memory), memory._k, len(memory._raws)) == (0, 0, 0)
+    memory.extend(batch)
+
+    ticks = [(Timestep.at(t, 10), POSES[0], VIEWS[0]) for t in range(12)]
+    with pytest.raises(BatchError, match=re.escape(
+            "batch position 5: day 0 is not t // ticks_per_day = 1 for t=5 at ticks_per_day=5")):
+        build(ticks, EMB, ticks_per_day=5)
+
+    # runs_memory: runs t 0-2, 3-4 and 7-9, all of day 0 at 10 ticks a day.
+    run2 = "run 2: day 1 is not t // ticks_per_day = 0 for t=7 at ticks_per_day=10"
+    run1 = "run 1: day 0 is not t // ticks_per_day = 1 for t=4 at ticks_per_day=4"
+    path = str(tmp_path / "memory.jsonl")
+    for writer, edit, message in (
+        (persist_v4, lambda: rewrite_line(path, 5, record_edit("day", 1)), run2),
+        (persist, lambda: rewrite_line(path, V5_LINE["day"], column_edit("day", 2, 1)), run2),
+        (persist_v4, lambda: rewrite_header(path, lambda header: header.update(ticks_per_day=4)), run1),
+        (persist, lambda: rewrite_header(path, lambda header: header.update(ticks_per_day=4)), run1),
+    ):
+        writer(runs_memory(), path)
+        load(path)
+        edit()
+        with pytest.raises(IntegrityError, match=re.escape(message)):
+            load(path)
 
 
 @pytest.mark.parametrize(
