@@ -21,7 +21,7 @@ from .policies import (
     parse_instruction,
 )
 from .registry import R_MAX, ActionExecutor, default_registry, outcome_json
-from .wire import WIRE_VERSION, WireParseError, build_request, decode_response, encode_request
+from .wire import WIRE_VERSION, WireParseError, build_request, decode_request, decode_response, encode_request
 
 __all__ = [
     "ActionExecutor",
@@ -43,6 +43,7 @@ __all__ = [
     "WireParseError",
     "build_request",
     "classify_action",
+    "decode_request",
     "decode_response",
     "default_registry",
     "encode_request",

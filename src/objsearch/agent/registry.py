@@ -135,13 +135,12 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
 def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[float]) -> Hits:
     """Compact policy-facing views of memory hits, caption level only: hit j
     is record index[j] with score[j]. One gather per memory column, no dict
-    until a hit is read (core.Hits). A record is a keyframe when its index is
-    a multiple of the memory's snapshot_every."""
+    until a hit is read (core.Hits)."""
     index, score = np.asarray(index, dtype=np.intp), np.asarray(score)
     f = memory.fields(index)
     hits = _Views if score.dtype == np.float64 else Hits
     return hits(index.tolist(), score.tolist(), f["t"], f["day"], f["room"], f["x"], f["y"],
-                [raw.caption for raw in f["raw"]], (index % memory.snapshot_every == 0).tolist())
+                [raw.caption for raw in f["raw"]])
 
 
 class _Views(Hits):
@@ -165,22 +164,22 @@ def _text(value: Any) -> str:
 
 def _hits_text(hits: Hits) -> str:
     """canonical_dumps(list(hits)) inside its brackets, from the columns. Hits
-    of one run of records differ only in keyframe, record_index, score and t,
-    so caption, day, room, x and y texts are remade only when one changes or
-    x or y is a zero (0.0 == -0.0, and their texts differ), or a caption or
+    of one run of records differ only in record_index, score and t, so
+    caption, day, room, x and y texts are remade only when one changes or x
+    or y is a zero (0.0 == -0.0, and their texts differ), or a caption or
     room is not a str (1 == 1.0 == True, and their texts differ)."""
     parts = []
     place = None
-    for i, s, t, day, room, x, y, caption, key in zip(
-            hits.record_index, hits.score, hits.t, hits.day, hits.room, hits.x, hits.y, hits.caption, hits.keyframe):
+    for i, s, t, day, room, x, y, caption in zip(
+            hits.record_index, hits.score, hits.t, hits.day, hits.room, hits.x, hits.y, hits.caption):
         if (caption, day, room, x, y) != place or not (x and y):
             place = (caption, day, room, x, y) if type(caption) is str and type(room) is str else None
-            head = f'{{"caption":{_text(caption)},"day":{_text(day)},"keyframe":'
+            head = f'{{"caption":{_text(caption)},"day":{_text(day)},"record_index":'
             mid = f',"room":{_text(room)},"score":'
             tail = f',"x":{_text(x)},"y":{_text(y)}}}'
         # A finite float's canonical text is its repr; NaN and inf are not.
         score = repr(s) if s - s == 0.0 else canonical_dumps(s)
-        parts.append(f'{head}{"true" if key else "false"},"record_index":{i}{mid}{score},"t":{t}{tail}')
+        parts.append(f'{head}{i}{mid}{score},"t":{t}{tail}')
     return ",".join(parts)
 
 

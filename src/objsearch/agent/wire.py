@@ -14,16 +14,13 @@ from ..core import Action, WorkingMemory, canonical_dumps, canonical_loads
 from .registry import outcome_json
 
 # v2: tool parameters carry bounds (ParamSpec.minimum/maximum), which reject
-# requests v1 accepted, and temporal_query takes per.
-WIRE_VERSION = 2
+# requests v1 accepted, and temporal_query takes per. v3: hits carry no
+# keyframe flag.
+WIRE_VERSION = 3
 
 
 class WireParseError(ValueError):
     """A policy response could not be parsed into a tool call."""
-
-
-def trace_payload(h: WorkingMemory) -> list[dict]:
-    return [{"action": a.to_dict(), "outcome": o.to_dict()} for a, o in h.steps]
 
 
 def build_request(
@@ -37,7 +34,7 @@ def build_request(
         "instruction": instruction,
         "remaining_budget": remaining_budget,
         "tool_schemas": dict(tool_schemas),
-        "trace": trace_payload(h),
+        "trace": [{"action": a.to_dict(), "outcome": o.to_dict()} for a, o in h.steps],
     }
 
 
@@ -55,6 +52,18 @@ def encode_request(
     return '{"instruction":%s,"remaining_budget":%s,"tool_schemas":%s,"trace":[%s],"version":%s}' % (
         canonical_dumps(instruction), canonical_dumps(remaining_budget), canonical_dumps(dict(tool_schemas)),
         trace, canonical_dumps(WIRE_VERSION))
+
+
+def decode_request(text: str) -> tuple[str, int, dict, WorkingMemory]:
+    """The inverse of encode_request: (instruction, remaining budget, tool
+    schemas, working memory), built by the from_dict constructors, so a
+    policy can decide from exactly what a request carries."""
+    body = canonical_loads(text)
+    if body["version"] != WIRE_VERSION:
+        raise WireParseError(f"request version {body['version']!r}, expected {WIRE_VERSION}")
+    h = WorkingMemory.from_dict({"instruction": {"text": body["instruction"]}, "steps": body["trace"],
+                                 "remaining_budget": body["remaining_budget"]})
+    return body["instruction"], body["remaining_budget"], body["tool_schemas"], h
 
 
 def decode_response(text: str) -> tuple[Action, str]:
@@ -90,8 +99,8 @@ __all__ = [
     "WIRE_VERSION",
     "WireParseError",
     "build_request",
+    "decode_request",
     "decode_response",
     "encode_request",
     "load_conformance_corpus",
-    "trace_payload",
 ]

@@ -42,10 +42,11 @@ def write(path: str, header: Mapping[str, Any], records: Iterable[Any],
 
 
 def verify(path: str, *, expect: Optional[Mapping[str, Any]] = None,
-           require: Iterable[str] = ()) -> tuple[dict, list[str]]:
+           require: Iterable[str] = ()) -> tuple[dict, list[str], str]:
     """Read a file written by write and check the checksum, then a header
     that holds "count", the keys in require and the values in expect. Return
-    the header and the undecoded lines after it; see sections."""
+    the header, the undecoded lines after it (see sections) and the file's
+    checksum, the hex sha256 of its trailer, which names its contents."""
     expect = expect or {}
     with open(path, "rb") as fh:
         data = fh.read()
@@ -73,7 +74,7 @@ def verify(path: str, *, expect: Optional[Mapping[str, Any]] = None,
         # Of the same JSON type too: true == 1 and 2.0 == 2 in Python.
         if type(header[key]) is not type(value) or header[key] != value:
             raise IntegrityError(f"unsupported {key} {header[key]!r}, expected {value!r}")
-    return header, lines[1:]
+    return header, lines[1:], stored
 
 
 def sections(header: Mapping[str, Any], lines: list[str], decode: Callable[[Any], Any] = _identity,
@@ -111,12 +112,13 @@ def sections(header: Mapping[str, Any], lines: list[str], decode: Callable[[Any]
 
 def read(path: str, decode: Callable[[Any], Any] = _identity, *,
          expect: Optional[Mapping[str, Any]] = None, require: Iterable[str] = (),
-         name: str = "record") -> tuple[dict, list]:
+         name: str = "record") -> tuple[dict, list, str]:
     """Read a file of records with no tables: verify it, then pass each
-    record through decode. Any failure raises IntegrityError (see sections)."""
-    header, lines = verify(path, expect=expect, require=require)
+    record through decode. Return the header, the records and the checksum
+    (see verify). Any failure raises IntegrityError (see sections)."""
+    header, lines, sha256 = verify(path, expect=expect, require=require)
     [records] = sections(header, lines, decode, name=name)
-    return header, records
+    return header, records, sha256
 
 
 __all__ = ["IntegrityError", "read", "sections", "verify", "write"]

@@ -96,9 +96,10 @@ def write_tasks(path: str, tasks: Iterable[TaskSpec], meta: Mapping[str, Any]) -
     artifacts.write(path, {**meta, **TASKS_FORMAT}, (task.to_dict() for task in tasks))
 
 
-def read_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
-    """The header and tasks of a task file v2; any failure raises
-    artifacts.IntegrityError, a bad task line named ``task i``."""
+def read_tasks(path: str) -> tuple[dict, list[TaskSpec], str]:
+    """The header, tasks and checksum (which names the tasks; the header's
+    config_hash names the gen-tasks options) of a task file v2; any failure
+    raises artifacts.IntegrityError, a bad task line named ``task i``."""
     return artifacts.read(path, TaskSpec.from_dict, expect=TASKS_FORMAT, name="task")
 
 

@@ -168,7 +168,6 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
 @click.option("--mode", type=click.Choice(["oracle", "realistic"]), default="oracle", show_default=True)
 @click.option("--d", "dim", type=click.IntRange(MIN_DIM), default=256, show_default=True,
               help="Embedding dimension.")
-@click.option("--snapshot-every", type=click.IntRange(1), default=25, show_default=True)
 @click.option("--noise-seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--p-drop", type=click.FloatRange(0, 1), default=0.1, show_default=True)
 @click.option("--p-mislabel", type=click.FloatRange(0, 1), default=0.1, show_default=True)
@@ -177,7 +176,7 @@ def cmd_export_graphs(world_path: str, schedule_path: str, days: int, out: str) 
 @click.option("--embed-model", type=str, default="default", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="memory.jsonl", show_default=True)
 def cmd_build_memory(
-    stream_path: str, mode: str, dim: int, snapshot_every: int,
+    stream_path: str, mode: str, dim: int,
     noise_seed: int, p_drop: float, p_mislabel: float,
     embed_url: str | None, embed_model: str, out: str,
 ) -> None:
@@ -204,15 +203,13 @@ def cmd_build_memory(
             mode=mode,
             noise=NoiseModel(p_drop=p_drop, p_mislabel=p_mislabel),
             noise_seed=noise_seed,
-            snapshot_every=snapshot_every,
             ticks_per_day=tpd,
         )
     except BatchError as exc:  # such as a record whose day is not t // tpd
         raise click.ClickException(f"stream {stream_path}: {exc}") from exc
     config = {
-        "cmd": "build-memory", "mode": mode, "d": dim, "snapshot_every": snapshot_every,
-        "noise_seed": noise_seed, "p_drop": p_drop, "p_mislabel": p_mislabel,
-        "stream_hash": header.get("config_hash"),
+        "cmd": "build-memory", "mode": mode, "d": dim, "noise_seed": noise_seed,
+        "p_drop": p_drop, "p_mislabel": p_mislabel, "stream_hash": header.get("config_hash"),
     }
     if mode == "realistic":
         config["noise_version"] = NOISE_VERSION
@@ -272,7 +269,7 @@ def cmd_gen_tasks(
     )
 
 
-def _load_tasks(path: str) -> tuple[dict, list[TaskSpec]]:
+def _load_tasks(path: str) -> tuple[dict, list[TaskSpec], str]:
     try:
         return read_tasks(path)
     except IntegrityError as exc:
@@ -313,7 +310,7 @@ def cmd_run_task(tasks_path: str, index: int, method: str, mode: str, budget: in
                  seed: int, llm_url: str | None, llm_model: str) -> None:
     """Run a single task episode, as run-suite does, and print its adjudicated
     outcome; a crashed episode exits 1 with its error."""
-    _, tasks = _load_tasks(tasks_path)
+    _, tasks, _ = _load_tasks(tasks_path)
     if not (0 <= index < len(tasks)):
         raise click.ClickException(f"task index {index} out of range [0, {len(tasks)})")
     task = tasks[index]
@@ -342,11 +339,11 @@ def cmd_run_suite(tasks_path: str, methods: str, modes: str, budget: int, seed: 
                   parallelism: int, llm_url: str | None, llm_model: str,
                   out_report: str, out_logs: str) -> None:
     """Run the full suite and write the report and raw episode logs."""
-    header, tasks = _load_tasks(tasks_path)
+    _, tasks, tasks_hash = _load_tasks(tasks_path)
     config = _suite_config(methods, modes, budget, seed, parallelism, llm_url, llm_model)
     report = run_suite(tasks, config, log_path=out_logs)
     payload = report.to_dict()
-    payload["tasks_hash"] = header.get("config_hash")
+    payload["tasks_hash"] = tasks_hash
     _write_json(out_report, payload)
     total = len(report.episodes)
     wins = sum(1 for e in report.episodes if e["success"])

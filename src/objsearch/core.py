@@ -47,9 +47,13 @@ def _as_list(obj: Any) -> list:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# json.dumps would make an encoder of these settings on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_as_list)
+
+
 def canonical_dumps(obj: Any) -> str:
     """Serialize to the canonical JSON form used everywhere in this package, a Hits as its list."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_as_list)
+    return _CANONICAL.encode(obj)
 
 
 def canonical_loads(text: str) -> Any:
@@ -91,13 +95,6 @@ class Timestep:
         if ticks_per_day <= 0:
             raise ValueError("ticks_per_day must be positive")
         return cls(value=value, day=value // ticks_per_day)
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "day": self.day}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Timestep":
-        return cls(value=int(d["value"]), day=int(d["day"]))
 
 
 @dataclass(frozen=True)
@@ -200,19 +197,6 @@ class SymbolicObservation:
             object.__setattr__(obs, "caption", caption)
             made.append(obs)
         return made
-
-    def to_dict(self) -> dict:
-        return {
-            "visible_entities": [e.to_dict() for e in self.visible_entities],
-            "caption": self.caption,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SymbolicObservation":
-        return cls(
-            visible_entities=tuple(VisibleEntity.from_dict(e) for e in d["visible_entities"]),
-            caption=str(d["caption"]),
-        )
 
 
 Tick = tuple[Timestep, Pose, SymbolicObservation]
@@ -508,15 +492,15 @@ class Action:
 
 class Hits(SequenceABC):
     """Ranked retrieval hits, read-only: one list per field of KEYS, of Python
-    int, float, str or bool. Reading a hit builds a fresh dict in KEYS order,
+    int, float or str. Reading a hit builds a fresh dict in KEYS order,
     a slice a Hits. It equals any sequence of those dicts, and is encoded so."""
 
-    KEYS = __slots__ = ("record_index", "score", "t", "day", "room", "x", "y", "caption", "keyframe")
+    KEYS = __slots__ = ("record_index", "score", "t", "day", "room", "x", "y", "caption")
 
     def __init__(self, record_index: list, score: list, t: list, day: list, room: list,
-                 x: list, y: list, caption: list, keyframe: list):
+                 x: list, y: list, caption: list):
         self.record_index, self.score, self.t, self.day, self.room = record_index, score, t, day, room
-        self.x, self.y, self.caption, self.keyframe = x, y, caption, keyframe
+        self.x, self.y, self.caption = x, y, caption
 
     def __len__(self) -> int:
         return len(self.record_index)

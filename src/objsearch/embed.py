@@ -200,46 +200,41 @@ class Embedder:
 
         No token spans "; ", so a reference caption's features are its
         phrases' unigrams and bigrams plus, at each "; ", the bigram of the
-        last token before it and the first token after it. Its pre-norm
-        vector adds each feature's sign into its bucket; sums of +-1.0 are
-        exact in any order, so all captions are summed in one pass, and the
-        row norms are those of the joined texts. Each phrase's buckets and
-        signs come from a bounded process-wide memo. A caption with a phrase
+        last token before it and the first token after it; a phrase without
+        tokens adds none, and the tokens around it make that bigram. Its
+        pre-norm vector adds each feature's sign into its bucket; sums of
+        +-1.0 are exact in any order, so all captions are summed in one
+        pass, and the row norms are those of the joined texts. Each phrase's
+        buckets and signs come from a bounded process-wide memo. A caption
         without tokens, or whose counts cancel to zero, and every caption of
         an external embedder, goes through __call__.
         """
         d = self.d
         if self.config.kind != "reference":
             return np.array([self("; ".join(phrases)) for phrases in captions]).reshape(-1, d)
-        flat = list(itertools.chain.from_iterable(captions))
-        number = {p: j for j, p in enumerate(dict.fromkeys(flat))}  # distinct phrases
-        entries = [_phrase_features(p, d) for p in number]
-        # Phrase occurrences, in caption order: the phrase and its caption.
-        sizes = np.fromiter(map(len, captions), dtype=np.intp, count=len(captions))
-        ids = np.fromiter(map(number.__getitem__, flat), dtype=np.intp, count=len(flat))
-        owner = np.repeat(np.arange(len(captions)), sizes)
-        tokenless = np.array([e is None for e in entries], dtype=bool)
-        direct = (sizes == 0) | (np.bincount(owner, weights=tokenless[ids], minlength=len(captions)) > 0)
-        keep = ~direct[owner]
-        ids, owner = ids[keep], owner[keep]
-        # Each distinct phrase's features, end to end.
-        lengths = np.array([0 if e is None else len(e[0]) for e in entries], dtype=np.intp)
-        starts = np.cumsum(lengths) - lengths
-        table_b = np.concatenate([np.empty(0, np.intp), *(e[0] for e in entries if e is not None)])
-        table_s = np.concatenate([np.empty(0), *(e[1] for e in entries if e is not None)])
-        count = lengths[ids]
-        at = np.repeat(starts[ids] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        # The bigram at each "; ": adjacent occurrences in one caption.
-        adjacent = np.flatnonzero(owner[1:] == owner[:-1])
-        pair_ids, pair_of = np.unique(ids[adjacent] * len(entries) + ids[adjacent + 1], return_inverse=True)
-        pair_b, pair_s = _buckets([f"{entries[a][3]}_{entries[b][2]}"
-                                   for a, b in zip(*np.divmod(pair_ids, len(entries)))], d)
-        rows = np.concatenate([np.repeat(owner, count), owner[adjacent]])
-        vecs = np.bincount(rows * d + np.concatenate([table_b[at], pair_b[pair_of]]),
-                           weights=np.concatenate([table_s[at], pair_s[pair_of]]),
-                           minlength=len(captions) * d).reshape(-1, d).astype(np.float64, copy=False)
+        # Each feature's bucket and sign, and the caption it counts for: the
+        # phrases' features, then the bigrams at the "; "s.
+        buckets, signs, sizes, pairs, pair_of = [np.empty(0, np.intp)], [np.empty(0)], [], [], []
+        for i, phrases in enumerate(captions):
+            size, last = 0, None
+            for entry in map(_phrase_features, phrases, itertools.repeat(d)):
+                if entry is None:
+                    continue
+                if last is not None:
+                    pairs.append(f"{last}_{entry[2]}")
+                    pair_of.append(i)
+                buckets.append(entry[0])
+                signs.append(entry[1])
+                size += len(entry[0])
+                last = entry[3]
+            sizes.append(size)
+        pair_b, pair_s = _buckets(pairs, d)
+        k = len(captions)
+        rows = np.concatenate([np.repeat(np.arange(k), sizes), np.array(pair_of, dtype=np.intp)])
+        vecs = np.bincount(rows * d + np.concatenate([*buckets, pair_b]), weights=np.concatenate([*signs, pair_s]),
+                           minlength=k * d).reshape(k, d).astype(np.float64, copy=False)
         norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-        direct |= norms < 1e-12
+        direct = norms < 1e-12
         norms[direct] = 1.0
         vecs /= norms[:, None]
         for i in np.flatnonzero(direct).tolist():

@@ -11,8 +11,9 @@ memory construction work per run, not per tick.
 Stream file v2 (``STREAM_FORMAT``), a checksummed artifact file: a header
 with ``format: "patrol-stream"``, ``version: 2`` and the caller's meta
 fields, then one record per run, ``{t0, day, length, pose, entities}``.
-``read_stream`` still reads v1 files (one record per tick); ``write_stream``
-writes v2 only.
+``write_stream`` writes it and ``read_stream`` reads it; a file of another
+version is refused, to be regenerated from its world with ``objsearch
+patrol``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from ..core import (
     Pose,
     SymbolicObservation,
     Tick,
-    Timestep,
     VisibleEntity,
     render_caption,
 )
@@ -175,14 +175,8 @@ def write_stream(
     artifacts.write(path, {**(meta or {}), **STREAM_FORMAT}, records)
 
 
-def _tick_from_dict(d: dict) -> tuple[Timestep, Pose, tuple[VisibleEntity, ...]]:
-    """A v1 record: one tick."""
-    entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
-    return Timestep.from_dict(d["t"]), Pose.from_dict(d["pose"]), entities
-
-
 def _run_from_dict(d: dict) -> tuple[int, int, int, Pose, tuple[VisibleEntity, ...]]:
-    """A v2 record: one run, its t0, day and length JSON integers."""
+    """A record: one run, its t0, day and length JSON integers."""
     t0, day, length = d["t0"], d["day"], d["length"]
     if not all(type(v) is int for v in (t0, day, length)):
         raise ValueError(f"t0, day and length must be integers, got {t0!r}, {day!r}, {length!r}")
@@ -197,18 +191,13 @@ def read_stream(path: str) -> tuple[dict, ObservationStream]:
     carry oracle captions so the stream is directly usable. Consecutive ticks
     with equal entity lists share one observation object, as patrol's repeated
     views do, so a memory built from the file shares their raws; consecutive
-    equal poses share one pose object.
-
-    A v2 file's runs are the stream's runs, as written. A v1 file (one
-    record per tick, ``{t: {value, day}, pose, entities}``) is still read;
-    its ticks join runs as ObservationStream.of joins them."""
-    header, lines = artifacts.verify(path, expect={"format": STREAM_FORMAT["format"]}, require=("version",))
-    version = header["version"]
-    if type(version) is not int or version not in (1, STREAM_FORMAT["version"]):
-        raise artifacts.IntegrityError(f"unsupported version {version!r}, expected 1 or {STREAM_FORMAT['version']}")
-    v1 = version == 1
-    [records] = artifacts.sections(header, lines, _tick_from_dict if v1 else _run_from_dict,
-                                   name="record" if v1 else "run")
+    equal poses share one pose object. The file's runs are the stream's runs,
+    as written. A file that cannot be read, one of another version among
+    them, is refused with a hint to regenerate it."""
+    try:
+        header, records, _ = artifacts.read(path, _run_from_dict, expect=STREAM_FORMAT, name="run")
+    except artifacts.IntegrityError as exc:
+        raise artifacts.IntegrityError(f"{exc}; regenerate the stream with `objsearch patrol`") from exc
 
     def shared():
         pose = obs = None
@@ -219,7 +208,7 @@ def read_stream(path: str) -> tuple[dict, ObservationStream]:
                 pose = p
             yield *head, pose, obs
 
-    return header, ObservationStream.of(shared()) if v1 else ObservationStream(shared())
+    return header, ObservationStream(shared())
 
 
 __all__ = [

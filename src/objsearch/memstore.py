@@ -31,37 +31,31 @@ Readers snapshot the record count first and then slice each column. So every
 query sees a consistent prefix of the insertion order that ends at a batch
 boundary: a whole batch or none of it.
 
-Memory file v5 (``FORMAT_VERSION = 5``), a checksummed artifact file (see
-artifacts.py), holds the tables and the maximal runs of records (t rises by
-1 and the other fields are equal, floats by their bits, so 0.0 and -0.0
-never share a run) column by column:
+Memory file v6 (``FORMAT_VERSION = 6``), a checksummed artifact file (see
+artifacts.py), holds the raw table and the maximal runs of records (t rises
+by 1 and the other fields are equal, floats by their bits, so 0.0 and -0.0
+never share a run) column by column, and nothing it can derive:
 
-- header: ``format_version``, ``d``, ``ticks_per_day``, ``snapshot_every``,
-  ``embedder_id``, ``mode``, the counts ``records`` (n), ``runs``, ``rows``
-  (k) and ``raws`` (m), and the line counts ``entity_lists`` and ``count``;
+- header: ``format_version``, ``d``, ``ticks_per_day``, ``embedder_id``,
+  ``mode``, the counts ``records`` (n), ``runs`` and ``raws`` (m), and the
+  line counts ``entity_lists`` and ``count``;
 - one line per distinct entity list of the raws, a list of entity dicts;
-- one line per column of the run table, ``{name: [value per run]}``: ``t0``
-  (a run's first timestep), ``length`` (its record count; the lengths sum
-  to n), ``day``, ``x``, ``y``, ``yaw``, ``room``, ``row`` and ``raw``;
-- one line per column of the raw table: ``raw_list`` (an entity list's
-  index) and ``raw_caption``, one value per raw;
-- ``{"embeddings": ...}``: the (k, d) float64 table as little-endian bytes
-  in base64, bit for bit.
+- one line per column, ``{name: [value per run or raw]}``: the run table's
+  ``t0`` (a run's first timestep), ``length`` (the lengths sum to n),
+  ``day``, ``x``, ``y``, ``yaw``, ``room`` and ``raw``, then the raw
+  table's ``raw_list`` (an entity list's index) and ``raw_caption``.
 
-So persist and load encode and decode a fixed number of lines plus one per
-distinct entity list, however many records, runs or raws there are. ``load``
-type-checks each column whole and names the column and its first bad run
-or raw, then extends the memory with the runs, checking every record.
-
-A record is a keyframe when its index is a multiple of ``snapshot_every``;
-no file stores a flag. ``persist`` writes v5 only; ``load`` reads v5 and
-v4, which has the same header with the count ``records`` alone, tables of
-k embedding rows (lists of floats) and m raw dicts, then one line
-``[t, day, x, y, yaw, room, row, raw, length]`` per maximal run. A v4
-file's run lines are transposed into the run columns and checked as v5's
-are. Files of v1 to v3 are refused; nothing writes them any more, and a
-memory of one is rebuilt from its stream file with
-``objsearch build-memory``.
+The rows of a memory of the reference embedder are a function of its raw
+captions (_derives_rows), so load re-embeds the captions and numbers the
+rows as build does (_derived_rows). A memory of any other embedder_id (an
+external endpoint's, or none) adds the count ``rows`` (k), a ``row`` column
+after ``room`` and a last line ``{"embeddings": ...}``, the (k, d) float64
+table as little-endian bytes in base64. Either way persist and load encode
+and decode a fixed number of lines plus one per distinct entity list.
+``load`` reads v6 only, type-checks each column whole, naming the column
+and its first bad run or raw, then extends the memory with the runs,
+checking every record. Older files are refused; a memory is rebuilt from
+its stream file with ``objsearch build-memory``.
 """
 
 from __future__ import annotations
@@ -95,18 +89,16 @@ from .core import (
 )
 from . import artifacts
 from .artifacts import IntegrityError
-from .embed import Embedder, EmbedderConfig
+from .embed import MIN_DIM, Embedder, EmbedderConfig, EmbeddingError, normalize_text
 
-FORMAT_VERSION = 5
-DEFAULT_SNAPSHOT_EVERY = 25
+FORMAT_VERSION = 6
 DEFAULT_TOP_R = 5
 
 # Similarity scores are quantized before ranking so that orderings do not
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of Batch's columns and of a v4
-# run line, which appends the run's length.
+# The fields of one record, in the order of Batch's columns.
 RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
 
 
@@ -232,17 +224,13 @@ class LongTermMemory:
         self,
         d: int,
         ticks_per_day: int,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         embedder_id: str = "",
         mode: str = "oracle",
     ):
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if ticks_per_day < 1:
             raise ValueError("ticks_per_day must be >= 1")
         self.d = d
         self.ticks_per_day = ticks_per_day
-        self.snapshot_every = snapshot_every
         self.embedder_id = embedder_id
         self.mode = mode
         self._n = 0
@@ -581,6 +569,14 @@ def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse], first[order]
 
 
+def _numbered_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each raw's row, given each raw's embedding in raw order, and the
+    table: the distinct embeddings by bytes, numbered in order of first
+    appearance (_first_seen)."""
+    row_of, first = _first_seen(vectors.view(np.int64))
+    return row_of, vectors[first]
+
+
 def _numbered(values: Sequence) -> tuple[list[int], list]:
     """Each value's number, equal values numbered alike in order of first
     appearance, and the distinct values. A value object met before is
@@ -604,7 +600,6 @@ def build(
     *,
     noise: NoiseModel = DEFAULT_NOISE,
     noise_seed: int = 0,
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     ticks_per_day: int = 200,
 ) -> LongTermMemory:
     """Construct long-term memory from an observation stream.
@@ -612,8 +607,7 @@ def build(
     Construction is task-agnostic: it sees only the stream. Captions are
     composed from the raw entity lists under the requested mode, embedded
     once per distinct caption in one batch (Embedder.embed_captions), and
-    stored alongside the raw observation. A record is a keyframe when its
-    index is a multiple of snapshot_every (see agent.registry.record_views).
+    stored alongside the raw observation.
 
     The stream is taken as runs (ObservationStream.of): ticks of one day
     seen from one pose object with one observation object. An oracle
@@ -628,15 +622,15 @@ def build(
     Both tables are keyed by value. Each distinct (entity list, caption) is
     one raw (so codes that give one caption share it), and each distinct
     embedding (by bytes) one row, so captions whose embeddings are equal
-    share a row. Rows and raws are numbered in order of first use. All
-    records go into the memory as one columnar batch.
+    share a row. Rows and raws are numbered in order of first use (the rule
+    _derived_rows states for a memory file). All records go into the memory
+    as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
     memory = LongTermMemory(
         d=embedder.d,
         ticks_per_day=ticks_per_day,
-        snapshot_every=snapshot_every,
         embedder_id=embedder.embedder_id,
         mode=mode,
     )
@@ -683,8 +677,7 @@ def build(
     for a, ids in zip(vlist.tolist(), phrase.tolist()):
         phrases = tuple([texts[p] for p in ids if p >= 0]) or (EMPTY_CAPTION,)
         raw_of.append(raws.setdefault((a, "; ".join(phrases)), (len(raws), phrases))[0])
-    vectors = embedder.embed_captions([phrases for _, phrases in raws.values()])
-    row_of, first_raw = _first_seen(vectors.view(np.int64))
+    row_of, table = _numbered_rows(embedder.embed_captions([phrases for _, phrases in raws.values()]))
     raw = np.array(raw_of, dtype=np.int64)[variant]
     poses = [run[3] for run in runs]
     batch = Batch(
@@ -696,7 +689,7 @@ def build(
         room=per_run([pose.room_id for pose in poses], object),
         row=row_of[raw],
         raw=raw,
-        embeddings=vectors[first_raw],
+        embeddings=table,
         raws=SymbolicObservation.sharing(entity_lists, raws),
     )
     memory.extend(batch)
@@ -705,20 +698,34 @@ def build(
 
 # -- persistence -------------------------------------------------------------
 
-_HEADER_KEYS = ("format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode")
-# The column lines of a memory file v5, in file order: each column's JSON
-# value type (float admits an integer) and the count of its values.
-_V5_COLUMNS = {
+_HEADER_KEYS = ("format_version", "d", "ticks_per_day", "embedder_id", "mode")
+# The column lines of a memory file v6, in file order: each column's JSON
+# value type (float admits an integer) and the count of its values. A file
+# whose rows are derived (_derives_rows) has no "row" line.
+_COLUMNS = {
     "t0": (int, "runs"), "length": (int, "runs"), "day": (int, "runs"), "x": (float, "runs"),
     "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "row": (int, "runs"),
     "raw": (int, "runs"), "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
 }
-# The fields of a v4 run line, named as the v5 run columns they load as.
-_V4_FIELDS = ("t0", *RECORD_FIELDS[1:], "length")
 _JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
 # The JSON integers an int column (int64) and a float column (float64) hold.
 _INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
               float: ("float64", -int(sys.float_info.max), int(sys.float_info.max))}
+
+
+def _derives_rows(embedder_id: str, d: int) -> bool:
+    """Whether a memory's rows are a function of its raw captions, being the
+    reference embedder's: the one rule of a file's layout."""
+    return d >= MIN_DIM and embedder_id == EmbedderConfig(d=d).embedder_id
+
+
+def _derived_rows(raws: Sequence[SymbolicObservation], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each raw's row and the (k, d) table, as build makes them for a memory
+    of the reference embedder: the captions, split into the phrases they
+    were joined from, embedded by one embed_captions call and numbered by
+    _numbered_rows."""
+    embedder = Embedder(EmbedderConfig(d=d))
+    return _numbered_rows(embedder.embed_captions([raw.caption.split("; ") for raw in raws]))
 
 
 def _run_starts(snap: Batch) -> np.ndarray:
@@ -734,18 +741,39 @@ def _run_starts(snap: Batch) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([n > 0], change)))
 
 
-def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v5 (see the module docstring) in the checksummed
-    artifact format: the entity lists, then one line per column of the run
-    table (runs found by comparing neighbouring records column by column)
-    and of the raw table, then the embedding table as one base64 line. The
-    number of lines encoded grows with the distinct entity lists only.
+def _check_derived(snap: Batch, d: int) -> None:
+    """Raise ValueError unless the table and each record's row are those
+    _derived_rows gives the raws, naming the first raw whose derived row the
+    table does not hold bit for bit or whose records name another."""
+    row_of, table = _derived_rows(snap.raws, d)
+    if table.tobytes() == snap.embeddings.tobytes() and np.array_equal(snap.row, row_of[snap.raw]):
+        return
+    k = min(len(table), len(snap.embeddings))
+    held = np.append((table[:k].view(np.int64) == snap.embeddings[:k].view(np.int64)).all(axis=1), False)
+    bad = ~held[np.minimum(row_of, k)]
+    bad[snap.raw[snap.row != row_of[snap.raw]]] = True
+    if bad.any():
+        raise ValueError(f"raw {int(bad.argmax())}: its embedding row is not the one derived from its caption, "
+                         "and a memory file of the reference embedder stores captions, not rows")
+    if len(snap.embeddings) > k:
+        raise ValueError(f"embedding row {k} is derived from no raw caption")
 
-    extra_header fields (e.g. a producing-config hash) are merged into the
-    header without displacing the required keys.
+
+def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
+    """Write a memory file v6 (see the module docstring); runs are found by
+    comparing neighbouring records column by column. extra_header fields
+    (e.g. a producing-config hash) join the header without displacing its
+    keys.
+
+    A memory whose rows are derived is written only when they are the
+    derived ones (see _check_derived), so that load gives it back;
+    otherwise ValueError names the first raw that differs.
     """
     snap = memory._snapshot()
     n = len(snap.t)
+    derived = _derives_rows(memory.embedder_id, memory.d)
+    if derived:
+        _check_derived(snap, memory.d)
     starts = _run_starts(snap)
     list_ids, entity_lists = _numbered([raw.visible_entities for raw in snap.raws])
     header = {
@@ -753,76 +781,38 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "format_version": FORMAT_VERSION,
         "d": memory.d,
         "ticks_per_day": memory.ticks_per_day,
-        "snapshot_every": memory.snapshot_every,
         "embedder_id": memory.embedder_id,
         "mode": memory.mode,
         "records": n,
         "runs": len(starts),
-        "rows": len(snap.embeddings),
         "raws": len(snap.raws),
+        **({} if derived else {"rows": len(snap.embeddings)}),
     }
     values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
     values["t0"] = values.pop("t")
     values["length"] = np.diff(starts, append=n).tolist()
     values["raw_list"] = list_ids
     values["raw_caption"] = [raw.caption for raw in snap.raws]
-    lines = [{name: values[name]} for name in _V5_COLUMNS]
-    table = np.ascontiguousarray(snap.embeddings, dtype="<f8")
-    lines.append({"embeddings": base64.b64encode(table.tobytes()).decode("ascii")})
+    lines = [{name: values[name]} for name in _COLUMNS if not (derived and name == "row")]
+    if not derived:
+        table = np.ascontiguousarray(snap.embeddings, dtype="<f8")
+        lines.append({"embeddings": base64.b64encode(table.tobytes()).decode("ascii")})
     lists = ([e.to_dict() for e in entities] for entities in entity_lists)
     artifacts.write(path, header, lines, tables={"entity_lists": lists})
-
-
-def _embedding_row(values: list) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
-
-
-def _run_line(values: Any) -> list:
-    """A v4 run line: a list of the record fields and the run's length."""
-    if type(values) is not list or len(values) != len(_V4_FIELDS):
-        raise ValueError(f"expected a list of {len(_V4_FIELDS)} fields")
-    return values
-
-
-def _extend_by_runs(memory: LongTermMemory, columns: dict, total: int, embeddings: Any, raws: list) -> None:
-    """Extend an empty memory with runs of records: columns holds the run
-    columns of _V5_COLUMNS, each type-checked (see _column): each run's
-    first record and its length. Every length must be at least 1 and the
-    lengths must sum to total, which is checked before anything is expanded.
-    The runs are expanded into one Batch by np.repeat, with no per-record
-    Python, and extend checks every record: so runs that overlap in time or
-    are out of order are refused. A run holding a record that extend
-    refuses raises IntegrityError naming the run."""
-    lengths = columns["length"]
-    if lengths and min(lengths) < 1:
-        j = _first_bad(lengths, lambda length: length < 1)
-        raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
-    held = sum(lengths)
-    if held != total:
-        raise IntegrityError(f"record total mismatch: header says {total}, runs hold {held}")
-    lengths = np.array(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths  # each run's first record
-    dtypes = (np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
-    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths) for name, dtype in zip(RECORD_FIELDS[1:], dtypes))
-    batch = Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
-                  *rest, embeddings=embeddings, raws=raws)
-    try:
-        memory.extend(batch)
-    except BatchError as exc:
-        if exc.part != "record":
-            raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
-        run = int(starts.searchsorted(exc.position, side="right")) - 1
-        raise IntegrityError(f"run {run}: {exc.reason}") from exc
 
 
 def _first_bad(values: list, bad: Callable[[Any], bool]) -> int:
     return next(j for j, value in enumerate(values) if bad(value))
 
 
-def _column(values: Any, name: str, kind: type, size: int, item: str) -> list:
-    """The values of a column: a list of size values, one per item, all of
-    the column's JSON type, integers within the column's int64 or float64
-    range. A failure names the column and its first bad item."""
+def _column(line: Any, name: str, kind: type, size: int, item: str) -> list:
+    """The values of a column line {name: values}: a list of size values, one
+    per item, all of the column's JSON type, integers within the column's
+    int64 or float64 range. A failure names the column and its first bad
+    item."""
+    if type(line) is not dict or list(line) != [name]:
+        raise IntegrityError(f"expected the {name!r} column line")
+    values = line[name]
     if type(values) is not list or len(values) != size:
         got = len(values) if type(values) is list else type(values).__name__
         raise IntegrityError(f"column {name!r}: expected {size} values, one per {item}, got {got}")
@@ -839,15 +829,17 @@ def _column(values: Any, name: str, kind: type, size: int, item: str) -> list:
     return values
 
 
-def _v5_column(line: Any, name: str, kind: type, size: int, item: str) -> list:
-    """The values of a v5 column line {name: values} (see _column)."""
-    if type(line) is not dict or list(line) != [name]:
-        raise IntegrityError(f"expected the {name!r} column line")
-    return _column(line[name], name, kind, size, item)
+def _ids(columns: dict, name: str, item: str, what: str, size: int) -> list:
+    """The ids of an int column, each in [0, size), or IntegrityError."""
+    ids = columns[name]
+    if ids and (min(ids) < 0 or max(ids) >= size):
+        j = _first_bad(ids, lambda i: not 0 <= i < size)
+        raise IntegrityError(f"column {name!r} {item} {j}: {what} id {ids[j]} out of range [0, {size})")
+    return ids
 
 
-def _v5_embeddings(line: Any, k: int, d: int) -> np.ndarray:
-    """The (k, d) embedding table of a v5 file's last line, little-endian
+def _embeddings(line: Any, k: int, d: int) -> np.ndarray:
+    """The (k, d) embedding table of a file's last line, little-endian
     float64 bytes in base64."""
     if type(line) is not dict or list(line) != ["embeddings"] or type(line["embeddings"]) is not str:
         raise IntegrityError("expected the 'embeddings' line, a base64 string")
@@ -867,92 +859,87 @@ def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
     return tuple(VisibleEntity.from_dict(entity) for entity in line)
 
 
-def _load_v4(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
-    """Fill an empty memory from the lines of a v4 file: its run lines are
-    transposed into the run columns of a v5 file, type-checked whole as
-    those are, then the runs go through _extend_by_runs."""
-    embeddings, raws, runs = artifacts.sections(
-        header, lines, _run_line, tables={"embeddings": _embedding_row, "raws": SymbolicObservation.from_dict},
-        name="run")
-    columns = {name: _column([run[j] for run in runs], name, _V5_COLUMNS[name][0], len(runs), "run")
-               for j, name in enumerate(_V4_FIELDS)}
-    _extend_by_runs(memory, columns, header["records"], embeddings, raws)
-
-
-def _load_v5(memory: LongTermMemory, header: dict, lines: list[str]) -> None:
-    """Fill an empty memory from the lines of a v5 file: each column is
-    type-checked whole and list ids must index the entity lists, then the
-    runs go through _extend_by_runs."""
+def load(path: str) -> LongTermMemory:
+    """Load a memory file v6 (see the module docstring), verifying the
+    checksum, the header (its integers JSON integers, the counts at least 0,
+    its strings JSON strings, mode one of core.MODES), each column (see
+    _column), the run lengths, every list and raw id, every table row and
+    every record. Derived rows come from one embed_captions call over the
+    raw captions (_derived_rows). A failure raises IntegrityError naming the
+    header field, the table row or the column and its run or raw."""
+    header, lines, _ = artifacts.verify(path, require=_HEADER_KEYS)
+    version = header["format_version"]
+    # JSON integers only: true == 1 and 6.0 == 6 in Python.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise IntegrityError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}; rebuild the "
+                             "memory from its stream with `objsearch build-memory`")
+    try:
+        for key, kind in (("d", int), ("ticks_per_day", int), ("embedder_id", str), ("mode", str)):
+            if type(header[key]) is not kind:
+                raise ValueError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {header[key]!r}")
+        if header["mode"] not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {header['mode']!r}")
+        derived = _derives_rows(header["embedder_id"], header["d"])
+        for key in ("records", "runs", "raws", *(() if derived else ("rows",))):
+            if key not in header:
+                raise ValueError(f"missing {key!r}")
+            if type(header[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {header[key]!r}")
+            if header[key] < 0:
+                raise ValueError(f"{key} must be >= 0, got {header[key]}")
+        memory = LongTermMemory(d=header["d"], ticks_per_day=header["ticks_per_day"],
+                                embedder_id=header["embedder_id"], mode=header["mode"])
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"malformed header: {exc}") from exc
     entity_lists, lines = artifacts.sections(header, lines, tables={"entity_lists": _entity_list}, name="column")
-    if len(lines) != len(_V5_COLUMNS) + 1:
-        raise IntegrityError(f"expected {len(_V5_COLUMNS) + 1} column lines, found {len(lines)}")
-    columns = {name: _v5_column(line, name, kind, header[count], count[:-1])
-               for line, (name, (kind, count)) in zip(lines, _V5_COLUMNS.items())}
-    embeddings = _v5_embeddings(lines[-1], header["rows"], memory.d)
-    ids = columns["raw_list"]
-    if ids and (min(ids) < 0 or max(ids) >= len(entity_lists)):
-        j = _first_bad(ids, lambda a: not 0 <= a < len(entity_lists))
-        raise IntegrityError(f"column 'raw_list' raw {j}: list id {ids[j]} out of range [0, {len(entity_lists)})")
+    spec = {name: value for name, value in _COLUMNS.items() if not (derived and name == "row")}
+    if len(lines) != len(spec) + (not derived):
+        raise IntegrityError(f"expected {len(spec) + (not derived)} column lines, found {len(lines)}")
+    columns = {name: _column(line, name, kind, header[count], count[:-1])
+               for line, (name, (kind, count)) in zip(lines, spec.items())}
+    # Runs of at least one record, summing to records before any is expanded.
+    lengths, total = columns["length"], header["records"]
+    if lengths and min(lengths) < 1:
+        j = _first_bad(lengths, lambda length: length < 1)
+        raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
+    if sum(lengths) != total:
+        raise IntegrityError(f"record total mismatch: header says {total}, runs hold {sum(lengths)}")
+    ids = _ids(columns, "raw_list", "raw", "list", len(entity_lists))
     try:
         raws = SymbolicObservation.sharing(entity_lists, zip(ids, columns["raw_caption"]))
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
-    _extend_by_runs(memory, columns, header["records"], embeddings, raws)
-
-
-def load(path: str) -> LongTermMemory:
-    """Load a memory file of format version 4 or 5, verifying the checksum,
-    the header, every table row and every record.
-
-    The header's format_version, d, ticks_per_day, snapshot_every and the
-    counts (v4: records; v5: records, runs, rows and raws, each at least 0)
-    must be JSON integers, embedder_id and mode JSON strings, and mode one
-    of core.MODES. Both versions load as run columns, checked by one column
-    check (see _column) and then extended as runs (see _extend_by_runs): a
-    v5 file's column lines (see _load_v5) or a v4 file's run lines,
-    transposed (see _load_v4). A failure raises IntegrityError naming the
-    header field, the table row or the column and its run or raw. Any other
-    format_version is refused: a memory of v1 to v3 is rebuilt from its
-    stream with ``objsearch build-memory``."""
-    header, lines = artifacts.verify(path, require=_HEADER_KEYS)
-    version = header["format_version"]
-    # JSON integers only: true == 1 and 3.0 == 3 in Python.
-    if type(version) is not int or version not in (4, FORMAT_VERSION):
-        raise IntegrityError(f"unsupported format_version {version!r}, expected 4 or {FORMAT_VERSION}; rebuild "
-                             "an older memory from its stream with `objsearch build-memory`")
-    counts = ("records",) if version == 4 else ("records", "runs", "rows", "raws")
-    for key in counts:
-        if key not in header:
-            raise IntegrityError(f"malformed header: missing {key!r}")
+    _ids(columns, "raw", "run", "raw", len(raws))
+    if not derived:
+        embeddings = _embeddings(lines[-1], header["rows"], memory.d)
+    else:
+        try:
+            row_of, embeddings = _derived_rows(raws, memory.d)
+        except EmbeddingError as exc:  # a caption without tokens
+            j = _first_bad(columns["raw_caption"], lambda caption: not normalize_text(caption))
+            raise IntegrityError(f"column 'raw_caption' raw {j}: {exc}") from exc
+        columns["row"] = row_of[columns["raw"]]
+    # The runs as one Batch, by np.repeat with no per-record Python; extend
+    # checks every record (so overlapping or unordered runs are refused), and
+    # its error names the run.
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths  # each run's first record
+    dtypes = (np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
+    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths) for name, dtype in zip(RECORD_FIELDS[1:], dtypes))
     try:
-        for key in ("d", "ticks_per_day", "snapshot_every", *counts):
-            if type(header[key]) is not int:
-                raise ValueError(f"{key} must be an integer, got {header[key]!r}")
-        for key in counts:
-            if header[key] < 0:
-                raise ValueError(f"{key} must be >= 0, got {header[key]}")
-        for key in ("embedder_id", "mode"):
-            if type(header[key]) is not str:
-                raise ValueError(f"{key} must be a string, got {header[key]!r}")
-        if header["mode"] not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {header['mode']!r}")
-        memory = LongTermMemory(
-            d=header["d"],
-            ticks_per_day=header["ticks_per_day"],
-            snapshot_every=header["snapshot_every"],
-            embedder_id=header["embedder_id"],
-            mode=header["mode"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise IntegrityError(f"malformed header: {exc}") from exc
-    (_load_v4 if version == 4 else _load_v5)(memory, header, lines)
+        memory.extend(Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
+                            *rest, embeddings=embeddings, raws=raws))
+    except BatchError as exc:
+        if exc.part != "record":
+            raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc
+        run = int(starts.searchsorted(exc.position, side="right")) - 1
+        raise IntegrityError(f"run {run}: {exc.reason}") from exc
     return memory
 
 
 __all__ = [
     "Batch",
     "BatchError",
-    "DEFAULT_SNAPSHOT_EVERY",
     "DEFAULT_TOP_R",
     "FORMAT_VERSION",
     "IntegrityError",

@@ -564,7 +564,7 @@ def hit_memories(draw):
     tpd = draw(st.integers(1, 5))
     t = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
     pos = [draw(st.sampled_from(positions)) for _ in range(n)]
-    memory = LongTermMemory(d=4, ticks_per_day=tpd, snapshot_every=draw(st.integers(1, 3)))
+    memory = LongTermMemory(d=4, ticks_per_day=tpd)
     memory.extend(Batch(
         t=t, day=[v // tpd for v in t], x=[p[0] for p in pos], y=[p[1] for p in pos], yaw=[0.0] * n,
         room=[draw(st.sampled_from(rooms)) for _ in range(n)],
@@ -638,8 +638,7 @@ def reference_views(memory, index, score):
     for i, s in zip(index, score):
         rec = memory.record(i)
         views.append({"record_index": i, "score": s, "t": rec.t.value, "day": rec.t.day, "room": rec.pose.room_id,
-                      "x": rec.pose.position[0], "y": rec.pose.position[1], "caption": rec.raw.caption,
-                      "keyframe": i % memory.snapshot_every == 0})
+                      "x": rec.pose.position[0], "y": rec.pose.position[1], "caption": rec.raw.caption})
     return views
 
 
@@ -712,11 +711,11 @@ def test_outcome_json_encodes_foreign_hits_whole():
     0 == 0.0 == -0.0 == False. So are the same hits as a Hits not made by
     record_views, and record_views' hits of scores that are not floats."""
     hit = {"record_index": 0, "score": 1.0, "t": 3, "day": 0, "room": "den", "x": 1.0, "y": -0.0,
-           "caption": "a mug", "keyframe": True}
+           "caption": "a mug"}
     meta = {"total": 1, "ticks_per_day": 5, "last_t": 3, "last_day": 0}
     for h in (hit, {**hit, "x": 1}, {**hit, "x": True}, {**hit, "y": 0}, {**hit, "y": False},
               {**hit, "caption": 1.0}, {**hit, "room": 1}, {**hit, "score": 1}, {**hit, "day": True},
-              {**hit, "t": 3.0}, {**hit, "record_index": False}, {**hit, "keyframe": 1},
+              {**hit, "t": 3.0}, {**hit, "record_index": False}, {**hit, "record_index": 0.0},
               {**hit, "x": np.float64(1.0)}, {**hit, "score": np.float64(1.0)},
               {k: v for k, v in hit.items() if k != "y"}, {**hit, "extra": 1}, dict(sorted(hit.items()))):
         for hits in ([hit, h], columns_of([hit, h])) if h.keys() >= set(Hits.KEYS) else ([hit, h],):
@@ -1118,7 +1117,7 @@ def test_trace_view_keeps_the_first_view_of_a_record():
     """A record seen again, here under another caption and time, keeps the
     matches of its first view; its neighbour in the same hits is new."""
     first = {"record_index": 3, "score": 1.0, "t": 3, "day": 0, "room": "den", "x": 0.0, "y": 0.0,
-             "caption": "a red mug on the sink", "keyframe": False}
+             "caption": "a red mug on the sink"}
     again = {**first, "t": 9, "caption": "a red mug inside the fridge"}
     query = Action("semantic_query", {"query": "red mug"})
     h = WorkingMemory.fresh(Instruction(text="find the red mug"), 5)

@@ -30,7 +30,10 @@ def test_round_trip(header, records):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "a.jsonl")
         artifacts.write(path, header, records)
-        assert artifacts.read(path) == ({**header, "count": len(records)}, records)
+        data = open(path, "rb").read()
+        body = data[: data.rfind(b"\n", 0, len(data) - 1) + 1]
+        assert artifacts.read(path) == ({**header, "count": len(records)}, records, hashlib.sha256(body).hexdigest())
+        assert artifacts.verify(path)[2] == artifacts.read(path)[2]
 
 
 def small_file(tmp_path):
@@ -63,7 +66,7 @@ def test_truncation_is_rejected(tmp_path, cut):
 def test_writer_owns_count_and_reader_checks_header(tmp_path):
     path = str(tmp_path / "a.jsonl")
     artifacts.write(path, {"count": 99, "format": "f"}, [1, 2])
-    assert artifacts.read(path, expect={"format": "f"}, require=("count",)) == (
+    assert artifacts.read(path, expect={"format": "f"}, require=("count",))[:2] == (
         {"count": 2, "format": "f"}, [1, 2])
     with pytest.raises(IntegrityError, match="unsupported format 'f', expected 'g'"):
         artifacts.read(path, expect={"format": "g"})
@@ -88,42 +91,22 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-MEMORY_V5_SHA256 = "e7c0fa32dfe5df01ffc987a983cc1ef6475cad775b7e9bb6f31e74067ab27e38"
+MEMORY_V6_SHA256 = "72a499494ba74faac038d9653a9ea7b6a1702f0d18edf87804d417c8c5dbf601"
 
 
 def test_memory_file_bytes_are_frozen(tmp_path):
     """These bytes change only together with memstore.FORMAT_VERSION."""
     path = str(tmp_path / "memory.jsonl")
-    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
+    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16))
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 5
-    assert sha256_of(path) == MEMORY_V5_SHA256
-
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def test_memory_file_v4_still_loads(tmp_path):
-    """The frozen v4 file of the same memory loads equal to the build,
-    tables included, and re-persists as the frozen v5 bytes."""
-    path = os.path.join(DATA, "memory_v4.jsonl")
-    assert sha256_of(path) == "2c062c2a8373d1dc64843bcce352b4b0a8bf5fa42147d13259340158577b5f05"
-    assert artifacts.verify(path)[0]["format_version"] == 4
-    memory = memstore.build(frozen_stream(), EmbedderConfig(d=16), snapshot_every=7)
-    loaded = memstore.load(path)
-    assert list(loaded.records) == list(memory.records)
-    assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
-        memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
-    assert (loaded._k, loaded._raws) == (memory._k, memory._raws)
-    again = str(tmp_path / "memory.jsonl")
-    memstore.persist(loaded, again, extra_header={"config_hash": "0123456789abcdef"})
-    assert sha256_of(again) == MEMORY_V5_SHA256
+    assert memstore.FORMAT_VERSION == 6
+    assert sha256_of(path) == MEMORY_V6_SHA256
 
 
 def test_tables_come_before_records_and_are_counted(tmp_path):
     path = str(tmp_path / "a.jsonl")
     artifacts.write(path, {"kind": "k"}, [1, 2], tables={"a": ["x"], "b": [[0], [1], [2]]})
-    header, lines = artifacts.verify(path)
+    header, lines, _ = artifacts.verify(path)
     assert header == {"kind": "k", "a": 1, "b": 3, "count": 2}
     assert artifacts.sections(header, lines, tables={"a": str.upper, "b": len}) == [["X"], [1, 1, 1], [1, 2]]
     with pytest.raises(IntegrityError, match="record count mismatch: header says 2, found 6"):
@@ -146,7 +129,7 @@ def test_count_must_be_a_json_integer(tmp_path, kind, count):
     else:
         write_stream(path, frozen_stream())
         load = read_stream
-    assert artifacts.verify(path)[0]["count"] == (12 if kind == "memory" else 3)  # column lines or runs
+    assert artifacts.verify(path)[0]["count"] == (10 if kind == "memory" else 3)  # column lines or runs
     load(path)
     rewrite_header(path, lambda header: header.update({"count": count}))
     message = f"malformed header: 'count' must be a line count, got {count!r}"
@@ -164,15 +147,18 @@ def test_stream_file_bytes_are_frozen(tmp_path):
     assert sha256_of(path) == STREAM_V2_SHA256
 
 
-def test_stream_file_v1_still_reads(tmp_path):
-    """The frozen v1 file (one line per tick) of the same stream reads as
-    its ticks and runs, and re-writes as the frozen v2 bytes."""
-    path = os.path.join(DATA, "stream_v1.jsonl")
-    assert sha256_of(path) == "06813ebdfe576949a12434871dc2662ef35695e576c0c32dd3366ac9730dac05"
-    header, stream = read_stream(path)
-    assert (header["version"], header["count"]) == (1, 40)
-    assert stream == frozen_stream()
-    assert list(stream.runs()) == list(frozen_stream().runs())
-    again = str(tmp_path / "stream.jsonl")
-    write_stream(again, stream, meta={"config": header["config"]})
-    assert sha256_of(again) == STREAM_V2_SHA256
+@pytest.mark.parametrize("kind, version", [("memory", 4), ("memory", 5), ("stream", 1)])
+def test_older_files_are_refused_with_the_command_that_remakes_them(tmp_path, kind, version):
+    """Memory files v4 and v5 and stream files v1 are not read: a memory is
+    rebuilt from its stream, and a stream regenerated from its world."""
+    path = str(tmp_path / "file.jsonl")
+    if kind == "memory":
+        memstore.persist(memstore.build(frozen_stream(), EmbedderConfig(d=16)), path)
+        rewrite_header(path, lambda header: header.update(format_version=version, snapshot_every=25))
+        load, hint = memstore.load, "rebuild the memory from its stream with `objsearch build-memory`"
+    else:
+        write_stream(path, frozen_stream())
+        rewrite_header(path, lambda header: header.update(version=version))
+        load, hint = read_stream, "regenerate the stream with `objsearch patrol`"
+    with pytest.raises(IntegrityError, match=re.escape(hint)):
+        load(path)

@@ -128,18 +128,20 @@ JSON_VALUES = st.recursive(
                             max_size=4))
 def test_task_file_round_trip(picks, meta):
     """write_tasks then read_tasks gives back the header (meta, the format
-    keys and the count) and equal tasks, and each task line is the task's
-    canonical JSON, as the unversioned task files held them."""
+    keys and the count), equal tasks and the file's checksum, and each task
+    line is the task's canonical JSON, as the unversioned task files held
+    them."""
     pool = task_pool()
     tasks = [pool[j % len(pool)] for j in picks]
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "tasks.jsonl")
         write_tasks(path, tasks, meta)
-        header, again = read_tasks(path)
+        header, again, sha256 = read_tasks(path)
         lines = open(path, encoding="utf-8").read().splitlines()
     assert header == {**meta, "format": "tasks", "version": 2, "count": len(tasks)}
     assert again == tasks
     assert lines[1:-1] == [canonical_dumps(task.to_dict()) for task in tasks]
+    assert lines[-1] == canonical_dumps({"sha256": sha256})
 
 
 def test_per_family_must_be_positive():
@@ -338,8 +340,9 @@ def test_suite_output_is_frozen(tmp_path):
     incremental, and re-pinned when noise model v2 changed realistic captions
     (and realistic configs' lineage). The log digest was re-pinned when the
     policies' whole-day windows came to ask for one hit per run of records
-    (the report's stayed); any change to a decision, an outcome or the log
-    format changes them."""
+    (the report's stayed), and again when hits lost their keyframe flag (the
+    new log is the old one with each "keyframe" key taken out); any change
+    to a decision, an outcome or the log format changes them."""
     tasks = [
         build_task(1, "spatial_temporal", "visible", 0, 0, 3, 200),
         build_task(1, "spatial_frequentist", "interactive", 0, 0, 3, 200),
@@ -351,7 +354,7 @@ def test_suite_output_is_frozen(tmp_path):
     log = tmp_path / "episodes.jsonl"
     report = run_suite(tasks, config, log_path=str(log))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "ecf749caecd518c6178402e39f863aab3952c6804a58d060aa6a6cb7a30ad6b7"
+        "7bc943b29b3eea2e8f469df2c701aeefdf13839b3e498544414db94a1e2602b9"
     )
     assert hashlib.sha256(canonical_dumps(report.to_dict()).encode()).hexdigest() == (
         "026641f6f3652e8cc35e0ecf47b6aac1266ff74902c7ac5b895702708ca04559"

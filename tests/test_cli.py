@@ -132,7 +132,7 @@ def test_export_graphs_per_day(pipeline, tmp_path):
         main, ["export-graphs", "--world", pipeline["world"], "--schedule", pipeline["schedule"],
                "--days", "3", "--out", out], catch_exceptions=False)
     assert result.exit_code == 0
-    header, graphs = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
+    header, graphs, _ = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
     assert (header["count"], header["config"]["days"]) == (3, 3)
     assert [g["day"] for g in graphs] == [0, 1, 2]
     assert all(g["nodes"] and g["edges"] for g in graphs)
@@ -165,7 +165,7 @@ def test_export_graphs_reads_the_world_file(pipeline, tmp_path):
     assert seen == {"bed"}
     invoke(CliRunner(), "export-graphs", "--world", world, "--schedule", pipeline["schedule"],
            "--days", "3", "--out", out)
-    _, graphs = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
+    _, graphs, _ = artifacts.read(out, expect={"format": "scene-graphs", "version": 2})
     assert len(graphs) == 3
     for graph in graphs:
         assert ["book_1", "at", "bed"] in graph["edges"]
@@ -199,21 +199,19 @@ def test_schedule_file_with_a_move_off_the_day_is_refused(pipeline, tmp_path, co
     assert not out.exists()
 
 
-def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline, tmp_path):
+def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline):
     """build-memory from the stream file stores the same records, rows and
     raws as a build of the patrol itself: both key raws by value."""
     from objsearch.embed import EmbedderConfig
     from objsearch.homesim import patrol
-    from objsearch.memstore import build, persist
+    from objsearch.memstore import build
 
     world, schedule = generate_world(3, 1)
     built = build(patrol(world, schedule, days=3), EmbedderConfig(d=256), ticks_per_day=200)
-    persist(built, str(tmp_path / "memory.jsonl"))
-    in_process, _ = artifacts.verify(str(tmp_path / "memory.jsonl"))
-    from_file, _ = artifacts.verify(pipeline["oracle"])
-    assert (from_file["raws"], from_file["rows"]) == (in_process["raws"], in_process["rows"])
-    assert from_file["raws"] < from_file["records"] == 600
-    assert list(load(pipeline["oracle"]).records) == list(built.records)
+    loaded = load(pipeline["oracle"])
+    assert len(loaded._raws) < len(loaded) == 600
+    assert (loaded._k, loaded._raws) == (built._k, built._raws)
+    assert list(loaded.records) == list(built.records)
 
 
 def test_build_memory_header_records_mode(pipeline):
@@ -238,17 +236,42 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v5_with_config_hash(pipeline):
+def test_build_memory_writes_format_v6_with_config_hash(pipeline):
+    """The reference embedder's memory file stores no embedding rows: no
+    row count, row column or embeddings line."""
     hashes = set()
     for mode in ("oracle", "realistic"):
-        header, _ = artifacts.verify(pipeline[mode])
+        header, lines, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 5
+        assert header["format_version"] == 6
         assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
-        assert header["rows"] < 600  # one row per distinct caption
+        assert memory._k < 600  # one row per distinct caption
+        assert "rows" not in header and not any(line.startswith(('{"row"', '{"embeddings"')) for line in lines)
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])
     assert len(hashes) == 2  # the mode is in the producing config
+
+
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+def test_build_memory_files_re_persist_byte_exact(pipeline, tmp_path, mode):
+    """A loaded memory, persisted again under its file's config_hash, gives
+    the file's bytes: load derives exactly the rows the file left out."""
+    from objsearch.memstore import persist
+
+    again = tmp_path / "again.jsonl"
+    header = artifacts.verify(pipeline[mode])[0]
+    persist(load(pipeline[mode]), str(again), extra_header={"config_hash": header["config_hash"]})
+    assert again.read_bytes() == open(pipeline[mode], "rb").read()
+
+
+def test_build_memory_has_no_snapshot_option(pipeline, tmp_path):
+    """Keyframes are gone, and with them --snapshot-every."""
+    out = tmp_path / "memory.jsonl"
+    result = CliRunner().invoke(main, ["build-memory", "--stream", pipeline["stream"], "--snapshot-every", "25",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert "No such option '--snapshot-every'" in result.output
+    assert not out.exists()
 
 
 def test_build_memory_lineage_names_the_noise_version(pipeline):
@@ -256,12 +279,11 @@ def test_build_memory_lineage_names_the_noise_version(pipeline):
     version; an oracle one's does not, so its hash is as it was."""
     stream_hash = json.loads(open(pipeline["stream"]).readline())["config_hash"]
     for mode in ("oracle", "realistic"):
-        config = {"cmd": "build-memory", "mode": mode, "d": 256, "snapshot_every": 25, "noise_seed": 0,
+        config = {"cmd": "build-memory", "mode": mode, "d": 256, "noise_seed": 0,
                   "p_drop": 0.1, "p_mislabel": 0.1, "stream_hash": stream_hash}
         if mode == "realistic":
             config["noise_version"] = NOISE_VERSION
-        header, _ = artifacts.verify(pipeline[mode])
-        assert header["config_hash"] == config_hash(config)
+        assert artifacts.verify(pipeline[mode])[0]["config_hash"] == config_hash(config)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -354,7 +376,7 @@ def test_budget_below_one_is_a_usage_error(suite_artifacts, tmp_path, monkeypatc
     (["gen-tasks", "--ticks-per-day", "5"], "--ticks-per-day"),
     (["gen-tasks", "--scenes", "2", "--ticks-per-day", "15"], "--ticks-per-day"),
     (["build-memory", "--d", "0"], "--d"),
-    (["build-memory", "--snapshot-every", "0"], "--snapshot-every"),
+    (["build-memory", "--d", "4"], "--d"),
     (["build-memory", "--mode", "realistic", "--p-drop", "2"], "--p-drop"),
     (["build-memory", "--p-mislabel", "-0.5"], "--p-mislabel"),
 ])
@@ -392,6 +414,28 @@ def test_run_suite_reruns_identical(suite_artifacts):
                          "--out-report", report2, "--out-logs", logs2], catch_exceptions=False)
     assert open(suite_artifacts["report"], "rb").read() == open(report2, "rb").read()
     assert open(suite_artifacts["logs"], "rb").read() == open(logs2, "rb").read()
+
+
+def test_tasks_hash_is_the_task_file_checksum(suite_artifacts, tmp_path):
+    """A report's tasks_hash is its task file's checksum (the trailer's
+    sha256), which names the tasks; the header's config_hash names only the
+    gen-tasks options. So two task files under one header, holding
+    different tasks, give reports of different tasks_hash."""
+    from objsearch.bench import read_tasks, write_tasks
+
+    header, tasks, sha256 = read_tasks(suite_artifacts["tasks"])
+    assert json.load(open(suite_artifacts["report"]))["tasks_hash"] == sha256 != header["config_hash"]
+    meta = {"config": header["config"], "config_hash": header["config_hash"]}
+    hashes = []
+    for name, part in (("first", tasks[:1]), ("second", tasks[1:2])):
+        path, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_report.json"
+        write_tasks(str(path), part, meta)
+        assert read_tasks(str(path))[0]["config_hash"] == header["config_hash"]
+        CliRunner().invoke(main, ["run-suite", "--tasks", str(path), "--methods", "random", "--out-report",
+                                  str(report), "--out-logs", str(tmp_path / f"{name}.log")], catch_exceptions=False)
+        hashes.append(json.load(open(report))["tasks_hash"])
+        assert hashes[-1] == json.loads(path.read_text().splitlines()[-1])["sha256"]
+    assert hashes[0] != hashes[1]
 
 
 def test_report_table_columns(suite_artifacts):

@@ -115,10 +115,8 @@ def test_instruction_hides_annotations_after_redaction():
 @pytest.mark.parametrize(
     "value",
     [
-        Timestep(value=7, day=0),
         Pose(position=(1.25, -3.5), yaw=0.1, room_id="kitchen"),
         make_entity(),
-        SymbolicObservation(visible_entities=(make_entity(),), caption="a green folder on the study desk"),
         Instruction(text="find the mug", family="spatial", type="visible"),
         Action(tool="navigate", args={"landmark": "sink"}),
         Outcome(kind="skill_result", payload={"success": True, "skill": "navigate"}),

@@ -370,9 +370,10 @@ def test_stream_sequence_protocol_matches_its_list(i, start, stop, step):
 
 def test_stream_and_memory_files_are_frozen(tmp_path):
     """write_stream and persist bytes of a 1300-ticks/day busy-schedule
-    stream: stream file v2 and memory file v5, the realistic memory as noise
-    model v2 draws its captions. The stream file v1 and memory file v4 of
-    the same stream and memories read back equal to them."""
+    stream: stream file v2 and memory file v6, the realistic memory as noise
+    model v2 draws its captions. Each memory file is the memory file v5 of
+    the same memory with its row count, row column, embeddings line and
+    snapshot_every taken out."""
     from objsearch.embed import Embedder, EmbedderConfig
     from objsearch.memstore import build, persist
 
@@ -386,10 +387,10 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     assert list(read_stream(str(path))[1].runs()) == list(stream.runs())
     embedder = Embedder(EmbedderConfig(d=64))
     for mode, digest in (
-        ("oracle", "e3bfd56d412330edd04b5bca7c7ca27db15ccf77058d2cbb2893eea6619ca21a"),
-        ("realistic", "709c1e66ea21e93836d20aa85b59929e5459c6d6884e66b666201405c8b87ee3"),
+        ("oracle", "17b28534232c7778e0eb7166ea834b8eda2168a59905341cf1d8cbf8a86857f2"),
+        ("realistic", "9dd553ba27c7ae4d805e42833476fc787a048de6484b23927fa6a31321562272"),
     ):
-        memory = build(stream, embedder, mode=mode, noise_seed=2, snapshot_every=7, ticks_per_day=1300)
+        memory = build(stream, embedder, mode=mode, noise_seed=2, ticks_per_day=1300)
         persist(memory, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
 
@@ -730,7 +731,8 @@ def test_read_stream_rejects_other_formats(tmp_path):
     persist(build(stream[:20], EmbedderConfig(d=16)), path)
     with pytest.raises(ValueError, match="malformed header: missing 'format'"):
         read_stream(path)
-    for version in (3, 0, True, 2.0, "2"):
+    for version in (1, 3, 0, True, 2.0, "2"):
         artifacts.write(path, {"format": "patrol-stream", "version": version}, [])
-        with pytest.raises(ValueError, match=re.escape(f"unsupported version {version!r}, expected 1 or 2")):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported version {version!r}, expected 2; regenerate "
+                                                       "the stream with `objsearch patrol`")):
             read_stream(path)

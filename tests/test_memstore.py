@@ -137,7 +137,8 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
     stream = patrol(world, schedule, days=3)
     assert len({id(obs.visible_entities) for _, _, obs in stream}) < len(stream)
     fresh = [
-        (t, Pose.from_dict(pose.to_dict()), SymbolicObservation.from_dict(obs.to_dict()))
+        (t, Pose.from_dict(pose.to_dict()),
+         SymbolicObservation(tuple(map(replace, obs.visible_entities)), obs.caption))
         for t, pose, obs in stream
     ]
     shared = build(stream, EMB, mode=mode, noise_seed=5, ticks_per_day=200)
@@ -145,14 +146,13 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
     assert list(shared.records) == list(copied.records)
 
 
-def reference_build(stream, embedder, mode, noise_seed, snapshot_every, ticks_per_day, noise=DEFAULT_NOISE):
+def reference_build(stream, embedder, mode, noise_seed, ticks_per_day, noise=DEFAULT_NOISE):
     """One record per tick, each with its own embedding row (Embedder.__call__)
     and raw observation, extended one single-record batch at a time: the
     per-tick loop that build batches. A realistic caption takes entity j's
     draws from the counter form of the noise model: Philox keyed by
     (noise_seed, j), at counter t."""
-    memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day,
-                            snapshot_every=snapshot_every, embedder_id=embedder.embedder_id, mode=mode)
+    memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day, embedder_id=embedder.embedder_id, mode=mode)
     for i, (t, pose, obs) in enumerate(stream):
         draws = [np.random.Generator(np.random.Philox(key=[noise_seed, j], counter=t.value)).random(4)
                  for j in range(len(obs.visible_entities))]
@@ -189,25 +189,23 @@ def patrol_stream(layout_seed, scene_id, days):
     scene_id=st.sampled_from([1, 2, 3]),
     days=st.sampled_from([3, 4]),
     mode=st.sampled_from(["oracle", "realistic"]),
-    snapshot_every=st.sampled_from([1, 7, 25]),
     noise_seed=st.integers(0, 5),
 )
-def test_build_equals_per_tick_reference(layout_seed, scene_id, days, mode, snapshot_every, noise_seed):
+def test_build_equals_per_tick_reference(layout_seed, scene_id, days, mode, noise_seed):
     stream = patrol_stream(layout_seed, scene_id, days)
-    got = build(stream, EMB, mode=mode, noise_seed=noise_seed,
-                snapshot_every=snapshot_every, ticks_per_day=200)
-    want = reference_build(stream, EMB, mode, noise_seed, snapshot_every, 200)
+    got = build(stream, EMB, mode=mode, noise_seed=noise_seed, ticks_per_day=200)
+    want = reference_build(stream, EMB, mode, noise_seed, 200)
     assert_same_memory(got, want)
-    assert (got.snapshot_every, got.mode, got.embedder_id) == (snapshot_every, mode, EMB.embedder_id)
+    assert (got.mode, got.embedder_id) == (mode, EMB.embedder_id)
 
 
 def test_build_shares_one_raw_observation_per_view():
     """In both modes, records share a raw exactly when their raws are equal
-    by value (entity list and caption), keyframes included; an oracle memory
-    stores one raw per distinct view."""
+    by value (entity list and caption); an oracle memory stores one raw per
+    distinct view."""
     stream = patrol_stream(0, 1, 3)
     for mode in ("oracle", "realistic"):
-        memory = build(stream, EMB, mode=mode, snapshot_every=25, ticks_per_day=200)
+        memory = build(stream, EMB, mode=mode, ticks_per_day=200)
         recs = memory.records
         assert len(set(memory._raws)) == len(memory._raws)
         for prev, rec in zip(recs, recs[1:]):
@@ -295,11 +293,11 @@ def test_first_seen_numbers_rows_by_first_appearance(rows, width, kinds, seed, c
 
 @pytest.mark.parametrize("source", ["patrol", "file"])
 @pytest.mark.parametrize("mode", ["oracle", "realistic"])
-@pytest.mark.parametrize("snapshot_every", [1, 2, 7, 25])
-def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, source, mode, snapshot_every):
+@pytest.mark.parametrize("noise_seed", [0, 3, 7, 11])
+def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, source, mode, noise_seed):
     stream = run_streams[source]
     assert isinstance(stream, ObservationStream)
-    args = dict(mode=mode, noise_seed=3, snapshot_every=snapshot_every, ticks_per_day=200)
+    args = dict(mode=mode, noise_seed=noise_seed, ticks_per_day=200)
     got = build(stream, EMB, **args)
     per_tick = build(list(stream), EMB, **args)
     assert_same_memory(got, per_tick)
@@ -309,7 +307,7 @@ def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, sour
     assert got._raw_id[: len(got)].tolist() == per_tick._raw_id[: len(got)].tolist() == want
     want = first_use_ids(record.embedding.tobytes() for record in got.records)
     assert got._row_id[: len(got)].tolist() == want
-    assert_same_memory(got, reference_build(stream, EMB, mode, 3, snapshot_every, 200))
+    assert_same_memory(got, reference_build(stream, EMB, mode, noise_seed, 200))
 
 
 EMB32 = Embedder(EmbedderConfig(d=32))
@@ -429,21 +427,6 @@ def test_build_rejects_non_monotonic_timestamps():
         extend(memory, [(5, "again", (0, 0))])
     with pytest.raises(ValueError):
         extend(memory, [(3, "earlier", (0, 0))])
-
-
-def test_keyframe_stride():
-    from objsearch.agent.registry import record_views
-
-    stream = []
-    for t in range(60):
-        ent = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
-        obs = SymbolicObservation(visible_entities=(ent,), caption="")
-        stream.append((Timestep.at(t, 200), Pose(position=(0, 0), yaw=0, room_id="kitchen"), obs))
-    memory = build(stream, EMB, ticks_per_day=200, snapshot_every=25)
-    views = record_views(memory, range(len(memory)), [0.0] * len(memory))
-    flagged = [view["record_index"] for view in views if view["keyframe"]]
-    assert flagged == [0, 25, 50]
-    assert len(memory.fetch_raw(25).visible_entities) == 1
 
 
 def test_build_is_task_agnostic_signature():
@@ -878,20 +861,6 @@ def test_truncated_file_rejected(tmp_path):
         load(path)
 
 
-def persist_v4(memory, path):
-    """The memory file v4 writer: the two tables, then one line per maximal
-    run of records, [t, day, x, y, yaw, room, row, raw, length]."""
-    snap = memory._snapshot()
-    starts = memstore._run_starts(snap)
-    columns = [getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS]
-    lengths = np.diff(starts, append=len(snap.t)).tolist()
-    header = {"format_version": 4, "d": memory.d, "ticks_per_day": memory.ticks_per_day,
-              "snapshot_every": memory.snapshot_every, "embedder_id": memory.embedder_id, "mode": memory.mode,
-              "records": len(snap.t)}
-    tables = {"embeddings": [row.tolist() for row in snap.embeddings], "raws": [raw.to_dict() for raw in snap.raws]}
-    artifacts.write(path, header, zip(*columns, lengths), tables=tables)
-
-
 # -- concurrency ---------------------------------------------------------------------------
 
 
@@ -1018,28 +987,41 @@ def test_concurrent_index_backed_queries_see_whole_batches():
     assert len(memory.query_temporal(day_window=(0, 2**70), r=10**9, per="run")) == batch * batches // length
 
 
-@pytest.mark.parametrize(
-    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records",
-            "runs", "rows", "raws"]
-)
-def test_load_header_missing_key_is_integrity_error(tmp_path, key):
+# Memory files of either layout: "stored" (an embedder_id whose rows cannot
+# be derived: the file holds the row count, the row column and the embedding
+# table) and "derived" (the reference embedder's: the file holds none of
+# them, and load re-embeds the raw captions).
+LAYOUT_IDS = {"stored": "an embedder", "derived": EMB.embedder_id}
+
+
+def layout_memory(layout, **kw):
+    """Three records of distinct captions under the layout's embedder_id."""
+    return new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id=LAYOUT_IDS[layout], **kw)
+
+
+HEADER_KEYS = ["format_version", "d", "ticks_per_day", "embedder_id", "mode", "count", "records", "runs", "raws"]
+
+
+@pytest.mark.parametrize("layout, key", [*(("stored", key) for key in [*HEADER_KEYS, "rows"]),
+                                         *(("derived", key) for key in HEADER_KEYS)])
+def test_load_header_missing_key_is_integrity_error(tmp_path, layout, key):
     path = str(tmp_path / "memory.jsonl")
-    persist(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    persist(layout_memory(layout), path)
     rewrite_header(path, lambda header: header.pop(key))
     with pytest.raises(IntegrityError, match=f"malformed header: missing '{key}'"):
         load(path)
 
 
-# The refusal of any format_version but 4 and 5.
-REFUSED = "expected 4 or 5; rebuild an older memory from its stream with `objsearch build-memory`"
+# The refusal of any format_version but 6.
+REFUSED = "expected 6; rebuild the memory from its stream with `objsearch build-memory`"
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        *(("format_version", version, f"unsupported format_version {version}, {REFUSED}") for version in (1, 2, 3, 6)),
+        *(("format_version", version, f"unsupported format_version {version}, {REFUSED}")
+          for version in (1, 2, 3, 4, 5, 7)),
         ("d", "wide", "malformed header"),
-        ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
         ("count", 2, "column count mismatch: header says 2, found 12"),
         ("entity_lists", 2, "column count mismatch: header says 12, found 13"),
@@ -1069,37 +1051,22 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
 
 
 @pytest.mark.parametrize(
-    "key", ["format_version", "d", "ticks_per_day", "snapshot_every", "embedder_id", "mode", "count", "records"]
-)
-def test_load_v4_header_missing_key_is_integrity_error(tmp_path, key):
-    path = str(tmp_path / "memory.jsonl")
-    persist_v4(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
-    rewrite_header(path, lambda header: header.pop(key))
-    with pytest.raises(IntegrityError, match=f"malformed header: missing '{key}'"):
-        load(path)
-
-
-@pytest.mark.parametrize(
     "key, value, message",
     [
-        # A v4 body under an older or newer version is refused, not read as that version.
-        *(("format_version", version, f"unsupported format_version {version}, {REFUSED}") for version in (1, 2, 3, 6)),
-        ("d", "wide", "malformed header"),
-        ("snapshot_every", 0, "malformed header: snapshot_every must be >= 1"),
-        ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
-        ("count", 2, "run count mismatch: header says 2, found 3"),
-        ("records", 3.0, "malformed header: records must be an integer, got 3.0"),
-        ("records", True, "malformed header: records must be an integer, got True"),
-        ("records", "3", "malformed header: records must be an integer, got '3'"),
-        ("records", -1, "malformed header: records must be >= 0, got -1"),
-        ("records", 2, "record total mismatch: header says 2, runs hold 3"),
-        ("records", 4, "record total mismatch: header says 4, runs hold 3"),
-        ("records", 10**15, f"record total mismatch: header says {10**15}, runs hold 3"),
+        # Another embedder or dimension asks for the stored layout.
+        ("d", 32, "malformed header: missing 'rows'"),
+        ("embedder_id", "an embedder", "malformed header: missing 'rows'"),
+        ("count", 9, "column count mismatch: header says 9, found 10"),
+        ("raws", 4, "column 'raw_list': expected 4 values, one per raw, got 3"),
+        ("raws", -1, "malformed header: raws must be >= 0, got -1"),
     ],
 )
-def test_load_v4_header_bad_value_is_integrity_error(tmp_path, key, value, message):
+def test_load_derived_header_bad_value_is_integrity_error(tmp_path, key, value, message):
+    """A reference embedder's file is read by its own layout: a header whose
+    d or embedder_id names another embedder asks for rows it does not hold."""
     path = str(tmp_path / "memory.jsonl")
-    persist_v4(new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)]), path)
+    persist(layout_memory("derived"), path)
+    assert "rows" not in artifacts.verify(path)[0]
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
@@ -1111,41 +1078,36 @@ def test_ticks_per_day_must_be_positive():
             LongTermMemory(d=4, ticks_per_day=ticks_per_day)
 
 
-WRITERS = {4: persist_v4, 5: persist}
-
-
-@pytest.mark.parametrize("version", [4, 5])
+@pytest.mark.parametrize("layout", ["stored", "derived"])
 @pytest.mark.parametrize(
     "key, value, message",
     [
         ("format_version", True, f"unsupported format_version True, {REFUSED}"),
+        ("format_version", 6.0, f"unsupported format_version 6.0, {REFUSED}"),
         ("format_version", 3.0, f"unsupported format_version 3.0, {REFUSED}"),
         ("format_version", 1.0, f"unsupported format_version 1.0, {REFUSED}"),
-        ("format_version", 4.0, f"unsupported format_version 4.0, {REFUSED}"),
-        ("format_version", "3", f"unsupported format_version '3', {REFUSED}"),
+        ("format_version", "6", f"unsupported format_version '6', {REFUSED}"),
         ("d", "64", "malformed header: d must be an integer, got '64'"),
         ("d", 64.0, "malformed header: d must be an integer, got 64.0"),
         ("d", 64.7, "malformed header: d must be an integer, got 64.7"),
         ("ticks_per_day", "200", "malformed header: ticks_per_day must be an integer, got '200'"),
         ("ticks_per_day", 200.0, "malformed header: ticks_per_day must be an integer, got 200.0"),
         ("ticks_per_day", True, "malformed header: ticks_per_day must be an integer, got True"),
-        ("snapshot_every", 25.0, "malformed header: snapshot_every must be an integer, got 25.0"),
-        ("snapshot_every", True, "malformed header: snapshot_every must be an integer, got True"),
     ],
 )
-def test_load_header_takes_json_integers_only(tmp_path, version, key, value, message):
-    """format_version, d, ticks_per_day and snapshot_every are JSON integers:
-    no boolean, float or string stands in for one, in a v4 or v5 file."""
-    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)])
+def test_load_header_takes_json_integers_only(tmp_path, layout, key, value, message):
+    """format_version, d and ticks_per_day are JSON integers: no boolean,
+    float or string stands in for one, in a file of either layout."""
+    memory = layout_memory(layout)
     path = str(tmp_path / "memory.jsonl")
-    WRITERS[version](memory, path)
+    persist(memory, path)
     assert load(path).records == memory.records
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
 
 
-@pytest.mark.parametrize("version", [4, 5])
+@pytest.mark.parametrize("layout", ["stored", "derived"])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -1159,14 +1121,12 @@ def test_load_header_takes_json_integers_only(tmp_path, version, key, value, mes
         ("embedder_id", False, "malformed header: embedder_id must be a string, got False"),
     ],
 )
-def test_load_header_takes_json_strings_only(tmp_path, version, key, value, message):
+def test_load_header_takes_json_strings_only(tmp_path, layout, key, value, message):
     """embedder_id and mode are JSON strings, taken as they are, and mode is
-    oracle or realistic, in a v4 or v5 file."""
-    memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id="an embedder",
-                        mode="realistic")
+    oracle or realistic, in a file of either layout."""
     path = str(tmp_path / "memory.jsonl")
-    WRITERS[version](memory, path)
-    assert (load(path).embedder_id, load(path).mode) == ("an embedder", "realistic")
+    persist(layout_memory(layout, mode="realistic"), path)
+    assert (load(path).embedder_id, load(path).mode) == (LAYOUT_IDS[layout], "realistic")
     rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
@@ -1366,8 +1326,8 @@ def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused
 
 def assert_loaded_equals(loaded, memory):
     assert_same_memory(loaded, memory)
-    assert (loaded.d, loaded.ticks_per_day, loaded.snapshot_every, loaded.embedder_id, loaded.mode) == (
-        memory.d, memory.ticks_per_day, memory.snapshot_every, memory.embedder_id, memory.mode)
+    assert (loaded.d, loaded.ticks_per_day, loaded.embedder_id, loaded.mode) == (
+        memory.d, memory.ticks_per_day, memory.embedder_id, memory.mode)
 
 
 def assert_same_tables(a, b):
@@ -1376,32 +1336,48 @@ def assert_same_tables(a, b):
     assert a._snapshot().embeddings.tobytes() == b._snapshot().embeddings.tobytes()
 
 
+def with_embedder_id(memory, embedder_id="an embedder"):
+    """The memory's records and tables under another embedder_id, whose rows
+    its file stores (the stored layout)."""
+    copy = LongTermMemory(d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=embedder_id, mode=memory.mode)
+    copy.extend(memory._snapshot())
+    return copy
+
+
+def stores_rows(path):
+    """Whether a memory file holds a row count, a row column and an
+    embeddings line; it holds all three or none."""
+    header, lines, _ = artifacts.verify(path)
+    found = {"rows" in header, any(line.startswith('{"row":') for line in lines),
+             any(line.startswith('{"embeddings":') for line in lines)}
+    assert len(found) == 1, path
+    return found.pop()
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     layout_seed=st.integers(0, 3),
     scene_id=st.sampled_from([1, 2, 3]),
     mode=st.sampled_from(["oracle", "realistic"]),
-    snapshot_every=st.sampled_from([1, 7, 25]),
 )
-def test_v4_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode, snapshot_every):
-    """The memory persisted as v5 and as v4 loads equal to the build from
-    each, tables included, and each loaded memory re-persists as the
-    build's v5 bytes."""
-    memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3,
-                   snapshot_every=snapshot_every, ticks_per_day=200)
+def test_memory_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode):
+    """A built memory, persisted without its rows (the reference embedder's
+    layout) and with them (the same memory under another embedder_id),
+    loads equal to the build, tables included, and re-persists as its
+    file's bytes."""
+    memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3, ticks_per_day=200)
     root = tmp_path_factory.mktemp("files")
-    v5 = str(root / "v5.jsonl")
-    persist(memory, v5)
-    for writer in (persist, persist_v4):
+    for written, stored in ((memory, False), (with_embedder_id(memory), True)):
         path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
-        writer(memory, path)
+        persist(written, path)
+        assert stores_rows(path) == stored
         loaded = load(path)
-        assert_loaded_equals(loaded, memory)
-        assert_same_tables(loaded, memory)
+        assert_loaded_equals(loaded, written)
+        assert_same_tables(loaded, written)
         persist(loaded, again)
-        assert open(again, "rb").read() == open(v5, "rb").read()
-    for q in ("green folder", "red mug sink"):
-        assert load(v5).query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
+        assert open(again, "rb").read() == open(path, "rb").read()
+        for q in ("green folder", "red mug sink"):
+            assert loaded.query_semantic(q, EMB, r=9).hits == memory.query_semantic(q, EMB, r=9).hits
 
 
 def view_pool():
@@ -1431,74 +1407,139 @@ VIEW_NOISES = [DEFAULT_NOISE, NoiseModel(p_drop=0.4, p_mislabel=0.5, label_pool=
 @given(
     runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9), st.sampled_from(range(len(POSES))),
                             st.sampled_from(range(len(VIEWS)))), max_size=12),
-    snapshot_every=st.integers(1, 9),
     mode=st.sampled_from(["oracle", "realistic"]),
     noise_seed=st.integers(0, 3),
     noise=st.sampled_from(VIEW_NOISES),
 )
-def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, snapshot_every, mode, noise_seed, noise):
+def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, mode, noise_seed, noise):
     """Over random streams (runs of (gap, length, pose, view), 10 ticks a
     day): build equals the per-tick reference; its raws and rows are
-    pairwise distinct by value; persist then load gives equal records and
-    tables; and each record's view is a keyframe exactly when its index is
-    a multiple of snapshot_every."""
-    from objsearch.agent.registry import record_views
-
+    pairwise distinct by value; and persist then load gives equal records
+    and tables, from a file that stores no rows."""
     ticks, t = [], 0
     for gap, length, pose, view in runs:
         t += gap
         for _ in range(length):
             ticks.append((Timestep.at(t, 10), POSES[pose], VIEWS[view]))
             t += 1
-    memory = build(ticks, EMB, mode=mode, noise=noise, noise_seed=noise_seed, snapshot_every=snapshot_every,
-                   ticks_per_day=10)
-    assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, snapshot_every, 10, noise))
+    memory = build(ticks, EMB, mode=mode, noise=noise, noise_seed=noise_seed, ticks_per_day=10)
+    assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, 10, noise))
     assert len(set(memory._raws)) == len(memory._raws)
     rows = memory._snapshot().embeddings
     assert len({row.tobytes() for row in rows}) == len(rows)
     path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
     persist(memory, path)
+    assert not stores_rows(path)
     loaded = load(path)
     assert_loaded_equals(loaded, memory)
     assert_same_tables(loaded, memory)
-    views = record_views(loaded, range(len(loaded)), [0.0] * len(loaded))
-    assert [view["keyframe"] for view in views] == [i % snapshot_every == 0 for i in range(len(ticks))]
 
 
-def record_edit(field, value):
-    """Set one field of a record or run line (a run line ends with its length)."""
-    def edit(line):
-        line[(*RECORD_FIELDS, "length").index(field)] = value
-        return line
-    return edit
+def fake_endpoint(calls):
+    """An external embedding endpoint: the reference embedding of the text
+    with its first two coordinates swapped, so no reference row equals it.
+    Each request is counted in calls."""
+    def post(url, payload, timeout):
+        calls.append(payload["input"])
+        vector = EMB(payload["input"]).copy()
+        vector[[0, 1]] = vector[[1, 0]]
+        return {"vector": vector.tolist()}
+    return post
 
 
-@pytest.mark.parametrize(
-    "line, edit, message",
-    [
-        # 3 embedding rows (lines 1-3), 5 raws (lines 4-8), 5 runs of one record (lines 9-13)
-        (11, record_edit("row", 3), r"run 2: row id 3 out of range \[0, 3\)"),
-        (12, record_edit("row", -1), r"run 3: row id -1 out of range \[0, 3\)"),
-        (10, record_edit("raw", 5), r"run 1: raw id 5 out of range \[0, 5\)"),
-        (2, lambda row: [2 * v for v in row], "embeddings 1: embedding must be unit norm, got 2.0"),
-        (2, lambda row: [math.nan] * len(row), "embeddings 1: embedding must be unit norm, got nan"),
-        (3, lambda row: row[:-1], r"embeddings 2: embedding dimension \(63,\) != \(64,\)"),
-        (12, record_edit("t", 2), "run 3: non-monotonic timestamp 2 after 2"),
-        (9, record_edit("t", -1), "run 0: timestep value and day must be non-negative"),
-        (13, lambda line: line[:-1], "run 4: expected a list of 9 fields"),
-        (10, record_edit("room", 7), "column 'room' run 1: expected a JSON str, got 7"),
-        (5, lambda raw: {**raw, "visible_entities": raw["visible_entities"] * 2},
-         "raws 1: duplicate entity_id within one observation"),
-    ],
-)
-def test_v2_corruption_names_the_line(tmp_path, line, edit, message):
-    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(5)])
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+def test_external_embedder_memory_stores_its_rows(tmp_path, mode):
+    """An external endpoint's rows cannot be derived offline: its memory
+    file holds the row count, the row column and the base64 table, and
+    loads bit for bit without calling the endpoint."""
+    calls = []
+    config = EmbedderConfig(kind="external", d=64, endpoint="http://embedder.invalid/v1", model="m")
+    embedder = Embedder(config, post=fake_endpoint(calls))
+    memory = build(patrol_stream(1, 2, 3), embedder, mode=mode, noise_seed=1, ticks_per_day=200)
+    assert calls and memory.embedder_id == "external:m:d=64"
+    path, again = str(tmp_path / "memory.jsonl"), str(tmp_path / "again.jsonl")
+    persist(memory, path)
+    assert stores_rows(path)
+    made = len(calls)
+    loaded = load(path)
+    assert len(calls) == made
+    assert_same_bits(loaded, memory)
+    assert loaded.records == memory.records
+    persist(loaded, again)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def refused_memories():
+    """Memories of the reference embedder whose rows are not the ones their
+    raw captions derive, each with the raw persist must name: a record
+    whose raw's row holds another caption's embedding, a record of a raw
+    whose equal embedding has a second row, and a table row no raw derives."""
+    base = [(t, CAPTIONS[t % 3], (t, 0)) for t in range(4)]
+    wrong = new_memory(base, embedder_id=EMB.embedder_id)
+    batch = spec_batch(wrong, [(4, "a new caption", (0, 0))], EMB)
+    wrong.extend(replace(batch, embeddings=[EMB("another caption")]))
+    twice = new_memory(base, embedder_id=EMB.embedder_id)
+    batch = spec_batch(twice, [(4, CAPTIONS[0], (0, 0))], EMB)
+    twice.extend(replace(batch, row=[3], embeddings=[EMB(CAPTIONS[0])]))
+    spare = new_memory(base, embedder_id=EMB.embedder_id)
+    spare.extend(replace(spec_batch(spare, [(4, CAPTIONS[0], (0, 0))], EMB), embeddings=[EMB("a spare row")]))
+    return [(wrong, "raw 4: its embedding row is not the one derived from its caption"),
+            (twice, "raw 4: its embedding row is not the one derived from its caption"),
+            (spare, "embedding row 3 is derived from no raw caption")]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_persist_refuses_rows_that_are_not_derived(tmp_path, case):
+    """A reference embedder's memory file stores no rows, so persist writes
+    no file of a memory whose rows load could not derive back, and names
+    the raw; the same memory under another embedder_id keeps its rows."""
+    memory, message = refused_memories()[case]
+    path = tmp_path / "memory.jsonl"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        persist(memory, str(path))
+    assert not path.exists()
+    stored = with_embedder_id(memory)
+    persist(stored, str(path))
+    assert_same_bits(load(str(path)), stored)
+
+
+@pytest.mark.parametrize("caption", ["a lamp on the shelf", CAPTIONS[1]])
+def test_an_edited_caption_loads_with_rows_derived_from_it(tmp_path, caption):
+    """The rows of a reference embedder's file are derived on load: with one
+    raw caption edited (and the file re-checksummed), each record of that
+    raw gets the new caption's embedding, and rows are numbered as build
+    numbers them, so a caption made equal to another raw's shares its row."""
+    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(6)], embedder_id=EMB.embedder_id)
     path = str(tmp_path / "memory.jsonl")
-    persist_v4(memory, path)
-    load(path)
-    rewrite_line(path, line, edit)
-    with pytest.raises(IntegrityError, match=message):
-        load(path)
+    persist(memory, path)
+    rewrite_line(path, column_line("raw_caption", "derived", 6), column_edit("raw_caption", 0, caption))
+    loaded = load(path)
+    captions = [caption, *[raw.caption for raw in memory._raws[1:]]]
+    assert [raw.caption for raw in loaded._raws] == captions
+    assert [rec.embedding.tobytes() for rec in loaded.records] == [
+        EMB(captions[i]).tobytes() for i in loaded._snapshot().raw.tolist()]
+    assert loaded._k == len(set(captions))
+    persist(loaded, str(tmp_path / "again.jsonl"))
+
+
+@pytest.mark.parametrize("layout, embeds", [("stored", 0), ("derived", 1)])
+def test_load_embeds_the_captions_once_where_rows_are_derived(tmp_path, monkeypatch, layout, embeds):
+    """load makes one embed_captions call over all raw captions of a file
+    that derives its rows, and none for a file that stores them."""
+    memory = build(patrol_stream(1, 2, 3), EMB, mode="realistic", noise_seed=1, ticks_per_day=200)
+    memory = memory if layout == "derived" else with_embedder_id(memory)
+    path = str(tmp_path / "memory.jsonl")
+    persist(memory, path)
+    calls = []
+    embed_captions = Embedder.embed_captions
+
+    def counted(self, captions):
+        calls.append(len(captions))
+        return embed_captions(self, captions)
+
+    monkeypatch.setattr(Embedder, "embed_captions", counted)
+    assert_same_bits(load(path), memory)
+    assert calls == [len(memory._raws)] * embeds
 
 
 def runs_memory():
@@ -1508,41 +1549,23 @@ def runs_memory():
     return build(ticks, EMB, ticks_per_day=10)
 
 
-@pytest.mark.parametrize(
-    "line, edit, message",
-    [
-        # 1 embedding row (line 1), 1 raw (line 2), runs t 0-2, 3-4, 7-9 (lines 3-5)
-        (3, record_edit("length", 0), "column 'length' run 0: run length must be >= 1, got 0"),
-        (4, record_edit("length", -2), "column 'length' run 1: run length must be >= 1, got -2"),
-        (4, record_edit("length", 2.0), "column 'length' run 1: expected a JSON int, got 2.0"),
-        (4, record_edit("length", True), "column 'length' run 1: expected a JSON int, got True"),
-        (5, record_edit("length", "3"), "column 'length' run 2: expected a JSON int, got '3'"),
-        (5, record_edit("length", None), "column 'length' run 2: expected a JSON int, got None"),
-        # Run 0 would now overlap run 1; the total is checked first.
-        (3, record_edit("length", 4), "record total mismatch: header says 8, runs hold 9"),
-        (5, record_edit("length", 2), "record total mismatch: header says 8, runs hold 7"),
-        (4, record_edit("t", 2), "run 1: non-monotonic timestamp 2 after 2"),
-        (5, record_edit("t", 1), "run 2: non-monotonic timestamp 1 after 4"),
-        (4, record_edit("t", 0), "run 1: non-monotonic timestamp 0 after 2"),
-        # extend refuses a record of the run; the error names the run, not record 5 or 6.
-        (5, record_edit("row", 1), "run 2: row id 1 out of range [0, 1)"),
-        (5, record_edit("day", -1), "run 2: timestep value and day must be non-negative"),
-        (5, record_edit("t", 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
-    ],
-)
-def test_v4_run_line_corruption_names_the_run(tmp_path, line, edit, message):
-    memory = runs_memory()
-    path = str(tmp_path / "memory.jsonl")
-    persist_v4(memory, path)
-    assert artifacts.verify(path)[0]["count"] == 3
-    assert_same_bits(load(path), memory)
-    rewrite_line(path, line, edit)
-    with pytest.raises(IntegrityError, match=re.escape(message)):
-        load(path)
+def layout_runs_memory(layout):
+    """runs_memory in the layout: the reference embedder's, whose file
+    derives its rows, or under another embedder_id, whose file stores them."""
+    return runs_memory() if layout == "derived" else with_embedder_id(runs_memory())
+
+
+def column_line(name, layout, lists=1):
+    """The line of a column in a memory file of the layout with lists entity
+    lists: the header (line 0), the entity lists, then the column lines, and
+    the embeddings line last when the rows are stored."""
+    names = ("t0", "length", "day", "x", "y", "yaw", "room", "row", "raw", "raw_list", "raw_caption", "embeddings")
+    names = [n for n in names if layout == "stored" or n not in ("row", "embeddings")]
+    return 1 + lists + names.index(name)
 
 
 def column_edit(name, j, value):
-    """Set value j of a v5 column line."""
+    """Set value j of a column line."""
     def edit(line):
         line[name][j] = value
         return line
@@ -1550,7 +1573,7 @@ def column_edit(name, j, value):
 
 
 def embeddings_edit(edit):
-    """Edit the bytes of a v5 embeddings line."""
+    """Edit the bytes of an embeddings line."""
     def line_edit(line):
         return {"embeddings": base64.b64encode(edit(base64.b64decode(line["embeddings"]))).decode("ascii")}
     return line_edit
@@ -1560,70 +1583,76 @@ def doubled(data):
     return (np.frombuffer(data, dtype="<f8") * 2).astype("<f8").tobytes()
 
 
-# runs_memory as a v5 file: the header (line 0), one entity list (line 1),
-# then one line per column: t0, length, day, x, y, yaw, room, row, raw
-# (lines 2-10, three runs), raw_list, raw_caption (lines 11-12, one raw) and
-# embeddings (line 13, one row of 64 floats).
-V5_LINE = {name: 2 + i for i, name in enumerate(
-    ("t0", "length", "day", "x", "y", "yaw", "room", "row", "raw", "raw_list", "raw_caption", "embeddings"))}
+# Corruptions of runs_memory's file (three runs, one raw; one row and 64
+# floats where stored), each in the layouts whose file holds its column:
+# a row or embeddings edit in the stored layout, a caption without tokens
+# in the derived one (whose captions are embedded), any other in both.
+CORRUPTIONS = [
+    # An int column takes JSON integers only; a float column integers too.
+    ("day", column_edit("day", 1, True), "column 'day' run 1: expected a JSON int, got True"),
+    ("row", column_edit("row", 2, 1.5), "column 'row' run 2: expected a JSON int, got 1.5"),
+    ("t0", column_edit("t0", 0, 0.0), "column 't0' run 0: expected a JSON int, got 0.0"),
+    ("raw_list", column_edit("raw_list", 0, False), "column 'raw_list' raw 0: expected a JSON int, got False"),
+    ("x", column_edit("x", 1, True), "column 'x' run 1: expected a JSON float, got True"),
+    ("yaw", column_edit("yaw", 2, "0.5"), "column 'yaw' run 2: expected a JSON float, got '0.5'"),
+    ("room", column_edit("room", 1, 7), "column 'room' run 1: expected a JSON str, got 7"),
+    ("raw_caption", column_edit("raw_caption", 0, None),
+     "column 'raw_caption' raw 0: expected a JSON str, got None"),
+    ("t0", column_edit("t0", 2, 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
+    ("day", column_edit("day", 0, -(2**63) - 1), f"column 'day' run 0: {-(2**63) - 1} is out of the int64 range"),
+    ("y", column_edit("y", 1, 10**309), f"column 'y' run 1: {10**309} is out of the float64 range"),
+    # A column whose length is not the header's count.
+    ("t0", lambda line: {"t0": line["t0"][:2]}, "column 't0': expected 3 values, one per run, got 2"),
+    ("yaw", lambda line: {"yaw": line["yaw"] * 2}, "column 'yaw': expected 3 values, one per run, got 6"),
+    ("room", lambda line: {"room": "kitchen"}, "column 'room': expected 3 values, one per run, got str"),
+    ("raw_caption", lambda line: {"raw_caption": []},
+     "column 'raw_caption': expected 1 values, one per raw, got 0"),
+    ("day", lambda line: {"days": line["day"]}, "expected the 'day' column line"),
+    # Run lengths of at least 1, summing to records.
+    ("length", column_edit("length", 0, 0), "column 'length' run 0: run length must be >= 1, got 0"),
+    ("length", column_edit("length", 1, -2), "column 'length' run 1: run length must be >= 1, got -2"),
+    ("length", column_edit("length", 0, 4), "record total mismatch: header says 8, runs hold 9"),
+    ("length", column_edit("length", 2, 2), "record total mismatch: header says 8, runs hold 7"),
+    # The embeddings line: base64 of exactly k*d*8 bytes.
+    ("embeddings", lambda line: {"embeddings": line["embeddings"][:-4] + "AA*="},
+     "column 'embeddings': bad base64"),
+    ("embeddings", lambda line: {"embeddings": "é" + line["embeddings"][1:]}, "column 'embeddings': bad base64"),
+    ("embeddings", embeddings_edit(lambda data: data[:-8]),
+     "column 'embeddings': 504 bytes, expected 512, 8 per float of 1 rows of 64"),
+    ("embeddings", lambda line: {"embeddings": [line["embeddings"]]}, "expected the 'embeddings' line"),
+    ("embeddings", embeddings_edit(doubled), "embeddings 0: embedding must be unit norm, got 2.0"),
+    ("embeddings", embeddings_edit(lambda data: np.full(64, math.nan, dtype="<f8").tobytes()),
+     "embeddings 0: embedding must be unit norm, got nan"),
+    # A caption is embedded only where rows are derived.
+    ("raw_caption", column_edit("raw_caption", 0, " ;,"),
+     "column 'raw_caption' raw 0: text has no tokens after normalization"),
+    # Ids in range, checked whole; extend's checks name the run.
+    ("raw_list", column_edit("raw_list", 0, 1), "column 'raw_list' raw 0: list id 1 out of range [0, 1)"),
+    ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
+    ("raw", column_edit("raw", 1, -1), "column 'raw' run 1: raw id -1 out of range [0, 1)"),
+    ("raw", column_edit("raw", 2, 1), "column 'raw' run 2: raw id 1 out of range [0, 1)"),
+    ("row", column_edit("row", 2, 1), "run 2: row id 1 out of range [0, 1)"),
+    ("t0", column_edit("t0", 1, 2), "run 1: non-monotonic timestamp 2 after 2"),
+    ("day", column_edit("day", 2, -1), "run 2: timestep value and day must be non-negative"),
+]
 
 
-@pytest.mark.parametrize(
-    "name, edit, message",
-    [
-        # An int column takes JSON integers only; a float column integers too.
-        ("day", column_edit("day", 1, True), "column 'day' run 1: expected a JSON int, got True"),
-        ("row", column_edit("row", 2, 1.5), "column 'row' run 2: expected a JSON int, got 1.5"),
-        ("t0", column_edit("t0", 0, 0.0), "column 't0' run 0: expected a JSON int, got 0.0"),
-        ("raw_list", column_edit("raw_list", 0, False), "column 'raw_list' raw 0: expected a JSON int, got False"),
-        ("x", column_edit("x", 1, True), "column 'x' run 1: expected a JSON float, got True"),
-        ("yaw", column_edit("yaw", 2, "0.5"), "column 'yaw' run 2: expected a JSON float, got '0.5'"),
-        ("room", column_edit("room", 1, 7), "column 'room' run 1: expected a JSON str, got 7"),
-        ("raw_caption", column_edit("raw_caption", 0, None),
-         "column 'raw_caption' raw 0: expected a JSON str, got None"),
-        ("t0", column_edit("t0", 2, 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
-        ("day", column_edit("day", 0, -(2**63) - 1), f"column 'day' run 0: {-(2**63) - 1} is out of the int64 range"),
-        ("y", column_edit("y", 1, 10**309), f"column 'y' run 1: {10**309} is out of the float64 range"),
-        # A column whose length is not the header's count.
-        ("t0", lambda line: {"t0": line["t0"][:2]}, "column 't0': expected 3 values, one per run, got 2"),
-        ("yaw", lambda line: {"yaw": line["yaw"] * 2}, "column 'yaw': expected 3 values, one per run, got 6"),
-        ("room", lambda line: {"room": "kitchen"}, "column 'room': expected 3 values, one per run, got str"),
-        ("raw_caption", lambda line: {"raw_caption": []},
-         "column 'raw_caption': expected 1 values, one per raw, got 0"),
-        ("day", lambda line: {"days": line["day"]}, "expected the 'day' column line"),
-        # Run lengths of at least 1, summing to records.
-        ("length", column_edit("length", 0, 0), "column 'length' run 0: run length must be >= 1, got 0"),
-        ("length", column_edit("length", 1, -2), "column 'length' run 1: run length must be >= 1, got -2"),
-        ("length", column_edit("length", 0, 4), "record total mismatch: header says 8, runs hold 9"),
-        ("length", column_edit("length", 2, 2), "record total mismatch: header says 8, runs hold 7"),
-        # The embeddings line: base64 of exactly k*d*8 bytes.
-        ("embeddings", lambda line: {"embeddings": line["embeddings"][:-4] + "AA*="},
-         "column 'embeddings': bad base64"),
-        ("embeddings", lambda line: {"embeddings": "é" + line["embeddings"][1:]}, "column 'embeddings': bad base64"),
-        ("embeddings", embeddings_edit(lambda data: data[:-8]),
-         "column 'embeddings': 504 bytes, expected 512, 8 per float of 1 rows of 64"),
-        ("embeddings", lambda line: {"embeddings": [line["embeddings"]]}, "expected the 'embeddings' line"),
-        ("embeddings", embeddings_edit(doubled), "embeddings 0: embedding must be unit norm, got 2.0"),
-        ("embeddings", embeddings_edit(lambda data: np.full(64, math.nan, dtype="<f8").tobytes()),
-         "embeddings 0: embedding must be unit norm, got nan"),
-        # Ids in range, checked whole; extend's checks name the run.
-        ("raw_list", column_edit("raw_list", 0, 1), "column 'raw_list' raw 0: list id 1 out of range [0, 1)"),
-        ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
-        ("row", column_edit("row", 2, 1), "run 2: row id 1 out of range [0, 1)"),
-        ("raw", column_edit("raw", 1, -1), "run 1: raw id -1 out of range [0, 1)"),
-        ("t0", column_edit("t0", 1, 2), "run 1: non-monotonic timestamp 2 after 2"),
-        ("day", column_edit("day", 2, -1), "run 2: timestep value and day must be non-negative"),
-    ],
-)
-def test_v5_corruption_names_the_column_or_run(tmp_path, name, edit, message):
-    memory = runs_memory()
+@pytest.mark.parametrize("layout, name, edit, message", [
+    pytest.param(layout, name, edit, message, id=f"{layout}-{message[:48]}")
+    for name, edit, message in CORRUPTIONS
+    for layout in (("stored",) if name in ("row", "embeddings") else ("derived",) if "no tokens" in message
+                   else ("stored", "derived"))
+])
+def test_corruption_names_the_column_or_run(tmp_path, layout, name, edit, message):
+    memory = layout_runs_memory(layout)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
-    header, lines = artifacts.verify(path)
-    assert (header["entity_lists"], header["count"], header["runs"], header["raws"], header["rows"]) == (1, 12, 3, 1, 1)
-    assert list(json.loads(lines[V5_LINE[name] - 1])) == [name]
+    header, lines, _ = artifacts.verify(path)
+    assert (header["entity_lists"], header["count"], header["runs"], header["raws"], header.get("rows")) == (
+        (1, 12, 3, 1, 1) if layout == "stored" else (1, 10, 3, 1, None))
+    assert list(json.loads(lines[column_line(name, layout) - 1])) == [name]
     assert_same_bits(load(path), memory)
-    rewrite_line(path, V5_LINE[name], edit)
+    rewrite_line(path, column_line(name, layout), edit)
     with pytest.raises(IntegrityError, match=re.escape(message)):
         load(path)
 
@@ -1631,9 +1660,10 @@ def test_v5_corruption_names_the_column_or_run(tmp_path, name, edit, message):
 def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
     """A record's day is t // ticks_per_day. extend refuses a batch holding
     one that is not, naming the record, and stores nothing; build refuses a
-    stream whose days do not fit its ticks_per_day; load refuses a v4 or v5
-    file whose day column, or header ticks_per_day, is off, naming the run.
-    Without this a day window would return hits marked with another day."""
+    stream whose days do not fit its ticks_per_day; load refuses a file of
+    either layout whose day column, or header ticks_per_day, is off, naming
+    the run. Without this a day window would return hits marked with
+    another day."""
     memory = LongTermMemory(d=64, ticks_per_day=10)
     batch = spec_batch(memory, [(t, f"caption {t}", (0, 0)) for t in range(15)], EMB)
     shifted = replace(batch, day=[*batch.day[:12], 0, *batch.day[13:]])
@@ -1652,17 +1682,16 @@ def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
     run2 = "run 2: day 1 is not t // ticks_per_day = 0 for t=7 at ticks_per_day=10"
     run1 = "run 1: day 0 is not t // ticks_per_day = 1 for t=4 at ticks_per_day=4"
     path = str(tmp_path / "memory.jsonl")
-    for writer, edit, message in (
-        (persist_v4, lambda: rewrite_line(path, 5, record_edit("day", 1)), run2),
-        (persist, lambda: rewrite_line(path, V5_LINE["day"], column_edit("day", 2, 1)), run2),
-        (persist_v4, lambda: rewrite_header(path, lambda header: header.update(ticks_per_day=4)), run1),
-        (persist, lambda: rewrite_header(path, lambda header: header.update(ticks_per_day=4)), run1),
-    ):
-        writer(runs_memory(), path)
-        load(path)
-        edit()
-        with pytest.raises(IntegrityError, match=re.escape(message)):
+    for layout in ("stored", "derived"):
+        for edit, message in (
+            (lambda: rewrite_line(path, column_line("day", layout), column_edit("day", 2, 1)), run2),
+            (lambda: rewrite_header(path, lambda header: header.update(ticks_per_day=4)), run1),
+        ):
+            persist(layout_runs_memory(layout), path)
             load(path)
+            edit()
+            with pytest.raises(IntegrityError, match=re.escape(message)):
+                load(path)
 
 
 @pytest.mark.parametrize(
@@ -1676,35 +1705,32 @@ def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
                        ("raw", 0, 2**64), ("length", 1, -2), ("length", 2, 2.0), ("length", 1, True),
                        ("length", 0, "3")],
 )
-def test_v4_and_v5_corruption_give_one_message(tmp_path, name, j, value):
-    """One corrupt value of a run column, written as a v4 run line's field and
-    as a v5 column line's value, is refused with one message that names the
-    column and the run: both formats go through one column check."""
-    memory = runs_memory()
+def test_both_layouts_give_one_message(tmp_path, name, j, value):
+    """One corrupt value of a run column, in a file that stores its rows and
+    in one that derives them, is refused with one message that names the
+    column and the run: both layouts go through one column check. The row
+    column is only in the first."""
     path = str(tmp_path / "memory.jsonl")
-    messages = []
-    # runs_memory's v4 file holds one embedding row and one raw (lines 1-2),
-    # then run j on line 3 + j.
-    for writer, line, edit in ((persist_v4, 3 + j, record_edit("t" if name == "t0" else name, value)),
-                               (persist, V5_LINE[name], column_edit(name, j, value))):
-        writer(memory, path)
-        rewrite_line(path, line, edit)
+    messages = set()
+    for layout in ("stored",) if name == "row" else ("stored", "derived"):
+        persist(layout_runs_memory(layout), path)
+        rewrite_line(path, column_line(name, layout), column_edit(name, j, value))
         with pytest.raises(IntegrityError) as raised:
             load(path)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith(f"column '{name}' run {j}: ")
+        messages.add(str(raised.value))
+    [message] = messages
+    assert message.startswith(f"column '{name}' run {j}: ")
 
 
-def test_v5_float_columns_take_json_integers(tmp_path):
+def test_float_columns_take_json_integers(tmp_path):
     memory = runs_memory()
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
-    rewrite_line(path, V5_LINE["x"], column_edit("x", 0, 2))
+    rewrite_line(path, column_line("x", "derived"), column_edit("x", 0, 2))
     assert load(path)._snapshot().x.tolist()[:3] == [2.0] * 3
 
 
-def test_v5_entity_list_corruption_names_the_list(tmp_path):
+def test_entity_list_corruption_names_the_list(tmp_path):
     """An entity list is checked once, as SymbolicObservation checks one,
     however many raws share it."""
     memory = build([(Timestep.at(t, 10), POSES[0], VIEWS[5]) for t in range(6)], EMB, mode="realistic",
@@ -1726,8 +1752,7 @@ def test_v5_entity_list_corruption_names_the_list(tmp_path):
 def assert_same_bits(a, b):
     """Equal header fields, and equal columns and tables as bytes, so that
     0.0 and -0.0 differ."""
-    assert (a.d, a.ticks_per_day, a.snapshot_every, a.embedder_id, a.mode) == (
-        b.d, b.ticks_per_day, b.snapshot_every, b.embedder_id, b.mode)
+    assert (a.d, a.ticks_per_day, a.embedder_id, a.mode) == (b.d, b.ticks_per_day, b.embedder_id, b.mode)
     sa, sb = a._snapshot(), b._snapshot()
     for name in RECORD_FIELDS:
         ca, cb = getattr(sa, name), getattr(sb, name)
@@ -1785,11 +1810,13 @@ def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs,
     rest = [(day, x.hex(), y.hex(), yaw.hex(), room, row, raw) for day, x, y, yaw, room, row, raw
             in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
     maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
-    header, lines = artifacts.verify(path)
-    assert (header["runs"], header["records"], header["rows"], header["raws"]) == (
-        maximal, len(ticks), memory._k, len(memory._raws))
+    header, lines, _ = artifacts.verify(path)
+    assert (header["runs"], header["records"], header["raws"]) == (maximal, len(ticks), len(memory._raws))
+    assert not stores_rows(path)
     columns = [json.loads(line) for line in lines[header["entity_lists"]:]]
-    assert [len(column[name]) for column, name in zip(columns, ("t0", "length", *RECORD_FIELDS[1:]))] == [maximal] * 9
+    names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw")
+    assert [list(column) for column in columns[:8]] == [[name] for name in names]
+    assert [len(column[name]) for column, name in zip(columns, names)] == [maximal] * 8
     loaded = load(path)
     assert_same_bits(loaded, memory)
     assert loaded.records == memory.records
@@ -1820,8 +1847,8 @@ def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     loaded = load(path)
-    # header, lists, 11 columns, embeddings and the checksum line.
-    assert calls == {"dumps": lists + 14, "loads": lists + 14, "ids": lists}
+    # header, lists, 10 columns (no row column and no embeddings) and the checksum line.
+    assert calls == {"dumps": lists + 12, "loads": lists + 12, "ids": lists}
     assert_same_bits(loaded, memory)
 
 
@@ -1861,10 +1888,8 @@ def test_retrieval_outcomes_build_no_memory_record(monkeypatch):
         assert views
         for view in views:
             rec = want[view["record_index"]]
-            i = view["record_index"]
-            assert (view["t"], view["day"], view["room"], view["x"], view["y"], view["caption"], view["keyframe"]) == (
-                rec.t.value, rec.t.day, rec.pose.room_id, *rec.pose.position, rec.raw.caption,
-                i % memory.snapshot_every == 0)
+            assert (view["t"], view["day"], view["room"], view["x"], view["y"], view["caption"]) == (
+                rec.t.value, rec.t.day, rec.pose.room_id, *rec.pose.position, rec.raw.caption)
 
 
 def test_concurrent_record_passes_see_their_prefix():

@@ -10,11 +10,12 @@ from objsearch.agent import (
     LLMPolicyConfig,
     WireParseError,
     build_request,
+    decode_request,
     decode_response,
     encode_request,
 )
 from objsearch.agent.wire import WIRE_VERSION, load_conformance_corpus
-from objsearch.core import Action, Instruction, Outcome, WorkingMemory
+from objsearch.core import Instruction, WorkingMemory, canonical_dumps
 
 
 @pytest.fixture(scope="module")
@@ -28,23 +29,50 @@ def test_corpus_has_ten_valid_cases(corpus):
 
 
 def test_requests_reencode_byte_exact(corpus):
-    """Decoding a canonical request and re-encoding its parts reproduces the
-    exact bytes shipped in the corpus."""
+    """decode_request then encode_request reproduces the exact bytes shipped
+    in the corpus, whose hits carry no keyframe flag."""
     for case in corpus["cases"]:
-        body = json.loads(case["request"])
-        h = WorkingMemory(
-            instruction=Instruction(text=body["instruction"]),
-            steps=tuple(
-                (Action.from_dict(s["action"]), Outcome.from_dict(s["outcome"]))
-                for s in body["trace"]
-            ),
-            remaining_budget=body["remaining_budget"],
-        )
-        encoded = encode_request(
-            body["instruction"], body["remaining_budget"], body["tool_schemas"], h
-        )
+        instruction, budget, schemas, h = decode_request(case["request"])
+        assert (instruction, budget) == (h.instruction.text, h.remaining_budget)
+        encoded = encode_request(instruction, budget, schemas, h)
         assert encoded == case["request"], case["name"]
         assert encoded.encode("utf-8") == case["request"].encode("utf-8")
+        assert "keyframe" not in encoded
+
+
+def test_decode_request_refuses_another_wire_version(corpus):
+    body = json.loads(corpus["cases"][0]["request"])
+    for version in (2, 4):
+        with pytest.raises(WireParseError, match=f"request version {version}, expected {WIRE_VERSION}"):
+            decode_request(canonical_dumps({**body, "version": version}))
+
+
+def test_policies_decide_from_the_decoded_request_alone(tmp_path, monkeypatch):
+    """Every scripted policy, deciding from decode_request(encode_request(...))
+    of each step instead of its own arguments, writes the direct run's log
+    and report byte for byte, on a one-scene desk slice in both modes: a
+    request carries everything a policy reads."""
+    from objsearch.bench import SuiteConfig, generate_suite, run_suite, suite
+
+    tasks = generate_suite(scenes=(1,), per_family=1)
+    config = SuiteConfig(methods=("random", "sg_s", "tr_s", "star"), modes=("oracle", "realistic"))
+    direct = run_suite(tasks, config, log_path=str(tmp_path / "direct.jsonl"))
+    make_policy, decisions = suite.make_policy, []
+
+    def over_the_wire(*args, **kwargs):
+        policy = make_policy(*args, **kwargs)
+
+        def decide(instruction, h, budget, schemas):
+            decisions.append(encode_request(instruction, budget, schemas, h))
+            instruction, budget, schemas, h = decode_request(decisions[-1])
+            return policy(instruction, h, budget, schemas)
+        return decide
+
+    monkeypatch.setattr(suite, "make_policy", over_the_wire)
+    wired = run_suite(tasks, config, log_path=str(tmp_path / "wired.jsonl"))
+    assert canonical_dumps(wired.to_dict()) == canonical_dumps(direct.to_dict())
+    assert (tmp_path / "wired.jsonl").read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
+    assert len(decisions) >= sum(episode["steps_used"] for episode in direct.episodes) > 0
 
 
 def test_responses_decode_to_expected_actions(corpus):
