@@ -19,17 +19,18 @@ query scores the k table rows and reads the best rows' postings (their
 records, ascending) up to r hits, O(k·d + k log k + r); a spatial query does
 the same over the P distinct positions within the radius, O(P log P + r).
 The postings and position ids are derived indexes, built in O(n) on first
-use after each extend and never stored. Timesteps increase strictly, so a
+use of each record set and never stored. Timesteps increase strictly, so a
 temporal query is a binary search of the t column plus O(r) work; a day
 window asked per run also searches the ends of the maximal runs of records,
 derived the same way (the runs of the memory file).
 
-Concurrency: one writer may extend while readers query. A batch is
-validated whole and published at once: its table rows are written before any
-record refers to them, then its record columns, then the record count.
-Readers snapshot the record count first and then slice each column. So every
-query sees a consistent prefix of the insertion order that ends at a batch
-boundary: a whole batch or none of it.
+Concurrency: a memory holds one immutable record set (_RecordSet), every
+record column and both tables as read-only arrays. extend checks a batch
+whole, makes the next record set by concatenating each column and table with
+the batch's, and publishes it with one assignment. Every query, read and
+persist takes the record set once, so one writer may extend while readers
+query and each reader sees whole batches only. A record set's indexes are
+derived on first use and kept with it.
 
 Memory file v6 (``FORMAT_VERSION = 6``), a checksummed artifact file (see
 artifacts.py), holds the raw table and the maximal runs of records (t rises
@@ -98,8 +99,10 @@ DEFAULT_TOP_R = 5
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of Batch's columns.
+# The fields of one record, in the order of Batch's columns, and the dtype
+# of each field's column.
 RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
+_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
 
 
 class BatchError(ValueError):
@@ -173,15 +176,6 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _grown(a: np.ndarray, need: int, used: int) -> np.ndarray:
-    """a, or a larger copy of it when it holds fewer than need rows."""
-    if need <= a.shape[0]:
-        return a
-    grown = np.zeros((max(need, 2 * a.shape[0]),) + a.shape[1:], dtype=a.dtype)
-    grown[:used] = a[:used]
-    return grown
-
-
 def _postings(ids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each of m entries' records, given each record's entry id: the record
     indices sorted by id (stable), and each id's start and count in them."""
@@ -213,93 +207,122 @@ def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray]
     return index[:r], entry[:r]
 
 
+class _RecordSet(Batch):
+    """A memory's published records: each column of RECORD_FIELDS, the
+    embedding table and the raw table whole, as arrays that of makes
+    read-only and a tuple, so never changed once made; and the indexes
+    derived from them on first use."""
+
+    @staticmethod
+    def of(columns: Sequence[np.ndarray], embeddings: np.ndarray, raws: Sequence[SymbolicObservation]) -> _RecordSet:
+        for array in (*columns, embeddings):
+            array.flags.writeable = False
+        return _RecordSet(*columns, embeddings=embeddings, raws=tuple(raws))
+
+    def record(self, i: int) -> MemoryRecord:
+        return MemoryRecord(
+            t=Timestep(value=int(self.t[i]), day=int(self.day[i])),
+            pose=Pose(position=(float(self.x[i]), float(self.y[i])), yaw=float(self.yaw[i]), room_id=self.room[i]),
+            embedding=self.embeddings[self.row[i]],
+            raw=self.raws[self.raw[i]],
+        )
+
+    @functools.cached_property
+    def records(self) -> list[MemoryRecord]:
+        return [self.record(i) for i in range(len(self.t))]
+
+    @functools.cached_property
+    def row_postings(self) -> tuple:
+        """Each table row's records (_postings)."""
+        return _postings(self.row, len(self.embeddings))
+
+    @functools.cached_property
+    def places(self) -> tuple:
+        """(postings, positions) of the distinct positions, keyed by their
+        float bits."""
+        pos = np.column_stack((self.x, self.y))
+        place, first = _first_seen(pos.view(np.int64))
+        return _postings(place, len(first)), pos[first]
+
+    @functools.cached_property
+    def run_starts(self) -> np.ndarray:
+        """The index of each maximal run's first record: a run's t rises by 1
+        and its other fields are equal, the float columns by their bits."""
+        change = np.diff(self.t) != 1
+        for name in RECORD_FIELDS[1:]:
+            column = getattr(self, name)
+            if column.dtype == np.float64:
+                column = column.view(np.int64)
+            change |= column[1:] != column[:-1]
+        return np.flatnonzero(np.concatenate(([len(self.t) > 0], change)))
+
+    @functools.cached_property
+    def run_ends(self) -> np.ndarray:
+        """The index of each maximal run's last record, ascending."""
+        return np.append(self.run_starts[1:], len(self.t)) - 1
+
+
 class LongTermMemory:
     """Append-only record columns over an embedding table and a raw table,
-    queried by meaning, time and place from the columns and the indexes
-    derived from them (see _derive)."""
+    held as one published record set (_RecordSet) and queried by meaning,
+    time and place from its columns and the indexes derived from them."""
 
-    _COLUMNS = ("_t", "_day", "_pos", "_yaw", "_room", "_row_id", "_raw_id")
-
-    def __init__(
-        self,
-        d: int,
-        ticks_per_day: int,
-        embedder_id: str = "",
-        mode: str = "oracle",
-    ):
+    def __init__(self, d: int, ticks_per_day: int, embedder_id: str = "", mode: str = "oracle"):
         if ticks_per_day < 1:
             raise ValueError("ticks_per_day must be >= 1")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
         self.d = d
         self.ticks_per_day = ticks_per_day
         self.embedder_id = embedder_id
         self.mode = mode
-        self._n = 0
-        self._derived: dict[str, tuple[int, Any]] = {}  # see _derive
-        # Tables: distinct embedding rows and distinct raw observations.
-        self._k = 0
-        self._table = np.zeros((8, d), dtype=np.float64)
-        self._raws: list[SymbolicObservation] = []
-        cap = 64
-        self._t = np.zeros(cap, dtype=np.int64)
-        self._day = np.zeros(cap, dtype=np.int64)
-        self._pos = np.zeros((cap, 2), dtype=np.float64)
-        self._yaw = np.zeros(cap, dtype=np.float64)
-        self._room = np.zeros(cap, dtype=object)
-        self._row_id = np.zeros(cap, dtype=np.int64)
-        self._raw_id = np.zeros(cap, dtype=np.int64)
+        self._set = _RecordSet.of([np.zeros(0, dtype) for dtype in _DTYPES], np.zeros((0, d)), ())
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._set.t)
+
+    def _at(self, i: int) -> _RecordSet:
+        """The record set, once i is checked to index one of its records."""
+        held = self._set
+        if not (0 <= i < len(held.t)):
+            raise IndexError(f"record index {i} out of range [0, {len(held.t)})")
+        return held
 
     @property
     def records(self) -> list[MemoryRecord]:
         """The published records as a new list: records added later are not
-        in it. The MemoryRecords are built on the first read and kept, so a
-        later read costs a list copy; build and load never build them."""
-
-        def extend(n: int) -> list[MemoryRecord]:
-            built = self._derived.get("records", (0, []))[1]
-            return built[:n] + [self.record(i) for i in range(len(built), n)]
-
-        return list(self._derive("records", self._n, extend))
+        in it. The MemoryRecords are built on the first read of a record set
+        and kept, so a later read costs a list copy; build and load never
+        build them."""
+        return list(self._set.records)
 
     def record(self, i: int) -> MemoryRecord:
         """One record by index, built from the columns."""
-        if not (0 <= i < self._n):
-            raise IndexError(f"record index {i} out of range [0, {self._n})")
-        embedding = self._table[self._row_id[i]]
-        embedding.flags.writeable = False
-        return MemoryRecord(
-            t=self.timestep(i),
-            pose=Pose(position=tuple(self._pos[i].tolist()), yaw=float(self._yaw[i]), room_id=self._room[i]),
-            embedding=embedding,
-            raw=self._raws[self._raw_id[i]],
-        )
+        return self._at(i).record(i)
 
     def timestep(self, i: int) -> Timestep:
         """The timestep of one record."""
-        if not (0 <= i < self._n):
-            raise IndexError(f"record index {i} out of range [0, {self._n})")
-        return Timestep(value=int(self._t[i]), day=int(self._day[i]))
+        held = self._at(i)
+        return Timestep(value=int(held.t[i]), day=int(held.day[i]))
 
     def fields(self, indices: Sequence[int]) -> dict[str, list]:
         """Fields of the given records, one list per field: t, day, x, y,
         room and raw (the stored observation). One gather per column; no
         MemoryRecord is built."""
-        n = self._n
+        held = self._set
+        n = len(held.t)
         idx = np.asarray(indices, dtype=np.intp)
         # One bound check for both ends: a negative index is huge unsigned.
         if idx.size and idx.view(np.uintp).max() >= n:
             raise IndexError(f"record index out of range [0, {n})")
-        pos = self._pos[idx]
-        raws = self._raws
+        raws = held.raws
         return {
-            "t": self._t[idx].tolist(),
-            "day": self._day[idx].tolist(),
-            "x": pos[:, 0].tolist(),
-            "y": pos[:, 1].tolist(),
-            "room": self._room[idx].tolist(),
-            "raw": [raws[j] for j in self._raw_id[idx].tolist()],
+            "t": held.t[idx].tolist(),
+            "day": held.day[idx].tolist(),
+            "x": held.x[idx].tolist(),
+            "y": held.y[idx].tolist(),
+            "room": held.room[idx].tolist(),
+            "raw": [raws[j] for j in held.raw[idx].tolist()],
         }
 
     def extend(self, batch: Batch) -> int:
@@ -312,20 +335,24 @@ class LongTermMemory:
         after the last stored record. A bad batch raises BatchError and stores
         nothing. A bad new row is named by its position among the new rows,
         before any record is checked; otherwise the error names the first bad
-        record's position in the batch.
+        record's position in the batch. A good batch is published whole: the
+        next record set, each column and table the current one's followed by
+        the batch's, replaces the current one in one assignment.
         """
-        n, k, m = self._n, self._k, len(self._raws)
+        held = self._set
+        n, k, m = len(held.t), len(held.embeddings), len(held.raws)
         embeddings = self._new_rows(batch.embeddings)
         t = np.asarray(batch.t, dtype=np.int64)
         day = np.asarray(batch.day, dtype=np.int64)
         row = np.asarray(batch.row, dtype=np.int64)
         raw = np.asarray(batch.raw, dtype=np.int64)
         size = len(t)
-        if any(len(col) != size for col in (day, batch.x, batch.y, batch.yaw, batch.room, row, raw)):
+        columns = (t, day, batch.x, batch.y, batch.yaw, batch.room, row, raw)
+        if any(len(col) != size for col in columns):
             raise ValueError("batch columns differ in length")
         k_after, m_after = k + len(embeddings), m + len(batch.raws)
         # The timestamp before each one; -1 stands before an empty memory.
-        prev = np.concatenate(([self._t[n - 1] if n else -1], t[:-1]))
+        prev = np.concatenate(([held.t[n - 1] if n else -1], t[:-1]))
         tpd = self.ticks_per_day
         checks = (
             ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
@@ -341,29 +368,16 @@ class LongTermMemory:
             raise BatchError(*min(problems, key=lambda p: p[0]))
         if not size:
             return n
-        # Table rows first, then record columns, then the count: rows below
-        # _n, and every table entry they name, are immutable once published.
-        if k_after > k:
-            self._table = _grown(self._table, k_after, k)
-            self._table[k:k_after] = embeddings
-            self._k = k_after
-        self._raws.extend(batch.raws)
-        end = n + size
-        for name in self._COLUMNS:
-            setattr(self, name, _grown(getattr(self, name), end, n))
-        self._t[n:end] = t
-        self._day[n:end] = day
-        self._pos[n:end, 0] = batch.x
-        self._pos[n:end, 1] = batch.y
-        self._yaw[n:end] = batch.yaw
-        self._room[n:end] = batch.room
-        self._row_id[n:end] = row
-        self._raw_id[n:end] = raw
-        self._n = end
+        self._set = _RecordSet.of(
+            [np.concatenate((getattr(held, name), np.asarray(new, dtype=dtype)))
+             for name, new, dtype in zip(RECORD_FIELDS, columns, _DTYPES)],
+            np.concatenate((held.embeddings, embeddings)),
+            held.raws + tuple(batch.raws),
+        )
         return n
 
     def _new_rows(self, embeddings: Sequence[np.ndarray]) -> np.ndarray:
-        """A batch's new rows as one float64 array; the first row that
+        """A batch's new rows as one (j, d) float64 array; the first row that
         core.embedding_problem refuses raises BatchError. Only rows whose einsum
         norm is not 1e-9 inside its bound are referred to it (it sums by dot)."""
         try:
@@ -379,36 +393,9 @@ class LongTermMemory:
             reason = embedding_problem(np.asarray(embeddings[j], dtype=np.float64), self.d)
             if reason is not None:
                 raise BatchError(j, reason, part="embeddings")
-        return rows
-
-    def _snapshot(self, n: Optional[int] = None) -> Batch:
-        """The published records (the first n when given) and the table
-        entries they may name, as arrays."""
-        n = self._n if n is None else n
-        k = self._k
-        return Batch(
-            self._t[:n], self._day[:n], self._pos[:n, 0], self._pos[:n, 1], self._yaw[:n],
-            self._room[:n], self._row_id[:n], self._raw_id[:n],
-            embeddings=self._table[:k], raws=list(self._raws),
-        )
+        return rows.reshape(len(embeddings), self.d)
 
     # -- queries ------------------------------------------------------------
-
-    def _derive(self, name: str, n: int, make: Callable[[int], Any]) -> Any:
-        """make(n), a value derived from the first n records, kept under name
-        until it is asked for with another n; never persisted. Callers read
-        n once, so a racing extend cannot hand one a value past its snapshot,
-        and a racing reader derives the value for its own n."""
-        kept = self._derived.get(name)
-        if kept is None or kept[0] != n:
-            kept = self._derived[name] = (n, make(n))
-        return kept[1]
-
-    def _places(self, n: int) -> tuple:
-        """(postings, positions) of the distinct positions of the first n
-        records, keyed by their float bits."""
-        place, first = _first_seen(self._pos[:n].view(np.int64))
-        return _postings(place, len(first)), self._pos[first]
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Top-r records by cosine similarity to qvec, rounded to
@@ -416,14 +403,11 @@ class LongTermMemory:
         postings (see _top): O(k·d + k log k + r)."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        n = self._n
-        if n == 0:
+        held = self._set
+        if not len(held.t):
             return _NO_HITS
-        # The k table rows' postings; k is read after n, as rows are
-        # published before their records.
-        rows = self._derive("rows", n, lambda n: _postings(self._row_id[:n], self._k))
-        scores = np.round(self._table[: len(rows[1])] @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
-        index, row = _top(-scores, rows, r)
+        scores = np.round(held.embeddings @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
+        index, row = _top(-scores, held.row_postings, r)
         return QueryResult(index, scores[row])
 
     def query_semantic(self, query: str, embedder: Embedder, r: int = DEFAULT_TOP_R) -> QueryResult:
@@ -442,8 +426,8 @@ class LongTermMemory:
         scored by its exact distance. Window form: records with day
         t // ticks_per_day in [d_start, d_end], most recent first, truncated
         to r; with per="run", one hit per maximal run of records inside the
-        window (see _run_starts), the run's newest. Either costs one binary
-        search of the sorted t column plus a stable sort of at most 2r
+        window (see _RecordSet.run_starts), the run's newest. Either costs one
+        binary search of the sorted t column plus a stable sort of at most 2r
         timesteps (point), a slice of r (window) or a binary search of the
         run ends and a slice of r (window per run): O(log n + r), for any
         integer centre or days."""
@@ -453,10 +437,10 @@ class LongTermMemory:
             raise ValueError("provide exactly one of t_center and day_window")
         if per not in ("record", "run") or per == "run" and day_window is None:
             raise ValueError(f"per must be 'record', or 'run' in the window form, got {per!r}")
-        n = self._n
-        if n == 0:
+        held = self._set
+        ts = held.t
+        if not len(ts):
             return _NO_HITS
-        ts = self._t[:n]
         last = int(ts[-1])
         if t_center is not None:
             # Timesteps increase strictly: clamped into [0, last], a centre
@@ -481,15 +465,10 @@ class LongTermMemory:
         else:
             # The window's newest record ends its run inside the window; the
             # other runs end at the run ends in [lo, hi - 1).
-            ends = self._derive("run_ends", n, self._run_ends)
+            ends = held.run_ends
             a, b = ends.searchsorted([lo, hi - 1]).tolist()
             order = np.concatenate(([hi - 1], ends[max(a, b - r + 1) : b][::-1]))
         return QueryResult(order, ts[order].astype(np.float64))
-
-    def _run_ends(self, n: int) -> np.ndarray:
-        """The index of each maximal run's last record among the first n
-        records, ascending (runs as in persist, see _run_starts)."""
-        return np.append(_run_starts(self._snapshot(n))[1:], n) - 1
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first,
@@ -503,10 +482,10 @@ class LongTermMemory:
             raise ValueError("center and radius must be finite")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        n = self._n
-        if n == 0:
+        held = self._set
+        if not len(held.t):
             return _NO_HITS
-        places, pos = self._derive("places", n, self._places)
+        places, pos = held.places
         # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
         # offsets, and rounding scales them up, so a far but finite center
         # overflows to inf; those entries, and only those, are recomputed with
@@ -526,9 +505,8 @@ class LongTermMemory:
 
     def fetch_raw(self, record_index: int) -> SymbolicObservation:
         """Return the stored raw observation for one record, unchanged."""
-        if not (0 <= record_index < self._n):
-            raise IndexError(f"record index {record_index} out of range [0, {self._n})")
-        return self._raws[self._raw_id[record_index]]
+        held = self._at(record_index)
+        return held.raws[held.raw[record_index]]
 
 
 def _noise_codes(size: np.ndarray, lists: np.ndarray, t: np.ndarray, noise: NoiseModel,
@@ -728,19 +706,6 @@ def _derived_rows(raws: Sequence[SymbolicObservation], d: int) -> tuple[np.ndarr
     return _numbered_rows(embedder.embed_captions([raw.caption.split("; ") for raw in raws]))
 
 
-def _run_starts(snap: Batch) -> np.ndarray:
-    """The index of each maximal run's first record: a run's t rises by 1
-    and its other fields are equal, the float columns by their bits."""
-    n = len(snap.t)
-    change = np.diff(snap.t) != 1
-    for name in RECORD_FIELDS[1:]:
-        column = getattr(snap, name)
-        if column.dtype == np.float64:
-            column = column.view(np.int64)
-        change |= column[1:] != column[:-1]
-    return np.flatnonzero(np.concatenate(([n > 0], change)))
-
-
 def _check_derived(snap: Batch, d: int) -> None:
     """Raise ValueError unless the table and each record's row are those
     _derived_rows gives the raws, naming the first raw whose derived row the
@@ -767,14 +732,16 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
 
     A memory whose rows are derived is written only when they are the
     derived ones (see _check_derived), so that load gives it back;
-    otherwise ValueError names the first raw that differs.
+    otherwise ValueError names the first raw that differs. A run whose room
+    is not a string, which load would refuse, raises ValueError naming the
+    run. A refused memory writes no file.
     """
-    snap = memory._snapshot()
+    snap = memory._set
     n = len(snap.t)
     derived = _derives_rows(memory.embedder_id, memory.d)
     if derived:
         _check_derived(snap, memory.d)
-    starts = _run_starts(snap)
+    starts = snap.run_starts
     list_ids, entity_lists = _numbered([raw.visible_entities for raw in snap.raws])
     header = {
         **(extra_header or {}),
@@ -789,6 +756,10 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         **({} if derived else {"rows": len(snap.embeddings)}),
     }
     values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
+    rooms = values["room"]
+    if not all(isinstance(room, str) for room in rooms):
+        j = _first_bad(rooms, lambda room: not isinstance(room, str))
+        raise ValueError(f"run {j}: room must be a string, got {rooms[j]!r}")
     values["t0"] = values.pop("t")
     values["length"] = np.diff(starts, append=n).tolist()
     values["raw_list"] = list_ids
@@ -877,8 +848,6 @@ def load(path: str) -> LongTermMemory:
         for key, kind in (("d", int), ("ticks_per_day", int), ("embedder_id", str), ("mode", str)):
             if type(header[key]) is not kind:
                 raise ValueError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {header[key]!r}")
-        if header["mode"] not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {header['mode']!r}")
         derived = _derives_rows(header["embedder_id"], header["d"])
         for key in ("records", "runs", "raws", *(() if derived else ("rows",))):
             if key not in header:
@@ -924,8 +893,8 @@ def load(path: str) -> LongTermMemory:
     # its error names the run.
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths  # each run's first record
-    dtypes = (np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
-    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths) for name, dtype in zip(RECORD_FIELDS[1:], dtypes))
+    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths)
+            for name, dtype in zip(RECORD_FIELDS[1:], _DTYPES[1:]))
     try:
         memory.extend(Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
                             *rest, embeddings=embeddings, raws=raws))

@@ -18,18 +18,18 @@ def spec_batch(memory, specs, embedder):
     row, and new rows and raws are numbered after the memory's tables.
     """
     specs = list(specs)
-    row_of = {memory._table[j].tobytes(): j for j in range(memory._k)}
+    row_of = {memory._set.embeddings[j].tobytes(): j for j in range(len(memory._set.embeddings))}
     embeddings, raws, rows = [], [], []
     for t, caption, _ in specs:
         vec = embedder(caption)
-        row = row_of.setdefault(vec.tobytes(), memory._k + len(embeddings))
-        if row == memory._k + len(embeddings):
+        row = row_of.setdefault(vec.tobytes(), len(memory._set.embeddings) + len(embeddings))
+        if row == len(memory._set.embeddings) + len(embeddings):
             embeddings.append(vec)
         rows.append(row)
         entity = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
         raws.append(SymbolicObservation(visible_entities=(entity,), caption=caption))
     ts = [t for t, _, _ in specs]
-    m = len(memory._raws)
+    m = len(memory._set.raws)
     return Batch(
         t=ts,
         day=[t // memory.ticks_per_day for t in ts],

@@ -209,8 +209,8 @@ def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline)
     world, schedule = generate_world(3, 1)
     built = build(patrol(world, schedule, days=3), EmbedderConfig(d=256), ticks_per_day=200)
     loaded = load(pipeline["oracle"])
-    assert len(loaded._raws) < len(loaded) == 600
-    assert (loaded._k, loaded._raws) == (built._k, built._raws)
+    assert len(loaded._set.raws) < len(loaded) == 600
+    assert (len(loaded._set.embeddings), loaded._set.raws) == (len(built._set.embeddings), built._set.raws)
     assert list(loaded.records) == list(built.records)
 
 
@@ -245,7 +245,7 @@ def test_build_memory_writes_format_v6_with_config_hash(pipeline):
         memory = load(pipeline[mode])
         assert header["format_version"] == 6
         assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
-        assert memory._k < 600  # one row per distinct caption
+        assert len(memory._set.embeddings) < 600  # one row per distinct caption
         assert "rows" not in header and not any(line.startswith(('{"row"', '{"embeddings"')) for line in lines)
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])

@@ -118,7 +118,7 @@ def test_build_length_conservation():
         stream.append((Timestep.at(t, 200), Pose(position=(0, 0), yaw=0, room_id="kitchen"), obs))
     memory = build(stream, EMB, ticks_per_day=200)
     assert len(memory) == 10
-    snap = memory._snapshot()
+    snap = memory._set
     assert snap.embeddings[snap.row].shape == (10, 64)
     assert snap.t.shape == snap.x.shape == snap.y.shape == (10,)
 
@@ -170,7 +170,7 @@ def assert_same_memory(a, b):
     embedding gathered from its row."""
     assert len(a) == len(b)
     assert a.records == b.records
-    sa, sb = a._snapshot(), b._snapshot()
+    sa, sb = a._set, b._set
     for name in ("t", "day", "x", "y", "yaw", "room"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name))
         assert getattr(sa, name).dtype == getattr(sb, name).dtype
@@ -207,11 +207,11 @@ def test_build_shares_one_raw_observation_per_view():
     for mode in ("oracle", "realistic"):
         memory = build(stream, EMB, mode=mode, ticks_per_day=200)
         recs = memory.records
-        assert len(set(memory._raws)) == len(memory._raws)
+        assert len(set(memory._set.raws)) == len(memory._set.raws)
         for prev, rec in zip(recs, recs[1:]):
             assert (rec.raw is prev.raw) == (rec.raw == prev.raw)
         if mode == "oracle":
-            assert len(memory._raws) == len({obs.visible_entities for _, _, obs in stream}) < len(recs) / 50
+            assert len(memory._set.raws) == len({obs.visible_entities for _, _, obs in stream}) < len(recs) / 50
 
 
 @pytest.mark.parametrize("mode", ["oracle", "realistic"])
@@ -240,7 +240,7 @@ def test_build_hashes_and_checks_each_entity_list_once(monkeypatch, mode):
     monkeypatch.setattr(core_module, "_check_entity_ids", checked)
     memory = build(stream, EMB, mode=mode, noise_seed=1, ticks_per_day=200)
     assert calls == {"hash": sum(map(len, tuples.values())), "ids": distinct}
-    assert len(memory._raws) >= calls["ids"]
+    assert len(memory._set.raws) >= calls["ids"]
 
 
 @pytest.fixture(scope="module")
@@ -301,12 +301,12 @@ def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, sour
     got = build(stream, EMB, **args)
     per_tick = build(list(stream), EMB, **args)
     assert_same_memory(got, per_tick)
-    assert got._raws == per_tick._raws
+    assert got._set.raws == per_tick._set.raws
     want = first_use_ids((obs.visible_entities, record.raw.caption)
                          for (_, _, obs), record in zip(stream, got.records))
-    assert got._raw_id[: len(got)].tolist() == per_tick._raw_id[: len(got)].tolist() == want
+    assert got._set.raw.tolist() == per_tick._set.raw.tolist() == want
     want = first_use_ids(record.embedding.tobytes() for record in got.records)
-    assert got._row_id[: len(got)].tolist() == want
+    assert got._set.row.tolist() == want
     assert_same_memory(got, reference_build(stream, EMB, mode, noise_seed, 200))
 
 
@@ -350,7 +350,7 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
             extend(split, specs[a:b])
         assert memory.extend(batch) == len(head)
         assert_same_memory(memory, split)
-        assert (memory._k, memory._raws) == (split._k, split._raws)
+        assert (len(memory._set.embeddings), memory._set.raws) == (len(split._set.embeddings), split._set.raws)
         return
     kind, at, low = bad
     if kind in ("dimension", "norm", "nan"):
@@ -367,14 +367,15 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
             assume(t >= 0)
             batch = with_entry(batch, "t", j, t)
         else:
-            size = memory._k + len(batch.embeddings) if kind == "row" else len(memory._raws) + len(specs)
+            held = memory._set
+            size = len(held.embeddings) + len(batch.embeddings) if kind == "row" else len(held.raws) + len(specs)
             batch = with_entry(batch, kind, j, -1 if low else size)
-    tables = (memory._k, list(memory._raws))
+    tables = (len(memory._set.embeddings), memory._set.raws)
     with pytest.raises(BatchError) as info:
         memory.extend(batch)
     assert (info.value.position, info.value.part) == (j, part)
     assert_same_memory(memory, new_memory(head))
-    assert (memory._k, memory._raws) == tables
+    assert (len(memory._set.embeddings), memory._set.raws) == tables
 
 
 def test_extend_bad_batch_is_value_error_naming_position():
@@ -386,6 +387,32 @@ def test_extend_bad_batch_is_value_error_naming_position():
     assert len(memory) == 1
     assert extend(memory, []) == 1
 
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Oracle", ""])
+def test_unknown_mode_is_refused(mode):
+    """A memory is oracle or realistic: the constructor, and so build,
+    refuses any other mode instead of labelling an oracle memory with it."""
+    message = re.escape(f"mode must be one of oracle, realistic, got {mode!r}")
+    with pytest.raises(ValueError, match=message):
+        LongTermMemory(d=64, ticks_per_day=200, mode=mode)
+    with pytest.raises(ValueError, match=message):
+        build([], EMB, mode=mode, ticks_per_day=200)
+
+
+def test_published_arrays_are_read_only():
+    """No code holding the published record set can change a record that
+    another reader sees: its columns and table refuse writes, and so does a
+    record's embedding."""
+    memory = new_memory([(t, f"caption {t}", (t, 0.0)) for t in range(3)])
+    held = memory._set
+    for name in (*RECORD_FIELDS, "embeddings"):
+        column = getattr(held, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    with pytest.raises(ValueError, match="read-only"):
+        memory.record(0).embedding[0] = 0.0
+    assert memory.records == new_memory([(t, f"caption {t}", (t, 0.0)) for t in range(3)]).records
 
 def test_record_by_index():
     memory = new_memory([(t, f"a mug on the sink {t}", (t, 0)) for t in range(3)])
@@ -851,6 +878,20 @@ def test_persist_empty_memory(tmp_path):
     assert len(load(path)) == 0
 
 
+
+@pytest.mark.parametrize("room", [5, None])
+def test_persist_refuses_a_room_load_would_refuse(tmp_path, room):
+    """A run whose room is not a string is stored by extend, but a memory
+    file holds JSON strings there: persist names the run and writes no
+    file, rather than one that load refuses."""
+    memory = new_memory()
+    batch = spec_batch(memory, [(t, f"caption {t}", (0.0, 0.0)) for t in range(4)], EMB)
+    memory.extend(replace(batch, room=["kitchen", "kitchen", room, "kitchen"]))
+    path = tmp_path / "memory.jsonl"
+    with pytest.raises(ValueError, match=re.escape(f"run 2: room must be a string, got {room!r}")):
+        persist(memory, str(path))
+    assert not path.exists()
+
 def test_truncated_file_rejected(tmp_path):
     memory = new_memory([(t, f"caption {t}", (0, 0)) for t in range(5)])
     path = str(tmp_path / "memory.jsonl")
@@ -872,7 +913,7 @@ def test_concurrent_readers_see_consistent_prefix():
     def reader():
         while not stop.is_set():
             n = len(memory)
-            snap = memory._snapshot()
+            snap = memory._set
             if not len(snap.t) == len(snap.x) == len(snap.row) == len(snap.raw) >= n:
                 errors.append(f"torn read: {len(snap.t)}/{len(snap.x)}/{len(snap.row)} vs {n}")
             if len(snap.row) and (snap.row.max() >= len(snap.embeddings) or snap.raw.max() >= len(snap.raws)):
@@ -903,7 +944,7 @@ def test_concurrent_readers_see_whole_batches():
             n = len(memory)
             if n % batch:
                 errors.append(f"saw {n} records, not a whole number of batches")
-            if len(memory.records) < n or len(memory._snapshot().t) < n:
+            if len(memory.records) < n or len(memory._set.t) < n:
                 errors.append("columns shorter than the published count")
 
     threads = [threading.Thread(target=reader) for _ in range(3)]
@@ -928,7 +969,7 @@ def run_batch(memory, ts, length):
     """A Batch of records t in ts where t // length names the row, the raw
     and the position: so runs of length records, and the new table entries
     the batch's records name first."""
-    k, m = memory._k, len(memory._raws)
+    k, m = len(memory._set.embeddings), len(memory._set.raws)
     groups = [t // length for t in ts]
     new = sorted({g for g in groups if g >= k})
     return Batch(
@@ -1158,7 +1199,7 @@ def test_semantic_k_rows_equal_n_by_d_scan(batches, query, r):
     for captions in batches:
         extend(memory, [(t + j, c, (j, 0)) for j, c in enumerate(captions)])
         t += len(captions)
-    assert memory._k == len({c for captions in batches for c in captions})
+    assert len(memory._set.embeddings) == len({c for captions in batches for c in captions})
     qvec = EMB(query)
     assert memory.query_semantic_vector(qvec, r=r).hits == scan_semantic(memory, qvec, r)
 
@@ -1221,7 +1262,7 @@ def test_index_backed_queries_equal_the_linear_scans(steps):
             [records] = args
             new = [p for p in dict.fromkeys(p for p, _ in records) if p not in row_of]
             row_of.update({p: len(row_of) + j for j, p in enumerate(new)})
-            n, m, size = len(memory), len(memory._raws), len(records)
+            n, m, size = len(memory), len(memory._set.raws), len(records)
             memory.extend(Batch(
                 t=range(n, n + size), day=[t // 10 for t in range(n, n + size)],
                 x=[PLACES[q][0] for _, q in records], y=[PLACES[q][1] for _, q in records],
@@ -1262,12 +1303,12 @@ def test_new_rows_are_judged_as_embedding_problem_judges_them(d, specs):
                   embeddings=rows, raws=[SymbolicObservation((), "a row")])
     if not problems:
         memory.extend(batch)
-        assert memory._snapshot().embeddings.tobytes() == np.array(rows).tobytes()
+        assert memory._set.embeddings.tobytes() == np.array(rows).tobytes()
         return
     with pytest.raises(BatchError) as info:
         memory.extend(batch)
     assert (info.value.part, info.value.position, info.value.reason) == ("embeddings", *problems[0])
-    assert len(memory) == 0 and memory._k == 0
+    assert len(memory) == 0 and len(memory._set.embeddings) == 0
 
 
 # Rows that score 0.0 or -0.0 against UNIT[0] (and all rows against UNIT[3]),
@@ -1332,15 +1373,15 @@ def assert_loaded_equals(loaded, memory):
 
 def assert_same_tables(a, b):
     """Equal embedding rows (by bytes) and raws, in the same order."""
-    assert (a._k, a._raws) == (b._k, b._raws)
-    assert a._snapshot().embeddings.tobytes() == b._snapshot().embeddings.tobytes()
+    assert (len(a._set.embeddings), a._set.raws) == (len(b._set.embeddings), b._set.raws)
+    assert a._set.embeddings.tobytes() == b._set.embeddings.tobytes()
 
 
 def with_embedder_id(memory, embedder_id="an embedder"):
     """The memory's records and tables under another embedder_id, whose rows
     its file stores (the stored layout)."""
     copy = LongTermMemory(d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=embedder_id, mode=memory.mode)
-    copy.extend(memory._snapshot())
+    copy.extend(memory._set)
     return copy
 
 
@@ -1424,8 +1465,8 @@ def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, mode, n
             t += 1
     memory = build(ticks, EMB, mode=mode, noise=noise, noise_seed=noise_seed, ticks_per_day=10)
     assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, 10, noise))
-    assert len(set(memory._raws)) == len(memory._raws)
-    rows = memory._snapshot().embeddings
+    assert len(set(memory._set.raws)) == len(memory._set.raws)
+    rows = memory._set.embeddings
     assert len({row.tobytes() for row in rows}) == len(rows)
     path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
     persist(memory, path)
@@ -1514,11 +1555,11 @@ def test_an_edited_caption_loads_with_rows_derived_from_it(tmp_path, caption):
     persist(memory, path)
     rewrite_line(path, column_line("raw_caption", "derived", 6), column_edit("raw_caption", 0, caption))
     loaded = load(path)
-    captions = [caption, *[raw.caption for raw in memory._raws[1:]]]
-    assert [raw.caption for raw in loaded._raws] == captions
+    captions = [caption, *[raw.caption for raw in memory._set.raws[1:]]]
+    assert [raw.caption for raw in loaded._set.raws] == captions
     assert [rec.embedding.tobytes() for rec in loaded.records] == [
-        EMB(captions[i]).tobytes() for i in loaded._snapshot().raw.tolist()]
-    assert loaded._k == len(set(captions))
+        EMB(captions[i]).tobytes() for i in loaded._set.raw.tolist()]
+    assert len(loaded._set.embeddings) == len(set(captions))
     persist(loaded, str(tmp_path / "again.jsonl"))
 
 
@@ -1539,7 +1580,7 @@ def test_load_embeds_the_captions_once_where_rows_are_derived(tmp_path, monkeypa
 
     monkeypatch.setattr(Embedder, "embed_captions", counted)
     assert_same_bits(load(path), memory)
-    assert calls == [len(memory._raws)] * embeds
+    assert calls == [len(memory._set.raws)] * embeds
 
 
 def runs_memory():
@@ -1670,7 +1711,7 @@ def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
     with pytest.raises(BatchError, match=re.escape(
             "batch position 12: day 0 is not t // ticks_per_day = 1 for t=12 at ticks_per_day=10")):
         memory.extend(shifted)
-    assert (len(memory), memory._k, len(memory._raws)) == (0, 0, 0)
+    assert (len(memory), len(memory._set.embeddings), len(memory._set.raws)) == (0, 0, 0)
     memory.extend(batch)
 
     ticks = [(Timestep.at(t, 10), POSES[0], VIEWS[0]) for t in range(12)]
@@ -1727,7 +1768,7 @@ def test_float_columns_take_json_integers(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     rewrite_line(path, column_line("x", "derived"), column_edit("x", 0, 2))
-    assert load(path)._snapshot().x.tolist()[:3] == [2.0] * 3
+    assert load(path)._set.x.tolist()[:3] == [2.0] * 3
 
 
 def test_entity_list_corruption_names_the_list(tmp_path):
@@ -1737,7 +1778,7 @@ def test_entity_list_corruption_names_the_list(tmp_path):
                    noise=VIEW_NOISES[1], ticks_per_day=10)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
-    assert artifacts.verify(path)[0]["entity_lists"] == 1 < len(memory._raws)
+    assert artifacts.verify(path)[0]["entity_lists"] == 1 < len(memory._set.raws)
     load(path)
     rewrite_line(path, 1, lambda entities: entities + entities[:1])
     with pytest.raises(IntegrityError, match="entity list 0: duplicate entity_id within one observation"):
@@ -1753,7 +1794,7 @@ def assert_same_bits(a, b):
     """Equal header fields, and equal columns and tables as bytes, so that
     0.0 and -0.0 differ."""
     assert (a.d, a.ticks_per_day, a.embedder_id, a.mode) == (b.d, b.ticks_per_day, b.embedder_id, b.mode)
-    sa, sb = a._snapshot(), b._snapshot()
+    sa, sb = a._set, b._set
     for name in RECORD_FIELDS:
         ca, cb = getattr(sa, name), getattr(sb, name)
         assert ca.dtype == cb.dtype, name
@@ -1804,14 +1845,14 @@ def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs,
     memory = build(ticks, EMB, mode=mode, noise_seed=noise_seed, ticks_per_day=10)
     path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
     persist(memory, path)
-    snap = memory._snapshot()
+    snap = memory._set
     ts = snap.t.tolist()
     # Each record's fields other than t, floats by their bits (float.hex).
     rest = [(day, x.hex(), y.hex(), yaw.hex(), room, row, raw) for day, x, y, yaw, room, row, raw
             in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
     maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
     header, lines, _ = artifacts.verify(path)
-    assert (header["runs"], header["records"], header["raws"]) == (maximal, len(ticks), len(memory._raws))
+    assert (header["runs"], header["records"], header["raws"]) == (maximal, len(ticks), len(memory._set.raws))
     assert not stores_rows(path)
     columns = [json.loads(line) for line in lines[header["entity_lists"]:]]
     names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw")
@@ -1831,8 +1872,8 @@ def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch)
 
     stream = patrol_stream(1, 2, 3)
     memory = build(stream, EMB, mode="realistic", noise_seed=1, ticks_per_day=200)
-    lists = len({raw.visible_entities for raw in memory._raws})
-    assert len(memory._raws) > 10 * lists and len(memstore._run_starts(memory._snapshot())) > 10 * lists
+    lists = len({raw.visible_entities for raw in memory._set.raws})
+    assert len(memory._set.raws) > 10 * lists and len(memory._set.run_starts) > 10 * lists
     calls = {"dumps": 0, "loads": 0, "ids": 0}
 
     def counted(name, fn):
@@ -1854,15 +1895,15 @@ def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch)
 
 def test_table_rows_are_shared_and_checked_once():
     memory = new_memory([(t, CAPTIONS[t % 2], (t, 0)) for t in range(6)])
-    assert memory._k == 2
-    assert memory._snapshot().row.tolist() == [0, 1] * 3
+    assert len(memory._set.embeddings) == 2
+    assert memory._set.row.tolist() == [0, 1] * 3
     batch = spec_batch(memory, [(6, CAPTIONS[0], (0, 0)), (7, "a new caption", (0, 0))], EMB)
     # The stored row is shared, not checked again; only the new row is.
     assert (batch.row, len(batch.embeddings)) == ([0, 2], 1)
     with pytest.raises(BatchError) as info:
         memory.extend(with_entry(batch, "embeddings", 0, EMB32("a mug")))
     assert info.value.position == 0 and info.value.part == "embeddings"
-    assert (len(memory), memory._k) == (6, 2)
+    assert (len(memory), len(memory._set.embeddings)) == (6, 2)
 
 
 def test_retrieval_outcomes_build_no_memory_record(monkeypatch):

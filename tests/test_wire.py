@@ -75,6 +75,35 @@ def test_policies_decide_from_the_decoded_request_alone(tmp_path, monkeypatch):
     assert len(decisions) >= sum(episode["steps_used"] for episode in direct.episodes) > 0
 
 
+
+def test_llm_suite_over_a_star_transport_matches_star(monkeypatch):
+    """run_suite with the llm method, its chat transport answering each
+    request by a fresh STAR that decides from decode_request of the user
+    message, gives each task STAR's success, steps and action counts, on a
+    one-scene desk slice in both modes. Nothing touches the network."""
+    from objsearch.agent import StarScriptedPolicy
+    from objsearch.bench import SuiteConfig, default_prior_table, generate_suite, run_suite, suite
+
+    def post(url, payload, timeout):
+        instruction, budget, schemas, h = decode_request(payload["messages"][-1]["content"])
+        decision = StarScriptedPolicy(prior_table=default_prior_table())(instruction, h, budget, schemas)
+        if decision is None:
+            raise ConnectionError("STAR gave up")  # the client aborts the episode, as STAR's run ends
+        reply = {**decision.action.to_dict(), "rationale": decision.rationale}
+        return {"choices": [{"message": {"content": canonical_dumps(reply)}}]}
+
+    tasks, modes = generate_suite(scenes=(1,), per_family=1), ("oracle", "realistic")
+    star = run_suite(tasks, SuiteConfig(methods=("star",), modes=modes))
+    monkeypatch.setattr(suite, "make_policy", lambda method, task, config, scene_graphs=None:
+                        ChatCompletionPolicy(config.llm, post=post))
+    llm = run_suite(tasks, SuiteConfig(methods=("llm",), modes=modes, llm=LLMPolicyConfig(url="http://unused")))
+
+    def outcomes(report):
+        return [(e["task_id"], e["mode"], e["success"], e["steps_used"], e["action_counts"]) for e in report.episodes]
+
+    assert outcomes(llm) == outcomes(star) and len(star.episodes) == 2 * len(tasks)
+
+
 def test_responses_decode_to_expected_actions(corpus):
     for case in corpus["cases"]:
         action, rationale = decode_response(case["response"])
