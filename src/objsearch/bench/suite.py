@@ -91,6 +91,10 @@ class SuiteConfig:
                     raise ValueError(f"unknown {kind} {m!r}; valid: {valid}")
             if len(set(names)) != len(names):
                 raise ValueError(f"repeated {kind} in {names}")
+        # No episode can run on a budget below 1, nor a suite on fewer workers.
+        for name in ("budget", "parallelism"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = {

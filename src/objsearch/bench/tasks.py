@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping
 
 from .. import artifacts
-from ..core import Instruction, stable_seed
+from ..core import Instruction, json_field, stable_seed
 from ..homesim import (
     LOC_INSIDE,
     LOC_LANDMARK,
@@ -75,15 +75,11 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TaskSpec":
-        # The str and int fields (by their annotations, strings here) take
-        # JSON strings and integers only: true == 1 and 3.0 == 3 in Python.
-        kinds = {"str": (str, "string"), "int": (int, "integer")}
-        scalars = {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
-        for name, (kind, json_type) in scalars.items():
-            if type(d[name]) is not kind:
-                raise ValueError(f"{name} must be a JSON {json_type}, got {d[name]!r}")
-        spec = cls(**{name: d[name] for name in scalars}, optimal_counts=dict(d["optimal_counts"]),
-                   schedule=Schedule.from_dict(d["schedule"]))
+        # The str and int fields, by their annotations (strings here).
+        kinds = {"str": str, "int": int}
+        spec = cls(**{f.name: json_field(d, f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds},
+                   optimal_counts=dict(json_field(d, "optimal_counts", dict)),
+                   schedule=Schedule.from_dict(json_field(d, "schedule", dict)))
         # What prepare_task needs of a task from outside: a scene it can
         # patrol over its days, and a schedule that fits them.
         check_patrol(spec.days, spec.ticks_per_day, route_length(spec.scene_id))

@@ -60,6 +60,31 @@ def canonical_loads(text: str) -> Any:
     return json.loads(text)
 
 
+# The JSON types of json_field and memory file columns, by the Python type naming
+# each: its decoded values' types, and its name. A number admits an integer;
+# JSON true (a bool) or 3.0 (a float) is no integer.
+JSON_TYPES = {str: ((str,), "string"), int: ((int,), "integer"), float: ((int, float), "number"),
+              dict: ((dict,), "object"), None: ((type(None),), "null")}
+
+
+def json_field(d: Mapping[str, Any], key: str, *kinds: Any, item: Any = None, size: Optional[int] = None) -> Any:
+    """d[key], as it is, if of a JSON type that kinds name (str, int, float, dict
+    or None), or given item an array of values of that type, size of them where
+    given; else ValueError naming key. Decoders of outside input use it."""
+    value = d[key]
+    if item is None:
+        for kind in kinds:
+            if type(value) in JSON_TYPES[kind][0]:
+                return value
+        want = " or ".join(JSON_TYPES[kind][1] for kind in kinds)
+    else:
+        types, name = JSON_TYPES[item]
+        if type(value) is list and size in (None, len(value)) and all([type(v) in types for v in value]):
+            return value
+        want = f"array of {'' if size is None else f'{size} '}{name}s"
+    raise ValueError(f"{key} must be a JSON {want}, got {value!r}")
+
+
 def config_hash(config: Mapping[str, Any]) -> str:
     """The 16-hex lineage hash of a configuration: sha256 of its canonical JSON."""
     return hashlib.sha256(canonical_dumps(config).encode()).hexdigest()[:16]
@@ -114,7 +139,8 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Pose":
-        return cls(position=tuple(d["position"]), yaw=float(d["yaw"]), room_id=str(d["room_id"]))
+        return cls(position=tuple(json_field(d, "position", item=float, size=2)),
+                   yaw=json_field(d, "yaw", float), room_id=json_field(d, "room_id", str))
 
 
 @dataclass(frozen=True)
@@ -148,12 +174,12 @@ class VisibleEntity:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "VisibleEntity":
         return cls(
-            entity_id=str(d["entity_id"]),
-            class_label=str(d["class_label"]),
-            attributes=tuple(d["attributes"]),
-            landmark_id=str(d["landmark_id"]),
-            containment=str(d["containment"]),
-            landmark_name=str(d.get("landmark_name", "")),
+            entity_id=json_field(d, "entity_id", str),
+            class_label=json_field(d, "class_label", str),
+            attributes=tuple(json_field(d, "attributes", item=str)),
+            landmark_id=json_field(d, "landmark_id", str),
+            containment=json_field(d, "containment", str),
+            landmark_name=json_field(d, "landmark_name", str),
         )
 
 
@@ -779,6 +805,7 @@ __all__ = [
     "INT64_MAX",
     "INT64_MIN",
     "Instruction",
+    "JSON_TYPES",
     "MODES",
     "MemoryRecord",
     "NOISE_VERSION",
@@ -801,6 +828,7 @@ __all__ = [
     "config_hash",
     "embedding_problem",
     "entity_phrase",
+    "json_field",
     "mislabel_pool",
     "noise_codes",
     "noise_draws",

@@ -27,6 +27,7 @@ from ..core import (
     SymbolicObservation,
     Tick,
     VisibleEntity,
+    json_field,
     render_caption,
 )
 from .world import Schedule, WorldState, _scene_template
@@ -177,13 +178,11 @@ def write_stream(
 
 def _run_from_dict(d: dict) -> tuple[int, int, int, Pose, tuple[VisibleEntity, ...]]:
     """A record: one run, its t0, day and length JSON integers."""
-    t0, day, length = d["t0"], d["day"], d["length"]
-    if not all(type(v) is int for v in (t0, day, length)):
-        raise ValueError(f"t0, day and length must be integers, got {t0!r}, {day!r}, {length!r}")
+    t0, day, length = (json_field(d, key, int) for key in ("t0", "day", "length"))
     if t0 < 0 or day < 0 or length < 1:
         raise ValueError(f"bad run: t0={t0}, day={day}, length={length}")
-    entities = tuple(VisibleEntity.from_dict(e) for e in d["entities"])
-    return t0, day, length, Pose.from_dict(d["pose"]), entities
+    entities = tuple(map(VisibleEntity.from_dict, json_field(d, "entities", item=dict)))
+    return t0, day, length, Pose.from_dict(json_field(d, "pose", dict)), entities
 
 
 def read_stream(path: str) -> tuple[dict, ObservationStream]:

@@ -19,6 +19,7 @@ from ..core import (
     CONTAINMENT_OPEN_AIR,
     Pose,
     VisibleEntity,
+    json_field,
     stable_seed,
 )
 
@@ -70,7 +71,7 @@ class Location:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Location":
-        return cls(kind=str(d["kind"]), ref=d.get("ref"))
+        return cls(kind=json_field(d, "kind", str), ref=json_field(d, "ref", str, None))
 
 
 @dataclass
@@ -112,10 +113,10 @@ class Move:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Move":
         return cls(
-            day=int(d["day"]),
-            tick_of_day=int(d["tick_of_day"]),
-            entity_id=str(d["entity_id"]),
-            location=Location.from_dict(d["location"]),
+            day=json_field(d, "day", int),
+            tick_of_day=json_field(d, "tick_of_day", int),
+            entity_id=json_field(d, "entity_id", str),
+            location=Location.from_dict(json_field(d, "location", dict)),
         )
 
 
@@ -148,7 +149,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Schedule":
-        return cls(seed=int(d["seed"]), moves=tuple(Move.from_dict(m) for m in d["moves"]))
+        return cls(seed=json_field(d, "seed", int), moves=tuple(map(Move.from_dict, json_field(d, "moves", item=dict))))
 
 
 class WorldState:

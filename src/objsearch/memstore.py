@@ -1,22 +1,20 @@
 """Append-only long-term memory with semantic, temporal, and spatial queries.
 
-The memory is columnar and content-addressed. Each distinct caption
-embedding (by bytes) is stored once, as a row of one (k, d) table, and each
-distinct raw observation (entity list and caption) once, in one list; a
-record holds a row id and a raw id. A record's timestep, day (t //
-ticks_per_day), position, yaw and room are columns. Records enter only as a
-columnar ``Batch`` (``extend``), from ``build`` and ``load``.
-MemoryRecords are built only when asked for (``record``, ``records``);
-queries and the executor's views read the columns. ``build`` takes its
-stream as runs of ticks with one pose and one observation
-(core.ObservationStream) and fills the columns per run. Realistic noise
-is coded for all records at once, each distinct phrase rendered once, and
-captions joined from phrase ids and embedded in one batch; the Python work
-left is per distinct phrase and per distinct raw.
+The memory is columnar and content-addressed: one table of m raws, each
+distinct raw observation (entity list and caption) once with its caption's
+embedding as its row of an (m, d) array, and the record columns: timestep,
+day (t // ticks_per_day), position, yaw, room and raw id. Records enter only
+as a columnar ``Batch`` (``extend``), from ``build`` and ``load``; queries
+read the columns, and MemoryRecords are built only when asked for
+(``record``, ``records``). ``build`` takes its stream as runs of ticks with
+one pose and one observation (core.ObservationStream) and fills the columns
+per run. Realistic noise is coded for all records at once, each distinct
+phrase rendered once, and captions joined from phrase ids and embedded in
+one batch; the Python work left is per distinct phrase and per distinct raw.
 
 Retrieval is exact: each query answers as a linear scan would. A semantic
-query scores the k table rows and reads the best rows' postings (their
-records, ascending) up to r hits, O(k·d + k log k + r); a spatial query does
+query scores the m raws' embeddings and reads the best raws' postings (their
+records, ascending) up to r hits, O(m·d + m log m + r); a spatial query does
 the same over the P distinct positions within the radius, O(P log P + r).
 The postings and position ids are derived indexes, built in O(n) on first
 use of each record set and never stored. Timesteps increase strictly, so a
@@ -25,14 +23,14 @@ window asked per run also searches the ends of the maximal runs of records,
 derived the same way (the runs of the memory file).
 
 Concurrency: a memory holds one immutable record set (_RecordSet), every
-record column and both tables as read-only arrays. extend checks a batch
-whole, makes the next record set by concatenating each column and table with
-the batch's, and publishes it with one assignment. Every query, read and
+record column and the raw table as read-only arrays. extend checks a batch
+whole, makes the next record set by concatenating each column and the table
+with the batch's, and publishes it with one assignment. Every query, read and
 persist takes the record set once, so one writer may extend while readers
 query and each reader sees whole batches only. A record set's indexes are
 derived on first use and kept with it.
 
-Memory file v6 (``FORMAT_VERSION = 6``), a checksummed artifact file (see
+Memory file v7 (``FORMAT_VERSION = 7``), a checksummed artifact file (see
 artifacts.py), holds the raw table and the maximal runs of records (t rises
 by 1 and the other fields are equal, floats by their bits, so 0.0 and -0.0
 never share a run) column by column, and nothing it can derive:
@@ -46,14 +44,13 @@ never share a run) column by column, and nothing it can derive:
   ``day``, ``x``, ``y``, ``yaw``, ``room`` and ``raw``, then the raw
   table's ``raw_list`` (an entity list's index) and ``raw_caption``.
 
-The rows of a memory of the reference embedder are a function of its raw
-captions (_derives_rows), so load re-embeds the captions and numbers the
-rows as build does (_derived_rows). A memory of any other embedder_id (an
-external endpoint's, or none) adds the count ``rows`` (k), a ``row`` column
-after ``room`` and a last line ``{"embeddings": ...}``, the (k, d) float64
-table as little-endian bytes in base64. Either way persist and load encode
-and decode a fixed number of lines plus one per distinct entity list.
-``load`` reads v6 only, type-checks each column whole, naming the column
+The embeddings of a memory of the reference embedder are a function of its
+raw captions (_derives_embeddings), so load re-embeds the captions as build
+does (_derived_embeddings). A memory of any other embedder_id (an external
+endpoint's, or none) adds a last line ``{"embeddings": ...}``, the (m, d)
+float64 array as little-endian bytes in base64. Either way persist and load
+encode and decode a fixed number of lines plus one per distinct entity list.
+``load`` reads v7 only, type-checks each column whole, naming the column
 and its first bad run or raw, then extends the memory with the runs,
 checking every record. Older files are refused; a memory is rebuilt from
 its stream file with ``objsearch build-memory``.
@@ -71,6 +68,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    JSON_TYPES,
     MODES,
     MemoryRecord,
     NoiseModel,
@@ -84,6 +82,7 @@ from .core import (
     VisibleEntity,
     embedding_problem,
     entity_phrase,
+    json_field,
     mislabel_pool,
     noise_codes,
     noise_draws,
@@ -92,7 +91,7 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import MIN_DIM, Embedder, EmbedderConfig, EmbeddingError, normalize_text
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 DEFAULT_TOP_R = 5
 
 # Similarity scores are quantized before ranking so that orderings do not
@@ -101,15 +100,15 @@ SCORE_DECIMALS = 9
 
 # The fields of one record, in the order of Batch's columns, and the dtype
 # of each field's column.
-RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "row", "raw")
-_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64, np.int64)
+RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "raw")
+_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64)
 
 
 class BatchError(ValueError):
     """A record batch failed validation; nothing of it was stored.
 
-    part is "record" when position indexes the batch's records, or the name
-    of the table ("embeddings") whose new rows it indexes.
+    part is "record" when position indexes the batch's records, or
+    "embeddings" when it indexes the batch's embeddings, one per new raw.
     """
 
     def __init__(self, position: int, reason: str, part: str = "record"):
@@ -124,9 +123,10 @@ class BatchError(ValueError):
 class Batch:
     """Records in columnar form, the one form in which extend takes them.
 
-    One sequence per field of RECORD_FIELDS. embeddings and raws are the
-    table entries new with this batch; a record's row and raw ids index the
-    memory's tables as they stand once those entries are appended.
+    One sequence per field of RECORD_FIELDS. raws are the raw table's
+    entries new with this batch and embeddings their caption embeddings, one
+    per raw; a record's raw id indexes the raw table as it stands once those
+    entries are appended.
     """
 
     t: Sequence[int]
@@ -135,7 +135,6 @@ class Batch:
     y: Sequence[float]
     yaw: Sequence[float]
     room: Sequence[str]
-    row: Sequence[int]
     raw: Sequence[int]
     embeddings: Sequence[np.ndarray]
     raws: Sequence[SymbolicObservation]
@@ -208,8 +207,8 @@ def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray]
 
 
 class _RecordSet(Batch):
-    """A memory's published records: each column of RECORD_FIELDS, the
-    embedding table and the raw table whole, as arrays that of makes
+    """A memory's published records: each column of RECORD_FIELDS and the
+    raw table whole, its embeddings and raws, as arrays that of makes
     read-only and a tuple, so never changed once made; and the indexes
     derived from them on first use."""
 
@@ -223,7 +222,7 @@ class _RecordSet(Batch):
         return MemoryRecord(
             t=Timestep(value=int(self.t[i]), day=int(self.day[i])),
             pose=Pose(position=(float(self.x[i]), float(self.y[i])), yaw=float(self.yaw[i]), room_id=self.room[i]),
-            embedding=self.embeddings[self.row[i]],
+            embedding=self.embeddings[self.raw[i]],
             raw=self.raws[self.raw[i]],
         )
 
@@ -232,9 +231,9 @@ class _RecordSet(Batch):
         return [self.record(i) for i in range(len(self.t))]
 
     @functools.cached_property
-    def row_postings(self) -> tuple:
-        """Each table row's records (_postings)."""
-        return _postings(self.row, len(self.embeddings))
+    def raw_postings(self) -> tuple:
+        """Each raw's records (_postings)."""
+        return _postings(self.raw, len(self.raws))
 
     @functools.cached_property
     def places(self) -> tuple:
@@ -263,7 +262,7 @@ class _RecordSet(Batch):
 
 
 class LongTermMemory:
-    """Append-only record columns over an embedding table and a raw table,
+    """Append-only record columns over a raw table and its embeddings,
     held as one published record set (_RecordSet) and queried by meaning,
     time and place from its columns and the indexes derived from them."""
 
@@ -328,29 +327,30 @@ class LongTermMemory:
     def extend(self, batch: Batch) -> int:
         """Append a batch of records and return the index of its first one.
 
-        The whole batch is checked before anything is stored: every new table
-        row must have shape (d,) and unit norm (see _new_rows), timesteps must
-        be non-negative and days t // ticks_per_day, row and raw ids must index
-        the tables, and timestamps must increase strictly, within the batch and
-        after the last stored record. A bad batch raises BatchError and stores
-        nothing. A bad new row is named by its position among the new rows,
-        before any record is checked; otherwise the error names the first bad
-        record's position in the batch. A good batch is published whole: the
-        next record set, each column and table the current one's followed by
-        the batch's, replaces the current one in one assignment.
+        The whole batch is checked before anything is stored. Columns of
+        unequal length, or embeddings not one per new raw, raise ValueError.
+        Every new embedding must have shape (d,) and unit norm (see
+        _new_rows), timesteps must be non-negative and days t //
+        ticks_per_day, raw ids must index the raw table, and timestamps must
+        increase strictly, within the batch and after the last stored record;
+        otherwise BatchError names the first bad new embedding by its
+        position among them, or else the first bad record's position in the
+        batch. A bad batch stores nothing. A good batch is published whole:
+        the next record set, each column and the table the current one's
+        followed by the batch's, replaces the current one in one assignment.
         """
         held = self._set
-        n, k, m = len(held.t), len(held.embeddings), len(held.raws)
-        embeddings = self._new_rows(batch.embeddings)
+        n, m = len(held.t), len(held.raws) + len(batch.raws)  # records before, raws after
         t = np.asarray(batch.t, dtype=np.int64)
         day = np.asarray(batch.day, dtype=np.int64)
-        row = np.asarray(batch.row, dtype=np.int64)
         raw = np.asarray(batch.raw, dtype=np.int64)
         size = len(t)
-        columns = (t, day, batch.x, batch.y, batch.yaw, batch.room, row, raw)
+        columns = (t, day, batch.x, batch.y, batch.yaw, batch.room, raw)
         if any(len(col) != size for col in columns):
             raise ValueError("batch columns differ in length")
-        k_after, m_after = k + len(embeddings), m + len(batch.raws)
+        if len(batch.embeddings) != len(batch.raws):
+            raise ValueError(f"batch has {len(batch.embeddings)} embeddings for {len(batch.raws)} new raws")
+        embeddings = self._new_rows(batch.embeddings)
         # The timestamp before each one; -1 stands before an empty memory.
         prev = np.concatenate(([held.t[n - 1] if n else -1], t[:-1]))
         tpd = self.ticks_per_day
@@ -358,8 +358,7 @@ class LongTermMemory:
             ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
             (day != t // tpd, lambda j: f"day {day[j]} is not t // ticks_per_day = {t[j] // tpd} "
                                         f"for t={t[j]} at ticks_per_day={tpd}"),
-            ((row < 0) | (row >= k_after), lambda j: f"row id {row[j]} out of range [0, {k_after})"),
-            ((raw < 0) | (raw >= m_after), lambda j: f"raw id {raw[j]} out of range [0, {m_after})"),
+            ((raw < 0) | (raw >= m), lambda j: f"raw id {raw[j]} out of range [0, {m})"),
             (t <= prev, lambda j: f"non-monotonic timestamp {t[j]} after {prev[j]}"),
         )
         # (record position, reason) of each check's first bad record
@@ -399,16 +398,16 @@ class LongTermMemory:
 
     def query_semantic_vector(self, qvec: np.ndarray, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Top-r records by cosine similarity to qvec, rounded to
-        SCORE_DECIMALS, from the k table rows' scores and the best rows'
-        postings (see _top): O(k·d + k log k + r)."""
+        SCORE_DECIMALS, from the m raws' embedding scores and the best raws'
+        postings (see _top): O(m·d + m log m + r)."""
         if r < 1:
             raise ValueError("r must be >= 1")
         held = self._set
         if not len(held.t):
             return _NO_HITS
         scores = np.round(held.embeddings @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
-        index, row = _top(-scores, held.row_postings, r)
-        return QueryResult(index, scores[row])
+        index, raw = _top(-scores, held.raw_postings, r)
+        return QueryResult(index, scores[raw])
 
     def query_semantic(self, query: str, embedder: Embedder, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Top-r records by cosine similarity between the embedded query and
@@ -547,14 +546,6 @@ def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse], first[order]
 
 
-def _numbered_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw's row, given each raw's embedding in raw order, and the
-    table: the distinct embeddings by bytes, numbered in order of first
-    appearance (_first_seen)."""
-    row_of, first = _first_seen(vectors.view(np.int64))
-    return row_of, vectors[first]
-
-
 def _numbered(values: Sequence) -> tuple[list[int], list]:
     """Each value's number, equal values numbered alike in order of first
     appearance, and the distinct values. A value object met before is
@@ -597,12 +588,12 @@ def build(
     hands them to the embedder as they are. The record columns are filled
     with no per-record Python work.
 
-    Both tables are keyed by value. Each distinct (entity list, caption) is
-    one raw (so codes that give one caption share it), and each distinct
-    embedding (by bytes) one row, so captions whose embeddings are equal
-    share a row. Rows and raws are numbered in order of first use (the rule
-    _derived_rows states for a memory file). All records go into the memory
-    as one columnar batch.
+    The raw table is keyed by value: each distinct (entity list, caption) is
+    one raw (so codes that give one caption share it), numbered in order of
+    first use, and holds its caption's embedding (the rule
+    _derived_embeddings states for a memory file), so the memory holds m
+    raws and m embeddings. All records go into the memory as one columnar
+    batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -648,14 +639,12 @@ def build(
     phrase = np.full(vcodes.shape, -1)
     phrase[live] = phrase_of
     # Each variant's raw, (entity list, caption), numbered in order of first
-    # use, with its phrases; then each raw's row, numbered by embedding bytes
-    # in the same order.
+    # use, with its phrases.
     raws: dict[tuple[int, str], tuple[int, tuple[str, ...]]] = {}
     raw_of = []
     for a, ids in zip(vlist.tolist(), phrase.tolist()):
         phrases = tuple([texts[p] for p in ids if p >= 0]) or (EMPTY_CAPTION,)
         raw_of.append(raws.setdefault((a, "; ".join(phrases)), (len(raws), phrases))[0])
-    row_of, table = _numbered_rows(embedder.embed_captions([phrases for _, phrases in raws.values()]))
     raw = np.array(raw_of, dtype=np.int64)[variant]
     poses = [run[3] for run in runs]
     batch = Batch(
@@ -665,9 +654,8 @@ def build(
         y=per_run([pose.position[1] for pose in poses], np.float64),
         yaw=per_run([pose.yaw for pose in poses], np.float64),
         room=per_run([pose.room_id for pose in poses], object),
-        row=row_of[raw],
         raw=raw,
-        embeddings=table,
+        embeddings=embedder.embed_captions([phrases for _, phrases in raws.values()]),
         raws=SymbolicObservation.sharing(entity_lists, raws),
     )
     memory.extend(batch)
@@ -677,68 +665,56 @@ def build(
 # -- persistence -------------------------------------------------------------
 
 _HEADER_KEYS = ("format_version", "d", "ticks_per_day", "embedder_id", "mode")
-# The column lines of a memory file v6, in file order: each column's JSON
-# value type (float admits an integer) and the count of its values. A file
-# whose rows are derived (_derives_rows) has no "row" line.
+# The column lines of a memory file v7, in file order: each column's JSON
+# value type (float admits an integer) and the count of its values.
 _COLUMNS = {
     "t0": (int, "runs"), "length": (int, "runs"), "day": (int, "runs"), "x": (float, "runs"),
-    "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "row": (int, "runs"),
-    "raw": (int, "runs"), "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
+    "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "raw": (int, "runs"),
+    "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
 }
-_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
 # The JSON integers an int column (int64) and a float column (float64) hold.
 _INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
               float: ("float64", -int(sys.float_info.max), int(sys.float_info.max))}
 
 
-def _derives_rows(embedder_id: str, d: int) -> bool:
-    """Whether a memory's rows are a function of its raw captions, being the
-    reference embedder's: the one rule of a file's layout."""
+def _derives_embeddings(embedder_id: str, d: int) -> bool:
+    """Whether a memory's embeddings are a function of its raw captions,
+    being the reference embedder's: the one rule of a file's layout."""
     return d >= MIN_DIM and embedder_id == EmbedderConfig(d=d).embedder_id
 
 
-def _derived_rows(raws: Sequence[SymbolicObservation], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw's row and the (k, d) table, as build makes them for a memory
+def _derived_embeddings(raws: Sequence[SymbolicObservation], d: int) -> np.ndarray:
+    """Each raw's embedding, an (m, d) array, as build makes it for a memory
     of the reference embedder: the captions, split into the phrases they
-    were joined from, embedded by one embed_captions call and numbered by
-    _numbered_rows."""
-    embedder = Embedder(EmbedderConfig(d=d))
-    return _numbered_rows(embedder.embed_captions([raw.caption.split("; ") for raw in raws]))
+    were joined from, embedded by one embed_captions call."""
+    return Embedder(EmbedderConfig(d=d)).embed_captions([raw.caption.split("; ") for raw in raws])
 
 
 def _check_derived(snap: Batch, d: int) -> None:
-    """Raise ValueError unless the table and each record's row are those
-    _derived_rows gives the raws, naming the first raw whose derived row the
-    table does not hold bit for bit or whose records name another."""
-    row_of, table = _derived_rows(snap.raws, d)
-    if table.tobytes() == snap.embeddings.tobytes() and np.array_equal(snap.row, row_of[snap.raw]):
-        return
-    k = min(len(table), len(snap.embeddings))
-    held = np.append((table[:k].view(np.int64) == snap.embeddings[:k].view(np.int64)).all(axis=1), False)
-    bad = ~held[np.minimum(row_of, k)]
-    bad[snap.raw[snap.row != row_of[snap.raw]]] = True
+    """Raise ValueError naming the first raw whose embedding is not, bit for
+    bit, the one _derived_embeddings gives its caption."""
+    derived = _derived_embeddings(snap.raws, d)
+    bad = (derived.view(np.int64) != snap.embeddings.view(np.int64)).any(axis=1)
     if bad.any():
-        raise ValueError(f"raw {int(bad.argmax())}: its embedding row is not the one derived from its caption, "
-                         "and a memory file of the reference embedder stores captions, not rows")
-    if len(snap.embeddings) > k:
-        raise ValueError(f"embedding row {k} is derived from no raw caption")
+        raise ValueError(f"raw {int(bad.argmax())}: its embedding is not the one derived from its caption, "
+                         "and a memory file of the reference embedder stores captions, not embeddings")
 
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v6 (see the module docstring); runs are found by
+    """Write a memory file v7 (see the module docstring); runs are found by
     comparing neighbouring records column by column. extra_header fields
     (e.g. a producing-config hash) join the header without displacing its
     keys.
 
-    A memory whose rows are derived is written only when they are the
-    derived ones (see _check_derived), so that load gives it back;
+    A memory whose embeddings are derived is written only when they are
+    the derived ones (see _check_derived), so that load gives it back;
     otherwise ValueError names the first raw that differs. A run whose room
     is not a string, which load would refuse, raises ValueError naming the
     run. A refused memory writes no file.
     """
     snap = memory._set
     n = len(snap.t)
-    derived = _derives_rows(memory.embedder_id, memory.d)
+    derived = _derives_embeddings(memory.embedder_id, memory.d)
     if derived:
         _check_derived(snap, memory.d)
     starts = snap.run_starts
@@ -753,7 +729,6 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "records": n,
         "runs": len(starts),
         "raws": len(snap.raws),
-        **({} if derived else {"rows": len(snap.embeddings)}),
     }
     values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
     rooms = values["room"]
@@ -764,7 +739,7 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
     values["length"] = np.diff(starts, append=n).tolist()
     values["raw_list"] = list_ids
     values["raw_caption"] = [raw.caption for raw in snap.raws]
-    lines = [{name: values[name]} for name in _COLUMNS if not (derived and name == "row")]
+    lines = [{name: values[name]} for name in _COLUMNS]
     if not derived:
         table = np.ascontiguousarray(snap.embeddings, dtype="<f8")
         lines.append({"embeddings": base64.b64encode(table.tobytes()).decode("ascii")})
@@ -787,7 +762,7 @@ def _column(line: Any, name: str, kind: type, size: int, item: str) -> list:
     if type(values) is not list or len(values) != size:
         got = len(values) if type(values) is list else type(values).__name__
         raise IntegrityError(f"column {name!r}: expected {size} values, one per {item}, got {got}")
-    types, seen = _JSON_TYPES[kind], set(map(type, values))
+    types, seen = set(JSON_TYPES[kind][0]), set(map(type, values))
     if not seen <= types:
         j = _first_bad(values, lambda value: type(value) not in types)
         raise IntegrityError(f"column {name!r} {item} {j}: expected a JSON {kind.__name__}, got {values[j]!r}")
@@ -809,19 +784,19 @@ def _ids(columns: dict, name: str, item: str, what: str, size: int) -> list:
     return ids
 
 
-def _embeddings(line: Any, k: int, d: int) -> np.ndarray:
-    """The (k, d) embedding table of a file's last line, little-endian
-    float64 bytes in base64."""
+def _embeddings(line: Any, m: int, d: int) -> np.ndarray:
+    """The (m, d) embeddings of a file's last line, little-endian float64
+    bytes in base64."""
     if type(line) is not dict or list(line) != ["embeddings"] or type(line["embeddings"]) is not str:
         raise IntegrityError("expected the 'embeddings' line, a base64 string")
     try:
         data = base64.b64decode(line["embeddings"], validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise IntegrityError(f"column 'embeddings': bad base64: {exc}") from exc
-    if len(data) != k * d * 8:
-        raise IntegrityError(f"column 'embeddings': {len(data)} bytes, expected {k * d * 8}, 8 per float of "
-                             f"{k} rows of {d}")
-    return np.frombuffer(data, dtype="<f8").reshape(k, d)  # extend copies it into the table
+    if len(data) != m * d * 8:
+        raise IntegrityError(f"column 'embeddings': {len(data)} bytes, expected {m * d * 8}, 8 per float of "
+                             f"{m} rows of {d}")
+    return np.frombuffer(data, dtype="<f8").reshape(m, d)  # extend copies it into the table
 
 
 def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
@@ -831,13 +806,14 @@ def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file v6 (see the module docstring), verifying the
+    """Load a memory file v7 (see the module docstring), verifying the
     checksum, the header (its integers JSON integers, the counts at least 0,
     its strings JSON strings, mode one of core.MODES), each column (see
-    _column), the run lengths, every list and raw id, every table row and
-    every record. Derived rows come from one embed_captions call over the
-    raw captions (_derived_rows). A failure raises IntegrityError naming the
-    header field, the table row or the column and its run or raw."""
+    _column), the run lengths, every list and raw id, every raw's embedding
+    and every record. Derived embeddings come from one embed_captions call
+    over the raw captions (_derived_embeddings). A failure raises
+    IntegrityError naming the header field, the embedding's raw or the
+    column and its run or raw."""
     header, lines, _ = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 6.0 == 6 in Python.
@@ -846,26 +822,22 @@ def load(path: str) -> LongTermMemory:
                              "memory from its stream with `objsearch build-memory`")
     try:
         for key, kind in (("d", int), ("ticks_per_day", int), ("embedder_id", str), ("mode", str)):
-            if type(header[key]) is not kind:
-                raise ValueError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {header[key]!r}")
-        derived = _derives_rows(header["embedder_id"], header["d"])
-        for key in ("records", "runs", "raws", *(() if derived else ("rows",))):
+            json_field(header, key, kind)
+        for key in ("records", "runs", "raws"):
             if key not in header:
                 raise ValueError(f"missing {key!r}")
-            if type(header[key]) is not int:
-                raise ValueError(f"{key} must be an integer, got {header[key]!r}")
-            if header[key] < 0:
+            if json_field(header, key, int) < 0:
                 raise ValueError(f"{key} must be >= 0, got {header[key]}")
         memory = LongTermMemory(d=header["d"], ticks_per_day=header["ticks_per_day"],
                                 embedder_id=header["embedder_id"], mode=header["mode"])
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
     entity_lists, lines = artifacts.sections(header, lines, tables={"entity_lists": _entity_list}, name="column")
-    spec = {name: value for name, value in _COLUMNS.items() if not (derived and name == "row")}
-    if len(lines) != len(spec) + (not derived):
-        raise IntegrityError(f"expected {len(spec) + (not derived)} column lines, found {len(lines)}")
+    derived = _derives_embeddings(memory.embedder_id, memory.d)
+    if len(lines) != len(_COLUMNS) + (not derived):
+        raise IntegrityError(f"expected {len(_COLUMNS) + (not derived)} column lines, found {len(lines)}")
     columns = {name: _column(line, name, kind, header[count], count[:-1])
-               for line, (name, (kind, count)) in zip(lines, spec.items())}
+               for line, (name, (kind, count)) in zip(lines, _COLUMNS.items())}
     # Runs of at least one record, summing to records before any is expanded.
     lengths, total = columns["length"], header["records"]
     if lengths and min(lengths) < 1:
@@ -880,14 +852,13 @@ def load(path: str) -> LongTermMemory:
         raise IntegrityError(str(exc)) from exc
     _ids(columns, "raw", "run", "raw", len(raws))
     if not derived:
-        embeddings = _embeddings(lines[-1], header["rows"], memory.d)
+        embeddings = _embeddings(lines[-1], len(raws), memory.d)
     else:
         try:
-            row_of, embeddings = _derived_rows(raws, memory.d)
+            embeddings = _derived_embeddings(raws, memory.d)
         except EmbeddingError as exc:  # a caption without tokens
             j = _first_bad(columns["raw_caption"], lambda caption: not normalize_text(caption))
             raise IntegrityError(f"column 'raw_caption' raw {j}: {exc}") from exc
-        columns["row"] = row_of[columns["raw"]]
     # The runs as one Batch, by np.repeat with no per-record Python; extend
     # checks every record (so overlapping or unordered runs are refused), and
     # its error names the run.

@@ -12,20 +12,13 @@ def spec_batch(memory, specs, embedder):
     with as it stands now.
 
     Record t's raw is a new observation of one mug, "e<t>", at the sink,
-    with the caption; its day is t // memory.ticks_per_day, its yaw 0 and
-    its room "kitchen". Its embedding is embedder(caption); a caption whose
-    embedding is already a row of the memory, or of this batch, shares that
-    row, and new rows and raws are numbered after the memory's tables.
+    with the caption and the embedding embedder(caption); its day is
+    t // memory.ticks_per_day, its yaw 0 and its room "kitchen". New raws
+    are numbered after the memory's raw table.
     """
     specs = list(specs)
-    row_of = {memory._set.embeddings[j].tobytes(): j for j in range(len(memory._set.embeddings))}
-    embeddings, raws, rows = [], [], []
+    raws = []
     for t, caption, _ in specs:
-        vec = embedder(caption)
-        row = row_of.setdefault(vec.tobytes(), len(memory._set.embeddings) + len(embeddings))
-        if row == len(memory._set.embeddings) + len(embeddings):
-            embeddings.append(vec)
-        rows.append(row)
         entity = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
         raws.append(SymbolicObservation(visible_entities=(entity,), caption=caption))
     ts = [t for t, _, _ in specs]
@@ -37,9 +30,8 @@ def spec_batch(memory, specs, embedder):
         y=[pos[1] for _, _, pos in specs],
         yaw=[0.0] * len(specs),
         room=["kitchen"] * len(specs),
-        row=rows,
         raw=list(range(m, m + len(specs))),
-        embeddings=embeddings,
+        embeddings=[embedder(caption) for _, caption, _ in specs],
         raws=raws,
     )
 

@@ -556,7 +556,7 @@ _POSITION = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5]) | 
 @st.composite
 def hit_memories(draw):
     """A memory of 1-12 records over drawn captions, rooms and positions,
-    its embeddings rows of the 4 x 4 identity."""
+    each caption's embedding a drawn row of the 4 x 4 identity."""
     captions = draw(st.lists(_TEXT, min_size=1, max_size=3))
     rooms = draw(st.lists(_TEXT, min_size=1, max_size=3))
     positions = draw(st.lists(st.tuples(_POSITION, _POSITION), min_size=1, max_size=4))
@@ -568,9 +568,8 @@ def hit_memories(draw):
     memory.extend(Batch(
         t=t, day=[v // tpd for v in t], x=[p[0] for p in pos], y=[p[1] for p in pos], yaw=[0.0] * n,
         room=[draw(st.sampled_from(rooms)) for _ in range(n)],
-        row=[draw(st.integers(0, 3)) for _ in range(n)],
         raw=[draw(st.integers(0, len(captions) - 1)) for _ in range(n)],
-        embeddings=list(np.eye(4)),
+        embeddings=[np.eye(4)[draw(st.integers(0, 3))] for _ in captions],
         raws=[SymbolicObservation(visible_entities=(), caption=c) for c in captions],
     ))
     return memory, positions
@@ -693,8 +692,8 @@ def test_outcome_json_remakes_texts_where_a_run_changes():
     memory = LongTermMemory(d=4, ticks_per_day=5)
     memory.extend(Batch(
         t=range(len(rows)), day=[t // 5 for t in range(len(rows))], x=[row[2] for row in rows],
-        y=[row[3] for row in rows], yaw=[0.0] * len(rows), room=[row[0] for row in rows], row=[0] * len(rows),
-        raw=[captions.index((type(row[1]), row[1])) for row in rows], embeddings=[np.eye(4)[0]],
+        y=[row[3] for row in rows], yaw=[0.0] * len(rows), room=[row[0] for row in rows],
+        raw=[captions.index((type(row[1]), row[1])) for row in rows], embeddings=[np.eye(4)[0]] * len(captions),
         raws=[SymbolicObservation(visible_entities=(), caption=c) for _, c in captions],
     ))
     executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), EMB)

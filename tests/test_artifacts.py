@@ -91,7 +91,7 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-MEMORY_V6_SHA256 = "72a499494ba74faac038d9653a9ea7b6a1702f0d18edf87804d417c8c5dbf601"
+MEMORY_V7_SHA256 = "e056e8fa686245b307363df0570da69d1ae842a225760fa83a61f73ba531727d"
 
 
 def test_memory_file_bytes_are_frozen(tmp_path):
@@ -99,8 +99,8 @@ def test_memory_file_bytes_are_frozen(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16))
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 6
-    assert sha256_of(path) == MEMORY_V6_SHA256
+    assert memstore.FORMAT_VERSION == 7
+    assert sha256_of(path) == MEMORY_V7_SHA256
 
 
 def test_tables_come_before_records_and_are_counted(tmp_path):

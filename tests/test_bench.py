@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -506,6 +507,16 @@ def test_noise_model_is_in_the_lineage_hash():
     assert SuiteConfig().to_dict()["noise"] == {"p_drop": 0.1, "p_mislabel": 0.1}
     oracle_pool = SuiteConfig(noise=NoiseModel(label_pool=("mug", "book")))
     assert oracle_pool.config_hash() == SuiteConfig().config_hash()
+
+
+@pytest.mark.parametrize("field, value", [("budget", 0), ("budget", -1), ("parallelism", 0), ("parallelism", -3)])
+def test_suite_config_refuses_budget_or_parallelism_below_one(field, value):
+    """A config no suite can run is refused when made, rather than recording
+    every episode as a crash (budget) or running serially under a
+    parallelism written into the report (parallelism)."""
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be >= 1, got {value}")):
+        SuiteConfig(**{field: value})
+    assert getattr(SuiteConfig(**{field: 1}), field) == 1
 
 
 def test_suite_patrols_once_per_task(monkeypatch):

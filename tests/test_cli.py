@@ -200,8 +200,8 @@ def test_schedule_file_with_a_move_off_the_day_is_refused(pipeline, tmp_path, co
 
 
 def test_build_memory_from_a_file_shares_raws_like_an_in_process_build(pipeline):
-    """build-memory from the stream file stores the same records, rows and
-    raws as a build of the patrol itself: both key raws by value."""
+    """build-memory from the stream file stores the same records, raws and
+    embeddings as a build of the patrol itself: both key raws by value."""
     from objsearch.embed import EmbedderConfig
     from objsearch.homesim import patrol
     from objsearch.memstore import build
@@ -236,16 +236,16 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v6_with_config_hash(pipeline):
-    """The reference embedder's memory file stores no embedding rows: no
-    row count, row column or embeddings line."""
+def test_build_memory_writes_format_v7_with_config_hash(pipeline):
+    """The reference embedder's memory file stores no embeddings: no rows
+    count, row column or embeddings line."""
     hashes = set()
     for mode in ("oracle", "realistic"):
         header, lines, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 6
+        assert header["format_version"] == 7
         assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
-        assert len(memory._set.embeddings) < 600  # one row per distinct caption
+        assert len(memory._set.embeddings) == len(memory._set.raws) < 600  # one embedding per raw
         assert "rows" not in header and not any(line.startswith(('{"row"', '{"embeddings"')) for line in lines)
         assert re.fullmatch("[0-9a-f]{16}", header["config_hash"])
         hashes.add(header["config_hash"])
@@ -366,6 +366,18 @@ def test_budget_below_one_is_a_usage_error(suite_artifacts, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_parallelism_below_one_is_a_usage_error(suite_artifacts, tmp_path, monkeypatch, parallelism):
+    """run-suite with fewer than one worker exits 2 naming the value, runs
+    no episode and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    args = ["run-suite", "--tasks", suite_artifacts["tasks"], "--parallelism", parallelism]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert f"parallelism must be >= 1, got {parallelism}" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, option", [
     (["gen-world", "--scene", "1", "--ticks-per-day", "0"], "--ticks-per-day"),
     (["gen-tasks", "--per-family", "0"], "--per-family"),
@@ -480,6 +492,15 @@ def task_edit(**fields):
     return lambda path: rewrite_line(path, 2, lambda task: {**task, **fields})
 
 
+def move_edit(**fields):
+    """Set fields of the first scheduled move of task 1 (line 2) of a task file."""
+    def edited(task):
+        schedule = task["schedule"]
+        moves = [{**schedule["moves"][0], **fields}, *schedule["moves"][1:]]
+        return {**task, "schedule": {**schedule, "moves": moves}}
+    return lambda path: rewrite_line(path, 2, edited)
+
+
 def truncated(path):
     """The header and 3 tasks, as a writer cut short leaves the file."""
     lines = open(path).read().splitlines()[:4]
@@ -524,6 +545,11 @@ MALFORMED_TASK_FILES = {
     "str_ticks_per_day": (task_edit(ticks_per_day="200"), "task 1: ticks_per_day must be a JSON integer, got '200'"),
     "float_layout_seed": (task_edit(layout_seed=1.5), "task 1: layout_seed must be a JSON integer, got 1.5"),
     "int_task_id": (task_edit(task_id=7), "task 1: task_id must be a JSON string, got 7"),
+    # So does each field of a scheduled move.
+    "float_move_day": (move_edit(day=1.5), "task 1: day must be a JSON integer, got 1.5"),
+    "bool_move_day": (move_edit(day=True), "task 1: day must be a JSON integer, got True"),
+    "str_tick_of_day": (move_edit(tick_of_day="5"), "task 1: tick_of_day must be a JSON integer, got '5'"),
+    "int_move_entity": (move_edit(entity_id=7), "task 1: entity_id must be a JSON string, got 7"),
 }
 
 

@@ -370,10 +370,10 @@ def test_stream_sequence_protocol_matches_its_list(i, start, stop, step):
 
 def test_stream_and_memory_files_are_frozen(tmp_path):
     """write_stream and persist bytes of a 1300-ticks/day busy-schedule
-    stream: stream file v2 and memory file v6, the realistic memory as noise
+    stream: stream file v2 and memory file v7, the realistic memory as noise
     model v2 draws its captions. Each memory file is the memory file v5 of
     the same memory with its row count, row column, embeddings line and
-    snapshot_every taken out."""
+    snapshot_every taken out, and format_version 7."""
     from objsearch.embed import Embedder, EmbedderConfig
     from objsearch.memstore import build, persist
 
@@ -387,8 +387,8 @@ def test_stream_and_memory_files_are_frozen(tmp_path):
     assert list(read_stream(str(path))[1].runs()) == list(stream.runs())
     embedder = Embedder(EmbedderConfig(d=64))
     for mode, digest in (
-        ("oracle", "17b28534232c7778e0eb7166ea834b8eda2168a59905341cf1d8cbf8a86857f2"),
-        ("realistic", "9dd553ba27c7ae4d805e42833476fc787a048de6484b23927fa6a31321562272"),
+        ("oracle", "ae6675d1e01a4b029d647f9877b65bb815b607130eb02bba84b39307f2687081"),
+        ("realistic", "dee49e8bf6bc165fac45f0d5052ceb1bcea042410c74fabaed1fe3753cf02cd2"),
     ):
         memory = build(stream, embedder, mode=mode, noise_seed=2, ticks_per_day=1300)
         persist(memory, str(path))
@@ -498,9 +498,18 @@ def test_stream_file_v2_keeps_runs_and_sharing(tmp_path_factory, runs):
 @pytest.mark.parametrize("edit, message", [
     (lambda run: {**run, "length": 0}, "run 1: bad run: t0=5, day=0, length=0"),
     (lambda run: {**run, "t0": -1}, "run 1: bad run: t0=-1, day=0, length=2"),
-    (lambda run: {**run, "day": True}, "run 1: t0, day and length must be integers, got 5, True, 2"),
-    (lambda run: {**run, "length": 2.0}, "run 1: t0, day and length must be integers, got 5, 0, 2.0"),
+    (lambda run: {**run, "day": True}, "run 1: day must be a JSON integer, got True"),
+    (lambda run: {**run, "length": 2.0}, "run 1: length must be a JSON integer, got 2.0"),
     (lambda run: {k: v for k, v in run.items() if k != "pose"}, "run 1: 'pose'"),
+    # A pose's position is two JSON numbers, and an entity's attributes JSON strings.
+    (lambda run: {**run, "pose": {**run["pose"], "position": [1, 2, 3]}},
+     "run 1: position must be a JSON array of 2 numbers, got [1, 2, 3]"),
+    (lambda run: {**run, "pose": {**run["pose"], "position": "12"}},
+     "run 1: position must be a JSON array of 2 numbers, got '12'"),
+    (lambda run: {**run, "pose": {**run["pose"], "position": [True, 2]}},
+     "run 1: position must be a JSON array of 2 numbers, got [True, 2]"),
+    (lambda run: {**run, "entities": [{**run["entities"][0], "attributes": "red"}]},
+     "run 1: attributes must be a JSON array of strings, got 'red'"),
 ])
 def test_stream_file_v2_corruption_names_the_run(tmp_path, edit, message):
     entities = stream_entities(["mug_1"])

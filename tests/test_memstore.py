@@ -119,7 +119,7 @@ def test_build_length_conservation():
     memory = build(stream, EMB, ticks_per_day=200)
     assert len(memory) == 10
     snap = memory._set
-    assert snap.embeddings[snap.row].shape == (10, 64)
+    assert snap.embeddings[snap.raw].shape == (10, 64)
     assert snap.t.shape == snap.x.shape == snap.y.shape == (10,)
 
 
@@ -147,8 +147,8 @@ def test_build_over_shared_views_equals_fresh_copies(mode):
 
 
 def reference_build(stream, embedder, mode, noise_seed, ticks_per_day, noise=DEFAULT_NOISE):
-    """One record per tick, each with its own embedding row (Embedder.__call__)
-    and raw observation, extended one single-record batch at a time: the
+    """One record per tick, each with its own raw observation and its
+    embedding (Embedder.__call__), extended one single-record batch at a time: the
     per-tick loop that build batches. A realistic caption takes entity j's
     draws from the counter form of the noise model: Philox keyed by
     (noise_seed, j), at counter t."""
@@ -160,21 +160,21 @@ def reference_build(stream, embedder, mode, noise_seed, ticks_per_day, noise=DEF
                                  noise=noise)
         raw = replace(obs, caption=caption)
         memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
-                            yaw=[pose.yaw], room=[pose.room_id], row=[i], raw=[i],
+                            yaw=[pose.yaw], room=[pose.room_id], raw=[i],
                             embeddings=[embedder(caption)], raws=[raw]))
     return memory
 
 
 def assert_same_memory(a, b):
     """Equal records, and equal columns of equal dtype, each record's
-    embedding gathered from its row."""
+    embedding gathered from its raw."""
     assert len(a) == len(b)
     assert a.records == b.records
     sa, sb = a._set, b._set
     for name in ("t", "day", "x", "y", "yaw", "room"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name))
         assert getattr(sa, name).dtype == getattr(sb, name).dtype
-    assert np.array_equal(sa.embeddings[sa.row], sb.embeddings[sb.row])
+    assert np.array_equal(sa.embeddings[sa.raw], sb.embeddings[sb.raw])
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,8 +305,6 @@ def test_build_over_runs_equals_build_over_ticks_and_reference(run_streams, sour
     want = first_use_ids((obs.visible_entities, record.raw.caption)
                          for (_, _, obs), record in zip(stream, got.records))
     assert got._set.raw.tolist() == per_tick._set.raw.tolist() == want
-    want = first_use_ids(record.embedding.tobytes() for record in got.records)
-    assert got._set.row.tolist() == want
     assert_same_memory(got, reference_build(stream, EMB, mode, noise_seed, 200))
 
 
@@ -326,7 +324,7 @@ def with_entry(batch, field, j, value):
     gaps=st.lists(st.integers(1, 4), max_size=40),
     cuts=st.lists(st.integers(0, 40), max_size=6),
     bad=st.one_of(st.none(), st.tuples(
-        st.sampled_from(["dimension", "norm", "nan", "repeat", "earlier", "row", "raw"]),
+        st.sampled_from(["dimension", "norm", "nan", "repeat", "earlier", "raw"]),
         st.integers(0, 39),
         st.booleans(),
     )),
@@ -335,7 +333,7 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
     """One Batch gives the same memory as its records extended in any split
     into sub-batches, down to one record each. A single bad entry anywhere
     (a new row of the wrong dimension, not unit norm or all NaN, a repeated
-    or earlier t, a row or raw id out of range) raises BatchError naming its
+    or earlier t, a raw id out of range) raises BatchError naming its
     position and part, and stores nothing."""
     head = [(t, f"caption {t}", (t, 0)) for t in range(0, 3 * stored, 3)]
     last = head[-1][0] if head else -1
@@ -367,9 +365,7 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
             assume(t >= 0)
             batch = with_entry(batch, "t", j, t)
         else:
-            held = memory._set
-            size = len(held.embeddings) + len(batch.embeddings) if kind == "row" else len(held.raws) + len(specs)
-            batch = with_entry(batch, kind, j, -1 if low else size)
+            batch = with_entry(batch, "raw", j, -1 if low else len(memory._set.raws) + len(specs))
     tables = (len(memory._set.embeddings), memory._set.raws)
     with pytest.raises(BatchError) as info:
         memory.extend(batch)
@@ -618,7 +614,7 @@ def oracle_run_window(columns, ticks_per_day, d_start, d_end, r):
     newest first, the first r."""
     t = columns["t"]
     key = [(columns["day"][i], float_bits(columns["x"][i]), float_bits(columns["y"][i]),
-            float_bits(columns["yaw"][i]), columns["room"][i], columns["row"][i], columns["raw"][i])
+            float_bits(columns["yaw"][i]), columns["room"][i], columns["raw"][i])
            for i in range(len(t))]
     inside = [i for i in range(len(t)) if d_start <= t[i] // ticks_per_day <= d_end]
     newest = [i for j, i in enumerate(inside)
@@ -637,7 +633,7 @@ def run_columns(draw):
     gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n - 1, max_size=n - 1))
     t = list(itertools.accumulate(gaps, initial=draw(st.integers(0, 30))))
     fields = st.tuples(st.sampled_from([0.0, -0.0, 1.5]), st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
-                       st.sampled_from(["kitchen", "den"]), st.integers(0, 1), st.integers(0, 1))
+                       st.sampled_from(["kitchen", "den"]), st.integers(0, 1))
     rows = [draw(fields)]
     for _ in range(n - 1):
         step = draw(st.integers(0, 4))
@@ -648,9 +644,9 @@ def run_columns(draw):
             rows.append(rows[-1][:j] + (-rows[-1][j],) + rows[-1][j + 1:])
         else:
             rows.append(rows[-1])
-    x, y, yaw, room, row, raw = (list(c) for c in zip(*rows))
+    x, y, yaw, room, raw = (list(c) for c in zip(*rows))
     day = [v // ticks_per_day for v in t]
-    return ticks_per_day, {"t": t, "day": day, "x": x, "y": y, "yaw": yaw, "room": room, "row": row, "raw": raw}
+    return ticks_per_day, {"t": t, "day": day, "x": x, "y": y, "yaw": yaw, "room": room, "raw": raw}
 
 
 @settings(max_examples=300, deadline=None)
@@ -914,9 +910,9 @@ def test_concurrent_readers_see_consistent_prefix():
         while not stop.is_set():
             n = len(memory)
             snap = memory._set
-            if not len(snap.t) == len(snap.x) == len(snap.row) == len(snap.raw) >= n:
-                errors.append(f"torn read: {len(snap.t)}/{len(snap.x)}/{len(snap.row)} vs {n}")
-            if len(snap.row) and (snap.row.max() >= len(snap.embeddings) or snap.raw.max() >= len(snap.raws)):
+            if not len(snap.t) == len(snap.x) == len(snap.raw) >= n:
+                errors.append(f"torn read: {len(snap.t)}/{len(snap.x)}/{len(snap.raw)} vs {n}")
+            if len(snap.embeddings) != len(snap.raws) or len(snap.raw) and snap.raw.max() >= len(snap.raws):
                 errors.append("a published record names an unpublished table entry")
             result = memory.query_temporal(t_center=0, r=5)
             if any(i >= len(memory) for i in result.indices):
@@ -966,15 +962,15 @@ def test_concurrent_readers_see_whole_batches():
 
 
 def run_batch(memory, ts, length):
-    """A Batch of records t in ts where t // length names the row, the raw
-    and the position: so runs of length records, and the new table entries
-    the batch's records name first."""
-    k, m = len(memory._set.embeddings), len(memory._set.raws)
+    """A Batch of records t in ts where t // length names the raw and the
+    position: so runs of length records, and the new raws the batch's
+    records name first."""
+    m = len(memory._set.raws)
     groups = [t // length for t in ts]
-    new = sorted({g for g in groups if g >= k})
+    new = sorted({g for g in groups if g >= m})
     return Batch(
         t=ts, day=[t // memory.ticks_per_day for t in ts], x=[g % 4 for g in groups], y=[-0.0] * len(ts),
-        yaw=[0.0] * len(ts), room=["kitchen"] * len(ts), row=groups, raw=groups,
+        yaw=[0.0] * len(ts), room=["kitchen"] * len(ts), raw=groups,
         embeddings=[EMB(f"caption {g}") for g in new],
         raws=[SymbolicObservation(visible_entities=(), caption=f"caption {g}") for g in new],
     )
@@ -983,7 +979,7 @@ def run_batch(memory, ts, length):
 def test_concurrent_index_backed_queries_see_whole_batches():
     """Readers run semantic and spatial queries, which build and replace the
     cached indexes, and per-run day windows, which derive the run ends, while
-    a writer extends with new table rows in every batch and runs of 5 records
+    a writer extends with new raws in every batch and runs of 5 records
     that cross batch boundaries: every answer holding all records covers a
     whole-batch prefix, each record once, at least as long as the memory was
     before the query, and the per-run window names exactly that prefix's
@@ -1028,10 +1024,10 @@ def test_concurrent_index_backed_queries_see_whole_batches():
     assert len(memory.query_temporal(day_window=(0, 2**70), r=10**9, per="run")) == batch * batches // length
 
 
-# Memory files of either layout: "stored" (an embedder_id whose rows cannot
-# be derived: the file holds the row count, the row column and the embedding
-# table) and "derived" (the reference embedder's: the file holds none of
-# them, and load re-embeds the raw captions).
+# Memory files of either layout: "stored" (an embedder_id whose embeddings
+# cannot be derived: the file holds them, one row per raw) and "derived" (the
+# reference embedder's: the file holds none, and load re-embeds the raw
+# captions).
 LAYOUT_IDS = {"stored": "an embedder", "derived": EMB.embedder_id}
 
 
@@ -1043,8 +1039,7 @@ def layout_memory(layout, **kw):
 HEADER_KEYS = ["format_version", "d", "ticks_per_day", "embedder_id", "mode", "count", "records", "runs", "raws"]
 
 
-@pytest.mark.parametrize("layout, key", [*(("stored", key) for key in [*HEADER_KEYS, "rows"]),
-                                         *(("derived", key) for key in HEADER_KEYS)])
+@pytest.mark.parametrize("layout, key", [(layout, key) for layout in ("stored", "derived") for key in HEADER_KEYS])
 def test_load_header_missing_key_is_integrity_error(tmp_path, layout, key):
     path = str(tmp_path / "memory.jsonl")
     persist(layout_memory(layout), path)
@@ -1053,34 +1048,32 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, layout, key):
         load(path)
 
 
-# The refusal of any format_version but 6.
-REFUSED = "expected 6; rebuild the memory from its stream with `objsearch build-memory`"
+# The refusal of any format_version but 7.
+REFUSED = "expected 7; rebuild the memory from its stream with `objsearch build-memory`"
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
         *(("format_version", version, f"unsupported format_version {version}, {REFUSED}")
-          for version in (1, 2, 3, 4, 5, 7)),
+          for version in (1, 2, 3, 4, 5, 6, 8)),
         ("d", "wide", "malformed header"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
-        ("count", 2, "column count mismatch: header says 2, found 12"),
-        ("entity_lists", 2, "column count mismatch: header says 12, found 13"),
-        ("records", 3.0, "malformed header: records must be an integer, got 3.0"),
-        ("records", True, "malformed header: records must be an integer, got True"),
-        ("records", "3", "malformed header: records must be an integer, got '3'"),
+        ("count", 2, "column count mismatch: header says 2, found 11"),
+        ("entity_lists", 2, "column count mismatch: header says 11, found 12"),
+        ("records", 3.0, "malformed header: records must be a JSON integer, got 3.0"),
+        ("records", True, "malformed header: records must be a JSON integer, got True"),
+        ("records", "3", "malformed header: records must be a JSON integer, got '3'"),
         ("records", -1, "malformed header: records must be >= 0, got -1"),
         ("records", 2, "record total mismatch: header says 2, runs hold 3"),
         ("records", 4, "record total mismatch: header says 4, runs hold 3"),
         # Checked before anything is expanded: no array of this size is made.
         ("records", 10**15, f"record total mismatch: header says {10**15}, runs hold 3"),
         ("runs", -1, "malformed header: runs must be >= 0, got -1"),
-        ("runs", 3.0, "malformed header: runs must be an integer, got 3.0"),
-        ("rows", True, "malformed header: rows must be an integer, got True"),
-        ("raws", "3", "malformed header: raws must be an integer, got '3'"),
+        ("runs", 3.0, "malformed header: runs must be a JSON integer, got 3.0"),
+        ("raws", "3", "malformed header: raws must be a JSON integer, got '3'"),
         ("runs", 4, "column 't0': expected 4 values, one per run, got 3"),
         ("raws", 2, "column 'raw_list': expected 2 values, one per raw, got 3"),
-        ("rows", 2, "column 'embeddings': 1536 bytes, expected 1024, 8 per float of 2 rows of 64"),
     ],
 )
 def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message):
@@ -1095,8 +1088,8 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
     "key, value, message",
     [
         # Another embedder or dimension asks for the stored layout.
-        ("d", 32, "malformed header: missing 'rows'"),
-        ("embedder_id", "an embedder", "malformed header: missing 'rows'"),
+        ("d", 32, "expected 11 column lines, found 10"),
+        ("embedder_id", "an embedder", "expected 11 column lines, found 10"),
         ("count", 9, "column count mismatch: header says 9, found 10"),
         ("raws", 4, "column 'raw_list': expected 4 values, one per raw, got 3"),
         ("raws", -1, "malformed header: raws must be >= 0, got -1"),
@@ -1104,7 +1097,8 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
 )
 def test_load_derived_header_bad_value_is_integrity_error(tmp_path, key, value, message):
     """A reference embedder's file is read by its own layout: a header whose
-    d or embedder_id names another embedder asks for rows it does not hold."""
+    d or embedder_id names another embedder asks for an embeddings line it
+    does not hold."""
     path = str(tmp_path / "memory.jsonl")
     persist(layout_memory("derived"), path)
     assert "rows" not in artifacts.verify(path)[0]
@@ -1124,16 +1118,16 @@ def test_ticks_per_day_must_be_positive():
     "key, value, message",
     [
         ("format_version", True, f"unsupported format_version True, {REFUSED}"),
-        ("format_version", 6.0, f"unsupported format_version 6.0, {REFUSED}"),
+        ("format_version", 7.0, f"unsupported format_version 7.0, {REFUSED}"),
         ("format_version", 3.0, f"unsupported format_version 3.0, {REFUSED}"),
         ("format_version", 1.0, f"unsupported format_version 1.0, {REFUSED}"),
-        ("format_version", "6", f"unsupported format_version '6', {REFUSED}"),
-        ("d", "64", "malformed header: d must be an integer, got '64'"),
-        ("d", 64.0, "malformed header: d must be an integer, got 64.0"),
-        ("d", 64.7, "malformed header: d must be an integer, got 64.7"),
-        ("ticks_per_day", "200", "malformed header: ticks_per_day must be an integer, got '200'"),
-        ("ticks_per_day", 200.0, "malformed header: ticks_per_day must be an integer, got 200.0"),
-        ("ticks_per_day", True, "malformed header: ticks_per_day must be an integer, got True"),
+        ("format_version", "7", f"unsupported format_version '7', {REFUSED}"),
+        ("d", "64", "malformed header: d must be a JSON integer, got '64'"),
+        ("d", 64.0, "malformed header: d must be a JSON integer, got 64.0"),
+        ("d", 64.7, "malformed header: d must be a JSON integer, got 64.7"),
+        ("ticks_per_day", "200", "malformed header: ticks_per_day must be a JSON integer, got '200'"),
+        ("ticks_per_day", 200.0, "malformed header: ticks_per_day must be a JSON integer, got 200.0"),
+        ("ticks_per_day", True, "malformed header: ticks_per_day must be a JSON integer, got True"),
     ],
 )
 def test_load_header_takes_json_integers_only(tmp_path, layout, key, value, message):
@@ -1152,14 +1146,14 @@ def test_load_header_takes_json_integers_only(tmp_path, layout, key, value, mess
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("mode", 5, "malformed header: mode must be a string, got 5"),
-        ("mode", None, "malformed header: mode must be a string, got None"),
-        ("mode", ["oracle"], "malformed header: mode must be a string, got ['oracle']"),
+        ("mode", 5, "malformed header: mode must be a JSON string, got 5"),
+        ("mode", None, "malformed header: mode must be a JSON string, got None"),
+        ("mode", ["oracle"], "malformed header: mode must be a JSON string, got ['oracle']"),
         ("mode", "weird", "malformed header: mode must be one of oracle, realistic, got 'weird'"),
         ("mode", "Oracle", "malformed header: mode must be one of oracle, realistic, got 'Oracle'"),
-        ("embedder_id", None, "malformed header: embedder_id must be a string, got None"),
-        ("embedder_id", 7, "malformed header: embedder_id must be a string, got 7"),
-        ("embedder_id", False, "malformed header: embedder_id must be a string, got False"),
+        ("embedder_id", None, "malformed header: embedder_id must be a JSON string, got None"),
+        ("embedder_id", 7, "malformed header: embedder_id must be a JSON string, got 7"),
+        ("embedder_id", False, "malformed header: embedder_id must be a JSON string, got False"),
     ],
 )
 def test_load_header_takes_json_strings_only(tmp_path, layout, key, value, message):
@@ -1193,12 +1187,23 @@ def scan_semantic(memory, qvec, r):
     query=st.sampled_from(CAPTIONS + ["mug", "sofa desk", "nothing alike"]),
     r=st.integers(1, 80),
 )
-def test_semantic_k_rows_equal_n_by_d_scan(batches, query, r):
+def test_semantic_m_raws_equal_n_by_d_scan(batches, query, r):
+    """Records of one caption share its raw, over several batches, so a
+    raw's postings hold several records: scoring the m raws' embeddings
+    gives the n x d scan's hits, scores and tie order."""
     memory = new_memory()
+    raw_of: dict[str, int] = {}  # caption -> raw, in order of first use
     t = 0
     for captions in batches:
-        extend(memory, [(t + j, c, (j, 0)) for j, c in enumerate(captions)])
-        t += len(captions)
+        new = [c for c in dict.fromkeys(captions) if c not in raw_of]
+        raw_of.update({c: len(raw_of) + j for j, c in enumerate(new)})
+        size = len(captions)
+        memory.extend(Batch(
+            t=range(t, t + size), day=[v // 200 for v in range(t, t + size)], x=range(size), y=[0.0] * size,
+            yaw=[0.0] * size, room=["kitchen"] * size, raw=[raw_of[c] for c in captions],
+            embeddings=[EMB(c) for c in new], raws=[SymbolicObservation((), c) for c in new],
+        ))
+        t += size
     assert len(memory._set.embeddings) == len({c for captions in batches for c in captions})
     qvec = EMB(query)
     assert memory.query_semantic_vector(qvec, r=r).hits == scan_semantic(memory, qvec, r)
@@ -1251,23 +1256,23 @@ def same_hits(a, b):
 def test_index_backed_queries_equal_the_linear_scans(steps):
     """Extends and queries interleaved, so a query after an extend must see
     the new records. Each semantic query equals scan_semantic and each
-    spatial query the radius-cut scan, scores included, on rows that tie
-    across the table, positions that differ only in a zero's sign, far
+    spatial query the radius-cut scan, scores included, on embeddings that
+    tie across raws, positions that differ only in a zero's sign, far
     centres on the hypot path, NaN and inf query vectors, and r past the
     number of matches."""
     memory = LongTermMemory(d=4, ticks_per_day=10)
-    row_of: dict[int, int] = {}  # TIE_ROWS index -> table row, in order of first use
+    raw_of: dict[int, int] = {}  # TIE_ROWS index -> raw, in order of first use
     for kind, *args in steps:
         if kind == "extend":
             [records] = args
-            new = [p for p in dict.fromkeys(p for p, _ in records) if p not in row_of]
-            row_of.update({p: len(row_of) + j for j, p in enumerate(new)})
-            n, m, size = len(memory), len(memory._set.raws), len(records)
+            new = [p for p in dict.fromkeys(p for p, _ in records) if p not in raw_of]
+            raw_of.update({p: len(raw_of) + j for j, p in enumerate(new)})
+            n, size = len(memory), len(records)
             memory.extend(Batch(
                 t=range(n, n + size), day=[t // 10 for t in range(n, n + size)],
                 x=[PLACES[q][0] for _, q in records], y=[PLACES[q][1] for _, q in records],
-                yaw=[0.0] * size, room=["kitchen"] * size, row=[row_of[p] for p, _ in records], raw=[m] * size,
-                embeddings=[TIE_ROWS[p] for p in new], raws=[SymbolicObservation((), f"batch {m}")],
+                yaw=[0.0] * size, room=["kitchen"] * size, raw=[raw_of[p] for p, _ in records],
+                embeddings=[TIE_ROWS[p] for p in new], raws=[SymbolicObservation((), f"row {p}") for p in new],
             ))
         elif kind == "semantic":
             q, r = args
@@ -1299,8 +1304,8 @@ def test_new_rows_are_judged_as_embedding_problem_judges_them(d, specs):
         rows.append(scale * (u / math.sqrt(u @ u)))
     problems = [(j, reason) for j, row in enumerate(rows) if (reason := embedding_problem(row, d)) is not None]
     memory = LongTermMemory(d=d, ticks_per_day=10)
-    batch = Batch(t=[0], day=[0], x=[0.0], y=[0.0], yaw=[0.0], room=["kitchen"], row=[0], raw=[0],
-                  embeddings=rows, raws=[SymbolicObservation((), "a row")])
+    batch = Batch(t=[0], day=[0], x=[0.0], y=[0.0], yaw=[0.0], room=["kitchen"], raw=[0],
+                  embeddings=rows, raws=[SymbolicObservation((), f"row {j}") for j in range(len(rows))])
     if not problems:
         memory.extend(batch)
         assert memory._set.embeddings.tobytes() == np.array(rows).tobytes()
@@ -1332,15 +1337,14 @@ GROUP_PLACES = RING + [(1.0, 0.0), (0.0, -1.0), (6.0, 0.0)]
     unused=st.lists(st.tuples(st.integers(0, len(GROUP_ROWS) - 1), st.integers(0, 60)), max_size=20),
     r=st.integers(1, 30) | st.just(10**9),
 )
-@example(runs=[(row, 0, 1) for row in range(12)], unused=[], r=5)  # 12 tied rows of one record each, 5 of them read
-@example(runs=[(0, 0, 1), (1, 0, 1)], unused=[(2, 2)], r=1)  # the last table row, tied at the cut, has no record
+@example(runs=[(row, 0, 1) for row in range(12)], unused=[], r=5)  # 12 tied raws of one record each, 5 of them read
+@example(runs=[(0, 0, 1), (1, 0, 1)], unused=[(2, 2)], r=1)  # the last raw, tied at the cut, has no record
 @example(runs=[(0, 0, 1), (1, 0, 1)], unused=[(2, 0)], r=1)  # so has the first
 def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused, r):
     """Semantic and spatial queries whose r-th hit falls in a tie group of
-    many table rows or positions (zero scores of both signs, NaN scores,
-    positions on one circle) equal the linear scans. Table rows that no
-    record uses, each (GROUP_ROWS index, table position) of unused, tie at
-    the cut too."""
+    many raws or positions (zero scores of both signs, NaN scores, positions
+    on one circle) equal the linear scans. Raws that no record uses, each
+    (GROUP_ROWS index, raw table position) of unused, tie at the cut too."""
     slots = [(row, True) for row in dict.fromkeys(row for row, _, _ in runs)]
     for row, at in unused:
         slots.insert(at, (row, False))
@@ -1351,11 +1355,12 @@ def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused
     t = t[1:]
     memory = LongTermMemory(d=4, ticks_per_day=10)
     memory.extend(Batch(
-        t=t, day=[v // 10 for v in t], yaw=[0.0] * len(t), room=["kitchen"] * len(t), raw=[0] * len(t),
+        t=t, day=[v // 10 for v in t], yaw=[0.0] * len(t), room=["kitchen"] * len(t),
         x=[GROUP_PLACES[p][0] for _, p, n in runs for _ in range(n)],
         y=[GROUP_PLACES[p][1] for _, p, n in runs for _ in range(n)],
-        row=[position[row] for row, _, n in runs for _ in range(n)],
-        embeddings=[GROUP_ROWS[row] for row, _ in slots], raws=[SymbolicObservation((), "a run")],
+        raw=[position[row] for row, _, n in runs for _ in range(n)],
+        embeddings=[GROUP_ROWS[row] for row, _ in slots],
+        raws=[SymbolicObservation((), f"slot {j}") for j in range(len(slots))],
     ))
     for qvec in GROUP_QUERIES:
         with np.errstate(invalid="ignore"):
@@ -1372,27 +1377,25 @@ def assert_loaded_equals(loaded, memory):
 
 
 def assert_same_tables(a, b):
-    """Equal embedding rows (by bytes) and raws, in the same order."""
+    """Equal raws and their embeddings (by bytes), in the same order."""
     assert (len(a._set.embeddings), a._set.raws) == (len(b._set.embeddings), b._set.raws)
     assert a._set.embeddings.tobytes() == b._set.embeddings.tobytes()
 
 
 def with_embedder_id(memory, embedder_id="an embedder"):
-    """The memory's records and tables under another embedder_id, whose rows
-    its file stores (the stored layout)."""
+    """The memory's records and tables under another embedder_id, whose
+    embeddings its file stores (the stored layout)."""
     copy = LongTermMemory(d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=embedder_id, mode=memory.mode)
     copy.extend(memory._set)
     return copy
 
 
-def stores_rows(path):
-    """Whether a memory file holds a row count, a row column and an
-    embeddings line; it holds all three or none."""
+def stores_embeddings(path):
+    """Whether a memory file holds an embeddings line. No layout holds a
+    rows count or a row column."""
     header, lines, _ = artifacts.verify(path)
-    found = {"rows" in header, any(line.startswith('{"row":') for line in lines),
-             any(line.startswith('{"embeddings":') for line in lines)}
-    assert len(found) == 1, path
-    return found.pop()
+    assert "rows" not in header and not any(line.startswith('{"row":') for line in lines), path
+    return any(line.startswith('{"embeddings":') for line in lines)
 
 
 @settings(max_examples=10, deadline=None)
@@ -1402,8 +1405,9 @@ def stores_rows(path):
     mode=st.sampled_from(["oracle", "realistic"]),
 )
 def test_memory_files_load_equal_to_the_build(tmp_path_factory, layout_seed, scene_id, mode):
-    """A built memory, persisted without its rows (the reference embedder's
-    layout) and with them (the same memory under another embedder_id),
+    """A built memory, persisted without its embeddings (the reference
+    embedder's layout) and with them (the same memory under another
+    embedder_id),
     loads equal to the build, tables included, and re-persists as its
     file's bytes."""
     memory = build(patrol_stream(layout_seed, scene_id, 3), EMB, mode=mode, noise_seed=3, ticks_per_day=200)
@@ -1411,7 +1415,7 @@ def test_memory_files_load_equal_to_the_build(tmp_path_factory, layout_seed, sce
     for written, stored in ((memory, False), (with_embedder_id(memory), True)):
         path, again = str(root / "memory.jsonl"), str(root / "again.jsonl")
         persist(written, path)
-        assert stores_rows(path) == stored
+        assert stores_embeddings(path) == stored
         loaded = load(path)
         assert_loaded_equals(loaded, written)
         assert_same_tables(loaded, written)
@@ -1424,7 +1428,7 @@ def test_memory_files_load_equal_to_the_build(tmp_path_factory, layout_seed, sce
 def view_pool():
     """Entity lists for random streams: a list and a value-equal copy of it
     (one raw), a list whose caption differs only in case (a different raw
-    and caption, an equal embedding row), two entities, two entities with
+    and caption, an equal embedding), two entities, two entities with
     equal phrases (dropping either gives one caption), a book among mugs,
     and none."""
     def mug(attribute, landmark="sink", entity="m1", label="mug"):
@@ -1454,9 +1458,9 @@ VIEW_NOISES = [DEFAULT_NOISE, NoiseModel(p_drop=0.4, p_mislabel=0.5, label_pool=
 )
 def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, mode, noise_seed, noise):
     """Over random streams (runs of (gap, length, pose, view), 10 ticks a
-    day): build equals the per-tick reference; its raws and rows are
-    pairwise distinct by value; and persist then load gives equal records
-    and tables, from a file that stores no rows."""
+    day): build equals the per-tick reference; its raws are pairwise
+    distinct by value, each with its embedding; and persist then load gives
+    equal records and tables, from a file that stores no embeddings."""
     ticks, t = [], 0
     for gap, length, pose, view in runs:
         t += gap
@@ -1465,12 +1469,10 @@ def test_build_persist_load_keys_tables_by_value(tmp_path_factory, runs, mode, n
             t += 1
     memory = build(ticks, EMB, mode=mode, noise=noise, noise_seed=noise_seed, ticks_per_day=10)
     assert_same_memory(memory, reference_build(ticks, EMB, mode, noise_seed, 10, noise))
-    assert len(set(memory._set.raws)) == len(memory._set.raws)
-    rows = memory._set.embeddings
-    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert len(set(memory._set.raws)) == len(memory._set.raws) == len(memory._set.embeddings)
     path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
     persist(memory, path)
-    assert not stores_rows(path)
+    assert not stores_embeddings(path)
     loaded = load(path)
     assert_loaded_equals(loaded, memory)
     assert_same_tables(loaded, memory)
@@ -1490,9 +1492,9 @@ def fake_endpoint(calls):
 
 @pytest.mark.parametrize("mode", ["oracle", "realistic"])
 def test_external_embedder_memory_stores_its_rows(tmp_path, mode):
-    """An external endpoint's rows cannot be derived offline: its memory
-    file holds the row count, the row column and the base64 table, and
-    loads bit for bit without calling the endpoint."""
+    """An external endpoint's embeddings cannot be derived offline: its
+    memory file holds them in base64, one row per raw, and loads bit for
+    bit without calling the endpoint."""
     calls = []
     config = EmbedderConfig(kind="external", d=64, endpoint="http://embedder.invalid/v1", model="m")
     embedder = Embedder(config, post=fake_endpoint(calls))
@@ -1500,7 +1502,7 @@ def test_external_embedder_memory_stores_its_rows(tmp_path, mode):
     assert calls and memory.embedder_id == "external:m:d=64"
     path, again = str(tmp_path / "memory.jsonl"), str(tmp_path / "again.jsonl")
     persist(memory, path)
-    assert stores_rows(path)
+    assert stores_embeddings(path)
     made = len(calls)
     loaded = load(path)
     assert len(calls) == made
@@ -1511,29 +1513,27 @@ def test_external_embedder_memory_stores_its_rows(tmp_path, mode):
 
 
 def refused_memories():
-    """Memories of the reference embedder whose rows are not the ones their
-    raw captions derive, each with the raw persist must name: a record
-    whose raw's row holds another caption's embedding, a record of a raw
-    whose equal embedding has a second row, and a table row no raw derives."""
+    """Memories of the reference embedder whose embeddings are not the ones
+    their raw captions derive, each with the first raw persist must name:
+    the last raw holding another caption's embedding, and two raws whose
+    embeddings are swapped."""
     base = [(t, CAPTIONS[t % 3], (t, 0)) for t in range(4)]
     wrong = new_memory(base, embedder_id=EMB.embedder_id)
     batch = spec_batch(wrong, [(4, "a new caption", (0, 0))], EMB)
     wrong.extend(replace(batch, embeddings=[EMB("another caption")]))
-    twice = new_memory(base, embedder_id=EMB.embedder_id)
-    batch = spec_batch(twice, [(4, CAPTIONS[0], (0, 0))], EMB)
-    twice.extend(replace(batch, row=[3], embeddings=[EMB(CAPTIONS[0])]))
-    spare = new_memory(base, embedder_id=EMB.embedder_id)
-    spare.extend(replace(spec_batch(spare, [(4, CAPTIONS[0], (0, 0))], EMB), embeddings=[EMB("a spare row")]))
-    return [(wrong, "raw 4: its embedding row is not the one derived from its caption"),
-            (twice, "raw 4: its embedding row is not the one derived from its caption"),
-            (spare, "embedding row 3 is derived from no raw caption")]
+    swapped = new_memory(embedder_id=EMB.embedder_id)
+    batch = spec_batch(swapped, base, EMB)
+    swapped.extend(replace(batch, embeddings=[batch.embeddings[j] for j in (0, 3, 2, 1)]))
+    return {"wrong": (wrong, "raw 4: its embedding is not the one derived from its caption"),
+            "swapped": (swapped, "raw 1: its embedding is not the one derived from its caption")}
 
 
-@pytest.mark.parametrize("case", [0, 1, 2])
+@pytest.mark.parametrize("case", ["wrong", "swapped"])
 def test_persist_refuses_rows_that_are_not_derived(tmp_path, case):
-    """A reference embedder's memory file stores no rows, so persist writes
-    no file of a memory whose rows load could not derive back, and names
-    the raw; the same memory under another embedder_id keeps its rows."""
+    """A reference embedder's memory file stores no embeddings, so persist
+    writes no file of a memory whose embeddings load could not derive back,
+    and names the first raw that differs; the same memory under another
+    embedder_id keeps its embeddings."""
     memory, message = refused_memories()[case]
     path = tmp_path / "memory.jsonl"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -1546,10 +1546,10 @@ def test_persist_refuses_rows_that_are_not_derived(tmp_path, case):
 
 @pytest.mark.parametrize("caption", ["a lamp on the shelf", CAPTIONS[1]])
 def test_an_edited_caption_loads_with_rows_derived_from_it(tmp_path, caption):
-    """The rows of a reference embedder's file are derived on load: with one
-    raw caption edited (and the file re-checksummed), each record of that
-    raw gets the new caption's embedding, and rows are numbered as build
-    numbers them, so a caption made equal to another raw's shares its row."""
+    """The embeddings of a reference embedder's file are derived on load:
+    with one raw caption edited (and the file re-checksummed), each record
+    of that raw gets the new caption's embedding, one per raw, also where
+    the caption is made equal to another raw's."""
     memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(6)], embedder_id=EMB.embedder_id)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
@@ -1559,14 +1559,14 @@ def test_an_edited_caption_loads_with_rows_derived_from_it(tmp_path, caption):
     assert [raw.caption for raw in loaded._set.raws] == captions
     assert [rec.embedding.tobytes() for rec in loaded.records] == [
         EMB(captions[i]).tobytes() for i in loaded._set.raw.tolist()]
-    assert len(loaded._set.embeddings) == len(set(captions))
+    assert len(loaded._set.embeddings) == len(captions)
     persist(loaded, str(tmp_path / "again.jsonl"))
 
 
 @pytest.mark.parametrize("layout, embeds", [("stored", 0), ("derived", 1)])
 def test_load_embeds_the_captions_once_where_rows_are_derived(tmp_path, monkeypatch, layout, embeds):
     """load makes one embed_captions call over all raw captions of a file
-    that derives its rows, and none for a file that stores them."""
+    that derives its embeddings, and none for a file that stores them."""
     memory = build(patrol_stream(1, 2, 3), EMB, mode="realistic", noise_seed=1, ticks_per_day=200)
     memory = memory if layout == "derived" else with_embedder_id(memory)
     path = str(tmp_path / "memory.jsonl")
@@ -1584,7 +1584,7 @@ def test_load_embeds_the_captions_once_where_rows_are_derived(tmp_path, monkeypa
 
 
 def runs_memory():
-    """A memory of three runs, 10 ticks a day, with one row and one raw:
+    """A memory of three runs, 10 ticks a day, with one raw:
     t 0-2 and t 3-4 in two poses, then t 7-9 back in the first."""
     ticks = [(Timestep.at(t, 10), POSES[1 if 3 <= t <= 4 else 0], VIEWS[0]) for t in (0, 1, 2, 3, 4, 7, 8, 9)]
     return build(ticks, EMB, ticks_per_day=10)
@@ -1592,16 +1592,17 @@ def runs_memory():
 
 def layout_runs_memory(layout):
     """runs_memory in the layout: the reference embedder's, whose file
-    derives its rows, or under another embedder_id, whose file stores them."""
+    derives its embeddings, or under another embedder_id, whose file stores
+    them."""
     return runs_memory() if layout == "derived" else with_embedder_id(runs_memory())
 
 
 def column_line(name, layout, lists=1):
     """The line of a column in a memory file of the layout with lists entity
     lists: the header (line 0), the entity lists, then the column lines, and
-    the embeddings line last when the rows are stored."""
-    names = ("t0", "length", "day", "x", "y", "yaw", "room", "row", "raw", "raw_list", "raw_caption", "embeddings")
-    names = [n for n in names if layout == "stored" or n not in ("row", "embeddings")]
+    the embeddings line last when the embeddings are stored."""
+    names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw", "raw_list", "raw_caption", "embeddings")
+    names = [n for n in names if layout == "stored" or n != "embeddings"]
     return 1 + lists + names.index(name)
 
 
@@ -1624,14 +1625,13 @@ def doubled(data):
     return (np.frombuffer(data, dtype="<f8") * 2).astype("<f8").tobytes()
 
 
-# Corruptions of runs_memory's file (three runs, one raw; one row and 64
-# floats where stored), each in the layouts whose file holds its column:
-# a row or embeddings edit in the stored layout, a caption without tokens
-# in the derived one (whose captions are embedded), any other in both.
+# Corruptions of runs_memory's file (three runs, one raw, and its 64 floats
+# where stored), each in the layouts whose file holds its column: an
+# embeddings edit in the stored layout, a caption without tokens in the
+# derived one (whose captions are embedded), any other in both.
 CORRUPTIONS = [
     # An int column takes JSON integers only; a float column integers too.
     ("day", column_edit("day", 1, True), "column 'day' run 1: expected a JSON int, got True"),
-    ("row", column_edit("row", 2, 1.5), "column 'row' run 2: expected a JSON int, got 1.5"),
     ("t0", column_edit("t0", 0, 0.0), "column 't0' run 0: expected a JSON int, got 0.0"),
     ("raw_list", column_edit("raw_list", 0, False), "column 'raw_list' raw 0: expected a JSON int, got False"),
     ("x", column_edit("x", 1, True), "column 'x' run 1: expected a JSON float, got True"),
@@ -1654,7 +1654,7 @@ CORRUPTIONS = [
     ("length", column_edit("length", 1, -2), "column 'length' run 1: run length must be >= 1, got -2"),
     ("length", column_edit("length", 0, 4), "record total mismatch: header says 8, runs hold 9"),
     ("length", column_edit("length", 2, 2), "record total mismatch: header says 8, runs hold 7"),
-    # The embeddings line: base64 of exactly k*d*8 bytes.
+    # The embeddings line: base64 of exactly m*d*8 bytes.
     ("embeddings", lambda line: {"embeddings": line["embeddings"][:-4] + "AA*="},
      "column 'embeddings': bad base64"),
     ("embeddings", lambda line: {"embeddings": "é" + line["embeddings"][1:]}, "column 'embeddings': bad base64"),
@@ -1664,7 +1664,7 @@ CORRUPTIONS = [
     ("embeddings", embeddings_edit(doubled), "embeddings 0: embedding must be unit norm, got 2.0"),
     ("embeddings", embeddings_edit(lambda data: np.full(64, math.nan, dtype="<f8").tobytes()),
      "embeddings 0: embedding must be unit norm, got nan"),
-    # A caption is embedded only where rows are derived.
+    # A caption is embedded only where embeddings are derived.
     ("raw_caption", column_edit("raw_caption", 0, " ;,"),
      "column 'raw_caption' raw 0: text has no tokens after normalization"),
     # Ids in range, checked whole; extend's checks name the run.
@@ -1672,7 +1672,6 @@ CORRUPTIONS = [
     ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
     ("raw", column_edit("raw", 1, -1), "column 'raw' run 1: raw id -1 out of range [0, 1)"),
     ("raw", column_edit("raw", 2, 1), "column 'raw' run 2: raw id 1 out of range [0, 1)"),
-    ("row", column_edit("row", 2, 1), "run 2: row id 1 out of range [0, 1)"),
     ("t0", column_edit("t0", 1, 2), "run 1: non-monotonic timestamp 2 after 2"),
     ("day", column_edit("day", 2, -1), "run 2: timestep value and day must be non-negative"),
 ]
@@ -1681,7 +1680,7 @@ CORRUPTIONS = [
 @pytest.mark.parametrize("layout, name, edit, message", [
     pytest.param(layout, name, edit, message, id=f"{layout}-{message[:48]}")
     for name, edit, message in CORRUPTIONS
-    for layout in (("stored",) if name in ("row", "embeddings") else ("derived",) if "no tokens" in message
+    for layout in (("stored",) if name == "embeddings" else ("derived",) if "no tokens" in message
                    else ("stored", "derived"))
 ])
 def test_corruption_names_the_column_or_run(tmp_path, layout, name, edit, message):
@@ -1689,8 +1688,8 @@ def test_corruption_names_the_column_or_run(tmp_path, layout, name, edit, messag
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     header, lines, _ = artifacts.verify(path)
-    assert (header["entity_lists"], header["count"], header["runs"], header["raws"], header.get("rows")) == (
-        (1, 12, 3, 1, 1) if layout == "stored" else (1, 10, 3, 1, None))
+    assert (header["entity_lists"], header["count"], header["runs"], header["raws"]) == (
+        (1, 11, 3, 1) if layout == "stored" else (1, 10, 3, 1))
     assert list(json.loads(lines[column_line(name, layout) - 1])) == [name]
     assert_same_bits(load(path), memory)
     rewrite_line(path, column_line(name, layout), edit)
@@ -1736,24 +1735,24 @@ def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, j, value", [("room", 1, 7), ("length", 0, 0), ("t0", 2, 2**63), ("x", 1, "0.5"), ("row", 2, True),
+    "name, j, value", [("room", 1, 7), ("length", 0, 0), ("t0", 2, 2**63), ("x", 1, "0.5"),
                        ("x", 0, 2**1024),
                        # Each run column, by a wrong JSON type and by a value out of range.
                        ("t0", 0, 0.0), ("t0", 1, "3"), ("day", 1, True), ("day", 2, None),
                        ("day", 0, -(2**63) - 1), ("x", 2, None), ("y", 0, [0.5]), ("y", 1, 10**309),
                        ("yaw", 2, "0.5"), ("yaw", 1, True), ("room", 0, None), ("room", 2, ["kitchen"]),
-                       ("row", 0, 1.5), ("row", 1, 2**63), ("raw", 1, "0"), ("raw", 2, False),
+                       ("raw", 1, "0"), ("raw", 2, False),
                        ("raw", 0, 2**64), ("length", 1, -2), ("length", 2, 2.0), ("length", 1, True),
                        ("length", 0, "3")],
 )
 def test_both_layouts_give_one_message(tmp_path, name, j, value):
-    """One corrupt value of a run column, in a file that stores its rows and
-    in one that derives them, is refused with one message that names the
-    column and the run: both layouts go through one column check. The row
-    column is only in the first."""
+    """One corrupt value of a run column, in a file that stores its
+    embeddings and in one that derives them, is refused with one message
+    that names the column and the run: both layouts go through one column
+    check."""
     path = str(tmp_path / "memory.jsonl")
     messages = set()
-    for layout in ("stored",) if name == "row" else ("stored", "derived"):
+    for layout in ("stored", "derived"):
         persist(layout_runs_memory(layout), path)
         rewrite_line(path, column_line(name, layout), column_edit(name, j, value))
         with pytest.raises(IntegrityError) as raised:
@@ -1785,6 +1784,10 @@ def test_entity_list_corruption_names_the_list(tmp_path):
         load(path)
     rewrite_line(path, 1, lambda entities: {"entities": entities})
     with pytest.raises(IntegrityError, match="entity_lists 0: expected a list of entities"):
+        load(path)
+    rewrite_line(path, 1, lambda line: [{**line["entities"][0], "attributes": "red"}])
+    with pytest.raises(IntegrityError, match=re.escape("entity_lists 0: attributes must be a JSON array of strings, "
+                                                       "got 'red'")):
         load(path)
     with pytest.raises(ValueError, match="duplicate entity_id within one observation"):
         SymbolicObservation(visible_entities=VIEWS[5].visible_entities * 2, caption="")
@@ -1848,12 +1851,12 @@ def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs,
     snap = memory._set
     ts = snap.t.tolist()
     # Each record's fields other than t, floats by their bits (float.hex).
-    rest = [(day, x.hex(), y.hex(), yaw.hex(), room, row, raw) for day, x, y, yaw, room, row, raw
+    rest = [(day, x.hex(), y.hex(), yaw.hex(), room, raw) for day, x, y, yaw, room, raw
             in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
     maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
     header, lines, _ = artifacts.verify(path)
     assert (header["runs"], header["records"], header["raws"]) == (maximal, len(ticks), len(memory._set.raws))
-    assert not stores_rows(path)
+    assert not stores_embeddings(path)
     columns = [json.loads(line) for line in lines[header["entity_lists"]:]]
     names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw")
     assert [list(column) for column in columns[:8]] == [[name] for name in names]
@@ -1888,22 +1891,29 @@ def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     loaded = load(path)
-    # header, lists, 10 columns (no row column and no embeddings) and the checksum line.
+    # header, lists, 10 columns (no embeddings) and the checksum line.
     assert calls == {"dumps": lists + 12, "loads": lists + 12, "ids": lists}
     assert_same_bits(loaded, memory)
 
 
-def test_table_rows_are_shared_and_checked_once():
+def test_extend_takes_one_embedding_per_new_raw():
+    """A batch holds one embedding per new raw: extend refuses any other
+    count as it refuses columns of unequal length, and checks only the new
+    embeddings, naming a bad one by its position among them. Either way
+    nothing is stored."""
     memory = new_memory([(t, CAPTIONS[t % 2], (t, 0)) for t in range(6)])
-    assert len(memory._set.embeddings) == 2
-    assert memory._set.row.tolist() == [0, 1] * 3
+    assert len(memory._set.embeddings) == len(memory._set.raws) == 6
     batch = spec_batch(memory, [(6, CAPTIONS[0], (0, 0)), (7, "a new caption", (0, 0))], EMB)
-    # The stored row is shared, not checked again; only the new row is.
-    assert (batch.row, len(batch.embeddings)) == ([0, 2], 1)
+    assert (batch.raw, len(batch.embeddings)) == ([6, 7], 2)
+    for embeddings in (batch.embeddings[:1], [*batch.embeddings, EMB("a spare")], []):
+        with pytest.raises(ValueError, match=f"batch has {len(embeddings)} embeddings for 2 new raws"):
+            memory.extend(replace(batch, embeddings=embeddings))
     with pytest.raises(BatchError) as info:
-        memory.extend(with_entry(batch, "embeddings", 0, EMB32("a mug")))
-    assert info.value.position == 0 and info.value.part == "embeddings"
-    assert (len(memory), len(memory._set.embeddings)) == (6, 2)
+        memory.extend(with_entry(batch, "embeddings", 1, EMB32("a mug")))
+    assert info.value.position == 1 and info.value.part == "embeddings"
+    assert (len(memory), len(memory._set.embeddings), len(memory._set.raws)) == (6, 6, 6)
+    memory.extend(batch)
+    assert memory.record(7).embedding.tobytes() == EMB("a new caption").tobytes()
 
 
 def test_retrieval_outcomes_build_no_memory_record(monkeypatch):
