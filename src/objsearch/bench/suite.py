@@ -3,9 +3,11 @@ rates with Wilson intervals, and writes deterministic raw logs.
 
 The unit of work, serial or parallel, is the task: a worker runs
 prepare_task once, then every mode and method, each episode on its own copy
-of the patrolled world. run-task, the demos and the tests set tasks up
-through the same prepare_task. Results are reduced in task order so the
-output is byte-identical regardless of worker count.
+of the patrolled world. A memory-blind method (random, sg_s) reads no memory,
+so its episode runs once per task and is logged under each mode. run-task,
+the demos and the tests set tasks up through the same prepare_task. Results
+are reduced in task order so the output is byte-identical regardless of
+worker count.
 
 Every log line is canonical_dumps of its event. A step line is composed
 around agent.registry.outcome_json, which writes a retrieval outcome's hits
@@ -54,6 +56,10 @@ from .tasks import TaskSpec, adjudicate, default_prior_table
 
 METHODS = ("random", "sg_s", "tr_s", "star", "llm")
 
+# The methods that never read memory: run_task_episode hands them an empty
+# store, so an episode of one is the same in every mode.
+MEMORY_BLIND = ("random", "sg_s")
+
 PHYSICAL_CATEGORIES = ("perception", "navigation", "manipulation")
 
 _Z95 = 1.959963984540054
@@ -84,8 +90,11 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         # Episodes are told apart by (task, mode, method), and prepare_task
-        # keys memories by mode, so each may be named once.
+        # keys memories by mode, so each may be named once; a suite with no
+        # method or no mode would run no episode.
         for kind, names, valid in (("method", self.methods, METHODS), ("mode", self.modes, MODES)):
+            if not names:
+                raise ValueError(f"no {kind} given; valid: {valid}")
             for m in names:
                 if m not in valid:
                     raise ValueError(f"unknown {kind} {m!r}; valid: {valid}")
@@ -183,11 +192,13 @@ def run_task_episode(
 ):
     """One episode of method on a copy of the world at task time, over one
     of prepare_task's memories; the episode's mode is that memory's mode.
-    random and sg_s get an empty store of the same shape instead."""
+    MEMORY_BLIND methods get an empty store of the same shape instead, so
+    run_suite runs each of their episodes once per task and logs it under
+    every mode."""
     world = world.at(task.schedule, world.clock)
     registry = default_registry(world)
     episode_memory = memory
-    if method in ("random", "sg_s"):
+    if method in MEMORY_BLIND:
         episode_memory = LongTermMemory(
             d=memory.d, ticks_per_day=memory.ticks_per_day, embedder_id=memory.embedder_id, mode=memory.mode
         )
@@ -232,15 +243,35 @@ def _step_line(k: int, action: Action, outcome: Outcome, rationale: str) -> str:
     return line + "}"
 
 
+def _episode_end(record: dict) -> str:
+    """The log line closing an episode, from its record."""
+    return canonical_dumps(
+        {
+            "event": "episode_end",
+            "task_id": record["task_id"],
+            "method": record["method"],
+            "mode": record["mode"],
+            "success": record["success"],
+            "steps_used": record["steps_used"],
+            "termination": record["termination"],
+            "action_counts": record["action_counts"],
+        }
+    )
+
+
 def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
     """Worker: every (mode, method) episode of one task. Returns episode
-    records and raw log lines in (mode, method) order."""
+    records and raw log lines in (mode, method) order. A MEMORY_BLIND
+    method runs in the first mode only; each later mode logs a copy of its
+    record and step lines under its own mode."""
     memories, graphs, embedder, world = prepare_task(task, config)
     # Action categories depend only on the tool; the world adds argument enums.
     registry = default_registry()
     lineage = config.config_hash()
     records: list[dict] = []
     log_lines: list[str] = []
+    # Memory-blind method -> the record and step lines of its one episode.
+    blind: dict[str, tuple[dict, list[str]]] = {}
     for mode, memory in memories.items():
         for method in config.methods:
             header = {
@@ -252,42 +283,38 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 "instruction": task.instruction,
             }
             log_lines.append(canonical_dumps(header))
-            # The steps logged so far, kept for a crash record.
-            counts = {c: 0 for c in ACTION_CATEGORIES}
-            steps = 0
+            if method in blind:
+                first, step_lines = blind[method]
+                record = {**first, "mode": mode, "action_counts": dict(first["action_counts"]),
+                          "optimal_counts": dict(first["optimal_counts"])}
+            else:
+                # The steps logged so far, kept for a crash record.
+                step_lines = []
+                counts = {c: 0 for c in ACTION_CATEGORIES}
+                steps = 0
 
-            def log_step(k: int, action, outcome, rationale: str = "") -> None:
-                nonlocal steps
-                log_lines.append(_step_line(k, action, outcome, rationale))
-                counts[classify_action(action, registry)] += 1
-                steps = k
+                def log_step(k: int, action, outcome, rationale: str = "") -> None:
+                    nonlocal steps
+                    step_lines.append(_step_line(k, action, outcome, rationale))
+                    counts[classify_action(action, registry)] += 1
+                    steps = k
 
-            try:
-                result = run_task_episode(task, method, config, memory, graphs, embedder, world, log_step)
-                record = _episode_record(task, method, mode, result.success, result.steps_used,
-                                         result.termination, result.action_counts)
-                success = adjudicate(task, result)
-                if success != result.success:
-                    record["adjudication_mismatch"] = True
-                record["success"] = success and result.success
-            except Exception as exc:  # noqa: BLE001 - crash containment per episode
-                record = _episode_record(task, method, mode, False, steps, "crash", counts)
-                record["error"] = f"{type(exc).__name__}: {exc}"
+                try:
+                    result = run_task_episode(task, method, config, memory, graphs, embedder, world, log_step)
+                    record = _episode_record(task, method, mode, result.success, result.steps_used,
+                                             result.termination, result.action_counts)
+                    success = adjudicate(task, result)
+                    if success != result.success:
+                        record["adjudication_mismatch"] = True
+                    record["success"] = success and result.success
+                except Exception as exc:  # noqa: BLE001 - crash containment per episode
+                    record = _episode_record(task, method, mode, False, steps, "crash", counts)
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                if method in MEMORY_BLIND:
+                    blind[method] = record, step_lines
             records.append(record)
-            log_lines.append(
-                canonical_dumps(
-                    {
-                        "event": "episode_end",
-                        "task_id": task.task_id,
-                        "method": method,
-                        "mode": mode,
-                        "success": record["success"],
-                        "steps_used": record["steps_used"],
-                        "termination": record["termination"],
-                        "action_counts": record["action_counts"],
-                    }
-                )
-            )
+            log_lines.extend(step_lines)
+            log_lines.append(_episode_end(record))
     return records, log_lines
 
 

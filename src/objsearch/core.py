@@ -64,12 +64,12 @@ def canonical_loads(text: str) -> Any:
 # each: its decoded values' types, and its name. A number admits an integer;
 # JSON true (a bool) or 3.0 (a float) is no integer.
 JSON_TYPES = {str: ((str,), "string"), int: ((int,), "integer"), float: ((int, float), "number"),
-              dict: ((dict,), "object"), None: ((type(None),), "null")}
+              bool: ((bool,), "boolean"), dict: ((dict,), "object"), None: ((type(None),), "null")}
 
 
 def json_field(d: Mapping[str, Any], key: str, *kinds: Any, item: Any = None, size: Optional[int] = None) -> Any:
-    """d[key], as it is, if of a JSON type that kinds name (str, int, float, dict
-    or None), or given item an array of values of that type, size of them where
+    """d[key], as it is, if of a JSON type that kinds name (str, int, float, bool,
+    dict or None), or given item an array of values of that type, size of them where
     given; else ValueError naming key. Decoders of outside input use it."""
     value = d[key]
     if item is None:

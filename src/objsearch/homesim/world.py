@@ -332,31 +332,34 @@ class WorldState:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "WorldState":
         world = cls(
-            scene_id=int(d["scene_id"]),
-            layout_seed=int(d["layout_seed"]),
-            rooms=[Room(room_id=r["room_id"], bounds=tuple(r["bounds"])) for r in d["rooms"]],
+            scene_id=json_field(d, "scene_id", int),
+            layout_seed=json_field(d, "layout_seed", int),
+            rooms=[
+                Room(room_id=json_field(r, "room_id", str), bounds=tuple(json_field(r, "bounds", item=float, size=4)))
+                for r in json_field(d, "rooms", item=dict)
+            ],
             landmarks=[
                 Landmark(
-                    landmark_id=lm["landmark_id"],
-                    name=lm["name"],
-                    room_id=lm["room_id"],
-                    position=tuple(lm["position"]),
-                    is_receptacle=bool(lm["is_receptacle"]),
+                    landmark_id=json_field(lm, "landmark_id", str),
+                    name=json_field(lm, "name", str),
+                    room_id=json_field(lm, "room_id", str),
+                    position=tuple(json_field(lm, "position", item=float, size=2)),
+                    is_receptacle=json_field(lm, "is_receptacle", bool),
                 )
-                for lm in d["landmarks"]
+                for lm in json_field(d, "landmarks", item=dict)
             ],
             objects=[
                 WorldObject(
-                    entity_id=o["entity_id"],
-                    class_label=o["class_label"],
-                    attributes=tuple(o["attributes"]),
-                    location=Location.from_dict(o["location"]),
+                    entity_id=json_field(o, "entity_id", str),
+                    class_label=json_field(o, "class_label", str),
+                    attributes=tuple(json_field(o, "attributes", item=str)),
+                    location=Location.from_dict(json_field(o, "location", dict)),
                 )
-                for o in d["objects"]
+                for o in json_field(d, "objects", item=dict)
             ],
-            ticks_per_day=int(d["ticks_per_day"]),
+            ticks_per_day=json_field(d, "ticks_per_day", int),
         )
-        world.clock = int(d.get("clock", 0))
+        world.clock = json_field(d, "clock", int) if "clock" in d else 0
         return world
 
 

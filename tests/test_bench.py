@@ -519,11 +519,20 @@ def test_suite_config_refuses_budget_or_parallelism_below_one(field, value):
     assert getattr(SuiteConfig(**{field: 1}), field) == 1
 
 
+@pytest.mark.parametrize("field", ["methods", "modes"])
+def test_suite_config_refuses_no_method_or_no_mode(field):
+    """A suite that would run no episode is refused when made, rather than
+    patrolling and building every task for a report of zero episodes."""
+    with pytest.raises(ValueError, match=f"no {field[:-1]} given"):
+        SuiteConfig(**{field: ()})
+
+
 def test_suite_patrols_once_per_task(monkeypatch):
     """The unit of work is the task: one prepare_task call per task, with
     one generated world, one patrol and one set of day graphs, and one memory
     per (task, mode). Episodes run through run_task_episode, on copies of the
-    patrolled world, over the memory of their own mode, and generate none.
+    patrolled world, over the memory of their own mode, and generate none; a
+    memory-blind method's episode runs in the first mode only.
     Calls are counted at the globals of the module that makes them, where a
     tracer wraps them: day_graphs exports the graphs."""
     from objsearch.bench import suite
@@ -558,11 +567,109 @@ def test_suite_patrols_once_per_task(monkeypatch):
         "export_scene_graph": sum(t.days for t in tasks),
         "build": 4,
         "prepare_task": 2,
-        "run_task_episode": 8,
+        "run_task_episode": 6,
     }
     expected = [(t.task_id, mode, method) for t in tasks for mode in config.modes for method in config.methods]
     assert [(e["task_id"], e["mode"], e["method"]) for e in report.episodes] == expected
-    assert memory_modes == expected
+    assert memory_modes == [(task_id, mode, method) for task_id, mode, method in expected
+                            if not (mode == "realistic" and method == "random")]
+
+
+def episode_chunks(log_text):
+    """The lines of an episode log split into episodes: (task_id, mode,
+    method) and the episode's lines, episode_start to episode_end."""
+    chunks = []
+    for line in log_text.splitlines():
+        event = json.loads(line)
+        if event["event"] == "episode_start":
+            chunks.append(((event["task_id"], event["mode"], event["method"]), []))
+        chunks[-1][1].append(line)
+    return chunks
+
+
+def test_memory_blind_episodes_do_not_depend_on_the_mode():
+    """The premise of sharing a memory-blind episode between modes: over the
+    oracle and the realistic memory of each task of a one-scene desk slice,
+    run_task_episode gives equal results and writes equal step lines."""
+    from objsearch.bench.suite import MEMORY_BLIND, _step_line
+
+    config = SuiteConfig(methods=MEMORY_BLIND, modes=("oracle", "realistic"))
+    steps = 0
+    for task in generate_suite(scenes=(1,), per_family=1):
+        memories, graphs, embedder, world = prepare_task(task, config)
+        for method in MEMORY_BLIND:
+            runs = []
+            for memory in memories.values():
+                lines = []
+                result = run_task_episode(task, method, config, memory, graphs, embedder, world,
+                                          lambda *step: lines.append(_step_line(*step).encode()))
+                runs.append((canonical_dumps(result.to_dict()), lines))
+            assert runs[0] == runs[1], (task.task_id, method)
+            steps += len(runs[0][1])
+    assert steps > 0
+
+
+def test_a_crashing_memory_blind_episode_is_logged_under_each_mode(monkeypatch, tmp_path):
+    """A memory-blind policy that raises after its first step runs once and
+    gives a crash record per mode, with the same error and step counts, and
+    an episode_start ... episode_end run of lines per mode holding the same
+    step line."""
+    from objsearch.bench import suite
+
+    make_policy, made = suite.make_policy, []
+
+    def failing(method, task, config, scene_graphs=None):
+        policy, calls = make_policy(method, task, config, scene_graphs=scene_graphs), []
+        made.append(method)
+
+        def decide(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise RuntimeError("policy fault")
+            return policy(*args)
+        return decide
+
+    monkeypatch.setattr(suite, "make_policy", failing)
+    tasks = [build_task(1, "class", "visible", 0, seed=2)]
+    log = tmp_path / "episodes.jsonl"
+    report = run_suite(tasks, SuiteConfig(methods=("random",), modes=("oracle", "realistic")), log_path=str(log))
+    assert made == ["random"]
+    assert [(e["mode"], e["termination"], e["error"], e["steps_used"]) for e in report.episodes] == [
+        (mode, "crash", "RuntimeError: policy fault", 1) for mode in ("oracle", "realistic")
+    ]
+    assert report.episodes[0]["action_counts"] == report.episodes[1]["action_counts"]
+    assert report.episodes[0]["action_counts"] is not report.episodes[1]["action_counts"]
+    chunks = episode_chunks(log.read_text())
+    assert [key for key, _ in chunks] == [(tasks[0].task_id, mode, "random") for mode in ("oracle", "realistic")]
+    for _, lines in chunks:
+        events = [json.loads(line)["event"] for line in lines]
+        assert events == ["episode_start", "step", "episode_end"]
+        assert json.loads(lines[-1])["termination"] == "crash"
+    assert chunks[0][1][1] == chunks[1][1][1]
+
+
+def test_two_mode_suite_interleaves_its_single_mode_runs(tmp_path):
+    """A suite over modes ("realistic", "oracle") gives, task by task, the
+    records and episode lines of a realistic-only run and then those of an
+    oracle-only run; episode_start lines differ only in the config hash of
+    the suite that wrote them."""
+    tasks = generate_suite(scenes=(1,), per_family=1)[::3]
+    runs = {}
+    for modes in (("realistic", "oracle"), ("realistic",), ("oracle",)):
+        log = tmp_path / f"{'-'.join(modes)}.jsonl"
+        runs[modes] = run_suite(tasks, SuiteConfig(modes=modes), log_path=str(log)), episode_chunks(log.read_text())
+    both, both_chunks = runs[("realistic", "oracle")]
+    expected_records, expected_lines = [], []
+    for task in tasks:
+        for mode in ("realistic", "oracle"):
+            report, chunks = runs[(mode,)]
+            expected_records += [e for e in report.episodes if e["task_id"] == task.task_id]
+            for (task_id, _, _), lines in chunks:
+                if task_id == task.task_id:
+                    header = {**json.loads(lines[0]), "config_hash": both.config_hash}
+                    expected_lines += [canonical_dumps(header), *lines[1:]]
+    assert both.episodes == expected_records
+    assert [line for _, lines in both_chunks for line in lines] == expected_lines
 
 
 @pytest.mark.parametrize("parallelism,methods", [(1, ("random", "llm")), (2, ("random", "star"))])

@@ -184,6 +184,26 @@ def test_export_graphs_rejects_a_clock_past_the_day(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["patrol", "export-graphs"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda w: w.update(scene_id=1.7), "scene_id must be a JSON integer, got 1.7"),
+    (lambda w: w["objects"][0].update(attributes="red"), "attributes must be a JSON array of strings, got 'red'"),
+    (lambda w: w["landmarks"][0].update(is_receptacle="no"), "is_receptacle must be a JSON boolean, got 'no'"),
+], ids=["scene_id", "attributes", "is_receptacle"])
+def test_world_file_with_a_mistyped_field_is_refused(pipeline, tmp_path, command, edit, message):
+    """A world field of the wrong JSON type is refused, exit 1 naming the
+    field, rather than coerced: 1.7 is no scene id, "red" no list of
+    attributes, "no" no boolean."""
+    world = edited_world(pipeline, tmp_path, edit)
+    out = tmp_path / "out.jsonl"
+    result = CliRunner().invoke(main, [command, "--world", world, "--schedule", pipeline["schedule"],
+                                       "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{world}: unexpected content: ValueError: {message}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["patrol", "export-graphs"])
 def test_schedule_file_with_a_move_off_the_day_is_refused(pipeline, tmp_path, command):
     doc = json.load(open(pipeline["schedule"]))
     doc["schedule"]["moves"].append({"day": 0, "tick_of_day": 250, "entity_id": "book_1",

@@ -72,7 +72,9 @@ def test_policies_decide_from_the_decoded_request_alone(tmp_path, monkeypatch):
     wired = run_suite(tasks, config, log_path=str(tmp_path / "wired.jsonl"))
     assert canonical_dumps(wired.to_dict()) == canonical_dumps(direct.to_dict())
     assert (tmp_path / "wired.jsonl").read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
-    assert len(decisions) >= sum(episode["steps_used"] for episode in direct.episodes) > 0
+    # A memory-blind episode runs in the first mode only; later modes log a copy.
+    ran = [e for e in direct.episodes if e["mode"] == "oracle" or e["method"] not in suite.MEMORY_BLIND]
+    assert len(decisions) >= sum(episode["steps_used"] for episode in ran) > 0
 
 
 
