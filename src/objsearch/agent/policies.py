@@ -99,10 +99,13 @@ _PATTERNS = [
     ("current", re.compile(r"^(?:find|bring me) the (.+?) (?:on|by|at) the (.+?)\.?$")),
     ("plain", re.compile(r"^(?:find|bring me) the (.+?)\.?$")),
 ]
+_PARSE_MEMO_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse_instruction(text: str) -> ParsedInstruction:
-    """Template-grammar parse of an instruction into object and reference parts."""
+    """Template-grammar parse of an instruction into object and reference
+    parts, memoized: every decision of an episode parses its instruction."""
     lowered = text.strip().lower()
     for kind, pattern in _PATTERNS:
         m = pattern.match(lowered)
@@ -125,7 +128,6 @@ class CaptionEntity:
 
 
 _PHRASE_RE = re.compile(r"^a (.+?) (on|inside) the (.+)$")
-_PARSE_MEMO_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)

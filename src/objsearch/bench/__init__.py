@@ -14,6 +14,7 @@ from .suite import (
 )
 from .tasks import (
     GenerationError,
+    SceneListError,
     TaskSpec,
     adjudicate,
     build_task,
@@ -30,6 +31,7 @@ __all__ = [
     "GenerationError",
     "METHODS",
     "MODES",
+    "SceneListError",
     "SuiteConfig",
     "SuiteReport",
     "TaskSpec",

@@ -29,9 +29,9 @@ from ..homesim import (
     WorldState,
     ambient_schedule,
     check_patrol,
-    generate_world,
     route_length,
     scene_casting,
+    scene_world,
 )
 from ..homesim.patrol import room_segment
 from ..homesim.world import _scene_template  # scene structure tables
@@ -49,6 +49,10 @@ TASKS_FORMAT = {"format": "tasks", "version": 2}
 
 class GenerationError(RuntimeError):
     """A family constraint cannot be satisfied in the requested world."""
+
+
+class SceneListError(ValueError):
+    """A suite's scenes name no scene, or one twice (its task ids would repeat)."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +147,35 @@ def build_task(
 ) -> TaskSpec:
     """Construct one task whose schedule realizes the family hazard; a scene
     it cannot patrol (homesim.check_patrol) is a ValueError naming it."""
-    try:
-        check_patrol(days, ticks_per_day, route_length(scene_id))
-    except ValueError as exc:
-        raise ValueError(f"scene {scene_id}: {exc}") from exc
+    return _build_tasks([(scene_id, family, task_type, idx)], seed, days, ticks_per_day)[0]
+
+
+def _build_tasks(
+    specs: Iterable[tuple[int, str, str, int]],
+    seed: int,
+    days: int = DEFAULT_DAYS,
+    ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
+) -> list[TaskSpec]:
+    """build_task of each (scene_id, family, task_type, idx), in order. The
+    tasks of a scene are cast in one world, built on its first task, which
+    they only read."""
+    worlds: dict[int, WorldState] = {}
+    tasks = []
+    for scene_id, family, task_type, idx in specs:
+        if scene_id not in worlds:
+            try:
+                check_patrol(days, ticks_per_day, route_length(scene_id))
+            except ValueError as exc:
+                raise ValueError(f"scene {scene_id}: {exc}") from exc
+            worlds[scene_id] = scene_world(stable_seed("layout", seed, scene_id), scene_id, ticks_per_day)
+        tasks.append(_task_in(worlds[scene_id], family, task_type, idx, seed, days))
+    return tasks
+
+
+def _task_in(world: WorldState, family: str, task_type: str, idx: int, seed: int, days: int) -> TaskSpec:
+    """build_task in a scene's world at tick 0, which it only reads."""
+    scene_id = world.scene_id
     task_seed = stable_seed("task", seed, scene_id, family, task_type, idx)
-    layout_seed = stable_seed("layout", seed, scene_id)
-    world, _ = generate_world(layout_seed, scene_id, ticks_per_day=ticks_per_day)
     casting = scene_casting(scene_id)
     ambient = ambient_schedule(world, casting["drifters"], stable_seed("task-ambient", task_seed), days)
     moves: list[Move] = list(ambient.moves)
@@ -174,13 +200,13 @@ def build_task(
         target_entity=target,
         optimal_counts=optimal,
         scene_id=scene_id,
-        layout_seed=layout_seed,
+        layout_seed=world.layout_seed,
         days=days,
-        ticks_per_day=ticks_per_day,
+        ticks_per_day=world.ticks_per_day,
         schedule=schedule,
         task_seed=task_seed,
     )
-    check_family_hazard(task)
+    _check_hazard(task, world)
     return task
 
 
@@ -256,21 +282,24 @@ def generate_suite(
     days: int = DEFAULT_DAYS,
     ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
 ) -> list[TaskSpec]:
-    """Emit the full task suite across scenes, families, and types."""
+    """Emit the full task suite across scenes, families, and types. Each
+    call builds one world per scene, which that scene's tasks only read. No
+    scene, or a repeated one, is a SceneListError (a ValueError)."""
     if per_family < 1:
         raise GenerationError("per_family must be >= 1")
-    tasks: list[TaskSpec] = []
+    scenes = tuple(scenes)
+    if not scenes:
+        raise SceneListError(f"no scene given; valid: {SCENE_IDS}")
+    if len(set(scenes)) != len(scenes):
+        raise SceneListError(f"repeated scene in {scenes}")
+    specs: list[tuple[int, str, str, int]] = []
     n_interactive = interactive_per_family(per_family)
     for scene_id in scenes:
-        for family in VISIBLE_FAMILIES:
-            for idx in range(per_family):
-                tasks.append(build_task(scene_id, family, "visible", idx, seed, days, ticks_per_day))
-        for family in VISIBLE_FAMILIES:
-            for idx in range(n_interactive):
-                tasks.append(build_task(scene_id, family, "interactive", idx, seed, days, ticks_per_day))
-        for idx in range(per_family):
-            tasks.append(build_task(scene_id, "commonsense", "commonsense", idx, seed, days, ticks_per_day))
-    return tasks
+        specs += [(scene_id, family, "visible", idx) for family in VISIBLE_FAMILIES for idx in range(per_family)]
+        specs += [(scene_id, family, "interactive", idx)
+                  for family in VISIBLE_FAMILIES for idx in range(n_interactive)]
+        specs += [(scene_id, "commonsense", "commonsense", idx) for idx in range(per_family)]
+    return _build_tasks(specs, seed, days, ticks_per_day)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +312,11 @@ def _location_at(task: TaskSpec, world: WorldState, entity_id: str, tick: int) -
 
 def check_family_hazard(task: TaskSpec) -> None:
     """Verify the family's defining condition against ground truth."""
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    _check_hazard(task, scene_world(task.layout_seed, task.scene_id, task.ticks_per_day))
+
+
+def _check_hazard(task: TaskSpec, world: WorldState) -> None:
+    """check_family_hazard in the task's world at tick 0, which it only reads."""
     target = world.objects.get(task.target_entity)
     if target is None:
         raise GenerationError(f"{task.task_id}: target missing from world")
@@ -377,7 +410,7 @@ def optimal_counts(task: TaskSpec) -> dict:
         return dict(OPTIMAL_VISIBLE)
     if task.type == "interactive":
         return dict(OPTIMAL_INTERACTIVE)
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    world = scene_world(task.layout_seed, task.scene_id, task.ticks_per_day)
     return _commonsense_optimal(world, task.target_entity)
 
 
@@ -387,6 +420,7 @@ __all__ = [
     "GenerationError",
     "OPTIMAL_INTERACTIVE",
     "OPTIMAL_VISIBLE",
+    "SceneListError",
     "TASKS_FORMAT",
     "TaskSpec",
     "VISIBLE_FAMILIES",

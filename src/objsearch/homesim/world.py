@@ -552,16 +552,9 @@ def scene_casting(scene_id: int) -> dict:
     return {**tpl["casting"], "drifters": tpl["drifters"]}
 
 
-def generate_world(
-    layout_seed: int,
-    scene_id: int,
-    ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
-) -> tuple[WorldState, Schedule]:
-    """Build one of the three scenes plus a light ambient schedule.
-
-    Deterministic: identical (layout_seed, scene_id) pairs produce identical
-    worlds and schedules.
-    """
+def scene_world(layout_seed: int, scene_id: int, ticks_per_day: int = DEFAULT_TICKS_PER_DAY) -> WorldState:
+    """Build one of the three scenes at tick 0. Deterministic: identical
+    (layout_seed, scene_id) pairs produce identical worlds."""
     tpl = _scene_template(scene_id)
     rng = random.Random(stable_seed("world", layout_seed, scene_id))
     rooms = [Room(room_id=r, bounds=b) for r, b in tpl["rooms"]]
@@ -583,7 +576,7 @@ def generate_world(
                 location=Location(kind=kind, ref=ref),
             )
         )
-    world = WorldState(
+    return WorldState(
         scene_id=scene_id,
         layout_seed=layout_seed,
         rooms=rooms,
@@ -591,8 +584,19 @@ def generate_world(
         objects=objects,
         ticks_per_day=ticks_per_day,
     )
-    schedule = ambient_schedule(world, tpl["drifters"], seed=stable_seed("ambient", layout_seed, scene_id))
-    return world, schedule
+
+
+def generate_world(
+    layout_seed: int,
+    scene_id: int,
+    ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
+) -> tuple[WorldState, Schedule]:
+    """A scene's world (scene_world) plus its light ambient schedule, both
+    deterministic in (layout_seed, scene_id). A caller that needs no
+    schedule calls scene_world."""
+    world = scene_world(layout_seed, scene_id, ticks_per_day)
+    drifters = _scene_template(scene_id)["drifters"]
+    return world, ambient_schedule(world, drifters, seed=stable_seed("ambient", layout_seed, scene_id))
 
 
 def ambient_schedule(
@@ -655,4 +659,5 @@ __all__ = [
     "ambient_schedule",
     "generate_world",
     "scene_casting",
+    "scene_world",
 ]

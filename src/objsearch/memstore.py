@@ -617,17 +617,18 @@ def build(
     list_ids, entity_lists = _numbered([run[4].visible_entities for run in runs])
     lists = per_run(list_ids, np.int64)
     slots = max(map(len, entity_lists), default=0)
-    size = np.zeros((len(entity_lists), slots), dtype=np.int64)  # label pool sizes; 0: no entity
-    for a, entities in enumerate(entity_lists):
-        size[a, : len(entities)] = [len(mislabel_pool(ent, noise)) for ent in entities]
     # A variant is an entity list and, in realistic mode, the noise codes of
     # its slots, numbered in order of first record.
     if mode == "realistic":
+        size = np.zeros((len(entity_lists), slots), dtype=np.int64)  # label pool sizes; 0: no entity
+        for a, entities in enumerate(entity_lists):
+            size[a, : len(entities)] = [len(mislabel_pool(ent, noise)) for ent in entities]
         codes = _noise_codes(size, lists, t, noise, noise_seed)
         variant, first = _first_seen(np.column_stack([lists, codes]))
         vlist, vcodes = lists[first], codes[first]
-    else:
-        variant, vlist, vcodes = lists, np.arange(len(entity_lists)), np.where(size > 0, 0, -1)
+    else:  # every entity kept: code 0 where a slot holds one, -1 past its list's end
+        sizes = np.array([len(entities) for entities in entity_lists], dtype=np.int64)[:, None]
+        variant, vlist, vcodes = lists, np.arange(len(entity_lists)), np.where(np.arange(slots) < sizes, 0, -1)
     # Each variant's phrase ids, -1 where a slot has no phrase: each distinct
     # (entity list, slot, code) is rendered once.
     live = vcodes >= 0

@@ -40,7 +40,9 @@ from objsearch.agent.policies import (
     trace_view,
 )
 from objsearch.bench import (
+    FIXTURE_KINDS,
     SuiteConfig,
+    build_fixture_suite,
     build_task,
     default_prior_table,
     generate_suite,
@@ -118,6 +120,18 @@ def test_parse_instruction_families():
     assert (p.attributes, p.landmark_phrase, p.day_ref) == (("green",), "study desk", "usually")
     p = parse_instruction("bring me the milk")
     assert (p.class_label, p.day_ref) == ("milk", None)
+
+
+def test_memoized_parse_instruction_equals_the_unmemoized_parse():
+    """parse_instruction is memoized; its result, a frozen ParsedInstruction,
+    equals the plain parse of every instruction a generated or fixture suite
+    holds, on a first call and on a repeat."""
+    suites = [generate_suite(per_family=3), *(build_fixture_suite(kind) for kind in FIXTURE_KINDS)]
+    for text in {task.instruction for suite in suites for task in suite}:
+        for _ in range(2):
+            assert parse_instruction(text) == parse_instruction.__wrapped__(text)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parse_instruction("find the mug").class_label = "plate"
 
 
 def test_parse_caption_inverts_template():

@@ -15,6 +15,7 @@ from objsearch.agent import LLMPolicyConfig
 from objsearch.bench import (
     FIXTURE_KINDS,
     GenerationError,
+    SceneListError,
     SuiteConfig,
     TaskSpec,
     adjudicate,
@@ -42,7 +43,7 @@ from objsearch.core import (
     WorkingMemory,
     canonical_dumps,
 )
-from objsearch.homesim import LOC_INSIDE, generate_world
+from objsearch.homesim import LOC_INSIDE, generate_world, scene_world
 
 
 # -- suite arithmetic -------------------------------------------------------------
@@ -148,6 +149,65 @@ def test_task_file_round_trip(picks, meta):
 def test_per_family_must_be_positive():
     with pytest.raises(GenerationError):
         generate_suite(per_family=0)
+
+
+@pytest.mark.parametrize("scenes, message", [
+    ((), r"no scene given; valid: \(1, 2, 3\)"),
+    ((1, 1), r"repeated scene in \(1, 1\)"),
+    ((3, 1, 3), r"repeated scene in \(3, 1, 3\)"),
+])
+def test_generate_suite_refuses_no_scene_or_a_repeated_one(scenes, message):
+    """A repeated scene would repeat its task ids; no scene gives no task."""
+    with pytest.raises(SceneListError, match=message) as info:
+        generate_suite(scenes=scenes, per_family=1)
+    assert isinstance(info.value, ValueError)
+
+
+def built_alone(task, seed):
+    """build_task called alone with the arguments that made the task."""
+    idx = int(task.task_id.rsplit("-", 1)[1])
+    return build_task(task.scene_id, task.family, task.type, idx, seed, task.days, task.ticks_per_day)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_suite_tasks_equal_tasks_built_alone(seed):
+    """Tasks that share their scene's world equal tasks built in a world of
+    their own: from generate_suite and from every fixture suite."""
+    suites = [generate_suite(per_family=1, seed=seed), generate_suite(scenes=(2,), per_family=1, seed=seed, days=4)]
+    suites += [build_fixture_suite(kind, n=16, seed=seed) for kind in FIXTURE_KINDS]
+    for suite in suites:
+        for task in suite:
+            assert built_alone(task, seed) == task
+
+
+@pytest.mark.parametrize("make, scenes", [
+    (lambda: generate_suite(per_family=2, seed=3), (1, 2, 3)),
+    (lambda: generate_suite(scenes=(3, 1), per_family=1, seed=1, ticks_per_day=1300), (3, 1)),
+    (lambda: build_fixture_suite("twin_interactive", n=20, seed=2), (1, 2, 3)),
+])
+def test_a_suite_builds_one_world_per_scene_and_leaves_it_as_it_was(monkeypatch, make, scenes):
+    """Task generation calls scene_world once per scene of a suite, and the
+    tasks only read the world they share: afterwards each equals a freshly
+    built one."""
+    from objsearch.bench import tasks as tasks_module
+
+    built = []
+
+    def recording(*args, **kwargs):
+        world = scene_world(*args, **kwargs)
+        built.append((args, kwargs, world))
+        return world
+
+    monkeypatch.setattr(tasks_module, "scene_world", recording)
+    make()
+    assert [world.scene_id for _, _, world in built] == list(scenes)
+
+    def state(world):
+        return (world.to_dict(), world.receptacle_open, world.inventory, world.applied_moves,
+                world.robot_pose, world.robot_focus)
+
+    for args, kwargs, world in built:
+        assert state(world) == state(scene_world(*args, **kwargs))
 
 
 # -- family hazards -----------------------------------------------------------------

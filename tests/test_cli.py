@@ -426,6 +426,18 @@ def test_option_values_the_library_refuses_are_usage_errors(pipeline, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("scenes", ["1,1", "2,3,2"])
+def test_gen_tasks_repeated_scenes_are_refused_by_the_library(tmp_path, monkeypatch, scenes):
+    """--scenes takes known ids; generate_suite refuses a repeated one, and
+    the CLI reports its refusal as a usage error on --scenes."""
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["gen-tasks", "--scenes", scenes], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "'--scenes'" in result.output
+    assert "repeated scene in (%s)" % scenes.replace(",", ", ") in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_task_contains_a_crash_like_run_suite(suite_artifacts):
     """An llm run with no endpoint crashes inside its episode: the outcome
     line is printed, and the command exits 1 with the episode's error."""

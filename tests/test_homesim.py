@@ -16,6 +16,7 @@ from objsearch.core import (
     SymbolicObservation,
     Timestep,
     VisibleEntity,
+    canonical_dumps,
     render_caption,
 )
 from objsearch.homesim import (
@@ -40,6 +41,7 @@ from objsearch.homesim import (
     pick,
     route_length,
     scene_casting,
+    scene_world,
     read_stream,
     room_segment,
     write_stream,
@@ -59,6 +61,20 @@ def test_generation_deterministic():
     w2, s2 = generate_world(1, 1)
     assert w1.to_dict() == w2.to_dict()
     assert s1.to_dict() == s2.to_dict()
+
+
+def test_generate_world_is_scene_world_plus_its_ambient_schedule():
+    """generate_world's world is scene_world's, and its worlds and ambient
+    schedules are frozen: the digest is that of the worlds and schedules
+    generate_world made before scene_world was split out of it."""
+    digest = hashlib.sha256()
+    for scene in SCENE_IDS:
+        for tpd in (200, 1300):
+            for seed in (0, 6, 41):
+                world, schedule = generate_world(seed, scene, ticks_per_day=tpd)
+                assert world.to_dict() == scene_world(seed, scene, ticks_per_day=tpd).to_dict()
+                digest.update(canonical_dumps([world.to_dict(), schedule.to_dict()]).encode() + b"\n")
+    assert digest.hexdigest() == "43a319bb7409cfee9f9ca3dc140f297356c43170585f43b7f43f91e792f1371d"
 
 
 def test_three_scenes_available():
