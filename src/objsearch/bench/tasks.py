@@ -283,10 +283,10 @@ def generate_suite(
     ticks_per_day: int = DEFAULT_TICKS_PER_DAY,
 ) -> list[TaskSpec]:
     """Emit the full task suite across scenes, families, and types. Each
-    call builds one world per scene, which that scene's tasks only read. No
-    scene, or a repeated one, is a SceneListError (a ValueError)."""
+    call builds one world per scene, which that scene's tasks only read. A
+    bad argument is a ValueError (a SceneListError for no or repeated scenes)."""
     if per_family < 1:
-        raise GenerationError("per_family must be >= 1")
+        raise ValueError(f"per_family must be >= 1, got {per_family}")
     scenes = tuple(scenes)
     if not scenes:
         raise SceneListError(f"no scene given; valid: {SCENE_IDS}")

@@ -97,11 +97,11 @@ def stable_seed(*parts: Any) -> int:
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
+    """Wrap an angle into [-pi, pi); one already inside is returned unchanged."""
     wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
     if wrapped < 0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+        wrapped += 2.0 * math.pi  # may round up to 2 pi, which wraps to -pi
+    return wrapped - math.pi if wrapped < 2.0 * math.pi else -math.pi
 
 
 @dataclass(frozen=True)

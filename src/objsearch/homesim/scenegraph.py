@@ -38,15 +38,6 @@ class SceneGraph:
         return [e for e in self.edges if e[0] == src]
 
 
-def graph_diff(a: SceneGraph, b: SceneGraph) -> dict:
-    """Edges added and removed going from snapshot a to snapshot b."""
-    ea, eb = set(a.edges), set(b.edges)
-    return {
-        "added": sorted(eb - ea),
-        "removed": sorted(ea - eb),
-    }
-
-
 def export_scene_graph(world: WorldState) -> SceneGraph:
     """Snapshot of the world as it stands, labelled with the world's day.
 
@@ -101,4 +92,4 @@ def write_graphs(path: str, graphs: Iterable[SceneGraph], meta: dict) -> None:
     artifacts.write(path, {**meta, "format": "scene-graphs", "version": 2}, (graph.to_dict() for graph in graphs))
 
 
-__all__ = ["SceneGraph", "day_graphs", "export_scene_graph", "graph_diff", "write_graphs"]
+__all__ = ["SceneGraph", "day_graphs", "export_scene_graph", "write_graphs"]

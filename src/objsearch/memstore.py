@@ -1,48 +1,51 @@
 """Append-only long-term memory with semantic, temporal, and spatial queries.
 
-The memory is columnar and content-addressed: one table of m raws, each
-distinct raw observation (entity list and caption) once with its caption's
-embedding as its row of an (m, d) array, and the record columns: timestep,
-day (t // ticks_per_day), position, yaw, room and raw id. Records enter only
-as a columnar ``Batch`` (``extend``), from ``build`` and ``load``; queries
-read the columns, and MemoryRecords are built only when asked for
-(``record``, ``records``). ``build`` takes its stream as runs of ticks with
-one pose and one observation (core.ObservationStream) and fills the columns
-per run. Realistic noise is coded for all records at once, each distinct
-phrase rendered once, and captions joined from phrase ids and embedded in
-one batch; the Python work left is per distinct phrase and per distinct raw.
+The memory is columnar and content-addressed: a table of P poses, each
+distinct pose once (floats by their bits, so 0.0 and -0.0 are two poses), a
+table of m raws, each distinct raw observation (entity list and caption)
+once with its caption's embedding as its row of an (m, d) array, and the
+integer record columns: timestep, day (t // ticks_per_day), pose id and raw
+id. Records enter only as a columnar ``Batch`` (``extend``), from ``build``
+and ``load``; queries read the columns, and MemoryRecords are built only
+when asked for (``record``, ``records``). ``build`` takes its stream as runs
+of ticks with one pose and one observation (core.ObservationStream) and
+fills the columns per run. Realistic noise is coded for all records at
+once, each distinct phrase rendered once, and captions joined from phrase
+ids and embedded in one batch; the Python work left is per run, per
+distinct phrase and per distinct raw.
 
 Retrieval is exact: each query answers as a linear scan would. A semantic
 query scores the m raws' embeddings and reads the best raws' postings (their
 records, ascending) up to r hits, O(m·d + m log m + r); a spatial query does
-the same over the P distinct positions within the radius, O(P log P + r).
-The postings and position ids are derived indexes, built in O(n) on first
-use of each record set and never stored. Timesteps increase strictly, so a
-temporal query is a binary search of the t column plus O(r) work; a day
-window asked per run also searches the ends of the maximal runs of records,
-derived the same way (the runs of the memory file).
+the same over the P poses within the radius, O(P log P + r). The postings
+are derived indexes, built in O(n) on first use of each record set, never
+stored. Timesteps increase strictly, so a temporal query is a binary search
+of the t column plus O(r) work; a day window asked per run also searches
+the ends of the maximal runs of records, derived alike (the file's runs).
 
 Concurrency: a memory holds one immutable record set (_RecordSet), every
-record column and the raw table as read-only arrays. extend checks a batch
-whole, makes the next record set by concatenating each column and the table
-with the batch's, and publishes it with one assignment. Every query, read and
-persist takes the record set once, so one writer may extend while readers
-query and each reader sees whole batches only. A record set's indexes are
+record column and the raws' embeddings as read-only arrays and both tables
+as tuples. extend checks a batch whole, makes the next record set by
+concatenating each column and table with the batch's, and publishes it with
+one assignment. Every query, read and persist takes the record set once, so
+one writer may extend while readers query and each reader sees whole
+batches only. A record set's indexes are
 derived on first use and kept with it.
 
-Memory file v7 (``FORMAT_VERSION = 7``), a checksummed artifact file (see
-artifacts.py), holds the raw table and the maximal runs of records (t rises
-by 1 and the other fields are equal, floats by their bits, so 0.0 and -0.0
-never share a run) column by column, and nothing it can derive:
+Memory file v8 (``FORMAT_VERSION = 8``), a checksummed artifact file (see
+artifacts.py), holds the two tables and the maximal runs of records (t rises
+by 1 and the other fields are equal) column by column, and nothing it can
+derive:
 
 - header: ``format_version``, ``d``, ``ticks_per_day``, ``embedder_id``,
-  ``mode``, the counts ``records`` (n), ``runs`` and ``raws`` (m), and the
-  line counts ``entity_lists`` and ``count``;
+  ``mode``, the counts ``records`` (n), ``runs``, ``poses`` (P) and ``raws``
+  (m), and the line counts ``entity_lists`` and ``count``;
 - one line per distinct entity list of the raws, a list of entity dicts;
-- one line per column, ``{name: [value per run or raw]}``: the run table's
-  ``t0`` (a run's first timestep), ``length`` (the lengths sum to n),
-  ``day``, ``x``, ``y``, ``yaw``, ``room`` and ``raw``, then the raw
-  table's ``raw_list`` (an entity list's index) and ``raw_caption``.
+- one line per column, ``{name: [value per run, pose or raw]}``: the run
+  table's ``t0`` (a run's first timestep), ``length`` (the lengths sum to
+  n), ``day``, ``pose`` and ``raw``, then the pose table's ``pose_x``,
+  ``pose_y``, ``pose_yaw`` and ``pose_room``, then the raw table's
+  ``raw_list`` (an entity list's index) and ``raw_caption``.
 
 The embeddings of a memory of the reference embedder are a function of its
 raw captions (_derives_embeddings), so load re-embeds the captions as build
@@ -50,8 +53,8 @@ does (_derived_embeddings). A memory of any other embedder_id (an external
 endpoint's, or none) adds a last line ``{"embeddings": ...}``, the (m, d)
 float64 array as little-endian bytes in base64. Either way persist and load
 encode and decode a fixed number of lines plus one per distinct entity list.
-``load`` reads v7 only, type-checks each column whole, naming the column
-and its first bad run or raw, then extends the memory with the runs,
+``load`` reads v8 only, type-checks each column whole, naming the column
+and its first bad run, pose or raw, then extends the memory with the runs,
 checking every record. Older files are refused; a memory is rebuilt from
 its stream file with ``objsearch build-memory``.
 """
@@ -91,17 +94,15 @@ from . import artifacts
 from .artifacts import IntegrityError
 from .embed import MIN_DIM, Embedder, EmbedderConfig, EmbeddingError, normalize_text
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 DEFAULT_TOP_R = 5
 
 # Similarity scores are quantized before ranking so that orderings do not
 # depend on last-ulp differences between BLAS implementations.
 SCORE_DECIMALS = 9
 
-# The fields of one record, in the order of Batch's columns, and the dtype
-# of each field's column.
-RECORD_FIELDS = ("t", "day", "x", "y", "yaw", "room", "raw")
-_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, object, np.int64)
+# The fields of one record, in the order of Batch's int64 columns.
+RECORD_FIELDS = ("t", "day", "pose", "raw")
 
 
 class BatchError(ValueError):
@@ -123,19 +124,17 @@ class BatchError(ValueError):
 class Batch:
     """Records in columnar form, the one form in which extend takes them.
 
-    One sequence per field of RECORD_FIELDS. raws are the raw table's
-    entries new with this batch and embeddings their caption embeddings, one
-    per raw; a record's raw id indexes the raw table as it stands once those
-    entries are appended.
+    One sequence of integers per field of RECORD_FIELDS. poses are the pose
+    table's entries new with this batch, raws the raw table's and embeddings
+    their caption embeddings, one per raw; a record's pose and raw ids index
+    the tables as they stand once those entries are appended.
     """
 
     t: Sequence[int]
     day: Sequence[int]
-    x: Sequence[float]
-    y: Sequence[float]
-    yaw: Sequence[float]
-    room: Sequence[str]
+    pose: Sequence[int]
     raw: Sequence[int]
+    poses: Sequence[Pose]
     embeddings: Sequence[np.ndarray]
     raws: Sequence[SymbolicObservation]
 
@@ -207,21 +206,22 @@ def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray]
 
 
 class _RecordSet(Batch):
-    """A memory's published records: each column of RECORD_FIELDS and the
-    raw table whole, its embeddings and raws, as arrays that of makes
-    read-only and a tuple, so never changed once made; and the indexes
-    derived from them on first use."""
+    """A memory's published records: each column of RECORD_FIELDS and both
+    tables whole, the raws' embeddings as arrays that of makes read-only and
+    the poses and raws as tuples, so never changed once made; and the
+    indexes derived from them on first use."""
 
     @staticmethod
-    def of(columns: Sequence[np.ndarray], embeddings: np.ndarray, raws: Sequence[SymbolicObservation]) -> _RecordSet:
+    def of(columns: Sequence[np.ndarray], poses: Sequence[Pose], embeddings: np.ndarray,
+           raws: Sequence[SymbolicObservation]) -> _RecordSet:
         for array in (*columns, embeddings):
             array.flags.writeable = False
-        return _RecordSet(*columns, embeddings=embeddings, raws=tuple(raws))
+        return _RecordSet(*columns, poses=tuple(poses), embeddings=embeddings, raws=tuple(raws))
 
     def record(self, i: int) -> MemoryRecord:
         return MemoryRecord(
             t=Timestep(value=int(self.t[i]), day=int(self.day[i])),
-            pose=Pose(position=(float(self.x[i]), float(self.y[i])), yaw=float(self.yaw[i]), room_id=self.room[i]),
+            pose=self.poses[self.pose[i]],
             embedding=self.embeddings[self.raw[i]],
             raw=self.raws[self.raw[i]],
         )
@@ -236,22 +236,22 @@ class _RecordSet(Batch):
         return _postings(self.raw, len(self.raws))
 
     @functools.cached_property
-    def places(self) -> tuple:
-        """(postings, positions) of the distinct positions, keyed by their
-        float bits."""
-        pos = np.column_stack((self.x, self.y))
-        place, first = _first_seen(pos.view(np.int64))
-        return _postings(place, len(first)), pos[first]
+    def pose_postings(self) -> tuple:
+        """Each pose's records (_postings)."""
+        return _postings(self.pose, len(self.poses))
+
+    @functools.cached_property
+    def pose_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The poses' x, y and room, one array each."""
+        x, y = np.array([pose.position for pose in self.poses], dtype=np.float64).reshape(-1, 2).T
+        return x, y, np.fromiter((pose.room_id for pose in self.poses), dtype=object, count=len(self.poses))
 
     @functools.cached_property
     def run_starts(self) -> np.ndarray:
         """The index of each maximal run's first record: a run's t rises by 1
-        and its other fields are equal, the float columns by their bits."""
+        and its other fields (day, pose id and raw id) are equal."""
         change = np.diff(self.t) != 1
-        for name in RECORD_FIELDS[1:]:
-            column = getattr(self, name)
-            if column.dtype == np.float64:
-                column = column.view(np.int64)
+        for column in (self.day, self.pose, self.raw):
             change |= column[1:] != column[:-1]
         return np.flatnonzero(np.concatenate(([len(self.t) > 0], change)))
 
@@ -262,9 +262,9 @@ class _RecordSet(Batch):
 
 
 class LongTermMemory:
-    """Append-only record columns over a raw table and its embeddings,
-    held as one published record set (_RecordSet) and queried by meaning,
-    time and place from its columns and the indexes derived from them."""
+    """Append-only record columns over a pose table and a raw table, held as
+    one published record set (_RecordSet) and queried by meaning, time and
+    place from its columns and the indexes derived from them."""
 
     def __init__(self, d: int, ticks_per_day: int, embedder_id: str = "", mode: str = "oracle"):
         if ticks_per_day < 1:
@@ -275,7 +275,7 @@ class LongTermMemory:
         self.ticks_per_day = ticks_per_day
         self.embedder_id = embedder_id
         self.mode = mode
-        self._set = _RecordSet.of([np.zeros(0, dtype) for dtype in _DTYPES], np.zeros((0, d)), ())
+        self._set = _RecordSet.of([np.zeros(0, np.int64) for _ in RECORD_FIELDS], (), np.zeros((0, d)), ())
 
     def __len__(self) -> int:
         return len(self._set.t)
@@ -305,22 +305,22 @@ class LongTermMemory:
         return Timestep(value=int(held.t[i]), day=int(held.day[i]))
 
     def fields(self, indices: Sequence[int]) -> dict[str, list]:
-        """Fields of the given records, one list per field: t, day, x, y,
-        room and raw (the stored observation). One gather per column; no
-        MemoryRecord is built."""
+        """Fields of the given records, one list per field: t, day, the pose's
+        x, y and room, and raw; one gather per column, no MemoryRecord built."""
         held = self._set
         n = len(held.t)
         idx = np.asarray(indices, dtype=np.intp)
         # One bound check for both ends: a negative index is huge unsigned.
         if idx.size and idx.view(np.uintp).max() >= n:
             raise IndexError(f"record index out of range [0, {n})")
-        raws = held.raws
+        pose, raws = held.pose[idx], held.raws
+        x, y, room = held.pose_fields
         return {
             "t": held.t[idx].tolist(),
             "day": held.day[idx].tolist(),
-            "x": held.x[idx].tolist(),
-            "y": held.y[idx].tolist(),
-            "room": held.room[idx].tolist(),
+            "x": x[pose].tolist(),
+            "y": y[pose].tolist(),
+            "room": room[pose].tolist(),
             "raw": [raws[j] for j in held.raw[idx].tolist()],
         }
 
@@ -331,21 +331,19 @@ class LongTermMemory:
         unequal length, or embeddings not one per new raw, raise ValueError.
         Every new embedding must have shape (d,) and unit norm (see
         _new_rows), timesteps must be non-negative and days t //
-        ticks_per_day, raw ids must index the raw table, and timestamps must
-        increase strictly, within the batch and after the last stored record;
-        otherwise BatchError names the first bad new embedding by its
-        position among them, or else the first bad record's position in the
-        batch. A bad batch stores nothing. A good batch is published whole:
-        the next record set, each column and the table the current one's
-        followed by the batch's, replaces the current one in one assignment.
+        ticks_per_day, pose and raw ids must index their tables, and
+        timestamps must increase strictly, within the batch and after the last
+        stored record; otherwise BatchError names the first bad new embedding
+        by its position among them, or else the first bad record's position in
+        the batch. A bad batch stores nothing. A good batch is published whole:
+        the next record set, each column and table the current one's followed
+        by the batch's, replaces the current one in one assignment.
         """
         held = self._set
-        n, m = len(held.t), len(held.raws) + len(batch.raws)  # records before, raws after
-        t = np.asarray(batch.t, dtype=np.int64)
-        day = np.asarray(batch.day, dtype=np.int64)
-        raw = np.asarray(batch.raw, dtype=np.int64)
+        # Records before; the tables' sizes after.
+        n, p, m = len(held.t), len(held.poses) + len(batch.poses), len(held.raws) + len(batch.raws)
+        t, day, pose, raw = columns = [np.asarray(getattr(batch, name), dtype=np.int64) for name in RECORD_FIELDS]
         size = len(t)
-        columns = (t, day, batch.x, batch.y, batch.yaw, batch.room, raw)
         if any(len(col) != size for col in columns):
             raise ValueError("batch columns differ in length")
         if len(batch.embeddings) != len(batch.raws):
@@ -358,6 +356,7 @@ class LongTermMemory:
             ((t < 0) | (day < 0), lambda j: "timestep value and day must be non-negative"),
             (day != t // tpd, lambda j: f"day {day[j]} is not t // ticks_per_day = {t[j] // tpd} "
                                         f"for t={t[j]} at ticks_per_day={tpd}"),
+            ((pose < 0) | (pose >= p), lambda j: f"pose id {pose[j]} out of range [0, {p})"),
             ((raw < 0) | (raw >= m), lambda j: f"raw id {raw[j]} out of range [0, {m})"),
             (t <= prev, lambda j: f"non-monotonic timestamp {t[j]} after {prev[j]}"),
         )
@@ -368,8 +367,8 @@ class LongTermMemory:
         if not size:
             return n
         self._set = _RecordSet.of(
-            [np.concatenate((getattr(held, name), np.asarray(new, dtype=dtype)))
-             for name, new, dtype in zip(RECORD_FIELDS, columns, _DTYPES)],
+            [np.concatenate((getattr(held, name), new)) for name, new in zip(RECORD_FIELDS, columns)],
+            held.poses + tuple(batch.poses),
             np.concatenate((held.embeddings, embeddings)),
             held.raws + tuple(batch.raws),
         )
@@ -471,10 +470,11 @@ class LongTermMemory:
 
     def query_spatial(self, center: tuple[float, float], radius: float, r: int = DEFAULT_TOP_R) -> QueryResult:
         """Records whose pose lies within radius of center, nearest first,
-        ties toward the lower index, truncated to r, from the P distinct
-        positions and the postings of the nearest (see _top): O(P log P + r).
-        A non-finite center or radius is an error, not an empty result; a
-        finite one, however far, measures every distance that fits a float."""
+        ties toward the lower index, truncated to r, from the P poses'
+        distances and the nearest poses' postings, poses that share a position
+        tying (see _top): O(P log P + r). A non-finite center or radius is an
+        error, not an empty result; a finite one, however far, measures every
+        distance that fits a float."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if not all(map(math.isfinite, (*center, radius))):
@@ -484,23 +484,23 @@ class LongTermMemory:
         held = self._set
         if not len(held.t):
             return _NO_HITS
-        places, pos = held.places
+        x, y, _ = held.pose_fields
         # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
         # offsets, and rounding scales them up, so a far but finite center
         # overflows to inf; those entries, and only those, are recomputed with
         # np.hypot, which does not square, and kept unrounded where rounding
         # would overflow again.
         with np.errstate(over="ignore"):
-            dx = pos[:, 0] - float(center[0])
-            dy = pos[:, 1] - float(center[1])
+            dx = x - float(center[0])
+            dy = y - float(center[1])
             dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
             far = np.isinf(dist)
             if far.any():
                 exact = np.hypot(dx[far], dy[far])
                 rounded = np.round(exact, SCORE_DECIMALS)
                 dist[far] = np.where(np.isinf(rounded), exact, rounded)
-        index, place = _top(dist, places, r, np.flatnonzero(dist <= radius))
-        return QueryResult(index, dist[place])
+        index, pose = _top(dist, held.pose_postings, r, np.flatnonzero(dist <= radius))
+        return QueryResult(index, dist[pose])
 
     def fetch_raw(self, record_index: int) -> SymbolicObservation:
         """Return the stored raw observation for one record, unchanged."""
@@ -588,12 +588,12 @@ def build(
     hands them to the embedder as they are. The record columns are filled
     with no per-record Python work.
 
-    The raw table is keyed by value: each distinct (entity list, caption) is
-    one raw (so codes that give one caption share it), numbered in order of
-    first use, and holds its caption's embedding (the rule
-    _derived_embeddings states for a memory file), so the memory holds m
-    raws and m embeddings. All records go into the memory as one columnar
-    batch.
+    Both tables are keyed by value and numbered in order of first use: a
+    pose's floats by their bits, and a raw, one per distinct (entity list,
+    caption) (so codes that give one caption share it), holding its
+    caption's embedding (the rule _derived_embeddings states for a memory
+    file), so the memory holds m raws and m embeddings. All records go into
+    the memory as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -647,15 +647,21 @@ def build(
         phrases = tuple([texts[p] for p in ids if p >= 0]) or (EMPTY_CAPTION,)
         raw_of.append(raws.setdefault((a, "; ".join(phrases)), (len(raws), phrases))[0])
     raw = np.array(raw_of, dtype=np.int64)[variant]
-    poses = [run[3] for run in runs]
+    # Each run's pose, numbered by value in order of first use, floats by their bits: a zero keys by its repr.
+    number: dict[tuple, int] = {}
+    pose_ids, poses = [], []
+    for pose in (run[3] for run in runs):
+        (x, y), yaw = pose.position, pose.yaw
+        j = number.setdefault((x or repr(x), y or repr(y), yaw or repr(yaw), pose.room_id), len(number))
+        if j == len(poses):
+            poses.append(pose)
+        pose_ids.append(j)
     batch = Batch(
         t=t,
         day=per_run([run[1] for run in runs], np.int64),
-        x=per_run([pose.position[0] for pose in poses], np.float64),
-        y=per_run([pose.position[1] for pose in poses], np.float64),
-        yaw=per_run([pose.yaw for pose in poses], np.float64),
-        room=per_run([pose.room_id for pose in poses], object),
+        pose=per_run(pose_ids, np.int64),
         raw=raw,
+        poses=poses,
         embeddings=embedder.embed_captions([phrases for _, phrases in raws.values()]),
         raws=SymbolicObservation.sharing(entity_lists, raws),
     )
@@ -666,12 +672,12 @@ def build(
 # -- persistence -------------------------------------------------------------
 
 _HEADER_KEYS = ("format_version", "d", "ticks_per_day", "embedder_id", "mode")
-# The column lines of a memory file v7, in file order: each column's JSON
+# The column lines of a memory file v8, in file order: each column's JSON
 # value type (float admits an integer) and the count of its values.
 _COLUMNS = {
-    "t0": (int, "runs"), "length": (int, "runs"), "day": (int, "runs"), "x": (float, "runs"),
-    "y": (float, "runs"), "yaw": (float, "runs"), "room": (str, "runs"), "raw": (int, "runs"),
-    "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
+    "t0": (int, "runs"), "length": (int, "runs"), "day": (int, "runs"), "pose": (int, "runs"),
+    "raw": (int, "runs"), "pose_x": (float, "poses"), "pose_y": (float, "poses"), "pose_yaw": (float, "poses"),
+    "pose_room": (str, "poses"), "raw_list": (int, "raws"), "raw_caption": (str, "raws"),
 }
 # The JSON integers an int column (int64) and a float column (float64) hold.
 _INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
@@ -702,16 +708,16 @@ def _check_derived(snap: Batch, d: int) -> None:
 
 
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
-    """Write a memory file v7 (see the module docstring); runs are found by
+    """Write a memory file v8 (see the module docstring); runs are found by
     comparing neighbouring records column by column. extra_header fields
     (e.g. a producing-config hash) join the header without displacing its
     keys.
 
     A memory whose embeddings are derived is written only when they are
     the derived ones (see _check_derived), so that load gives it back;
-    otherwise ValueError names the first raw that differs. A run whose room
+    otherwise ValueError names the first raw that differs. A pose whose room
     is not a string, which load would refuse, raises ValueError naming the
-    run. A refused memory writes no file.
+    pose. A refused memory writes no file.
     """
     snap = memory._set
     n = len(snap.t)
@@ -729,15 +735,17 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
         "mode": memory.mode,
         "records": n,
         "runs": len(starts),
+        "poses": len(snap.poses),
         "raws": len(snap.raws),
     }
-    values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
-    rooms = values["room"]
+    x, y, rooms = (column.tolist() for column in snap.pose_fields)
     if not all(isinstance(room, str) for room in rooms):
         j = _first_bad(rooms, lambda room: not isinstance(room, str))
-        raise ValueError(f"run {j}: room must be a string, got {rooms[j]!r}")
+        raise ValueError(f"pose {j}: room must be a string, got {rooms[j]!r}")
+    values = {name: getattr(snap, name)[starts].tolist() for name in RECORD_FIELDS}
     values["t0"] = values.pop("t")
     values["length"] = np.diff(starts, append=n).tolist()
+    values.update(pose_x=x, pose_y=y, pose_yaw=[pose.yaw for pose in snap.poses], pose_room=rooms)
     values["raw_list"] = list_ids
     values["raw_caption"] = [raw.caption for raw in snap.raws]
     lines = [{name: values[name]} for name in _COLUMNS]
@@ -807,14 +815,14 @@ def _entity_list(line: Any) -> tuple[VisibleEntity, ...]:
 
 
 def load(path: str) -> LongTermMemory:
-    """Load a memory file v7 (see the module docstring), verifying the
+    """Load a memory file v8 (see the module docstring), verifying the
     checksum, the header (its integers JSON integers, the counts at least 0,
     its strings JSON strings, mode one of core.MODES), each column (see
-    _column), the run lengths, every list and raw id, every raw's embedding
-    and every record. Derived embeddings come from one embed_captions call
-    over the raw captions (_derived_embeddings). A failure raises
-    IntegrityError naming the header field, the embedding's raw or the
-    column and its run or raw."""
+    _column), the run lengths, every list, pose and raw id, every raw's
+    embedding and every record. Derived embeddings come from one
+    embed_captions call over the raw captions (_derived_embeddings). A
+    failure raises IntegrityError naming the header field, the embedding's
+    raw or the column and its run, pose or raw."""
     header, lines, _ = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 6.0 == 6 in Python.
@@ -824,7 +832,7 @@ def load(path: str) -> LongTermMemory:
     try:
         for key, kind in (("d", int), ("ticks_per_day", int), ("embedder_id", str), ("mode", str)):
             json_field(header, key, kind)
-        for key in ("records", "runs", "raws"):
+        for key in ("records", "runs", "poses", "raws"):
             if key not in header:
                 raise ValueError(f"missing {key!r}")
             if json_field(header, key, int) < 0:
@@ -846,11 +854,13 @@ def load(path: str) -> LongTermMemory:
         raise IntegrityError(f"column 'length' run {j}: run length must be >= 1, got {lengths[j]}")
     if sum(lengths) != total:
         raise IntegrityError(f"record total mismatch: header says {total}, runs hold {sum(lengths)}")
+    poses = list(map(Pose, zip(columns["pose_x"], columns["pose_y"]), columns["pose_yaw"], columns["pose_room"]))
     ids = _ids(columns, "raw_list", "raw", "list", len(entity_lists))
     try:
         raws = SymbolicObservation.sharing(entity_lists, zip(ids, columns["raw_caption"]))
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
+    _ids(columns, "pose", "run", "pose", len(poses))
     _ids(columns, "raw", "run", "raw", len(raws))
     if not derived:
         embeddings = _embeddings(lines[-1], len(raws), memory.d)
@@ -865,11 +875,10 @@ def load(path: str) -> LongTermMemory:
     # its error names the run.
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths  # each run's first record
-    rest = (np.repeat(np.array(columns[name], dtype=dtype), lengths)
-            for name, dtype in zip(RECORD_FIELDS[1:], _DTYPES[1:]))
+    rest = (np.repeat(np.array(columns[name], dtype=np.int64), lengths) for name in RECORD_FIELDS[1:])
     try:
         memory.extend(Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
-                            *rest, embeddings=embeddings, raws=raws))
+                            *rest, poses=poses, embeddings=embeddings, raws=raws))
     except BatchError as exc:
         if exc.part != "record":
             raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc

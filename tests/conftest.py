@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from objsearch.core import SymbolicObservation, VisibleEntity
+from objsearch.core import Pose, SymbolicObservation, VisibleEntity
 from objsearch.memstore import Batch
 
 
@@ -12,9 +12,10 @@ def spec_batch(memory, specs, embedder):
     with as it stands now.
 
     Record t's raw is a new observation of one mug, "e<t>", at the sink,
-    with the caption and the embedding embedder(caption); its day is
-    t // memory.ticks_per_day, its yaw 0 and its room "kitchen". New raws
-    are numbered after the memory's raw table.
+    with the caption and the embedding embedder(caption); its pose is a new
+    pose at pos, of yaw 0 in room "kitchen"; its day is
+    t // memory.ticks_per_day. New poses and raws are numbered after the
+    memory's tables.
     """
     specs = list(specs)
     raws = []
@@ -22,15 +23,13 @@ def spec_batch(memory, specs, embedder):
         entity = VisibleEntity(entity_id=f"e{t}", class_label="mug", attributes=(), landmark_id="sink")
         raws.append(SymbolicObservation(visible_entities=(entity,), caption=caption))
     ts = [t for t, _, _ in specs]
-    m = len(memory._set.raws)
+    p, m = len(memory._set.poses), len(memory._set.raws)
     return Batch(
         t=ts,
         day=[t // memory.ticks_per_day for t in ts],
-        x=[pos[0] for _, _, pos in specs],
-        y=[pos[1] for _, _, pos in specs],
-        yaw=[0.0] * len(specs),
-        room=["kitchen"] * len(specs),
+        pose=list(range(p, p + len(specs))),
         raw=list(range(m, m + len(specs))),
+        poses=[Pose(position=pos, yaw=0.0, room_id="kitchen") for _, _, pos in specs],
         embeddings=[embedder(caption) for _, caption, _ in specs],
         raws=raws,
     )

@@ -57,6 +57,7 @@ from objsearch.core import (
     Hits,
     Instruction,
     Outcome,
+    Pose,
     SymbolicObservation,
     VisibleEntity,
     WorkingMemory,
@@ -580,8 +581,8 @@ def hit_memories(draw):
     pos = [draw(st.sampled_from(positions)) for _ in range(n)]
     memory = LongTermMemory(d=4, ticks_per_day=tpd)
     memory.extend(Batch(
-        t=t, day=[v // tpd for v in t], x=[p[0] for p in pos], y=[p[1] for p in pos], yaw=[0.0] * n,
-        room=[draw(st.sampled_from(rooms)) for _ in range(n)],
+        t=t, day=[v // tpd for v in t], pose=range(n),
+        poses=[Pose(position=p, yaw=0.0, room_id=draw(st.sampled_from(rooms))) for p in pos],
         raw=[draw(st.integers(0, len(captions) - 1)) for _ in range(n)],
         embeddings=[np.eye(4)[draw(st.integers(0, 3))] for _ in captions],
         raws=[SymbolicObservation(visible_entities=(), caption=c) for c in captions],
@@ -705,8 +706,8 @@ def test_outcome_json_remakes_texts_where_a_run_changes():
     captions = [(str, "a mug"), (str, "a cup"), (int, 1), (float, 1.0), (bool, True)]
     memory = LongTermMemory(d=4, ticks_per_day=5)
     memory.extend(Batch(
-        t=range(len(rows)), day=[t // 5 for t in range(len(rows))], x=[row[2] for row in rows],
-        y=[row[3] for row in rows], yaw=[0.0] * len(rows), room=[row[0] for row in rows],
+        t=range(len(rows)), day=[t // 5 for t in range(len(rows))], pose=range(len(rows)),
+        poses=[Pose(position=(row[2], row[3]), yaw=0.0, room_id=row[0]) for row in rows],
         raw=[captions.index((type(row[1]), row[1])) for row in rows], embeddings=[np.eye(4)[0]] * len(captions),
         raws=[SymbolicObservation(visible_entities=(), caption=c) for _, c in captions],
     ))

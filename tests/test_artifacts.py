@@ -91,7 +91,7 @@ def sha256_of(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-MEMORY_V7_SHA256 = "e056e8fa686245b307363df0570da69d1ae842a225760fa83a61f73ba531727d"
+MEMORY_V8_SHA256 = "0579ca3fe58899f1abaa14ed17c9fd70b4b9d10701824a3bab99227ed00c3761"
 
 
 def test_memory_file_bytes_are_frozen(tmp_path):
@@ -99,8 +99,8 @@ def test_memory_file_bytes_are_frozen(tmp_path):
     path = str(tmp_path / "memory.jsonl")
     memory = memstore.build(frozen_stream(), EmbedderConfig(d=16))
     memstore.persist(memory, path, extra_header={"config_hash": "0123456789abcdef"})
-    assert memstore.FORMAT_VERSION == 7
-    assert sha256_of(path) == MEMORY_V7_SHA256
+    assert memstore.FORMAT_VERSION == 8
+    assert sha256_of(path) == MEMORY_V8_SHA256
 
 
 def test_tables_come_before_records_and_are_counted(tmp_path):
@@ -129,7 +129,7 @@ def test_count_must_be_a_json_integer(tmp_path, kind, count):
     else:
         write_stream(path, frozen_stream())
         load = read_stream
-    assert artifacts.verify(path)[0]["count"] == (10 if kind == "memory" else 3)  # column lines or runs
+    assert artifacts.verify(path)[0]["count"] == (11 if kind == "memory" else 3)  # column lines or runs
     load(path)
     rewrite_header(path, lambda header: header.update({"count": count}))
     message = f"malformed header: 'count' must be a line count, got {count!r}"

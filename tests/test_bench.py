@@ -147,8 +147,12 @@ def test_task_file_round_trip(picks, meta):
 
 
 def test_per_family_must_be_positive():
-    with pytest.raises(GenerationError):
-        generate_suite(per_family=0)
+    """A bad argument is a ValueError, as for scenes and days, not the
+    GenerationError (a RuntimeError) of a world that cannot host a task."""
+    for per_family in (0, -1):
+        with pytest.raises(ValueError, match=f"per_family must be >= 1, got {per_family}") as info:
+            generate_suite(per_family=per_family)
+        assert not isinstance(info.value, GenerationError)
 
 
 @pytest.mark.parametrize("scenes, message", [

@@ -256,14 +256,18 @@ def test_oracle_vs_realistic_differ_only_in_captions(pipeline):
     assert diffs > 0
 
 
-def test_build_memory_writes_format_v7_with_config_hash(pipeline):
+def test_build_memory_writes_format_v8_with_config_hash(pipeline):
     """The reference embedder's memory file stores no embeddings: no rows
-    count, row column or embeddings line."""
+    count, row column or embeddings line. Records name their pose: a pose
+    run column, and no x, y, yaw or room column."""
     hashes = set()
     for mode in ("oracle", "realistic"):
         header, lines, _ = artifacts.verify(pipeline[mode])
         memory = load(pipeline[mode])
-        assert header["format_version"] == 7
+        assert header["format_version"] == 8
+        names = [next(iter(json.loads(line))) for line in lines[header["entity_lists"]:]]
+        assert "pose" in names and not {"x", "y", "yaw", "room"} & set(names)
+        assert len(memory._set.poses) == header["poses"] < header["runs"]
         assert (len(memory), memory.mode) == (600, mode) == (header["records"], header["mode"])
         assert len(memory._set.embeddings) == len(memory._set.raws) < 600  # one embedding per raw
         assert "rows" not in header and not any(line.startswith(('{"row"', '{"embeddings"')) for line in lines)

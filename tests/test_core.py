@@ -76,6 +76,21 @@ def test_pose_yaw_normalized_into_range():
     assert normalize_yaw(math.pi) == pytest.approx(-math.pi)
 
 
+@settings(max_examples=300, deadline=None)
+@given(yaw=st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, -math.inf),
+                                                     math.nextafter(math.pi, math.inf), 3 * math.pi, -0.0]))
+def test_normalize_yaw_lands_inside_and_keeps_what_is_inside(yaw):
+    """normalize_yaw gives [-pi, pi), also for an angle just below -pi whose
+    wrap rounds up to 2 pi, and returns an angle inside unchanged, bit for
+    bit: a Pose rebuilt from its own fields, as a memory file is loaded,
+    equals it."""
+    wrapped = normalize_yaw(yaw)
+    assert -math.pi <= wrapped < math.pi
+    assert normalize_yaw(wrapped).hex() == wrapped.hex()
+    pose = Pose(position=(0.0, 0.0), yaw=yaw, room_id="r")
+    assert Pose(position=pose.position, yaw=pose.yaw, room_id=pose.room_id) == pose
+
+
 def test_observation_rejects_duplicate_entity_ids():
     e = make_entity()
     with pytest.raises(ValueError):

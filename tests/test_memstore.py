@@ -8,7 +8,6 @@ import json
 import math
 import random
 import re
-import struct
 import sys
 import threading
 import warnings
@@ -61,6 +60,25 @@ def new_memory(specs=(), **kw):
 
 def extend(memory, specs):
     return memory.extend(spec_batch(memory, specs, EMB))
+
+
+def own_poses(memory, positions):
+    """The pose fields of a Batch that gives each record a new pose of its
+    own at its position, of yaw 0 in room "kitchen"."""
+    p = len(memory._set.poses)
+    return {"pose": range(p, p + len(positions)),
+            "poses": [Pose(position=pos, yaw=0.0, room_id="kitchen") for pos in positions]}
+
+
+def pose_bits(pose):
+    """A pose's fields, its floats by their bits (float.hex)."""
+    return pose.position[0].hex(), pose.position[1].hex(), pose.yaw.hex(), pose.room_id
+
+
+def record_poses(memory):
+    """Each record's pose, by pose_bits."""
+    held = memory._set
+    return [pose_bits(held.poses[j]) for j in held.pose.tolist()]
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -120,7 +138,7 @@ def test_build_length_conservation():
     assert len(memory) == 10
     snap = memory._set
     assert snap.embeddings[snap.raw].shape == (10, 64)
-    assert snap.t.shape == snap.x.shape == snap.y.shape == (10,)
+    assert snap.t.shape == snap.pose.shape == (10,) and len(snap.poses) == 1
 
 
 def test_build_from_three_day_patrol():
@@ -159,21 +177,20 @@ def reference_build(stream, embedder, mode, noise_seed, ticks_per_day, noise=DEF
         caption = render_caption(obs.visible_entities, mode=mode, draws=draws if mode == "realistic" else None,
                                  noise=noise)
         raw = replace(obs, caption=caption)
-        memory.extend(Batch(t=[t.value], day=[t.day], x=[pose.position[0]], y=[pose.position[1]],
-                            yaw=[pose.yaw], room=[pose.room_id], raw=[i],
+        memory.extend(Batch(t=[t.value], day=[t.day], pose=[i], raw=[i], poses=[pose],
                             embeddings=[embedder(caption)], raws=[raw]))
     return memory
 
 
 def assert_same_memory(a, b):
-    """Equal records, and equal columns of equal dtype, each record's
-    embedding gathered from its raw."""
+    """Equal records, equal t and day columns, each record's pose equal by
+    bits and each record's embedding, gathered through its pose and raw."""
     assert len(a) == len(b)
     assert a.records == b.records
     sa, sb = a._set, b._set
-    for name in ("t", "day", "x", "y", "yaw", "room"):
-        assert np.array_equal(getattr(sa, name), getattr(sb, name))
-        assert getattr(sa, name).dtype == getattr(sb, name).dtype
+    for name in ("t", "day"):
+        assert getattr(sa, name).tobytes() == getattr(sb, name).tobytes()
+    assert record_poses(a) == record_poses(b)
     assert np.array_equal(sa.embeddings[sa.raw], sb.embeddings[sb.raw])
 
 
@@ -324,7 +341,7 @@ def with_entry(batch, field, j, value):
     gaps=st.lists(st.integers(1, 4), max_size=40),
     cuts=st.lists(st.integers(0, 40), max_size=6),
     bad=st.one_of(st.none(), st.tuples(
-        st.sampled_from(["dimension", "norm", "nan", "repeat", "earlier", "raw"]),
+        st.sampled_from(["dimension", "norm", "nan", "repeat", "earlier", "pose", "raw"]),
         st.integers(0, 39),
         st.booleans(),
     )),
@@ -333,8 +350,8 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
     """One Batch gives the same memory as its records extended in any split
     into sub-batches, down to one record each. A single bad entry anywhere
     (a new row of the wrong dimension, not unit norm or all NaN, a repeated
-    or earlier t, a raw id out of range) raises BatchError naming its
-    position and part, and stores nothing."""
+    or earlier t, a pose or raw id out of range) raises BatchError naming
+    its position and part, and stores nothing."""
     head = [(t, f"caption {t}", (t, 0)) for t in range(0, 3 * stored, 3)]
     last = head[-1][0] if head else -1
     ts = [last + c for c in itertools.accumulate(gaps)]
@@ -349,6 +366,7 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
         assert memory.extend(batch) == len(head)
         assert_same_memory(memory, split)
         assert (len(memory._set.embeddings), memory._set.raws) == (len(split._set.embeddings), split._set.raws)
+        assert memory._set.poses == split._set.poses
         return
     kind, at, low = bad
     if kind in ("dimension", "norm", "nan"):
@@ -365,13 +383,14 @@ def test_extend_equals_sequential_appends(stored, gaps, cuts, bad):
             assume(t >= 0)
             batch = with_entry(batch, "t", j, t)
         else:
-            batch = with_entry(batch, "raw", j, -1 if low else len(memory._set.raws) + len(specs))
-    tables = (len(memory._set.embeddings), memory._set.raws)
+            table = memory._set.poses if kind == "pose" else memory._set.raws
+            batch = with_entry(batch, kind, j, -1 if low else len(table) + len(specs))
+    tables = (len(memory._set.embeddings), memory._set.raws, memory._set.poses)
     with pytest.raises(BatchError) as info:
         memory.extend(batch)
     assert (info.value.position, info.value.part) == (j, part)
     assert_same_memory(memory, new_memory(head))
-    assert (len(memory._set.embeddings), memory._set.raws) == tables
+    assert (len(memory._set.embeddings), memory._set.raws, memory._set.poses) == tables
 
 
 def test_extend_bad_batch_is_value_error_naming_position():
@@ -604,49 +623,46 @@ def test_temporal_window_per_run_and_per_record():
         memory.query_temporal(t_center=3, per="run")
 
 
-def float_bits(x):
-    return struct.pack("<d", x)
-
-
 def oracle_run_window(columns, ticks_per_day, d_start, d_end, r):
     """Linear scan: the records in the window, grouped into maximal runs (t
-    rises by 1, every other field equal, floats by bits), each run's newest,
-    newest first, the first r."""
+    rises by 1, every other field equal), each run's newest, newest first,
+    the first r."""
     t = columns["t"]
-    key = [(columns["day"][i], float_bits(columns["x"][i]), float_bits(columns["y"][i]),
-            float_bits(columns["yaw"][i]), columns["room"][i], columns["raw"][i])
-           for i in range(len(t))]
+    key = [(columns["day"][i], columns["pose"][i], columns["raw"][i]) for i in range(len(t))]
     inside = [i for i in range(len(t)) if d_start <= t[i] // ticks_per_day <= d_end]
     newest = [i for j, i in enumerate(inside)
               if j + 1 == len(inside) or not (inside[j + 1] == i + 1 and t[i + 1] == t[i] + 1 and key[i + 1] == key[i])]
     return newest[::-1][:r]
 
 
+# Poses of run_columns: distinct by bits, some equal as values.
+RUN_POSES = [Pose(position=(0.0, 0.0), yaw=0.0, room_id="kitchen"), Pose(position=(-0.0, 0.0), yaw=0.0, room_id="kitchen"),
+             Pose(position=(1.5, 0.0), yaw=0.0, room_id="kitchen"), Pose(position=(1.5, 0.0), yaw=0.0, room_id="den")]
+
+
 @st.composite
 def run_columns(draw):
     """Record columns in which neighbours often repeat every field but t, so
-    runs form, some of them over gaps in t, or differ only in the sign of one
-    float (0.0 and -0.0 never share a run); each day is t // ticks_per_day,
-    as extend requires."""
+    runs form, some of them over gaps in t, or differ only in the pose or
+    the raw; each day is t // ticks_per_day, as extend requires."""
     n = draw(st.integers(1, 40))
     ticks_per_day = draw(st.integers(1, 12))
     gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n - 1, max_size=n - 1))
     t = list(itertools.accumulate(gaps, initial=draw(st.integers(0, 30))))
-    fields = st.tuples(st.sampled_from([0.0, -0.0, 1.5]), st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
-                       st.sampled_from(["kitchen", "den"]), st.integers(0, 1))
+    fields = st.tuples(st.integers(0, len(RUN_POSES) - 1), st.integers(0, 1))
     rows = [draw(fields)]
     for _ in range(n - 1):
         step = draw(st.integers(0, 4))
         if step == 0:
             rows.append(draw(fields))
         elif step == 1:
-            j = draw(st.integers(0, 2))
-            rows.append(rows[-1][:j] + (-rows[-1][j],) + rows[-1][j + 1:])
+            j = draw(st.integers(0, 1))
+            rows.append(rows[-1][:j] + ((rows[-1][j] + 1) % 2,) + rows[-1][j + 1:])
         else:
             rows.append(rows[-1])
-    x, y, yaw, room, raw = (list(c) for c in zip(*rows))
+    pose, raw = (list(c) for c in zip(*rows))
     day = [v // ticks_per_day for v in t]
-    return ticks_per_day, {"t": t, "day": day, "x": x, "y": y, "yaw": yaw, "room": room, "raw": raw}
+    return ticks_per_day, {"t": t, "day": day, "pose": pose, "raw": raw}
 
 
 @settings(max_examples=300, deadline=None)
@@ -662,9 +678,10 @@ def test_temporal_window_per_run_equals_a_run_grouping_scan(drawn, data):
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=3)) + [n]))
     start = 0
     for cut in cuts:
-        table = {"embeddings": list(np.eye(2)), "raws": [SymbolicObservation((), "a"), SymbolicObservation((), "b")]}
+        table = {"poses": RUN_POSES, "embeddings": list(np.eye(2)),
+                 "raws": [SymbolicObservation((), "a"), SymbolicObservation((), "b")]}
         memory.extend(Batch(**{k: v[start:cut] for k, v in columns.items()},
-                            **(table if start == 0 else {"embeddings": [], "raws": []})))
+                            **(table if start == 0 else {"poses": [], "embeddings": [], "raws": []})))
         start = cut
         prefix = {k: v[:cut] for k, v in columns.items()}
         last_day = prefix["t"][-1] // ticks_per_day
@@ -877,14 +894,14 @@ def test_persist_empty_memory(tmp_path):
 
 @pytest.mark.parametrize("room", [5, None])
 def test_persist_refuses_a_room_load_would_refuse(tmp_path, room):
-    """A run whose room is not a string is stored by extend, but a memory
-    file holds JSON strings there: persist names the run and writes no
+    """A pose whose room is not a string is stored by extend, but a memory
+    file holds JSON strings there: persist names the pose and writes no
     file, rather than one that load refuses."""
     memory = new_memory()
     batch = spec_batch(memory, [(t, f"caption {t}", (0.0, 0.0)) for t in range(4)], EMB)
-    memory.extend(replace(batch, room=["kitchen", "kitchen", room, "kitchen"]))
+    memory.extend(with_entry(batch, "poses", 2, replace(batch.poses[2], room_id=room)))
     path = tmp_path / "memory.jsonl"
-    with pytest.raises(ValueError, match=re.escape(f"run 2: room must be a string, got {room!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"pose 2: room must be a string, got {room!r}")):
         persist(memory, str(path))
     assert not path.exists()
 
@@ -910,9 +927,10 @@ def test_concurrent_readers_see_consistent_prefix():
         while not stop.is_set():
             n = len(memory)
             snap = memory._set
-            if not len(snap.t) == len(snap.x) == len(snap.raw) >= n:
-                errors.append(f"torn read: {len(snap.t)}/{len(snap.x)}/{len(snap.raw)} vs {n}")
-            if len(snap.embeddings) != len(snap.raws) or len(snap.raw) and snap.raw.max() >= len(snap.raws):
+            if not len(snap.t) == len(snap.pose) == len(snap.raw) >= n:
+                errors.append(f"torn read: {len(snap.t)}/{len(snap.pose)}/{len(snap.raw)} vs {n}")
+            if len(snap.embeddings) != len(snap.raws) or len(snap.raw) and (
+                    snap.raw.max() >= len(snap.raws) or snap.pose.max() >= len(snap.poses)):
                 errors.append("a published record names an unpublished table entry")
             result = memory.query_temporal(t_center=0, r=5)
             if any(i >= len(memory) for i in result.indices):
@@ -963,14 +981,14 @@ def test_concurrent_readers_see_whole_batches():
 
 def run_batch(memory, ts, length):
     """A Batch of records t in ts where t // length names the raw and the
-    position: so runs of length records, and the new raws the batch's
-    records name first."""
+    pose: so runs of length records, and the new poses and raws the batch's
+    records name first. Pose g stands at (g % 4, -0.0)."""
     m = len(memory._set.raws)
     groups = [t // length for t in ts]
     new = sorted({g for g in groups if g >= m})
     return Batch(
-        t=ts, day=[t // memory.ticks_per_day for t in ts], x=[g % 4 for g in groups], y=[-0.0] * len(ts),
-        yaw=[0.0] * len(ts), room=["kitchen"] * len(ts), raw=groups,
+        t=ts, day=[t // memory.ticks_per_day for t in ts], pose=groups, raw=groups,
+        poses=[Pose(position=(g % 4, -0.0), yaw=0.0, room_id="kitchen") for g in new],
         embeddings=[EMB(f"caption {g}") for g in new],
         raws=[SymbolicObservation(visible_entities=(), caption=f"caption {g}") for g in new],
     )
@@ -1036,7 +1054,8 @@ def layout_memory(layout, **kw):
     return new_memory([(t, f"caption {t}", (0, 0)) for t in range(3)], embedder_id=LAYOUT_IDS[layout], **kw)
 
 
-HEADER_KEYS = ["format_version", "d", "ticks_per_day", "embedder_id", "mode", "count", "records", "runs", "raws"]
+HEADER_KEYS = ["format_version", "d", "ticks_per_day", "embedder_id", "mode", "count", "records", "runs", "poses",
+               "raws"]
 
 
 @pytest.mark.parametrize("layout, key", [(layout, key) for layout in ("stored", "derived") for key in HEADER_KEYS])
@@ -1048,19 +1067,19 @@ def test_load_header_missing_key_is_integrity_error(tmp_path, layout, key):
         load(path)
 
 
-# The refusal of any format_version but 7.
-REFUSED = "expected 7; rebuild the memory from its stream with `objsearch build-memory`"
+# The refusal of any format_version but 8.
+REFUSED = "expected 8; rebuild the memory from its stream with `objsearch build-memory`"
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
         *(("format_version", version, f"unsupported format_version {version}, {REFUSED}")
-          for version in (1, 2, 3, 4, 5, 6, 8)),
+          for version in (1, 2, 3, 4, 5, 6, 7, 9)),
         ("d", "wide", "malformed header"),
         ("ticks_per_day", 0, "malformed header: ticks_per_day must be >= 1"),
-        ("count", 2, "column count mismatch: header says 2, found 11"),
-        ("entity_lists", 2, "column count mismatch: header says 11, found 12"),
+        ("count", 2, "column count mismatch: header says 2, found 12"),
+        ("entity_lists", 2, "column count mismatch: header says 12, found 13"),
         ("records", 3.0, "malformed header: records must be a JSON integer, got 3.0"),
         ("records", True, "malformed header: records must be a JSON integer, got True"),
         ("records", "3", "malformed header: records must be a JSON integer, got '3'"),
@@ -1072,7 +1091,10 @@ REFUSED = "expected 7; rebuild the memory from its stream with `objsearch build-
         ("runs", -1, "malformed header: runs must be >= 0, got -1"),
         ("runs", 3.0, "malformed header: runs must be a JSON integer, got 3.0"),
         ("raws", "3", "malformed header: raws must be a JSON integer, got '3'"),
+        ("poses", -1, "malformed header: poses must be >= 0, got -1"),
+        ("poses", 3.0, "malformed header: poses must be a JSON integer, got 3.0"),
         ("runs", 4, "column 't0': expected 4 values, one per run, got 3"),
+        ("poses", 2, "column 'pose_x': expected 2 values, one per pose, got 3"),
         ("raws", 2, "column 'raw_list': expected 2 values, one per raw, got 3"),
     ],
 )
@@ -1088,9 +1110,9 @@ def test_load_header_bad_value_is_integrity_error(tmp_path, key, value, message)
     "key, value, message",
     [
         # Another embedder or dimension asks for the stored layout.
-        ("d", 32, "expected 11 column lines, found 10"),
-        ("embedder_id", "an embedder", "expected 11 column lines, found 10"),
-        ("count", 9, "column count mismatch: header says 9, found 10"),
+        ("d", 32, "expected 12 column lines, found 11"),
+        ("embedder_id", "an embedder", "expected 12 column lines, found 11"),
+        ("count", 9, "column count mismatch: header says 9, found 11"),
         ("raws", 4, "column 'raw_list': expected 4 values, one per raw, got 3"),
         ("raws", -1, "malformed header: raws must be >= 0, got -1"),
     ],
@@ -1118,10 +1140,10 @@ def test_ticks_per_day_must_be_positive():
     "key, value, message",
     [
         ("format_version", True, f"unsupported format_version True, {REFUSED}"),
-        ("format_version", 7.0, f"unsupported format_version 7.0, {REFUSED}"),
+        ("format_version", 8.0, f"unsupported format_version 8.0, {REFUSED}"),
         ("format_version", 3.0, f"unsupported format_version 3.0, {REFUSED}"),
         ("format_version", 1.0, f"unsupported format_version 1.0, {REFUSED}"),
-        ("format_version", "7", f"unsupported format_version '7', {REFUSED}"),
+        ("format_version", "8", f"unsupported format_version '8', {REFUSED}"),
         ("d", "64", "malformed header: d must be a JSON integer, got '64'"),
         ("d", 64.0, "malformed header: d must be a JSON integer, got 64.0"),
         ("d", 64.7, "malformed header: d must be a JSON integer, got 64.7"),
@@ -1199,8 +1221,8 @@ def test_semantic_m_raws_equal_n_by_d_scan(batches, query, r):
         raw_of.update({c: len(raw_of) + j for j, c in enumerate(new)})
         size = len(captions)
         memory.extend(Batch(
-            t=range(t, t + size), day=[v // 200 for v in range(t, t + size)], x=range(size), y=[0.0] * size,
-            yaw=[0.0] * size, room=["kitchen"] * size, raw=[raw_of[c] for c in captions],
+            t=range(t, t + size), day=[v // 200 for v in range(t, t + size)],
+            **own_poses(memory, [(j, 0.0) for j in range(size)]), raw=[raw_of[c] for c in captions],
             embeddings=[EMB(c) for c in new], raws=[SymbolicObservation((), c) for c in new],
         ))
         t += size
@@ -1209,12 +1231,12 @@ def test_semantic_m_raws_equal_n_by_d_scan(batches, query, r):
     assert memory.query_semantic_vector(qvec, r=r).hits == scan_semantic(memory, qvec, r)
 
 
-def scan_spatial(memory, center, radius, r):
-    """The radius cut over every record's own position: each distance in
-    the rounded sqrt(dx*dx + dy*dy), np.hypot where that overflows (kept
-    unrounded where rounding overflows again), then those within the radius
-    stable-sorted by distance and cut to r."""
-    pos = np.array([rec.pose.position for rec in memory.records], dtype=np.float64).reshape(-1, 2)
+def scan_spatial(positions, center, radius, r):
+    """The radius cut over every record's own position, positions[i] for
+    record i: each distance in the rounded sqrt(dx*dx + dy*dy), np.hypot
+    where that overflows (kept unrounded where rounding overflows again),
+    then those within the radius stable-sorted by distance and cut to r."""
+    pos = np.array(positions, dtype=np.float64).reshape(-1, 2)
     with np.errstate(over="ignore"):
         dx, dy = pos[:, 0] - center[0], pos[:, 1] - center[1]
         dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
@@ -1270,8 +1292,7 @@ def test_index_backed_queries_equal_the_linear_scans(steps):
             n, size = len(memory), len(records)
             memory.extend(Batch(
                 t=range(n, n + size), day=[t // 10 for t in range(n, n + size)],
-                x=[PLACES[q][0] for _, q in records], y=[PLACES[q][1] for _, q in records],
-                yaw=[0.0] * size, room=["kitchen"] * size, raw=[raw_of[p] for p, _ in records],
+                **own_poses(memory, [PLACES[q] for _, q in records]), raw=[raw_of[p] for p, _ in records],
                 embeddings=[TIE_ROWS[p] for p in new], raws=[SymbolicObservation((), f"row {p}") for p in new],
             ))
         elif kind == "semantic":
@@ -1281,7 +1302,8 @@ def test_index_backed_queries_equal_the_linear_scans(steps):
                                  scan_semantic(memory, TIE_QUERIES[q], r))
         else:
             centre, radius, r = args
-            assert same_hits(memory.query_spatial(centre, radius, r=r).hits, scan_spatial(memory, centre, radius, r))
+            positions = [rec.pose.position for rec in memory.records]
+            assert same_hits(memory.query_spatial(centre, radius, r=r).hits, scan_spatial(positions, centre, radius, r))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1304,7 +1326,7 @@ def test_new_rows_are_judged_as_embedding_problem_judges_them(d, specs):
         rows.append(scale * (u / math.sqrt(u @ u)))
     problems = [(j, reason) for j, row in enumerate(rows) if (reason := embedding_problem(row, d)) is not None]
     memory = LongTermMemory(d=d, ticks_per_day=10)
-    batch = Batch(t=[0], day=[0], x=[0.0], y=[0.0], yaw=[0.0], room=["kitchen"], raw=[0],
+    batch = Batch(t=[0], day=[0], **own_poses(memory, [(0.0, 0.0)]), raw=[0],
                   embeddings=rows, raws=[SymbolicObservation((), f"row {j}") for j in range(len(rows))])
     if not problems:
         memory.extend(batch)
@@ -1355,9 +1377,7 @@ def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused
     t = t[1:]
     memory = LongTermMemory(d=4, ticks_per_day=10)
     memory.extend(Batch(
-        t=t, day=[v // 10 for v in t], yaw=[0.0] * len(t), room=["kitchen"] * len(t),
-        x=[GROUP_PLACES[p][0] for _, p, n in runs for _ in range(n)],
-        y=[GROUP_PLACES[p][1] for _, p, n in runs for _ in range(n)],
+        t=t, day=[v // 10 for v in t], **own_poses(memory, [GROUP_PLACES[p] for _, p, n in runs for _ in range(n)]),
         raw=[position[row] for row, _, n in runs for _ in range(n)],
         embeddings=[GROUP_ROWS[row] for row, _ in slots],
         raws=[SymbolicObservation((), f"slot {j}") for j in range(len(slots))],
@@ -1367,7 +1387,7 @@ def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused
             assert same_hits(memory.query_semantic_vector(qvec, r=r).hits, scan_semantic(memory, qvec, r))
     for radius in (1.0, 5.0, 10.0):
         assert same_hits(memory.query_spatial((0.0, 0.0), radius, r=r).hits,
-                         scan_spatial(memory, (0.0, 0.0), radius, r))
+                         scan_spatial([rec.pose.position for rec in memory.records], (0.0, 0.0), radius, r))
 
 
 def assert_loaded_equals(loaded, memory):
@@ -1601,7 +1621,8 @@ def column_line(name, layout, lists=1):
     """The line of a column in a memory file of the layout with lists entity
     lists: the header (line 0), the entity lists, then the column lines, and
     the embeddings line last when the embeddings are stored."""
-    names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw", "raw_list", "raw_caption", "embeddings")
+    names = ("t0", "length", "day", "pose", "raw", "pose_x", "pose_y", "pose_yaw", "pose_room", "raw_list",
+             "raw_caption", "embeddings")
     names = [n for n in names if layout == "stored" or n != "embeddings"]
     return 1 + lists + names.index(name)
 
@@ -1625,8 +1646,8 @@ def doubled(data):
     return (np.frombuffer(data, dtype="<f8") * 2).astype("<f8").tobytes()
 
 
-# Corruptions of runs_memory's file (three runs, one raw, and its 64 floats
-# where stored), each in the layouts whose file holds its column: an
+# Corruptions of runs_memory's file (three runs, two poses, one raw, and its
+# 64 floats where stored), each in the layouts whose file holds its column: an
 # embeddings edit in the stored layout, a caption without tokens in the
 # derived one (whose captions are embedded), any other in both.
 CORRUPTIONS = [
@@ -1634,18 +1655,21 @@ CORRUPTIONS = [
     ("day", column_edit("day", 1, True), "column 'day' run 1: expected a JSON int, got True"),
     ("t0", column_edit("t0", 0, 0.0), "column 't0' run 0: expected a JSON int, got 0.0"),
     ("raw_list", column_edit("raw_list", 0, False), "column 'raw_list' raw 0: expected a JSON int, got False"),
-    ("x", column_edit("x", 1, True), "column 'x' run 1: expected a JSON float, got True"),
-    ("yaw", column_edit("yaw", 2, "0.5"), "column 'yaw' run 2: expected a JSON float, got '0.5'"),
-    ("room", column_edit("room", 1, 7), "column 'room' run 1: expected a JSON str, got 7"),
+    ("pose", column_edit("pose", 2, 0.0), "column 'pose' run 2: expected a JSON int, got 0.0"),
+    ("pose_x", column_edit("pose_x", 1, True), "column 'pose_x' pose 1: expected a JSON float, got True"),
+    ("pose_yaw", column_edit("pose_yaw", 1, "0.5"), "column 'pose_yaw' pose 1: expected a JSON float, got '0.5'"),
+    ("pose_room", column_edit("pose_room", 1, 7), "column 'pose_room' pose 1: expected a JSON str, got 7"),
     ("raw_caption", column_edit("raw_caption", 0, None),
      "column 'raw_caption' raw 0: expected a JSON str, got None"),
     ("t0", column_edit("t0", 2, 2**63), f"column 't0' run 2: {2**63} is out of the int64 range"),
     ("day", column_edit("day", 0, -(2**63) - 1), f"column 'day' run 0: {-(2**63) - 1} is out of the int64 range"),
-    ("y", column_edit("y", 1, 10**309), f"column 'y' run 1: {10**309} is out of the float64 range"),
+    ("pose_y", column_edit("pose_y", 1, 10**309), f"column 'pose_y' pose 1: {10**309} is out of the float64 range"),
     # A column whose length is not the header's count.
     ("t0", lambda line: {"t0": line["t0"][:2]}, "column 't0': expected 3 values, one per run, got 2"),
-    ("yaw", lambda line: {"yaw": line["yaw"] * 2}, "column 'yaw': expected 3 values, one per run, got 6"),
-    ("room", lambda line: {"room": "kitchen"}, "column 'room': expected 3 values, one per run, got str"),
+    ("pose", lambda line: {"pose": line["pose"] * 2}, "column 'pose': expected 3 values, one per run, got 6"),
+    ("pose_yaw", lambda line: {"pose_yaw": line["pose_yaw"] * 2},
+     "column 'pose_yaw': expected 2 values, one per pose, got 4"),
+    ("pose_room", lambda line: {"pose_room": "kitchen"}, "column 'pose_room': expected 2 values, one per pose, got str"),
     ("raw_caption", lambda line: {"raw_caption": []},
      "column 'raw_caption': expected 1 values, one per raw, got 0"),
     ("day", lambda line: {"days": line["day"]}, "expected the 'day' column line"),
@@ -1670,6 +1694,8 @@ CORRUPTIONS = [
     # Ids in range, checked whole; extend's checks name the run.
     ("raw_list", column_edit("raw_list", 0, 1), "column 'raw_list' raw 0: list id 1 out of range [0, 1)"),
     ("raw_list", column_edit("raw_list", 0, -1), "column 'raw_list' raw 0: list id -1 out of range [0, 1)"),
+    ("pose", column_edit("pose", 1, 2), "column 'pose' run 1: pose id 2 out of range [0, 2)"),
+    ("pose", column_edit("pose", 0, -1), "column 'pose' run 0: pose id -1 out of range [0, 2)"),
     ("raw", column_edit("raw", 1, -1), "column 'raw' run 1: raw id -1 out of range [0, 1)"),
     ("raw", column_edit("raw", 2, 1), "column 'raw' run 2: raw id 1 out of range [0, 1)"),
     ("t0", column_edit("t0", 1, 2), "run 1: non-monotonic timestamp 2 after 2"),
@@ -1688,8 +1714,8 @@ def test_corruption_names_the_column_or_run(tmp_path, layout, name, edit, messag
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     header, lines, _ = artifacts.verify(path)
-    assert (header["entity_lists"], header["count"], header["runs"], header["raws"]) == (
-        (1, 11, 3, 1) if layout == "stored" else (1, 10, 3, 1))
+    assert (header["entity_lists"], header["count"], header["runs"], header["poses"], header["raws"]) == (
+        (1, 12, 3, 2, 1) if layout == "stored" else (1, 11, 3, 2, 1))
     assert list(json.loads(lines[column_line(name, layout) - 1])) == [name]
     assert_same_bits(load(path), memory)
     rewrite_line(path, column_line(name, layout), edit)
@@ -1735,21 +1761,22 @@ def test_a_day_off_t_over_ticks_per_day_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, j, value", [("room", 1, 7), ("length", 0, 0), ("t0", 2, 2**63), ("x", 1, "0.5"),
-                       ("x", 0, 2**1024),
-                       # Each run column, by a wrong JSON type and by a value out of range.
+    "name, j, value", [("pose_room", 1, 7), ("length", 0, 0), ("t0", 2, 2**63), ("pose_x", 1, "0.5"),
+                       ("pose_x", 0, 2**1024),
+                       # Each run and pose column, by a wrong JSON type and by a value out of range.
                        ("t0", 0, 0.0), ("t0", 1, "3"), ("day", 1, True), ("day", 2, None),
-                       ("day", 0, -(2**63) - 1), ("x", 2, None), ("y", 0, [0.5]), ("y", 1, 10**309),
-                       ("yaw", 2, "0.5"), ("yaw", 1, True), ("room", 0, None), ("room", 2, ["kitchen"]),
+                       ("day", 0, -(2**63) - 1), ("pose_x", 1, None), ("pose_y", 0, [0.5]), ("pose_y", 1, 10**309),
+                       ("pose_yaw", 1, "0.5"), ("pose_yaw", 0, True), ("pose_room", 0, None),
+                       ("pose_room", 1, ["kitchen"]), ("pose", 1, "0"), ("pose", 2, 2), ("pose", 0, 2**64),
                        ("raw", 1, "0"), ("raw", 2, False),
                        ("raw", 0, 2**64), ("length", 1, -2), ("length", 2, 2.0), ("length", 1, True),
                        ("length", 0, "3")],
 )
 def test_both_layouts_give_one_message(tmp_path, name, j, value):
-    """One corrupt value of a run column, in a file that stores its
+    """One corrupt value of a run or pose column, in a file that stores its
     embeddings and in one that derives them, is refused with one message
-    that names the column and the run: both layouts go through one column
-    check."""
+    that names the column and the run or pose: both layouts go through one
+    column check."""
     path = str(tmp_path / "memory.jsonl")
     messages = set()
     for layout in ("stored", "derived"):
@@ -1759,15 +1786,16 @@ def test_both_layouts_give_one_message(tmp_path, name, j, value):
             load(path)
         messages.add(str(raised.value))
     [message] = messages
-    assert message.startswith(f"column '{name}' run {j}: ")
+    assert message.startswith(f"column '{name}' {'pose' if name.startswith('pose_') else 'run'} {j}: ")
 
 
 def test_float_columns_take_json_integers(tmp_path):
     memory = runs_memory()
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
-    rewrite_line(path, column_line("x", "derived"), column_edit("x", 0, 2))
-    assert load(path)._set.x.tolist()[:3] == [2.0] * 3
+    rewrite_line(path, column_line("pose_x", "derived"), column_edit("pose_x", 0, 2))
+    positions = [load(path).record(i).pose.position for i in range(3)]
+    assert positions == [(2.0, 0.0)] * 3 and all(type(x) is float for x, _ in positions)
 
 
 def test_entity_list_corruption_names_the_list(tmp_path):
@@ -1794,15 +1822,15 @@ def test_entity_list_corruption_names_the_list(tmp_path):
 
 
 def assert_same_bits(a, b):
-    """Equal header fields, and equal columns and tables as bytes, so that
-    0.0 and -0.0 differ."""
+    """Equal header fields, equal columns as bytes, and equal tables, poses
+    by bits, so that 0.0 and -0.0 differ."""
     assert (a.d, a.ticks_per_day, a.embedder_id, a.mode) == (b.d, b.ticks_per_day, b.embedder_id, b.mode)
     sa, sb = a._set, b._set
     for name in RECORD_FIELDS:
         ca, cb = getattr(sa, name), getattr(sb, name)
-        assert ca.dtype == cb.dtype, name
-        assert (ca.tolist() if ca.dtype == object else ca.tobytes()) == (
-            cb.tolist() if cb.dtype == object else cb.tobytes()), name
+        assert ca.dtype == cb.dtype == np.int64, name
+        assert ca.tobytes() == cb.tobytes(), name
+    assert [pose_bits(pose) for pose in sa.poses] == [pose_bits(pose) for pose in sb.poses]
     assert sa.embeddings.tobytes() == sb.embeddings.tobytes()
     assert sa.raws == sb.raws
 
@@ -1837,8 +1865,9 @@ def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs,
     a day, so runs cross day boundaries and poses recur in runs that are not
     adjacent): each run column of the file holds one entry per maximal run
     of records (t rising by 1, the other fields equal by bits), counted here
-    record by record, and load gives the build back bit for bit, column by
-    column, tables included."""
+    record by record; the pose table holds the stream's poses distinct by
+    bits, in order of first use; and load gives the build back bit for bit,
+    column by column, tables included."""
     ticks, t = [], 0
     for gap, length, pose, view in runs:
         t += gap
@@ -1850,20 +1879,62 @@ def test_persist_writes_one_column_entry_per_maximal_run(tmp_path_factory, runs,
     persist(memory, path)
     snap = memory._set
     ts = snap.t.tolist()
-    # Each record's fields other than t, floats by their bits (float.hex).
-    rest = [(day, x.hex(), y.hex(), yaw.hex(), room, raw) for day, x, y, yaw, room, raw
-            in zip(*(getattr(snap, name).tolist() for name in RECORD_FIELDS[1:]))]
+    assert [pose_bits(pose) for pose in snap.poses] == list(dict.fromkeys(pose_bits(pose) for _, pose, _ in ticks))
+    assert record_poses(memory) == [pose_bits(pose) for _, pose, _ in ticks]
+    # Each record's fields other than t, its pose's floats by their bits.
+    rest = list(zip(snap.day.tolist(), record_poses(memory), snap.raw.tolist()))
     maximal = sum(1 for i in range(len(ts)) if i == 0 or ts[i] != ts[i - 1] + 1 or rest[i] != rest[i - 1])
     header, lines, _ = artifacts.verify(path)
-    assert (header["runs"], header["records"], header["raws"]) == (maximal, len(ticks), len(memory._set.raws))
+    assert (header["runs"], header["records"], header["poses"], header["raws"]) == (
+        maximal, len(ticks), len(snap.poses), len(snap.raws))
     assert not stores_embeddings(path)
     columns = [json.loads(line) for line in lines[header["entity_lists"]:]]
-    names = ("t0", "length", "day", "x", "y", "yaw", "room", "raw")
-    assert [list(column) for column in columns[:8]] == [[name] for name in names]
-    assert [len(column[name]) for column, name in zip(columns, names)] == [maximal] * 8
+    names = ("t0", "length", "day", "pose", "raw")
+    assert [list(column) for column in columns[:5]] == [[name] for name in names]
+    assert [len(column[name]) for column, name in zip(columns, names)] == [maximal] * 5
     loaded = load(path)
     assert_same_bits(loaded, memory)
     assert loaded.records == memory.records
+
+
+# Poses that share a position and differ in yaw, in room or in the sign of a
+# zero: distinct poses at equal distances from any centre.
+SHARED_POSES = [Pose(position=pos, yaw=yaw, room_id=room) for pos in ((0.0, 0.0), (-0.0, 0.0), (1.0, -0.0), (1.0, 0.0))
+                for yaw in (0.0, 0.5) for room in ("kitchen", "den")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5), st.integers(0, len(SHARED_POSES) - 1)),
+                  min_size=1, max_size=20),
+    center=st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (0.5, 0.0), (1.0, 0.0), (3.0, 4.0)]),
+    radius=st.sampled_from([0.5, 1.0, 1.2, 10.0]),
+    r=st.integers(1, 30) | st.just(10**9),
+)
+@example(runs=[(0, 2, 0), (0, 1, 1), (0, 3, 2), (1, 1, 8), (0, 2, 0)], center=(0.0, 0.0), radius=1.0, r=4)
+def test_poses_that_share_a_position_tie_and_round_trip(tmp_path_factory, runs, center, radius, r):
+    """Over random streams (runs of (gap, length, pose), 10 ticks a day) of
+    poses that share a position: build keeps one pose per distinct pose,
+    floats by their bits; spatial hits, whose ties merge records of several
+    poses, equal a linear scan of each record's position in the stream, on
+    the built memory and on the loaded one; and load(persist(m)) equals m
+    record by record, each record's pose equal to its tick's by bits."""
+    ticks, t = [], 0
+    for gap, length, pose in runs:
+        t += gap
+        for _ in range(length):
+            ticks.append((Timestep.at(t, 10), SHARED_POSES[pose], VIEWS[0]))
+            t += 1
+    memory = build(ticks, EMB, ticks_per_day=10)
+    assert len(memory._set.poses) == len({pose_bits(pose) for _, pose, _ in ticks})
+    path = str(tmp_path_factory.mktemp("memory") / "memory.jsonl")
+    persist(memory, path)
+    loaded = load(path)
+    assert [loaded.record(i) for i in range(len(ticks))] == [memory.record(i) for i in range(len(ticks))]
+    assert record_poses(loaded) == record_poses(memory) == [pose_bits(pose) for _, pose, _ in ticks]
+    want = scan_spatial([pose.position for _, pose, _ in ticks], center, radius, r)
+    assert same_hits(memory.query_spatial(center, radius, r=r).hits, want)
+    assert same_hits(loaded.query_spatial(center, radius, r=r).hits, want)
 
 
 def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch):
@@ -1891,8 +1962,8 @@ def test_persist_and_load_encode_per_distinct_entity_list(tmp_path, monkeypatch)
     path = str(tmp_path / "memory.jsonl")
     persist(memory, path)
     loaded = load(path)
-    # header, lists, 10 columns (no embeddings) and the checksum line.
-    assert calls == {"dumps": lists + 12, "loads": lists + 12, "ids": lists}
+    # header, lists, 11 columns (no embeddings) and the checksum line.
+    assert calls == {"dumps": lists + 13, "loads": lists + 13, "ids": lists}
     assert_same_bits(loaded, memory)
 
 
