@@ -6,7 +6,12 @@ way a policy touches memory or world state.
 
 A query's hits reach policies as a core.Hits (record_views): fields gathered
 once as columns, a dict built only when a hit is read, and written to logs
-from the columns by outcome_json, byte for byte as canonical_dumps.
+from the columns by outcome_json, byte for byte as canonical_dumps. The
+columns are taken from tables the memory's record set (memstore._RecordSet)
+derives once: a caption per raw and the pose table's (x, y, room) rows
+(LongTermMemory.fields); the payload's total, last_t and last_day are the
+set's last record. fetch_raw's record view is read straight from the record
+set, with no one-hit Hits.
 """
 
 from __future__ import annotations
@@ -139,8 +144,7 @@ def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[f
     index, score = np.asarray(index, dtype=np.intp), np.asarray(score)
     f = memory.fields(index)
     hits = _Views if score.dtype == np.float64 else Hits
-    return hits(index.tolist(), score.tolist(), f["t"], f["day"], f["room"], f["x"], f["y"],
-                [raw.caption for raw in f["raw"]])
+    return hits(index.tolist(), score.tolist(), f["t"], f["day"], f["room"], f["x"], f["y"], f["caption"])
 
 
 class _Views(Hits):
@@ -197,14 +201,8 @@ def outcome_json(outcome: Outcome) -> str:
 
 
 def _memory_meta(memory: LongTermMemory) -> dict:
-    n = len(memory)
-    last = memory.timestep(n - 1) if n else None
-    return {
-        "total": n,
-        "ticks_per_day": memory.ticks_per_day,
-        "last_t": last.value if last else None,
-        "last_day": last.day if last else None,
-    }
+    total, last_t, last_day = memory._set.last
+    return {"total": total, "ticks_per_day": memory.ticks_per_day, "last_t": last_t, "last_day": last_day}
 
 
 def _r(args: Mapping[str, Any]) -> int:
@@ -235,10 +233,13 @@ def _hits_payload(memory: LongTermMemory, args: Mapping[str, Any], result: Query
 
 
 def _record_payload(memory: LongTermMemory, args: Mapping[str, Any], raw: SymbolicObservation) -> dict:
-    """The record's hit view, without a score and with its raw entities."""
-    [view] = record_views(memory, [int(args["record_index"])], [0.0])
-    del view["score"]
-    view["entities"] = [e.to_dict() for e in raw.visible_entities]
+    """The record's hit view, read from the record set in Hits.KEYS order
+    without a score, and its raw entities."""
+    i, held = int(args["record_index"]), memory._set
+    pose = held.poses[held.pose[i]]
+    view = {"record_index": i, "t": int(held.t[i]), "day": int(held.day[i]), "room": pose.room_id,
+            "x": pose.position[0], "y": pose.position[1], "caption": raw.caption,
+            "entities": [e.to_dict() for e in raw.visible_entities]}
     return {**_memory_meta(memory), "record": view}
 
 

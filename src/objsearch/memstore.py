@@ -29,8 +29,11 @@ as tuples. extend checks a batch whole, makes the next record set by
 concatenating each column and table with the batch's, and publishes it with
 one assignment. Every query, read and persist takes the record set once, so
 one writer may extend while readers query and each reader sees whole
-batches only. A record set's indexes are
-derived on first use and kept with it.
+batches only. A record set's indexes (postings, run ends) and the tables
+retrieval payloads are gathered from (a caption per raw, the pose table's
+(x, y, room) rows, and the record count with the last t and day) are
+derived on first use and kept with it, so none outlives its set; the
+executor reads fetch_raw's record view from the set too.
 
 Memory file v8 (``FORMAT_VERSION = 8``), a checksummed artifact file (see
 artifacts.py), holds the two tables and the maximal runs of records (t rises
@@ -247,6 +250,25 @@ class _RecordSet(Batch):
         return x, y, np.fromiter((pose.room_id for pose in self.poses), dtype=object, count=len(self.poses))
 
     @functools.cached_property
+    def pose_rows(self) -> np.ndarray:
+        """The poses' (x, y, room) rows, a (P, 3) object array of Python
+        floats and rooms, so that one take gathers all three."""
+        rows = np.empty((len(self.poses), 3), dtype=object)
+        rows[:, 0], rows[:, 1], rows[:, 2] = self.pose_fields
+        return rows
+
+    @functools.cached_property
+    def captions(self) -> np.ndarray:
+        """Each raw's caption, an object array."""
+        return np.fromiter((raw.caption for raw in self.raws), dtype=object, count=len(self.raws))
+
+    @functools.cached_property
+    def last(self) -> tuple[int, Optional[int], Optional[int]]:
+        """The record count and the last record's t and day (None if none)."""
+        n = len(self.t)
+        return (n, int(self.t[-1]), int(self.day[-1])) if n else (0, None, None)
+
+    @functools.cached_property
     def run_starts(self) -> np.ndarray:
         """The index of each maximal run's first record: a run's t rises by 1
         and its other fields (day, pose id and raw id) are equal."""
@@ -299,30 +321,20 @@ class LongTermMemory:
         """One record by index, built from the columns."""
         return self._at(i).record(i)
 
-    def timestep(self, i: int) -> Timestep:
-        """The timestep of one record."""
-        held = self._at(i)
-        return Timestep(value=int(held.t[i]), day=int(held.day[i]))
-
     def fields(self, indices: Sequence[int]) -> dict[str, list]:
         """Fields of the given records, one list per field: t, day, the pose's
-        x, y and room, and raw; one gather per column, no MemoryRecord built."""
+        x, y and room, and the raw's caption. One take per record column and
+        one from each of the record set's derived tables (pose_rows,
+        captions), no MemoryRecord built."""
         held = self._set
         n = len(held.t)
         idx = np.asarray(indices, dtype=np.intp)
         # One bound check for both ends: a negative index is huge unsigned.
         if idx.size and idx.view(np.uintp).max() >= n:
             raise IndexError(f"record index out of range [0, {n})")
-        pose, raws = held.pose[idx], held.raws
-        x, y, room = held.pose_fields
-        return {
-            "t": held.t[idx].tolist(),
-            "day": held.day[idx].tolist(),
-            "x": x[pose].tolist(),
-            "y": y[pose].tolist(),
-            "room": room[pose].tolist(),
-            "raw": [raws[j] for j in held.raw[idx].tolist()],
-        }
+        x, y, room = held.pose_rows.take(held.pose.take(idx), axis=0).T.tolist()
+        return {"t": held.t.take(idx).tolist(), "day": held.day.take(idx).tolist(), "x": x, "y": y, "room": room,
+                "caption": held.captions.take(held.raw.take(idx)).tolist()}
 
     def extend(self, batch: Batch) -> int:
         """Append a batch of records and return the index of its first one.
@@ -404,7 +416,7 @@ class LongTermMemory:
         held = self._set
         if not len(held.t):
             return _NO_HITS
-        scores = np.round(held.embeddings @ np.asarray(qvec, dtype=np.float64), SCORE_DECIMALS)
+        scores = (held.embeddings @ np.asarray(qvec, dtype=np.float64)).round(SCORE_DECIMALS)
         index, raw = _top(-scores, held.raw_postings, r)
         return QueryResult(index, scores[raw])
 
@@ -493,11 +505,11 @@ class LongTermMemory:
         with np.errstate(over="ignore"):
             dx = x - float(center[0])
             dy = y - float(center[1])
-            dist = np.round(np.sqrt(dx * dx + dy * dy), SCORE_DECIMALS)
+            dist = np.sqrt(dx * dx + dy * dy).round(SCORE_DECIMALS)
             far = np.isinf(dist)
             if far.any():
                 exact = np.hypot(dx[far], dy[far])
-                rounded = np.round(exact, SCORE_DECIMALS)
+                rounded = exact.round(SCORE_DECIMALS)
                 dist[far] = np.where(np.isinf(rounded), exact, rounded)
         index, pose = _top(dist, held.pose_postings, r, np.flatnonzero(dist <= radius))
         return QueryResult(index, dist[pose])

@@ -566,12 +566,16 @@ _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\b\n\u2028\u2029\xe9\u6f22\U000
 # Both zeros (equal and hashing alike), the smallest subnormal, the largest
 # magnitudes and any other finite float.
 _POSITION = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5]) | st.floats(allow_nan=False, allow_infinity=False)
+# 0-2 entities of distinct ids, with escaped texts.
+_ENTITIES = st.lists(st.builds(lambda k, label: VisibleEntity(f"e{k}", label, (label,), "desk"), st.integers(0, 2), _TEXT),
+                     max_size=2, unique_by=lambda entity: entity.entity_id)
 
 
 @st.composite
 def hit_memories(draw):
     """A memory of 1-12 records over drawn captions, rooms and positions,
-    each caption's embedding a drawn row of the 4 x 4 identity."""
+    each caption's raw holding drawn entities and its embedding a drawn row
+    of the 4 x 4 identity."""
     captions = draw(st.lists(_TEXT, min_size=1, max_size=3))
     rooms = draw(st.lists(_TEXT, min_size=1, max_size=3))
     positions = draw(st.lists(st.tuples(_POSITION, _POSITION), min_size=1, max_size=4))
@@ -585,7 +589,7 @@ def hit_memories(draw):
         poses=[Pose(position=p, yaw=0.0, room_id=draw(st.sampled_from(rooms))) for p in pos],
         raw=[draw(st.integers(0, len(captions) - 1)) for _ in range(n)],
         embeddings=[np.eye(4)[draw(st.integers(0, 3))] for _ in captions],
-        raws=[SymbolicObservation(visible_entities=(), caption=c) for c in captions],
+        raws=[SymbolicObservation(visible_entities=draw(_ENTITIES), caption=c) for c in captions],
     ))
     return memory, positions
 
@@ -693,11 +697,11 @@ def test_hits_read_as_record_views_dicts(data):
     assert canonical_dumps({"hits": hits}) == canonical_dumps({"hits": views})
 
 
-def test_outcome_json_remakes_texts_where_a_run_changes():
-    """Neighbouring hits that differ only in room, in caption or in the sign
-    of a zero (0.0 == -0.0, and they hash alike) each get their own texts,
-    and so do rooms and captions that are not a str but equal one another
-    (1 == 1.0 == True)."""
+def mixed_type_memory():
+    """A memory of 15 records whose neighbours differ only in room, in
+    caption or in the sign of a zero (0.0 == -0.0, and they hash alike), with
+    rooms and captions that are not a str but equal one another (1 == 1.0 ==
+    True)."""
     rows = [("den", "a mug", 2.0, 1.0), ("hall", "a mug", 2.0, 1.0), ("hall", "a cup", 2.0, 1.0),
             ("hall", "a cup", -0.0, 1.0), ("hall", "a cup", -0.0, 1.0), ("hall", "a cup", 1.0, -0.0),
             ("hall", "a cup", 1.0, 0.0), ("hall", "a cup", 0.0, 0.0), ("hall", "a cup", 0.0, 0.0),
@@ -711,12 +715,114 @@ def test_outcome_json_remakes_texts_where_a_run_changes():
         raw=[captions.index((type(row[1]), row[1])) for row in rows], embeddings=[np.eye(4)[0]] * len(captions),
         raws=[SymbolicObservation(visible_entities=(), caption=c) for _, c in captions],
     ))
+    return memory
+
+
+def test_outcome_json_remakes_texts_where_a_run_changes():
+    """Neighbouring hits that differ only in room, in caption or in the sign
+    of a zero each get their own texts, and so do rooms and captions that are
+    not a str but equal one another (mixed_type_memory)."""
+    memory = mixed_type_memory()
     executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), EMB)
-    for action in (Action("temporal_query", {"day_start": 0, "day_end": 2, "r": len(rows)}),
-                   Action("temporal_query", {"timestep": 0, "r": len(rows)})):
+    for action in (Action("temporal_query", {"day_start": 0, "day_end": 2, "r": len(memory)}),
+                   Action("temporal_query", {"timestep": 0, "r": len(memory)})):
         outcome = executor.execute(action)
-        assert len(outcome.payload["hits"]) == len(rows)
+        assert len(outcome.payload["hits"]) == len(memory)
         assert outcome_json(outcome) == canonical_dumps(outcome.to_dict())
+
+
+def typed(items):
+    """(key, type, repr) of each item, so that 0.0 and -0.0, or 1 and True,
+    differ."""
+    return [(key, type(value), repr(value)) for key, value in items]
+
+
+@settings(max_examples=100, deadline=None)
+@given(memory=hit_memories().map(lambda drawn: drawn[0]) | st.builds(mixed_type_memory), data=st.data())
+def test_fetch_raw_record_is_the_hit_view(memory, data):
+    """fetch_raw's record, read from the record set, is reference_views'
+    dict of the record without its score and with the raw's entity dicts:
+    the same keys in the same order and the same values, the sign of a zero
+    and the type of a room or caption too; outcome_json writes the outcome
+    as canonical_dumps does."""
+    i = data.draw(st.integers(0, len(memory) - 1))
+    outcome = ActionExecutor(memory, tiny_world(), Schedule(seed=0), EMB).execute(
+        Action("fetch_raw", {"record_index": i}))
+    [view] = reference_views(memory, [i], [0.0])
+    del view["score"]
+    view["entities"] = [e.to_dict() for e in memory.fetch_raw(i).visible_entities]
+    assert typed(outcome.payload["record"].items()) == typed(view.items())
+    assert outcome_json(outcome) == canonical_dumps(outcome.to_dict())
+
+
+@st.composite
+def split_records(draw):
+    """Records (t, pose id, raw id) over drawn poses, some sharing a
+    position, and drawn raws, both numbered by first use, so that the
+    entries first used by the records of a batch come right after those of
+    the records before it; and 0-2 cuts that split the records into extend
+    batches."""
+    places = draw(st.lists(st.tuples(_POSITION, _POSITION), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(places), st.sampled_from(["den", "hall"])), min_size=1,
+                          max_size=4))
+    captions = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    t = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
+    pose_of, raw_of = {}, {}
+    records = [(v, pose_of.setdefault(draw(st.integers(0, len(kinds) - 1)), len(pose_of)),
+                raw_of.setdefault(draw(st.integers(0, len(captions) - 1)), len(raw_of))) for v in t]
+    poses = [Pose(position=kinds[k][0], yaw=0.0, room_id=kinds[k][1]) for k in pose_of]
+    raws = [SymbolicObservation(visible_entities=draw(_ENTITIES), caption=captions[k]) for k in raw_of]
+    embeddings = [np.eye(4)[draw(st.integers(0, 3))] for _ in raws]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    return records, poses, raws, embeddings, cuts, places
+
+
+def records_batch(records, start, end, poses, raws, embeddings, tpd):
+    """The Batch of records[start:end] for a memory holding records[:start]."""
+    def count(j, upto):  # entries the records before upto use
+        return max((record[j] + 1 for record in records[:upto]), default=0)
+
+    (p0, p1), (m0, m1) = [(count(j, start), count(j, end)) for j in (1, 2)]
+    t, pose, raw = zip(*records[start:end])
+    return Batch(t=t, day=[v // tpd for v in t], pose=pose, raw=raw, poses=poses[p0:p1], raws=raws[m0:m1],
+                 embeddings=embeddings[m0:m1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=split_records(), data=st.data())
+def test_retrieval_outcomes_of_split_batches_equal_one_batch(drawn, data):
+    """After each of 1-3 extend batches, every retrieval tool's outcome is,
+    byte for byte, that of a memory holding the same records in one batch:
+    what a record set derives for queries and payloads (postings, run ends,
+    captions, pose rows, the last record) is its own, none of it kept from
+    the record set before the batch."""
+    records, poses, raws, embeddings, cuts, places = drawn
+    tpd = data.draw(st.integers(1, 5))
+    qvec = np.eye(4)[data.draw(st.integers(0, 3))]
+    split = LongTermMemory(d=4, ticks_per_day=tpd)
+    executor = ActionExecutor(split, tiny_world(), Schedule(seed=0), lambda query: qvec)
+    start = 0
+    for end in (*cuts, len(records)):
+        split.extend(records_batch(records, start, end, poses, raws, embeddings, tpd))
+        whole = LongTermMemory(d=4, ticks_per_day=tpd)
+        whole.extend(records_batch(records, 0, end, poses, raws, embeddings, tpd))
+        reference = ActionExecutor(whole, tiny_world(), Schedule(seed=0), lambda query: qvec)
+        r = data.draw(st.integers(1, 15))
+        x, y = data.draw(st.sampled_from(places))
+        days = sorted(data.draw(st.lists(st.integers(-1, 12), min_size=2, max_size=2)))
+        for action in (
+            Action("semantic_query", {"query": "mug", "r": r}),
+            Action("temporal_query", {"timestep": data.draw(st.integers(-2, 50)), "r": r}),
+            Action("temporal_query", {"day_start": days[0], "day_end": days[1], "r": r}),
+            Action("temporal_query", {"day_start": days[0], "day_end": days[1], "r": r, "per": "run"}),
+            Action("spatial_query", {"x": x, "y": y, "radius": data.draw(st.sampled_from([1e-9, 1.0, 1e308])),
+                                     "r": r}),
+            Action("fetch_raw", {"record_index": data.draw(st.integers(0, end - 1))}),
+            Action("fetch_raw", {"record_index": end}),
+        ):
+            assert outcome_json(executor.execute(action)) == outcome_json(reference.execute(action)), action
+        start = end
 
 
 def test_outcome_json_encodes_foreign_hits_whole():
@@ -1108,7 +1214,7 @@ def test_per_run_window_decides_as_the_whole_day(data):
     memory = executor.memory
     text = data.draw(st.sampled_from(fold_instructions(world)))
     parsed = parse_instruction(text)
-    day = data.draw(st.integers(0, memory.timestep(len(memory) - 1).day))
+    day = data.draw(st.integers(0, memory.record(len(memory) - 1).t.day))
     first = data.draw(st.sampled_from([None, "red mug", "green folder", "mug sink", "keys"]))
     schema = default_registry(world).schema()
     views = []

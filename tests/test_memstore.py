@@ -2079,7 +2079,8 @@ def test_noise_rates_lie_in_binomial_intervals():
     assert len(memory) == 7800
     truth = {e.attributes[0]: e.class_label for obs in observations for e in obs.visible_entities}
     entities = kept = mislabeled = 0
-    for raw in memory.fields(range(len(memory)))["raw"]:
+    held = memory._set
+    for raw in (held.raws[j] for j in held.raw.tolist()):
         entities += len(raw.visible_entities)
         if raw.caption == "nothing notable":
             continue
