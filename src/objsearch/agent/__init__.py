@@ -8,6 +8,7 @@ from .loop import (
     PolicyDecision,
     TERMINATION_ABORT,
     TERMINATION_BUDGET,
+    TERMINATION_CRASH,
     TERMINATION_RETRIEVED,
     classify_action,
     run_episode,
@@ -17,7 +18,6 @@ from .policies import (
     SgPlusSPolicy,
     StarScriptedPolicy,
     TrPlusSPolicy,
-    parse_caption,
     parse_instruction,
 )
 from .registry import R_MAX, ActionExecutor, default_registry, outcome_json
@@ -37,6 +37,7 @@ __all__ = [
     "StarScriptedPolicy",
     "TERMINATION_ABORT",
     "TERMINATION_BUDGET",
+    "TERMINATION_CRASH",
     "TERMINATION_RETRIEVED",
     "TrPlusSPolicy",
     "WIRE_VERSION",
@@ -48,7 +49,6 @@ __all__ = [
     "default_registry",
     "encode_request",
     "outcome_json",
-    "parse_caption",
     "parse_instruction",
     "run_episode",
 ]

@@ -3,7 +3,9 @@
 Each step the policy sees only the instruction text, the working memory, the
 remaining budget, and the registry schema. Invalid actions are fed back as
 outcomes and still consume budget. The loop stops on retrieval of the target,
-budget exhaustion, or a policy abort.
+budget exhaustion, a policy abort, or a crash: an exception raised by the
+policy, the executor or the step callback ends the episode like the others,
+as a result holding the steps that ran and the error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ DEFAULT_BUDGET = 20
 TERMINATION_RETRIEVED = "retrieved"
 TERMINATION_BUDGET = "budget_exhausted"
 TERMINATION_ABORT = "policy_abort"
+TERMINATION_CRASH = "crash"
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,7 @@ class EpisodeResult:
     trace: WorkingMemory
     action_counts: dict[str, int]
     termination: str
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "steps_used": self.steps_used,
-            "action_counts": dict(self.action_counts),
-            "termination": self.termination,
-            "trace": self.trace.to_dict(),
-        }
+    error: Optional[str] = None  # "<Type>: <message>" of a crash
 
 
 def classify_action(action: Action, registry: ToolRegistry) -> str:
@@ -82,6 +77,12 @@ def run_episode(
     world, or the memory; those are reachable only through executed actions.
     When target_entity is given, a successful pick of it ends the episode as
     retrieved.
+
+    An exception raised by the policy, the executor or step_callback ends
+    the episode as crashed: the result holds the trace and action counts of
+    the steps that ran (a step whose callback raised ran; one whose
+    execution raised did not), success False, and error "<Type>: <message>".
+    A budget below 1 still raises: no episode can start on it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -93,41 +94,46 @@ def run_episode(
     counts = {c: 0 for c in ACTION_CATEGORIES}
     success = False
     termination = TERMINATION_BUDGET
-    while h.remaining_budget > 0:
-        decision = policy(visible.text, h, h.remaining_budget, schema)
-        if decision is None:
-            termination = TERMINATION_ABORT
-            break
-        action = decision.action
-        errors = validate_action(action, registry)
-        if errors:
-            outcome = Outcome(
-                kind="skill_result",
-                payload={"success": False, "reason": "schema_error", "errors": errors},
-            )
-        else:
-            outcome = executor.execute(action)
-        counts[classify_action(action, registry)] += 1
-        h = h.append(action, outcome)
-        if step_callback is not None:
-            # The rationale is surfaced for logging only; nothing reads it.
-            step_callback(len(h.steps), action, outcome, decision.rationale)
-        if (
-            not errors
-            and action.tool == "pick"
-            and outcome.payload.get("success")
-            and target_entity is not None
-            and outcome.payload.get("entity") == target_entity
-        ):
-            success = True
-            termination = TERMINATION_RETRIEVED
-            break
+    error = None
+    try:
+        while h.remaining_budget > 0:
+            decision = policy(visible.text, h, h.remaining_budget, schema)
+            if decision is None:
+                termination = TERMINATION_ABORT
+                break
+            action = decision.action
+            errors = validate_action(action, registry)
+            if errors:
+                outcome = Outcome(
+                    kind="skill_result",
+                    payload={"success": False, "reason": "schema_error", "errors": errors},
+                )
+            else:
+                outcome = executor.execute(action)
+            counts[classify_action(action, registry)] += 1
+            h = h.append(action, outcome)
+            if step_callback is not None:
+                # The rationale is surfaced for logging only; nothing reads it.
+                step_callback(len(h.steps), action, outcome, decision.rationale)
+            if (
+                not errors
+                and action.tool == "pick"
+                and outcome.payload.get("success")
+                and target_entity is not None
+                and outcome.payload.get("entity") == target_entity
+            ):
+                success = True
+                termination = TERMINATION_RETRIEVED
+                break
+    except Exception as exc:  # noqa: BLE001 - a crash ends the episode, as a result
+        termination, error = TERMINATION_CRASH, f"{type(exc).__name__}: {exc}"
     return EpisodeResult(
         success=success,
         steps_used=len(h.steps),
         trace=h,
         action_counts=counts,
         termination=termination,
+        error=error,
     )
 
 
@@ -138,6 +144,7 @@ __all__ = [
     "PolicyDecision",
     "TERMINATION_ABORT",
     "TERMINATION_BUDGET",
+    "TERMINATION_CRASH",
     "TERMINATION_RETRIEVED",
     "classify_action",
     "run_episode",

@@ -145,14 +145,10 @@ def _parse_phrase(phrase: str) -> Optional[CaptionEntity]:
 
 
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
-def _parse_caption(caption: str) -> tuple[CaptionEntity, ...]:
+def parse_caption(caption: str) -> tuple[CaptionEntity, ...]:
+    """Invert the caption template back into entity phrases (memoized)."""
     parsed = (_parse_phrase(part) for part in caption.split("; "))
     return tuple(ent for ent in parsed if ent is not None)
-
-
-def parse_caption(caption: str) -> list[CaptionEntity]:
-    """Invert the caption template back into entity phrases."""
-    return list(_parse_caption(caption))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ class TraceView:
     def _match_caption(self, caption: str) -> tuple[CaptionEntity, ...]:
         """The caption's instruction-matching entities, kept per caption."""
         ents = tuple(
-            ent for ent in _parse_caption(caption) if self.parsed.matches(ent.class_label, ent.attributes)
+            ent for ent in parse_caption(caption) if self.parsed.matches(ent.class_label, ent.attributes)
         )
         self._caption_matches[caption] = ents
         return ents

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..agent import TERMINATION_ABORT, TERMINATION_BUDGET, TERMINATION_RETRIEVED
+from ..agent import TERMINATION_ABORT, TERMINATION_BUDGET, TERMINATION_CRASH, TERMINATION_RETRIEVED
 from .suite import SuiteReport
 
 FAMILY_ABBREV = {
@@ -95,7 +95,7 @@ TERMINATION_COLUMNS = (
     ("Retrieved", TERMINATION_RETRIEVED),
     ("Budget", TERMINATION_BUDGET),
     ("Abort", TERMINATION_ABORT),
-    ("Crash", "crash"),
+    ("Crash", TERMINATION_CRASH),
 )
 
 

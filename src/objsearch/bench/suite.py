@@ -9,6 +9,10 @@ the demos and the tests set tasks up through the same prepare_task. Results
 are reduced in task order so the output is byte-identical regardless of
 worker count.
 
+Every episode, a crashed one too, ends in agent.run_episode, and its record
+is built from the result. Only an episode that cannot start, such as an llm
+one with no endpoint, is recorded here, as a crash of 0 steps.
+
 Every log line is canonical_dumps of its event. A step line is composed
 around agent.registry.outcome_json, which writes a retrieval outcome's hits
 (a core.Hits, gathered once as columns by the executor) straight from their
@@ -31,8 +35,8 @@ from ..agent import (
     RandomSearchPolicy,
     SgPlusSPolicy,
     StarScriptedPolicy,
+    TERMINATION_CRASH,
     TrPlusSPolicy,
-    classify_action,
     default_registry,
     outcome_json,
     run_episode,
@@ -49,7 +53,7 @@ from ..core import (
     config_hash,
     stable_seed,
 )
-from ..embed import Embedder, EmbedderConfig
+from ..embed import DEFAULT_DIM, Embedder, EmbedderConfig
 from ..homesim import WorldState, day_graphs, generate_world, patrol
 from ..memstore import LongTermMemory, build
 from .tasks import TaskSpec, adjudicate, default_prior_table
@@ -83,7 +87,6 @@ class SuiteConfig:
     modes: tuple[str, ...] = ("oracle",)
     budget: int = 20
     seed: int = 0
-    embed_dim: int = 256
     noise: NoiseModel = DEFAULT_NOISE
     parallelism: int = 1
     llm: Optional[LLMPolicyConfig] = None
@@ -111,7 +114,7 @@ class SuiteConfig:
             "modes": list(self.modes),
             "budget": self.budget,
             "seed": self.seed,
-            "embed_dim": self.embed_dim,
+            "embed_dim": DEFAULT_DIM,
             "noise": {"p_drop": self.noise.p_drop, "p_mislabel": self.noise.p_mislabel},
             "parallelism": self.parallelism,
         }
@@ -165,7 +168,7 @@ def prepare_task(
     world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
     graphs = day_graphs(world, task.schedule, task.days)
     stream = patrol(world, task.schedule, task.days)
-    embedder = Embedder(EmbedderConfig(d=config.embed_dim))
+    embedder = Embedder(EmbedderConfig())
     memories = {
         mode: build(
             stream,
@@ -216,9 +219,10 @@ def run_task_episode(
 
 
 def _episode_record(task: TaskSpec, method: str, mode: str, success: bool, steps_used: int,
-                    termination: str, action_counts: Mapping[str, int]) -> dict:
-    """The report's record of one episode, finished or crashed."""
-    return {
+                    termination: str, action_counts: Mapping[str, int], error: Optional[str]) -> dict:
+    """The report's record of one episode, finished or crashed; a crash's
+    record ends with its error."""
+    record = {
         "task_id": task.task_id,
         "family": task.family,
         "type": task.type,
@@ -230,6 +234,9 @@ def _episode_record(task: TaskSpec, method: str, mode: str, success: bool, steps
         "action_counts": dict(action_counts),
         "optimal_counts": dict(task.optimal_counts),
     }
+    if error is not None:
+        record["error"] = error
+    return record
 
 
 def _step_line(k: int, action: Action, outcome: Outcome, rationale: str) -> str:
@@ -261,12 +268,12 @@ def _episode_end(record: dict) -> str:
 
 def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str]]:
     """Worker: every (mode, method) episode of one task. Returns episode
-    records and raw log lines in (mode, method) order. A MEMORY_BLIND
+    records and raw log lines in (mode, method) order. The loop's step
+    callback writes each step line; the record comes from the episode's
+    result, adjudicated, with its error when it crashed. A MEMORY_BLIND
     method runs in the first mode only; each later mode logs a copy of its
     record and step lines under its own mode."""
     memories, graphs, embedder, world = prepare_task(task, config)
-    # Action categories depend only on the tool; the world adds argument enums.
-    registry = default_registry()
     lineage = config.config_hash()
     records: list[dict] = []
     log_lines: list[str] = []
@@ -288,28 +295,20 @@ def _run_task(task: TaskSpec, config: SuiteConfig) -> tuple[list[dict], list[str
                 record = {**first, "mode": mode, "action_counts": dict(first["action_counts"]),
                           "optimal_counts": dict(first["optimal_counts"])}
             else:
-                # The steps logged so far, kept for a crash record.
                 step_lines = []
-                counts = {c: 0 for c in ACTION_CATEGORIES}
-                steps = 0
-
-                def log_step(k: int, action, outcome, rationale: str = "") -> None:
-                    nonlocal steps
-                    step_lines.append(_step_line(k, action, outcome, rationale))
-                    counts[classify_action(action, registry)] += 1
-                    steps = k
-
                 try:
-                    result = run_task_episode(task, method, config, memory, graphs, embedder, world, log_step)
+                    result = run_task_episode(task, method, config, memory, graphs, embedder, world,
+                                              lambda *step: step_lines.append(_step_line(*step)))
+                except Exception as exc:  # noqa: BLE001 - an episode that cannot start
+                    record = _episode_record(task, method, mode, False, 0, TERMINATION_CRASH,
+                                             dict.fromkeys(ACTION_CATEGORIES, 0), f"{type(exc).__name__}: {exc}")
+                else:
                     record = _episode_record(task, method, mode, result.success, result.steps_used,
-                                             result.termination, result.action_counts)
+                                             result.termination, result.action_counts, result.error)
                     success = adjudicate(task, result)
                     if success != result.success:
                         record["adjudication_mismatch"] = True
                     record["success"] = success and result.success
-                except Exception as exc:  # noqa: BLE001 - crash containment per episode
-                    record = _episode_record(task, method, mode, False, steps, "crash", counts)
-                    record["error"] = f"{type(exc).__name__}: {exc}"
                 if method in MEMORY_BLIND:
                     blind[method] = record, step_lines
             records.append(record)

@@ -84,10 +84,15 @@ class TaskSpec:
         spec = cls(**{f.name: json_field(d, f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds},
                    optimal_counts=dict(json_field(d, "optimal_counts", dict)),
                    schedule=Schedule.from_dict(json_field(d, "schedule", dict)))
-        # What prepare_task needs of a task from outside: a scene it can
-        # patrol over its days, and a schedule that fits them.
+        # What the suite needs of a task from outside: a scene it can patrol
+        # over its days, a schedule that fits them, a family and type its
+        # episodes can run under, and counts it can sum.
         check_patrol(spec.days, spec.ticks_per_day, route_length(spec.scene_id))
         spec.schedule.check(spec.ticks_per_day)
+        spec.instruction_full()
+        for name in spec.optimal_counts:
+            if json_field(spec.optimal_counts, name, int) < 0:
+                raise ValueError(f"optimal count {name} must be >= 0, got {spec.optimal_counts[name]}")
         return spec
 
 

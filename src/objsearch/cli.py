@@ -42,7 +42,7 @@ from .homesim import (
     write_graphs,
     write_stream,
 )
-from .agent import TERMINATION_ABORT, LLMPolicyConfig
+from .agent import TERMINATION_ABORT, TERMINATION_CRASH, LLMPolicyConfig
 from .memstore import BatchError, build as build_memory_from_stream, persist
 
 
@@ -350,7 +350,7 @@ def cmd_run_suite(tasks_path: str, methods: str, modes: str, budget: int, seed: 
     _write_json(out_report, payload)
     total = len(report.episodes)
     wins = sum(1 for e in report.episodes if e["success"])
-    crashes = sum(1 for e in report.episodes if e["termination"] == "crash")
+    crashes = sum(1 for e in report.episodes if e["termination"] == TERMINATION_CRASH)
     aborts = sum(1 for e in report.episodes if e["termination"] == TERMINATION_ABORT)
     click.echo(f"episodes={total} successes={wins} crashes={crashes} aborts={aborts} "
                f"report={out_report} logs={out_logs}")

@@ -367,7 +367,8 @@ class WorldState:
 # Scene templates
 #
 # The structural skeleton of each scene is fixed (family feasibility depends
-# on it); the layout seed only jitters cosmetic attributes of filler objects.
+# on it), so a scene's world is the same for every layout seed; the seed is
+# recorded in the world and seeds its ambient schedule (generate_world).
 
 
 def _scene_template(scene_id: int) -> dict:
@@ -553,29 +554,19 @@ def scene_casting(scene_id: int) -> dict:
 
 
 def scene_world(layout_seed: int, scene_id: int, ticks_per_day: int = DEFAULT_TICKS_PER_DAY) -> WorldState:
-    """Build one of the three scenes at tick 0. Deterministic: identical
-    (layout_seed, scene_id) pairs produce identical worlds."""
+    """Build one of the three scenes at tick 0: its template's rooms,
+    landmarks and objects, whatever the layout seed, which the world only
+    records."""
     tpl = _scene_template(scene_id)
-    rng = random.Random(stable_seed("world", layout_seed, scene_id))
     rooms = [Room(room_id=r, bounds=b) for r, b in tpl["rooms"]]
     landmarks = [
         Landmark(landmark_id=i, name=n, room_id=r, position=p, is_receptacle=rec)
         for i, n, r, p, rec in tpl["landmarks"]
     ]
-    landmark_ids = {lm.landmark_id for lm in landmarks}
-    objects = []
-    for entity_id, cls, attrs, (kind, ref) in tpl["objects"]:
-        if kind == "landmark" and ref not in landmark_ids:
-            # Template placeholders resolve to a seeded pick among real ones.
-            ref = sorted(landmark_ids)[rng.randrange(len(landmark_ids))]
-        objects.append(
-            WorldObject(
-                entity_id=entity_id,
-                class_label=cls,
-                attributes=tuple(attrs),
-                location=Location(kind=kind, ref=ref),
-            )
-        )
+    objects = [
+        WorldObject(entity_id=e, class_label=cls, attributes=tuple(attrs), location=Location(kind=kind, ref=ref))
+        for e, cls, attrs, (kind, ref) in tpl["objects"]
+    ]
     return WorldState(
         scene_id=scene_id,
         layout_seed=layout_seed,

@@ -140,7 +140,7 @@ def test_parse_caption_inverts_template():
     assert ents[0].class_label == "folder" and ents[0].attributes == ("green",)
     assert ents[0].landmark_name == "study desk" and not ents[0].contained
     assert ents[1].contained and ents[1].landmark_name == "white cabinet"
-    assert parse_caption("nothing notable") == []
+    assert parse_caption("nothing notable") == ()
 
 
 _WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
@@ -165,15 +165,10 @@ def caption_entities(draw):
 @given(caption_entities())
 def test_parse_caption_round_trips_render_caption(ents):
     caption = render_caption(ents)
-    expected = [
+    expected = tuple(
         CaptionEntity(e.class_label, e.attributes, e.landmark_name, e.containment == CONTAINMENT_INSIDE_OPEN)
         for e in ents
-    ]
-    first = parse_caption(caption)
-    assert first == expected
-    # Each call hands out its own list: mutating one leaves later parses intact.
-    first.clear()
-    first.append(CaptionEntity("intruder", (), "nowhere", False))
+    )
     assert parse_caption(caption) == expected
 
 
@@ -264,6 +259,66 @@ def test_policy_abort_termination():
     result = run_episode("find the mug", executor_for(world), lambda *a: None, registry, budget=5)
     assert result.termination == "policy_abort"
     assert result.steps_used == 0 and not result.success
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_raising_policy_ends_the_episode_as_its_abort_would(data):
+    """A policy that raises at its k-th decision ends the episode as a crash
+    with the trace, steps and action counts of the same policy returning None
+    there; only the termination and the error differ."""
+    executor = shared_patrolled_executor()
+    registry = default_registry(executor.world)
+    budget = data.draw(st.integers(1, 8))
+    actions = data.draw(st.lists(query_and_skill_actions(executor.world), min_size=budget, max_size=budget))
+    k = data.draw(st.integers(1, budget))
+
+    def fault():
+        raise RuntimeError(f"decision {k}")
+
+    def run(at_k):
+        decisions = []
+
+        def scripted(text, h, remaining, schema):
+            decisions.append(None)
+            return at_k() if len(decisions) == k else PolicyDecision(actions[len(decisions) - 1])
+
+        # Each run acts in its own copy of the world, as a suite episode does.
+        world = executor.world.at(executor.schedule, executor.world.clock)
+        return run_episode("find the mug", ActionExecutor(executor.memory, world, executor.schedule, EMB),
+                           scripted, registry, budget=budget)
+
+    crashed, aborted = run(fault), run(lambda: None)
+    assert (crashed.termination, crashed.error) == ("crash", f"RuntimeError: decision {k}")
+    assert (aborted.termination, aborted.error) == ("policy_abort", None)
+    assert crashed.trace == aborted.trace and len(crashed.trace.steps) == k - 1
+    assert crashed.steps_used == aborted.steps_used == k - 1
+    assert crashed.action_counts == aborted.action_counts
+    assert not crashed.success and not aborted.success
+
+
+@pytest.mark.parametrize("where, steps", [("executor", 2), ("step_callback", 3)])
+def test_a_raising_executor_or_step_callback_ends_the_episode_as_a_crash(where, steps):
+    """The third step raises: in the executor, before the step is taken, so
+    2 steps ran; in the step callback, after it is taken, so 3 ran."""
+    world = tiny_world()
+    executor = executor_for(world)
+    calls = []
+
+    def raise_at_third(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyError("third")
+
+    if where == "executor":
+        execute = executor.execute
+        executor.execute = lambda action: raise_at_third() or execute(action)
+    querier = lambda *a: PolicyDecision(Action("semantic_query", {"query": "mug"}))  # noqa: E731
+    result = run_episode("find the mug", executor, querier, default_registry(world), budget=5,
+                         step_callback=raise_at_third if where == "step_callback" else None)
+    assert (result.termination, result.error, result.success) == ("crash", "KeyError: 'third'", False)
+    assert result.steps_used == len(result.trace.steps) == steps
+    assert result.action_counts["temporal_query"] == steps
 
 
 def test_action_counts_sum_to_steps():

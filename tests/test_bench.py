@@ -1,5 +1,6 @@
 """Benchmark layer: suite arithmetic, family hazards, adjudication, metrics."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.agent import LLMPolicyConfig
+from objsearch.artifacts import IntegrityError
 from objsearch.bench import (
     FIXTURE_KINDS,
     GenerationError,
@@ -144,6 +146,26 @@ def test_task_file_round_trip(picks, meta):
     assert again == tasks
     assert lines[1:-1] == [canonical_dumps(task.to_dict()) for task in tasks]
     assert lines[-1] == canonical_dumps({"sha256": sha256})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("optimal_counts", {"perception": "x", "navigation": 1, "manipulation": 1},
+     "perception must be a JSON integer, got 'x'"),
+    ("optimal_counts", {"perception": 1, "navigation": True, "manipulation": 1},
+     "navigation must be a JSON integer, got True"),
+    ("optimal_counts", {"perception": 1, "navigation": 1, "manipulation": -1},
+     "optimal count manipulation must be >= 0, got -1"),
+    ("family", "nope", "unknown family 'nope'"),
+    ("type", "hidden", "unknown task type 'hidden'"),
+])
+def test_task_file_refuses_counts_and_families_the_suite_cannot_use(tmp_path, field, value, message):
+    """A task whose optimal counts the report could not sum, or whose family
+    or type no instruction takes, is refused when its file is read, naming
+    its line, not when the suite aggregates or runs it."""
+    path = str(tmp_path / "tasks.jsonl")
+    write_tasks(path, [dataclasses.replace(task_pool()[0], **{field: value})], {})
+    with pytest.raises(IntegrityError, match=re.escape(f"task 0: {message}")):
+        read_tasks(path)
 
 
 def test_per_family_must_be_positive():
@@ -667,7 +689,8 @@ def test_memory_blind_episodes_do_not_depend_on_the_mode():
                 lines = []
                 result = run_task_episode(task, method, config, memory, graphs, embedder, world,
                                           lambda *step: lines.append(_step_line(*step).encode()))
-                runs.append((canonical_dumps(result.to_dict()), lines))
+                runs.append(((result.success, result.steps_used, result.action_counts, result.termination,
+                              result.error, canonical_dumps(result.trace.to_dict())), lines))
             assert runs[0] == runs[1], (task.task_id, method)
             steps += len(runs[0][1])
     assert steps > 0

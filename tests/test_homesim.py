@@ -76,6 +76,17 @@ def test_generate_world_is_scene_world_plus_its_ambient_schedule():
     assert digest.hexdigest() == "43a319bb7409cfee9f9ca3dc140f297356c43170585f43b7f43f91e792f1371d"
 
 
+@settings(max_examples=50, deadline=None)
+@given(scene=st.sampled_from(SCENE_IDS), seeds=st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2),
+       tpd=st.sampled_from([200, 1300]))
+def test_a_scene_world_is_the_same_for_every_layout_seed(scene, seeds, tpd):
+    """The layout seed is only recorded: two seeds' worlds of a scene are
+    equal but for it."""
+    a, b = (scene_world(seed, scene, ticks_per_day=tpd).to_dict() for seed in seeds)
+    assert [a.pop("layout_seed"), b.pop("layout_seed")] == seeds
+    assert a == b
+
+
 def test_three_scenes_available():
     assert SCENE_IDS == (1, 2, 3)
     for scene in SCENE_IDS:
