@@ -80,8 +80,8 @@ def run_episode(
 
     An exception raised by the policy, the executor or step_callback ends
     the episode as crashed: the result holds the trace and action counts of
-    the steps that ran (a step whose callback raised ran; one whose
-    execution raised did not), success False, and error "<Type>: <message>".
+    the steps that completed (a step whose execution or callback raised is
+    not among them), success False, and error "<Type>: <message>".
     A budget below 1 still raises: no episode can start on it.
     """
     if budget < 1:
@@ -110,11 +110,12 @@ def run_episode(
                 )
             else:
                 outcome = executor.execute(action)
+            if step_callback is not None:
+                # Before the step is committed, so a step whose callback raised
+                # is not counted. The rationale is for logging; nothing reads it.
+                step_callback(len(h.steps) + 1, action, outcome, decision.rationale)
             counts[classify_action(action, registry)] += 1
             h = h.append(action, outcome)
-            if step_callback is not None:
-                # The rationale is surfaced for logging only; nothing reads it.
-                step_callback(len(h.steps), action, outcome, decision.rationale)
             if (
                 not errors
                 and action.tool == "pick"

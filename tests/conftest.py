@@ -1,10 +1,24 @@
 """Shared test helpers. Test modules import them with ``from conftest import ...``."""
 
+import functools
 import hashlib
 import json
 
 from objsearch.core import Pose, SymbolicObservation, VisibleEntity
 from objsearch.memstore import Batch
+
+
+def no_crash(run):
+    """run (run_episode or run_task_episode) for a test that expects its
+    episode to end without a crash. The loop returns a crash as a result
+    rather than raising it, so through this a crash fails the test, with
+    its error, where an unchecked result would pass."""
+    @functools.wraps(run)
+    def checked(*args, **kwargs):
+        result = run(*args, **kwargs)
+        assert result.error is None, result.error
+        return result
+    return checked
 
 
 def spec_batch(memory, specs, embedder):

@@ -15,6 +15,7 @@ import pytest
 from conftest import spec_batch
 from objsearch.agent import (
     ActionExecutor,
+    TERMINATION_CRASH,
     PolicyDecision,
     default_registry,
     run_episode,
@@ -64,6 +65,7 @@ def run_fixture_suite(kind: str, methods: tuple[str, ...], n: int = 20, seed: in
         memory = memories["oracle"]
         for method in methods:
             r = run_task_episode(task, method, config, memory, graphs, embedder, world)
+            assert r.error is None, r.error
             assert adjudicate(task, r) == r.success
             results[method].append(r)
     return tasks, results
@@ -211,6 +213,8 @@ def test_criterion_2_protocol_constants():
         if result.success and result.termination != "retrieved":
             violations += 1
         if sum(result.action_counts.values()) != result.steps_used:
+            violations += 1
+        if result.termination == TERMINATION_CRASH:
             violations += 1
 
     # Patrol day range and full-scale observation band.

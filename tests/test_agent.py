@@ -26,7 +26,7 @@ from objsearch.agent import (
     outcome_json,
     run_episode,
 )
-from conftest import spec_batch
+from conftest import no_crash, spec_batch
 from objsearch.agent.registry import record_views
 from objsearch.agent.policies import (
     ATTRIBUTE_VOCAB,
@@ -78,6 +78,10 @@ from objsearch.homesim import (
 from objsearch.memstore import Batch, LongTermMemory, build
 from objsearch.homesim import patrol
 
+
+# Episodes the tests below expect to end without a crash.
+run_episode_ok = no_crash(run_episode)
+run_task_episode_ok = no_crash(run_task_episode)
 
 EMB = Embedder(EmbedderConfig(d=64))  # small embedder for plumbing-level tests
 CONFIG = SuiteConfig(methods=("random", "sg_s", "tr_s", "star"), modes=("oracle",), seed=7)
@@ -191,7 +195,7 @@ def test_immediate_pick_success():
     def grabber(text, h, remaining, schema):
         return PolicyDecision(Action("pick", {"entity": "mug_1"}))
 
-    result = run_episode(
+    result = run_episode_ok(
         Instruction(text="find the red mug"), executor_for(world), grabber, registry,
         budget=20, target_entity="mug_1",
     )
@@ -215,8 +219,8 @@ def test_wrong_pick_does_not_end_episode():
     def scripted(text, h, remaining, schema):
         return PolicyDecision(next(plan))
 
-    result = run_episode("find the red mug", executor_for(world), scripted, registry,
-                         budget=20, target_entity="mug_1")
+    result = run_episode_ok("find the red mug", executor_for(world), scripted, registry,
+                            budget=20, target_entity="mug_1")
     assert result.success and result.steps_used == 2
     assert result.trace.steps[0][1].payload["success"]  # wrong pick succeeded at skill level
 
@@ -228,8 +232,8 @@ def test_budget_exhaustion_on_pure_queries():
     def querier(text, h, remaining, schema):
         return PolicyDecision(Action("semantic_query", {"query": "mug"}))
 
-    result = run_episode("find the mug", executor_for(world), querier, registry,
-                         budget=20, target_entity="mug_1")
+    result = run_episode_ok("find the mug", executor_for(world), querier, registry,
+                            budget=20, target_entity="mug_1")
     assert not result.success
     assert result.steps_used == 20
     assert result.termination == "budget_exhausted"
@@ -246,7 +250,7 @@ def test_invalid_actions_consume_budget_and_feed_back():
             seen_feedback.append(h.steps[-1][1].payload)
         return PolicyDecision(Action("navigate", {"bogus": 1}))
 
-    result = run_episode("find the mug", executor_for(world), confused, registry, budget=5)
+    result = run_episode_ok("find the mug", executor_for(world), confused, registry, budget=5)
     assert result.steps_used == 5
     assert result.termination == "budget_exhausted"
     assert all(p["reason"] == "schema_error" for p in seen_feedback)
@@ -256,7 +260,7 @@ def test_invalid_actions_consume_budget_and_feed_back():
 def test_policy_abort_termination():
     world = tiny_world()
     registry = default_registry(world)
-    result = run_episode("find the mug", executor_for(world), lambda *a: None, registry, budget=5)
+    result = run_episode_ok("find the mug", executor_for(world), lambda *a: None, registry, budget=5)
     assert result.termination == "policy_abort"
     assert result.steps_used == 0 and not result.success
 
@@ -297,10 +301,11 @@ def test_a_raising_policy_ends_the_episode_as_its_abort_would(data):
     assert not crashed.success and not aborted.success
 
 
-@pytest.mark.parametrize("where, steps", [("executor", 2), ("step_callback", 3)])
-def test_a_raising_executor_or_step_callback_ends_the_episode_as_a_crash(where, steps):
-    """The third step raises: in the executor, before the step is taken, so
-    2 steps ran; in the step callback, after it is taken, so 3 ran."""
+@pytest.mark.parametrize("where", ["executor", "step_callback"])
+def test_a_raising_executor_or_step_callback_ends_the_episode_as_a_crash(where):
+    """The third step raises, in the executor or in the step callback. The
+    loop calls the callback before it commits a step, so either way the
+    third step is not counted: the result holds the 2 steps that ran."""
     world = tiny_world()
     executor = executor_for(world)
     calls = []
@@ -317,14 +322,14 @@ def test_a_raising_executor_or_step_callback_ends_the_episode_as_a_crash(where, 
     result = run_episode("find the mug", executor, querier, default_registry(world), budget=5,
                          step_callback=raise_at_third if where == "step_callback" else None)
     assert (result.termination, result.error, result.success) == ("crash", "KeyError: 'third'", False)
-    assert result.steps_used == len(result.trace.steps) == steps
-    assert result.action_counts["temporal_query"] == steps
+    assert result.steps_used == len(result.trace.steps) == 2
+    assert result.action_counts["temporal_query"] == 2
 
 
 def test_action_counts_sum_to_steps():
     task, memory, graphs, embedder, world = standard_setup()
     for method in ("random", "sg_s", "tr_s", "star"):
-        r = run_task_episode(task, method, CONFIG, memory, graphs, embedder, world)
+        r = run_task_episode_ok(task, method, CONFIG, memory, graphs, embedder, world)
         assert sum(r.action_counts.values()) == r.steps_used
 
 
@@ -358,7 +363,7 @@ def test_policy_sees_only_redacted_views():
         return None
 
     instr = Instruction(text="find the mug", family="class", type="visible")
-    run_episode(instr, executor_for(world), probe, registry, budget=3)
+    run_episode_ok(instr, executor_for(world), probe, registry, budget=3)
     text, h, remaining, schema = observed["args"]
     assert text == "find the mug"
     assert isinstance(h, WorkingMemory)
@@ -392,7 +397,7 @@ def test_mid_episode_schedule_move():
     def scripted(text, h, remaining, schema):
         return PolicyDecision(next(plan))
 
-    result = run_episode("find the mug", executor, scripted, registry, budget=3)
+    result = run_episode_ok("find the mug", executor, scripted, registry, budget=3)
     for _, outcome in result.trace.steps:
         detections.append({e["entity_id"]: e["landmark_id"] for e in outcome.payload["entities"]})
     assert detections[0]["mug_1"] == "spot_0"
@@ -513,7 +518,7 @@ def test_unbounded_r_is_a_schema_error_not_a_whole_memory():
     def policy(text, h, remaining, schema):
         return PolicyDecision(action) if not h.steps else None
 
-    result = run_episode("find the mug", executor, policy, default_registry(world), budget=3)
+    result = run_episode_ok("find the mug", executor, policy, default_registry(world), budget=3)
     [(_, outcome)] = result.trace.steps
     assert outcome.payload == {"success": False, "reason": "schema_error", "errors": [f"r: must be <= {R_MAX}"]}
     assert len(outcome_json(outcome)) < 200
@@ -910,8 +915,8 @@ def test_random_policy_succeeds_on_single_landmark_world():
     world = tiny_world(n_landmarks=1)
     registry = default_registry(world)
     policy = RandomSearchPolicy(seed=3)
-    result = run_episode("find the red mug", executor_for(world), policy, registry,
-                         budget=20, target_entity="mug_1")
+    result = run_episode_ok("find the red mug", executor_for(world), policy, registry,
+                            budget=20, target_entity="mug_1")
     assert result.success and result.steps_used == 3
 
 
@@ -919,7 +924,7 @@ def test_random_policy_never_emits_temporal_tools():
     task, memory, graphs, embedder, world = standard_setup()
     for seed in range(100):
         config = SuiteConfig(methods=("random",), modes=("oracle",), seed=seed)
-        r = run_task_episode(task, "random", config, memory, graphs, embedder, world)
+        r = run_task_episode_ok(task, "random", config, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -930,15 +935,15 @@ def test_random_policy_weak_on_hidden_targets():
         task = build_task(1, "attribute", "interactive", 0, seed=7)
         memories, graphs, embedder, world = prepare_task(task, config)
         memory = memories["oracle"]
-        r = run_task_episode(task, "random", config, memory, graphs, embedder, world)
+        r = run_task_episode_ok(task, "random", config, memory, graphs, embedder, world)
         wins += int(r.success)
     assert wins / 10 <= 0.2
 
 
 def test_random_policy_deterministic_given_seed():
     task, memory, graphs, embedder, world = standard_setup()
-    r1 = run_task_episode(task, "random", CONFIG, memory, graphs, embedder, world)
-    r2 = run_task_episode(task, "random", CONFIG, memory, graphs, embedder, world)
+    r1 = run_task_episode_ok(task, "random", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode_ok(task, "random", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -947,7 +952,7 @@ def test_random_policy_deterministic_given_seed():
 
 def test_trs_unmoved_object_three_spatial_actions():
     task, memory, graphs, embedder, world = standard_setup(family="attribute")
-    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     physical = r.action_counts["perception"] + r.action_counts["navigation"] + r.action_counts["manipulation"]
     assert physical == 3
@@ -955,14 +960,14 @@ def test_trs_unmoved_object_three_spatial_actions():
 
 def test_trs_moved_object_fails_without_retry():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     assert not r.success
     assert r.termination == "policy_abort"
 
 
 def test_trs_day_reference_triggers_window_query():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert "temporal_query" in tools
     window_args = [a.args for a, _ in r.trace.steps if a.tool == "temporal_query"]
@@ -971,7 +976,7 @@ def test_trs_day_reference_triggers_window_query():
 
 def test_trs_runs_fixed_probe_set_first():
     task, memory, graphs, embedder, world = standard_setup(family="class")
-    r = run_task_episode(task, "tr_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "tr_s", CONFIG, memory, graphs, embedder, world)
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools[0] == "semantic_query"
     assert "spatial_query" in tools[:3]
@@ -982,7 +987,7 @@ def test_trs_runs_fixed_probe_set_first():
 
 def test_sgs_unique_class_goes_straight_to_landmark():
     task, memory, graphs, embedder, world = standard_setup(family="class")
-    r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "sg_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools == ["navigate", "detect", "pick"]
@@ -992,7 +997,7 @@ def test_sgs_unique_class_goes_straight_to_landmark():
 def test_sgs_never_issues_temporal_actions():
     for family in ("class", "attribute", "spatial", "spatial_temporal", "spatial_frequentist"):
         task, memory, graphs, embedder, world = standard_setup(family=family)
-        r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
+        r = run_task_episode_ok(task, "sg_s", CONFIG, memory, graphs, embedder, world)
         assert r.action_counts["temporal_query"] == 0
 
 
@@ -1006,7 +1011,7 @@ def test_sgs_twin_receptacles_at_chance():
         config = SuiteConfig(methods=("sg_s",), modes=("oracle",), seed=seed)
         memories, graphs, embedder, world = prepare_task(task, config)
         memory = memories["oracle"]
-        r = run_task_episode(task, "sg_s", config, memory, graphs, embedder, world)
+        r = run_task_episode_ok(task, "sg_s", config, memory, graphs, embedder, world)
         nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
         chosen.append(nav.args["landmark"])
         outcomes.append(r.success)
@@ -1020,7 +1025,7 @@ def test_sgs_attribute_collision_resolved_by_node_attributes():
     ground-truth nodes single out the green one."""
     task, memory, graphs, embedder, world = standard_setup(family="attribute")
     assert task.instruction == "find the green folder"
-    r = run_task_episode(task, "sg_s", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "sg_s", CONFIG, memory, graphs, embedder, world)
     assert r.success
     picked = [a.args["entity"] for a, _ in r.trace.steps if a.tool == "pick"]
     assert picked == ["folder_1"]
@@ -1045,7 +1050,7 @@ def test_sgs_closed_receptacle_contents_invisible_to_resolution():
 
 def test_star_prior_table_first_navigation_in_prior_room():
     task, memory, graphs, embedder, world = standard_setup(family="commonsense", ttype="commonsense")
-    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     first_nav = next(a for a, _ in r.trace.steps if a.tool == "navigate")
     assert world.landmarks[first_nav.args["landmark"]].room_id == "kitchen"
@@ -1054,7 +1059,7 @@ def test_star_prior_table_first_navigation_in_prior_room():
 
 def test_star_moved_object_recovers_after_failed_probe():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert tools.count("navigate") >= 2  # stale probe plus recovery
@@ -1065,7 +1070,7 @@ def test_star_twin_receptacles_resolved_via_raw_fetch():
     task = build_task(1, "attribute", "interactive", 0, seed=7)
     memories, graphs, embedder, world = prepare_task(task, CONFIG)
     memory = memories["oracle"]
-    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r.success
     tools = [a.tool for a, _ in r.trace.steps]
     assert "fetch_raw" in tools
@@ -1075,7 +1080,7 @@ def test_star_twin_receptacles_resolved_via_raw_fetch():
 
 def test_star_commit_threshold_suppresses_late_queries():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_temporal")
-    r = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
     budget = 20
     for i, (action, _) in enumerate(r.trace.steps):
         remaining = budget - i
@@ -1085,8 +1090,8 @@ def test_star_commit_threshold_suppresses_late_queries():
 
 def test_star_deterministic_trace():
     task, memory, graphs, embedder, world = standard_setup(family="spatial_frequentist")
-    r1 = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
-    r2 = run_task_episode(task, "star", CONFIG, memory, graphs, embedder, world)
+    r1 = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
+    r2 = run_task_episode_ok(task, "star", CONFIG, memory, graphs, embedder, world)
     assert r1.trace == r2.trace
 
 
@@ -1322,7 +1327,7 @@ def test_llm_fixed_reply_executed_verbatim():
     world = tiny_world(n_landmarks=2)
     registry = default_registry(world)
     policy, _ = llm_with_replies(['{"tool":"navigate","args":{"landmark":"spot_1"}}'] * 5)
-    result = run_episode("find the mug", executor_for(world), policy, registry, budget=2)
+    result = run_episode_ok("find the mug", executor_for(world), policy, registry, budget=2)
     assert [a.args.get("landmark") for a, _ in result.trace.steps] == ["spot_1", "spot_1"]
 
 

@@ -549,6 +549,7 @@ def test_episodes_leave_the_prepared_world_as_it_was():
         after = run_task_episode(task, method, config, memory, graphs, embedder, world)
         memories, *prepared = prepare_task(task, config)
         fresh = run_task_episode(task, method, config, memories["oracle"], *prepared)
+        assert after.error is None and fresh.error is None, (after.error, fresh.error)
         assert after.trace == fresh.trace
 
 
@@ -689,6 +690,7 @@ def test_memory_blind_episodes_do_not_depend_on_the_mode():
                 lines = []
                 result = run_task_episode(task, method, config, memory, graphs, embedder, world,
                                           lambda *step: lines.append(_step_line(*step).encode()))
+                assert result.error is None, (task.task_id, method, result.error)
                 runs.append(((result.success, result.steps_used, result.action_counts, result.termination,
                               result.error, canonical_dumps(result.trace.to_dict())), lines))
             assert runs[0] == runs[1], (task.task_id, method)
@@ -799,9 +801,11 @@ def test_fixture_kind_validation():
         build_fixture_suite("bogus", n=5)
 
 
-def test_crash_record_keeps_the_steps_that_ran(monkeypatch, tmp_path):
-    """A policy that raises on its 3rd decision: the 2 logged steps stay in
-    the crash record and in episode_end."""
+@pytest.mark.parametrize("fault", ["policy", "step_line"])
+def test_crash_record_keeps_the_steps_that_ran(monkeypatch, tmp_path, fault):
+    """A policy that raises on its 3rd decision, or a step line that cannot
+    be written for the 3rd step: the 2 logged steps stay in the crash record
+    and in episode_end, and no unlogged step is counted."""
     from objsearch.agent import classify_action, default_registry
     from objsearch.bench import suite
     from objsearch.core import Action
@@ -820,7 +824,17 @@ def test_crash_record_keeps_the_steps_that_ran(monkeypatch, tmp_path):
 
         return decide
 
-    monkeypatch.setattr(suite, "make_policy", flaky)
+    real_line = suite._step_line
+
+    def unwritable(step, *rest):
+        if step == 3:
+            raise RuntimeError("third decision")
+        return real_line(step, *rest)
+
+    if fault == "policy":
+        monkeypatch.setattr(suite, "make_policy", flaky)
+    else:
+        monkeypatch.setattr(suite, "_step_line", unwritable)
     task = build_task(1, "class", "visible", 0, seed=2)
     config = SuiteConfig(methods=("star", "random"), modes=("oracle",), seed=2)
     log = tmp_path / "episodes.jsonl"
@@ -828,8 +842,9 @@ def test_crash_record_keeps_the_steps_that_ran(monkeypatch, tmp_path):
     events = [json.loads(line) for line in log.read_text().splitlines()]
     registry = default_registry()
     for episode in report.episodes:
-        assert episode["termination"] == "crash"
+        assert episode["termination"] == "crash" and not episode["success"]
         assert episode["error"] == "RuntimeError: third decision"
+        assert "adjudication_mismatch" not in episode
         mine = []
         for e in events:
             if e["event"] == "episode_start":
