@@ -4,20 +4,21 @@ Temporal tools run against long-term memory, spatial tools against the world.
 The registry is the only thing policies see; executing an action is the only
 way a policy touches memory or world state.
 
-A query's hits reach policies as a core.Hits (record_views): fields gathered
-once as columns, a dict built only when a hit is read, and written to logs
-from the columns by outcome_json, byte for byte as canonical_dumps. The
-columns are taken from tables the memory's record set (memstore._RecordSet)
-derives once: a caption per raw and the pose table's (x, y, room) rows
-(LongTermMemory.fields); the payload's total, last_t and last_day are the
-set's last record. fetch_raw's record view is read straight from the record
-set, with no one-hit Hits.
+A query's hits reach policies as a core.Hits (record_views of its
+QueryResult): fields gathered once as columns, a dict built only when a hit
+is read, and written to logs from the columns by outcome_json, byte for
+byte as canonical_dumps. The columns are gathered straight from the
+memory's record set (memstore._RecordSet.gather, as LongTermMemory.fields
+does, without re-checking the query's own indices) out of tables it derives
+once: a caption per raw and the pose table's (x, y, room) rows; the
+payload's total, last_t and last_day are the set's last record. fetch_raw's
+record view is read straight from the record set, with no one-hit Hits.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -137,14 +138,14 @@ def default_registry(world: Optional[WorldState] = None) -> ToolRegistry:
     return ToolRegistry(tools, landmarks=landmark_table, rooms=rooms)
 
 
-def record_views(memory: LongTermMemory, index: Sequence[int], score: Sequence[float]) -> Hits:
-    """Compact policy-facing views of memory hits, caption level only: hit j
-    is record index[j] with score[j]. One gather per memory column, no dict
-    until a hit is read (core.Hits)."""
-    index, score = np.asarray(index, dtype=np.intp), np.asarray(score)
-    f = memory.fields(index)
-    hits = _Views if score.dtype == np.float64 else Hits
-    return hits(index.tolist(), score.tolist(), f["t"], f["day"], f["room"], f["x"], f["y"], f["caption"])
+def record_views(memory: LongTermMemory, result: QueryResult) -> Hits:
+    """Compact policy-facing views of a query's hits, caption level only:
+    hit j is record result.index[j] with score result.score[j]. One gather
+    per memory column (memstore._RecordSet.gather), unchecked, as the
+    indices are the memory's own and record sets only grow; no dict until a
+    hit is read (core.Hits)."""
+    hits = _Views if result.score.dtype == np.float64 else Hits
+    return hits(result.index.tolist(), result.score.tolist(), *memory._set.gather(result.index))
 
 
 class _Views(Hits):
@@ -229,7 +230,7 @@ def _fetch_raw(memory: LongTermMemory, embedder: Embedder, args: Mapping[str, An
 
 
 def _hits_payload(memory: LongTermMemory, args: Mapping[str, Any], result: QueryResult) -> dict:
-    return {"hits": record_views(memory, result.index, result.score), **_memory_meta(memory)}
+    return {"hits": record_views(memory, result), **_memory_meta(memory)}
 
 
 def _record_payload(memory: LongTermMemory, args: Mapping[str, Any], raw: SymbolicObservation) -> dict:

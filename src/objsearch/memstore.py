@@ -16,12 +16,14 @@ distinct phrase and per distinct raw.
 
 Retrieval is exact: each query answers as a linear scan would. A semantic
 query scores the m raws' embeddings and reads the best raws' postings (their
-records, ascending) up to r hits, O(m·d + m log m + r); a spatial query does
-the same over the P poses within the radius, O(P log P + r). The postings
-are derived indexes, built in O(n) on first use of each record set, never
-stored. Timesteps increase strictly, so a temporal query is a binary search
-of the t column plus O(r) work; a day window asked per run also searches
-the ends of the maximal runs of records, derived alike (the file's runs).
+records, ascending) up to r hits, one slice when the best raw alone holds r
+untied, O(m·d + m log m + r); a spatial query does the same over the P poses
+within the radius, O(P log P + r), guarding its arithmetic against overflow
+only for a centre near the float range. The postings are derived indexes,
+built in O(n) on first use of each record set, never stored. Timesteps
+increase strictly, so a temporal query is a binary search of the t column
+plus O(r) work; a day window asked per run also searches the ends of the
+maximal runs of records, derived alike (the file's runs).
 
 Concurrency: a memory holds one immutable record set (_RecordSet), every
 record column and the raws' embeddings as read-only arrays and both tables
@@ -29,11 +31,11 @@ as tuples. extend checks a batch whole, makes the next record set by
 concatenating each column and table with the batch's, and publishes it with
 one assignment. Every query, read and persist takes the record set once, so
 one writer may extend while readers query and each reader sees whole
-batches only. A record set's indexes (postings, run ends) and the tables
-retrieval payloads are gathered from (a caption per raw, the pose table's
-(x, y, room) rows, and the record count with the last t and day) are
-derived on first use and kept with it, so none outlives its set; the
-executor reads fetch_raw's record view from the set too.
+batches only. A record set's indexes (postings, run ends), the poses'
+extent and the tables retrieval payloads are gathered from (a caption per
+raw, the pose table's (x, y, room) rows, and the record count with the last
+t and day) are derived on first use and kept with it, so none outlives its
+set; the executor reads fetch_raw's record view from the set too.
 
 Memory file v8 (``FORMAT_VERSION = 8``), a checksummed artifact file (see
 artifacts.py), holds the two tables and the maximal runs of records (t rises
@@ -179,19 +181,29 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 def _postings(ids: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each of m entries' records, given each record's entry id: the record
-    indices sorted by id (stable), and each id's start and count in them."""
+    indices sorted by id (stable; read-only, as _top hands out slices), and
+    each id's start and count in them."""
     count = np.bincount(ids, minlength=m)
-    return np.argsort(ids, kind="stable"), np.cumsum(count) - count, count
+    records = np.argsort(ids, kind="stable")
+    records.flags.writeable = False
+    return records, np.cumsum(count) - count, count
 
 
 def _top(key: np.ndarray, postings: tuple, r: int, entries: Optional[np.ndarray] = None) -> tuple:
     """The first r records of the entries (all when None) by (entry key,
-    index), NaN keys last, and each one's entry. Ranked entries are read,
-    at most r records each, until they hold r; those tied with the last read
-    are read too, and tied entries' records merge by index."""
+    index), NaN keys last, and each one's entry: the best entry's first r
+    postings, one slice, when it holds r and its key is strictly below the
+    next one's (not NaN, no tie such as 0.0 and -0.0). Otherwise ranked
+    entries are read, at most r records each, until they hold r; those tied
+    with the last read are read too, and tied entries' records merge by
+    index."""
     records, start, count = postings
     r = min(r, len(records))
     ranked = key.argsort(kind="stable") if entries is None else entries[key[entries].argsort(kind="stable")]
+    if len(ranked):
+        best = ranked[0]
+        if count[best] >= r and (len(ranked) == 1 or key[best] < key[ranked[1]]):
+            return records[start[best] : start[best] + r], ranked[:1].repeat(r)
     size = np.minimum(count[ranked], r)
     ends = size.cumsum()
     cut = int(ends.searchsorted(r))
@@ -229,6 +241,14 @@ class _RecordSet(Batch):
             raw=self.raws[self.raw[i]],
         )
 
+    def gather(self, idx: np.ndarray) -> tuple[list, ...]:
+        """The t, day, room, x, y and caption lists of records idx (indices
+        in range, unchecked): one take per record column and one from each
+        derived table (pose_rows, captions), no MemoryRecord built."""
+        x, y, room = self.pose_rows.take(self.pose.take(idx), axis=0).T.tolist()
+        return (self.t.take(idx).tolist(), self.day.take(idx).tolist(), room, x, y,
+                self.captions.take(self.raw.take(idx)).tolist())
+
     @functools.cached_property
     def records(self) -> list[MemoryRecord]:
         return [self.record(i) for i in range(len(self.t))]
@@ -248,6 +268,11 @@ class _RecordSet(Batch):
         """The poses' x, y and room, one array each."""
         x, y = np.array([pose.position for pose in self.poses], dtype=np.float64).reshape(-1, 2).T
         return x, y, np.fromiter((pose.room_id for pose in self.poses), dtype=object, count=len(self.poses))
+
+    @functools.cached_property
+    def extent(self) -> float:
+        """The largest |x| or |y| of the poses (NaN if any is NaN)."""
+        return float(np.abs(np.concatenate(self.pose_fields[:2])).max(initial=0.0))
 
     @functools.cached_property
     def pose_rows(self) -> np.ndarray:
@@ -323,18 +348,15 @@ class LongTermMemory:
 
     def fields(self, indices: Sequence[int]) -> dict[str, list]:
         """Fields of the given records, one list per field: t, day, the pose's
-        x, y and room, and the raw's caption. One take per record column and
-        one from each of the record set's derived tables (pose_rows,
-        captions), no MemoryRecord built."""
+        room, x and y, and the raw's caption (_RecordSet.gather), once every
+        index is checked."""
         held = self._set
         n = len(held.t)
         idx = np.asarray(indices, dtype=np.intp)
         # One bound check for both ends: a negative index is huge unsigned.
         if idx.size and idx.view(np.uintp).max() >= n:
             raise IndexError(f"record index out of range [0, {n})")
-        x, y, room = held.pose_rows.take(held.pose.take(idx), axis=0).T.tolist()
-        return {"t": held.t.take(idx).tolist(), "day": held.day.take(idx).tolist(), "x": x, "y": y, "room": room,
-                "caption": held.captions.take(held.raw.take(idx)).tolist()}
+        return dict(zip(("t", "day", "room", "x", "y", "caption"), held.gather(idx)))
 
     def extend(self, batch: Batch) -> int:
         """Append a batch of records and return the index of its first one.
@@ -486,7 +508,8 @@ class LongTermMemory:
         distances and the nearest poses' postings, poses that share a position
         tying (see _top): O(P log P + r). A non-finite center or radius is an
         error, not an empty result; a finite one, however far, measures every
-        distance that fits a float."""
+        distance that fits a float, guarded against overflow only when its
+        |x| + |y| plus the poses' extent reaches 1e150."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if not all(map(math.isfinite, (*center, radius))):
@@ -497,20 +520,24 @@ class LongTermMemory:
         if not len(held.t):
             return _NO_HITS
         x, y, _ = held.pose_fields
-        # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. It squares the
-        # offsets, and rounding scales them up, so a far but finite center
-        # overflows to inf; those entries, and only those, are recomputed with
-        # np.hypot, which does not square, and kept unrounded where rounding
-        # would overflow again.
-        with np.errstate(over="ignore"):
-            dx = x - float(center[0])
-            dy = y - float(center[1])
+        cx, cy = float(center[0]), float(center[1])
+        # sqrt(dx*dx + dy*dy) is np.linalg.norm's arithmetic. Below 1e150
+        # (the centre's |x| + |y| plus the poses' extent) none of it can
+        # overflow; past it, a far but finite centre can overflow to inf.
+        # Those entries, and only those, are recomputed with np.hypot, which
+        # does not square, and kept unrounded where rounding overflows.
+        if abs(cx) + abs(cy) + held.extent < 1e150:
+            dx, dy = x - cx, y - cy
             dist = np.sqrt(dx * dx + dy * dy).round(SCORE_DECIMALS)
-            far = np.isinf(dist)
-            if far.any():
-                exact = np.hypot(dx[far], dy[far])
-                rounded = exact.round(SCORE_DECIMALS)
-                dist[far] = np.where(np.isinf(rounded), exact, rounded)
+        else:
+            with np.errstate(over="ignore"):
+                dx, dy = x - cx, y - cy
+                dist = np.sqrt(dx * dx + dy * dy).round(SCORE_DECIMALS)
+                far = np.isinf(dist)
+                if far.any():
+                    exact = np.hypot(dx[far], dy[far])
+                    rounded = exact.round(SCORE_DECIMALS)
+                    dist[far] = np.where(np.isinf(rounded), exact, rounded)
         index, pose = _top(dist, held.pose_postings, r, np.flatnonzero(dist <= radius))
         return QueryResult(index, dist[pose])
 

@@ -75,7 +75,7 @@ from objsearch.homesim import (
     WorldState,
     generate_world,
 )
-from objsearch.memstore import Batch, LongTermMemory, build
+from objsearch.memstore import DEFAULT_TOP_R, Batch, LongTermMemory, QueryResult, build
 from objsearch.homesim import patrol
 
 
@@ -735,7 +735,8 @@ def test_hits_read_as_record_views_dicts(data):
     memory, _ = data.draw(hit_memories())
     index = data.draw(st.lists(st.integers(0, len(memory) - 1), max_size=8))
     score = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(index), max_size=len(index)))
-    hits, views = record_views(memory, index, score), reference_views(memory, index, score)
+    result = QueryResult(np.array(index, dtype=np.int64), np.array(score, dtype=np.float64))
+    hits, views = record_views(memory, result), reference_views(memory, index, score)
     assert (len(hits), bool(hits)) == (len(views), bool(views))
     assert hits == views and views == hits and hits == tuple(views) and not hits != views
     assert [hits[j] for j in range(-len(hits), len(hits))] == views + views
@@ -885,6 +886,87 @@ def test_retrieval_outcomes_of_split_batches_equal_one_batch(drawn, data):
         start = end
 
 
+@functools.lru_cache(maxsize=None)
+def patrol_memory(mode):
+    """A memory of a three-day patrol (scene 1, 60 ticks a day) in mode, or an
+    empty one: an oracle raw holds long runs of records, so a query's best
+    entry often fills r alone."""
+    if mode == "empty":
+        return LongTermMemory(d=EMB.config.d, ticks_per_day=60)
+    world, schedule = generate_world(0, 1, ticks_per_day=60)
+    return build(patrol(world, schedule, 3), EMB, mode=mode, ticks_per_day=60)
+
+
+def fields_reference(memory, embedder, action):
+    """The outcome_json of a retrieval the memory's query answers, built with
+    LongTermMemory.fields: one dict per hit, or the record's view, beside the
+    record count and the last record's t and day."""
+    args, n = action.args, len(memory)
+    last = memory.record(n - 1).t if n else None
+    payload = {"total": n, "ticks_per_day": memory.ticks_per_day, "last_t": None if last is None else last.value,
+               "last_day": None if last is None else last.day}
+    r = args.get("r", DEFAULT_TOP_R)
+    try:
+        if action.tool == "fetch_raw":
+            i = args["record_index"]
+            raw = memory.fetch_raw(i)
+            payload["record"] = {"record_index": i, **{k: v[0] for k, v in memory.fields([i]).items()},
+                                 "entities": [e.to_dict() for e in raw.visible_entities]}
+        else:
+            if action.tool == "semantic_query":
+                result = memory.query_semantic(args["query"], embedder, r=r)
+            elif action.tool == "spatial_query":
+                result = memory.query_spatial((args["x"], args["y"]), args["radius"], r=r)
+            elif "timestep" in args:
+                result = memory.query_temporal(t_center=args["timestep"], r=r)
+            else:
+                result = memory.query_temporal(day_window=(args["day_start"], args["day_end"]), r=r,
+                                               per=args.get("per", "record"))
+            f = memory.fields(result.indices)
+            payload["hits"] = [{"record_index": i, "score": s, **{k: v[j] for k, v in f.items()}}
+                               for j, (i, s) in enumerate(result.hits)]
+    except (ValueError, LookupError) as exc:
+        payload = {"hits": [], "error": str(exc)}
+    return canonical_dumps({"kind": "retrieval", "payload": payload})
+
+
+@st.composite
+def retrieval_actions(draw, memory):
+    """Any retrieval action on memory: r from 1 to R_MAX, spatial centres at
+    its poses and at 1e200, day windows per record and per run, and record
+    indices one past either end."""
+    r = {"r": draw(st.integers(1, 8) | st.sampled_from([25, 200, R_MAX]))} if draw(st.booleans()) else {}
+    x, y = draw(st.sampled_from([pose.position for pose in memory._set.poses] + [(1e200, 0.0)]))
+    days = sorted(draw(st.lists(st.integers(-1, 3), min_size=2, max_size=2)))
+    per = draw(st.sampled_from(["record", "run"]))
+    return draw(st.sampled_from([
+        Action("semantic_query", {"query": draw(st.sampled_from(["mug", "book", "plant on a shelf", "zzz"])), **r}),
+        Action("temporal_query", {"timestep": draw(st.integers(-2, len(memory) + 2)), **r}),
+        Action("temporal_query", {"day_start": days[0], "day_end": days[1], "per": per, **r}),
+        Action("spatial_query", {"x": x, "y": y, "radius": draw(st.sampled_from([1e-9, 1.0, 2.5, 1e300])), **r}),
+        Action("fetch_raw", {"record_index": draw(st.integers(-1, len(memory)))}),
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["oracle", "realistic", "empty", "drawn", "mixed"]), data=st.data())
+def test_executor_outcomes_equal_the_fields_reference(kind, data):
+    """Every retrieval tool's outcome through the executor, whose hits are
+    gathered from the record set unchecked, is byte for byte the one built
+    from LongTermMemory.fields: on oracle and realistic patrol memories (a
+    lone best raw or pose), drawn and mixed-type memories (ties at the first
+    score, zeros of both signs) and an empty memory."""
+    if kind == "drawn":
+        memory = data.draw(hit_memories())[0]
+    else:
+        memory = mixed_type_memory() if kind == "mixed" else patrol_memory(kind)
+    qvec = np.eye(4)[data.draw(st.integers(0, 3))]
+    embedder = EMB if memory.d == EMB.config.d else (lambda query: qvec)
+    executor = ActionExecutor(memory, tiny_world(), Schedule(seed=0), embedder)
+    for action in data.draw(st.lists(retrieval_actions(memory), min_size=1, max_size=6)):
+        assert outcome_json(executor.execute(action)) == fields_reference(memory, embedder, action), action
+
+
 def test_outcome_json_encodes_foreign_hits_whole():
     """Hit dicts, of record_views' shape or not, are encoded whole, also when
     a field's value equals one of another type: 1 == 1.0 == True and
@@ -904,7 +986,8 @@ def test_outcome_json_encodes_foreign_hits_whole():
     memory = LongTermMemory(d=EMB.config.d, ticks_per_day=5)
     memory.extend(spec_batch(memory, [(0, "a mug", (0.0, 0.0))], EMB))
     for score in ([1, 2], [True, False], np.array([1.0, 2.0], dtype=np.float32)):
-        outcome = Outcome(kind="retrieval", payload={"hits": record_views(memory, [0, 0], score), **meta})
+        result = QueryResult(np.zeros(2, dtype=np.int64), np.asarray(score))
+        outcome = Outcome(kind="retrieval", payload={"hits": record_views(memory, result), **meta})
         assert outcome_json(outcome) == canonical_dumps(outcome.to_dict()), score
 
 

@@ -1390,6 +1390,92 @@ def test_queries_cut_inside_large_tie_groups_equal_the_linear_scans(runs, unused
                          scan_spatial([rec.pose.position for rec in memory.records], (0.0, 0.0), radius, r))
 
 
+@st.composite
+def entry_records(draw):
+    """Entries, each one raw (a TIE_ROWS row) and one pose (a PLACES place)
+    that hold the same 1-6 records, and each record's entry, in drawn order."""
+    entries = draw(st.lists(st.tuples(st.integers(0, len(TIE_ROWS) - 1), st.integers(0, len(PLACES) - 1),
+                                      st.integers(1, 6)), min_size=1, max_size=4))
+    return entries, draw(st.permutations([j for j, (_, _, count) in enumerate(entries) for _ in range(count)]))
+
+
+# TIE_QUERIES[1] scores TIE_ROWS 1, 0, 3 and 4 at 1.0, 0.0, 0.0 and -0.0;
+# TIE_QUERIES[5] scores every row NaN, and TIE_QUERIES[6] row 0 inf and row 1
+# NaN. PLACES 0 and 1 lie 0.0 from the origin, and 4 and 5 lie 1.0 from it.
+@settings(max_examples=300, deadline=None)
+@given(drawn=entry_records(), query=st.integers(0, len(TIE_QUERIES) - 1), centre=st.sampled_from(CENTRES[:4]),
+       radius=st.sampled_from([0.5, 1.0, 5.0]), r=st.integers(1, 8) | st.just(10**9))
+@example(drawn=([(1, 0, 3), (0, 4, 2)], [1, 0, 0, 1, 0]), query=1, centre=(0.0, 0.0), radius=5.0, r=3)  # exactly r
+@example(drawn=([(1, 0, 3), (0, 4, 2)], [1, 0, 0, 1, 0]), query=1, centre=(0.0, 0.0), radius=5.0, r=4)  # r - 1
+@example(drawn=([(1, 0, 3), (1, 1, 2)], [1, 0, 1, 0, 0]), query=1, centre=(0.0, 0.0), radius=5.0, r=2)  # a tie
+@example(drawn=([(3, 4, 3), (4, 5, 2)], [1, 0, 1, 0, 0]), query=1, centre=(0.0, 0.0), radius=5.0, r=2)  # 0.0, -0.0
+@example(drawn=([(0, 0, 3), (1, 4, 2)], [1, 0, 1, 0, 0]), query=5, centre=(0.0, 0.0), radius=5.0, r=2)  # NaN first
+@example(drawn=([(0, 0, 3), (1, 4, 2)], [1, 0, 1, 0, 0]), query=6, centre=(0.0, 0.0), radius=5.0, r=2)  # NaN second
+@example(drawn=([(1, 0, 3)], [0, 0, 0]), query=1, centre=(0.0, 0.0), radius=5.0, r=10**9)  # r past the records
+def test_a_lone_best_entry_gives_the_linear_scans_hits(drawn, query, centre, radius, r):
+    """Semantic and spatial queries over raws and poses of several records
+    each, where the best entry holds r records, r - 1 or all of them, ties
+    the next entry (0.0 and -0.0 too), or scores NaN first or second, equal
+    the linear scans: _top's one-slice answer is taken only when it is the
+    scan's."""
+    entries, order = drawn
+    memory = LongTermMemory(d=4, ticks_per_day=10)
+    memory.extend(Batch(
+        t=range(len(order)), day=[t // 10 for t in range(len(order))], pose=order, raw=order,
+        poses=[Pose(position=PLACES[place], yaw=0.0, room_id="kitchen") for _, place, _ in entries],
+        embeddings=[TIE_ROWS[row] for row, _, _ in entries],
+        raws=[SymbolicObservation((), f"entry {j}") for j in range(len(entries))],
+    ))
+    with np.errstate(invalid="ignore"):
+        assert same_hits(memory.query_semantic_vector(TIE_QUERIES[query], r=r).hits,
+                         scan_semantic(memory, TIE_QUERIES[query], r))
+    positions = [PLACES[entries[j][1]] for j in order]
+    assert same_hits(memory.query_spatial(centre, radius, r=r).hits, scan_spatial(positions, centre, radius, r))
+
+
+def last_centre_below(extent):
+    """The largest c with c + extent < 1e150, in float arithmetic."""
+    c = 1e150 - extent
+    while c + extent >= 1e150:
+        c = math.nextafter(c, 0.0)
+    while math.nextafter(c, math.inf) + extent < 1e150:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+def test_spatial_distances_either_side_of_the_overflow_bound_equal_the_scan():
+    """Centres whose |x| + |y| plus the poses' extent (the largest |x| or
+    |y|) sits just below 1e150, at or just above it, or at 1e154 or 1e200,
+    measure every distance as the per-record scan does, bits included, with
+    no overflow warning (a RuntimeWarning fails the test). A batch that
+    brings a far pose moves the next query to the guarded path: the extent
+    is the record set's, not kept from the set before."""
+    extent = 4e149
+    places = [(extent, -1.0), (-3e149, extent), (0.5, 0.25), (-extent, -extent)]
+    memory = LongTermMemory(d=4, ticks_per_day=10)
+    memory.extend(Batch(t=range(8), day=[0] * 8, pose=[0, 1, 2, 3, 2, 1, 0, 2], raw=[0] * 8,
+                        poses=[Pose(position=p, yaw=0.0, room_id="den") for p in places],
+                        embeddings=[UNIT[0]], raws=[SymbolicObservation((), "a")]))
+    below = last_centre_below(extent)
+    above = math.nextafter(below, math.inf)
+    for centre, guarded in [((below, 0.0), False), ((-below, -0.0), False), ((0.0, below), False),
+                            ((above, 0.0), True), ((0.0, -above), True), ((1e150, 0.0), True),
+                            ((1e154, 1e154), True), ((1e200, -1e200), True)]:
+        assert (abs(centre[0]) + abs(centre[1]) + memory._set.extent >= 1e150) == guarded
+        positions = [rec.pose.position for rec in memory.records]
+        assert same_hits(memory.query_spatial(centre, sys.float_info.max, r=len(memory)).hits,
+                         scan_spatial(positions, centre, sys.float_info.max, len(memory))), centre
+    near = LongTermMemory(d=4, ticks_per_day=10)
+    for batch in (Batch(t=[0], day=[0], pose=[0], raw=[0], poses=[Pose(position=(1.0, 2.0), yaw=0.0, room_id="den")],
+                        embeddings=[UNIT[0]], raws=[SymbolicObservation((), "a")]),
+                  Batch(t=[1], day=[0], pose=[1], raw=[0], poses=[Pose(position=(1e200, 0.0), yaw=0.0, room_id="den")],
+                        embeddings=[], raws=[])):
+        near.extend(batch)
+        positions = [rec.pose.position for rec in near.records]
+        assert same_hits(near.query_spatial((0.5, 0.5), sys.float_info.max, r=5).hits,
+                         scan_spatial(positions, (0.5, 0.5), sys.float_info.max, 5))
+
+
 def assert_loaded_equals(loaded, memory):
     assert_same_memory(loaded, memory)
     assert (loaded.d, loaded.ticks_per_day, loaded.embedder_id, loaded.mode) == (
