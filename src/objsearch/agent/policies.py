@@ -180,8 +180,7 @@ class TraceView:
         self.fetched: dict[int, dict] = {}
         self.queries: list[Action] = []
         self.navigated: set[str] = set()
-        self.opened: set[str] = set()
-        self.open_step: dict[str, int] = {}
+        self.open_step: dict[str, int] = {}  # receptacle -> the step that last opened it
         self.detections: list[tuple[int, Optional[str], list[dict]]] = []
         self.picked_ok: set[str] = set()
         self.pick_failed: set[str] = set()
@@ -241,9 +240,7 @@ class TraceView:
                 self.focus = action.args.get("landmark")
                 self.navigated.add(self.focus)
             elif action.tool == "open" and payload.get("success"):
-                recep = action.args.get("receptacle")
-                self.opened.add(recep)
-                self.open_step[recep] = step
+                self.open_step[action.args.get("receptacle")] = step
             elif action.tool == "pick":
                 entity = action.args.get("entity", "")
                 if payload.get("success"):
@@ -773,7 +770,7 @@ class StarScriptedPolicy:
             allow_open
             and entry is not None
             and entry.get("receptacle")
-            and landmark_id not in view.opened
+            and landmark_id not in view.open_step
         ):
             return PolicyDecision(Action("open", {"receptacle": landmark_id}))
         return None
@@ -826,7 +823,7 @@ class StarScriptedPolicy:
         for lm in room_landmarks(schema, room):
             if not lm.get("receptacle"):
                 continue
-            if lm["id"] in view.opened and view.fresh_detection(lm["id"]) is not None:
+            if lm["id"] in view.open_step and view.fresh_detection(lm["id"]) is not None:
                 # Already opened and inspected.
                 if view.focus != lm["id"]:
                     continue

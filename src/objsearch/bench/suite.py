@@ -54,7 +54,7 @@ from ..core import (
     stable_seed,
 )
 from ..embed import DEFAULT_DIM, Embedder, EmbedderConfig
-from ..homesim import WorldState, day_graphs, generate_world, patrol
+from ..homesim import WorldState, day_graphs, patrol, scene_world
 from ..memstore import LongTermMemory, build
 from .tasks import TaskSpec, adjudicate, default_prior_table
 
@@ -165,7 +165,7 @@ def prepare_task(
     per-day scene graphs, taken from copies of it at each day's last tick;
     one embedder, since its embeddings do not depend on what it has seen;
     and the world at task time."""
-    world, _ = generate_world(task.layout_seed, task.scene_id, ticks_per_day=task.ticks_per_day)
+    world = scene_world(task.layout_seed, task.scene_id, task.ticks_per_day)
     graphs = day_graphs(world, task.schedule, task.days)
     stream = patrol(world, task.schedule, task.days)
     embedder = Embedder(EmbedderConfig())

@@ -166,8 +166,9 @@ class Embedder:
 
     Patrol streams repeat captions heavily (a room looks the same from every
     landmark in it), so memoizing by exact text is a large win when embedding
-    queries. Memories embed their captions in one batch (embed_captions),
-    from phrase features memoized once per process (_phrase_features).
+    queries. A memory of the reference embedder embeds its captions in one
+    batch (embed_captions), from phrase features memoized once per process
+    (_phrase_features).
     """
 
     def __init__(self, config: EmbedderConfig, post: Callable[[str, dict, float], dict] = _default_post):
@@ -194,30 +195,32 @@ class Embedder:
         self._memo[text] = vec
         return vec
 
-    def embed_captions(self, captions: Sequence[Sequence[str]]) -> np.ndarray:
-        """The embeddings of captions given as phrases, as a (k, d) array:
-        row i is self("; ".join(captions[i])), bit for bit.
+    def embed_captions(self, texts: Sequence[str]) -> np.ndarray:
+        """The embeddings of texts as a (k, d) array: row i is
+        self(texts[i]), bit for bit, and a text without tokens raises
+        EmbeddingError as __call__ does.
 
-        No token spans "; ", so a reference caption's features are its
-        phrases' unigrams and bigrams plus, at each "; ", the bigram of the
-        last token before it and the first token after it; a phrase without
-        tokens adds none, and the tokens around it make that bigram. Its
-        pre-norm vector adds each feature's sign into its bucket; sums of
-        +-1.0 are exact in any order, so all captions are summed in one
-        pass, and the row norms are those of the joined texts. Each phrase's
-        buckets and signs come from a bounded process-wide memo. A caption
-        without tokens, or whose counts cancel to zero, and every caption of
-        an external embedder, goes through __call__.
+        A caption is its phrases joined by "; ", and no token spans "; ", so
+        a reference text's features are its parts' (split at "; ")
+        unigrams and bigrams plus, at each "; ", the bigram of the last
+        token before it and the first token after it; a part without tokens
+        adds none, and the tokens around it make that bigram. Its pre-norm
+        vector adds each feature's sign into its bucket; sums of +-1.0 are
+        exact in any order, so all texts are summed in one pass, and the row
+        norms are those of the whole texts. Each part's buckets and signs
+        come from a bounded process-wide memo. A text without tokens, or
+        whose counts cancel to zero, and every text of an external
+        embedder, goes through __call__.
         """
         d = self.d
         if self.config.kind != "reference":
-            return np.array([self("; ".join(phrases)) for phrases in captions]).reshape(-1, d)
-        # Each feature's bucket and sign, and the caption it counts for: the
-        # phrases' features, then the bigrams at the "; "s.
+            return np.array([self(text) for text in texts]).reshape(-1, d)
+        # Each feature's bucket and sign, and the text it counts for: the
+        # parts' features, then the bigrams at the "; "s.
         buckets, signs, sizes, pairs, pair_of = [np.empty(0, np.intp)], [np.empty(0)], [], [], []
-        for i, phrases in enumerate(captions):
+        for i, text in enumerate(texts):
             size, last = 0, None
-            for entry in map(_phrase_features, phrases, itertools.repeat(d)):
+            for entry in map(_phrase_features, text.split("; "), itertools.repeat(d)):
                 if entry is None:
                     continue
                 if last is not None:
@@ -229,7 +232,7 @@ class Embedder:
                 last = entry[3]
             sizes.append(size)
         pair_b, pair_s = _buckets(pairs, d)
-        k = len(captions)
+        k = len(texts)
         rows = np.concatenate([np.repeat(np.arange(k), sizes), np.array(pair_of, dtype=np.intp)])
         vecs = np.bincount(rows * d + np.concatenate([*buckets, pair_b]), weights=np.concatenate([*signs, pair_s]),
                            minlength=k * d).reshape(k, d).astype(np.float64, copy=False)
@@ -238,7 +241,7 @@ class Embedder:
         norms[direct] = 1.0
         vecs /= norms[:, None]
         for i in np.flatnonzero(direct).tolist():
-            vecs[i] = self("; ".join(captions[i]))
+            vecs[i] = self(texts[i])
         return vecs
 
 

@@ -53,11 +53,13 @@ derive:
   ``raw_list`` (an entity list's index) and ``raw_caption``.
 
 The embeddings of a memory of the reference embedder are a function of its
-raw captions (_derives_embeddings), so load re-embeds the captions as build
-does (_derived_embeddings). A memory of any other embedder_id (an external
-endpoint's, or none) adds a last line ``{"embeddings": ...}``, the (m, d)
-float64 array as little-endian bytes in base64. Either way persist and load
-encode and decode a fixed number of lines plus one per distinct entity list.
+raw captions, made in one place: extend embeds a batch's new captions and
+refuses a batch that carries embeddings. So its file holds none, and load
+gets them back by extending the memory with the raws it reads. A memory of
+any other embedder_id (an external endpoint's, or none) adds a last line
+``{"embeddings": ...}``, the (m, d) float64 array as little-endian bytes in
+base64. Either way persist and load encode and decode a fixed number of
+lines plus one per distinct entity list.
 ``load`` reads v8 only, type-checks each column whole, naming the column
 and its first bad run, pose or raw, then extends the memory with the runs,
 checking every record. Older files are refused; a memory is rebuilt from
@@ -131,8 +133,10 @@ class Batch:
 
     One sequence of integers per field of RECORD_FIELDS. poses are the pose
     table's entries new with this batch, raws the raw table's and embeddings
-    their caption embeddings, one per raw; a record's pose and raw ids index
-    the tables as they stand once those entries are appended.
+    their caption embeddings, one per raw, or none for a memory of the
+    reference embedder, which derives them (LongTermMemory.extend); a
+    record's pose and raw ids index the tables as they stand once those
+    entries are appended.
     """
 
     t: Sequence[int]
@@ -311,7 +315,8 @@ class _RecordSet(Batch):
 class LongTermMemory:
     """Append-only record columns over a pose table and a raw table, held as
     one published record set (_RecordSet) and queried by meaning, time and
-    place from its columns and the indexes derived from them."""
+    place from its columns and the indexes derived from them. A memory of
+    the reference embedder derives its raws' embeddings (extend)."""
 
     def __init__(self, d: int, ticks_per_day: int, embedder_id: str = "", mode: str = "oracle"):
         if ticks_per_day < 1:
@@ -322,6 +327,10 @@ class LongTermMemory:
         self.ticks_per_day = ticks_per_day
         self.embedder_id = embedder_id
         self.mode = mode
+        # The embedder a memory of the reference embedder derives its
+        # embeddings with; None when its batches carry them.
+        derives = d >= MIN_DIM and embedder_id == EmbedderConfig(d=d).embedder_id
+        self._embedder = Embedder(EmbedderConfig(d=d)) if derives else None
         self._set = _RecordSet.of([np.zeros(0, np.int64) for _ in RECORD_FIELDS], (), np.zeros((0, d)), ())
 
     def __len__(self) -> int:
@@ -362,14 +371,17 @@ class LongTermMemory:
         """Append a batch of records and return the index of its first one.
 
         The whole batch is checked before anything is stored. Columns of
-        unequal length, or embeddings not one per new raw, raise ValueError.
-        Every new embedding must have shape (d,) and unit norm (see
-        _new_rows), timesteps must be non-negative and days t //
-        ticks_per_day, pose and raw ids must index their tables, and
-        timestamps must increase strictly, within the batch and after the last
-        stored record; otherwise BatchError names the first bad new embedding
-        by its position among them, or else the first bad record's position in
-        the batch. A bad batch stores nothing. A good batch is published whole:
+        unequal length raise ValueError. A memory of the reference embedder
+        embeds its new raws' captions in one Embedder.embed_captions call: a
+        batch that carries embeddings raises ValueError, and a caption
+        without tokens EmbeddingError. Any other memory takes one embedding
+        per new raw from the batch, or raises ValueError; each must have
+        shape (d,) and unit norm (see _new_rows). Timesteps must be
+        non-negative and days t // ticks_per_day, pose and raw ids must
+        index their tables, and timestamps must increase strictly, within
+        the batch and after the last stored record; otherwise BatchError
+        names the first bad new embedding by its position among them, or
+        else the first bad record's position in the batch. A bad batch stores nothing. A good batch is published whole:
         the next record set, each column and table the current one's followed
         by the batch's, replaces the current one in one assignment.
         """
@@ -380,9 +392,15 @@ class LongTermMemory:
         size = len(t)
         if any(len(col) != size for col in columns):
             raise ValueError("batch columns differ in length")
-        if len(batch.embeddings) != len(batch.raws):
+        if self._embedder is not None:
+            if len(batch.embeddings):
+                raise ValueError(f"batch has {len(batch.embeddings)} embeddings, and a memory of the reference "
+                                 "embedder derives its own from its raw captions")
+            embeddings = self._embedder.embed_captions([raw.caption for raw in batch.raws])
+        elif len(batch.embeddings) != len(batch.raws):
             raise ValueError(f"batch has {len(batch.embeddings)} embeddings for {len(batch.raws)} new raws")
-        embeddings = self._new_rows(batch.embeddings)
+        else:
+            embeddings = self._new_rows(batch.embeddings)
         # The timestamp before each one; -1 stands before an empty memory.
         prev = np.concatenate(([held.t[n - 1] if n else -1], t[:-1]))
         tpd = self.ticks_per_day
@@ -614,8 +632,9 @@ def build(
 
     Construction is task-agnostic: it sees only the stream. Captions are
     composed from the raw entity lists under the requested mode, embedded
-    once per distinct caption in one batch (Embedder.embed_captions), and
-    stored alongside the raw observation.
+    once per distinct caption in one batch (Embedder.embed_captions: the
+    memory's own for the reference embedder, see LongTermMemory.extend;
+    embedder's for any other), and stored alongside the raw observation.
 
     The stream is taken as runs (ObservationStream.of): ticks of one day
     seen from one pose object with one observation object. An oracle
@@ -623,16 +642,14 @@ def build(
     on the record's noise: the draws of core.noise_draws at its timestep,
     one slot per entity, coded by core.noise_codes for all records at once.
     Each distinct (entity list, slot, code) phrase is rendered once; each
-    distinct (entity list, codes) joins its phrases into its caption and
-    hands them to the embedder as they are. The record columns are filled
-    with no per-record Python work.
+    distinct (entity list, codes) joins its phrases into its caption. The
+    record columns are filled with no per-record Python work.
 
     Both tables are keyed by value and numbered in order of first use: a
     pose's floats by their bits, and a raw, one per distinct (entity list,
     caption) (so codes that give one caption share it), holding its
-    caption's embedding (the rule _derived_embeddings states for a memory
-    file), so the memory holds m raws and m embeddings. All records go into
-    the memory as one columnar batch.
+    caption's embedding, so the memory holds m raws and m embeddings. All
+    records go into the memory as one columnar batch.
     """
     if isinstance(embedder, EmbedderConfig):
         embedder = Embedder(embedder)
@@ -678,13 +695,10 @@ def build(
              for key in keys.tolist()]
     phrase = np.full(vcodes.shape, -1)
     phrase[live] = phrase_of
-    # Each variant's raw, (entity list, caption), numbered in order of first
-    # use, with its phrases.
-    raws: dict[tuple[int, str], tuple[int, tuple[str, ...]]] = {}
-    raw_of = []
-    for a, ids in zip(vlist.tolist(), phrase.tolist()):
-        phrases = tuple([texts[p] for p in ids if p >= 0]) or (EMPTY_CAPTION,)
-        raw_of.append(raws.setdefault((a, "; ".join(phrases)), (len(raws), phrases))[0])
+    # Each variant's raw, (entity list, caption), numbered in order of first use.
+    raws: dict[tuple[int, str], int] = {}
+    raw_of = [raws.setdefault((a, "; ".join([texts[p] for p in ids if p >= 0] or [EMPTY_CAPTION])), len(raws))
+              for a, ids in zip(vlist.tolist(), phrase.tolist())]
     raw = np.array(raw_of, dtype=np.int64)[variant]
     # Each run's pose, numbered by value in order of first use, floats by their bits: a zero keys by its repr.
     number: dict[tuple, int] = {}
@@ -701,7 +715,7 @@ def build(
         pose=per_run(pose_ids, np.int64),
         raw=raw,
         poses=poses,
-        embeddings=embedder.embed_captions([phrases for _, phrases in raws.values()]),
+        embeddings=() if memory._embedder else embedder.embed_captions([caption for _, caption in raws]),
         raws=SymbolicObservation.sharing(entity_lists, raws),
     )
     memory.extend(batch)
@@ -723,46 +737,19 @@ _INT_RANGE = {int: ("int64", -(2**63), 2**63 - 1),
               float: ("float64", -int(sys.float_info.max), int(sys.float_info.max))}
 
 
-def _derives_embeddings(embedder_id: str, d: int) -> bool:
-    """Whether a memory's embeddings are a function of its raw captions,
-    being the reference embedder's: the one rule of a file's layout."""
-    return d >= MIN_DIM and embedder_id == EmbedderConfig(d=d).embedder_id
-
-
-def _derived_embeddings(raws: Sequence[SymbolicObservation], d: int) -> np.ndarray:
-    """Each raw's embedding, an (m, d) array, as build makes it for a memory
-    of the reference embedder: the captions, split into the phrases they
-    were joined from, embedded by one embed_captions call."""
-    return Embedder(EmbedderConfig(d=d)).embed_captions([raw.caption.split("; ") for raw in raws])
-
-
-def _check_derived(snap: Batch, d: int) -> None:
-    """Raise ValueError naming the first raw whose embedding is not, bit for
-    bit, the one _derived_embeddings gives its caption."""
-    derived = _derived_embeddings(snap.raws, d)
-    bad = (derived.view(np.int64) != snap.embeddings.view(np.int64)).any(axis=1)
-    if bad.any():
-        raise ValueError(f"raw {int(bad.argmax())}: its embedding is not the one derived from its caption, "
-                         "and a memory file of the reference embedder stores captions, not embeddings")
-
-
 def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = None) -> None:
     """Write a memory file v8 (see the module docstring); runs are found by
     comparing neighbouring records column by column. extra_header fields
     (e.g. a producing-config hash) join the header without displacing its
     keys.
 
-    A memory whose embeddings are derived is written only when they are
-    the derived ones (see _check_derived), so that load gives it back;
-    otherwise ValueError names the first raw that differs. A pose whose room
-    is not a string, which load would refuse, raises ValueError naming the
-    pose. A refused memory writes no file.
+    A memory of the reference embedder derived its embeddings from its
+    captions (LongTermMemory.extend), so its file holds the captions only
+    and persist embeds nothing. A pose whose room is not a string, which
+    load would refuse, raises ValueError naming the pose and writes no file.
     """
     snap = memory._set
     n = len(snap.t)
-    derived = _derives_embeddings(memory.embedder_id, memory.d)
-    if derived:
-        _check_derived(snap, memory.d)
     starts = snap.run_starts
     list_ids, entity_lists = _numbered([raw.visible_entities for raw in snap.raws])
     header = {
@@ -788,7 +775,7 @@ def persist(memory: LongTermMemory, path: str, extra_header: Optional[dict] = No
     values["raw_list"] = list_ids
     values["raw_caption"] = [raw.caption for raw in snap.raws]
     lines = [{name: values[name]} for name in _COLUMNS]
-    if not derived:
+    if memory._embedder is None:
         table = np.ascontiguousarray(snap.embeddings, dtype="<f8")
         lines.append({"embeddings": base64.b64encode(table.tobytes()).decode("ascii")})
     lists = ([e.to_dict() for e in entities] for entities in entity_lists)
@@ -858,10 +845,11 @@ def load(path: str) -> LongTermMemory:
     checksum, the header (its integers JSON integers, the counts at least 0,
     its strings JSON strings, mode one of core.MODES), each column (see
     _column), the run lengths, every list, pose and raw id, every raw's
-    embedding and every record. Derived embeddings come from one
-    embed_captions call over the raw captions (_derived_embeddings). A
-    failure raises IntegrityError naming the header field, the embedding's
-    raw or the column and its run, pose or raw."""
+    embedding and every record. A memory of the reference embedder embeds
+    the raw captions as it is extended (LongTermMemory.extend). A failure
+    raises IntegrityError naming the header field, the embedding's raw or
+    the column and its run, pose or raw (a caption without tokens by its
+    raw)."""
     header, lines, _ = artifacts.verify(path, require=_HEADER_KEYS)
     version = header["format_version"]
     # JSON integers only: true == 1 and 6.0 == 6 in Python.
@@ -881,9 +869,9 @@ def load(path: str) -> LongTermMemory:
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed header: {exc}") from exc
     entity_lists, lines = artifacts.sections(header, lines, tables={"entity_lists": _entity_list}, name="column")
-    derived = _derives_embeddings(memory.embedder_id, memory.d)
-    if len(lines) != len(_COLUMNS) + (not derived):
-        raise IntegrityError(f"expected {len(_COLUMNS) + (not derived)} column lines, found {len(lines)}")
+    stored = memory._embedder is None
+    if len(lines) != len(_COLUMNS) + stored:
+        raise IntegrityError(f"expected {len(_COLUMNS) + stored} column lines, found {len(lines)}")
     columns = {name: _column(line, name, kind, header[count], count[:-1])
                for line, (name, (kind, count)) in zip(lines, _COLUMNS.items())}
     # Runs of at least one record, summing to records before any is expanded.
@@ -901,14 +889,7 @@ def load(path: str) -> LongTermMemory:
         raise IntegrityError(str(exc)) from exc
     _ids(columns, "pose", "run", "pose", len(poses))
     _ids(columns, "raw", "run", "raw", len(raws))
-    if not derived:
-        embeddings = _embeddings(lines[-1], len(raws), memory.d)
-    else:
-        try:
-            embeddings = _derived_embeddings(raws, memory.d)
-        except EmbeddingError as exc:  # a caption without tokens
-            j = _first_bad(columns["raw_caption"], lambda caption: not normalize_text(caption))
-            raise IntegrityError(f"column 'raw_caption' raw {j}: {exc}") from exc
+    embeddings = _embeddings(lines[-1], len(raws), memory.d) if stored else ()
     # The runs as one Batch, by np.repeat with no per-record Python; extend
     # checks every record (so overlapping or unordered runs are refused), and
     # its error names the run.
@@ -918,6 +899,9 @@ def load(path: str) -> LongTermMemory:
     try:
         memory.extend(Batch(np.repeat(np.array(columns["t0"], dtype=np.int64) - starts, lengths) + np.arange(total),
                             *rest, poses=poses, embeddings=embeddings, raws=raws))
+    except EmbeddingError as exc:  # a caption without tokens
+        j = _first_bad(columns["raw_caption"], lambda caption: not normalize_text(caption))
+        raise IntegrityError(f"column 'raw_caption' raw {j}: {exc}") from exc
     except BatchError as exc:
         if exc.part != "record":
             raise IntegrityError(f"{exc.part} {exc.position}: {exc.reason}") from exc

@@ -5,6 +5,7 @@ import hashlib
 import json
 
 from objsearch.core import Pose, SymbolicObservation, VisibleEntity
+from objsearch.embed import MIN_DIM, EmbedderConfig
 from objsearch.memstore import Batch
 
 
@@ -21,12 +22,19 @@ def no_crash(run):
     return checked
 
 
+def derives_embeddings(memory):
+    """Whether memory is of the reference embedder, whose embeddings are
+    derived from its raw captions, so that its batches carry none."""
+    return memory.d >= MIN_DIM and memory.embedder_id == EmbedderConfig(d=memory.d).embedder_id
+
+
 def spec_batch(memory, specs, embedder):
     """A Batch of one record per (t, caption, pos) spec, to extend memory
     with as it stands now.
 
     Record t's raw is a new observation of one mug, "e<t>", at the sink,
-    with the caption and the embedding embedder(caption); its pose is a new
+    with the caption and the embedding embedder(caption), or no embedding
+    where memory derives its own (derives_embeddings); its pose is a new
     pose at pos, of yaw 0 in room "kitchen"; its day is
     t // memory.ticks_per_day. New poses and raws are numbered after the
     memory's tables.
@@ -44,7 +52,7 @@ def spec_batch(memory, specs, embedder):
         pose=list(range(p, p + len(specs))),
         raw=list(range(m, m + len(specs))),
         poses=[Pose(position=pos, yaw=0.0, room_id="kitchen") for _, _, pos in specs],
-        embeddings=[embedder(caption) for _, caption, _ in specs],
+        embeddings=[] if derives_embeddings(memory) else [embedder(caption) for _, caption, _ in specs],
         raws=raws,
     )
 

@@ -616,16 +616,17 @@ def test_suite_config_refuses_no_method_or_no_mode(field):
 
 def test_suite_patrols_once_per_task(monkeypatch):
     """The unit of work is the task: one prepare_task call per task, with
-    one generated world, one patrol and one set of day graphs, and one memory
-    per (task, mode). Episodes run through run_task_episode, on copies of the
-    patrolled world, over the memory of their own mode, and generate none; a
-    memory-blind method's episode runs in the first mode only.
+    one scene world (no ambient schedule drawn), one patrol and one set of
+    day graphs, and one memory per (task, mode). Episodes run through
+    run_task_episode, on copies of the patrolled world, over the memory of
+    their own mode, and generate none; a memory-blind method's episode runs
+    in the first mode only.
     Calls are counted at the globals of the module that makes them, where a
     tracer wraps them: day_graphs exports the graphs."""
     from objsearch.bench import suite
     from objsearch.homesim import scenegraph
 
-    calls = {"generate_world": 0, "patrol": 0, "day_graphs": 0, "export_scene_graph": 0, "build": 0,
+    calls = {"scene_world": 0, "patrol": 0, "day_graphs": 0, "export_scene_graph": 0, "build": 0,
              "prepare_task": 0, "run_task_episode": 0}
     memory_modes = []
 
@@ -648,7 +649,7 @@ def test_suite_patrols_once_per_task(monkeypatch):
     config = SuiteConfig(methods=("random", "star"), modes=("oracle", "realistic"), seed=2)
     report = run_suite(tasks, config)
     assert calls == {
-        "generate_world": 2,
+        "scene_world": 2,
         "patrol": 2,
         "day_graphs": 2,
         "export_scene_graph": sum(t.days for t in tasks),

@@ -214,26 +214,25 @@ PHRASES = st.one_of(
 )
 
 
-def assert_rows_equal_calls(emb, captions):
-    got = emb.embed_captions(captions)
-    want = np.array([embed_text(emb.config, "; ".join(c), fake_external_post)
-                     for c in captions]).reshape(len(captions), emb.d)
-    assert got.shape == (len(captions), emb.d) and got.dtype == np.float64
+def assert_rows_equal_calls(emb, texts):
+    got = emb.embed_captions(texts)
+    want = np.array([embed_text(emb.config, text, fake_external_post) for text in texts]).reshape(len(texts), emb.d)
+    assert got.shape == (len(texts), emb.d) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    captions=st.lists(st.lists(PHRASES, min_size=1, max_size=5).map(tuple), max_size=12),
+    captions=st.lists(st.lists(PHRASES, min_size=1, max_size=5).map("; ".join), max_size=12),
     d=st.sampled_from([8, 64, 256]),
 )
 def test_embed_captions_rows_equal_calls(captions, d):
-    """Each batch row is the embedding of the joined caption, bit for bit,
-    also when phrases repeat across captions, on a reused phrase memo, and
-    with captions that have no tokens at all (which raise, as they do one
-    by one)."""
+    """Each batch row is the embedding of its caption (phrases joined by
+    "; "), bit for bit, also when phrases repeat across captions, on a
+    reused phrase memo, and with captions that have no tokens at all (which
+    raise, as they do one by one)."""
     emb = Embedder(EmbedderConfig(d=d))
-    if any(not normalize_text("; ".join(c)) for c in captions):
+    if any(not normalize_text(c) for c in captions):
         with pytest.raises(EmbeddingError):
             emb.embed_captions(captions)
         return
@@ -241,12 +240,45 @@ def test_embed_captions_rows_equal_calls(captions, d):
     assert_rows_equal_calls(emb, captions[::-1])
 
 
+# Parts of texts: words, upper case among them, that repeat; parts without
+# tokens; ";" or "; " inside a part, with or without the space; and capitals
+# whose lower case is a token (U+0130 lowers to "i" and a combining dot, the
+# Kelvin sign U+212A to "k").
+TEXT_PARTS = st.one_of(
+    st.lists(st.sampled_from(PHRASE_WORDS + ["Red", "MUG", "Sink", "A"]), min_size=1, max_size=6).map(" ".join),
+    st.sampled_from(["", " ", "!!", ";", "; ", " ;", ";;", "a;b", "mug;", ";red"]),
+    st.text(alphabet="aB z9_;,. \u0130\u212a", max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.lists(TEXT_PARTS, min_size=1, max_size=6).map("; ".join), max_size=10),
+       d=st.sampled_from([8, 64, 256]))
+def test_embed_captions_equals_call_for_any_text(texts, d):
+    """embed_captions(texts) is [emb(t) for t in texts], bit for bit, for
+    texts split at "; " into parts of any kind (empty, without tokens, with
+    a ";" of their own, in upper case, repeated), and raises EmbeddingError
+    wherever __call__ does."""
+    emb = Embedder(EmbedderConfig(d=d))
+    want = []
+    for text in texts:
+        try:
+            want.append(emb(text))
+        except EmbeddingError:
+            with pytest.raises(EmbeddingError):
+                Embedder(EmbedderConfig(d=d)).embed_captions(texts)
+            return
+    got = Embedder(EmbedderConfig(d=d)).embed_captions(texts)
+    assert got.shape == (len(texts), d) and got.dtype == np.float64
+    assert got.tobytes() == np.array(want).reshape(len(texts), d).tobytes()
+
+
 @pytest.mark.parametrize("d", [8, 64, 256])
 def test_embed_captions_single_phrase_and_empty_caption(d):
     emb = Embedder(EmbedderConfig(d=d))
-    assert_rows_equal_calls(emb, [("nothing notable",), ("a red mug on the sink",)])
+    assert_rows_equal_calls(emb, ["nothing notable", "a red mug on the sink"])
     assert_rows_equal_calls(emb, [])
-    assert_rows_equal_calls(emb, [("a red mug on the sink", "!!", "a book inside the fridge")])
+    assert_rows_equal_calls(emb, ["a red mug on the sink; !!; a book inside the fridge"])
 
 
 def test_embed_captions_zero_norm_goes_through_call(monkeypatch):
@@ -262,7 +294,7 @@ def test_embed_captions_zero_norm_goes_through_call(monkeypatch):
     fresh = functools.lru_cache(maxsize=None)(embed_module._phrase_features.__wrapped__)
     monkeypatch.setattr(embed_module, "_phrase_features", fresh)
     emb = Embedder(EmbedderConfig(d=64))
-    got = emb.embed_captions([("a red mug", "on the sink")])
+    got = emb.embed_captions(["a red mug; on the sink"])
     assert got.tobytes() == emb("a red mug; on the sink").tobytes()
     assert np.count_nonzero(got) == 1
 
@@ -276,6 +308,6 @@ def test_embed_captions_external_kind_calls_endpoint_per_caption():
         return fake_external_post(url, payload, timeout)
 
     emb = Embedder(config, post=post)
-    captions = [("a red mug on the sink", "a book on the desk"), ("nothing notable",)]
+    captions = ["a red mug on the sink; a book on the desk", "nothing notable"]
     assert_rows_equal_calls(emb, captions)
     assert inputs == ["a red mug on the sink; a book on the desk", "nothing notable"]

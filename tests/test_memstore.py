@@ -3,6 +3,7 @@ oracles, raw retrieval, and file persistence."""
 
 import base64
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -169,8 +170,10 @@ def reference_build(stream, embedder, mode, noise_seed, ticks_per_day, noise=DEF
     embedding (Embedder.__call__), extended one single-record batch at a time: the
     per-tick loop that build batches. A realistic caption takes entity j's
     draws from the counter form of the noise model: Philox keyed by
-    (noise_seed, j), at counter t."""
-    memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day, embedder_id=embedder.embedder_id, mode=mode)
+    (noise_seed, j), at counter t. Its embedder_id is not the reference
+    embedder's, so the memory keeps the __call__ rows it is given rather
+    than deriving its own."""
+    memory = LongTermMemory(d=embedder.d, ticks_per_day=ticks_per_day, embedder_id="per-tick reference", mode=mode)
     for i, (t, pose, obs) in enumerate(stream):
         draws = [np.random.Generator(np.random.Philox(key=[noise_seed, j], counter=t.value)).random(4)
                  for j in range(len(obs.visible_entities))]
@@ -1618,36 +1621,60 @@ def test_external_embedder_memory_stores_its_rows(tmp_path, mode):
     assert open(again, "rb").read() == open(path, "rb").read()
 
 
-def refused_memories():
-    """Memories of the reference embedder whose embeddings are not the ones
-    their raw captions derive, each with the first raw persist must name:
-    the last raw holding another caption's embedding, and two raws whose
-    embeddings are swapped."""
-    base = [(t, CAPTIONS[t % 3], (t, 0)) for t in range(4)]
-    wrong = new_memory(base, embedder_id=EMB.embedder_id)
-    batch = spec_batch(wrong, [(4, "a new caption", (0, 0))], EMB)
-    wrong.extend(replace(batch, embeddings=[EMB("another caption")]))
-    swapped = new_memory(embedder_id=EMB.embedder_id)
-    batch = spec_batch(swapped, base, EMB)
-    swapped.extend(replace(batch, embeddings=[batch.embeddings[j] for j in (0, 3, 2, 1)]))
-    return {"wrong": (wrong, "raw 4: its embedding is not the one derived from its caption"),
-            "swapped": (swapped, "raw 1: its embedding is not the one derived from its caption")}
-
-
-@pytest.mark.parametrize("case", ["wrong", "swapped"])
-def test_persist_refuses_rows_that_are_not_derived(tmp_path, case):
-    """A reference embedder's memory file stores no embeddings, so persist
-    writes no file of a memory whose embeddings load could not derive back,
-    and names the first raw that differs; the same memory under another
-    embedder_id keeps its embeddings."""
-    memory, message = refused_memories()[case]
-    path = tmp_path / "memory.jsonl"
+@pytest.mark.parametrize("case", ["derived", "wrong", "swapped"])
+def test_extend_refuses_embeddings_for_a_reference_memory(tmp_path, case):
+    """A memory of the reference embedder derives its embeddings from its
+    raw captions, so extend refuses a batch that carries any (even the
+    derived ones, another caption's, or two raws' swapped) with ValueError
+    and stores nothing. Without them the same batch gets each caption's
+    __call__ row, bit for bit; under another embedder_id it keeps the rows
+    it carries, through a memory file too."""
+    memory = new_memory([(t, CAPTIONS[t % 3], (t, 0)) for t in range(4)], embedder_id=EMB.embedder_id)
+    held = memory._set
+    batch = spec_batch(with_embedder_id(memory), [(4, "a new caption", (0, 0)), (5, CAPTIONS[5], (1, 0))], EMB)
+    rows = {"derived": batch.embeddings, "wrong": [EMB("another caption"), batch.embeddings[1]],
+            "swapped": batch.embeddings[::-1]}[case]
+    batch = replace(batch, embeddings=rows)
+    message = "batch has 2 embeddings, and a memory of the reference embedder derives its own from its raw captions"
     with pytest.raises(ValueError, match=re.escape(message)):
-        persist(memory, str(path))
-    assert not path.exists()
+        memory.extend(batch)
+    assert memory._set is held and len(memory) == 4
     stored = with_embedder_id(memory)
-    persist(stored, str(path))
-    assert_same_bits(load(str(path)), stored)
+    memory.extend(replace(batch, embeddings=[]))
+    assert memory._set.embeddings[4:].tobytes() == np.array([EMB("a new caption"), EMB(CAPTIONS[5])]).tobytes()
+    stored.extend(batch)
+    assert stored._set.embeddings[4:].tobytes() == np.array(rows).tobytes()
+    path = str(tmp_path / "memory.jsonl")
+    persist(stored, path)
+    assert_same_bits(load(path), stored)
+
+
+# sha256 of the memory files of build(patrol_stream(1, 2, 3), EMB, mode,
+# noise_seed=1), as persist wrote them when it still re-derived and compared
+# the embeddings of a reference memory.
+PERSISTED = {"oracle": "2ba8134c568d626f9053299085dfa6657d55972c2fe2aa2a4dc795c6832d4f29",
+             "realistic": "e348e3553987b512c372eb7dd018579a5fc49cc7730e8a9abe5cb9df0eda0fd4"}
+
+
+@pytest.mark.parametrize("mode", ["oracle", "realistic"])
+def test_persist_of_a_reference_memory_calls_no_embedder(tmp_path, monkeypatch, mode):
+    """A reference memory's embeddings were derived as it was extended, so
+    persisting it, built or loaded, embeds nothing: with both ways to embed
+    patched to raise, it writes the same bytes as before."""
+    built = build(patrol_stream(1, 2, 3), EMB, mode=mode, noise_seed=1, ticks_per_day=200)
+    path = str(tmp_path / "built.jsonl")
+    persist(built, path)
+    loaded = load(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("persist embedded a caption")
+
+    monkeypatch.setattr(Embedder, "embed_captions", refuse)
+    monkeypatch.setattr(Embedder, "__call__", refuse)
+    for name, memory in (("built", built), ("loaded", loaded)):
+        again = tmp_path / f"{name}-again.jsonl"
+        persist(memory, str(again))
+        assert hashlib.sha256(again.read_bytes()).hexdigest() == PERSISTED[mode], name
 
 
 @pytest.mark.parametrize("caption", ["a lamp on the shelf", CAPTIONS[1]])
